@@ -7,66 +7,20 @@ metric whose curvature at the origin reproduces the certified tensor,
 and probes parallel-transport holonomy numerically.
 
 The numerical probe lives in :mod:`holonomy.probe` and is imported lazily
-so that the exact core stays free of numpy/numba imports.
+so that the exact core stays free of numpy imports.
 """
 
-from .exactla import (
-    Poly,
-    RatMat,
-    Rational,
-    kernel_basis,
-    matrix_powers,
-    minimal_polynomial,
-    rank,
-    rat_from_str,
-    rat_to_str,
-)
 from .canonical import (
-    BlockSpec,
-    CanonicalPair,
     ComplexBlockError,
-    EigenSpec,
     InvalidSpecError,
-    PencilSpec,
     build_canonical,
-    direct_sum,
-    eigen_split,
     make_pencil,
     pencil_from_json,
     pencil_to_json,
-    shift_to_nilpotent,
     validate_pair,
 )
-from .liealg import (
-    SubspaceBasis,
-    centralizer_basis,
-    centralizer_dim,
-    m_ij_basis,
-    member_coords,
-    so_basis,
-    wedge,
-    wedge_tags,
-)
-from .berger import (
-    BergerCertificate,
-    CurvatureMap,
-    berger_certificate,
-    check_bianchi,
-    check_sectional,
-    r_formal,
-    r_hat,
-    r_minpoly,
-)
-from .realize import (
-    BTensor,
-    QuadraticMetric,
-    build_B,
-    check_gsym,
-    check_nablaL,
-    lower_B,
-    metric_at,
-    riemann_at_origin,
-    verify_realization,
-)
+from .liealg import centralizer_basis
+from .berger import berger_certificate, r_formal
+from .realize import build_B, lower_B, verify_realization
 
 __version__ = "0.1.0"

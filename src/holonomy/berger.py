@@ -1,12 +1,10 @@
-"""Formal curvature tensors from the minimal polynomial and the Berger test.
+"""The blockwise formal curvature map and the Berger test.
 
-Two constructions are provided.  ``r_minpoly`` differentiates the minimal
-polynomial of L along a direction X, which always lands in the centralizer
-algebra and satisfies the Bianchi identity.  ``r_formal`` is the pairwise
-block version: for each pair of Jordan blocks inside one eigenvalue it
-applies the same derivative with the pair's own nilpotency degree, which
-makes the image fill the whole centralizer.  The certificate checks both
-the identities and the exact rank equality.
+``r_formal`` builds the curvature map pair by pair: for each pair of
+Jordan blocks inside one eigenvalue it differentiates the minimal
+polynomial along the argument with the pair's own nilpotency degree,
+which makes the image fill the whole centralizer.  The certificate checks
+the Bianchi identity, containment in g_L and the exact rank equality.
 """
 
 from __future__ import annotations
@@ -16,13 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .canonical import CanonicalPair
-from .exactla import RatMat, minimal_polynomial
-from .liealg import (
-    SubspaceBasis,
-    centralizer_basis,
-    so_basis,
-    wedge_tags,
-)
+from .exactla import RatMat
+from .liealg import SubspaceBasis, so_basis, wedge_tags
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,68 +23,21 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class CurvatureMap:
-    """Linear map so(g) -> gl(V) stored by its values on the wedge basis."""
+    """Linear map so(g) -> gl(V) stored by its values on the wedge basis.
+
+    ``values[k]`` is the image of wedge(e_i, e_j) for ``tags[k] == (i, j)``.
+    """
 
     g: RatMat
-    L: Optional[RatMat]
-    base: SubspaceBasis
-    tags: tuple  # of (i, j), i < j, aligned with base/values
+    tags: tuple  # of (i, j), i < j, aligned with values
     values: tuple  # of RatMat
 
     @property
     def n(self) -> int:
         return self.g.rows
 
-    def value_on_wedge(self, i: int, j: int) -> RatMat:
-        """Value on the basis bivector (e_i, e_j) for any i != j."""
-        n = self.n
-        if i == j:
-            return RatMat.zeros(n, n)
-        if i < j:
-            return self.values[self.tags.index((i, j))]
-        return -self.values[self.tags.index((j, i))]
-
-    def apply(self, x: RatMat) -> RatMat:
-        """Evaluate on an arbitrary element of so(g)."""
-        from .liealg import member_coords
-        coords = member_coords(x, self.base)
-        if coords is None:
-            raise ValueError("argument is not in so(g)")
-        out = RatMat.zeros(self.n, self.n)
-        for c, v in zip(coords, self.values):
-            if c:
-                out = out + c * v
-        return out
-
     def is_zero_map(self) -> bool:
         return all(v.is_zero() for v in self.values)
-
-
-def r_minpoly(pair: CanonicalPair, x: RatMat) -> RatMat:
-    """Derivative of the minimal polynomial of L at L along direction x.
-
-    R(X) = sum_m a_m sum_{j<m} L^{m-1-j} X L^j for p_min = sum a_m t^m.
-    For X in so(g) the result is g-skew and commutes with L.
-    """
-    L = pair.L
-    n = pair.n
-    if x.shape != (n, n):
-        raise ValueError("shape mismatch")
-    p = minimal_polynomial(L)
-    d = p.degree
-    powers = [RatMat.identity(n)]
-    for _ in range(d):
-        powers.append(powers[-1] @ L)
-    out = RatMat.zeros(n, n)
-    for m in range(1, d + 1):
-        a = p.coeffs[m]
-        if not a:
-            continue
-        term = RatMat.zeros(n, n)
-        for j in range(m):
-            term = term + powers[m - 1 - j] @ x @ powers[j]
-        out = out + a * term
-    return out
 
 
 def _nilpotent_block_powers(size: int, top: int) -> list:
@@ -179,7 +125,7 @@ def r_formal(pair: CanonicalPair) -> CurvatureMap:
         for i, j in pairs_within:
             acc = acc + r_hat(pair, i, j, x)
         values.append(acc)
-    return CurvatureMap(pair.g, pair.L, base, tags, tuple(values))
+    return CurvatureMap(pair.g, tags, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -230,11 +176,8 @@ def check_bianchi(rmap: CurvatureMap) -> BianchiReport:
     return BianchiReport(ok, witness, worst)
 
 
-def check_sectional(rmap: CurvatureMap, L: Optional[RatMat] = None) -> bool:
+def check_sectional(rmap: CurvatureMap, L: RatMat) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element."""
-    L = L if L is not None else rmap.L
-    if L is None:
-        raise ValueError("no operator L available for the check")
     g = rmap.g
     for v in rmap.values:
         if not (v @ L - L @ v).is_zero():
@@ -267,16 +210,18 @@ class BergerCertificate:
         }
 
 
-def berger_certificate(pair: CanonicalPair) -> BergerCertificate:
-    """Certify image_rank(r_formal) == dim of the centralizer, exactly.
+def berger_certificate(pair: CanonicalPair, rmap: CurvatureMap,
+                       gl_basis: SubspaceBasis) -> BergerCertificate:
+    """Certify image_rank(rmap) == dim g_L, exactly.
 
-    Witnesses are collected greedily in lexicographic wedge order: a tag is
-    kept whenever its image enlarges the span collected so far.
+    ``rmap`` is ``r_formal(pair)`` and ``gl_basis`` is
+    ``centralizer_basis(pair)``, both built once by the caller.  Witnesses
+    are collected greedily in lexicographic wedge order: a tag is kept
+    whenever its image enlarges the span collected so far.
     """
-    rmap = r_formal(pair)
-    dim_gl = len(centralizer_basis(pair))
+    dim_gl = len(gl_basis)
     bianchi = check_bianchi(rmap)
-    containment = check_sectional(rmap)
+    containment = check_sectional(rmap, pair.L)
 
     witnesses = []
     stored = []  # reduced row vectors with pivot bookkeeping

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactla import RatMat, rank, rat_from_str, rat_to_str
 
@@ -28,6 +28,12 @@ class ComplexBlockError(InvalidSpecError):
     """Complex-conjugate eigenvalue blocks are not supported."""
 
 
+def _is_int(value) -> bool:
+    """True for a genuine int: bool is an int subclass, and a float such as
+    2.7 must not be truncated into a block size."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """One Jordan block: its size and the sign of its antidiagonal metric."""
@@ -36,10 +42,10 @@ class BlockSpec:
     sign: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise InvalidSpecError(f"block size must be >= 1, got {self.size}")
-        if self.sign not in (1, -1):
-            raise InvalidSpecError(f"block sign must be +1 or -1, got {self.sign}")
+        if not _is_int(self.size) or self.size < 1:
+            raise InvalidSpecError(f"block size must be an integer >= 1, got {self.size!r}")
+        if not _is_int(self.sign) or self.sign not in (1, -1):
+            raise InvalidSpecError(f"block sign must be the integer 1 or -1, got {self.sign!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ def make_pencil(eigens: Iterable) -> PencilSpec:
     specs = []
     for lam, blocks in eigens:
         lam = lam if isinstance(lam, Fraction) else Fraction(lam)
-        bs = sorted((BlockSpec(int(s), int(sg)) for s, sg in blocks),
+        bs = sorted((BlockSpec(s, sg) for s, sg in blocks),
                     key=lambda b: (b.size, 0 if b.sign > 0 else 1))
         specs.append(EigenSpec(lam, tuple(bs)))
     specs.sort(key=lambda e: e.lam)
@@ -97,17 +103,20 @@ def pencil_from_json(doc) -> PencilSpec:
     """Parse the JSON wire format.
 
     ``{"eigenvalues": [{"lambda": "0", "blocks": [{"size": 2, "sign": 1}]}]}``
-    with lambda a rational string and sign an integer +-1.
+    with lambda a rational string, size a JSON integer >= 1 and sign the
+    JSON integer 1 or -1.  Anything else raises InvalidSpecError.
     """
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax or encoding, deep nesting
             raise InvalidSpecError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "eigenvalues" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("eigenvalues"), list):
         raise InvalidSpecError('expected an object with an "eigenvalues" list')
     eigens = []
     for item in doc["eigenvalues"]:
+        if not isinstance(item, dict):
+            raise InvalidSpecError(f"eigenvalue entry must be an object, got {item!r}")
         raw = str(item.get("lambda", ""))
         if any(ch in raw.lower() for ch in "ij"):
             raise ComplexBlockError("unsupported: complex block")
@@ -115,11 +124,11 @@ def pencil_from_json(doc) -> PencilSpec:
             lam = rat_from_str(raw)
         except ValueError as exc:
             raise InvalidSpecError(f"bad eigenvalue {raw!r}") from exc
-        try:
-            blocks = [(int(b["size"]), int(b["sign"])) for b in item["blocks"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"bad block list for eigenvalue {raw!r}") from exc
-        eigens.append((lam, blocks))
+        blocks = item.get("blocks")
+        if not isinstance(blocks, list) or not all(
+                isinstance(b, dict) and "size" in b and "sign" in b for b in blocks):
+            raise InvalidSpecError(f"bad block list for eigenvalue {raw!r}")
+        eigens.append((lam, [(b["size"], b["sign"]) for b in blocks]))
     return make_pencil(eigens)
 
 
@@ -225,53 +234,3 @@ def validate_pair(g: RatMat, L: RatMat) -> PairReport:
     if not (g @ L).is_symmetric():
         failures.append("gL is not symmetric (L is not g-symmetric)")
     return PairReport(not failures, tuple(failures))
-
-
-def eigen_split(pair: CanonicalPair) -> list:
-    """Per-eigenvalue restrictions of the pair; their direct sum is the input."""
-    out = []
-    for eig in pair.layout:
-        lo = eig.blocks[0].offset
-        hi = eig.blocks[-1].offset + eig.blocks[-1].size
-        size = hi - lo
-        g = RatMat._raw(size, size, [pair.g[lo + i, lo + j]
-                                     for i in range(size) for j in range(size)])
-        L = RatMat._raw(size, size, [pair.L[lo + i, lo + j]
-                                     for i in range(size) for j in range(size)])
-        placed = tuple(PlacedBlock(b.offset - lo, b.size, b.sign) for b in eig.blocks)
-        out.append(CanonicalPair(g, L, (EigenLayout(eig.lam, placed),)))
-    return out
-
-
-def direct_sum(pairs: Sequence[CanonicalPair]) -> CanonicalPair:
-    """Reassemble per-eigenvalue pairs block-diagonally."""
-    n = sum(p.n for p in pairs)
-    g = [[_ZERO] * n for _ in range(n)]
-    L = [[_ZERO] * n for _ in range(n)]
-    layout = []
-    off = 0
-    for p in pairs:
-        for i in range(p.n):
-            for j in range(p.n):
-                g[off + i][off + j] = p.g[i, j]
-                L[off + i][off + j] = p.L[i, j]
-        for eig in p.layout:
-            placed = tuple(PlacedBlock(b.offset + off, b.size, b.sign) for b in eig.blocks)
-            layout.append(EigenLayout(eig.lam, placed))
-        off += p.n
-    return CanonicalPair(RatMat.from_rows(g), RatMat.from_rows(L), tuple(layout))
-
-
-def shift_to_nilpotent(pair: CanonicalPair) -> CanonicalPair:
-    """Replace L by L - lambda*I for a single-eigenvalue pair.
-
-    The output operator is nilpotent; g and the centralizer are unchanged.
-    """
-    if len(pair.layout) != 1:
-        raise ValueError("shift requires a single-eigenvalue pair")
-    eig = pair.layout[0]
-    if eig.lam == 0:
-        return pair
-    n = pair.n
-    shifted = pair.L - eig.lam * RatMat.identity(n)
-    return CanonicalPair(pair.g, shifted, (EigenLayout(_ZERO, eig.blocks),))

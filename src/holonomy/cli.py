@@ -6,8 +6,8 @@ Commands:
     report FILES... [--csv out.csv]
 
 Exit status: 0 all requested stages pass, 1 verification failure,
-2 invalid input.  Report JSON files are deterministic for a fixed config,
-seed and backend; per-stage wall times go to stderr only.
+2 invalid input.  Report JSON files are deterministic for a fixed config
+and seed; per-stage wall times go to stderr only.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .berger import berger_certificate
+from .berger import berger_certificate, r_formal
 from .canonical import (
     CanonicalPair,
     InvalidSpecError,
@@ -31,8 +31,8 @@ from .canonical import (
     pencil_to_json,
     validate_pair,
 )
-from .realize import verify_realization
-from . import realize as realize_mod
+from .liealg import centralizer_basis
+from .realize import build_B, lower_B, verify_realization
 
 ALL_STAGES = ("canonical", "berger", "realize", "probe")
 
@@ -50,8 +50,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("stages must be nonempty")
-        if self.membership_tol <= 0 or self.rank_threshold <= 0:
-            raise ValueError("tolerances must be positive")
+        # written as "not > 0" so that NaN is rejected too
+        if not (self.membership_tol > 0 and self.rank_threshold > 0):
+            raise ValueError("--membership-tol and --rank-threshold must be positive")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
 
 # -- verify ------------------------------------------------------------------
@@ -72,11 +75,11 @@ def _stage_canonical(pair: CanonicalPair) -> dict:
     }
 
 
-def _stage_probe(pair: CanonicalPair, qm, config: RunConfig) -> dict:
-    from .probe import holonomy_span, standard_loops
+def _stage_probe(qm, gl_basis, config: RunConfig) -> dict:
+    from .probe import FloatMetric, holonomy_span, standard_loops
 
-    loops = standard_loops(pair.n, seed=config.seed, side=config.loop_side)
-    report = holonomy_span(qm, pair, loops,
+    loops = standard_loops(qm.n, seed=config.seed, side=config.loop_side)
+    report = holonomy_span(FloatMetric.from_exact(qm), gl_basis, loops,
                            membership_tol=config.membership_tol,
                            rank_threshold=config.rank_threshold)
     doc = report.to_json()
@@ -89,7 +92,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     try:
         text = Path(config.input).read_text(encoding="utf-8")
         spec = pencil_from_json(text)
-    except (OSError, InvalidSpecError) as exc:
+    except (OSError, UnicodeDecodeError, InvalidSpecError) as exc:
         return {"error": str(exc)}, 2
 
     pair = build_canonical(spec)
@@ -103,24 +106,29 @@ def cmd_verify(config: RunConfig) -> tuple:
         },
         "stages": {},
     }
-    timings = []
+    # Each exact object is built once and handed to every stage that needs it.
+    started = time.perf_counter()
+    wanted = set(config.stages)
+    rmap = r_formal(pair) if wanted & {"berger", "realize"} else None
+    gl_basis = centralizer_basis(pair) if wanted & {"berger", "probe"} else None
+    timings = [("shared", time.perf_counter() - started)]
     qm = None
 
     for stage in ALL_STAGES:
-        if stage not in config.stages:
+        if stage not in wanted:
             continue
         started = time.perf_counter()
         if stage == "canonical":
             report["stages"]["canonical"] = _stage_canonical(pair)
         elif stage == "berger":
-            report["stages"]["berger"] = berger_certificate(pair).to_json()
+            report["stages"]["berger"] = berger_certificate(pair, rmap, gl_basis).to_json()
         elif stage == "realize":
-            stage_report, qm, _ = verify_realization(pair)
+            stage_report, qm, _ = verify_realization(pair, rmap)
             report["stages"]["realize"] = stage_report.to_json()
         elif stage == "probe":
             if qm is None:
-                qm = realize_mod.lower_B(realize_mod.build_B(pair), pair.g)
-            report["stages"]["probe"] = _stage_probe(pair, qm, config)
+                qm = lower_B(build_B(pair), pair.g)
+            report["stages"]["probe"] = _stage_probe(qm, gl_basis, config)
         timings.append((stage, time.perf_counter() - started))
 
     passed = all(s.get("passed", False) for s in report["stages"].values())
@@ -230,6 +238,9 @@ def _spec_pattern(doc: dict) -> tuple:
 def _report_row(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        return _error_row(path, str(exc))
+    try:
         n, partition, signs = _spec_pattern(doc.get("spec", {}))
         stages = doc.get("stages", {})
         berger = stages.get("berger", {})
@@ -247,12 +258,16 @@ def _report_row(path: str) -> dict:
             "verdict": doc.get("verdict", "fail"),
             "error": "",
         }
-    except (OSError, json.JSONDecodeError) as exc:
-        return {
-            "file": Path(path).name, "n": "", "partition": "", "signs": "",
-            "dim_gL": "", "berger": "", "realize": "", "probe_rank": "",
-            "probe_residual": "", "verdict": "error", "error": str(exc),
-        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a field of the wrong shape
+        return _error_row(path, f"not a verify report: {exc!r}")
+
+
+def _error_row(path: str, error: str) -> dict:
+    return {
+        "file": Path(path).name, "n": "", "partition": "", "signs": "",
+        "dim_gL": "", "berger": "", "realize": "", "probe_rank": "",
+        "probe_residual": "", "verdict": "error", "error": error,
+    }
 
 
 def _flag(stage: dict) -> str:
@@ -319,9 +334,13 @@ def main(argv=None) -> int:
         if unknown or not stages:
             print(f"unknown stages: {','.join(unknown) or '(none)'}", file=sys.stderr)
             return 2
-        config = RunConfig(input=args.input, stages=stages, out=args.out,
-                           seed=args.seed, membership_tol=args.membership_tol,
-                           rank_threshold=args.rank_threshold)
+        try:
+            config = RunConfig(input=args.input, stages=stages, out=args.out,
+                               seed=args.seed, membership_tol=args.membership_tol,
+                               rank_threshold=args.rank_threshold)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         report, code = cmd_verify(config)
         if args.out and "error" not in report:
             _write_json_atomic(args.out, report)

@@ -1,4 +1,4 @@
-"""Exact rational scalars, dense matrices and minimal polynomials.
+"""Exact rational scalars, dense matrices, rank, kernel and inverse.
 
 Every algebraic computation in this package runs over arbitrary-precision
 rationals; nothing here ever rounds.  Floating point enters only in the
@@ -8,11 +8,8 @@ are always stored in lowest terms with a positive denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-Rational = Fraction
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -190,10 +187,6 @@ class RatMat:
         return f"RatMat({self.rows}x{self.cols}: {body})"
 
 
-def commutator(a: RatMat, b: RatMat) -> RatMat:
-    return a @ b - b @ a
-
-
 # -- elimination -----------------------------------------------------------
 #
 # Reduced row echelon form over the rationals.  The pivot in each column is
@@ -278,119 +271,3 @@ def inverse(m: RatMat) -> RatMat:
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return RatMat._raw(n, n, [red[i][n + j] for i in range(n) for j in range(n)])
-
-
-def solve_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Optional[list]:
-    """Coordinates of ``target`` in the span of ``vectors``, or None.
-
-    Vectors are treated as columns; an exact solution is returned whenever
-    one exists (unique when the vectors are independent).
-    """
-    k = len(vectors)
-    if k == 0:
-        return [] if not any(target) else None
-    dim = len(target)
-    aug = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(dim)]
-    red, pivots = _rref(aug, k + 1)
-    if k in pivots:
-        return None
-    coords = [_ZERO] * k
-    for row, pc in enumerate(pivots):
-        coords[pc] = red[row][k]
-    return coords
-
-
-# -- polynomials -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Poly:
-    """Polynomial with rational coefficients, lowest degree first.
-
-    The zero polynomial is the empty tuple; a monic polynomial has trailing
-    coefficient 1.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs))
-        if self.coeffs and not self.coeffs[-1]:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def at_matrix(self, m: RatMat) -> RatMat:
-        """Evaluate at a square matrix by Horner's scheme."""
-        if m.rows != m.cols:
-            raise ValueError("polynomial of a non-square matrix")
-        n = m.rows
-        acc = RatMat.zeros(n, n)
-        ident = RatMat.identity(n)
-        for c in reversed(self.coeffs):
-            acc = acc @ m
-            if c:
-                acc = acc + c * ident
-        return acc
-
-
-def matrix_powers(m: RatMat, d: int) -> list:
-    """[m^0, m^1, ..., m^d]."""
-    if m.rows != m.cols:
-        raise ValueError("powers of a non-square matrix")
-    if d < 0:
-        raise ValueError("negative power count")
-    out = [RatMat.identity(m.rows)]
-    for _ in range(d):
-        out.append(out[-1] @ m)
-    return out
-
-
-def minimal_polynomial(m: RatMat) -> Poly:
-    """Monic polynomial of least degree annihilating ``m``.
-
-    Found by an incremental linear-dependence search over I, m, m^2, ...;
-    the bookkeeping rows carry the combination coefficients so the first
-    dependency directly yields the polynomial.
-    """
-    if m.rows != m.cols:
-        raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Poly((_ONE,))
-    stored: list = []  # (pivot index, reduced vector, combination coeffs)
-    power = RatMat.identity(n)
-    d = 0
-    while True:
-        vec = list(power._e)
-        coeffs = [_ZERO] * d + [_ONE]
-        for pivcol, bvec, bco in stored:
-            f = vec[pivcol]
-            if f:
-                for j, x in enumerate(bvec):
-                    if x:
-                        vec[j] -= f * x
-                for j, x in enumerate(bco):
-                    if x:
-                        coeffs[j] -= f * x
-        piv = next((j for j, x in enumerate(vec) if x), None)
-        if piv is None:
-            return Poly(tuple(coeffs))
-        inv = _ONE / vec[piv]
-        if inv != 1:
-            vec = [x * inv if x else x for x in vec]
-            coeffs = [x * inv if x else x for x in coeffs]
-        stored.append((piv, vec, coeffs))
-        power = power @ m
-        d += 1

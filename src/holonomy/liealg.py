@@ -1,4 +1,4 @@
-"""Bases of so(g), the centralizer algebra, and its block decomposition.
+"""Bases of so(g) and of the centralizer algebra g_L.
 
 The identification between bivectors and g-skew operators used throughout
 is  wedge(u, v) = u (g v)^T - v (g u)^T,  fixed once and used consistently
@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .canonical import CanonicalPair
-from .exactla import RatMat, _rref, kernel_basis, rank, rat_to_str, solve_in_span
+from .exactla import RatMat, _rref, kernel_basis, rank
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,10 +61,6 @@ def wedge(u: Sequence, v: Sequence, g: RatMat) -> RatMat:
 def wedge_tags(n: int) -> list:
     """Index pairs (i, j), i < j, in lexicographic order."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def is_g_skew(g: RatMat, x: RatMat) -> bool:
-    return (g @ x + x.transpose() @ g).is_zero()
 
 
 def so_basis(g: RatMat) -> SubspaceBasis:
@@ -133,83 +129,3 @@ def centralizer_basis(pair: CanonicalPair) -> SubspaceBasis:
     mat = RatMat._raw(len(rows), n * n, [x for r in rows for x in r])
     elems = tuple(RatMat._raw(n, n, list(v)) for v in kernel_basis(mat))
     return SubspaceBasis(n, elems)
-
-
-def _toeplitz_block(rows: int, cols: int, mu_index: int) -> RatMat:
-    # rows <= cols; entry (r, c) is 1 when c - r - (cols - rows) + 1 == mu_index.
-    z = cols - rows
-    e = [_ZERO] * (rows * cols)
-    for r in range(rows):
-        c = r + z + mu_index - 1
-        if 0 <= c < cols:
-            e[r * cols + c] = _ONE
-    return RatMat._raw(rows, cols, e)
-
-
-def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> SubspaceBasis:
-    """Generators of the abelian piece supported on blocks i and j (i < j).
-
-    Block indices are global (layout order); both must belong to the same
-    eigenvalue.  Each generator has the shifted upper-Toeplitz (i, j) block
-    with a single parameter set to 1 and the (j, i) block forced by
-    M_ji = -g_j M_ij^T g_i.
-    """
-    blocks = pair.all_blocks()
-    if not (0 <= i < j < len(blocks)):
-        raise IndexError("block indices out of range")
-    ei, bi = blocks[i]
-    ej, bj = blocks[j]
-    if ei != ej:
-        raise ValueError("blocks belong to different eigenvalues")
-    n = pair.n
-    gi = _sub(pair.g, bi.offset, bi.size)
-    gj = _sub(pair.g, bj.offset, bj.size)
-    elems = []
-    for s in range(1, bi.size + 1):
-        m = _toeplitz_block(bi.size, bj.size, s)
-        mji = -(gj @ m.transpose() @ gi)
-        x = [[_ZERO] * n for _ in range(n)]
-        for r in range(bi.size):
-            for c in range(bj.size):
-                x[bi.offset + r][bj.offset + c] = m[r, c]
-        for r in range(bj.size):
-            for c in range(bi.size):
-                x[bj.offset + r][bi.offset + c] = mji[r, c]
-        elems.append(RatMat.from_rows(x))
-    return SubspaceBasis(n, tuple(elems))
-
-
-def _sub(m: RatMat, off: int, size: int) -> RatMat:
-    return RatMat._raw(size, size, [m[off + r, off + c]
-                                    for r in range(size) for c in range(size)])
-
-
-def member_coords(x: RatMat, basis: SubspaceBasis) -> Optional[list]:
-    """Exact coordinates of x in span(basis), or None when not a member."""
-    if x.shape != (basis.n, basis.n):
-        raise ValueError("shape mismatch")
-    return solve_in_span([b.vec() for b in basis.elements], x.vec())
-
-
-def basis_to_json(basis: SubspaceBasis) -> list:
-    """Matrices as rows of rational strings."""
-    return [[[rat_to_str(m[i, j]) for j in range(basis.n)] for i in range(basis.n)]
-            for m in basis.elements]
-
-
-def export_m_ij(pair: CanonicalPair) -> list:
-    """All abelian-piece generators, tagged with their block pair."""
-    out = []
-    blocks = pair.all_blocks()
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if blocks[i][0] != blocks[j][0]:
-                continue
-            basis = m_ij_basis(pair, i, j)
-            for m in basis.elements:
-                out.append({
-                    "blocks": [i, j],
-                    "matrix": [[rat_to_str(m[r, c]) for c in range(pair.n)]
-                               for r in range(pair.n)],
-                })
-    return out

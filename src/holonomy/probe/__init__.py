@@ -1,17 +1,10 @@
-"""Floating-point holonomy probe: Christoffel symbols, loop transport, span."""
+"""Floating-point holonomy probe: loop transport and the span of its logarithms."""
 
-from .kernels import backend
 from .transport import (
     FloatMetric,
-    HolonomySample,
     LoopSpec,
     SingularMetricError,
-    SpanReport,
-    christoffel,
     holonomy_span,
-    membership_residual,
-    metric_value,
-    nablaL_residual,
     parallel_transport,
     standard_loops,
 )

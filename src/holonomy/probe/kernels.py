@@ -1,9 +1,4 @@
-"""Hot float kernels: Christoffel symbols and polyline parallel transport.
-
-Two interchangeable backends compute identical quantities: a numba
-``@njit`` path and a pure-numpy path.  Selection is by the environment
-variable ``HOLONOMY_BACKEND`` ("numba" or "numpy"); the default is numba
-when importable.  ``benchmarks/bench_transport.py`` compares the two.
+"""Hot float kernels: metric value, Christoffel symbols, polyline transport.
 
 Array conventions:
     g0   (n, n)        constant metric value at the origin
@@ -14,152 +9,25 @@ Array conventions:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a regular dependency
-    HAVE_NUMBA = False
-
-
-def backend() -> str:
-    """Active backend name after applying the env override and availability."""
-    choice = os.environ.get("HOLONOMY_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-# -- pure numpy path ---------------------------------------------------------
-
-def metric_value_numpy(g0, B, x):
+def metric_value(g0, B, x):
     return g0 + np.einsum("ijpq,p,q->ij", B, x, x)
 
 
-def christoffel_numpy(g0, B, x):
+def christoffel(g0, B, x):
     n = g0.shape[0]
-    gx = metric_value_numpy(g0, B, x)
+    gx = metric_value(g0, B, x)
     dg = 2.0 * np.einsum("ijpq,q->pij", B, x)
     t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
     sol = np.linalg.solve(gx, t.reshape(n, n * n))
     return 0.5 * sol.reshape(n, n, n)
 
 
-def _gamma_dot_v_numpy(g0, B, x, v):
-    gamma = christoffel_numpy(g0, B, x)
+def _gamma_dot_v(g0, B, x, v):
+    gamma = christoffel(g0, B, x)
     return np.einsum("abc,b->ac", gamma, v)
-
-
-def transport_polyline_numpy(g0, B, verts, steps):
-    n = g0.shape[0]
-    p = np.eye(n)
-    for e in range(verts.shape[0] - 1):
-        a = verts[e]
-        v = verts[e + 1] - a
-        ns = int(steps[e])
-        h = 1.0 / ns
-        for k in range(ns):
-            x0 = a + (k * h) * v
-            xm = a + ((k + 0.5) * h) * v
-            x1 = a + ((k + 1.0) * h) * v
-            m0 = _gamma_dot_v_numpy(g0, B, x0, v)
-            mm = _gamma_dot_v_numpy(g0, B, xm, v)
-            m1 = _gamma_dot_v_numpy(g0, B, x1, v)
-            k1 = -m0 @ p
-            k2 = -mm @ (p + (0.5 * h) * k1)
-            k3 = -mm @ (p + (0.5 * h) * k2)
-            k4 = -m1 @ (p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return p
-
-
-# -- numba path --------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _christoffel_jit(g0, B, x):  # pragma: no cover - exercised via dispatch
-        n = g0.shape[0]
-        gx = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                acc = g0[i, j]
-                for pp in range(n):
-                    xp = x[pp]
-                    if xp != 0.0:
-                        for q in range(n):
-                            acc += B[i, j, pp, q] * xp * x[q]
-                gx[i, j] = acc
-        dg = np.empty((n, n, n))
-        for pp in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = 0.0
-                    for q in range(n):
-                        acc += B[i, j, pp, q] * x[q]
-                    dg[pp, i, j] = 2.0 * acc
-        t = np.empty((n, n * n))
-        for s in range(n):
-            for i in range(n):
-                for j in range(n):
-                    t[s, i * n + j] = dg[i, s, j] + dg[j, s, i] - dg[s, i, j]
-        sol = np.linalg.solve(gx, t)
-        gamma = np.empty((n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    gamma[k, i, j] = 0.5 * sol[k, i * n + j]
-        return gamma
-
-    @numba.njit(cache=True, nogil=True)
-    def _gamma_dot_v_jit(g0, B, x, v):  # pragma: no cover
-        gamma = _christoffel_jit(g0, B, x)
-        n = g0.shape[0]
-        m = np.empty((n, n))
-        for a in range(n):
-            for c in range(n):
-                acc = 0.0
-                for b in range(n):
-                    acc += gamma[a, b, c] * v[b]
-                m[a, c] = acc
-        return m
-
-    @numba.njit(cache=True, nogil=True)
-    def _transport_polyline_jit(g0, B, verts, steps):  # pragma: no cover
-        n = g0.shape[0]
-        p = np.eye(n)
-        for e in range(verts.shape[0] - 1):
-            a = verts[e]
-            v = verts[e + 1] - a
-            ns = steps[e]
-            h = 1.0 / ns
-            for k in range(ns):
-                x0 = a + (k * h) * v
-                xm = a + ((k + 0.5) * h) * v
-                x1 = a + ((k + 1.0) * h) * v
-                m0 = _gamma_dot_v_jit(g0, B, x0, v)
-                mm = _gamma_dot_v_jit(g0, B, xm, v)
-                m1 = _gamma_dot_v_jit(g0, B, x1, v)
-                k1 = -m0 @ p
-                k2 = -mm @ (p + (0.5 * h) * k1)
-                k3 = -mm @ (p + (0.5 * h) * k2)
-                k4 = -m1 @ (p + h * k3)
-                p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return p
-
-
-# -- dispatch ----------------------------------------------------------------
-
-def christoffel_floats(g0, B, x):
-    if backend() == "numba":
-        return _christoffel_jit(g0, B, x)
-    return christoffel_numpy(g0, B, x)
 
 
 def transport_polyline(g0, B, verts, steps):
@@ -174,6 +42,23 @@ def transport_polyline(g0, B, verts, steps):
         raise ValueError("need one step count per segment")
     if np.any(steps <= 0):
         raise ValueError("step counts must be positive")
-    if backend() == "numba":
-        return _transport_polyline_jit(g0, B, verts, steps)
-    return transport_polyline_numpy(g0, B, verts, steps)
+    n = g0.shape[0]
+    p = np.eye(n)
+    for e in range(verts.shape[0] - 1):
+        a = verts[e]
+        v = verts[e + 1] - a
+        ns = int(steps[e])
+        h = 1.0 / ns
+        for k in range(ns):
+            x0 = a + (k * h) * v
+            xm = a + ((k + 0.5) * h) * v
+            x1 = a + ((k + 1.0) * h) * v
+            m0 = _gamma_dot_v(g0, B, x0, v)
+            mm = _gamma_dot_v(g0, B, xm, v)
+            m1 = _gamma_dot_v(g0, B, x1, v)
+            k1 = -m0 @ p
+            k2 = -mm @ (p + (0.5 * h) * k1)
+            k3 = -mm @ (p + (0.5 * h) * k2)
+            k4 = -m1 @ (p + h * k3)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p

@@ -9,16 +9,12 @@ logarithm can be compared against the centralizer algebra there.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..canonical import CanonicalPair
-from ..exactla import RatMat
-from ..liealg import centralizer_basis
+from ..liealg import SubspaceBasis
 from ..realize import QuadraticMetric
 from . import kernels
 
@@ -88,39 +84,6 @@ class FloatMetric:
         return cls(g0, b)
 
 
-def _as_float_metric(qm) -> FloatMetric:
-    if isinstance(qm, FloatMetric):
-        return qm
-    return FloatMetric.from_exact(qm)
-
-
-def metric_value(qm, x) -> np.ndarray:
-    fm = _as_float_metric(qm)
-    return kernels.metric_value_numpy(fm.g0, fm.B, np.asarray(x, dtype=np.float64))
-
-
-def christoffel(qm, x) -> np.ndarray:
-    """Levi-Civita symbols gamma[k, i, j] at a float point; gamma(0) = 0."""
-    fm = _as_float_metric(qm)
-    xv = np.asarray(x, dtype=np.float64)
-    gx = kernels.metric_value_numpy(fm.g0, fm.B, xv)
-    if abs(np.linalg.det(gx)) < 1e-12 * abs(fm.det_g0):
-        raise SingularMetricError(f"metric is singular near {xv.tolist()}")
-    return kernels.christoffel_floats(fm.g0, fm.B, xv)
-
-
-def nablaL_residual(qm, L, x) -> float:
-    """Max-norm of the covariant derivative of the constant operator L at x."""
-    fm = _as_float_metric(qm)
-    lf = np.array(L.to_float_rows()) if isinstance(L, RatMat) else np.asarray(L, float)
-    gamma = christoffel(qm, x)
-    worst = 0.0
-    for k in range(fm.n):
-        mk = gamma[:, k, :]
-        worst = max(worst, float(np.max(np.abs(mk @ lf - lf @ mk))))
-    return worst
-
-
 def _loop_polyline(loop: LoopSpec, n: int):
     """Vertices and per-segment step counts for the origin-based lasso."""
     a, b = loop.plane
@@ -151,7 +114,7 @@ def _check_path_regular(fm: FloatMetric, verts: np.ndarray) -> None:
     for e in range(verts.shape[0] - 1):
         for t in np.linspace(0.0, 1.0, 33):
             x = (1.0 - t) * verts[e] + t * verts[e + 1]
-            gx = kernels.metric_value_numpy(fm.g0, fm.B, x)
+            gx = kernels.metric_value(fm.g0, fm.B, x)
             det = np.linalg.det(gx)
             if abs(det) < 1e-12 * abs(fm.det_g0) or det * fm.det_g0 < 0.0:
                 raise SingularMetricError(
@@ -170,7 +133,8 @@ def membership_residual(psi: np.ndarray, gl_floats: Sequence[np.ndarray]) -> flo
     return float(np.linalg.norm(psi.ravel() - a @ coef)) / norm
 
 
-def parallel_transport(qm, loop: LoopSpec, gl_basis: Optional[Sequence[np.ndarray]] = None) -> HolonomySample:
+def parallel_transport(fm: FloatMetric, loop: LoopSpec,
+                       gl_basis: Optional[Sequence[np.ndarray]] = None) -> HolonomySample:
     """Integrate transport around one origin-based square loop.
 
     dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4; the square
@@ -179,7 +143,6 @@ def parallel_transport(qm, loop: LoopSpec, gl_basis: Optional[Sequence[np.ndarra
     |A - I| = O(side^2).  The membership residual is NaN when no basis is
     supplied.
     """
-    fm = _as_float_metric(qm)
     verts, steps = _loop_polyline(loop, fm.n)
     _check_path_regular(fm, verts)
     a = kernels.transport_polyline(fm.g0, fm.B, verts, steps)
@@ -209,17 +172,6 @@ def standard_loops(n: int, seed: int = 0, side: float = 1e-2, steps: Optional[in
     return loops
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("HOLONOMY_THREADS", "1").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    return max(1, min(value, n_tasks))
-
-
 @dataclass(frozen=True)
 class SpanReport:
     span_rank: int
@@ -227,7 +179,6 @@ class SpanReport:
     max_membership_residual: float
     singular_values: tuple
     sv_gap: float
-    backend: str
     samples: tuple  # of HolonomySample
     passed: bool
 
@@ -237,7 +188,6 @@ class SpanReport:
             "dim_gL": self.dim_gL,
             "max_membership_residual": self.max_membership_residual,
             "sv_gap": self.sv_gap,
-            "backend": self.backend,
             "samples": [
                 {
                     "plane": list(s.loop.plane),
@@ -251,25 +201,19 @@ class SpanReport:
         }
 
 
-def holonomy_span(qm, pair: CanonicalPair, loops: Sequence[LoopSpec],
+def holonomy_span(fm: FloatMetric, gl_basis: SubspaceBasis, loops: Sequence[LoopSpec],
                   membership_tol: float = 1e-6, rank_threshold: float = 1e-8) -> SpanReport:
     """Transport every loop, then rank the logarithm samples against dim g_L.
 
+    ``gl_basis`` is the exact centralizer basis, built once by the caller.
     The numerical rank uses singular values relative to the largest;
     near-zero samples (flat directions) are excluded from the stack.  The
     report passes iff the rank equals the centralizer dimension and every
     membership residual stays below the tolerance.
     """
-    fm = _as_float_metric(qm)
-    gl = [np.array(m.to_float_rows()) for m in centralizer_basis(pair)]
+    gl = [np.array(m.to_float_rows()) for m in gl_basis]
     dim = len(gl)
-
-    workers = _worker_count(len(loops))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda lp: parallel_transport(fm, lp, gl), loops))
-    else:
-        samples = [parallel_transport(fm, lp, gl) for lp in loops]
+    samples = [parallel_transport(fm, lp, gl) for lp in loops]
 
     rows = [s.log_approx.ravel() for s in samples
             if float(np.linalg.norm(s.log_approx)) >= _NEGLIGIBLE]
@@ -291,4 +235,4 @@ def holonomy_span(qm, pair: CanonicalPair, loops: Sequence[LoopSpec],
     max_res = max((s.membership_residual for s in samples), default=0.0)
     passed = rank == dim and max_res < membership_tol
     return SpanReport(rank, dim, float(max_res), tuple(float(v) for v in sv),
-                      gap, kernels.backend(), tuple(samples), passed)
+                      gap, tuple(samples), passed)

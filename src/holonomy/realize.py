@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .berger import CurvatureMap, r_formal
+from .berger import CurvatureMap
 from .canonical import CanonicalPair
-from .exactla import RatMat, inverse, rank, rat_from_str, rat_to_str
-from .liealg import so_basis, wedge_tags
+from .exactla import RatMat, inverse
+from .liealg import wedge_tags
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -36,43 +35,11 @@ class BTensor:
 
     ``terms`` is a list of (C, D) matrices; the rank-4 components are
     B[a][b][j][q] = sum_t C_t[a, j] * D_t[b, q] and the associated linear
-    map is B(X) = sum_t C_t X D_t.  ``provenance`` records the ordered
-    block pair each term came from.
+    map is B(X) = sum_t C_t X D_t.
     """
 
     n: int
-    terms: tuple      # of (RatMat, RatMat)
-    provenance: tuple  # of (i, j) global block indices, aligned with terms
-
-    def component(self, a: int, b: int, j: int, q: int) -> Fraction:
-        acc = _ZERO
-        for c, d in self.terms:
-            ca = c[a, j]
-            if ca:
-                db = d[b, q]
-                if db:
-                    acc += ca * db
-        return acc
-
-    def components(self) -> list:
-        """Materialized rank-4 array B[a][b][j][q] (n^4 rationals)."""
-        n = self.n
-        out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for c, d in self.terms:
-            cnz = [(i, j, c[i, j]) for i in range(n) for j in range(n) if c[i, j]]
-            dnz = [(i, j, d[i, j]) for i in range(n) for j in range(n) if d[i, j]]
-            for a, j, cv in cnz:
-                row = out[a]
-                for b, q, dv in dnz:
-                    row[b][j][q] += cv * dv
-        return out
-
-    def apply(self, x: RatMat) -> RatMat:
-        """B(X) = sum_t C_t X D_t."""
-        out = RatMat.zeros(self.n, self.n)
-        for c, d in self.terms:
-            out = out + c @ x @ d
-        return out
+    terms: tuple  # of (RatMat, RatMat)
 
 
 def _embedded_block_powers(pair: CanonicalPair, offset: int, size: int, top: int) -> list:
@@ -95,9 +62,8 @@ def build_B(pair: CanonicalPair) -> BTensor:
     """Assemble the coefficient tensor from all ordered block pairs."""
     blocks = pair.all_blocks()
     terms = []
-    prov = []
-    for i, (ei, bi) in enumerate(blocks):
-        for j, (ej, bj) in enumerate(blocks):
+    for ei, bi in blocks:
+        for ej, bj in blocks:
             if ei != ej:
                 continue
             nij = max(bi.size, bj.size)
@@ -108,8 +74,7 @@ def build_B(pair: CanonicalPair) -> BTensor:
                 if a >= bi.size or s >= bj.size:
                     continue
                 terms.append((-_HALF * pi[a], pj[s]))
-                prov.append((i, j))
-    return BTensor(pair.n, tuple(terms), tuple(prov))
+    return BTensor(pair.n, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -122,7 +87,6 @@ class QuadraticMetric:
 
     g0: RatMat
     lowered: tuple  # nested tuples, n^4 rationals
-    sym_noop: bool = True
 
     @property
     def n(self) -> int:
@@ -130,11 +94,11 @@ class QuadraticMetric:
 
 
 def lower_B(b: BTensor, g0: RatMat) -> QuadraticMetric:
-    """Lower both upper indices with g0 and symmetrize the point indices.
+    """Lower both upper indices with g0.
 
     Each term becomes (g0 C) (x) (g0 D); for tensors built from block
-    powers both factors are symmetric matrices, so the explicit (p, q)
-    symmetrization is a recorded no-op.
+    powers both factors are symmetric matrices, so the result is symmetric
+    in (i, j) and in (p, q).  Both symmetries are checked exactly.
     """
     n = b.n
     if g0.shape != (n, n):
@@ -149,51 +113,20 @@ def lower_B(b: BTensor, g0: RatMat) -> QuadraticMetric:
             li = low[i]
             for p, q, dv in dnz:
                 li[j][p][q] += cv * dv
-    # enforce the (p, q) symmetry, recording whether anything changed
-    noop = True
     for i in range(n):
         for j in range(n):
             lij = low[i][j]
             for p in range(n):
                 for q in range(p + 1, n):
-                    a, bq = lij[p][q], lij[q][p]
-                    if a != bq:
-                        noop = False
-                        avg = (a + bq) * _HALF
-                        lij[p][q] = avg
-                        lij[q][p] = avg
+                    if lij[p][q] != lij[q][p]:
+                        raise RealizationError(
+                            f"lowered tensor not symmetric in (p, q) at {(i, j, p, q)}")
     for i in range(n):
         for j in range(i + 1, n):
             if low[i][j] != low[j][i]:
                 raise RealizationError("lowered tensor not symmetric in (i, j)")
     frozen = tuple(tuple(tuple(tuple(r) for r in pj) for pj in li) for li in low)
-    return QuadraticMetric(g0, frozen, noop)
-
-
-def metric_at(qm: QuadraticMetric, x: Sequence) -> RatMat:
-    """Exact metric value at a rational point."""
-    n = qm.n
-    xf = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
-    if len(xf) != n:
-        raise ValueError("point has wrong dimension")
-    nz = [(p, v) for p, v in enumerate(xf) if v]
-    e = []
-    for i in range(n):
-        for j in range(n):
-            acc = qm.g0[i, j]
-            lij = qm.lowered[i][j]
-            for p, xp in nz:
-                row = lij[p]
-                for q, xq in nz:
-                    c = row[q]
-                    if c:
-                        acc += c * xp * xq
-            e.append(acc)
-    return RatMat._raw(n, n, e)
-
-
-def metric_invertible_at(qm: QuadraticMetric, x: Sequence) -> bool:
-    return rank(metric_at(qm, x)) == qm.n
+    return QuadraticMetric(g0, frozen)
 
 
 def validity_radius(qm: QuadraticMetric) -> float:
@@ -212,24 +145,6 @@ def validity_radius(qm: QuadraticMetric) -> float:
     if bnorm == 0:
         return float("inf")
     return float(1 / (ginv_norm * bnorm)) ** 0.5
-
-
-def metric_to_json(qm: QuadraticMetric) -> dict:
-    n = qm.n
-    return {
-        "g0": [[rat_to_str(qm.g0[i, j]) for j in range(n)] for i in range(n)],
-        "B_lowered": [[[[rat_to_str(qm.lowered[i][j][p][q]) for q in range(n)]
-                        for p in range(n)] for j in range(n)] for i in range(n)],
-    }
-
-
-def metric_from_json(doc: dict) -> QuadraticMetric:
-    g0 = RatMat.from_rows([[rat_from_str(v) for v in row] for row in doc["g0"]])
-    low = tuple(
-        tuple(tuple(tuple(rat_from_str(v) for v in pr) for pr in jr) for jr in ir)
-        for ir in doc["B_lowered"]
-    )
-    return QuadraticMetric(g0, low)
 
 
 def check_nablaL(qm: QuadraticMetric, L: RatMat) -> bool:
@@ -329,7 +244,6 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
                 e.append(dgamma(a, i, b, k) - dgamma(b, i, a, k))
         return RatMat._raw(n, n, e)
 
-    base = so_basis(qm.g0)
     tags = tuple(wedge_tags(n))
     values = []
     for a, b in tags:
@@ -339,12 +253,11 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
             raise RealizationError(
                 f"curvature routes disagree on wedge ({a}, {b})")
         values.append(direct)
-    return CurvatureMap(qm.g0, None, base, tags, tuple(values))
+    return CurvatureMap(qm.g0, tags, tuple(values))
 
 
 @dataclass(frozen=True)
 class RealizationReport:
-    sym_noop: bool
     nablaL_ok: bool
     gsym_ok: bool
     routes_agree: bool
@@ -356,7 +269,6 @@ class RealizationReport:
 
     def to_json(self) -> dict:
         return {
-            "sym_noop": self.sym_noop,
             "nablaL_ok": self.nablaL_ok,
             "gsym_ok": self.gsym_ok,
             "routes_agree": self.routes_agree,
@@ -365,25 +277,23 @@ class RealizationReport:
         }
 
 
-def verify_realization(pair: CanonicalPair):
+def verify_realization(pair: CanonicalPair, formal: CurvatureMap):
     """Build the metric and run every exact realization check.
 
-    Returns ``(report, qm, rmap)`` so callers can reuse the metric and the
-    certified curvature map (the probe consumes both).
+    ``formal`` is the certified map ``r_formal(pair)``, built once by the
+    caller; the metric's curvature at the origin is computed independently
+    and compared against it value for value.  Returns ``(report, qm, rmap)``
+    with ``rmap`` the metric's curvature map (None when the two Riemann
+    routes disagree), so callers can reuse the metric.
     """
     b = build_B(pair)
     qm = lower_B(b, pair.g)
     nabla_ok = check_nablaL(qm, pair.L)
     gsym_ok = check_gsym(qm, pair.L)
-    routes_agree = True
-    matches = False
-    rmap = None
     try:
         rmap = riemann_at_origin(qm)
     except RealizationError:
-        routes_agree = False
-    if rmap is not None:
-        formal = r_formal(pair)
-        matches = all(u == v for u, v in zip(rmap.values, formal.values))
-    report = RealizationReport(qm.sym_noop, nabla_ok, gsym_ok, routes_agree, matches)
+        rmap = None
+    matches = rmap is not None and rmap.values == formal.values
+    report = RealizationReport(nabla_ok, gsym_ok, rmap is not None, matches)
     return report, qm, rmap

@@ -1,0 +1,302 @@
+"""Reference code the tests use and the pipeline does not.
+
+None of this runs in ``holonomy verify``.  The exact oracles reach their
+results by routes other than the pipeline's: the curvature from the
+minimal polynomial, the centralizer from explicit Toeplitz generators,
+membership by exact span solving and the metric by direct evaluation.
+The float helpers evaluate the probe's kernels at one point.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+import numpy as np
+
+from holonomy.berger import _sub
+from holonomy.canonical import CanonicalPair
+from holonomy.exactla import RatMat, _rref
+from holonomy.liealg import SubspaceBasis
+from holonomy.probe import kernels
+from holonomy.probe.transport import FloatMetric, SingularMetricError
+from holonomy.realize import BTensor, QuadraticMetric
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def commutator(a: RatMat, b: RatMat) -> RatMat:
+    return a @ b - b @ a
+
+
+def solve_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Optional[list]:
+    """Coordinates of ``target`` in the span of ``vectors``, or None.
+
+    Vectors are treated as columns; an exact solution is returned whenever
+    one exists (unique when the vectors are independent).
+    """
+    k = len(vectors)
+    if k == 0:
+        return [] if not any(target) else None
+    dim = len(target)
+    aug = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(dim)]
+    red, pivots = _rref(aug, k + 1)
+    if k in pivots:
+        return None
+    coords = [_ZERO] * k
+    for row, pc in enumerate(pivots):
+        coords[pc] = red[row][k]
+    return coords
+
+
+@dataclass(frozen=True)
+class Poly:
+    """Polynomial with rational coefficients, lowest degree first.
+
+    The zero polynomial is the empty tuple; a monic polynomial has trailing
+    coefficient 1.
+    """
+
+    coeffs: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(
+            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs))
+        if self.coeffs and not self.coeffs[-1]:
+            raise ValueError("leading coefficient must be nonzero")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __call__(self, x: Fraction) -> Fraction:
+        acc = _ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def at_matrix(self, m: RatMat) -> RatMat:
+        """Evaluate at a square matrix by Horner's scheme."""
+        if m.rows != m.cols:
+            raise ValueError("polynomial of a non-square matrix")
+        n = m.rows
+        acc = RatMat.zeros(n, n)
+        ident = RatMat.identity(n)
+        for c in reversed(self.coeffs):
+            acc = acc @ m
+            if c:
+                acc = acc + c * ident
+        return acc
+
+
+def matrix_powers(m: RatMat, d: int) -> list:
+    """[m^0, m^1, ..., m^d]."""
+    if m.rows != m.cols:
+        raise ValueError("powers of a non-square matrix")
+    if d < 0:
+        raise ValueError("negative power count")
+    out = [RatMat.identity(m.rows)]
+    for _ in range(d):
+        out.append(out[-1] @ m)
+    return out
+
+
+def minimal_polynomial(m: RatMat) -> Poly:
+    """Monic polynomial of least degree annihilating ``m``.
+
+    Found by an incremental linear-dependence search over I, m, m^2, ...;
+    the bookkeeping rows carry the combination coefficients so the first
+    dependency directly yields the polynomial.
+    """
+    if m.rows != m.cols:
+        raise ValueError("minimal polynomial of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return Poly((_ONE,))
+    stored: list = []  # (pivot index, reduced vector, combination coeffs)
+    power = RatMat.identity(n)
+    d = 0
+    while True:
+        vec = list(power._e)
+        coeffs = [_ZERO] * d + [_ONE]
+        for pivcol, bvec, bco in stored:
+            f = vec[pivcol]
+            if f:
+                for j, x in enumerate(bvec):
+                    if x:
+                        vec[j] -= f * x
+                for j, x in enumerate(bco):
+                    if x:
+                        coeffs[j] -= f * x
+        piv = next((j for j, x in enumerate(vec) if x), None)
+        if piv is None:
+            return Poly(tuple(coeffs))
+        inv = _ONE / vec[piv]
+        if inv != 1:
+            vec = [x * inv if x else x for x in vec]
+            coeffs = [x * inv if x else x for x in coeffs]
+        stored.append((piv, vec, coeffs))
+        power = power @ m
+        d += 1
+
+
+def r_minpoly(pair: CanonicalPair, x: RatMat) -> RatMat:
+    """Derivative of the minimal polynomial of L at L along direction x.
+
+    R(X) = sum_m a_m sum_{j<m} L^{m-1-j} X L^j for p_min = sum a_m t^m.
+    For X in so(g) the result is g-skew and commutes with L.
+    """
+    L = pair.L
+    n = pair.n
+    if x.shape != (n, n):
+        raise ValueError("shape mismatch")
+    p = minimal_polynomial(L)
+    d = p.degree
+    powers = [RatMat.identity(n)]
+    for _ in range(d):
+        powers.append(powers[-1] @ L)
+    out = RatMat.zeros(n, n)
+    for m in range(1, d + 1):
+        a = p.coeffs[m]
+        if not a:
+            continue
+        term = RatMat.zeros(n, n)
+        for j in range(m):
+            term = term + powers[m - 1 - j] @ x @ powers[j]
+        out = out + a * term
+    return out
+
+
+def is_g_skew(g: RatMat, x: RatMat) -> bool:
+    return (g @ x + x.transpose() @ g).is_zero()
+
+
+def _toeplitz_block(rows: int, cols: int, mu_index: int) -> RatMat:
+    # rows <= cols; entry (r, c) is 1 when c - r - (cols - rows) + 1 == mu_index.
+    z = cols - rows
+    e = [_ZERO] * (rows * cols)
+    for r in range(rows):
+        c = r + z + mu_index - 1
+        if 0 <= c < cols:
+            e[r * cols + c] = _ONE
+    return RatMat._raw(rows, cols, e)
+
+
+def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> SubspaceBasis:
+    """Generators of the abelian piece supported on blocks i and j (i < j).
+
+    Block indices are global (layout order); both must belong to the same
+    eigenvalue.  Each generator has the shifted upper-Toeplitz (i, j) block
+    with a single parameter set to 1 and the (j, i) block forced by
+    M_ji = -g_j M_ij^T g_i.
+    """
+    blocks = pair.all_blocks()
+    if not (0 <= i < j < len(blocks)):
+        raise IndexError("block indices out of range")
+    ei, bi = blocks[i]
+    ej, bj = blocks[j]
+    if ei != ej:
+        raise ValueError("blocks belong to different eigenvalues")
+    n = pair.n
+    gi = _sub(pair.g, bi.offset, bi.size)
+    gj = _sub(pair.g, bj.offset, bj.size)
+    elems = []
+    for s in range(1, bi.size + 1):
+        m = _toeplitz_block(bi.size, bj.size, s)
+        mji = -(gj @ m.transpose() @ gi)
+        x = [[_ZERO] * n for _ in range(n)]
+        for r in range(bi.size):
+            for c in range(bj.size):
+                x[bi.offset + r][bj.offset + c] = m[r, c]
+        for r in range(bj.size):
+            for c in range(bi.size):
+                x[bj.offset + r][bi.offset + c] = mji[r, c]
+        elems.append(RatMat.from_rows(x))
+    return SubspaceBasis(n, tuple(elems))
+
+
+def member_coords(x: RatMat, basis: SubspaceBasis) -> Optional[list]:
+    """Exact coordinates of x in span(basis), or None when not a member."""
+    if x.shape != (basis.n, basis.n):
+        raise ValueError("shape mismatch")
+    return solve_in_span([b.vec() for b in basis.elements], x.vec())
+
+
+def metric_at(qm: QuadraticMetric, x: Sequence) -> RatMat:
+    """Exact metric value at a rational point."""
+    n = qm.n
+    xf = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+    if len(xf) != n:
+        raise ValueError("point has wrong dimension")
+    nz = [(p, v) for p, v in enumerate(xf) if v]
+    e = []
+    for i in range(n):
+        for j in range(n):
+            acc = qm.g0[i, j]
+            lij = qm.lowered[i][j]
+            for p, xp in nz:
+                row = lij[p]
+                for q, xq in nz:
+                    c = row[q]
+                    if c:
+                        acc += c * xp * xq
+            e.append(acc)
+    return RatMat._raw(n, n, e)
+
+
+def b_components(bt: BTensor) -> list:
+    """Materialized rank-4 array B[a][b][j][q] (n^4 rationals)."""
+    n = bt.n
+    out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for c, d in bt.terms:
+        cnz = [(i, j, c[i, j]) for i in range(n) for j in range(n) if c[i, j]]
+        dnz = [(i, j, d[i, j]) for i in range(n) for j in range(n) if d[i, j]]
+        for a, j, cv in cnz:
+            row = out[a]
+            for b, q, dv in dnz:
+                row[b][j][q] += cv * dv
+    return out
+
+
+def b_apply(bt: BTensor, x: RatMat) -> RatMat:
+    """B(X) = sum_t C_t X D_t."""
+    out = RatMat.zeros(bt.n, bt.n)
+    for c, d in bt.terms:
+        out = out + c @ x @ d
+    return out
+
+
+def _as_float_metric(qm) -> FloatMetric:
+    if isinstance(qm, FloatMetric):
+        return qm
+    return FloatMetric.from_exact(qm)
+
+
+def metric_value(qm, x) -> np.ndarray:
+    fm = _as_float_metric(qm)
+    return kernels.metric_value(fm.g0, fm.B, np.asarray(x, dtype=np.float64))
+
+
+def christoffel(qm, x) -> np.ndarray:
+    """Levi-Civita symbols gamma[k, i, j] at a float point; gamma(0) = 0."""
+    fm = _as_float_metric(qm)
+    xv = np.asarray(x, dtype=np.float64)
+    gx = kernels.metric_value(fm.g0, fm.B, xv)
+    if abs(np.linalg.det(gx)) < 1e-12 * abs(fm.det_g0):
+        raise SingularMetricError(f"metric is singular near {xv.tolist()}")
+    return kernels.christoffel(fm.g0, fm.B, xv)
+
+
+def nablaL_residual(qm, L, x) -> float:
+    """Max-norm of the covariant derivative of the constant operator L at x."""
+    fm = _as_float_metric(qm)
+    lf = np.array(L.to_float_rows()) if isinstance(L, RatMat) else np.asarray(L, float)
+    gamma = christoffel(qm, x)
+    worst = 0.0
+    for k in range(fm.n):
+        mk = gamma[:, k, :]
+        worst = max(worst, float(np.max(np.abs(mk @ lf - lf @ mk))))
+    return worst

@@ -4,33 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from holonomy import (
-    berger_certificate,
-    build_canonical,
-    centralizer_basis,
-    check_bianchi,
-    check_sectional,
-    make_pencil,
-    member_coords,
-    r_formal,
-    r_hat,
-    r_minpoly,
-    so_basis,
-)
-from holonomy.berger import CurvatureMap
+from holonomy import berger_certificate, build_canonical, centralizer_basis, make_pencil, r_formal
+from holonomy.berger import CurvatureMap, check_bianchi, check_sectional, r_hat
 from holonomy.exactla import RatMat
-from holonomy.liealg import wedge_tags
+from holonomy.liealg import SubspaceBasis, so_basis, wedge_tags
 
 from helpers import mat, pair_of
+from oracles import member_coords, r_minpoly
 
 Z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])  # generator for blocks (1, 2)
 
 
 def zero_map(g):
-    base = so_basis(g)
     n = g.rows
-    return CurvatureMap(g, RatMat.zeros(n, n), base, tuple(wedge_tags(n)),
-                        tuple(RatMat.zeros(n, n) for _ in base))
+    tags = tuple(wedge_tags(n))
+    return CurvatureMap(g, tags, tuple(RatMat.zeros(n, n) for _ in tags))
+
+
+def certificate(pair):
+    return berger_certificate(pair, r_formal(pair), centralizer_basis(pair))
 
 
 # -- r_minpoly ---------------------------------------------------------------
@@ -117,31 +109,33 @@ def test_r_formal_single_block_is_zero_map():
 def test_r_formal_two_blocks_agrees_with_minpoly(blocks, lam):
     pair = pair_of(blocks, lam)
     rm = r_formal(pair)
-    for x, v in zip(rm.base, rm.values):
+    for x, v in zip(so_basis(pair.g), rm.values):
         assert r_minpoly(pair, x) == v
 
 
 def test_r_formal_three_blocks_image_rank():
     pair = pair_of([(1, 1), (1, 1), (2, 1)])
-    cert = berger_certificate(pair)
+    cert = certificate(pair)
     assert cert.dim_gL == 3 and cert.image_rank == 3
 
 
 def test_r_formal_linearity_via_apply():
+    # two equal blocks: the minimal-polynomial oracle applies the map to any
+    # element of so(g), so a combination must map to the same combination
     pair = pair_of([(2, 1), (2, 1)])
     rm = r_formal(pair)
-    base = rm.base
+    base = so_basis(pair.g)
     a, b = Fraction(3, 7), Fraction(-2)
     x = a * base[1] + b * base[4]
-    assert rm.apply(x) == a * rm.values[1] + b * rm.values[4]
+    assert r_minpoly(pair, x) == a * rm.values[1] + b * rm.values[4]
 
 
 def test_curvature_map_wedge_lookup():
     pair = pair_of([(1, 1), (2, 1)])
     rm = r_formal(pair)
-    assert rm.value_on_wedge(0, 2) == Z
-    assert rm.value_on_wedge(2, 0) == -Z
-    assert rm.value_on_wedge(1, 1).is_zero()
+    assert rm.tags == ((0, 1), (0, 2), (1, 2))
+    assert rm.values[rm.tags.index((0, 2))] == Z
+    assert rm.values[rm.tags.index((0, 1))].is_zero()
 
 
 # -- Bianchi ------------------------------------------------------------------
@@ -170,8 +164,7 @@ def test_bianchi_commutator_map_consistency(blocks):
     base = so_basis(pair.g)
     vals = tuple(pair.L @ x - x @ pair.L for x in base)
     assert any(not v.is_zero() for v in vals)
-    rep = check_bianchi(CurvatureMap(pair.g, pair.L, base,
-                                     tuple(wedge_tags(pair.n)), vals))
+    rep = check_bianchi(CurvatureMap(pair.g, tuple(wedge_tags(pair.n)), vals))
     assert rep.ok == (rep.witness is None)
 
 
@@ -182,7 +175,7 @@ def test_bianchi_detects_violation():
     base = so_basis(g)
     vals = [RatMat.zeros(3, 3)] * 3
     vals[0] = base[1]
-    rep = check_bianchi(CurvatureMap(g, None, base, tuple(wedge_tags(3)), tuple(vals)))
+    rep = check_bianchi(CurvatureMap(g, tuple(wedge_tags(3)), tuple(vals)))
     assert not rep.ok
     assert rep.witness == (0, 1, 2)
     assert rep.max_violation == 1
@@ -192,7 +185,7 @@ def test_bianchi_detects_violation():
 
 def test_sectional_r_formal_and_zero_pass():
     pair = pair_of([(2, 1), (3, -1)])
-    assert check_sectional(r_formal(pair))
+    assert check_sectional(r_formal(pair), pair.L)
     zm = zero_map(pair.g)
     assert check_sectional(zm, pair.L)
 
@@ -200,32 +193,31 @@ def test_sectional_r_formal_and_zero_pass():
 def test_sectional_identity_map_fails():
     pair = pair_of([(1, 1), (2, 1)])
     base = so_basis(pair.g)
-    ident = CurvatureMap(pair.g, pair.L, base, tuple(wedge_tags(pair.n)),
-                         tuple(base.elements))
-    assert not check_sectional(ident)
+    ident = CurvatureMap(pair.g, tuple(wedge_tags(pair.n)), tuple(base.elements))
+    assert not check_sectional(ident, pair.L)
 
 
 # -- certificate ----------------------------------------------------------------
 
 def test_certificate_single_block():
-    cert = berger_certificate(pair_of([(3, 1)]))
+    cert = certificate(pair_of([(3, 1)]))
     assert cert.dim_gL == 0 and cert.image_rank == 0
     assert cert.passed and cert.witnesses == ()
 
 
 def test_certificate_blocks_1_2():
-    cert = berger_certificate(pair_of([(1, 1), (2, 1)]))
+    cert = certificate(pair_of([(1, 1), (2, 1)]))
     assert cert.dim_gL == 1 and cert.image_rank == 1 and cert.passed
     assert cert.witnesses == ((0, 2),)
 
 
 def test_certificate_blocks_2_3_mixed_signs():
-    cert = berger_certificate(pair_of([(2, 1), (3, -1)]))
+    cert = certificate(pair_of([(2, 1), (3, -1)]))
     assert cert.dim_gL == 2 and cert.image_rank == 2 and cert.passed
 
 
 def test_certificate_json():
-    doc = berger_certificate(pair_of([(1, 1), (2, 1)])).to_json()
+    doc = certificate(pair_of([(1, 1), (2, 1)])).to_json()
     assert doc == {
         "dim_gL": 1,
         "image_rank": 1,
@@ -234,3 +226,13 @@ def test_certificate_json():
         "witnesses": [[0, 2]],
         "passed": True,
     }
+
+
+def test_certificate_rejects_short_gl_basis():
+    # negative control: the rank is compared against the basis it is handed
+    pair = pair_of([(1, 1), (1, 1), (2, 1)])
+    gl = centralizer_basis(pair)
+    short = SubspaceBasis(gl.n, gl.elements[:-1])
+    cert = berger_certificate(pair, r_formal(pair), short)
+    assert cert.dim_gL == 2 and cert.image_rank == 3
+    assert not cert.passed

@@ -9,12 +9,9 @@ from holonomy import (
     ComplexBlockError,
     InvalidSpecError,
     build_canonical,
-    direct_sum,
-    eigen_split,
     make_pencil,
     pencil_from_json,
     pencil_to_json,
-    shift_to_nilpotent,
     validate_pair,
 )
 from holonomy.exactla import RatMat, rank
@@ -102,42 +99,14 @@ def test_json_errors():
         pencil_from_json({"eigenvalues": [{"lambda": "0", "blocks": []}]})
 
 
-def test_shift_to_nilpotent():
-    pair = pair_of([(2, 1)])
-    assert shift_to_nilpotent(pair) is pair  # lambda = 0 is the identity case
-
-    pair = pair_of([(2, 1)], lam=1)
-    shifted = shift_to_nilpotent(pair)
-    assert shifted.L == mat([[0, 1], [0, 0]])
-    assert shifted.g == pair.g
-
-    pair = pair_of([(1, 1), (1, 1)], lam=Fraction(-3, 2))
-    assert shift_to_nilpotent(pair).L.is_zero()
-
-
-def test_shift_requires_single_eigenvalue():
-    pair = build_canonical(make_pencil([(0, [(1, 1)]), (1, [(1, 1)])]))
-    with pytest.raises(ValueError):
-        shift_to_nilpotent(pair)
-
-
-def test_eigen_split_and_reassemble():
-    single = pair_of([(2, 1)])
-    assert eigen_split(single)[0] == single
-
-    pair = build_canonical(make_pencil([(0, [(2, 1)]), (1, [(1, -1)])]))
-    parts = eigen_split(pair)
-    assert [p.n for p in parts] == [2, 1]
-    assert direct_sum(parts) == pair
-
-
 def test_nilpotency_and_block_determinants():
-    pair = build_canonical(make_pencil([(Fraction(1, 3), [(1, 1), (3, -1)])]))
-    shifted = shift_to_nilpotent(pair)
+    lam = Fraction(1, 3)
+    pair = build_canonical(make_pencil([(lam, [(1, 1), (3, -1)])]))
+    shifted = pair.L - lam * RatMat.identity(pair.n)
     nmax = max(b.size for b in pair.layout[0].blocks)
     power = RatMat.identity(pair.n)
     for _ in range(nmax):
-        power = power @ shifted.L
+        power = power @ shifted
     assert power.is_zero()
     assert rank(pair.g) == pair.n
     # every g block is a signed antidiagonal, so its determinant is +-1

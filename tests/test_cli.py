@@ -1,6 +1,7 @@
 """CLI pipeline, corpus enumeration, and report summarization."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,30 @@ def test_verify_regular_spec_trivial_algebra(tmp_path):
     assert report["stages"]["probe"]["span_rank"] == 0
 
 
-def test_verify_invalid_inputs(tmp_path):
+def _blocks(*blocks):
+    return {"eigenvalues": [{"lambda": "0", "blocks": list(blocks)}]}
+
+
+MALFORMED_SPECS = [
+    {"eigenvalues": [5]},
+    {"eigenvalues": {"lambda": "0", "blocks": [{"size": 1, "sign": 1}]}},
+    {"eigenvalues": [{"lambda": "0", "blocks": {"size": 1, "sign": 1}}]},
+    {"eigenvalues": [{"lambda": "0", "blocks": [1]}]},
+    {"eigenvalues": [{"lambda": "0"}]},
+    [],
+    _blocks({"size": 2.7, "sign": 1.9}),
+    _blocks({"size": 2, "sign": 1.0}),
+    _blocks({"size": 2.0, "sign": 1}),
+    _blocks({"size": 1, "sign": True}),
+    _blocks({"size": True, "sign": 1}),
+    _blocks({"size": "2", "sign": 1}),
+    _blocks({"size": 0, "sign": 1}),
+    _blocks({"size": 1, "sign": 2}),
+    _blocks({"size": 1}),
+]
+
+
+def test_verify_invalid_inputs(tmp_path, capsys):
     dup = {"eigenvalues": [
         {"lambda": "0", "blocks": [{"size": 1, "sign": 1}]},
         {"lambda": "0", "blocks": [{"size": 2, "sign": 1}]},
@@ -54,6 +78,55 @@ def test_verify_invalid_inputs(tmp_path):
     assert main(["verify", "--input", str(tmp_path / "missing.json")]) == 2
     good = write_spec(tmp_path, "ok.json", SPEC_SINGLE)
     assert main(["verify", "--input", str(good), "--stages", "bogus"]) == 2
+    for k, doc in enumerate(MALFORMED_SPECS):
+        spec = write_spec(tmp_path, f"bad{k}.json", doc)
+        capsys.readouterr()
+        assert main(["verify", "--input", str(spec)]) == 2, doc
+        assert "error" in json.loads(capsys.readouterr().out), doc
+    for k, raw in enumerate([b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000]):
+        spec = tmp_path / f"raw{k}.json"
+        spec.write_bytes(raw)
+        assert main(["verify", "--input", str(spec)]) == 2
+
+
+@pytest.mark.parametrize("option", [
+    ["--seed", "-1"],
+    ["--membership-tol", "0"],
+    ["--rank-threshold", "0"],
+    ["--membership-tol", "nan"],
+])
+def test_verify_rejects_bad_options(tmp_path, capsys, option):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(spec)] + option) == 2
+    captured = capsys.readouterr()
+    # rejected before any stage ran: no stage timings, one message line
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "[timing]" not in captured.err
+
+
+def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
+    import holonomy.berger
+    import holonomy.liealg
+    import holonomy.probe  # noqa: F401  (so its bindings are counted too)
+
+    counts = {}
+    for module, name in ((holonomy.berger, "r_formal"), (holonomy.liealg, "so_basis"),
+                         (holonomy.liealg, "centralizer_basis")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("holonomy") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    report, code = cmd_verify(RunConfig(input=str(spec)))
+    assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
+    assert counts == {"r_formal": 1, "so_basis": 1, "centralizer_basis": 1}
 
 
 def test_verify_stage_subset(tmp_path):
@@ -126,6 +199,15 @@ def test_report_empty_and_errors(tmp_path, capsys):
     bogus.write_text("{not json")
     assert main(["report", str(bogus)]) == 1
     assert "error" in capsys.readouterr().out
+    for k, raw in enumerate([b"[]", b"5", b'"report"', b"null",
+                             b'{"spec": [], "verdict": "pass"}', b'{"stages": 5}',
+                             b'{"spec": {"eigenvalues": [{"blocks": [{"size": 1}]}]}}',
+                             b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000]):
+        listing = tmp_path / f"unusable{k}.json"
+        listing.write_bytes(raw)
+        assert main(["report", str(listing)]) == 1
+        row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+        assert row[0] == f"unusable{k}.json" and row[-1] == "error"
 
 
 def test_report_failing_rows_first(tmp_path, capsys):
@@ -147,3 +229,5 @@ def test_runconfig_validation():
         RunConfig(input="x", stages=())
     with pytest.raises(ValueError):
         RunConfig(input="x", membership_tol=0.0)
+    with pytest.raises(ValueError):
+        RunConfig(input="x", seed=-1)

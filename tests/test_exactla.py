@@ -6,20 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy.exactla import (
-    Poly,
-    RatMat,
-    inverse,
-    kernel_basis,
-    matrix_powers,
-    minimal_polynomial,
-    rank,
-    rat_from_str,
-    rat_to_str,
-    solve_in_span,
-)
+from holonomy.exactla import RatMat, inverse, kernel_basis, rank, rat_from_str, rat_to_str
 
 from helpers import mat
+from oracles import Poly, matrix_powers, minimal_polynomial, solve_in_span
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 

@@ -6,27 +6,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holonomy import build_B, build_canonical, lower_B, make_pencil, r_formal
+from holonomy import build_B, centralizer_basis, lower_B, r_formal
 from holonomy.probe import (
     FloatMetric,
     LoopSpec,
     SingularMetricError,
-    christoffel,
     holonomy_span,
-    metric_value,
-    nablaL_residual,
     parallel_transport,
     standard_loops,
 )
 from holonomy.probe import kernels
 
 from helpers import pair_of
+from oracles import christoffel, metric_at, metric_value, nablaL_residual
 
 
 def realized(blocks, lam=0):
     pair = pair_of(blocks, lam)
     qm = lower_B(build_B(pair), pair.g)
     return pair, qm
+
+
+def span(qm, pair, loops):
+    return holonomy_span(FloatMetric.from_exact(qm), centralizer_basis(pair), loops)
 
 
 def fd_christoffel(fm, x, h=1e-5):
@@ -37,9 +39,9 @@ def fd_christoffel(fm, x, h=1e-5):
     for p in range(n):
         e = np.zeros(n)
         e[p] = h
-        dg[p] = (kernels.metric_value_numpy(fm.g0, fm.B, x + e)
-                 - kernels.metric_value_numpy(fm.g0, fm.B, x - e)) / (2 * h)
-    gx = kernels.metric_value_numpy(fm.g0, fm.B, x)
+        dg[p] = (kernels.metric_value(fm.g0, fm.B, x + e)
+                 - kernels.metric_value(fm.g0, fm.B, x - e)) / (2 * h)
+    gx = kernels.metric_value(fm.g0, fm.B, x)
     t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
     return 0.5 * np.linalg.solve(gx, t.reshape(n, n * n)).reshape(n, n, n)
 
@@ -85,30 +87,6 @@ def test_christoffel_symmetric_lower_indices():
     assert np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2))) < 1e-15
 
 
-def test_backends_agree():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    _, qm = realized([(1, 1), (2, 1)])
-    fm = FloatMetric.from_exact(qm)
-    x = np.array([0.03, -0.02, 0.05])
-    via_jit = kernels._christoffel_jit(fm.g0, fm.B, x)
-    via_np = kernels.christoffel_numpy(fm.g0, fm.B, x)
-    assert np.max(np.abs(via_jit - via_np)) < 1e-14
-
-    verts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.01, 0.0, 0.01], [0.0, 0.0, 0.0]])
-    steps = np.array([40, 40, 40])
-    a_jit = kernels._transport_polyline_jit(fm.g0, fm.B, verts, steps)
-    a_np = kernels.transport_polyline_numpy(fm.g0, fm.B, verts, steps)
-    assert np.max(np.abs(a_jit - a_np)) < 1e-13
-
-
-def test_backend_env_flag(monkeypatch):
-    monkeypatch.setenv("HOLONOMY_BACKEND", "numpy")
-    assert kernels.backend() == "numpy"
-    monkeypatch.delenv("HOLONOMY_BACKEND")
-    assert kernels.backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-
-
 # -- transport -------------------------------------------------------------------
 
 def test_flat_transport_is_identity():
@@ -141,7 +119,8 @@ def test_loop_shrinking_consistency():
         psis[side] = s.log_approx
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
     # direction matches the certified curvature value up to sign
-    z = np.array(r_formal(pair).value_on_wedge(0, 2).to_float_rows())
+    rm = r_formal(pair)
+    z = np.array(rm.values[rm.tags.index((0, 2))].to_float_rows())
     psi = psis[5e-3]
     unit_psi = psi / np.linalg.norm(psi)
     unit_z = z / np.linalg.norm(z)
@@ -151,7 +130,6 @@ def test_loop_shrinking_consistency():
 
 def test_transport_membership_and_drift():
     pair, qm = realized([(1, 1), (2, 1)])
-    from holonomy.liealg import centralizer_basis
     gl = [np.array(m.to_float_rows()) for m in centralizer_basis(pair)]
     fm = FloatMetric.from_exact(qm)
     for loop in standard_loops(3, seed=3):
@@ -184,14 +162,14 @@ def test_singular_metric_detected():
 
 def test_span_flat_single_block():
     pair, qm = realized([(3, 1)])
-    rep = holonomy_span(qm, pair, standard_loops(3, seed=0))
+    rep = span(qm, pair, standard_loops(3, seed=0))
     assert rep.span_rank == 0 and rep.dim_gL == 0 and rep.passed
     assert rep.sv_gap == float("inf")
 
 
 def test_span_blocks_1_2():
     pair, qm = realized([(1, 1), (2, 1)])
-    rep = holonomy_span(qm, pair, standard_loops(3, seed=0))
+    rep = span(qm, pair, standard_loops(3, seed=0))
     assert rep.span_rank == 1 == rep.dim_gL
     assert rep.max_membership_residual < 1e-6
     assert rep.passed
@@ -199,28 +177,19 @@ def test_span_blocks_1_2():
 
 def test_span_blocks_1_1_2():
     pair, qm = realized([(1, 1), (1, 1), (2, 1)])
-    rep = holonomy_span(qm, pair, standard_loops(4, seed=0))
+    rep = span(qm, pair, standard_loops(4, seed=0))
     assert rep.span_rank == 3 == rep.dim_gL
     assert rep.passed
 
 
 def test_span_report_json():
     pair, qm = realized([(1, 1), (2, -1)])
-    rep = holonomy_span(qm, pair, standard_loops(3, seed=0))
+    rep = span(qm, pair, standard_loops(3, seed=0))
     doc = rep.to_json()
     assert doc["span_rank"] == doc["dim_gL"] == 1
     assert doc["passed"] is True
     assert len(doc["samples"]) == 9
     assert {"plane", "side", "basepoint", "residual"} <= set(doc["samples"][0])
-
-
-def test_span_threaded_matches_serial(monkeypatch):
-    pair, qm = realized([(1, 1), (2, 1)])
-    loops = standard_loops(3, seed=5)
-    serial = holonomy_span(qm, pair, loops)
-    monkeypatch.setenv("HOLONOMY_THREADS", "4")
-    threaded = holonomy_span(qm, pair, loops)
-    assert serial.to_json() == threaded.to_json()
 
 
 # -- covariant constancy -------------------------------------------------------------
@@ -244,7 +213,6 @@ def test_nablaL_residual_detects_corruption():
 
 
 def test_metric_value_matches_exact():
-    from holonomy.realize import metric_at
     _, qm = realized([(1, 1), (2, 1)])
     x = [Fraction(1, 20), Fraction(-1, 50), Fraction(1, 100)]
     exact = metric_at(qm, x)
