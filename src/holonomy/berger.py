@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .canonical import CanonicalPair
-from .exactla import RatMat
+from .exactla import RatMat, _int_stack, int_form
 from .liealg import SubspaceBasis, so_basis, wedge_tags
 
 _ZERO = Fraction(0)
@@ -140,51 +142,33 @@ def check_bianchi(rmap: CurvatureMap) -> BianchiReport:
 
     Multilinearity makes basis triples sufficient; triples with repeated
     indices are included (they cost nothing and must vanish identically).
+    The witness is the first (i, j, k), i < j, in lexicographic order that
+    attains the largest violation max_r |R(e_i, e_j) e_k + cyclic|_r.
     """
     n = rmap.n
-    ok = True
-    worst = _ZERO
-    witness = None
-    cols = {}
-    for (i, j), v in zip(rmap.tags, rmap.values):
-        for k in range(n):
-            cols[(i, j, k)] = [v[r, k] for r in range(n)]
-
-    def col(a: int, b: int, k: int) -> list:
-        if a == b:
-            return [_ZERO] * n
-        if a < b:
-            return cols[(a, b, k)]
-        return [-x for x in cols[(b, a, k)]]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                c1 = col(i, j, k)
-                c2 = col(j, k, i)
-                c3 = col(k, i, j)
-                bad = _ZERO
-                for a, b, c in zip(c1, c2, c3):
-                    s = a + b + c
-                    if s:
-                        bad = max(bad, abs(s))
-                if bad:
-                    ok = False
-                    if bad > worst:
-                        worst = bad
-                        witness = (i, j, k)
-    return BianchiReport(ok, witness, worst)
+    vals, den = _int_stack(rmap.values, n)
+    # full[a, b, r, k]: entry (r, k) of R(wedge(e_a, e_b)), antisymmetric in (a, b)
+    full = np.zeros((n, n, n, n), dtype=object)
+    a, b = np.array(rmap.tags, dtype=np.intp).reshape(-1, 2).T
+    full[a, b] = vals
+    full[b, a] = -vals
+    cyclic = (np.einsum("ijrk->ijkr", full) + np.einsum("jkri->ijkr", full)
+              + np.einsum("kirj->ijkr", full))
+    rows, cols = np.triu_indices(n, 1)  # (i, j), i < j, in lexicographic order
+    bad = list(np.abs(cyclic).max(axis=3)[rows, cols].flat)
+    worst = max(bad, default=0)
+    if not worst:
+        return BianchiReport(True, None, _ZERO)
+    w, k = divmod(bad.index(worst), n)
+    return BianchiReport(False, (int(rows[w]), int(cols[w]), k), Fraction(worst, den))
 
 
 def check_sectional(rmap: CurvatureMap, L: RatMat) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element."""
-    g = rmap.g
-    for v in rmap.values:
-        if not (v @ L - L @ v).is_zero():
-            return False
-        if not (g @ v + v.transpose() @ g).is_zero():
-            return False
-    return True
+    vals, _ = _int_stack(rmap.values, rmap.n)
+    l, g = int_form(L.to_rows())[0], int_form(rmap.g.to_rows())[0]
+    return bool((vals @ l == l @ vals).all()
+                and (g @ vals == -(vals.transpose(0, 2, 1) @ g)).all())
 
 
 @dataclass(frozen=True)

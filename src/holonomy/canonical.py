@@ -19,6 +19,10 @@ from .exactla import RatMat, rank, rat_from_str, rat_to_str
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Largest accepted dimension n.  The realization stage holds n^4 exact
+# coefficients; n = 24 runs the exact stages in seconds and tens of MB.
+MAX_DIM = 24
+
 
 class InvalidSpecError(ValueError):
     """The pencil description is malformed or inconsistent."""
@@ -81,6 +85,8 @@ class PencilSpec:
             raise InvalidSpecError("duplicate eigenvalues")
         if lams != sorted(lams):
             raise InvalidSpecError("eigenvalues must be sorted ascending")
+        if self.dim > MAX_DIM:
+            raise InvalidSpecError(f"dimension {self.dim} exceeds the maximum {MAX_DIM}")
 
     @property
     def dim(self) -> int:
@@ -118,11 +124,11 @@ def pencil_from_json(doc) -> PencilSpec:
         if not isinstance(item, dict):
             raise InvalidSpecError(f"eigenvalue entry must be an object, got {item!r}")
         raw = str(item.get("lambda", ""))
-        if any(ch in raw.lower() for ch in "ij"):
-            raise ComplexBlockError("unsupported: complex block")
         try:
             lam = rat_from_str(raw)
         except ValueError as exc:
+            if _is_complex(raw):
+                raise ComplexBlockError("unsupported: complex block") from exc
             raise InvalidSpecError(f"bad eigenvalue {raw!r}") from exc
         blocks = item.get("blocks")
         if not isinstance(blocks, list) or not all(
@@ -130,6 +136,14 @@ def pencil_from_json(doc) -> PencilSpec:
             raise InvalidSpecError(f"bad block list for eigenvalue {raw!r}")
         eigens.append((lam, [(b["size"], b["sign"]) for b in blocks]))
     return make_pencil(eigens)
+
+
+def _is_complex(raw: str) -> bool:
+    """True when ``raw`` is a complex number with a nonzero imaginary part."""
+    try:
+        return complex(raw.replace("i", "j")).imag != 0
+    except ValueError:
+        return False
 
 
 def pencil_to_json(spec: PencilSpec) -> dict:

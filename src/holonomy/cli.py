@@ -266,7 +266,8 @@ def _error_row(path: str, error: str) -> dict:
     return {
         "file": Path(path).name, "n": "", "partition": "", "signs": "",
         "dim_gL": "", "berger": "", "realize": "", "probe_rank": "",
-        "probe_residual": "", "verdict": "error", "error": error,
+        "probe_residual": "", "verdict": "error",
+        "error": " ".join(error.split()),  # one line, one table cell
     }
 
 
@@ -277,7 +278,7 @@ def _flag(stage: dict) -> str:
 
 
 _COLUMNS = ("file", "n", "partition", "signs", "dim_gL", "berger",
-            "realize", "probe_rank", "probe_residual", "verdict")
+            "realize", "probe_rank", "probe_residual", "verdict", "error")
 
 
 def cmd_report(paths, csv_out: str = "") -> tuple:
@@ -291,7 +292,7 @@ def cmd_report(paths, csv_out: str = "") -> tuple:
     table = "\n".join(lines)
     if csv_out:
         with open(csv_out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_COLUMNS, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
     bad = any(r["verdict"] != "pass" for r in rows)

@@ -4,12 +4,20 @@ Every algebraic computation in this package runs over arbitrary-precision
 rationals; nothing here ever rounds.  Floating point enters only in the
 numerical probe package.  Scalars are ``fractions.Fraction`` values, which
 are always stored in lowest terms with a positive denominator.
+
+Tensors that are contracted as a whole (the metric coefficients, stacked
+curvature values) use one integer form instead: an object-dtype ndarray of
+Python ints over one positive common denominator, made by ``int_form``.
+Python ints never overflow, so numpy contractions on it stay exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -27,6 +35,20 @@ def rat_from_str(text: str) -> Fraction:
 def rat_to_str(q: Fraction) -> str:
     """Serialize a rational; the denominator is omitted when it equals 1."""
     return str(q)
+
+
+def int_form(entries) -> tuple:
+    """Exact rationals as ``(num, den)`` with ``entries == num / den``.
+
+    ``entries`` is anything ``np.asarray`` turns into an array of ints or
+    Fractions; ``num`` keeps its shape as an object array of Python ints and
+    ``den`` is the least common denominator (1 for an empty array).
+    """
+    a = np.asarray(entries, dtype=object)
+    den = math.lcm(1, *(x.denominator for x in a.flat))
+    num = np.array([x.numerator * (den // x.denominator) for x in a.flat],
+                   dtype=object).reshape(a.shape)
+    return num, den
 
 
 class RatMat:
@@ -185,6 +207,12 @@ class RatMat:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMat({self.rows}x{self.cols}: {body})"
+
+
+def _int_stack(mats: Sequence[RatMat], n: int) -> tuple:
+    """``int_form`` of n x n matrices as one (len(mats), n, n) array."""
+    num, den = int_form([m.to_rows() for m in mats])
+    return num.reshape(-1, n, n), den
 
 
 # -- elimination -----------------------------------------------------------

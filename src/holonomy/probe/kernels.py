@@ -1,8 +1,9 @@
 """Hot float kernels: metric value, Christoffel symbols, polyline transport.
 
-Array conventions:
+Array conventions (all float64):
     g0   (n, n)        constant metric value at the origin
-    B    (n, n, n, n)  lowered quadratic coefficients, B[i,j,p,q]
+    B    (n, n, n, n)  lowered quadratic coefficients B[i,j,p,q], converted
+                       once from the exact integer form as num / den
     x    (n,)          evaluation point
     gamma(n, n, n)     gamma[k, i, j] with symmetric (i, j)
 """

@@ -71,17 +71,7 @@ class FloatMetric:
 
     @classmethod
     def from_exact(cls, qm: QuadraticMetric) -> "FloatMetric":
-        n = qm.n
-        g0 = np.array(qm.g0.to_float_rows())
-        b = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                lij = qm.lowered[i][j]
-                for p in range(n):
-                    row = lij[p]
-                    for q in range(n):
-                        b[i, j, p, q] = float(row[q])
-        return cls(g0, b)
+        return cls(np.array(qm.g0.to_float_rows()), qm.num.astype(np.float64) / qm.den)
 
 
 def _loop_polyline(loop: LoopSpec, n: int):

@@ -8,6 +8,12 @@ giving the block projector).  Diagonal pairs contribute nothing to the
 curvature on so(g) but make the equal-size case agree with the plain
 minimal-polynomial tensor.  Cross-eigenvalue coefficients are zero, so the
 metric is a product across eigenvalues.
+
+The lowered tensor is held in integer form (``exactla.int_form``): one
+(n, n, n, n) array of Python ints over one common denominator.  Every exact
+check on it (symmetry, covariant constancy, g(x)-symmetry, both Riemann
+routes) is a numpy contraction of integer arrays, so it is exact and needs
+no index loop.
 """
 
 from __future__ import annotations
@@ -15,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .berger import CurvatureMap
 from .canonical import CanonicalPair
-from .exactla import RatMat, inverse
+from .exactla import RatMat, _int_stack, int_form, inverse
 from .liealg import wedge_tags
 
 _ZERO = Fraction(0)
@@ -77,20 +85,28 @@ def build_B(pair: CanonicalPair) -> BTensor:
     return BTensor(pair.n, tuple(terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticMetric:
     """g(x) = g0 + B(x, x) with a constant symmetric rank-4 coefficient tensor.
 
-    ``lowered[i][j][p][q]`` is symmetric in (i, j) and in (p, q); the
-    metric value at x adds lowered[i][j][p][q] x^p x^q to g0[i][j].
+    B = num / den: ``num`` is an (n, n, n, n) object array of Python ints and
+    ``den`` one positive int.  B[i, j, p, q] is symmetric in (i, j) and in
+    (p, q); the metric value at x adds B[i, j, p, q] x^p x^q to g0[i, j].
     """
 
     g0: RatMat
-    lowered: tuple  # nested tuples, n^4 rationals
+    num: np.ndarray
+    den: int
 
     @property
     def n(self) -> int:
         return self.g0.rows
+
+
+def _first_mismatch(a: np.ndarray, b: np.ndarray):
+    """Lexicographically first index where two arrays differ, or None."""
+    bad = np.argwhere(a != b)
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
 
 
 def lower_B(b: BTensor, g0: RatMat) -> QuadraticMetric:
@@ -103,30 +119,16 @@ def lower_B(b: BTensor, g0: RatMat) -> QuadraticMetric:
     n = b.n
     if g0.shape != (n, n):
         raise ValueError("shape mismatch")
-    low = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c, d in b.terms:
-        gc = g0 @ c
-        gd = g0 @ d
-        cnz = [(i, j, gc[i, j]) for i in range(n) for j in range(n) if gc[i, j]]
-        dnz = [(p, q, gd[p, q]) for p in range(n) for q in range(n) if gd[p, q]]
-        for i, j, cv in cnz:
-            li = low[i]
-            for p, q, dv in dnz:
-                li[j][p][q] += cv * dv
-    for i in range(n):
-        for j in range(n):
-            lij = low[i][j]
-            for p in range(n):
-                for q in range(p + 1, n):
-                    if lij[p][q] != lij[q][p]:
-                        raise RealizationError(
-                            f"lowered tensor not symmetric in (p, q) at {(i, j, p, q)}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if low[i][j] != low[j][i]:
-                raise RealizationError("lowered tensor not symmetric in (i, j)")
-    frozen = tuple(tuple(tuple(tuple(r) for r in pj) for pj in li) for li in low)
-    return QuadraticMetric(g0, frozen)
+    gc, cden = _int_stack([g0 @ c for c, _ in b.terms], n)
+    gd, dden = _int_stack([g0 @ d for _, d in b.terms], n)
+    num = np.einsum("tij,tpq->ijpq", gc, gd)
+    at = _first_mismatch(num, num.transpose(0, 1, 3, 2))
+    if at is not None:
+        raise RealizationError(f"lowered tensor not symmetric in (p, q) at {at}")
+    at = _first_mismatch(num, num.transpose(1, 0, 2, 3))
+    if at is not None:
+        raise RealizationError(f"lowered tensor not symmetric in (i, j) at {at}")
+    return QuadraticMetric(g0, num, cden * dden)
 
 
 def validity_radius(qm: QuadraticMetric) -> float:
@@ -138,14 +140,14 @@ def validity_radius(qm: QuadraticMetric) -> float:
     n = qm.n
     ginv = inverse(qm.g0)
     ginv_norm = max(sum(abs(ginv[i, j]) for j in range(n)) for i in range(n))
-    bnorm = max(
-        sum(abs(qm.lowered[i][j][p][q]) for j in range(n) for p in range(n) for q in range(n))
-        for i in range(n)
-    )
+    bnorm = Fraction(max(np.abs(qm.num).sum(axis=(1, 2, 3))), qm.den)
     if bnorm == 0:
         return float("inf")
     return float(1 / (ginv_norm * bnorm)) ** 0.5
 
+
+# The checks below are linear in B and in L, so scaling both by their
+# denominators changes no equality: they run on num and on L's numerators.
 
 def check_nablaL(qm: QuadraticMetric, L: RatMat) -> bool:
     """Coefficient-level covariant-constancy condition, all index tuples.
@@ -153,50 +155,16 @@ def check_nablaL(qm: QuadraticMetric, L: RatMat) -> bool:
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
     summed over b, for every (i, p, q, k).
     """
-    n = qm.n
-    low = qm.lowered
-    lnz = [[(b, L[b, c]) for b in range(n) if L[b, c]] for c in range(n)]
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                for k in range(n):
-                    lhs = _ZERO
-                    for b, lv in lnz[k]:
-                        t = low[i][p][b][q] - low[i][b][p][q]
-                        if t:
-                            lhs += t * lv
-                    rhs = _ZERO
-                    for b, lv in lnz[p]:
-                        t = low[b][i][k][q] - low[i][k][b][q]
-                        if t:
-                            rhs += t * lv
-                    if lhs != rhs:
-                        return False
-    return True
+    b, l = qm.num, int_form(L.to_rows())[0]
+    lhs = np.einsum("ipbq,bk->ipqk", b, l) - np.einsum("ibpq,bk->ipqk", b, l)
+    rhs = np.einsum("bikq,bp->ipqk", b, l) - np.einsum("ikbq,bp->ipqk", b, l)
+    return bool((lhs == rhs).all())
 
 
 def check_gsym(qm: QuadraticMetric, L: RatMat) -> bool:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
-    n = qm.n
-    low = qm.lowered
-    lnz = [[(i, L[i, c]) for i in range(n) if L[i, c]] for c in range(n)]
-    for j in range(n):
-        for l in range(n):
-            for p in range(n):
-                for q in range(n):
-                    lhs = _ZERO
-                    for i, lv in lnz[l]:
-                        t = low[i][j][p][q]
-                        if t:
-                            lhs += t * lv
-                    rhs = _ZERO
-                    for i, lv in lnz[j]:
-                        t = low[i][l][p][q]
-                        if t:
-                            rhs += t * lv
-                    if lhs != rhs:
-                        return False
-    return True
+    b, l = qm.num, int_form(L.to_rows())[0]
+    return bool((np.einsum("ijpq,il->jlpq", b, l) == np.einsum("ilpq,ij->jlpq", b, l)).all())
 
 
 def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
@@ -210,50 +178,28 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     Both routes must agree entry for entry; a mismatch raises.
     """
     n = qm.n
-    low = qm.lowered
-    ginv = inverse(qm.g0)
-    ginv_nz = [[(s, ginv[i, s]) for s in range(n) if ginv[i, s]] for i in range(n)]
-
-    def route_direct(a: int, b: int) -> RatMat:
-        e = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                acc = _ZERO
-                for s, gv in ginv_nz[i]:
-                    t = low[b][s][a][k] + low[a][k][b][s] - low[b][k][a][s] - low[a][s][b][k]
-                    if t:
-                        acc += gv * t
-                row.append(acc)
-            e.extend(row)
-        return RatMat._raw(n, n, e)
-
-    # dGamma[a][i][b][k] = d_a Gamma^i_{bk} at 0
-    def dgamma(a: int, i: int, b: int, k: int) -> Fraction:
-        acc = _ZERO
-        for s, gv in ginv_nz[i]:
-            t = low[s][k][b][a] + low[s][b][k][a] - low[b][k][s][a]
-            if t:
-                acc += gv * t
-        return acc
-
-    def route_christoffel(a: int, b: int) -> RatMat:
-        e = []
-        for i in range(n):
-            for k in range(n):
-                e.append(dgamma(a, i, b, k) - dgamma(b, i, a, k))
-        return RatMat._raw(n, n, e)
+    b = qm.num
+    ginv, gden = int_form(inverse(qm.g0).to_rows())
+    # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
+    # scaled by gden * qm.den
+    direct = np.einsum("is,absk->abik", ginv,
+                       np.einsum("bsak->absk", b) + np.einsum("akbs->absk", b)
+                       - np.einsum("bkas->absk", b) - np.einsum("asbk->absk", b))
+    dgamma = np.einsum("is,asbk->aibk", ginv,
+                       np.einsum("skba->asbk", b) + np.einsum("sbka->asbk", b)
+                       - np.einsum("bksa->asbk", b))
+    via_gamma = np.einsum("aibk->abik", dgamma) - np.einsum("biak->abik", dgamma)
 
     tags = tuple(wedge_tags(n))
-    values = []
-    for a, b in tags:
-        direct = route_direct(a, b)
-        via_gamma = route_christoffel(a, b)
-        if direct != via_gamma:
-            raise RealizationError(
-                f"curvature routes disagree on wedge ({a}, {b})")
-        values.append(direct)
-    return CurvatureMap(qm.g0, tags, tuple(values))
+    rows, cols = np.triu_indices(n, 1)  # the wedge tags, in their order
+    at = _first_mismatch(direct[rows, cols], via_gamma[rows, cols])
+    if at is not None:
+        raise RealizationError(
+            f"curvature routes disagree on wedge {tags[at[0]]}")
+    scale = gden * qm.den
+    values = tuple(RatMat._raw(n, n, [Fraction(v, scale) for v in direct[a, c].flat])
+                   for a, c in tags)
+    return CurvatureMap(qm.g0, tags, values)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ None of this runs in ``holonomy verify``.  The exact oracles reach their
 results by routes other than the pipeline's: the curvature from the
 minimal polynomial, the centralizer from explicit Toeplitz generators,
 membership by exact span solving and the metric by direct evaluation.
-The float helpers evaluate the probe's kernels at one point.
+The ``*_ref`` functions are the earlier index-loop versions of the exact
+realization and Bianchi checks, run on Fractions, for differential tests
+against the integer contractions.  The float helpers evaluate the probe's
+kernels at one point.
 """
 
 from dataclasses import dataclass
@@ -13,13 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from holonomy.berger import _sub
+from holonomy.berger import BianchiReport, CurvatureMap, _sub
 from holonomy.canonical import CanonicalPair
-from holonomy.exactla import RatMat, _rref
-from holonomy.liealg import SubspaceBasis
+from holonomy.exactla import RatMat, _rref, inverse
+from holonomy.liealg import SubspaceBasis, wedge_tags
 from holonomy.probe import kernels
 from holonomy.probe.transport import FloatMetric, SingularMetricError
-from holonomy.realize import BTensor, QuadraticMetric
+from holonomy.realize import BTensor, QuadraticMetric, RealizationError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -225,18 +228,26 @@ def member_coords(x: RatMat, basis: SubspaceBasis) -> Optional[list]:
     return solve_in_span([b.vec() for b in basis.elements], x.vec())
 
 
+def lowered(qm: QuadraticMetric) -> list:
+    """The coefficient tensor as nested lists of Fractions, low[i][j][p][q]."""
+    n = qm.n
+    return [[[[Fraction(qm.num[i, j, p, q], qm.den) for q in range(n)] for p in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
 def metric_at(qm: QuadraticMetric, x: Sequence) -> RatMat:
     """Exact metric value at a rational point."""
     n = qm.n
     xf = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
     if len(xf) != n:
         raise ValueError("point has wrong dimension")
+    low = lowered(qm)
     nz = [(p, v) for p, v in enumerate(xf) if v]
     e = []
     for i in range(n):
         for j in range(n):
             acc = qm.g0[i, j]
-            lij = qm.lowered[i][j]
+            lij = low[i][j]
             for p, xp in nz:
                 row = lij[p]
                 for q, xq in nz:
@@ -245,6 +256,167 @@ def metric_at(qm: QuadraticMetric, x: Sequence) -> RatMat:
                         acc += c * xp * xq
             e.append(acc)
     return RatMat._raw(n, n, e)
+
+
+def check_nablaL_ref(qm: QuadraticMetric, L: RatMat) -> bool:
+    """Coefficient-level covariant-constancy condition, all index tuples.
+
+    (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
+    summed over b, for every (i, p, q, k).
+    """
+    n = qm.n
+    low = lowered(qm)
+    lnz = [[(b, L[b, c]) for b in range(n) if L[b, c]] for c in range(n)]
+    for i in range(n):
+        for p in range(n):
+            for q in range(n):
+                for k in range(n):
+                    lhs = _ZERO
+                    for b, lv in lnz[k]:
+                        t = low[i][p][b][q] - low[i][b][p][q]
+                        if t:
+                            lhs += t * lv
+                    rhs = _ZERO
+                    for b, lv in lnz[p]:
+                        t = low[b][i][k][q] - low[i][k][b][q]
+                        if t:
+                            rhs += t * lv
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def check_gsym_ref(qm: QuadraticMetric, L: RatMat) -> bool:
+    """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
+    n = qm.n
+    low = lowered(qm)
+    lnz = [[(i, L[i, c]) for i in range(n) if L[i, c]] for c in range(n)]
+    for j in range(n):
+        for l in range(n):
+            for p in range(n):
+                for q in range(n):
+                    lhs = _ZERO
+                    for i, lv in lnz[l]:
+                        t = low[i][j][p][q]
+                        if t:
+                            lhs += t * lv
+                    rhs = _ZERO
+                    for i, lv in lnz[j]:
+                        t = low[i][l][p][q]
+                        if t:
+                            rhs += t * lv
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def riemann_at_origin_ref(qm: QuadraticMetric) -> CurvatureMap:
+    """Curvature operator of the metric at x = 0, via two exact routes.
+
+    Route one contracts the lowered tensor directly:
+        R^i_{k ab} = g^{is} (B_{bs,ak} + B_{ak,bs} - B_{bk,as} - B_{as,bk}).
+    Route two assembles first derivatives of the Christoffel symbols at 0
+    (the symbols vanish there, so the quadratic terms drop):
+        R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}.
+    Both routes must agree entry for entry; a mismatch raises.
+    """
+    n = qm.n
+    low = lowered(qm)
+    ginv = inverse(qm.g0)
+    ginv_nz = [[(s, ginv[i, s]) for s in range(n) if ginv[i, s]] for i in range(n)]
+
+    def route_direct(a: int, b: int) -> RatMat:
+        e = []
+        for i in range(n):
+            row = []
+            for k in range(n):
+                acc = _ZERO
+                for s, gv in ginv_nz[i]:
+                    t = low[b][s][a][k] + low[a][k][b][s] - low[b][k][a][s] - low[a][s][b][k]
+                    if t:
+                        acc += gv * t
+                row.append(acc)
+            e.extend(row)
+        return RatMat._raw(n, n, e)
+
+    # dGamma[a][i][b][k] = d_a Gamma^i_{bk} at 0
+    def dgamma(a: int, i: int, b: int, k: int) -> Fraction:
+        acc = _ZERO
+        for s, gv in ginv_nz[i]:
+            t = low[s][k][b][a] + low[s][b][k][a] - low[b][k][s][a]
+            if t:
+                acc += gv * t
+        return acc
+
+    def route_christoffel(a: int, b: int) -> RatMat:
+        e = []
+        for i in range(n):
+            for k in range(n):
+                e.append(dgamma(a, i, b, k) - dgamma(b, i, a, k))
+        return RatMat._raw(n, n, e)
+
+    tags = tuple(wedge_tags(n))
+    values = []
+    for a, b in tags:
+        direct = route_direct(a, b)
+        via_gamma = route_christoffel(a, b)
+        if direct != via_gamma:
+            raise RealizationError(
+                f"curvature routes disagree on wedge ({a}, {b})")
+        values.append(direct)
+    return CurvatureMap(qm.g0, tags, tuple(values))
+
+
+def check_bianchi_ref(rmap: CurvatureMap) -> BianchiReport:
+    """Exhaustive first-Bianchi check over standard basis vector triples.
+
+    Multilinearity makes basis triples sufficient; triples with repeated
+    indices are included (they cost nothing and must vanish identically).
+    """
+    n = rmap.n
+    ok = True
+    worst = _ZERO
+    witness = None
+    cols = {}
+    for (i, j), v in zip(rmap.tags, rmap.values):
+        for k in range(n):
+            cols[(i, j, k)] = [v[r, k] for r in range(n)]
+
+    def col(a: int, b: int, k: int) -> list:
+        if a == b:
+            return [_ZERO] * n
+        if a < b:
+            return cols[(a, b, k)]
+        return [-x for x in cols[(b, a, k)]]
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                c1 = col(i, j, k)
+                c2 = col(j, k, i)
+                c3 = col(k, i, j)
+                bad = _ZERO
+                for a, b, c in zip(c1, c2, c3):
+                    s = a + b + c
+                    if s:
+                        bad = max(bad, abs(s))
+                if bad:
+                    ok = False
+                    if bad > worst:
+                        worst = bad
+                        witness = (i, j, k)
+    return BianchiReport(ok, witness, worst)
+
+
+def check_sectional_ref(rmap: CurvatureMap, L: RatMat) -> bool:
+    """[R(X), L] = 0 and g-skewness of R(X) on every basis element."""
+    g = rmap.g
+    for v in rmap.values:
+        if not (v @ L - L @ v).is_zero():
+            return False
+        if not (g @ v + v.transpose() @ g).is_zero():
+            return False
+    return True
 
 
 def b_components(bt: BTensor) -> list:

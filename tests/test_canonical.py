@@ -77,6 +77,14 @@ def test_complex_block_rejected():
         pencil_from_json(doc)
 
 
+@pytest.mark.parametrize("raw", ["inf", "nan", "-Infinity", "1+0i"])
+def test_non_rational_real_eigenvalue_is_not_complex(raw):
+    doc = {"eigenvalues": [{"lambda": raw, "blocks": [{"size": 1, "sign": 1}]}]}
+    with pytest.raises(InvalidSpecError, match="bad eigenvalue") as info:
+        pencil_from_json(doc)
+    assert not isinstance(info.value, ComplexBlockError)
+
+
 def test_json_round_trip():
     doc = {"eigenvalues": [
         {"lambda": "-1/2", "blocks": [{"size": 2, "sign": -1}, {"size": 1, "sign": 1}]},

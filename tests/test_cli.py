@@ -1,12 +1,13 @@
 """CLI pipeline, corpus enumeration, and report summarization."""
 
+import csv
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from holonomy.canonical import pencil_from_json
+from holonomy.canonical import MAX_DIM, pencil_from_json
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
 
 
@@ -65,6 +66,10 @@ MALFORMED_SPECS = [
     _blocks({"size": 0, "sign": 1}),
     _blocks({"size": 1, "sign": 2}),
     _blocks({"size": 1}),
+    {"eigenvalues": [{"lambda": "inf", "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": "nan", "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": "-Infinity", "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": "1+2i", "blocks": [{"size": 1, "sign": 1}]}]},
 ]
 
 
@@ -87,6 +92,19 @@ def test_verify_invalid_inputs(tmp_path, capsys):
         spec = tmp_path / f"raw{k}.json"
         spec.write_bytes(raw)
         assert main(["verify", "--input", str(spec)]) == 2
+
+
+def test_verify_dimension_cap(tmp_path, capsys):
+    at_cap = write_spec(tmp_path, "n24.json", _blocks({"size": MAX_DIM, "sign": 1}))
+    assert main(["verify", "--input", str(at_cap), "--stages", "canonical"]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"]["canonical"]["n"] == MAX_DIM
+    over = write_spec(tmp_path, "n25.json",
+                      _blocks({"size": 1, "sign": 1}, {"size": MAX_DIM, "sign": 1}))
+    assert main(["verify", "--input", str(over)]) == 2
+    captured = capsys.readouterr()
+    message = json.loads(captured.out)["error"]
+    assert "exceeds the maximum" in message and "\n" not in message
+    assert "[timing]" not in captured.err  # rejected before any stage ran
 
 
 @pytest.mark.parametrize("option", [
@@ -205,9 +223,20 @@ def test_report_empty_and_errors(tmp_path, capsys):
                              b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000]):
         listing = tmp_path / f"unusable{k}.json"
         listing.write_bytes(raw)
-        assert main(["report", str(listing)]) == 1
-        row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
-        assert row[0] == f"unusable{k}.json" and row[-1] == "error"
+        summary = tmp_path / f"unusable{k}.csv"
+        assert main(["report", str(listing), "--csv", str(summary)]) == 1
+        header, line = capsys.readouterr().out.strip().splitlines()
+        header = header.split("\t")
+        row = dict(zip(header, line.split("\t")))
+        assert len(row) == len(header) == len(line.split("\t"))
+        assert row["file"] == f"unusable{k}.json" and row["verdict"] == "error"
+        # the reason is shown, on one line in one cell
+        assert row["error"] and row["error"] == " ".join(row["error"].split())
+        with open(summary, newline="", encoding="utf-8") as fh:
+            (csv_row,) = list(csv.DictReader(fh))
+        assert csv_row["error"] == row["error"]
+        if k < 7:  # parsed as JSON, but not shaped like a report
+            assert "not a verify report" in row["error"]
 
 
 def test_report_failing_rows_first(tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from holonomy import build_B, build_canonical, lower_B, make_pencil, r_formal, verify_realization
 from holonomy.berger import CurvatureMap
-from holonomy.exactla import RatMat, inverse, rank
+from holonomy.exactla import RatMat, int_form, inverse, rank
 from holonomy.liealg import so_basis
 from holonomy.realize import (
     BTensor,
@@ -19,7 +20,7 @@ from holonomy.realize import (
 )
 
 from helpers import mat, pair_of
-from oracles import b_apply, b_components, metric_at
+from oracles import b_apply, b_components, lowered, metric_at
 
 HALF = Fraction(1, 2)
 
@@ -93,18 +94,20 @@ def test_B_skew_on_so_and_doubling():
 def test_lower_B_two_point_blocks():
     pair = pair_of([(1, 1), (1, 1)])
     qm = lower_B(build_B(pair), pair.g)
+    low = lowered(qm)
     for i in range(2):
         for j in range(2):
             for p in range(2):
                 for q in range(2):
                     want = -HALF * pair.g[i, j] * pair.g[p, q]
-                    assert qm.lowered[i][j][p][q] == want
+                    assert low[i][j][p][q] == want
 
 
 def test_lower_B_zero_tensor():
     pair = pair_of([(2, 1)])
     qm = lower_B(BTensor(2, ()), pair.g)
-    assert all(qm.lowered[i][j][p][q] == 0
+    low = lowered(qm)
+    assert all(low[i][j][p][q] == 0
                for i in range(2) for j in range(2) for p in range(2) for q in range(2))
 
 
@@ -112,12 +115,13 @@ def test_lowered_symmetries():
     pair = pair_of([(2, 1), (3, -1)])
     qm = lower_B(build_B(pair), pair.g)
     n = qm.n
+    low = lowered(qm)
     for i in range(n):
         for j in range(n):
             for p in range(n):
                 for q in range(n):
-                    v = qm.lowered[i][j][p][q]
-                    assert v == qm.lowered[j][i][p][q] == qm.lowered[i][j][q][p]
+                    v = low[i][j][p][q]
+                    assert v == low[j][i][p][q] == low[i][j][q][p]
 
 
 def test_metric_at():
@@ -154,11 +158,9 @@ def test_checks_trivial_for_zero_L():
 def test_check_nablaL_detects_corruption():
     pair = pair_of([(1, 1), (2, 1)])
     qm = lower_B(build_B(pair), pair.g)
-    low = [[[[qm.lowered[i][j][p][q] for q in range(3)] for p in range(3)]
-            for j in range(3)] for i in range(3)]
-    low[0][0][1][1] += Fraction(1, 7)
-    bad = QuadraticMetric(qm.g0, tuple(
-        tuple(tuple(tuple(r) for r in pj) for pj in li) for li in low))
+    low = np.array(lowered(qm), dtype=object)
+    low[0, 0, 1, 1] += Fraction(1, 7)
+    bad = QuadraticMetric(qm.g0, *int_form(low))
     assert not check_nablaL(bad, pair.L)
 
 
@@ -171,9 +173,7 @@ def test_check_gsym_detects_wrong_operator():
 
 def test_riemann_flat_metric():
     pair = pair_of([(2, 1)])
-    qm = QuadraticMetric(pair.g, tuple(
-        tuple(tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2))
-              for _ in range(2)) for _ in range(2)))
+    qm = QuadraticMetric(pair.g, *int_form(np.zeros((2, 2, 2, 2), dtype=object)))
     assert riemann_at_origin(qm).is_zero_map()
 
 
@@ -200,10 +200,7 @@ def test_riemann_matches_formal_blocks_1_2():
 def test_riemann_linear_in_coefficients():
     pair = pair_of([(1, 1), (2, 1)])
     qm = lower_B(build_B(pair), pair.g)
-    n = qm.n
-    doubled = QuadraticMetric(qm.g0, tuple(
-        tuple(tuple(tuple(2 * qm.lowered[i][j][p][q] for q in range(n))
-                    for p in range(n)) for j in range(n)) for i in range(n)))
+    doubled = QuadraticMetric(qm.g0, *int_form(2 * np.array(lowered(qm), dtype=object)))
     r1 = riemann_at_origin(qm)
     r2 = riemann_at_origin(doubled)
     assert all(v2 == 2 * v1 for v1, v2 in zip(r1.values, r2.values))
