@@ -6,11 +6,11 @@ of L in so(g) passes the Berger curvature test, realizes a quadratic
 metric whose curvature at the origin reproduces the certified tensor,
 and probes parallel-transport holonomy numerically.
 
-Stages 1-3 are exact: matrices are ``Fraction`` matrices, and the tensors
-they contract as a whole are object-dtype numpy arrays of Python ints over
-one common denominator, so numpy never rounds them.  The floating-point
-probe lives in :mod:`holonomy.probe`; the CLI imports it only when the
-probe stage runs.
+Stages 1-3 are exact and hold every matrix in one format (see
+:mod:`holonomy.exactla`): an object-dtype numpy array of Python ints over
+one positive common denominator, so numpy never rounds or overflows them.
+The floating-point probe lives in :mod:`holonomy.probe`; the CLI imports
+it only when the probe stage runs.
 """
 
 from .canonical import (

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactla import RatMat, rank, rat_from_str, rat_to_str
+import numpy as np
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .exactla import int_form, rank, rat_from_str
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -150,7 +149,7 @@ def pencil_to_json(spec: PencilSpec) -> dict:
     return {
         "eigenvalues": [
             {
-                "lambda": rat_to_str(e.lam),
+                "lambda": str(e.lam),
                 "blocks": [{"size": b.size, "sign": b.sign} for b in e.blocks],
             }
             for e in spec.eigens
@@ -171,17 +170,21 @@ class EigenLayout:
     blocks: tuple  # of PlacedBlock
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalPair:
-    """Matrices (g, L) in the canonical basis plus block layout metadata."""
+    """Matrices (g, L) in the canonical basis plus block layout metadata.
 
-    g: RatMat
-    L: RatMat
+    ``g`` is an n x n int array; ``L`` is ``(num, den)`` (see ``exactla``),
+    with den the least common denominator of the eigenvalues.
+    """
+
+    g: np.ndarray
+    L: tuple
     layout: tuple  # of EigenLayout
 
     @property
     def n(self) -> int:
-        return self.g.rows
+        return self.g.shape[0]
 
     def all_blocks(self) -> list:
         """Flattened ``(eig_index, PlacedBlock)`` list in layout order."""
@@ -191,43 +194,24 @@ class CanonicalPair:
         return out
 
 
-def _antidiag(size: int, sign: int) -> RatMat:
-    e = [_ZERO] * (size * size)
-    val = _ONE if sign > 0 else -_ONE
-    for i in range(size):
-        e[i * size + (size - 1 - i)] = val
-    return RatMat._raw(size, size, e)
-
-
-def _jordan(size: int, lam: Fraction) -> RatMat:
-    e = [_ZERO] * (size * size)
-    for i in range(size):
-        e[i * size + i] = lam
-        if i + 1 < size:
-            e[i * size + i + 1] = _ONE
-    return RatMat._raw(size, size, e)
-
-
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
     n = spec.dim
-    g = [[_ZERO] * n for _ in range(n)]
-    L = [[_ZERO] * n for _ in range(n)]
+    g = np.zeros((n, n), dtype=object)
+    L = np.zeros((n, n), dtype=object)
     layout = []
     off = 0
     for eig in spec.eigens:
         placed = []
         for b in eig.blocks:
-            gb = _antidiag(b.size, b.sign)
-            lb = _jordan(b.size, eig.lam)
-            for i in range(b.size):
-                for j in range(b.size):
-                    g[off + i][off + j] = gb[i, j]
-                    L[off + i][off + j] = lb[i, j]
+            idx = np.arange(off, off + b.size)
+            g[idx, idx[::-1]] = b.sign
+            L[idx, idx] = eig.lam
+            L[idx[:-1], idx[1:]] = 1
             placed.append(PlacedBlock(off, b.size, b.sign))
             off += b.size
         layout.append(EigenLayout(eig.lam, tuple(placed)))
-    return CanonicalPair(RatMat.from_rows(g), RatMat.from_rows(L), tuple(layout))
+    return CanonicalPair(g, int_form(L), tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -236,15 +220,20 @@ class PairReport:
     failures: tuple  # of str
 
 
-def validate_pair(g: RatMat, L: RatMat) -> PairReport:
-    """Check g symmetric, g invertible, and gL symmetric; report failures."""
-    if g.rows != g.cols or L.rows != L.cols or g.rows != L.rows:
+def validate_pair(g: np.ndarray, L: tuple) -> PairReport:
+    """Check g symmetric, g invertible, and gL symmetric; report failures.
+
+    ``g`` is an int array and ``L`` is ``(num, den)``.
+    """
+    l = L[0]
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape != l.shape:
         raise ValueError("g and L must be square matrices of equal size")
     failures = []
-    if not g.is_symmetric():
+    if not (g == g.T).all():
         failures.append("g is not symmetric")
-    elif rank(g) != g.rows:
+    elif rank(g) != g.shape[0]:
         failures.append("g is degenerate")
-    if not (g @ L).is_symmetric():
+    gl = g @ l
+    if not (gl == gl.T).all():
         failures.append("gL is not symmetric (L is not g-symmetric)")
     return PairReport(not failures, tuple(failures))

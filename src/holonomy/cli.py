@@ -43,9 +43,7 @@ class RunConfig:
     stages: tuple = ALL_STAGES
     membership_tol: float = 1e-6
     rank_threshold: float = 1e-8
-    out: str = ""
     seed: int = 0
-    loop_side: float = 1e-2
 
     def __post_init__(self) -> None:
         if not self.stages:
@@ -78,7 +76,7 @@ def _stage_canonical(pair: CanonicalPair) -> dict:
 def _stage_probe(qm, gl_basis, config: RunConfig) -> dict:
     from .probe import FloatMetric, holonomy_span, standard_loops
 
-    loops = standard_loops(qm.n, seed=config.seed, side=config.loop_side)
+    loops = standard_loops(qm.n, seed=config.seed)
     report = holonomy_span(FloatMetric.from_exact(qm), gl_basis, loops,
                            membership_tol=config.membership_tol,
                            rank_threshold=config.rank_threshold)
@@ -336,15 +334,19 @@ def main(argv=None) -> int:
             print(f"unknown stages: {','.join(unknown) or '(none)'}", file=sys.stderr)
             return 2
         try:
-            config = RunConfig(input=args.input, stages=stages, out=args.out,
-                               seed=args.seed, membership_tol=args.membership_tol,
+            config = RunConfig(input=args.input, stages=stages, seed=args.seed,
+                               membership_tol=args.membership_tol,
                                rank_threshold=args.rank_threshold)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
         report, code = cmd_verify(config)
         if args.out and "error" not in report:
-            _write_json_atomic(args.out, report)
+            try:
+                _write_json_atomic(args.out, report)
+            except OSError as exc:
+                print(f"cannot write the report: {exc}", file=sys.stderr)
+                return 2
         print(json.dumps(report, indent=2, sort_keys=True))
         return code
 
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
             paths = cmd_corpus(args.max_n, args.out)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"cannot write the corpus: {exc}", file=sys.stderr)
             return 2
         for p in paths:
             print(p)

@@ -8,54 +8,36 @@ by the curvature and realization modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+
+import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import RatMat, _rref, kernel_basis, rank
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .exactla import kernel_basis, rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Ordered list of independent n x n matrices spanning a subspace of gl."""
+    """Independent n x n matrices ``num[k] / den`` spanning a subspace of gl.
 
-    n: int
-    elements: tuple  # of RatMat
+    ``num`` is a (k, n, n) int array and ``den`` a positive int.
+    """
+
+    num: np.ndarray
+    den: int = 1
 
     def __post_init__(self) -> None:
-        for m in self.elements:
-            if m.shape != (self.n, self.n):
-                raise ValueError("basis element has wrong shape")
-        if self.elements:
-            rows = [m.vec() for m in self.elements]
-            _, pivots = _rref(rows, self.n * self.n)
-            if len(pivots) != len(self.elements):
-                raise ValueError("basis elements are linearly dependent")
+        k, n, m = self.num.shape
+        if n != m or self.den < 1:
+            raise ValueError("basis needs a (k, n, n) stack and a positive denominator")
+        if k and rank(self.num.reshape(k, n * n)) != k:
+            raise ValueError("basis elements are linearly dependent")
+
+    @property
+    def n(self) -> int:
+        return self.num.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i: int) -> RatMat:
-        return self.elements[i]
-
-
-def wedge(u: Sequence, v: Sequence, g: RatMat) -> RatMat:
-    """The g-skew operator of the bivector spanned by u and v."""
-    n = g.rows
-    if len(u) != n or len(v) != n:
-        raise ValueError("vector length must match g")
-    uf = [x if isinstance(x, Fraction) else Fraction(x) for x in u]
-    vf = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
-    gu = g.mul_vec(uf)
-    gv = g.mul_vec(vf)
-    e = [uf[i] * gv[j] - vf[i] * gu[j] for i in range(n) for j in range(n)]
-    return RatMat._raw(n, n, e)
+        return self.num.shape[0]
 
 
 def wedge_tags(n: int) -> list:
@@ -63,22 +45,24 @@ def wedge_tags(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def so_basis(g: RatMat) -> SubspaceBasis:
-    """Basis {wedge(e_i, e_j)}_{i<j} of so(g); dimension n(n-1)/2."""
-    n = g.rows
-    if g.rows != g.cols or not g.is_symmetric():
+def so_basis(g: np.ndarray) -> np.ndarray:
+    """The wedge basis {wedge(e_i, e_j)}_{i<j} of so(g) as an (m, n, n) int stack.
+
+    wedge(e_i, e_j) has row i equal to g[j], row j equal to -g[i] (g is
+    symmetric) and zeros elsewhere; the stack follows ``wedge_tags``.  For
+    an invertible g these n(n-1)/2 elements are independent.
+    """
+    n = g.shape[0]
+    if g.shape != (n, n) or not (g == g.T).all():
         raise ValueError("g must be square and symmetric")
     if rank(g) != n:
         raise ValueError("degenerate g")
-    elems = []
-    for i, j in wedge_tags(n):
-        u = [_ONE if k == i else _ZERO for k in range(n)]
-        v = [_ONE if k == j else _ZERO for k in range(n)]
-        elems.append(wedge(u, v, g))
-    try:
-        return SubspaceBasis(n, tuple(elems))
-    except ValueError as exc:
-        raise ValueError("degenerate g: wedge images are dependent") from exc
+    rows, cols = np.triu_indices(n, 1)  # the wedge tags, in their order
+    k = np.arange(len(rows))
+    w = np.zeros((len(rows), n, n), dtype=object)
+    w[k, rows] = g[cols]
+    w[k, cols] = -g[rows]
+    return w
 
 
 def centralizer_dim(pair: CanonicalPair) -> int:
@@ -95,37 +79,17 @@ def centralizer_basis(pair: CanonicalPair) -> SubspaceBasis:
     """Basis of {X : gX + X^T g = 0 and XL = LX}, solved as one kernel.
 
     Unknowns are the n^2 entries of X (row-major).  The stacked system has
-    one row per entry of the symmetric part of gX and one per entry of the
-    commutator XL - LX.
+    one row per entry (i, j), i <= j, of the symmetric gX + X^T g and one
+    per entry of the commutator XL - LX; both are linear in L, so L's
+    numerator stands in for L.
     """
-    g, L = pair.g, pair.L
+    g, l = pair.g, pair.L[0]
     n = pair.n
-    rows = []
-    # (gX + X^T g)[i][j] = 0 for i <= j
-    for i in range(n):
-        for j in range(i, n):
-            row = [_ZERO] * (n * n)
-            for k in range(n):
-                a = g[i, k]
-                if a:
-                    row[k * n + j] += a
-                b = g[k, j]
-                if b:
-                    row[k * n + i] += b
-            rows.append(row)
-    # (XL - LX)[i][j] = 0
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for k in range(n):
-                a = L[k, j]
-                if a:
-                    row[i * n + k] += a
-                b = L[i, k]
-                if b:
-                    row[k * n + j] -= b
-            if any(row):
-                rows.append(row)
-    mat = RatMat._raw(len(rows), n * n, [x for r in rows for x in r])
-    elems = tuple(RatMat._raw(n, n, list(v)) for v in kernel_basis(mat))
-    return SubspaceBasis(n, elems)
+    eye = np.eye(n, dtype=object)
+    # coefficient of X[a, b] in entry (i, j), as system[i, j, a, b]
+    sym = np.einsum("ia,bj->ijab", g, eye) + np.einsum("aj,bi->ijab", g, eye)
+    comm = np.einsum("ai,bj->ijab", eye, l) - np.einsum("ia,bj->ijab", l, eye)
+    upper = np.triu_indices(n)
+    system = np.concatenate([sym[upper].reshape(-1, n * n), comm.reshape(-1, n * n)])
+    num, den = kernel_basis(system)
+    return SubspaceBasis(num.reshape(-1, n, n), den)

@@ -71,7 +71,7 @@ class FloatMetric:
 
     @classmethod
     def from_exact(cls, qm: QuadraticMetric) -> "FloatMetric":
-        return cls(np.array(qm.g0.to_float_rows()), qm.num.astype(np.float64) / qm.den)
+        return cls(qm.g0.astype(np.float64), qm.num.astype(np.float64) / qm.den)
 
 
 def _loop_polyline(loop: LoopSpec, n: int):
@@ -201,7 +201,7 @@ def holonomy_span(fm: FloatMetric, gl_basis: SubspaceBasis, loops: Sequence[Loop
     report passes iff the rank equals the centralizer dimension and every
     membership residual stays below the tolerance.
     """
-    gl = [np.array(m.to_float_rows()) for m in gl_basis]
+    gl = list(gl_basis.num.astype(np.float64) / gl_basis.den)
     dim = len(gl)
     samples = [parallel_transport(fm, lp, gl) for lp in loops]
 

@@ -9,11 +9,11 @@ curvature on so(g) but make the equal-size case agree with the plain
 minimal-polynomial tensor.  Cross-eigenvalue coefficients are zero, so the
 metric is a product across eigenvalues.
 
-The lowered tensor is held in integer form (``exactla.int_form``): one
-(n, n, n, n) array of Python ints over one common denominator.  Every exact
-check on it (symmetry, covariant constancy, g(x)-symmetry, both Riemann
-routes) is a numpy contraction of integer arrays, so it is exact and needs
-no index loop.
+The block-power factors are int matrices, and the lowered tensor is one
+(n, n, n, n) array of Python ints over one common denominator (the
+``exactla`` format).  Every exact check on it (symmetry, covariant
+constancy, g(x)-symmetry, both Riemann routes) is a numpy contraction of
+integer arrays, so it is exact and needs no index loop.
 """
 
 from __future__ import annotations
@@ -25,82 +25,77 @@ import numpy as np
 
 from .berger import CurvatureMap
 from .canonical import CanonicalPair
-from .exactla import RatMat, _int_stack, int_form, inverse
+from .exactla import inverse
 from .liealg import wedge_tags
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 class RealizationError(RuntimeError):
     """Internal consistency failure while building or checking a metric."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BTensor:
-    """Curvature coefficient tensor as a sum of factor pairs.
+    """Curvature coefficient tensor as a sum of factor pairs over one denominator.
 
-    ``terms`` is a list of (C, D) matrices; the rank-4 components are
-    B[a][b][j][q] = sum_t C_t[a, j] * D_t[b, q] and the associated linear
-    map is B(X) = sum_t C_t X D_t.
+    ``left`` and ``right`` are (t, n, n) int stacks of factors C_t and D_t;
+    the rank-4 components are B[a][b][j][q] = sum_t C_t[a, j] * D_t[b, q] / den
+    and the associated linear map is B(X) = sum_t C_t X D_t / den.
     """
 
-    n: int
-    terms: tuple  # of (RatMat, RatMat)
+    left: np.ndarray
+    right: np.ndarray
+    den: int
+
+    @property
+    def n(self) -> int:
+        return self.left.shape[1]
 
 
-def _embedded_block_powers(pair: CanonicalPair, offset: int, size: int, top: int) -> list:
-    """Powers of the block's nilpotent part as full-size matrices.
+def _block_power(n: int, offset: int, size: int, a: int) -> np.ndarray:
+    """The a-th power of a block's nilpotent part as a full-size int matrix.
 
     Power 0 is the projector onto the block's index range.
     """
-    n = pair.n
-    out = []
-    for a in range(top + 1):
-        e = [_ZERO] * (n * n)
-        if a < size:
-            for r in range(size - a):
-                e[(offset + r) * n + (offset + r + a)] = _ONE
-        out.append(RatMat._raw(n, n, e))
+    out = np.zeros((n, n), dtype=object)
+    idx = np.arange(offset, offset + size - a)
+    out[idx, idx + a] = 1
     return out
 
 
 def build_B(pair: CanonicalPair) -> BTensor:
     """Assemble the coefficient tensor from all ordered block pairs."""
+    n = pair.n
     blocks = pair.all_blocks()
-    terms = []
+    left, right = [], []
     for ei, bi in blocks:
         for ej, bj in blocks:
             if ei != ej:
                 continue
             nij = max(bi.size, bj.size)
-            pi = _embedded_block_powers(pair, bi.offset, bi.size, nij - 1)
-            pj = _embedded_block_powers(pair, bj.offset, bj.size, nij - 1)
-            for s in range(nij):
-                a = nij - 1 - s
-                if a >= bi.size or s >= bj.size:
-                    continue
-                terms.append((-_HALF * pi[a], pj[s]))
-    return BTensor(pair.n, tuple(terms))
+            for s in range(max(0, nij - bi.size), min(nij, bj.size)):
+                left.append(-_block_power(n, bi.offset, bi.size, nij - 1 - s))
+                right.append(_block_power(n, bj.offset, bj.size, s))
+    return BTensor(np.array(left, dtype=object).reshape(-1, n, n),
+                   np.array(right, dtype=object).reshape(-1, n, n), 2)
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticMetric:
     """g(x) = g0 + B(x, x) with a constant symmetric rank-4 coefficient tensor.
 
-    B = num / den: ``num`` is an (n, n, n, n) object array of Python ints and
-    ``den`` one positive int.  B[i, j, p, q] is symmetric in (i, j) and in
-    (p, q); the metric value at x adds B[i, j, p, q] x^p x^q to g0[i, j].
+    ``g0`` is an n x n int array.  B = num / den: ``num`` is an (n, n, n, n)
+    object array of Python ints and ``den`` one positive int.  B[i, j, p, q]
+    is symmetric in (i, j) and in (p, q); the metric value at x adds
+    B[i, j, p, q] x^p x^q to g0[i, j].
     """
 
-    g0: RatMat
+    g0: np.ndarray
     num: np.ndarray
     den: int
 
     @property
     def n(self) -> int:
-        return self.g0.rows
+        return self.g0.shape[0]
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray):
@@ -109,7 +104,7 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray):
     return tuple(int(v) for v in bad[0]) if len(bad) else None
 
 
-def lower_B(b: BTensor, g0: RatMat) -> QuadraticMetric:
+def lower_B(b: BTensor, g0: np.ndarray) -> QuadraticMetric:
     """Lower both upper indices with g0.
 
     Each term becomes (g0 C) (x) (g0 D); for tensors built from block
@@ -119,16 +114,14 @@ def lower_B(b: BTensor, g0: RatMat) -> QuadraticMetric:
     n = b.n
     if g0.shape != (n, n):
         raise ValueError("shape mismatch")
-    gc, cden = _int_stack([g0 @ c for c, _ in b.terms], n)
-    gd, dden = _int_stack([g0 @ d for _, d in b.terms], n)
-    num = np.einsum("tij,tpq->ijpq", gc, gd)
+    num = np.einsum("tij,tpq->ijpq", g0 @ b.left, g0 @ b.right)
     at = _first_mismatch(num, num.transpose(0, 1, 3, 2))
     if at is not None:
         raise RealizationError(f"lowered tensor not symmetric in (p, q) at {at}")
     at = _first_mismatch(num, num.transpose(1, 0, 2, 3))
     if at is not None:
         raise RealizationError(f"lowered tensor not symmetric in (i, j) at {at}")
-    return QuadraticMetric(g0, num, cden * dden)
+    return QuadraticMetric(g0, num, b.den)
 
 
 def validity_radius(qm: QuadraticMetric) -> float:
@@ -137,9 +130,8 @@ def validity_radius(qm: QuadraticMetric) -> float:
     Uses |g(x) - g0|_inf <= r^2 * max_i sum_jpq |B_ijpq| and the bound
     |g0^{-1}|_inf * |delta|_inf < 1.
     """
-    n = qm.n
-    ginv = inverse(qm.g0)
-    ginv_norm = max(sum(abs(ginv[i, j]) for j in range(n)) for i in range(n))
+    ginv, gden = inverse(qm.g0)
+    ginv_norm = Fraction(max(np.abs(ginv).sum(axis=1)), gden)
     bnorm = Fraction(max(np.abs(qm.num).sum(axis=(1, 2, 3))), qm.den)
     if bnorm == 0:
         return float("inf")
@@ -147,23 +139,23 @@ def validity_radius(qm: QuadraticMetric) -> float:
 
 
 # The checks below are linear in B and in L, so scaling both by their
-# denominators changes no equality: they run on num and on L's numerators.
+# denominators changes no equality: they run on num and on L's numerator.
 
-def check_nablaL(qm: QuadraticMetric, L: RatMat) -> bool:
+def check_nablaL(qm: QuadraticMetric, L: tuple) -> bool:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
     summed over b, for every (i, p, q, k).
     """
-    b, l = qm.num, int_form(L.to_rows())[0]
+    b, l = qm.num, L[0]
     lhs = np.einsum("ipbq,bk->ipqk", b, l) - np.einsum("ibpq,bk->ipqk", b, l)
     rhs = np.einsum("bikq,bp->ipqk", b, l) - np.einsum("ikbq,bp->ipqk", b, l)
     return bool((lhs == rhs).all())
 
 
-def check_gsym(qm: QuadraticMetric, L: RatMat) -> bool:
+def check_gsym(qm: QuadraticMetric, L: tuple) -> bool:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
-    b, l = qm.num, int_form(L.to_rows())[0]
+    b, l = qm.num, L[0]
     return bool((np.einsum("ijpq,il->jlpq", b, l) == np.einsum("ilpq,ij->jlpq", b, l)).all())
 
 
@@ -179,7 +171,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     """
     n = qm.n
     b = qm.num
-    ginv, gden = int_form(inverse(qm.g0).to_rows())
+    ginv, gden = inverse(qm.g0)
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
     # scaled by gden * qm.den
     direct = np.einsum("is,absk->abik", ginv,
@@ -196,10 +188,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     if at is not None:
         raise RealizationError(
             f"curvature routes disagree on wedge {tags[at[0]]}")
-    scale = gden * qm.den
-    values = tuple(RatMat._raw(n, n, [Fraction(v, scale) for v in direct[a, c].flat])
-                   for a, c in tags)
-    return CurvatureMap(qm.g0, tags, values)
+    return CurvatureMap(qm.g0, tags, direct[rows, cols], gden * qm.den)
 
 
 @dataclass(frozen=True)
@@ -240,6 +229,7 @@ def verify_realization(pair: CanonicalPair, formal: CurvatureMap):
         rmap = riemann_at_origin(qm)
     except RealizationError:
         rmap = None
-    matches = rmap is not None and rmap.values == formal.values
+    matches = (rmap is not None and rmap.den == formal.den
+               and np.array_equal(rmap.num, formal.num))
     report = RealizationReport(nabla_ok, gsym_ok, rmap is not None, matches)
     return report, qm, rmap

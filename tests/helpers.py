@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
+
 from holonomy import build_canonical, make_pencil
-from holonomy.exactla import RatMat
 
 
 def pair_of(blocks, lam=0):
@@ -12,7 +13,14 @@ def pair_of(blocks, lam=0):
 
 
 def mat(rows):
-    return RatMat.from_rows(rows)
+    """A matrix of Fractions as an object array."""
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+
+
+def fractions(num, den=1):
+    """The exact format ``num / den`` as an object array of Fractions."""
+    num = np.asarray(num, dtype=object)
+    return np.array([Fraction(x, den) for x in num.flat], dtype=object).reshape(num.shape)
 
 
 def unit(n, i):

@@ -4,10 +4,13 @@ None of this runs in ``holonomy verify``.  The exact oracles reach their
 results by routes other than the pipeline's: the curvature from the
 minimal polynomial, the centralizer from explicit Toeplitz generators,
 membership by exact span solving and the metric by direct evaluation.
-The ``*_ref`` functions are the earlier index-loop versions of the exact
-realization and Bianchi checks, run on Fractions, for differential tests
-against the integer contractions.  The float helpers evaluate the probe's
-kernels at one point.
+Matrices here are object arrays of Fractions.  The ``*_ref`` functions are
+earlier index-loop versions of the exact stages, run on Fractions, for
+differential tests against the package: the Fraction elimination
+(``_rref`` and the rank, kernel and inverse on it), the centralizer
+system, the greedy Berger witness loop, the realization checks and the
+Bianchi check.  The float helpers evaluate the probe's kernels at one
+point.
 """
 
 from dataclasses import dataclass
@@ -16,19 +19,188 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from holonomy.berger import BianchiReport, CurvatureMap, _sub
+from holonomy.berger import BianchiReport, CurvatureMap
 from holonomy.canonical import CanonicalPair
-from holonomy.exactla import RatMat, _rref, inverse
+from holonomy.exactla import int_form
 from holonomy.liealg import SubspaceBasis, wedge_tags
 from holonomy.probe import kernels
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import BTensor, QuadraticMetric, RealizationError
 
+from helpers import fractions
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def commutator(a: RatMat, b: RatMat) -> RatMat:
+# -- elimination -----------------------------------------------------------
+#
+# Reduced row echelon form over the rationals.  The pivot in each column is
+# the candidate with the smallest combined numerator/denominator bit length,
+# which keeps intermediate fractions small on the sparse integer systems
+# this package produces.
+
+def _rref(rows: list, ncols: int) -> tuple:
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots: list = []
+    r = 0
+    for c in range(ncols):
+        best = -1
+        best_bits = 0
+        for i in range(r, nrows):
+            e = m[i][c]
+            if e:
+                bits = e.numerator.bit_length() + e.denominator.bit_length()
+                if best < 0 or bits < best_bits:
+                    best, best_bits = i, bits
+        if best < 0:
+            continue
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+        piv = m[r][c]
+        if piv != _ONE:
+            inv = _ONE / piv
+            m[r] = [x * inv if x else x for x in m[r]]
+        rowr = m[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f:
+                mi = m[i]
+                for j in range(c, ncols):
+                    x = rowr[j]
+                    if x:
+                        mi[j] -= f * x
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _rows(m) -> list:
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def rank_ref(m) -> int:
+    """Exact rank via rational Gaussian elimination."""
+    _, pivots = _rref(_rows(m), m.shape[1])
+    return len(pivots)
+
+
+def kernel_basis_ref(m) -> list:
+    """Basis of the right kernel of ``m`` as a list of column vectors.
+
+    The vectors are the canonical free-variable solutions of the reduced
+    echelon form, so the result is deterministic and the count equals
+    ``cols - rank``.
+    """
+    cols = m.shape[1]
+    red, pivots = _rref(_rows(m), cols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [_ZERO] * cols
+        v[free] = _ONE
+        for k, pc in enumerate(pivots):
+            v[pc] = -red[k][free]
+        basis.append(v)
+    return basis
+
+
+def inverse_ref(m) -> np.ndarray:
+    """Exact inverse of a square matrix; raises ValueError when singular."""
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.shape[0]
+    aug = [row + [(_ONE if j == i else _ZERO) for j in range(n)]
+           for i, row in enumerate(_rows(m))]
+    red, pivots = _rref(aug, 2 * n)
+    if len(pivots) < n or pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return np.array([[red[i][n + j] for j in range(n)] for i in range(n)],
+                    dtype=object).reshape(n, n)
+
+
+def witnesses_ref(rmap: CurvatureMap) -> tuple:
+    """Berger witnesses, collected greedily in lexicographic wedge order: a
+    tag is kept whenever its image enlarges the span collected so far."""
+    witnesses = []
+    stored = []  # reduced row vectors with pivot bookkeeping
+    for tag, v in zip(rmap.tags, fractions(rmap.num, rmap.den)):
+        vec = list(v.flat)
+        for pivcol, bvec in stored:
+            f = vec[pivcol]
+            if f:
+                for idx, x in enumerate(bvec):
+                    if x:
+                        vec[idx] -= f * x
+        piv = next((idx for idx, x in enumerate(vec) if x), None)
+        if piv is None:
+            continue
+        inv = _ONE / vec[piv]
+        if inv != 1:
+            vec = [x * inv if x else x for x in vec]
+        stored.append((piv, vec))
+        witnesses.append(tag)
+    return tuple(witnesses)
+
+
+def centralizer_basis_ref(pair: CanonicalPair) -> list:
+    """Kernel vectors of {X : gX + X^T g = 0 and XL = LX}, X row-major.
+
+    One row per entry of the symmetric part of gX and one per nonzero row
+    of the commutator XL - LX, solved by ``kernel_basis_ref``.
+    """
+    g, L = pair.g, fractions(*pair.L)
+    n = pair.n
+    rows = []
+    # (gX + X^T g)[i][j] = 0 for i <= j
+    for i in range(n):
+        for j in range(i, n):
+            row = [_ZERO] * (n * n)
+            for k in range(n):
+                a = g[i, k]
+                if a:
+                    row[k * n + j] += a
+                b = g[k, j]
+                if b:
+                    row[k * n + i] += b
+            rows.append(row)
+    # (XL - LX)[i][j] = 0
+    for i in range(n):
+        for j in range(n):
+            row = [_ZERO] * (n * n)
+            for k in range(n):
+                a = L[k, j]
+                if a:
+                    row[i * n + k] += a
+                b = L[i, k]
+                if b:
+                    row[k * n + j] -= b
+            if any(row):
+                rows.append(row)
+    return kernel_basis_ref(np.array(rows, dtype=object).reshape(-1, n * n))
+
+
+def wedge(u: Sequence, v: Sequence, g) -> np.ndarray:
+    """The g-skew operator u (g v)^T - v (g u)^T of the bivector u ^ v."""
+    n = g.shape[0]
+    if len(u) != n or len(v) != n:
+        raise ValueError("vector length must match g")
+    uf = [Fraction(x) for x in u]
+    vf = [Fraction(x) for x in v]
+    gu = [sum(g[i, k] * uf[k] for k in range(n)) for i in range(n)]
+    gv = [sum(g[i, k] * vf[k] for k in range(n)) for i in range(n)]
+    return np.array([[uf[i] * gv[j] - vf[i] * gu[j] for j in range(n)]
+                     for i in range(n)], dtype=object).reshape(n, n)
+
+
+def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
@@ -81,13 +253,13 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def at_matrix(self, m: RatMat) -> RatMat:
+    def at_matrix(self, m) -> np.ndarray:
         """Evaluate at a square matrix by Horner's scheme."""
-        if m.rows != m.cols:
+        if m.shape[0] != m.shape[1]:
             raise ValueError("polynomial of a non-square matrix")
-        n = m.rows
-        acc = RatMat.zeros(n, n)
-        ident = RatMat.identity(n)
+        n = m.shape[0]
+        acc = np.zeros((n, n), dtype=object)
+        ident = np.eye(n, dtype=object)
         for c in reversed(self.coeffs):
             acc = acc @ m
             if c:
@@ -95,35 +267,35 @@ class Poly:
         return acc
 
 
-def matrix_powers(m: RatMat, d: int) -> list:
+def matrix_powers(m, d: int) -> list:
     """[m^0, m^1, ..., m^d]."""
-    if m.rows != m.cols:
+    if m.shape[0] != m.shape[1]:
         raise ValueError("powers of a non-square matrix")
     if d < 0:
         raise ValueError("negative power count")
-    out = [RatMat.identity(m.rows)]
+    out = [np.eye(m.shape[0], dtype=object)]
     for _ in range(d):
         out.append(out[-1] @ m)
     return out
 
 
-def minimal_polynomial(m: RatMat) -> Poly:
+def minimal_polynomial(m) -> Poly:
     """Monic polynomial of least degree annihilating ``m``.
 
     Found by an incremental linear-dependence search over I, m, m^2, ...;
     the bookkeeping rows carry the combination coefficients so the first
     dependency directly yields the polynomial.
     """
-    if m.rows != m.cols:
+    if m.shape[0] != m.shape[1]:
         raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
+    n = m.shape[0]
     if n == 0:
         return Poly((_ONE,))
     stored: list = []  # (pivot index, reduced vector, combination coeffs)
-    power = RatMat.identity(n)
+    power = np.eye(n, dtype=object)
     d = 0
     while True:
-        vec = list(power._e)
+        vec = list(power.flat)
         coeffs = [_ZERO] * d + [_ONE]
         for pivcol, bvec, bco in stored:
             f = vec[pivcol]
@@ -146,38 +318,38 @@ def minimal_polynomial(m: RatMat) -> Poly:
         d += 1
 
 
-def r_minpoly(pair: CanonicalPair, x: RatMat) -> RatMat:
+def r_minpoly(pair: CanonicalPair, x) -> np.ndarray:
     """Derivative of the minimal polynomial of L at L along direction x.
 
     R(X) = sum_m a_m sum_{j<m} L^{m-1-j} X L^j for p_min = sum a_m t^m.
     For X in so(g) the result is g-skew and commutes with L.
     """
-    L = pair.L
+    L = fractions(*pair.L)
     n = pair.n
     if x.shape != (n, n):
         raise ValueError("shape mismatch")
     p = minimal_polynomial(L)
     d = p.degree
-    powers = [RatMat.identity(n)]
+    powers = [np.eye(n, dtype=object)]
     for _ in range(d):
         powers.append(powers[-1] @ L)
-    out = RatMat.zeros(n, n)
+    out = np.zeros((n, n), dtype=object)
     for m in range(1, d + 1):
         a = p.coeffs[m]
         if not a:
             continue
-        term = RatMat.zeros(n, n)
+        term = np.zeros((n, n), dtype=object)
         for j in range(m):
             term = term + powers[m - 1 - j] @ x @ powers[j]
         out = out + a * term
     return out
 
 
-def is_g_skew(g: RatMat, x: RatMat) -> bool:
-    return (g @ x + x.transpose() @ g).is_zero()
+def is_g_skew(g, x) -> bool:
+    return not (g @ x + x.T @ g).any()
 
 
-def _toeplitz_block(rows: int, cols: int, mu_index: int) -> RatMat:
+def _toeplitz_block(rows: int, cols: int, mu_index: int) -> np.ndarray:
     # rows <= cols; entry (r, c) is 1 when c - r - (cols - rows) + 1 == mu_index.
     z = cols - rows
     e = [_ZERO] * (rows * cols)
@@ -185,7 +357,7 @@ def _toeplitz_block(rows: int, cols: int, mu_index: int) -> RatMat:
         c = r + z + mu_index - 1
         if 0 <= c < cols:
             e[r * cols + c] = _ONE
-    return RatMat._raw(rows, cols, e)
+    return np.array(e, dtype=object).reshape(rows, cols)
 
 
 def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> SubspaceBasis:
@@ -204,12 +376,12 @@ def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> SubspaceBasis:
     if ei != ej:
         raise ValueError("blocks belong to different eigenvalues")
     n = pair.n
-    gi = _sub(pair.g, bi.offset, bi.size)
-    gj = _sub(pair.g, bj.offset, bj.size)
+    gi = pair.g[bi.offset:bi.offset + bi.size, bi.offset:bi.offset + bi.size]
+    gj = pair.g[bj.offset:bj.offset + bj.size, bj.offset:bj.offset + bj.size]
     elems = []
     for s in range(1, bi.size + 1):
         m = _toeplitz_block(bi.size, bj.size, s)
-        mji = -(gj @ m.transpose() @ gi)
+        mji = -(gj @ m.T @ gi)
         x = [[_ZERO] * n for _ in range(n)]
         for r in range(bi.size):
             for c in range(bj.size):
@@ -217,15 +389,20 @@ def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> SubspaceBasis:
         for r in range(bj.size):
             for c in range(bi.size):
                 x[bj.offset + r][bi.offset + c] = mji[r, c]
-        elems.append(RatMat.from_rows(x))
-    return SubspaceBasis(n, tuple(elems))
+        elems.append(x)
+    return SubspaceBasis(*int_form(elems))
 
 
-def member_coords(x: RatMat, basis: SubspaceBasis) -> Optional[list]:
-    """Exact coordinates of x in span(basis), or None when not a member."""
-    if x.shape != (basis.n, basis.n):
+def member_coords(x, basis) -> Optional[list]:
+    """Exact coordinates of x in span(basis), or None when not a member.
+
+    ``basis`` is a SubspaceBasis or a (k, n, n) stack of matrices.
+    """
+    if isinstance(basis, SubspaceBasis):
+        basis = fractions(basis.num, basis.den)
+    if x.shape != basis.shape[1:]:
         raise ValueError("shape mismatch")
-    return solve_in_span([b.vec() for b in basis.elements], x.vec())
+    return solve_in_span([list(b.flat) for b in basis], list(x.flat))
 
 
 def lowered(qm: QuadraticMetric) -> list:
@@ -235,7 +412,7 @@ def lowered(qm: QuadraticMetric) -> list:
              for j in range(n)] for i in range(n)]
 
 
-def metric_at(qm: QuadraticMetric, x: Sequence) -> RatMat:
+def metric_at(qm: QuadraticMetric, x: Sequence) -> np.ndarray:
     """Exact metric value at a rational point."""
     n = qm.n
     xf = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
@@ -255,10 +432,10 @@ def metric_at(qm: QuadraticMetric, x: Sequence) -> RatMat:
                     if c:
                         acc += c * xp * xq
             e.append(acc)
-    return RatMat._raw(n, n, e)
+    return np.array(e, dtype=object).reshape(n, n)
 
 
-def check_nablaL_ref(qm: QuadraticMetric, L: RatMat) -> bool:
+def check_nablaL_ref(qm: QuadraticMetric, L: tuple) -> bool:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
@@ -266,6 +443,7 @@ def check_nablaL_ref(qm: QuadraticMetric, L: RatMat) -> bool:
     """
     n = qm.n
     low = lowered(qm)
+    L = fractions(*L)
     lnz = [[(b, L[b, c]) for b in range(n) if L[b, c]] for c in range(n)]
     for i in range(n):
         for p in range(n):
@@ -286,10 +464,11 @@ def check_nablaL_ref(qm: QuadraticMetric, L: RatMat) -> bool:
     return True
 
 
-def check_gsym_ref(qm: QuadraticMetric, L: RatMat) -> bool:
+def check_gsym_ref(qm: QuadraticMetric, L: tuple) -> bool:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
     n = qm.n
     low = lowered(qm)
+    L = fractions(*L)
     lnz = [[(i, L[i, c]) for i in range(n) if L[i, c]] for c in range(n)]
     for j in range(n):
         for l in range(n):
@@ -322,10 +501,10 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> CurvatureMap:
     """
     n = qm.n
     low = lowered(qm)
-    ginv = inverse(qm.g0)
+    ginv = inverse_ref(qm.g0)
     ginv_nz = [[(s, ginv[i, s]) for s in range(n) if ginv[i, s]] for i in range(n)]
 
-    def route_direct(a: int, b: int) -> RatMat:
+    def route_direct(a: int, b: int) -> np.ndarray:
         e = []
         for i in range(n):
             row = []
@@ -337,7 +516,7 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> CurvatureMap:
                         acc += gv * t
                 row.append(acc)
             e.extend(row)
-        return RatMat._raw(n, n, e)
+        return np.array(e, dtype=object).reshape(n, n)
 
     # dGamma[a][i][b][k] = d_a Gamma^i_{bk} at 0
     def dgamma(a: int, i: int, b: int, k: int) -> Fraction:
@@ -348,23 +527,23 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> CurvatureMap:
                 acc += gv * t
         return acc
 
-    def route_christoffel(a: int, b: int) -> RatMat:
+    def route_christoffel(a: int, b: int) -> np.ndarray:
         e = []
         for i in range(n):
             for k in range(n):
                 e.append(dgamma(a, i, b, k) - dgamma(b, i, a, k))
-        return RatMat._raw(n, n, e)
+        return np.array(e, dtype=object).reshape(n, n)
 
     tags = tuple(wedge_tags(n))
     values = []
     for a, b in tags:
         direct = route_direct(a, b)
         via_gamma = route_christoffel(a, b)
-        if direct != via_gamma:
+        if not np.array_equal(direct, via_gamma):
             raise RealizationError(
                 f"curvature routes disagree on wedge ({a}, {b})")
         values.append(direct)
-    return CurvatureMap(qm.g0, tags, tuple(values))
+    return np.array(values, dtype=object).reshape(len(tags), n, n)
 
 
 def check_bianchi_ref(rmap: CurvatureMap) -> BianchiReport:
@@ -378,7 +557,7 @@ def check_bianchi_ref(rmap: CurvatureMap) -> BianchiReport:
     worst = _ZERO
     witness = None
     cols = {}
-    for (i, j), v in zip(rmap.tags, rmap.values):
+    for (i, j), v in zip(rmap.tags, fractions(rmap.num, rmap.den)):
         for k in range(n):
             cols[(i, j, k)] = [v[r, k] for r in range(n)]
 
@@ -408,13 +587,13 @@ def check_bianchi_ref(rmap: CurvatureMap) -> BianchiReport:
     return BianchiReport(ok, witness, worst)
 
 
-def check_sectional_ref(rmap: CurvatureMap, L: RatMat) -> bool:
+def check_sectional_ref(rmap: CurvatureMap, L: tuple) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element."""
-    g = rmap.g
-    for v in rmap.values:
-        if not (v @ L - L @ v).is_zero():
+    g, L = rmap.g, fractions(*L)
+    for v in fractions(rmap.num, rmap.den):
+        if (v @ L - L @ v).any():
             return False
-        if not (g @ v + v.transpose() @ g).is_zero():
+        if (g @ v + v.T @ g).any():
             return False
     return True
 
@@ -423,7 +602,7 @@ def b_components(bt: BTensor) -> list:
     """Materialized rank-4 array B[a][b][j][q] (n^4 rationals)."""
     n = bt.n
     out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c, d in bt.terms:
+    for c, d in zip(fractions(bt.left, bt.den), bt.right):
         cnz = [(i, j, c[i, j]) for i in range(n) for j in range(n) if c[i, j]]
         dnz = [(i, j, d[i, j]) for i in range(n) for j in range(n) if d[i, j]]
         for a, j, cv in cnz:
@@ -433,10 +612,10 @@ def b_components(bt: BTensor) -> list:
     return out
 
 
-def b_apply(bt: BTensor, x: RatMat) -> RatMat:
-    """B(X) = sum_t C_t X D_t."""
-    out = RatMat.zeros(bt.n, bt.n)
-    for c, d in bt.terms:
+def b_apply(bt: BTensor, x) -> np.ndarray:
+    """B(X) = sum_t C_t X D_t / den."""
+    out = np.zeros((bt.n, bt.n), dtype=object)
+    for c, d in zip(fractions(bt.left, bt.den), bt.right):
         out = out + c @ x @ d
     return out
 
@@ -465,10 +644,38 @@ def christoffel(qm, x) -> np.ndarray:
 def nablaL_residual(qm, L, x) -> float:
     """Max-norm of the covariant derivative of the constant operator L at x."""
     fm = _as_float_metric(qm)
-    lf = np.array(L.to_float_rows()) if isinstance(L, RatMat) else np.asarray(L, float)
+    lf = np.asarray(L[0], float) / L[1] if isinstance(L, tuple) else np.asarray(L, float)
     gamma = christoffel(qm, x)
     worst = 0.0
     for k in range(fm.n):
         mk = gamma[:, k, :]
         worst = max(worst, float(np.max(np.abs(mk @ lf - lf @ mk))))
     return worst
+
+
+def block_element(pair: CanonicalPair, i: int, j: int, xij) -> np.ndarray:
+    """The element of so(g) whose only nonzero blocks are X_ij = xij and the
+    forced X_ji = -g_j xij^T g_i (blocks i and j in layout order)."""
+    blocks = pair.all_blocks()
+    (_, bi), (_, bj) = blocks[i], blocks[j]
+    si = slice(bi.offset, bi.offset + bi.size)
+    sj = slice(bj.offset, bj.offset + bj.size)
+    x = np.zeros((pair.n, pair.n), dtype=object)
+    x[si, sj] = xij
+    x[sj, si] = -(pair.g[sj, sj] @ np.asarray(xij, dtype=object).T @ pair.g[si, si])
+    return x
+
+
+def apply_map(rmap: CurvatureMap, x) -> np.ndarray:
+    """R(x) for x in so(g), from the map's values on the wedge basis.
+
+    wedge(e_a, e_b) g^-1 = E_ab - E_ba, so the coordinate of x on that
+    basis element is (x g^-1)[a, b].
+    """
+    y = x @ inverse_ref(rmap.g)
+    if (y + y.T).any():
+        raise ValueError("argument is not in so(g)")
+    out = np.zeros((rmap.n, rmap.n), dtype=object)
+    for (a, b), v in zip(rmap.tags, fractions(rmap.num, rmap.den)):
+        out = out + y[a, b] * v
+    return out

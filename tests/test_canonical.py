@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from holonomy import (
@@ -14,29 +15,39 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
-from holonomy.exactla import RatMat, rank
+from holonomy.exactla import int_form, rank
 
-from helpers import mat, pair_of
+from helpers import fractions, mat, pair_of
+
+
+def ints(rows):
+    return np.array(rows, dtype=object)
 
 
 def test_build_trivial_block():
     pair = pair_of([(1, 1)])
-    assert pair.g == mat([[1]])
-    assert pair.L == mat([[0]])
+    assert np.array_equal(pair.g, [[1]])
+    assert np.array_equal(fractions(*pair.L), [[0]])
 
 
 def test_build_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    assert pair.g == mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert np.array_equal(pair.g, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     # single 1 in row 2, column 3 (1-based)
-    assert pair.L == mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    assert np.array_equal(fractions(*pair.L), [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def test_build_two_eigenvalues():
     pair = build_canonical(make_pencil([(0, [(2, 1)]), (1, [(1, -1)])]))
-    assert pair.L == mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
-    assert pair.g == mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    assert np.array_equal(fractions(*pair.L), [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    assert np.array_equal(pair.g, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     assert validate_pair(pair.g, pair.L).ok
+    # L is held over the least common denominator of the eigenvalues
+    pair = build_canonical(make_pencil([(Fraction(-1, 2), [(2, 1)]), (Fraction(2, 3), [(1, 1)])]))
+    assert pair.L[1] == 6
+    assert np.array_equal(fractions(*pair.L), mat([[Fraction(-1, 2), 1, 0],
+                                                   [0, Fraction(-1, 2), 0],
+                                                   [0, 0, Fraction(2, 3)]]))
 
 
 def test_layout_metadata():
@@ -50,19 +61,19 @@ def test_validate_pair_reports():
     pair = pair_of([(1, 1), (2, 1)])
     assert validate_pair(pair.g, pair.L).ok
 
-    bad = validate_pair(RatMat.identity(2), mat([[0, 1], [0, 0]]))
+    bad = validate_pair(ints([[1, 0], [0, 1]]), int_form([[0, 1], [0, 0]]))
     assert not bad.ok
     assert any("gL" in f for f in bad.failures)
 
-    good = validate_pair(mat([[0, 1], [1, 0]]), mat([[0, 1], [0, 0]]))
+    good = validate_pair(ints([[0, 1], [1, 0]]), int_form([[0, 1], [0, 0]]))
     assert good.ok
 
     with pytest.raises(ValueError):
-        validate_pair(RatMat.identity(2), RatMat.identity(3))
+        validate_pair(ints([[1, 0], [0, 1]]), int_form(np.eye(3, dtype=object)))
 
 
 def test_degenerate_g_reported():
-    rep = validate_pair(mat([[1, 0], [0, 0]]), RatMat.zeros(2, 2))
+    rep = validate_pair(ints([[1, 0], [0, 0]]), int_form([[0, 0], [0, 0]]))
     assert not rep.ok and any("degenerate" in f for f in rep.failures)
 
 
@@ -110,15 +121,14 @@ def test_json_errors():
 def test_nilpotency_and_block_determinants():
     lam = Fraction(1, 3)
     pair = build_canonical(make_pencil([(lam, [(1, 1), (3, -1)])]))
-    shifted = pair.L - lam * RatMat.identity(pair.n)
+    shifted = fractions(*pair.L) - lam * np.eye(pair.n, dtype=object)
     nmax = max(b.size for b in pair.layout[0].blocks)
-    power = RatMat.identity(pair.n)
+    power = np.eye(pair.n, dtype=object)
     for _ in range(nmax):
         power = power @ shifted
-    assert power.is_zero()
+    assert not power.any()
     assert rank(pair.g) == pair.n
     # every g block is a signed antidiagonal, so its determinant is +-1
-    import numpy as np
     for eig in pair.layout:
         for b in eig.blocks:
             block = [[float(pair.g[b.offset + i, b.offset + j])

@@ -170,6 +170,29 @@ def test_reports_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_unwritable_out_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    out = tmp_path / "missing" / "r.json"
+    code = main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (message,) = [ln for ln in captured.err.splitlines() if not ln.startswith("[timing]")]
+    assert "cannot write the report" in message and str(out) in message
+    assert not out.parent.exists()
+
+
+def test_corpus_out_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    code = main(["corpus", "--max-n", "3", "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "cannot write the corpus" in captured.err
+    assert taken.read_text(encoding="utf-8") == "keep"
+
+
 def test_corpus_max_n_2(tmp_path):
     names = [name for name, _ in iter_corpus_specs(2)]
     assert names == ["n2_p1-1_s++", "n2_p1-1_s+-", "n2_p2_s+"]

@@ -1,10 +1,12 @@
-"""Differential negative controls: integer contractions against index loops.
+"""Differential tests: the integer core against the earlier Fraction code.
 
-Each exact check runs on every single-entry perturbation of a correct
-input, once as the package's integer contraction and once as the earlier
-Fraction index loop kept in ``oracles``.  The two must return the same
-verdicts, the same curvature (or both raise), and the same Bianchi witness;
-and each check must reject some of the perturbations.
+The fraction-free elimination must give the Fraction elimination's rank,
+kernel vectors, inverse and Berger witnesses, on random matrices and on
+the corpus.  Each exact check runs on every single-entry perturbation of
+a correct input, once as the package's integer contraction and once as
+the earlier Fraction index loop kept in ``oracles``.  The two must return
+the same verdicts, the same curvature (or both raise), and the same
+Bianchi witness; and each check must reject some of the perturbations.
 """
 
 from collections import Counter
@@ -12,10 +14,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holonomy import build_B, build_canonical, lower_B, make_pencil, r_formal
+from holonomy import (
+    berger_certificate,
+    build_B,
+    build_canonical,
+    centralizer_basis,
+    lower_B,
+    make_pencil,
+    pencil_from_json,
+    r_formal,
+)
 from holonomy.berger import CurvatureMap, check_bianchi, check_sectional
-from holonomy.exactla import RatMat
+from holonomy.cli import iter_corpus_specs
+from holonomy.exactla import int_form, inverse, kernel_basis, pivot_columns, rank
 from holonomy.realize import (
     QuadraticMetric,
     RealizationError,
@@ -24,12 +38,18 @@ from holonomy.realize import (
     riemann_at_origin,
 )
 
+from helpers import fractions
 from oracles import (
+    centralizer_basis_ref,
     check_bianchi_ref,
     check_gsym_ref,
     check_nablaL_ref,
     check_sectional_ref,
+    inverse_ref,
+    kernel_basis_ref,
+    rank_ref,
     riemann_at_origin_ref,
+    witnesses_ref,
 )
 
 CASES = [
@@ -43,16 +63,74 @@ def _pair(case):
 
 
 def _riemann_outcome(fn, qm):
+    """Curvature values as Fractions (a list, so outcomes compare with ==)."""
     try:
-        return fn(qm).values
+        out = fn(qm)
     except RealizationError:
         return RealizationError
+    if isinstance(out, CurvatureMap):
+        out = fractions(out.num, out.den)
+    return out.tolist()
+
+
+def _same_elimination(m):
+    """The integer elimination of the Fraction matrix m agrees with the
+    Fraction one: rank, kernel vectors, inverse, and pivot columns as the
+    witnesses of the greedy span loop over m's rows."""
+    num, den = int_form(m)
+    assert rank(num) == rank_ref(m)
+    kernel = fractions(*kernel_basis(num))
+    assert kernel.tolist() == kernel_basis_ref(m)
+    if m.shape[0] == m.shape[1]:
+        try:
+            want = inverse_ref(m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                inverse(num)
+        else:
+            inum, iden = inverse(num)
+            assert np.array_equal(fractions(inum * den, iden), want)
+    # the rows of m as the values of a map, tagged by their index
+    rows = CurvatureMap(np.eye(1, dtype=object), tuple(range(len(m))),
+                        num.reshape(-1, 1, m.shape[1]), den)
+    assert tuple(pivot_columns(num.T)) == witnesses_ref(rows)
+
+
+small_ints = st.integers(min_value=-3, max_value=3)
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_fraction_rref(rows, cols, data):
+    entries = data.draw(st.lists(st.one_of(small_ints, small_rationals),
+                                 min_size=rows * cols, max_size=rows * cols))
+    m = np.array([Fraction(x) for x in entries], dtype=object).reshape(rows, cols)
+    _same_elimination(m)
+    # a dependent last row exercises the rank-deficient path
+    _same_elimination(np.vstack([m, [m[0] - 2 * m[-1]]]))
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(-2, 3)])
+def test_elimination_matches_fraction_rref_on_corpus(lam):
+    for name, doc in iter_corpus_specs(5):
+        doc["eigenvalues"][0]["lambda"] = str(lam)
+        pair = build_canonical(pencil_from_json(doc))
+        gl = centralizer_basis(pair)
+        got = fractions(gl.num, gl.den).reshape(len(gl), pair.n ** 2)
+        assert got.tolist() == centralizer_basis_ref(pair), name
+        assert np.array_equal(fractions(*inverse(pair.g)), inverse_ref(pair.g)), name
+        rmap = r_formal(pair)
+        cert = berger_certificate(pair, rmap, gl)
+        assert cert.witnesses == witnesses_ref(rmap), name
+        assert cert.image_rank == rank_ref(rmap.num.reshape(len(rmap.tags), pair.n ** 2)), name
 
 
 @pytest.mark.parametrize("case", CASES, ids=["1+2+", "1+2-2+"])
 def test_metric_checks_agree_with_loops_under_perturbation(case):
     pair = _pair(case)
     formal = r_formal(pair)
+    formal_values = fractions(formal.num, formal.den).tolist()
     qm = lower_B(build_B(pair), pair.g)
     rejected = Counter()
     for idx in np.ndindex(qm.num.shape):
@@ -68,7 +146,7 @@ def test_metric_checks_agree_with_loops_under_perturbation(case):
         rejected["nablaL"] += not nabla
         rejected["gsym"] += not gsym
         rejected["routes"] += curvature is RealizationError
-        rejected["match"] += curvature not in (RealizationError, formal.values)
+        rejected["match"] += curvature not in (RealizationError, formal_values)
     assert all(rejected[c] for c in ("nablaL", "gsym", "routes", "match")), rejected
 
 
@@ -76,21 +154,16 @@ def test_metric_checks_agree_with_loops_under_perturbation(case):
 def test_curvature_checks_agree_with_loops_under_perturbation(case):
     pair = _pair(case)
     formal = r_formal(pair)
-    n = pair.n
     rejected = Counter()
-    for w, value in enumerate(formal.values):
-        for r in range(n):
-            for k in range(n):
-                entries = value.vec()
-                entries[r * n + k] += 1
-                values = list(formal.values)
-                values[w] = RatMat._raw(n, n, entries)
-                bad = CurvatureMap(formal.g, formal.tags, tuple(values))
-                got, want = check_bianchi(bad), check_bianchi_ref(bad)
-                assert (got.ok, got.witness, got.max_violation) == \
-                    (want.ok, want.witness, want.max_violation), (w, r, k)
-                sectional = check_sectional(bad, pair.L)
-                assert sectional == check_sectional_ref(bad, pair.L), (w, r, k)
-                rejected["bianchi"] += not got.ok
-                rejected["sectional"] += not sectional
+    for idx in np.ndindex(formal.num.shape):
+        num = formal.num.copy()
+        num[idx] += 1
+        bad = CurvatureMap(formal.g, formal.tags, num, formal.den)
+        got, want = check_bianchi(bad), check_bianchi_ref(bad)
+        assert (got.ok, got.witness, got.max_violation) == \
+            (want.ok, want.witness, want.max_violation), idx
+        sectional = check_sectional(bad, pair.L)
+        assert sectional == check_sectional_ref(bad, pair.L), idx
+        rejected["bianchi"] += not got.ok
+        rejected["sectional"] += not sectional
     assert rejected["bianchi"] and rejected["sectional"], rejected

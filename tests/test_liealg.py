@@ -2,16 +2,21 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy import build_canonical, centralizer_basis, make_pencil
-from holonomy.exactla import RatMat, rank
-from holonomy.liealg import SubspaceBasis, centralizer_dim, so_basis, wedge, wedge_tags
+from holonomy.exactla import int_form, rank
+from holonomy.liealg import SubspaceBasis, centralizer_dim, so_basis, wedge_tags
 
-from helpers import mat, pair_of, unit
-from oracles import commutator, is_g_skew, m_ij_basis, member_coords
+from helpers import fractions, mat, pair_of, unit
+from oracles import commutator, is_g_skew, m_ij_basis, member_coords, wedge
+
+
+def elements(basis):
+    return fractions(basis.num, basis.den)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -19,9 +24,13 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def test_wedge_antisymmetry_and_example():
     g = mat([[0, 1], [1, 0]])
     e0, e1 = unit(2, 0), unit(2, 1)
-    assert wedge(e0, e0, g).is_zero()
-    assert wedge(e0, e1, g) == mat([[1, 0], [0, -1]])
-    assert wedge(e1, e0, g) == mat([[-1, 0], [0, 1]])
+    assert not wedge(e0, e0, g).any()
+    assert np.array_equal(wedge(e0, e1, g), mat([[1, 0], [0, -1]]))
+    assert np.array_equal(wedge(e1, e0, g), mat([[-1, 0], [0, 1]]))
+    # so_basis stacks wedge(e_i, e_j) in tag order
+    pair = pair_of([(1, 1), (2, -1)])
+    for (i, j), x in zip(wedge_tags(3), so_basis(pair.g), strict=True):
+        assert np.array_equal(x, wedge(unit(3, i), unit(3, j), pair.g))
 
 
 @given(rationals, rationals, rationals, rationals, rationals)
@@ -33,9 +42,9 @@ def test_wedge_bilinear(a, b, u0, u1, v0):
     w = [a * x for x in u]
     lhs = wedge(w, v, g)
     rhs = a * wedge(u, v, g)
-    assert lhs == rhs
+    assert np.array_equal(lhs, rhs)
     s = wedge([u0 + b * v0, u1 + b * Fraction(2)], v, g)
-    assert s == wedge(u, v, g) + b * wedge(v, v, g)
+    assert np.array_equal(s, wedge(u, v, g) + b * wedge(v, v, g))
 
 
 def test_wedge_output_is_g_skew():
@@ -45,7 +54,7 @@ def test_wedge_output_is_g_skew():
 
 
 def test_so_basis_dimensions():
-    assert len(so_basis(mat([[0, 1], [1, 0]]))) == 1
+    assert len(so_basis(np.array([[0, 1], [1, 0]], dtype=object))) == 1
     pair = pair_of([(2, 1), (2, -1)])
     basis = so_basis(pair.g)
     assert len(basis) == 6
@@ -54,22 +63,21 @@ def test_so_basis_dimensions():
 
 
 def test_so_basis_euclidean_spans_antisymmetric():
-    basis = so_basis(RatMat.identity(3))
+    basis = so_basis(np.eye(3, dtype=object))
     assert len(basis) == 3
     for x in basis:
-        assert x.transpose() == -x
+        assert np.array_equal(x.T, -x)
     # the three elementary antisymmetric matrices are members
     for i, j in wedge_tags(3):
-        target = RatMat.zeros(3, 3).vec()
-        e = RatMat.zeros(3, 3).to_rows()
-        e[i][j] = Fraction(1)
-        e[j][i] = Fraction(-1)
-        assert member_coords(mat(e), basis) is not None
+        e = np.zeros((3, 3), dtype=object)
+        e[i, j] = 1
+        e[j, i] = -1
+        assert member_coords(e, basis) is not None
 
 
 def test_so_basis_rejects_degenerate():
     with pytest.raises(ValueError):
-        so_basis(mat([[1, 0], [0, 0]]))
+        so_basis(np.array([[1, 0], [0, 0]], dtype=object))
 
 
 def test_centralizer_single_block_trivial():
@@ -99,9 +107,9 @@ def test_centralizer_defining_equations_and_cross_blocks():
     basis = centralizer_basis(pair)
     assert len(basis) == centralizer_dim(pair) == 1 + 1
     lo = 3  # first index of the second eigenvalue
-    for x in basis:
+    for x in elements(basis):
         assert is_g_skew(pair.g, x)
-        assert commutator(x, pair.L).is_zero()
+        assert not commutator(x, fractions(*pair.L)).any()
         # cross-eigenvalue blocks vanish exactly
         for i in range(lo):
             for j in range(lo, pair.n):
@@ -110,19 +118,19 @@ def test_centralizer_defining_equations_and_cross_blocks():
 
 def test_m_ij_generator_matches_kernel():
     pair = pair_of([(1, 1), (2, 1)])
-    (gen,) = m_ij_basis(pair, 0, 1).elements
-    assert gen == mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])
+    (gen,) = elements(m_ij_basis(pair, 0, 1))
+    assert np.array_equal(gen, mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]]))
 
 
 def test_m_ij_dimensions_and_commutativity():
     pair = pair_of([(2, 1), (2, -1)])
     basis = m_ij_basis(pair, 0, 1)
     assert len(basis) == 2
-    a, b = basis.elements
-    assert commutator(a, b).is_zero()
-    for x in basis:
+    a, b = elements(basis)
+    assert not commutator(a, b).any()
+    for x in elements(basis):
         assert is_g_skew(pair.g, x)
-        assert commutator(x, pair.L).is_zero()
+        assert not commutator(x, fractions(*pair.L)).any()
 
 
 def test_m_ij_direct_sum_fills_centralizer():
@@ -131,9 +139,9 @@ def test_m_ij_direct_sum_fills_centralizer():
     gens = []
     for i in range(3):
         for j in range(i + 1, 3):
-            gens.extend(m_ij_basis(pair, i, j).elements)
+            gens.extend(elements(m_ij_basis(pair, i, j)))
     assert len(gens) == len(gl) == centralizer_dim(pair) == 3
-    stack = RatMat(len(gens), pair.n ** 2, [x for g in gens for x in g.vec()])
+    stack = int_form([g.ravel() for g in gens])[0]
     assert rank(stack) == len(gl)
     for g in gens:
         assert member_coords(g, gl) is not None
@@ -150,8 +158,8 @@ def test_m_ij_index_errors():
 def test_centralizer_closed_under_bracket():
     pair = pair_of([(1, 1), (1, 1), (2, 1)])
     basis = centralizer_basis(pair)
-    for a in basis:
-        for b in basis:
+    for a in elements(basis):
+        for b in elements(basis):
             assert member_coords(commutator(a, b), basis) is not None
 
 
@@ -161,11 +169,13 @@ def test_member_coords_examples():
     first = basis[0]
     coords = member_coords(first, basis)
     assert coords[0] == 1 and not any(coords[1:])
-    assert member_coords(RatMat.zeros(3, 3), basis) == [0, 0, 0]
+    assert member_coords(np.zeros((3, 3), dtype=object), basis) == [0, 0, 0]
     # L is g-symmetric and nonzero, so it cannot lie in the skew algebra
-    assert member_coords(pair.L, centralizer_basis(pair)) is None
+    assert member_coords(fractions(*pair.L), centralizer_basis(pair)) is None
 
 
 def test_subspace_basis_rejects_dependent():
+    eye = np.eye(2, dtype=object)
     with pytest.raises(ValueError):
-        SubspaceBasis(2, (RatMat.identity(2), 2 * RatMat.identity(2)))
+        SubspaceBasis(np.array([eye, 2 * eye]))
+    assert len(SubspaceBasis(np.array([eye]), 3)) == 1

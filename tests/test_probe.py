@@ -69,7 +69,7 @@ def test_christoffel_zero_at_origin():
 
 def test_christoffel_flat_metric():
     pair = pair_of([(2, 1)])
-    flat = FloatMetric(np.array(pair.g.to_float_rows()), np.zeros((2, 2, 2, 2)))
+    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)))
     gamma = christoffel(flat, [0.3, -0.2])
     assert np.max(np.abs(gamma)) < 1e-15
 
@@ -91,7 +91,7 @@ def test_christoffel_symmetric_lower_indices():
 
 def test_flat_transport_is_identity():
     pair = pair_of([(2, 1)])
-    flat = FloatMetric(np.array(pair.g.to_float_rows()), np.zeros((2, 2, 2, 2)))
+    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)))
     s = parallel_transport(flat, LoopSpec((0.0, 0.0), (0, 1), 1e-2, 100))
     assert np.max(np.abs(s.transport - np.eye(2))) < 1e-12
 
@@ -120,7 +120,7 @@ def test_loop_shrinking_consistency():
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
     # direction matches the certified curvature value up to sign
     rm = r_formal(pair)
-    z = np.array(rm.values[rm.tags.index((0, 2))].to_float_rows())
+    z = rm.num[rm.tags.index((0, 2))].astype(float) / rm.den
     psi = psis[5e-3]
     unit_psi = psi / np.linalg.norm(psi)
     unit_z = z / np.linalg.norm(z)
@@ -130,7 +130,8 @@ def test_loop_shrinking_consistency():
 
 def test_transport_membership_and_drift():
     pair, qm = realized([(1, 1), (2, 1)])
-    gl = [np.array(m.to_float_rows()) for m in centralizer_basis(pair)]
+    basis = centralizer_basis(pair)
+    gl = list(basis.num.astype(float) / basis.den)
     fm = FloatMetric.from_exact(qm)
     for loop in standard_loops(3, seed=3):
         s = parallel_transport(fm, loop, gl)
@@ -217,4 +218,4 @@ def test_metric_value_matches_exact():
     x = [Fraction(1, 20), Fraction(-1, 50), Fraction(1, 100)]
     exact = metric_at(qm, x)
     approx = metric_value(qm, [float(v) for v in x])
-    assert np.max(np.abs(approx - np.array(exact.to_float_rows()))) < 1e-15
+    assert np.max(np.abs(approx - exact.astype(float))) < 1e-15
