@@ -364,7 +364,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "report":
-        table, code = cmd_report(args.files, csv_out=args.csv)
+        try:
+            table, code = cmd_report(args.files, csv_out=args.csv)
+        except OSError as exc:
+            print(f"cannot write the CSV: {exc}", file=sys.stderr)
+            return 2
         print(table)
         return code
 

@@ -4,18 +4,26 @@ All loops are based at the origin: a square with an off-origin corner is
 reached through a straight connecting segment and closed the same way, so
 every transport matrix is an honest holonomy element at 0 and its
 logarithm can be compared against the centralizer algebra there.
+
+Every loop is a 7-vertex polyline (a square at the origin has tails of
+length 0), so one kernel call transports all loops of a run.  Before it, each
+polyline is certified regular by the exact bound |x|_inf^2 * c < 1 at its
+vertices (the sup-norm is convex, so that covers every point of every
+segment); only a polyline the bound does not cover is sampled for a
+degenerate metric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..liealg import SubspaceBasis
-from ..realize import QuadraticMetric
+from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
 # Frobenius norms below this are treated as a zero logarithm sample.
@@ -55,23 +63,34 @@ class HolonomySample:
     log_approx: np.ndarray
     membership_residual: float
     metric_drift: float
+    extent: float  # largest vertex sup-norm of the loop's polyline
     loop: LoopSpec
 
 
 class FloatMetric:
-    """Float64 view of a quadratic metric, converted once per probe run."""
+    """Float64 view of a quadratic metric, converted once per probe run.
 
-    __slots__ = ("g0", "B", "n", "det_g0")
+    ``bound`` is the exact invertibility constant c of the metric it was
+    converted from, or None when the floats have no exact origin.
+    """
 
-    def __init__(self, g0: np.ndarray, B: np.ndarray) -> None:
+    __slots__ = ("g0", "B", "n", "det_g0", "bound")
+
+    def __init__(self, g0: np.ndarray, B: np.ndarray, bound: Optional[Fraction] = None) -> None:
         self.g0 = np.ascontiguousarray(g0, dtype=np.float64)
         self.B = np.ascontiguousarray(B, dtype=np.float64)
         self.n = self.g0.shape[0]
         self.det_g0 = float(np.linalg.det(self.g0))
+        self.bound = bound
 
     @classmethod
     def from_exact(cls, qm: QuadraticMetric) -> "FloatMetric":
-        return cls(qm.g0.astype(np.float64), qm.num.astype(np.float64) / qm.den)
+        return cls(qm.g0.astype(np.float64), qm.num.astype(np.float64) / qm.den,
+                   invertibility_bound(qm))
+
+    def certifies(self, extent: float) -> bool:
+        """Exactly: is g(x) invertible for every |x|_inf <= extent?"""
+        return self.bound is not None and Fraction(extent) ** 2 * self.bound < 1
 
 
 def _loop_polyline(loop: LoopSpec, n: int):
@@ -85,22 +104,19 @@ def _loop_polyline(loop: LoopSpec, n: int):
     eb = np.zeros(n)
     ea[a] = loop.side
     eb[b] = loop.side
-    corners = [bp, bp + ea, bp + ea + eb, bp + eb, bp]
-    segs = [loop.steps] * 4
+    verts = [np.zeros(n), bp, bp + ea, bp + ea + eb, bp + eb, bp, np.zeros(n)]
+    tail = 0
     if np.any(bp != 0.0):
         tail = max(16, int(math.ceil(float(np.linalg.norm(bp)) / _TAIL_STEP)))
-        verts = [np.zeros(n)] + corners + [np.zeros(n)]
-        steps = [tail] + segs + [tail]
-    else:
-        verts = corners
-        steps = segs
+    steps = [tail] + [loop.steps] * 4 + [tail]
     return np.stack(verts), np.array(steps, dtype=np.int64)
 
 
 def _check_path_regular(fm: FloatMetric, verts: np.ndarray) -> None:
-    # Best-effort scan: a degeneracy is certain when the determinant dies or
-    # changes sign at a sampled point; the integrator's finiteness post-check
-    # covers crossings the sampling misses.
+    # Fallback for a polyline the exact bound does not certify.  Best-effort
+    # scan: a degeneracy is certain when the determinant dies or changes sign
+    # at a sampled point; the integrator's finiteness post-check covers
+    # crossings the sampling misses.
     for e in range(verts.shape[0] - 1):
         for t in np.linspace(0.0, 1.0, 33):
             x = (1.0 - t) * verts[e] + t * verts[e + 1]
@@ -123,26 +139,41 @@ def membership_residual(psi: np.ndarray, gl_floats: Sequence[np.ndarray]) -> flo
     return float(np.linalg.norm(psi.ravel() - a @ coef)) / norm
 
 
-def parallel_transport(fm: FloatMetric, loop: LoopSpec,
-                       gl_basis: Optional[Sequence[np.ndarray]] = None) -> HolonomySample:
-    """Integrate transport around one origin-based square loop.
+def parallel_transport(fm: FloatMetric, loops,
+                       gl_basis: Optional[Sequence[np.ndarray]] = None):
+    """Integrate transport around one origin-based square loop, or around a
+    sequence of them in one batched kernel call.
 
     dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4; the square
     is traversed corner -> +e_a -> +e_b -> -e_a -> -e_b.  The logarithm is
     the second-order truncation (A - I) - (A - I)^2 / 2, adequate because
     |A - I| = O(side^2).  The membership residual is NaN when no basis is
-    supplied.
+    supplied.  Returns a HolonomySample for one LoopSpec and a tuple of them
+    for a sequence; a degenerate metric on any loop raises before any
+    result exists.
     """
-    verts, steps = _loop_polyline(loop, fm.n)
-    _check_path_regular(fm, verts)
-    a = kernels.transport_polyline(fm.g0, fm.B, verts, steps)
+    batch = [loops] if isinstance(loops, LoopSpec) else list(loops)
+    polylines = [_loop_polyline(lp, fm.n) for lp in batch]
+    extents = [float(np.max(np.abs(verts))) for verts, _ in polylines]
+    for (verts, _), extent in zip(polylines, extents):
+        if not fm.certifies(extent):
+            _check_path_regular(fm, verts)
+    try:
+        a = kernels.transport_polyline(fm.g0, fm.B, np.stack([v for v, _ in polylines]),
+                                       np.concatenate([s for _, s in polylines]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError("metric is singular on a loop") from exc
     if not np.isfinite(a).all():
         raise SingularMetricError("transport diverged; metric degenerates on the loop")
     e = a - np.eye(fm.n)
     psi = e - 0.5 * (e @ e)
-    residual = float("nan") if gl_basis is None else membership_residual(psi, gl_basis)
-    drift = float(np.linalg.norm(fm.g0 - a.T @ fm.g0 @ a))
-    return HolonomySample(a, psi, residual, drift, loop)
+    drift = np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
+    samples = tuple(
+        HolonomySample(a[i], psi[i],
+                       float("nan") if gl_basis is None else membership_residual(psi[i], gl_basis),
+                       float(drift[i]), extents[i], lp)
+        for i, lp in enumerate(batch))
+    return samples[0] if isinstance(loops, LoopSpec) else samples
 
 
 def standard_loops(n: int, seed: int = 0, side: float = 1e-2, steps: Optional[int] = None,
@@ -169,6 +200,7 @@ class SpanReport:
     max_membership_residual: float
     singular_values: tuple
     sv_gap: float
+    validity_radius: Optional[float]  # None when the metric has no exact bound
     samples: tuple  # of HolonomySample
     passed: bool
 
@@ -178,12 +210,16 @@ class SpanReport:
             "dim_gL": self.dim_gL,
             "max_membership_residual": self.max_membership_residual,
             "sv_gap": self.sv_gap,
+            "singular_values": list(self.singular_values),
+            "validity_radius": self.validity_radius,
+            "max_loop_extent": max((s.extent for s in self.samples), default=0.0),
             "samples": [
                 {
                     "plane": list(s.loop.plane),
                     "side": s.loop.side,
                     "basepoint": list(s.loop.basepoint),
                     "residual": s.membership_residual,
+                    "metric_drift": s.metric_drift,
                 }
                 for s in self.samples
             ],
@@ -193,7 +229,7 @@ class SpanReport:
 
 def holonomy_span(fm: FloatMetric, gl_basis: SubspaceBasis, loops: Sequence[LoopSpec],
                   membership_tol: float = 1e-6, rank_threshold: float = 1e-8) -> SpanReport:
-    """Transport every loop, then rank the logarithm samples against dim g_L.
+    """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
     ``gl_basis`` is the exact centralizer basis, built once by the caller.
     The numerical rank uses singular values relative to the largest;
@@ -203,7 +239,7 @@ def holonomy_span(fm: FloatMetric, gl_basis: SubspaceBasis, loops: Sequence[Loop
     """
     gl = list(gl_basis.num.astype(np.float64) / gl_basis.den)
     dim = len(gl)
-    samples = [parallel_transport(fm, lp, gl) for lp in loops]
+    samples = parallel_transport(fm, loops, gl) if loops else ()
 
     rows = [s.log_approx.ravel() for s in samples
             if float(np.linalg.norm(s.log_approx)) >= _NEGLIGIBLE]
@@ -224,5 +260,6 @@ def holonomy_span(fm: FloatMetric, gl_basis: SubspaceBasis, loops: Sequence[Loop
         gap = float(retained[-1] / discarded[0])
     max_res = max((s.membership_residual for s in samples), default=0.0)
     passed = rank == dim and max_res < membership_tol
+    radius = None if fm.bound is None else validity_radius(fm.bound)
     return SpanReport(rank, dim, float(max_res), tuple(float(v) for v in sv),
-                      gap, tuple(samples), passed)
+                      gap, radius, samples, passed)

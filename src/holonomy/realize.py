@@ -124,18 +124,21 @@ def lower_B(b: BTensor, g0: np.ndarray) -> QuadraticMetric:
     return QuadraticMetric(g0, num, b.den)
 
 
-def validity_radius(qm: QuadraticMetric) -> float:
-    """Crude sup-norm radius inside which g(x) is guaranteed invertible.
+def invertibility_bound(qm: QuadraticMetric) -> Fraction:
+    """Exact c = |g0^{-1}|_inf * max_i sum_jpq |B_ijpq|.
 
-    Uses |g(x) - g0|_inf <= r^2 * max_i sum_jpq |B_ijpq| and the bound
-    |g0^{-1}|_inf * |delta|_inf < 1.
+    |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
+    invertible wherever |x|_inf^2 * c < 1.
     """
     ginv, gden = inverse(qm.g0)
     ginv_norm = Fraction(max(np.abs(ginv).sum(axis=1)), gden)
-    bnorm = Fraction(max(np.abs(qm.num).sum(axis=(1, 2, 3))), qm.den)
-    if bnorm == 0:
-        return float("inf")
-    return float(1 / (ginv_norm * bnorm)) ** 0.5
+    return ginv_norm * Fraction(max(np.abs(qm.num).sum(axis=(1, 2, 3))), qm.den)
+
+
+def validity_radius(bound: Fraction) -> float:
+    """Sup-norm radius 1 / sqrt(c) inside which g(x) is invertible, for c
+    from ``invertibility_bound``; infinite for a constant metric."""
+    return float("inf") if bound == 0 else float(1 / bound) ** 0.5
 
 
 # The checks below are linear in B and in L, so scaling both by their

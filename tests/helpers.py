@@ -6,6 +6,18 @@ import numpy as np
 
 from holonomy import build_canonical, make_pencil
 
+# The acceptance suite's probe specs (criteria 5 and 7), n = 3..5.
+PROBE_SPECS = [
+    ("1-2 ++", [(1, 1), (2, 1)]),
+    ("1-2 +-", [(1, 1), (2, -1)]),
+    ("2-2 ++", [(2, 1), (2, 1)]),
+    ("2-2 +-", [(2, 1), (2, -1)]),
+    ("1-1-2 +++", [(1, 1), (1, 1), (2, 1)]),
+    ("1-1-2 ++-", [(1, 1), (1, 1), (2, -1)]),
+    ("2-3 ++", [(2, 1), (3, 1)]),
+    ("2-3 +-", [(2, 1), (3, -1)]),
+]
+
 
 def pair_of(blocks, lam=0):
     """Canonical pair for a single eigenvalue with the given (size, sign) blocks."""

@@ -10,7 +10,8 @@ differential tests against the package: the Fraction elimination
 (``_rref`` and the rank, kernel and inverse on it), the centralizer
 system, the greedy Berger witness loop, the realization checks and the
 Bianchi check.  The float helpers evaluate the probe's kernels at one
-point.
+point, and ``transport_polyline_ref`` is the earlier sequential RK4
+transport (one polyline, three Christoffel evaluations per step).
 """
 
 from dataclasses import dataclass
@@ -618,6 +619,45 @@ def b_apply(bt: BTensor, x) -> np.ndarray:
     for c, d in zip(fractions(bt.left, bt.den), bt.right):
         out = out + c @ x @ d
     return out
+
+
+def _gamma_dot_v(g0, B, x, v):
+    gamma = kernels.christoffel(g0, B, x)
+    return np.einsum("abc,b->ac", gamma, v)
+
+
+def transport_polyline_ref(g0, B, verts, steps):
+    """Parallel transport along straight segments between consecutive vertices.
+
+    ``steps[e]`` fixed RK4 steps are taken on segment e.  Returns the n x n
+    transport matrix mapping fibers at the first vertex to the last.
+    """
+    verts = np.ascontiguousarray(verts, dtype=np.float64)
+    steps = np.ascontiguousarray(steps, dtype=np.int64)
+    if verts.shape[0] < 2 or steps.shape[0] != verts.shape[0] - 1:
+        raise ValueError("need one step count per segment")
+    if np.any(steps <= 0):
+        raise ValueError("step counts must be positive")
+    n = g0.shape[0]
+    p = np.eye(n)
+    for e in range(verts.shape[0] - 1):
+        a = verts[e]
+        v = verts[e + 1] - a
+        ns = int(steps[e])
+        h = 1.0 / ns
+        for k in range(ns):
+            x0 = a + (k * h) * v
+            xm = a + ((k + 0.5) * h) * v
+            x1 = a + ((k + 1.0) * h) * v
+            m0 = _gamma_dot_v(g0, B, x0, v)
+            mm = _gamma_dot_v(g0, B, xm, v)
+            m1 = _gamma_dot_v(g0, B, x1, v)
+            k1 = -m0 @ p
+            k2 = -mm @ (p + (0.5 * h) * k1)
+            k3 = -mm @ (p + (0.5 * h) * k2)
+            k4 = -m1 @ (p + h * k3)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p
 
 
 def _as_float_metric(qm) -> FloatMetric:

@@ -35,20 +35,10 @@ from holonomy.probe import (
 )
 from holonomy.probe import kernels
 
+from helpers import PROBE_SPECS
 from oracles import apply_map, block_element, m_ij_basis
 
 CORPUS_MAX_N = 7
-
-PROBE_SPECS = [
-    ("1-2 ++", [(1, 1), (2, 1)]),
-    ("1-2 +-", [(1, 1), (2, -1)]),
-    ("2-2 ++", [(2, 1), (2, 1)]),
-    ("2-2 +-", [(2, 1), (2, -1)]),
-    ("1-1-2 +++", [(1, 1), (1, 1), (2, 1)]),
-    ("1-1-2 ++-", [(1, 1), (1, 1), (2, -1)]),
-    ("2-3 ++", [(2, 1), (3, 1)]),
-    ("2-3 +-", [(2, 1), (3, -1)]),
-]
 
 
 def _announce(criterion: str, ok: bool, detail: str) -> None:

@@ -234,6 +234,21 @@ def test_report_summary(tmp_path, capsys):
     assert len(lines) == 2 and lines[0].startswith("file,")
 
 
+def test_report_unwritable_csv_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(out)]) == 0
+    capsys.readouterr()
+    csv_out = tmp_path / "missing" / "summary.csv"
+    code = main(["report", str(out), "--csv", str(csv_out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cannot write the CSV" in captured.err and str(csv_out) in captured.err
+    assert not csv_out.parent.exists()
+
+
 def test_report_empty_and_errors(tmp_path, capsys):
     assert main(["report"]) == 0
     bogus = tmp_path / "broken.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holonomy import build_B, centralizer_basis, lower_B, r_formal
+from holonomy.probe import transport
 from holonomy.probe import (
     FloatMetric,
     LoopSpec,
@@ -17,8 +18,10 @@ from holonomy.probe import (
 )
 from holonomy.probe import kernels
 
-from helpers import pair_of
-from oracles import christoffel, metric_at, metric_value, nablaL_residual
+from holonomy.realize import invertibility_bound, validity_radius
+
+from helpers import PROBE_SPECS, pair_of
+from oracles import christoffel, metric_at, metric_value, nablaL_residual, transport_polyline_ref
 
 
 def realized(blocks, lam=0):
@@ -190,7 +193,12 @@ def test_span_report_json():
     assert doc["span_rank"] == doc["dim_gL"] == 1
     assert doc["passed"] is True
     assert len(doc["samples"]) == 9
-    assert {"plane", "side", "basepoint", "residual"} <= set(doc["samples"][0])
+    assert {"plane", "side", "basepoint", "residual", "metric_drift"} <= set(doc["samples"][0])
+    assert doc["singular_values"] == list(rep.singular_values) and len(doc["singular_values"]) >= 1
+    assert doc["validity_radius"] == validity_radius(invertibility_bound(qm))
+    assert doc["max_loop_extent"] == max(s.extent for s in rep.samples)
+    assert 0.0 < doc["max_loop_extent"] < doc["validity_radius"]
+    assert all(0.0 <= d["metric_drift"] < 1e-8 for d in doc["samples"])
 
 
 # -- covariant constancy -------------------------------------------------------------
@@ -219,3 +227,152 @@ def test_metric_value_matches_exact():
     exact = metric_at(qm, x)
     approx = metric_value(qm, [float(v) for v in x])
     assert np.max(np.abs(approx - exact.astype(float))) < 1e-15
+
+
+# -- batched kernel against the sequential reference -----------------------------------
+
+def ref_transport(fm, loop):
+    """The loop through the sequential reference kernel; segments of length 0
+    (an origin square's tails) are dropped, which leaves the path unchanged."""
+    verts, steps = transport._loop_polyline(loop, fm.n)
+    keep = steps > 0
+    return transport_polyline_ref(fm.g0, fm.B, verts[np.concatenate([[True], keep])],
+                                  steps[keep])
+
+
+@pytest.mark.parametrize("blocks", [b for _, b in PROBE_SPECS], ids=[n for n, _ in PROBE_SPECS])
+def test_batched_kernel_matches_reference(blocks):
+    pair, qm = realized(blocks)
+    fm = FloatMetric.from_exact(qm)
+    seen = set()
+    for seed in (0, 1):
+        loops = standard_loops(pair.n, seed=seed)
+        for lp, s in zip(loops, parallel_transport(fm, loops)):
+            if (lp.basepoint, lp.plane) in seen:  # origin squares repeat across seeds
+                continue
+            seen.add((lp.basepoint, lp.plane))
+            assert np.max(np.abs(s.transport - ref_transport(fm, lp))) <= 1e-12
+
+
+def test_mixed_batch_equals_solo_calls():
+    # origin squares and lassos whose tails (20, 71 and 110 steps) end in
+    # different 16-step chunks of one batch
+    _, qm = realized([(1, 1), (1, 1), (2, 1)])
+    fm = FloatMetric.from_exact(qm)
+    loops = [LoopSpec((0.0,) * 4, (0, 1), 1e-2, 100),
+             LoopSpec((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2, 100),
+             LoopSpec((0.0,) * 4, (2, 3), 1e-2, 40),
+             LoopSpec((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2, 100),
+             LoopSpec((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3, 64)]
+    tails = [int(transport._loop_polyline(lp, 4)[1][0]) for lp in loops]
+    assert tails == [0, 20, 0, 71, 110]
+    batch = parallel_transport(fm, loops)
+    assert len(batch) == len(loops)
+    for lp, s in zip(loops, batch):
+        solo = parallel_transport(fm, lp)
+        assert s.loop == solo.loop == lp
+        assert np.array_equal(s.transport, solo.transport)
+        assert s.metric_drift == solo.metric_drift and s.extent == solo.extent
+
+
+def test_segment_gamma_matches_christoffel():
+    rng = np.random.default_rng(5)
+    for _, blocks in PROBE_SPECS:
+        _, qm = realized(blocks)
+        fm = FloatMetric.from_exact(qm)
+        n = fm.n
+        a = rng.uniform(-0.2, 0.2, (2, 3, n))
+        v = rng.uniform(-0.2, 0.2, (2, 3, n))
+        s = rng.uniform(0.0, 1.0, (2, 3, 4))
+        G, R = kernels.segment_terms(fm.g0, fm.B, a, v)
+        m = kernels.segment_gamma(G, R, s)
+        assert m.shape == (2, 3, 4, n, n)
+        for idx in np.ndindex(2, 3, 4):
+            x = a[idx[:2]] + s[idx] * v[idx[:2]]
+            want = np.einsum("abc,b->ac", kernels.christoffel(fm.g0, fm.B, x), v[idx[:2]])
+            assert np.max(np.abs(m[idx] - want)) <= 1e-12
+
+
+def test_kernel_rejects_bad_step_counts():
+    _, qm = realized([(1, 1), (2, 1)])
+    fm = FloatMetric.from_exact(qm)
+    verts = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.01, 0.0, 0.0]]])
+    with pytest.raises(ValueError):
+        kernels.transport_polyline(fm.g0, fm.B, verts, [0, 0])   # length 0.01, no steps
+    with pytest.raises(ValueError):
+        kernels.transport_polyline(fm.g0, fm.B, verts, [-1, 16])
+    with pytest.raises(ValueError):
+        kernels.transport_polyline(fm.g0, fm.B, verts, [16, 16, 16])
+    # a segment of length 0 may take no steps: it is the identity
+    p = kernels.transport_polyline(fm.g0, fm.B, verts, [0, 16])
+    assert np.array_equal(p[0], kernels.transport_polyline(fm.g0, fm.B, verts[:, 1:], [16])[0])
+
+
+# -- the exact path bound and its sampling fallback ---------------------------------------
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """Records every polyline the sampling fallback is asked to check."""
+    calls = []
+    original = transport._check_path_regular
+
+    def spy(fm, verts):
+        calls.append(verts)
+        original(fm, verts)
+
+    monkeypatch.setattr(transport, "_check_path_regular", spy)
+    return calls
+
+
+def test_exact_bound_certifies_standard_loops(sampled):
+    for _, blocks in PROBE_SPECS:
+        pair, qm = realized(blocks)
+        fm = FloatMetric.from_exact(qm)
+        radius = validity_radius(fm.bound)
+        for seed in (0, 1):
+            loops = standard_loops(pair.n, seed=seed)
+            for lp in loops:
+                extent = float(np.max(np.abs(transport._loop_polyline(lp, pair.n)[0])))
+                assert extent < radius and fm.certifies(extent)
+            parallel_transport(fm, loops)
+    assert sampled == []
+
+
+def test_singular_lasso_fails_bound_and_sampling_raises(sampled):
+    _, qm = realized([(1, 1), (1, 1)])
+    fm = FloatMetric.from_exact(qm)
+    assert fm.bound == 1  # g(x) = (1 - |x|^2 / 2) I: radius 1, singular at |x|^2 = 2
+    bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2, 100)
+    assert not fm.certifies(math.sqrt(2.0) + 1e-2)
+    with pytest.raises(SingularMetricError, match="singular on the loop"):
+        parallel_transport(fm, bad)
+    assert len(sampled) == 1
+
+
+def test_regular_loop_beyond_radius_passes_fallback(sampled):
+    _, qm = realized([(1, 1), (1, 1)])
+    fm = FloatMetric.from_exact(qm)
+    inside = LoopSpec((0.98, 0.0), (0, 1), 1e-2, 100)    # extent 0.99
+    beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2, 100)   # extent 1.005, |x|^2 < 2
+    s_in = parallel_transport(fm, inside)
+    assert sampled == []
+    s_out = parallel_transport(fm, beyond)
+    assert len(sampled) == 1 and s_out.extent > validity_radius(fm.bound) == 1.0
+    for s in (s_in, s_out):
+        assert np.isfinite(s.transport).all()
+        assert s.metric_drift < 1e-8
+        assert abs(abs(np.linalg.det(s.transport)) - 1.0) < 1e-9
+
+
+def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch, sampled):
+    pair, qm = realized([(1, 1), (1, 1)])
+    fm = FloatMetric.from_exact(qm)
+    kernel_calls = []
+    monkeypatch.setattr(kernels, "transport_polyline",
+                        lambda *args: kernel_calls.append(args))
+    loops = standard_loops(2, seed=0) + [LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2, 100)]
+    with pytest.raises(SingularMetricError):
+        parallel_transport(fm, loops)
+    with pytest.raises(SingularMetricError):
+        holonomy_span(fm, centralizer_basis(pair), loops)
+    assert kernel_calls == [] and len(sampled) == 2

@@ -15,6 +15,7 @@ from holonomy.realize import (
     RealizationError,
     check_gsym,
     check_nablaL,
+    invertibility_bound,
     riemann_at_origin,
     validity_radius,
 )
@@ -252,6 +253,6 @@ def test_lower_B_rejects_asymmetric_point_indices():
 def test_validity_radius_positive():
     pair = pair_of([(1, 1), (2, 1)])
     qm = lower_B(build_B(pair), pair.g)
-    rho = validity_radius(qm)
+    rho = validity_radius(invertibility_bound(qm))
     assert rho > 0.1
     assert rank(int_form(metric_at(qm, [Fraction(1, 20)] * 3))[0]) == qm.n
