@@ -6,16 +6,17 @@ every transport matrix is an honest holonomy element at 0 and its
 logarithm can be compared against the centralizer algebra there.
 
 Every loop is a 7-vertex polyline (a square at the origin has tails of
-length 0), so one kernel call transports all loops of a run.  Before it, each
-polyline is certified regular by the exact bound |x|_inf^2 * c < 1 at its
-vertices (the sup-norm is convex, so that covers every point of every
-segment); only a polyline the bound does not cover is sampled for a
-degenerate metric.
+length 0 and no steps on them) whose segments all take the loop's step
+count, so one kernel call transports all loops of a run that share a step
+count.  Before it, each polyline is certified regular by the exact bound
+|x|_inf^2 * c < 1 at its vertices (the sup-norm is convex, so that covers
+every point of every segment); a polyline the bound does not cover is
+refused.  Every sample carries the kernel's step-doubling estimate of its
+RK4 error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,9 +29,6 @@ from . import kernels
 
 # Frobenius norms below this are treated as a zero logarithm sample.
 _NEGLIGIBLE = 1e-9
-# Step length targets: loop edges are integrated finely, connecting tails
-# (short smooth segments) may be coarser.
-_TAIL_STEP = 1e-3
 
 
 class SingularMetricError(RuntimeError):
@@ -44,7 +42,7 @@ class LoopSpec:
     basepoint: tuple
     plane: tuple
     side: float
-    steps: int  # RK4 steps per square edge
+    steps: int  # RK4 steps per segment, edges and tails alike
 
     def __post_init__(self) -> None:
         a, b = self.plane
@@ -52,8 +50,8 @@ class LoopSpec:
             raise ValueError("plane must be two distinct nonnegative indices")
         if not (self.side > 0):
             raise ValueError("side must be positive")
-        if self.steps < 16:
-            raise ValueError("need at least 16 steps per edge")
+        if self.steps < 16 or self.steps % 2:
+            raise ValueError("need an even count of at least 16 steps per segment")
         object.__setattr__(self, "basepoint", tuple(float(v) for v in self.basepoint))
 
 
@@ -63,6 +61,7 @@ class HolonomySample:
     log_approx: np.ndarray
     membership_residual: float
     metric_drift: float
+    step_error: float  # Richardson estimate |D_N - D_(N/2)|_max / 15, A = I + D
     extent: float  # largest vertex sup-norm of the loop's polyline
     loop: LoopSpec
 
@@ -71,16 +70,16 @@ class FloatMetric:
     """Float64 view of a quadratic metric, converted once per probe run.
 
     ``bound`` is the exact invertibility constant c of the metric it was
-    converted from, or None when the floats have no exact origin.
+    converted from, or None when the floats have no exact origin; such a
+    metric certifies no loop, so it transports none.
     """
 
-    __slots__ = ("g0", "B", "n", "det_g0", "bound")
+    __slots__ = ("g0", "B", "n", "bound")
 
     def __init__(self, g0: np.ndarray, B: np.ndarray, bound: Optional[Fraction] = None) -> None:
         self.g0 = np.ascontiguousarray(g0, dtype=np.float64)
         self.B = np.ascontiguousarray(B, dtype=np.float64)
         self.n = self.g0.shape[0]
-        self.det_g0 = float(np.linalg.det(self.g0))
         self.bound = bound
 
     @classmethod
@@ -105,26 +104,9 @@ def _loop_polyline(loop: LoopSpec, n: int):
     ea[a] = loop.side
     eb[b] = loop.side
     verts = [np.zeros(n), bp, bp + ea, bp + ea + eb, bp + eb, bp, np.zeros(n)]
-    tail = 0
-    if np.any(bp != 0.0):
-        tail = max(16, int(math.ceil(float(np.linalg.norm(bp)) / _TAIL_STEP)))
+    tail = loop.steps if np.any(bp != 0.0) else 0
     steps = [tail] + [loop.steps] * 4 + [tail]
     return np.stack(verts), np.array(steps, dtype=np.int64)
-
-
-def _check_path_regular(fm: FloatMetric, verts: np.ndarray) -> None:
-    # Fallback for a polyline the exact bound does not certify.  Best-effort
-    # scan: a degeneracy is certain when the determinant dies or changes sign
-    # at a sampled point; the integrator's finiteness post-check covers
-    # crossings the sampling misses.
-    for e in range(verts.shape[0] - 1):
-        for t in np.linspace(0.0, 1.0, 33):
-            x = (1.0 - t) * verts[e] + t * verts[e + 1]
-            gx = kernels.metric_value(fm.g0, fm.B, x)
-            det = np.linalg.det(gx)
-            if abs(det) < 1e-12 * abs(fm.det_g0) or det * fm.det_g0 < 0.0:
-                raise SingularMetricError(
-                    f"metric is singular on the loop near {x.tolist()}")
 
 
 def membership_residual(psi: np.ndarray, gl_floats: Sequence[np.ndarray]) -> float:
@@ -142,45 +124,51 @@ def membership_residual(psi: np.ndarray, gl_floats: Sequence[np.ndarray]) -> flo
 def parallel_transport(fm: FloatMetric, loops,
                        gl_basis: Optional[Sequence[np.ndarray]] = None):
     """Integrate transport around one origin-based square loop, or around a
-    sequence of them in one batched kernel call.
+    sequence of them in one batched kernel call per step count.
 
     dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4; the square
     is traversed corner -> +e_a -> +e_b -> -e_a -> -e_b.  The logarithm is
-    the second-order truncation (A - I) - (A - I)^2 / 2, adequate because
-    |A - I| = O(side^2).  The membership residual is NaN when no basis is
+    the second-order truncation D - D^2 / 2 of A = I + D, adequate because
+    |D| = O(side^2).  The membership residual is NaN when no basis is
     supplied.  Returns a HolonomySample for one LoopSpec and a tuple of them
-    for a sequence; a degenerate metric on any loop raises before any
-    result exists.
+    for a sequence; a loop the exact bound does not certify, or a degenerate
+    metric on any loop, raises before any result exists.
     """
     batch = [loops] if isinstance(loops, LoopSpec) else list(loops)
     polylines = [_loop_polyline(lp, fm.n) for lp in batch]
     extents = [float(np.max(np.abs(verts))) for verts, _ in polylines]
-    for (verts, _), extent in zip(polylines, extents):
+    for lp, extent in zip(batch, extents):
         if not fm.certifies(extent):
-            _check_path_regular(fm, verts)
-    try:
-        a = kernels.transport_polyline(fm.g0, fm.B, np.stack([v for v, _ in polylines]),
-                                       np.concatenate([s for _, s in polylines]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("metric is singular on a loop") from exc
-    if not np.isfinite(a).all():
+            radius = "none (no exact bound)" if fm.bound is None else validity_radius(fm.bound)
+            raise SingularMetricError(
+                f"loop in plane {lp.plane} at basepoint {list(lp.basepoint)} has extent "
+                f"|x|_inf = {extent!r}, not certified regular by the validity radius {radius}")
+    d = np.empty((len(batch), fm.n, fm.n))
+    err = np.empty(len(batch))
+    for steps in sorted({lp.steps for lp in batch}):
+        group = [i for i, lp in enumerate(batch) if lp.steps == steps]
+        try:
+            d[group], err[group] = kernels.transport_polyline(
+                fm.g0, fm.B, np.stack([polylines[i][0] for i in group]),
+                np.concatenate([polylines[i][1] for i in group]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularMetricError("metric is singular on a loop") from exc
+    if not (np.isfinite(d).all() and np.isfinite(err).all()):
         raise SingularMetricError("transport diverged; metric degenerates on the loop")
-    e = a - np.eye(fm.n)
-    psi = e - 0.5 * (e @ e)
+    a = d + np.eye(fm.n)
+    psi = d - 0.5 * (d @ d)
     drift = np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
     samples = tuple(
         HolonomySample(a[i], psi[i],
                        float("nan") if gl_basis is None else membership_residual(psi[i], gl_basis),
-                       float(drift[i]), extents[i], lp)
+                       float(drift[i]), float(err[i]), extents[i], lp)
         for i, lp in enumerate(batch))
     return samples[0] if isinstance(loops, LoopSpec) else samples
 
 
-def standard_loops(n: int, seed: int = 0, side: float = 1e-2, steps: Optional[int] = None,
+def standard_loops(n: int, seed: int = 0, side: float = 1e-2, steps: int = 16,
                    extra_basepoints: int = 2, basepoint_norm: float = 0.05) -> list:
     """Squares in every coordinate plane at the origin plus seeded basepoints."""
-    if steps is None:
-        steps = max(16, int(math.ceil(side / 1e-4)))
     rng = np.random.default_rng(seed)
     basepoints = [tuple(0.0 for _ in range(n))]
     for _ in range(extra_basepoints):
@@ -213,6 +201,7 @@ class SpanReport:
             "singular_values": list(self.singular_values),
             "validity_radius": self.validity_radius,
             "max_loop_extent": max((s.extent for s in self.samples), default=0.0),
+            "max_step_error": max((s.step_error for s in self.samples), default=0.0),
             "samples": [
                 {
                     "plane": list(s.loop.plane),
@@ -220,6 +209,7 @@ class SpanReport:
                     "basepoint": list(s.loop.basepoint),
                     "residual": s.membership_residual,
                     "metric_drift": s.metric_drift,
+                    "step_error": s.step_error,
                 }
                 for s in self.samples
             ],

@@ -676,7 +676,7 @@ def christoffel(qm, x) -> np.ndarray:
     fm = _as_float_metric(qm)
     xv = np.asarray(x, dtype=np.float64)
     gx = kernels.metric_value(fm.g0, fm.B, xv)
-    if abs(np.linalg.det(gx)) < 1e-12 * abs(fm.det_g0):
+    if abs(np.linalg.det(gx)) < 1e-12 * abs(np.linalg.det(fm.g0)):
         raise SingularMetricError(f"metric is singular near {xv.tolist()}")
     return kernels.christoffel(fm.g0, fm.B, xv)
 

@@ -147,19 +147,26 @@ def test_criterion_4_realization_match(corpus_pairs):
 
 
 def test_criterion_5_holonomy_probe():
-    """Loop family spans the full algebra with tiny residuals and a clean gap."""
+    """Loop family spans the full algebra with tiny residuals and a clean gap,
+    and the step-doubling estimate puts every transport at the float floor."""
     started = time.perf_counter()
     failures = []
     for name, blocks in PROBE_SPECS:
         pair, qm = _realized(blocks)
-        rep = holonomy_span(FloatMetric.from_exact(qm), centralizer_basis(pair),
-                            standard_loops(pair.n, seed=0))
-        if rep.span_rank != rep.dim_gL:
-            failures.append(f"{name}: rank {rep.span_rank} != dim {rep.dim_gL}")
-        if not rep.max_membership_residual < 1e-6:
-            failures.append(f"{name}: residual {rep.max_membership_residual:.2e}")
-        if not rep.sv_gap >= 1e3:
-            failures.append(f"{name}: gap {rep.sv_gap:.2e}")
+        fm = FloatMetric.from_exact(qm)
+        gl = centralizer_basis(pair)
+        for seed in (0, 1):
+            rep = holonomy_span(fm, gl, standard_loops(pair.n, seed=seed))
+            tag = f"{name} seed {seed}"
+            if rep.span_rank != rep.dim_gL:
+                failures.append(f"{tag}: rank {rep.span_rank} != dim {rep.dim_gL}")
+            if not rep.max_membership_residual < 1e-6:
+                failures.append(f"{tag}: residual {rep.max_membership_residual:.2e}")
+            if not rep.sv_gap >= 1e3:
+                failures.append(f"{tag}: gap {rep.sv_gap:.2e}")
+            step_error = rep.to_json()["max_step_error"]
+            if not step_error <= 1e-13:
+                failures.append(f"{tag}: step error {step_error:.2e}")
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 60.0
     _announce("criterion 5 holonomy probe",

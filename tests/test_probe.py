@@ -94,7 +94,7 @@ def test_christoffel_symmetric_lower_indices():
 
 def test_flat_transport_is_identity():
     pair = pair_of([(2, 1)])
-    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)))
+    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
     s = parallel_transport(flat, LoopSpec((0.0, 0.0), (0, 1), 1e-2, 100))
     assert np.max(np.abs(s.transport - np.eye(2))) < 1e-12
 
@@ -150,6 +150,9 @@ def test_loopspec_validation():
         LoopSpec((0.0,), (0, 1), -1.0, 100)
     with pytest.raises(ValueError):
         LoopSpec((0.0,), (0, 1), 1e-2, 8)
+    for odd in (17, 101):
+        with pytest.raises(ValueError, match="even"):
+            LoopSpec((0.0,), (0, 1), 1e-2, odd)
 
 
 def test_singular_metric_detected():
@@ -193,7 +196,9 @@ def test_span_report_json():
     assert doc["span_rank"] == doc["dim_gL"] == 1
     assert doc["passed"] is True
     assert len(doc["samples"]) == 9
-    assert {"plane", "side", "basepoint", "residual", "metric_drift"} <= set(doc["samples"][0])
+    assert {"plane", "side", "basepoint", "residual", "metric_drift",
+            "step_error"} <= set(doc["samples"][0])
+    assert doc["max_step_error"] == max(d["step_error"] for d in doc["samples"]) <= 1e-13
     assert doc["singular_values"] == list(rep.singular_values) and len(doc["singular_values"]) >= 1
     assert doc["validity_radius"] == validity_radius(invertibility_bound(qm))
     assert doc["max_loop_extent"] == max(s.extent for s in rep.samples)
@@ -255,24 +260,25 @@ def test_batched_kernel_matches_reference(blocks):
 
 
 def test_mixed_batch_equals_solo_calls():
-    # origin squares and lassos whose tails (20, 71 and 110 steps) end in
-    # different 16-step chunks of one batch
+    # origin squares and lassos with three step counts in one call: each count
+    # is its own kernel call, split into batches of its own
     _, qm = realized([(1, 1), (1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
     loops = [LoopSpec((0.0,) * 4, (0, 1), 1e-2, 100),
-             LoopSpec((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2, 100),
+             LoopSpec((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2, 40),
              LoopSpec((0.0,) * 4, (2, 3), 1e-2, 40),
              LoopSpec((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2, 100),
-             LoopSpec((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3, 64)]
-    tails = [int(transport._loop_polyline(lp, 4)[1][0]) for lp in loops]
-    assert tails == [0, 20, 0, 71, 110]
+             LoopSpec((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3, 64),
+             LoopSpec((0.0,) * 4, (1, 3), 5e-3, 64)]
     batch = parallel_transport(fm, loops)
     assert len(batch) == len(loops)
     for lp, s in zip(loops, batch):
         solo = parallel_transport(fm, lp)
         assert s.loop == solo.loop == lp
         assert np.array_equal(s.transport, solo.transport)
+        assert np.array_equal(s.log_approx, solo.log_approx)
         assert s.metric_drift == solo.metric_drift and s.extent == solo.extent
+        assert s.step_error == solo.step_error
 
 
 def test_segment_gamma_matches_christoffel():
@@ -284,7 +290,7 @@ def test_segment_gamma_matches_christoffel():
         a = rng.uniform(-0.2, 0.2, (2, 3, n))
         v = rng.uniform(-0.2, 0.2, (2, 3, n))
         s = rng.uniform(0.0, 1.0, (2, 3, 4))
-        G, R = kernels.segment_terms(fm.g0, fm.B, a, v)
+        G, R = kernels.segment_terms(fm.g0, kernels.contraction_matrices(fm.B), a, v)
         m = kernels.segment_gamma(G, R, s)
         assert m.shape == (2, 3, 4, n, n)
         for idx in np.ndindex(2, 3, 4):
@@ -296,35 +302,24 @@ def test_segment_gamma_matches_christoffel():
 def test_kernel_rejects_bad_step_counts():
     _, qm = realized([(1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
-    verts = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.01, 0.0, 0.0]]])
-    with pytest.raises(ValueError):
-        kernels.transport_polyline(fm.g0, fm.B, verts, [0, 0])   # length 0.01, no steps
-    with pytest.raises(ValueError):
-        kernels.transport_polyline(fm.g0, fm.B, verts, [-1, 16])
-    with pytest.raises(ValueError):
-        kernels.transport_polyline(fm.g0, fm.B, verts, [16, 16, 16])
+    verts = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.01, 0.01, 0.0]]])
+    for bad in ([0, 0, 16],      # length 0.01, no steps
+                [-1, 16, 16],
+                [0, 16, 32],     # two step counts in one call
+                [0, 17, 17],     # odd: no N/2-step run
+                [16, 16, 16, 16]):
+        with pytest.raises(ValueError):
+            kernels.transport_polyline(fm.g0, fm.B, verts, bad)
     # a segment of length 0 may take no steps: it is the identity
-    p = kernels.transport_polyline(fm.g0, fm.B, verts, [0, 16])
-    assert np.array_equal(p[0], kernels.transport_polyline(fm.g0, fm.B, verts[:, 1:], [16])[0])
+    d, err = kernels.transport_polyline(fm.g0, fm.B, verts, [0, 16, 16])
+    d_short, err_short = kernels.transport_polyline(fm.g0, fm.B, verts[:, 1:], [16, 16])
+    assert np.array_equal(d, d_short) and np.array_equal(err, err_short)
+    assert d.shape == (1, 3, 3) and err.shape == (1,) and 0.0 < err[0] < 1e-15
 
 
-# -- the exact path bound and its sampling fallback ---------------------------------------
+# -- the exact path bound ---------------------------------------------------------------
 
-@pytest.fixture
-def sampled(monkeypatch):
-    """Records every polyline the sampling fallback is asked to check."""
-    calls = []
-    original = transport._check_path_regular
-
-    def spy(fm, verts):
-        calls.append(verts)
-        original(fm, verts)
-
-    monkeypatch.setattr(transport, "_check_path_regular", spy)
-    return calls
-
-
-def test_exact_bound_certifies_standard_loops(sampled):
+def test_exact_bound_certifies_standard_loops():
     for _, blocks in PROBE_SPECS:
         pair, qm = realized(blocks)
         fm = FloatMetric.from_exact(qm)
@@ -334,37 +329,42 @@ def test_exact_bound_certifies_standard_loops(sampled):
             for lp in loops:
                 extent = float(np.max(np.abs(transport._loop_polyline(lp, pair.n)[0])))
                 assert extent < radius and fm.certifies(extent)
-            parallel_transport(fm, loops)
-    assert sampled == []
+            assert len(parallel_transport(fm, loops)) == len(loops)
 
 
-def test_singular_lasso_fails_bound_and_sampling_raises(sampled):
+def test_singular_lasso_fails_bound_and_is_refused():
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     assert fm.bound == 1  # g(x) = (1 - |x|^2 / 2) I: radius 1, singular at |x|^2 = 2
     bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2, 100)
     assert not fm.certifies(math.sqrt(2.0) + 1e-2)
-    with pytest.raises(SingularMetricError, match="singular on the loop"):
+    with pytest.raises(SingularMetricError, match="not certified regular"):
         parallel_transport(fm, bad)
-    assert len(sampled) == 1
 
 
-def test_regular_loop_beyond_radius_passes_fallback(sampled):
+def test_regular_loop_beyond_radius_is_refused():
+    # the metric is regular on both loops (|x|^2 < 2), but only the first
+    # lies inside the certified radius 1; the second is refused, naming the
+    # loop, its extent and the radius
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     inside = LoopSpec((0.98, 0.0), (0, 1), 1e-2, 100)    # extent 0.99
-    beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2, 100)   # extent 1.005, |x|^2 < 2
+    beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2, 100)   # extent 1.005
     s_in = parallel_transport(fm, inside)
-    assert sampled == []
-    s_out = parallel_transport(fm, beyond)
-    assert len(sampled) == 1 and s_out.extent > validity_radius(fm.bound) == 1.0
-    for s in (s_in, s_out):
-        assert np.isfinite(s.transport).all()
-        assert s.metric_drift < 1e-8
-        assert abs(abs(np.linalg.det(s.transport)) - 1.0) < 1e-9
+    assert np.isfinite(s_in.transport).all()
+    assert s_in.metric_drift < 1e-8
+    assert abs(abs(np.linalg.det(s_in.transport)) - 1.0) < 1e-9
+    with pytest.raises(SingularMetricError) as info:
+        parallel_transport(fm, beyond)
+    message = str(info.value)
+    assert "plane (0, 1)" in message and "[0.995, 0.0]" in message
+    assert "1.005" in message and "radius 1.0" in message
+    # floats without an exact origin certify nothing, so they transport nothing
+    with pytest.raises(SingularMetricError, match="no exact bound"):
+        parallel_transport(FloatMetric(fm.g0, fm.B), inside)
 
 
-def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch, sampled):
+def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
     pair, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     kernel_calls = []
@@ -375,4 +375,23 @@ def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch, sampl
         parallel_transport(fm, loops)
     with pytest.raises(SingularMetricError):
         holonomy_span(fm, centralizer_basis(pair), loops)
-    assert kernel_calls == [] and len(sampled) == 2
+    assert kernel_calls == []
+
+
+# -- the step-doubling error estimate --------------------------------------------------------
+
+def test_step_error_estimate_tracks_true_error():
+    # negative control: one deliberately coarse origin square (side 0.3, 16
+    # steps) per spec; the estimate must see its error, within 2x of the
+    # error against a 400-step run of the reference kernel
+    for _, blocks in PROBE_SPECS:
+        pair, qm = realized(blocks)
+        fm = FloatMetric.from_exact(qm)
+        n = pair.n
+        coarse = LoopSpec((0.0,) * n, (0, n - 1), 0.3, 16)
+        s = parallel_transport(fm, coarse)
+        verts, steps = transport._loop_polyline(coarse, n)
+        fine = transport_polyline_ref(fm.g0, fm.B, verts[1:-1], [400] * 4)
+        true = float(np.max(np.abs(s.transport - fine)))
+        assert s.step_error > 1e-12
+        assert 0.5 < s.step_error / true < 2.0
