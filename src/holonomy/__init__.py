@@ -2,9 +2,10 @@
 
 The package builds canonical pseudo-Euclidean pairs (g, L) from Jordan
 block data, certifies by exact rational arithmetic that the centralizer
-of L in so(g) passes the Berger curvature test, realizes a quadratic
+g_L of L in so(g) passes the Berger curvature test (the certificate's
+witness values are then an exact basis of g_L), realizes a quadratic
 metric whose curvature at the origin reproduces the certified tensor,
-and probes parallel-transport holonomy numerically.
+and probes parallel-transport holonomy numerically against that basis.
 
 Stages 1-3 are exact and hold every matrix in one format (see
 :mod:`holonomy.exactla`): an object-dtype numpy array of Python ints over
@@ -22,7 +23,6 @@ from .canonical import (
     pencil_to_json,
     validate_pair,
 )
-from .liealg import centralizer_basis
 from .berger import berger_certificate, r_formal
 from .realize import build_B, lower_B, verify_realization
 

@@ -4,20 +4,22 @@
 Jordan blocks inside one eigenvalue it differentiates the minimal
 polynomial along the argument with the pair's own nilpotency degree,
 which makes the image fill the whole centralizer.  The certificate checks
-the Bianchi identity, containment in g_L and the exact rank equality.
+the Bianchi identity, containment in g_L and the exact rank equality, with
+dim g_L counted by rank-nullity on the commutator system; once it passes,
+the witness values are an exact basis of g_L.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import lowest_terms, pivot_columns
-from .liealg import SubspaceBasis, so_basis, wedge_tags
+from .exactla import lowest_terms, pivot_columns, rank
+from .liealg import commutator_system, so_basis, wedge_tags
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +129,9 @@ class BergerCertificate:
     bianchi_ok: bool
     containment_ok: bool
     witnesses: tuple  # of (i, j) wedge tags whose images span the image
+    # the witnesses' values as (num, den): num[k] / den is the image of
+    # witnesses[k]; a basis of g_L when the certificate passes
+    basis: tuple = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -143,17 +148,20 @@ class BergerCertificate:
         }
 
 
-def berger_certificate(pair: CanonicalPair, rmap: CurvatureMap,
-                       gl_basis: SubspaceBasis) -> BergerCertificate:
+def berger_certificate(pair: CanonicalPair, rmap: CurvatureMap) -> BergerCertificate:
     """Certify image_rank(rmap) == dim g_L, exactly.
 
-    ``rmap`` is ``r_formal(pair)`` and ``gl_basis`` is
-    ``centralizer_basis(pair)``, both built once by the caller.  The
-    witnesses are the pivot columns of the matrix whose columns are the
-    values in tag order: a tag is kept when its value is not in the span of
-    the values before it.
+    ``rmap`` is ``r_formal(pair)``, built once by the caller.  dim g_L is
+    m - rank of ``commutator_system``, m = n(n-1)/2.  The witnesses are the
+    pivot columns of the matrix whose columns are the values in tag order:
+    a tag is kept when its value is not in the span of the values before
+    it.  The witness values are independent; with containment and equal
+    ranks they span g_L.
     """
+    system = commutator_system(pair.g, pair.L[0])  # linear in L: its numerator decides
+    dim_gL = system.shape[1] - rank(system)
     pivots = pivot_columns(rmap.num.reshape(len(rmap.tags), rmap.n ** 2).T)
-    return BergerCertificate(len(gl_basis), len(pivots), check_bianchi(rmap).ok,
+    return BergerCertificate(dim_gL, len(pivots), check_bianchi(rmap).ok,
                              check_sectional(rmap, pair.L),
-                             tuple(rmap.tags[k] for k in pivots))
+                             tuple(rmap.tags[k] for k in pivots),
+                             (rmap.num[pivots], rmap.den))

@@ -16,11 +16,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .exactla import int_form, rank, rat_from_str
+from .exactla import int_form, rank
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
 MAX_DIM = 24
+# Longest accepted eigenvalue string.  Together with the ban on exponent
+# notation this bounds the size of every integer an eigenvalue creates.
+MAX_RATIONAL_LEN = 100
 
 
 class InvalidSpecError(ValueError):
@@ -104,6 +107,24 @@ def make_pencil(eigens: Iterable) -> PencilSpec:
     return PencilSpec(tuple(specs))
 
 
+def rat_from_str(text: str) -> Fraction:
+    """Parse a rational written as "p", "p/q" or a decimal (base 10, '-' or
+    U+2212 minus) of at most MAX_RATIONAL_LEN characters.
+
+    Exponent notation is refused: "1e999999999" would build its integer
+    before any size check could run.
+    """
+    s = text.strip().replace("−", "-")
+    if len(s) > MAX_RATIONAL_LEN:
+        raise ValueError(f"rational longer than {MAX_RATIONAL_LEN} characters")
+    if "e" in s.lower():
+        raise ValueError("exponent notation is not accepted")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("not a rational") from exc
+
+
 def pencil_from_json(doc) -> PencilSpec:
     """Parse the JSON wire format.
 
@@ -128,7 +149,7 @@ def pencil_from_json(doc) -> PencilSpec:
         except ValueError as exc:
             if _is_complex(raw):
                 raise ComplexBlockError("unsupported: complex block") from exc
-            raise InvalidSpecError(f"bad eigenvalue {raw!r}") from exc
+            raise InvalidSpecError(f"bad eigenvalue {raw[:MAX_RATIONAL_LEN]!r}: {exc}") from exc
         blocks = item.get("blocks")
         if not isinstance(blocks, list) or not all(
                 isinstance(b, dict) and "size" in b and "sign" in b for b in blocks):

@@ -16,6 +16,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -31,7 +32,6 @@ from .canonical import (
     pencil_to_json,
     validate_pair,
 )
-from .liealg import centralizer_basis
 from .realize import build_B, lower_B, verify_realization
 
 ALL_STAGES = ("canonical", "berger", "realize", "probe")
@@ -48,9 +48,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("stages must be nonempty")
-        # written as "not > 0" so that NaN is rejected too
-        if not (self.membership_tol > 0 and self.rank_threshold > 0):
-            raise ValueError("--membership-tol and --rank-threshold must be positive")
+        tols = (self.membership_tol, self.rank_threshold)
+        # math.isfinite rejects NaN and inf; an infinite tolerance makes its check vacuous
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError("--membership-tol and --rank-threshold must be positive and finite")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
@@ -73,11 +74,11 @@ def _stage_canonical(pair: CanonicalPair) -> dict:
     }
 
 
-def _stage_probe(qm, gl_basis, config: RunConfig) -> dict:
+def _stage_probe(qm, cert, config: RunConfig) -> dict:
     from .probe import FloatMetric, holonomy_span, standard_loops
 
     loops = standard_loops(qm.n, seed=config.seed)
-    report = holonomy_span(FloatMetric.from_exact(qm), gl_basis, loops,
+    report = holonomy_span(FloatMetric.from_exact(qm), cert, loops,
                            membership_tol=config.membership_tol,
                            rank_threshold=config.rank_threshold)
     doc = report.to_json()
@@ -107,8 +108,9 @@ def cmd_verify(config: RunConfig) -> tuple:
     # Each exact object is built once and handed to every stage that needs it.
     started = time.perf_counter()
     wanted = set(config.stages)
-    rmap = r_formal(pair) if wanted & {"berger", "realize"} else None
-    gl_basis = centralizer_basis(pair) if wanted & {"berger", "probe"} else None
+    rmap = r_formal(pair) if wanted & {"berger", "realize", "probe"} else None
+    # the certificate's witness values are the probe's g_L basis
+    cert = berger_certificate(pair, rmap) if wanted & {"berger", "probe"} else None
     timings = [("shared", time.perf_counter() - started)]
     qm = None
 
@@ -119,14 +121,14 @@ def cmd_verify(config: RunConfig) -> tuple:
         if stage == "canonical":
             report["stages"]["canonical"] = _stage_canonical(pair)
         elif stage == "berger":
-            report["stages"]["berger"] = berger_certificate(pair, rmap, gl_basis).to_json()
+            report["stages"]["berger"] = cert.to_json()
         elif stage == "realize":
             stage_report, qm, _ = verify_realization(pair, rmap)
             report["stages"]["realize"] = stage_report.to_json()
         elif stage == "probe":
             if qm is None:
                 qm = lower_B(build_B(pair), pair.g)
-            report["stages"]["probe"] = _stage_probe(qm, gl_basis, config)
+            report["stages"]["probe"] = _stage_probe(qm, cert, config)
         timings.append((stage, time.perf_counter() - started))
 
     passed = all(s.get("passed", False) for s in report["stages"].values())
@@ -282,7 +284,8 @@ _COLUMNS = ("file", "n", "partition", "signs", "dim_gL", "berger",
 def cmd_report(paths, csv_out: str = "") -> tuple:
     rows = [_report_row(p) for p in paths]
     # failing and unreadable rows first, then stable ordering
-    rows.sort(key=lambda r: (r["verdict"] == "pass", str(r["n"]),
+    # error rows have n == "" and sort first among the failing rows
+    rows.sort(key=lambda r: (r["verdict"] == "pass", -1 if r["n"] == "" else r["n"],
                              r["partition"], r["signs"], r["file"]))
     lines = ["\t".join(_COLUMNS)]
     for r in rows:

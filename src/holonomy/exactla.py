@@ -11,7 +11,7 @@ factors) are plain int arrays.  Python ints never overflow, so numpy
 contractions on these arrays stay exact.  Scalars (an eigenvalue, a
 Bianchi violation) are ``fractions.Fraction`` values.
 
-Rank, pivot columns, kernel and inverse all come from one fraction-free
+Rank, pivot columns and inverse all come from one fraction-free
 Gauss-Jordan elimination on rows of Python ints (Bareiss 1968).
 """
 
@@ -19,18 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 import numpy as np
-
-
-def rat_from_str(text: str) -> Fraction:
-    """Parse a rational written as "p" or "p/q" (base 10, '-' or U+2212 minus)."""
-    s = text.strip().replace("−", "-")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
 
 
 def int_form(entries) -> tuple:
@@ -113,26 +103,6 @@ def pivot_columns(a) -> list:
     """Indices of the columns of an integer matrix that are not in the span
     of the columns before them."""
     return _echelon(a)[1]
-
-
-def kernel_basis(a) -> tuple:
-    """Basis of the right kernel of an integer matrix as ``(num, den)``.
-
-    ``num`` has one row per basis vector.  The vectors are the canonical
-    free-variable solutions of the reduced echelon form (free entry 1, the
-    other free entries 0), so the result is deterministic and the count
-    equals ``cols - rank``.
-    """
-    ncols = np.shape(a)[1]
-    red, pivots, d = _echelon(a)
-    vecs = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[free] = d
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[free]
-        vecs.append(v)
-    return lowest_terms(np.array(vecs, dtype=object).reshape(-1, ncols), d)
 
 
 def inverse(a) -> tuple:

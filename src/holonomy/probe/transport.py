@@ -3,7 +3,10 @@
 All loops are based at the origin: a square with an off-origin corner is
 reached through a straight connecting segment and closed the same way, so
 every transport matrix is an honest holonomy element at 0 and its
-logarithm can be compared against the centralizer algebra there.
+logarithm can be compared against the centralizer algebra there.  The
+algebra comes from the Berger certificate: its witness values, the
+curvature images that span g_L, are the basis the logarithms are tested
+against.
 
 Every loop is a 7-vertex polyline (a square at the origin has tails of
 length 0 and no steps on them) whose segments all take the loop's step
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..liealg import SubspaceBasis
+from ..berger import BergerCertificate
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
@@ -217,18 +220,22 @@ class SpanReport:
         }
 
 
-def holonomy_span(fm: FloatMetric, gl_basis: SubspaceBasis, loops: Sequence[LoopSpec],
+def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[LoopSpec],
                   membership_tol: float = 1e-6, rank_threshold: float = 1e-8) -> SpanReport:
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
-    ``gl_basis`` is the exact centralizer basis, built once by the caller.
-    The numerical rank uses singular values relative to the largest;
-    near-zero samples (flat directions) are excluded from the stack.  The
-    report passes iff the rank equals the centralizer dimension and every
-    membership residual stays below the tolerance.
+    ``cert`` is the Berger certificate, built once by the caller: the
+    membership residuals measure the distance to the span of its witness
+    values (the curvature image, which is g_L when it passed) and the
+    target rank is its ``dim_gL``.  The numerical rank uses singular values
+    relative to the largest; near-zero samples (flat directions) are
+    excluded from the stack.  The report passes iff the certificate passed,
+    the rank equals dim g_L and every membership residual stays below the
+    tolerance.
     """
-    gl = list(gl_basis.num.astype(np.float64) / gl_basis.den)
-    dim = len(gl)
+    num, den = cert.basis
+    gl = list(num.astype(np.float64) / den)
+    dim = cert.dim_gL
     samples = parallel_transport(fm, loops, gl) if loops else ()
 
     rows = [s.log_approx.ravel() for s in samples
@@ -249,7 +256,7 @@ def holonomy_span(fm: FloatMetric, gl_basis: SubspaceBasis, loops: Sequence[Loop
     else:
         gap = float(retained[-1] / discarded[0])
     max_res = max((s.membership_residual for s in samples), default=0.0)
-    passed = rank == dim and max_res < membership_tol
+    passed = cert.passed and rank == dim and max_res < membership_tol
     radius = None if fm.bound is None else validity_radius(fm.bound)
     return SpanReport(rank, dim, float(max_res), tuple(float(v) for v in sv),
                       gap, radius, samples, passed)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from holonomy import build_canonical, make_pencil
+from holonomy import berger_certificate, build_canonical, make_pencil, r_formal
 
 # The acceptance suite's probe specs (criteria 5 and 7), n = 3..5.
 PROBE_SPECS = [
@@ -22,6 +22,16 @@ PROBE_SPECS = [
 def pair_of(blocks, lam=0):
     """Canonical pair for a single eigenvalue with the given (size, sign) blocks."""
     return build_canonical(make_pencil([(Fraction(lam), blocks)]))
+
+
+def certificate(pair):
+    """The Berger certificate of ``pair``'s formal curvature map."""
+    return berger_certificate(pair, r_formal(pair))
+
+
+def certified_gl(pair):
+    """The certificate's g_L basis (its witness values) as a stack of Fractions."""
+    return fractions(*certificate(pair).basis)
 
 
 def mat(rows):

@@ -2,8 +2,9 @@
 
 None of this runs in ``holonomy verify``.  The exact oracles reach their
 results by routes other than the pipeline's: the curvature from the
-minimal polynomial, the centralizer from explicit Toeplitz generators,
-membership by exact span solving and the metric by direct evaluation.
+minimal polynomial, the centralizer from explicit Toeplitz generators and
+its closed-form dimension, membership by exact span solving and the metric
+by direct evaluation.
 Matrices here are object arrays of Fractions.  The ``*_ref`` functions are
 earlier index-loop versions of the exact stages, run on Fractions, for
 differential tests against the package: the Fraction elimination
@@ -22,8 +23,7 @@ import numpy as np
 
 from holonomy.berger import BianchiReport, CurvatureMap
 from holonomy.canonical import CanonicalPair
-from holonomy.exactla import int_form
-from holonomy.liealg import SubspaceBasis, wedge_tags
+from holonomy.liealg import wedge_tags
 from holonomy.probe import kernels
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import BTensor, QuadraticMetric, RealizationError
@@ -361,13 +361,23 @@ def _toeplitz_block(rows: int, cols: int, mu_index: int) -> np.ndarray:
     return np.array(e, dtype=object).reshape(rows, cols)
 
 
-def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> SubspaceBasis:
+def centralizer_dim(pair: CanonicalPair) -> int:
+    """Closed-form dim g_L: per eigenvalue with k blocks sized n_1 <= ... <= n_k
+    (1-indexed), sum over i of (k - i) * n_i."""
+    total = 0
+    for eig in pair.layout:
+        k = len(eig.blocks)
+        total += sum((k - i - 1) * b.size for i, b in enumerate(eig.blocks))
+    return total
+
+
+def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> np.ndarray:
     """Generators of the abelian piece supported on blocks i and j (i < j).
 
     Block indices are global (layout order); both must belong to the same
     eigenvalue.  Each generator has the shifted upper-Toeplitz (i, j) block
     with a single parameter set to 1 and the (j, i) block forced by
-    M_ji = -g_j M_ij^T g_i.
+    M_ji = -g_j M_ij^T g_i.  Returned as a (k, n, n) stack of Fractions.
     """
     blocks = pair.all_blocks()
     if not (0 <= i < j < len(blocks)):
@@ -391,16 +401,14 @@ def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> SubspaceBasis:
             for c in range(bi.size):
                 x[bj.offset + r][bi.offset + c] = mji[r, c]
         elems.append(x)
-    return SubspaceBasis(*int_form(elems))
+    return np.array(elems, dtype=object).reshape(-1, n, n)
 
 
 def member_coords(x, basis) -> Optional[list]:
     """Exact coordinates of x in span(basis), or None when not a member.
 
-    ``basis`` is a SubspaceBasis or a (k, n, n) stack of matrices.
+    ``basis`` is a (k, n, n) stack of matrices.
     """
-    if isinstance(basis, SubspaceBasis):
-        basis = fractions(basis.num, basis.den)
     if x.shape != basis.shape[1:]:
         raise ValueError("shape mismatch")
     return solve_in_span([list(b.flat) for b in basis], list(x.flat))

@@ -16,7 +16,6 @@ from holonomy import (
     berger_certificate,
     build_B,
     build_canonical,
-    centralizer_basis,
     lower_B,
     make_pencil,
     pencil_from_json,
@@ -24,9 +23,8 @@ from holonomy import (
     verify_realization,
 )
 from holonomy.berger import check_bianchi, check_sectional
-from holonomy.liealg import centralizer_dim
 from holonomy.cli import iter_corpus_specs
-from holonomy.exactla import rank
+from holonomy.exactla import int_form, rank
 from holonomy.probe import (
     FloatMetric,
     holonomy_span,
@@ -36,7 +34,13 @@ from holonomy.probe import (
 from holonomy.probe import kernels
 
 from helpers import PROBE_SPECS
-from oracles import apply_map, block_element, m_ij_basis
+from oracles import (
+    apply_map,
+    block_element,
+    centralizer_basis_ref,
+    centralizer_dim,
+    m_ij_basis,
+)
 
 CORPUS_MAX_N = 7
 
@@ -66,7 +70,7 @@ def test_criterion_1_berger_suite(corpus_pairs):
             failures.append(f"{name}: bianchi")
         if not check_sectional(rmap, pair.L):
             failures.append(f"{name}: containment")
-        cert = berger_certificate(pair, rmap, centralizer_basis(pair))
+        cert = berger_certificate(pair, rmap)
         if not (cert.passed and cert.image_rank == cert.dim_gL):
             failures.append(f"{name}: rank {cert.image_rank} != dim {cert.dim_gL}")
     elapsed = time.perf_counter() - started
@@ -78,17 +82,20 @@ def test_criterion_1_berger_suite(corpus_pairs):
 
 
 def test_criterion_2_dimension_formula(corpus_pairs):
-    """Centralizer size == closed-form dimension == kernel rank, exactly."""
+    """Certified dim g_L == closed-form dimension == kernel rank, exactly."""
     failures = []
     for name, pair in corpus_pairs:
-        basis = centralizer_basis(pair)
+        basis = centralizer_basis_ref(pair)
         expected = centralizer_dim(pair)
         if len(basis) != expected:
             failures.append(f"{name}: kernel {len(basis)} != formula {expected}")
             continue
         if len(basis):
-            if rank(basis.num.reshape(len(basis), pair.n ** 2)) != expected:
+            if rank(int_form(basis)[0]) != expected:
                 failures.append(f"{name}: dependent kernel output")
+        dim_gL = berger_certificate(pair, r_formal(pair)).dim_gL
+        if dim_gL != expected:
+            failures.append(f"{name}: certificate {dim_gL} != formula {expected}")
         # cross-check against the explicit blockwise generators
         total = 0
         blocks = pair.all_blocks()
@@ -154,9 +161,9 @@ def test_criterion_5_holonomy_probe():
     for name, blocks in PROBE_SPECS:
         pair, qm = _realized(blocks)
         fm = FloatMetric.from_exact(qm)
-        gl = centralizer_basis(pair)
+        cert = berger_certificate(pair, r_formal(pair))
         for seed in (0, 1):
-            rep = holonomy_span(fm, gl, standard_loops(pair.n, seed=seed))
+            rep = holonomy_span(fm, cert, standard_loops(pair.n, seed=seed))
             tag = f"{name} seed {seed}"
             if rep.span_rank != rep.dim_gL:
                 failures.append(f"{tag}: rank {rep.span_rank} != dim {rep.dim_gL}")

@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holonomy import berger_certificate, centralizer_basis, r_formal
+from holonomy import berger_certificate, r_formal
 from holonomy.berger import CurvatureMap, check_bianchi, check_sectional
-from holonomy.liealg import SubspaceBasis, so_basis, wedge_tags
+from holonomy.liealg import so_basis, wedge_tags
 
-from helpers import fractions, mat, pair_of
-from oracles import apply_map, block_element, member_coords, r_minpoly
+from helpers import certificate, fractions, mat, pair_of
+from oracles import apply_map, block_element, commutator, is_g_skew, r_minpoly
 
 Z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])  # generator for blocks (1, 2)
 
@@ -23,10 +23,6 @@ def zero_map(g):
 
 def values(rmap):
     return fractions(rmap.num, rmap.den)
-
-
-def certificate(pair):
-    return berger_certificate(pair, r_formal(pair), centralizer_basis(pair))
 
 
 # -- r_minpoly ---------------------------------------------------------------
@@ -47,10 +43,10 @@ def test_r_minpoly_blocks_1_2():
 
 def test_r_minpoly_lands_in_centralizer():
     pair = pair_of([(2, 1), (3, -1)], lam=Fraction(1, 2))
-    gl = centralizer_basis(pair)
+    L = fractions(*pair.L)
     for x in so_basis(pair.g):
         v = r_minpoly(pair, x)
-        assert member_coords(v, gl) is not None
+        assert is_g_skew(pair.g, v) and not commutator(v, L).any()
 
 
 # -- two-block patterns ----------------------------------------------------------
@@ -202,6 +198,8 @@ def test_certificate_blocks_1_2():
     cert = certificate(pair_of([(1, 1), (2, 1)]))
     assert cert.dim_gL == 1 and cert.image_rank == 1 and cert.passed
     assert cert.witnesses == ((0, 2),)
+    (value,) = fractions(*cert.basis)  # the witness value, the basis of g_L
+    assert np.array_equal(value, Z)
 
 
 def test_certificate_blocks_2_3_mixed_signs():
@@ -221,11 +219,23 @@ def test_certificate_json():
     }
 
 
-def test_certificate_rejects_short_gl_basis():
-    # negative control: the rank is compared against the basis it is handed
+def test_certificate_rejects_a_dropped_block_pair():
+    # negative control: a map silent on one block pair has a short image
     pair = pair_of([(1, 1), (1, 1), (2, 1)])
-    gl = centralizer_basis(pair)
-    short = SubspaceBasis(gl.num[:-1], gl.den)
-    cert = berger_certificate(pair, r_formal(pair), short)
-    assert cert.dim_gL == 2 and cert.image_rank == 3
+    rm = r_formal(pair)
+    vals = rm.num.copy()
+    vals[:, 0, 1] = vals[:, 1, 0] = 0  # the pair of the two 1-blocks
+    cert = berger_certificate(pair, CurvatureMap(rm.g, rm.tags, vals, rm.den))
+    assert cert.containment_ok and cert.dim_gL == 3 and cert.image_rank == 2
+    assert not cert.passed
+
+
+def test_certificate_rejects_a_value_outside_gl():
+    # negative control: one value pushed off g_L fails containment
+    pair = pair_of([(1, 1), (1, 1), (2, 1)])
+    rm = r_formal(pair)
+    vals = rm.num.copy()
+    vals[0] += so_basis(pair.g)[-1]  # wedge(e_2, e_3) does not commute with L
+    cert = berger_certificate(pair, CurvatureMap(rm.g, rm.tags, vals, rm.den))
+    assert not cert.containment_ok and cert.dim_gL == 3
     assert not cert.passed

@@ -70,6 +70,9 @@ MALFORMED_SPECS = [
     {"eigenvalues": [{"lambda": "nan", "blocks": [{"size": 1, "sign": 1}]}]},
     {"eigenvalues": [{"lambda": "-Infinity", "blocks": [{"size": 1, "sign": 1}]}]},
     {"eigenvalues": [{"lambda": "1+2i", "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": "1e5000", "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": "1e999999999", "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": "9" * 5000, "blocks": [{"size": 1, "sign": 1}]}]},
 ]
 
 
@@ -112,6 +115,8 @@ def test_verify_dimension_cap(tmp_path, capsys):
     ["--membership-tol", "0"],
     ["--rank-threshold", "0"],
     ["--membership-tol", "nan"],
+    ["--membership-tol", "inf"],
+    ["--rank-threshold", "inf"],
 ])
 def test_verify_rejects_bad_options(tmp_path, capsys, option):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
@@ -130,8 +135,7 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     import holonomy.probe  # noqa: F401  (so its bindings are counted too)
 
     counts = {}
-    for module, name in ((holonomy.berger, "r_formal"), (holonomy.liealg, "so_basis"),
-                         (holonomy.liealg, "centralizer_basis")):
+    for module, name in ((holonomy.berger, "r_formal"), (holonomy.liealg, "so_basis")):
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -144,7 +148,7 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec)))
     assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
-    assert counts == {"r_formal": 1, "so_basis": 1, "centralizer_basis": 1}
+    assert counts == {"r_formal": 1, "so_basis": 1}
 
 
 def test_verify_stage_subset(tmp_path):
@@ -289,6 +293,23 @@ def test_report_failing_rows_first(tmp_path, capsys):
     assert main(["report", str(good), str(bad)]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert "bad.json" in lines[1] and "good.json" in lines[2]
+
+
+def test_report_sorts_n_as_a_number(tmp_path, capsys):
+    small = write_spec(tmp_path, "small.json", SPEC_1_2)
+    large = write_spec(tmp_path, "large.json", _blocks({"size": 12, "sign": 1}))
+    paths = []
+    for spec in (large, small):
+        out = tmp_path / f"r_{spec.stem}.json"
+        main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(out)])
+        paths.append(str(out))
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    capsys.readouterr()
+    assert main(["report"] + paths + [str(broken)]) == 1
+    rows = [ln.split("\t") for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("broken.json", ""), ("r_small.json", "3"), ("r_large.json", "12")]
 
 
 def test_runconfig_validation():

@@ -1,8 +1,9 @@
 """Differential tests: the integer core against the earlier Fraction code.
 
 The fraction-free elimination must give the Fraction elimination's rank,
-kernel vectors, inverse and Berger witnesses, on random matrices and on
-the corpus.  Each exact check runs on every single-entry perturbation of
+inverse and Berger witnesses, on random matrices and on the corpus, and
+the certificate's g_L (its dimension by rank-nullity, its basis the
+witness values) must match the Fraction kernel of the defining equations.  Each exact check runs on every single-entry perturbation of
 a correct input, once as the package's integer contraction and once as
 the earlier Fraction index loop kept in ``oracles``.  The two must return
 the same verdicts, the same curvature (or both raise), and the same
@@ -21,7 +22,6 @@ from holonomy import (
     berger_certificate,
     build_B,
     build_canonical,
-    centralizer_basis,
     lower_B,
     make_pencil,
     pencil_from_json,
@@ -29,7 +29,8 @@ from holonomy import (
 )
 from holonomy.berger import CurvatureMap, check_bianchi, check_sectional
 from holonomy.cli import iter_corpus_specs
-from holonomy.exactla import int_form, inverse, kernel_basis, pivot_columns, rank
+from holonomy.exactla import int_form, inverse, pivot_columns, rank
+from holonomy.liealg import commutator_system, so_basis
 from holonomy.realize import (
     QuadraticMetric,
     RealizationError,
@@ -41,12 +42,12 @@ from holonomy.realize import (
 from helpers import fractions
 from oracles import (
     centralizer_basis_ref,
+    centralizer_dim,
     check_bianchi_ref,
     check_gsym_ref,
     check_nablaL_ref,
     check_sectional_ref,
     inverse_ref,
-    kernel_basis_ref,
     rank_ref,
     riemann_at_origin_ref,
     witnesses_ref,
@@ -75,12 +76,10 @@ def _riemann_outcome(fn, qm):
 
 def _same_elimination(m):
     """The integer elimination of the Fraction matrix m agrees with the
-    Fraction one: rank, kernel vectors, inverse, and pivot columns as the
-    witnesses of the greedy span loop over m's rows."""
+    Fraction one: rank, inverse, and pivot columns as the witnesses of the
+    greedy span loop over m's rows."""
     num, den = int_form(m)
     assert rank(num) == rank_ref(m)
-    kernel = fractions(*kernel_basis(num))
-    assert kernel.tolist() == kernel_basis_ref(m)
     if m.shape[0] == m.shape[1]:
         try:
             want = inverse_ref(m)
@@ -116,14 +115,29 @@ def test_elimination_matches_fraction_rref_on_corpus(lam):
     for name, doc in iter_corpus_specs(5):
         doc["eigenvalues"][0]["lambda"] = str(lam)
         pair = build_canonical(pencil_from_json(doc))
-        gl = centralizer_basis(pair)
-        got = fractions(gl.num, gl.den).reshape(len(gl), pair.n ** 2)
-        assert got.tolist() == centralizer_basis_ref(pair), name
         assert np.array_equal(fractions(*inverse(pair.g)), inverse_ref(pair.g)), name
         rmap = r_formal(pair)
-        cert = berger_certificate(pair, rmap, gl)
+        cert = berger_certificate(pair, rmap)
         assert cert.witnesses == witnesses_ref(rmap), name
         assert cert.image_rank == rank_ref(rmap.num.reshape(len(rmap.tags), pair.n ** 2)), name
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(-2, 3)])
+def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
+    for name, doc in iter_corpus_specs(7):
+        doc["eigenvalues"][0]["lambda"] = str(lam)
+        pair = build_canonical(pencil_from_json(doc))
+        n, l = pair.n, pair.L[0]
+        w = so_basis(pair.g)
+        assert np.array_equal(commutator_system(pair.g, l),
+                              (w @ l - l @ w).reshape(len(w), n * n).T), name
+        cert = berger_certificate(pair, r_formal(pair))
+        kernel = centralizer_basis_ref(pair)
+        assert cert.dim_gL == len(kernel) == centralizer_dim(pair), name
+        # the witness values lie in the oracle's kernel and span it
+        values = fractions(*cert.basis).reshape(-1, n * n)
+        stacked = np.array(kernel + values.tolist(), dtype=object).reshape(-1, n * n)
+        assert len(values) == rank_ref(values) == rank_ref(stacked) == cert.dim_gL, name
 
 
 @pytest.mark.parametrize("case", CASES, ids=["1+2+", "1+2-2+"])

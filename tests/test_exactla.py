@@ -7,10 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy.exactla import int_form, inverse, kernel_basis, rank, rat_from_str
+from holonomy.canonical import rat_from_str
+from holonomy.exactla import int_form, inverse, rank
 
-from helpers import fractions, mat
-from oracles import Poly, matrix_powers, minimal_polynomial, rank_ref, solve_in_span
+from helpers import mat
+from oracles import (
+    Poly,
+    kernel_basis_ref,
+    matrix_powers,
+    minimal_polynomial,
+    rank_ref,
+    solve_in_span,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -38,7 +46,9 @@ def test_rational_strings():
     assert str(Fraction(6, 3)) == "2"
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a", "1.5.2", "2+3i"])
+@pytest.mark.parametrize("bad", ["", "1/0", "a", "1.5.2", "2+3i",
+                                 "1e5000", "1e999999999",
+                                 pytest.param("9" * 5000, id="5000-digits")])
 def test_rational_strings_reject(bad):
     with pytest.raises(ValueError):
         rat_from_str(bad)
@@ -60,14 +70,6 @@ def test_rank_examples():
     assert rank(eye(3)) == 3
     assert rank(zeros(2, 5)) == 0
     assert rank(np.array([[1, 2], [2, 4]], dtype=object)) == 1
-
-
-def test_kernel_examples():
-    assert kernel_basis(eye(3))[0].shape == (0, 3)
-    assert len(kernel_basis(zeros(2, 2))[0]) == 2
-    (v,), _ = kernel_basis(np.array([[1, 1]], dtype=object))
-    # one vector proportional to (1, -1)
-    assert v[0] * -1 == v[1] and any(v)
     with pytest.raises(TypeError):
         rank(mat([[Fraction(1, 2)]]))  # Fractions go through int_form first
 
@@ -77,9 +79,9 @@ def test_kernel_examples():
 def test_rank_plus_nullity(entries):
     m = np.array(entries, dtype=object).reshape(3, 4)
     num, _ = int_form(m)
-    ker, den = kernel_basis(num)
+    ker = np.array(kernel_basis_ref(m), dtype=object).reshape(-1, 4)
     assert rank(num) + len(ker) == 4 == rank_ref(m) + len(ker)
-    assert not (m @ fractions(ker, den).T).any()
+    assert not (m @ ker.T).any()
 
 
 # -- minimal polynomials -----------------------------------------------------

@@ -1,22 +1,26 @@
-"""so(g) bases, centralizer computation, and the block decomposition."""
+"""so(g) bases, the commutator system, the certified g_L basis, and the
+block decomposition."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from holonomy import build_canonical, centralizer_basis, make_pencil
+from holonomy import build_canonical, make_pencil
 from holonomy.exactla import int_form, rank
-from holonomy.liealg import SubspaceBasis, centralizer_dim, so_basis, wedge_tags
+from holonomy.liealg import commutator_system, so_basis, wedge_tags
 
-from helpers import fractions, mat, pair_of, unit
-from oracles import commutator, is_g_skew, m_ij_basis, member_coords, wedge
-
-
-def elements(basis):
-    return fractions(basis.num, basis.den)
+from helpers import certified_gl, fractions, mat, pair_of, unit
+from oracles import (
+    centralizer_dim,
+    commutator,
+    is_g_skew,
+    m_ij_basis,
+    member_coords,
+    wedge,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -80,16 +84,32 @@ def test_so_basis_rejects_degenerate():
         so_basis(np.array([[1, 0], [0, 0]], dtype=object))
 
 
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_commutator_system_matches_basis_commutators(n, data):
+    # column k is W_k l - l W_k for any integer l, g-symmetric or not
+    ints = st.integers(-3, 3)
+    g = np.array(data.draw(st.lists(ints, min_size=n * n, max_size=n * n)),
+                 dtype=object).reshape(n, n)
+    g = g + g.T
+    assume(rank(g) == n)
+    l = np.array(data.draw(st.lists(ints, min_size=n * n, max_size=n * n)),
+                 dtype=object).reshape(n, n)
+    w = so_basis(g)
+    want = (w @ l - l @ w).reshape(len(w), n * n).T
+    assert np.array_equal(commutator_system(g, l), want)
+
+
 def test_centralizer_single_block_trivial():
     for size in (2, 3, 4):
         pair = pair_of([(size, 1)])
-        assert len(centralizer_basis(pair)) == 0
+        assert len(certified_gl(pair)) == 0
         assert centralizer_dim(pair) == 0
 
 
 def test_centralizer_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    basis = centralizer_basis(pair)
+    basis = certified_gl(pair)
     assert len(basis) == 1 == centralizer_dim(pair)
     z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])
     coords = member_coords(z, basis)
@@ -99,15 +119,15 @@ def test_centralizer_blocks_1_2():
 def test_centralizer_blocks_1_2_3():
     pair = pair_of([(1, 1), (2, 1), (3, 1)])
     assert centralizer_dim(pair) == 4
-    assert len(centralizer_basis(pair)) == 4
+    assert len(certified_gl(pair)) == 4
 
 
 def test_centralizer_defining_equations_and_cross_blocks():
     pair = build_canonical(make_pencil([(0, [(1, 1), (2, -1)]), (2, [(1, 1), (1, -1)])]))
-    basis = centralizer_basis(pair)
+    basis = certified_gl(pair)
     assert len(basis) == centralizer_dim(pair) == 1 + 1
     lo = 3  # first index of the second eigenvalue
-    for x in elements(basis):
+    for x in basis:
         assert is_g_skew(pair.g, x)
         assert not commutator(x, fractions(*pair.L)).any()
         # cross-eigenvalue blocks vanish exactly
@@ -118,7 +138,7 @@ def test_centralizer_defining_equations_and_cross_blocks():
 
 def test_m_ij_generator_matches_kernel():
     pair = pair_of([(1, 1), (2, 1)])
-    (gen,) = elements(m_ij_basis(pair, 0, 1))
+    (gen,) = m_ij_basis(pair, 0, 1)
     assert np.array_equal(gen, mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]]))
 
 
@@ -126,20 +146,20 @@ def test_m_ij_dimensions_and_commutativity():
     pair = pair_of([(2, 1), (2, -1)])
     basis = m_ij_basis(pair, 0, 1)
     assert len(basis) == 2
-    a, b = elements(basis)
+    a, b = basis
     assert not commutator(a, b).any()
-    for x in elements(basis):
+    for x in basis:
         assert is_g_skew(pair.g, x)
         assert not commutator(x, fractions(*pair.L)).any()
 
 
 def test_m_ij_direct_sum_fills_centralizer():
     pair = pair_of([(1, 1), (1, -1), (2, 1)])
-    gl = centralizer_basis(pair)
+    gl = certified_gl(pair)
     gens = []
     for i in range(3):
         for j in range(i + 1, 3):
-            gens.extend(elements(m_ij_basis(pair, i, j)))
+            gens.extend(m_ij_basis(pair, i, j))
     assert len(gens) == len(gl) == centralizer_dim(pair) == 3
     stack = int_form([g.ravel() for g in gens])[0]
     assert rank(stack) == len(gl)
@@ -157,9 +177,9 @@ def test_m_ij_index_errors():
 
 def test_centralizer_closed_under_bracket():
     pair = pair_of([(1, 1), (1, 1), (2, 1)])
-    basis = centralizer_basis(pair)
-    for a in elements(basis):
-        for b in elements(basis):
+    basis = certified_gl(pair)
+    for a in basis:
+        for b in basis:
             assert member_coords(commutator(a, b), basis) is not None
 
 
@@ -171,11 +191,4 @@ def test_member_coords_examples():
     assert coords[0] == 1 and not any(coords[1:])
     assert member_coords(np.zeros((3, 3), dtype=object), basis) == [0, 0, 0]
     # L is g-symmetric and nonzero, so it cannot lie in the skew algebra
-    assert member_coords(fractions(*pair.L), centralizer_basis(pair)) is None
-
-
-def test_subspace_basis_rejects_dependent():
-    eye = np.eye(2, dtype=object)
-    with pytest.raises(ValueError):
-        SubspaceBasis(np.array([eye, 2 * eye]))
-    assert len(SubspaceBasis(np.array([eye]), 3)) == 1
+    assert member_coords(fractions(*pair.L), certified_gl(pair)) is None

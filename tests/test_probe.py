@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holonomy import build_B, centralizer_basis, lower_B, r_formal
+from holonomy import berger_certificate, build_B, lower_B, r_formal
+from holonomy.berger import CurvatureMap
 from holonomy.probe import transport
 from holonomy.probe import (
     FloatMetric,
@@ -20,7 +21,7 @@ from holonomy.probe import kernels
 
 from holonomy.realize import invertibility_bound, validity_radius
 
-from helpers import PROBE_SPECS, pair_of
+from helpers import PROBE_SPECS, certificate, certified_gl, pair_of
 from oracles import christoffel, metric_at, metric_value, nablaL_residual, transport_polyline_ref
 
 
@@ -31,7 +32,7 @@ def realized(blocks, lam=0):
 
 
 def span(qm, pair, loops):
-    return holonomy_span(FloatMetric.from_exact(qm), centralizer_basis(pair), loops)
+    return holonomy_span(FloatMetric.from_exact(qm), certificate(pair), loops)
 
 
 def fd_christoffel(fm, x, h=1e-5):
@@ -133,8 +134,7 @@ def test_loop_shrinking_consistency():
 
 def test_transport_membership_and_drift():
     pair, qm = realized([(1, 1), (2, 1)])
-    basis = centralizer_basis(pair)
-    gl = list(basis.num.astype(float) / basis.den)
+    gl = list(certified_gl(pair).astype(float))
     fm = FloatMetric.from_exact(qm)
     for loop in standard_loops(3, seed=3):
         s = parallel_transport(fm, loop, gl)
@@ -187,6 +187,20 @@ def test_span_blocks_1_1_2():
     rep = span(qm, pair, standard_loops(4, seed=0))
     assert rep.span_rank == 3 == rep.dim_gL
     assert rep.passed
+
+
+def test_span_fails_with_a_failing_certificate():
+    # negative control: the basis is g_L only when the certificate passed.
+    # Here only Bianchi fails: the image is still g_L, so the samples match it.
+    pair, qm = realized([(1, 1), (2, 1)])
+    rm = r_formal(pair)
+    vals = rm.num.copy()
+    vals[rm.tags.index((0, 1))] = vals[rm.tags.index((0, 2))]
+    bad = berger_certificate(pair, CurvatureMap(rm.g, rm.tags, vals, rm.den))
+    assert not bad.bianchi_ok and bad.containment_ok and bad.image_rank == bad.dim_gL
+    rep = holonomy_span(FloatMetric.from_exact(qm), bad, standard_loops(3, seed=0))
+    assert rep.span_rank == 1 == rep.dim_gL and rep.max_membership_residual < 1e-6
+    assert not rep.passed
 
 
 def test_span_report_json():
@@ -374,7 +388,7 @@ def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
     with pytest.raises(SingularMetricError):
         parallel_transport(fm, loops)
     with pytest.raises(SingularMetricError):
-        holonomy_span(fm, centralizer_basis(pair), loops)
+        holonomy_span(fm, certificate(pair), loops)
     assert kernel_calls == []
 
 
