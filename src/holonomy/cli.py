@@ -13,10 +13,10 @@ and seed; per-stage wall times go to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -46,12 +46,15 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValueError("stages must be nonempty")
-        tols = (self.membership_tol, self.rank_threshold)
-        # math.isfinite rejects NaN and inf; an infinite tolerance makes its check vacuous
-        if not all(math.isfinite(t) and t > 0 for t in tols):
-            raise ValueError("--membership-tol and --rank-threshold must be positive and finite")
+        unknown = [s for s in self.stages if s not in ALL_STAGES]
+        if unknown or not self.stages:
+            raise ValueError(f"unknown stages: {','.join(unknown) or '(none)'}")
+        if len(set(self.stages)) < len(self.stages):
+            raise ValueError(f"repeated stage in: {','.join(self.stages)}")
+        # both are relative, so a value of 1 or more makes its check vacuous (and
+        # the comparison rejects NaN)
+        if not all(0 < t < 1 for t in (self.membership_tol, self.rank_threshold)):
+            raise ValueError("--membership-tol and --rank-threshold must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
@@ -111,8 +114,8 @@ def cmd_verify(config: RunConfig) -> tuple:
     rmap = r_formal(pair) if wanted & {"berger", "realize", "probe"} else None
     # the certificate's witness values are the probe's g_L basis
     cert = berger_certificate(pair, rmap) if wanted & {"berger", "probe"} else None
+    qm = lower_B(build_B(pair), pair.g) if wanted & {"realize", "probe"} else None
     timings = [("shared", time.perf_counter() - started)]
-    qm = None
 
     for stage in ALL_STAGES:
         if stage not in wanted:
@@ -123,11 +126,8 @@ def cmd_verify(config: RunConfig) -> tuple:
         elif stage == "berger":
             report["stages"]["berger"] = cert.to_json()
         elif stage == "realize":
-            stage_report, qm, _ = verify_realization(pair, rmap)
-            report["stages"]["realize"] = stage_report.to_json()
+            report["stages"]["realize"] = verify_realization(pair, qm, rmap).to_json()
         elif stage == "probe":
-            if qm is None:
-                qm = lower_B(build_B(pair), pair.g)
             report["stages"]["probe"] = _stage_probe(qm, cert, config)
         timings.append((stage, time.perf_counter() - started))
 
@@ -140,10 +140,16 @@ def cmd_verify(config: RunConfig) -> tuple:
 
 def _write_json_atomic(path: str, doc: dict) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the temp file is ours: never leave it behind
+            os.remove(tmp)
+        raise
 
 
 # -- corpus ------------------------------------------------------------------
@@ -332,10 +338,6 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
-        unknown = [s for s in stages if s not in ALL_STAGES]
-        if unknown or not stages:
-            print(f"unknown stages: {','.join(unknown) or '(none)'}", file=sys.stderr)
-            return 2
         try:
             config = RunConfig(input=args.input, stages=stages, seed=args.seed,
                                membership_tol=args.membership_tol,

@@ -1,11 +1,9 @@
-"""Hot float kernels: metric value, Christoffel symbols, batched polyline transport.
+"""Hot float kernel: batched RK4 parallel transport along polylines.
 
 Array conventions (all float64):
     g0    (n, n)           constant metric value at the origin
     B     (n, n, n, n)     lowered quadratic coefficients B[i,j,p,q], converted
                            once from the exact integer form as num / den
-    x     (n,)             evaluation point
-    gamma (n, n, n)        gamma[k, i, j] with symmetric (i, j)
     verts (L, V, n)        L polylines of V vertices each, transported together
     steps (L * (V - 1),)   RK4 steps per segment, loop-major: segment e of loop l
                            is steps[l * (V - 1) + e]; one even count N for the
@@ -35,19 +33,6 @@ import numpy as np
 # Floats in one batch's node array m; a batch holds at least one loop.  This
 # bounds the working set, so peak memory does not grow with the loop count.
 NODE_BUDGET = 1 << 17
-
-
-def metric_value(g0, B, x):
-    return g0 + np.einsum("ijpq,p,q->ij", B, x, x)
-
-
-def christoffel(g0, B, x):
-    n = g0.shape[0]
-    gx = metric_value(g0, B, x)
-    dg = 2.0 * np.einsum("ijpq,q->pij", B, x)
-    t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
-    sol = np.linalg.solve(gx, t.reshape(n, n * n))
-    return 0.5 * sol.reshape(n, n, n)
 
 
 def contraction_matrices(B):

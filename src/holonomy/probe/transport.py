@@ -9,20 +9,19 @@ curvature images that span g_L, are the basis the logarithms are tested
 against.
 
 Every loop is a 7-vertex polyline (a square at the origin has tails of
-length 0 and no steps on them) whose segments all take the loop's step
-count, so one kernel call transports all loops of a run that share a step
-count.  Before it, each polyline is certified regular by the exact bound
-|x|_inf^2 * c < 1 at its vertices (the sup-norm is convex, so that covers
-every point of every segment); a polyline the bound does not cover is
-refused.  Every sample carries the kernel's step-doubling estimate of its
-RK4 error.
+length 0 and no steps on them) whose segments all take the call's step
+count, so one kernel call transports all loops of a run.  Before it, each
+polyline is certified regular by the exact bound |x|_inf^2 * c < 1 at its
+vertices (the sup-norm is convex, so that covers every point of every
+segment); a polyline the bound does not cover is refused.  Every sample
+carries the kernel's step-doubling estimate of its RK4 error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +31,12 @@ from . import kernels
 
 # Frobenius norms below this are treated as a zero logarithm sample.
 _NEGLIGIBLE = 1e-9
+
+# The standard loop family: side of every square, and the seeded off-origin
+# corners, drawn uniformly from [-BASEPOINT_NORM, BASEPOINT_NORM]^n.
+SIDE = 1e-2
+EXTRA_BASEPOINTS = 2
+BASEPOINT_NORM = 0.05
 
 
 class SingularMetricError(RuntimeError):
@@ -45,7 +50,6 @@ class LoopSpec:
     basepoint: tuple
     plane: tuple
     side: float
-    steps: int  # RK4 steps per segment, edges and tails alike
 
     def __post_init__(self) -> None:
         a, b = self.plane
@@ -53,8 +57,6 @@ class LoopSpec:
             raise ValueError("plane must be two distinct nonnegative indices")
         if not (self.side > 0):
             raise ValueError("side must be positive")
-        if self.steps < 16 or self.steps % 2:
-            raise ValueError("need an even count of at least 16 steps per segment")
         object.__setattr__(self, "basepoint", tuple(float(v) for v in self.basepoint))
 
 
@@ -62,7 +64,6 @@ class LoopSpec:
 class HolonomySample:
     transport: np.ndarray
     log_approx: np.ndarray
-    membership_residual: float
     metric_drift: float
     step_error: float  # Richardson estimate |D_N - D_(N/2)|_max / 15, A = I + D
     extent: float  # largest vertex sup-norm of the loop's polyline
@@ -72,14 +73,13 @@ class HolonomySample:
 class FloatMetric:
     """Float64 view of a quadratic metric, converted once per probe run.
 
-    ``bound`` is the exact invertibility constant c of the metric it was
-    converted from, or None when the floats have no exact origin; such a
-    metric certifies no loop, so it transports none.
+    ``bound`` is the exact invertibility constant c of the metric, which
+    certifies the loops the probe may transport.
     """
 
     __slots__ = ("g0", "B", "n", "bound")
 
-    def __init__(self, g0: np.ndarray, B: np.ndarray, bound: Optional[Fraction] = None) -> None:
+    def __init__(self, g0: np.ndarray, B: np.ndarray, bound: Fraction) -> None:
         self.g0 = np.ascontiguousarray(g0, dtype=np.float64)
         self.B = np.ascontiguousarray(B, dtype=np.float64)
         self.n = self.g0.shape[0]
@@ -92,11 +92,11 @@ class FloatMetric:
 
     def certifies(self, extent: float) -> bool:
         """Exactly: is g(x) invertible for every |x|_inf <= extent?"""
-        return self.bound is not None and Fraction(extent) ** 2 * self.bound < 1
+        return Fraction(extent) ** 2 * self.bound < 1
 
 
-def _loop_polyline(loop: LoopSpec, n: int):
-    """Vertices and per-segment step counts for the origin-based lasso."""
+def _loop_polyline(loop: LoopSpec, n: int) -> np.ndarray:
+    """The 7 vertices of the origin-based lasso."""
     a, b = loop.plane
     if a >= n or b >= n:
         raise ValueError("plane indices exceed the dimension")
@@ -106,82 +106,56 @@ def _loop_polyline(loop: LoopSpec, n: int):
     eb = np.zeros(n)
     ea[a] = loop.side
     eb[b] = loop.side
-    verts = [np.zeros(n), bp, bp + ea, bp + ea + eb, bp + eb, bp, np.zeros(n)]
-    tail = loop.steps if np.any(bp != 0.0) else 0
-    steps = [tail] + [loop.steps] * 4 + [tail]
-    return np.stack(verts), np.array(steps, dtype=np.int64)
+    return np.stack([np.zeros(n), bp, bp + ea, bp + ea + eb, bp + eb, bp, np.zeros(n)])
 
 
-def membership_residual(psi: np.ndarray, gl_floats: Sequence[np.ndarray]) -> float:
-    """Relative Frobenius distance of psi to the span of the basis."""
-    norm = float(np.linalg.norm(psi))
-    if norm < _NEGLIGIBLE:
-        return 0.0
-    if not len(gl_floats):
-        return 1.0
-    a = np.stack([m.ravel() for m in gl_floats], axis=1)
-    coef, *_ = np.linalg.lstsq(a, psi.ravel(), rcond=None)
-    return float(np.linalg.norm(psi.ravel() - a @ coef)) / norm
+def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec], steps: int = 16) -> tuple:
+    """Integrate transport around origin-based square loops in one kernel call.
 
-
-def parallel_transport(fm: FloatMetric, loops,
-                       gl_basis: Optional[Sequence[np.ndarray]] = None):
-    """Integrate transport around one origin-based square loop, or around a
-    sequence of them in one batched kernel call per step count.
-
-    dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4; the square
-    is traversed corner -> +e_a -> +e_b -> -e_a -> -e_b.  The logarithm is
-    the second-order truncation D - D^2 / 2 of A = I + D, adequate because
-    |D| = O(side^2).  The membership residual is NaN when no basis is
-    supplied.  Returns a HolonomySample for one LoopSpec and a tuple of them
-    for a sequence; a loop the exact bound does not certify, or a degenerate
-    metric on any loop, raises before any result exists.
+    dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4, ``steps``
+    steps per segment; each square is traversed corner -> +e_a -> +e_b ->
+    -e_a -> -e_b.  The logarithm is the second-order truncation D - D^2 / 2
+    of A = I + D, adequate because |D| = O(side^2).  Returns one
+    HolonomySample per loop, in order; a loop the exact bound does not
+    certify, or a degenerate metric on any loop, raises before any result
+    exists.
     """
-    batch = [loops] if isinstance(loops, LoopSpec) else list(loops)
-    polylines = [_loop_polyline(lp, fm.n) for lp in batch]
-    extents = [float(np.max(np.abs(verts))) for verts, _ in polylines]
-    for lp, extent in zip(batch, extents):
+    if steps < 16 or steps % 2:
+        raise ValueError("need an even count of at least 16 steps per segment")
+    if not loops:
+        return ()
+    verts = np.stack([_loop_polyline(lp, fm.n) for lp in loops])
+    extents = np.max(np.abs(verts), axis=(1, 2)).tolist()
+    for lp, extent in zip(loops, extents):
         if not fm.certifies(extent):
-            radius = "none (no exact bound)" if fm.bound is None else validity_radius(fm.bound)
             raise SingularMetricError(
                 f"loop in plane {lp.plane} at basepoint {list(lp.basepoint)} has extent "
-                f"|x|_inf = {extent!r}, not certified regular by the validity radius {radius}")
-    d = np.empty((len(batch), fm.n, fm.n))
-    err = np.empty(len(batch))
-    for steps in sorted({lp.steps for lp in batch}):
-        group = [i for i, lp in enumerate(batch) if lp.steps == steps]
-        try:
-            d[group], err[group] = kernels.transport_polyline(
-                fm.g0, fm.B, np.stack([polylines[i][0] for i in group]),
-                np.concatenate([polylines[i][1] for i in group]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetricError("metric is singular on a loop") from exc
+                f"|x|_inf = {extent!r}, not certified regular by the validity radius "
+                f"{validity_radius(fm.bound)}")
+    # a segment of length 0 (an origin square's tail) takes no steps
+    moves = np.any(verts[:, 1:] != verts[:, :-1], axis=-1)
+    try:
+        d, err = kernels.transport_polyline(fm.g0, fm.B, verts,
+                                            np.where(moves, steps, 0).ravel())
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError("metric is singular on a loop") from exc
     if not (np.isfinite(d).all() and np.isfinite(err).all()):
         raise SingularMetricError("transport diverged; metric degenerates on the loop")
     a = d + np.eye(fm.n)
     psi = d - 0.5 * (d @ d)
     drift = np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
-    samples = tuple(
-        HolonomySample(a[i], psi[i],
-                       float("nan") if gl_basis is None else membership_residual(psi[i], gl_basis),
-                       float(drift[i]), float(err[i]), extents[i], lp)
-        for i, lp in enumerate(batch))
-    return samples[0] if isinstance(loops, LoopSpec) else samples
+    return tuple(HolonomySample(a[i], psi[i], float(drift[i]), float(err[i]), extents[i], lp)
+                 for i, lp in enumerate(loops))
 
 
-def standard_loops(n: int, seed: int = 0, side: float = 1e-2, steps: int = 16,
-                   extra_basepoints: int = 2, basepoint_norm: float = 0.05) -> list:
+def standard_loops(n: int, seed: int = 0) -> list:
     """Squares in every coordinate plane at the origin plus seeded basepoints."""
     rng = np.random.default_rng(seed)
     basepoints = [tuple(0.0 for _ in range(n))]
-    for _ in range(extra_basepoints):
-        basepoints.append(tuple(rng.uniform(-basepoint_norm, basepoint_norm, n).tolist()))
-    loops = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for bp in basepoints:
-                loops.append(LoopSpec(bp, (a, b), side, steps))
-    return loops
+    for _ in range(EXTRA_BASEPOINTS):
+        basepoints.append(tuple(rng.uniform(-BASEPOINT_NORM, BASEPOINT_NORM, n).tolist()))
+    return [LoopSpec(bp, (a, b), SIDE)
+            for a in range(n) for b in range(a + 1, n) for bp in basepoints]
 
 
 @dataclass(frozen=True)
@@ -191,8 +165,9 @@ class SpanReport:
     max_membership_residual: float
     singular_values: tuple
     sv_gap: float
-    validity_radius: Optional[float]  # None when the metric has no exact bound
+    validity_radius: float
     samples: tuple  # of HolonomySample
+    residuals: tuple  # membership residual of each sample, in order
     passed: bool
 
     def to_json(self) -> dict:
@@ -210,11 +185,11 @@ class SpanReport:
                     "plane": list(s.loop.plane),
                     "side": s.loop.side,
                     "basepoint": list(s.loop.basepoint),
-                    "residual": s.membership_residual,
+                    "residual": r,
                     "metric_drift": s.metric_drift,
                     "step_error": s.step_error,
                 }
-                for s in self.samples
+                for s, r in zip(self.samples, self.residuals)
             ],
             "passed": self.passed,
         }
@@ -225,23 +200,29 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
     ``cert`` is the Berger certificate, built once by the caller: the
-    membership residuals measure the distance to the span of its witness
-    values (the curvature image, which is g_L when it passed) and the
-    target rank is its ``dim_gL``.  The numerical rank uses singular values
-    relative to the largest; near-zero samples (flat directions) are
-    excluded from the stack.  The report passes iff the certificate passed,
-    the rank equals dim g_L and every membership residual stays below the
-    tolerance.
+    membership residual of a sample is its relative Frobenius distance to
+    the span of the witness values (the curvature image, which is g_L when
+    the certificate passed), all samples in one least-squares solve, and
+    the target rank is ``cert.dim_gL``.  The numerical rank uses singular
+    values relative to the largest; near-zero samples (flat directions) are
+    excluded from the stack and have residual 0.  The report passes iff the
+    certificate passed, the rank equals dim g_L and every membership
+    residual stays below the tolerance.
     """
     num, den = cert.basis
-    gl = list(num.astype(np.float64) / den)
     dim = cert.dim_gL
-    samples = parallel_transport(fm, loops, gl) if loops else ()
+    samples = parallel_transport(fm, loops)
 
-    rows = [s.log_approx.ravel() for s in samples
-            if float(np.linalg.norm(s.log_approx)) >= _NEGLIGIBLE]
-    if rows:
-        sv = np.linalg.svd(np.stack(rows), compute_uv=False)
+    psi = np.array([s.log_approx.ravel() for s in samples]).reshape(len(samples), fm.n ** 2)
+    norms = np.linalg.norm(psi, axis=1)
+    kept = norms >= _NEGLIGIBLE
+    gl = (num.astype(np.float64) / den).reshape(len(num), fm.n ** 2).T
+    coef = np.linalg.lstsq(gl, psi[kept].T, rcond=None)[0]
+    residuals = np.zeros(len(samples))
+    residuals[kept] = np.linalg.norm(psi[kept].T - gl @ coef, axis=0) / norms[kept]
+
+    if kept.any():
+        sv = np.linalg.svd(psi[kept], compute_uv=False)
         sv = sv[sv > 0.0]
         rank = int(np.sum(sv > rank_threshold * sv[0])) if sv.size else 0
     else:
@@ -255,8 +236,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
         gap = 0.0
     else:
         gap = float(retained[-1] / discarded[0])
-    max_res = max((s.membership_residual for s in samples), default=0.0)
+    max_res = float(residuals.max(initial=0.0))
     passed = cert.passed and rank == dim and max_res < membership_tol
-    radius = None if fm.bound is None else validity_radius(fm.bound)
-    return SpanReport(rank, dim, float(max_res), tuple(float(v) for v in sv),
-                      gap, radius, samples, passed)
+    return SpanReport(rank, dim, max_res, tuple(float(v) for v in sv), gap,
+                      validity_radius(fm.bound), samples, tuple(residuals.tolist()), passed)

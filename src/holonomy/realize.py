@@ -215,24 +215,20 @@ class RealizationReport:
         }
 
 
-def verify_realization(pair: CanonicalPair, formal: CurvatureMap):
-    """Build the metric and run every exact realization check.
+def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
+                       formal: CurvatureMap) -> RealizationReport:
+    """Run every exact realization check on the metric ``qm``.
 
-    ``formal`` is the certified map ``r_formal(pair)``, built once by the
-    caller; the metric's curvature at the origin is computed independently
-    and compared against it value for value.  Returns ``(report, qm, rmap)``
-    with ``rmap`` the metric's curvature map (None when the two Riemann
-    routes disagree), so callers can reuse the metric.
+    ``qm`` is ``lower_B(build_B(pair), pair.g)`` and ``formal`` the
+    certified map ``r_formal(pair)``, both built once by the caller; the
+    metric's curvature at the origin is computed independently and
+    compared against ``formal`` value for value.
     """
-    b = build_B(pair)
-    qm = lower_B(b, pair.g)
-    nabla_ok = check_nablaL(qm, pair.L)
-    gsym_ok = check_gsym(qm, pair.L)
     try:
         rmap = riemann_at_origin(qm)
     except RealizationError:
         rmap = None
     matches = (rmap is not None and rmap.den == formal.den
                and np.array_equal(rmap.num, formal.num))
-    report = RealizationReport(nabla_ok, gsym_ok, rmap is not None, matches)
-    return report, qm, rmap
+    return RealizationReport(check_nablaL(qm, pair.L), check_gsym(qm, pair.L),
+                             rmap is not None, matches)

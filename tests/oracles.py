@@ -10,9 +10,10 @@ earlier index-loop versions of the exact stages, run on Fractions, for
 differential tests against the package: the Fraction elimination
 (``_rref`` and the rank, kernel and inverse on it), the centralizer
 system, the greedy Berger witness loop, the realization checks and the
-Bianchi check.  The float helpers evaluate the probe's kernels at one
-point, and ``transport_polyline_ref`` is the earlier sequential RK4
-transport (one polyline, three Christoffel evaluations per step).
+Bianchi check.  The float helpers evaluate the metric and its Christoffel
+symbols at one point, and ``transport_polyline_ref`` is the earlier
+sequential RK4 transport (one polyline, three Christoffel evaluations per
+step).
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ import numpy as np
 from holonomy.berger import BianchiReport, CurvatureMap
 from holonomy.canonical import CanonicalPair
 from holonomy.liealg import wedge_tags
-from holonomy.probe import kernels
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import BTensor, QuadraticMetric, RealizationError
 
@@ -629,9 +629,21 @@ def b_apply(bt: BTensor, x) -> np.ndarray:
     return out
 
 
+def _metric_value(g0, B, x):
+    return g0 + np.einsum("ijpq,p,q->ij", B, x, x)
+
+
+def _christoffel(g0, B, x):
+    """gamma[k, i, j] = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij), d_p g_ij = 2 B_ijpq x^q."""
+    n = g0.shape[0]
+    dg = 2.0 * np.einsum("ijpq,q->pij", B, x)
+    t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
+    sol = np.linalg.solve(_metric_value(g0, B, x), t.reshape(n, n * n))
+    return 0.5 * sol.reshape(n, n, n)
+
+
 def _gamma_dot_v(g0, B, x, v):
-    gamma = kernels.christoffel(g0, B, x)
-    return np.einsum("abc,b->ac", gamma, v)
+    return np.einsum("abc,b->ac", _christoffel(g0, B, x), v)
 
 
 def transport_polyline_ref(g0, B, verts, steps):
@@ -676,17 +688,17 @@ def _as_float_metric(qm) -> FloatMetric:
 
 def metric_value(qm, x) -> np.ndarray:
     fm = _as_float_metric(qm)
-    return kernels.metric_value(fm.g0, fm.B, np.asarray(x, dtype=np.float64))
+    return _metric_value(fm.g0, fm.B, np.asarray(x, dtype=np.float64))
 
 
 def christoffel(qm, x) -> np.ndarray:
     """Levi-Civita symbols gamma[k, i, j] at a float point; gamma(0) = 0."""
     fm = _as_float_metric(qm)
     xv = np.asarray(x, dtype=np.float64)
-    gx = kernels.metric_value(fm.g0, fm.B, xv)
+    gx = _metric_value(fm.g0, fm.B, xv)
     if abs(np.linalg.det(gx)) < 1e-12 * abs(np.linalg.det(fm.g0)):
         raise SingularMetricError(f"metric is singular near {xv.tolist()}")
-    return kernels.christoffel(fm.g0, fm.B, xv)
+    return _christoffel(fm.g0, fm.B, xv)
 
 
 def nablaL_residual(qm, L, x) -> float:

@@ -32,6 +32,7 @@ from holonomy.probe import (
     standard_loops,
 )
 from holonomy.probe import kernels
+from holonomy.realize import riemann_at_origin
 
 from helpers import PROBE_SPECS
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     centralizer_basis_ref,
     centralizer_dim,
     m_ij_basis,
+    metric_value,
 )
 
 CORPUS_MAX_N = 7
@@ -142,7 +144,8 @@ def test_criterion_4_realization_match(corpus_pairs):
     started = time.perf_counter()
     failures = []
     for name, pair in corpus_pairs:
-        report, _, _ = verify_realization(pair, r_formal(pair))
+        qm = lower_B(build_B(pair), pair.g)
+        report = verify_realization(pair, qm, r_formal(pair))
         if not report.ok:
             failures.append(f"{name}: {report}")
     elapsed = time.perf_counter() - started
@@ -190,12 +193,11 @@ def test_criterion_6_regular_case():
         formal = r_formal(pair)
         if formal.num.any():
             failures.append(f"size {size}: formal map not zero")
-        report, _, rmap = verify_realization(pair, formal)
-        if not (report.ok and not rmap.num.any()):
+        report = verify_realization(pair, qm, formal)
+        if not (report.ok and not riemann_at_origin(qm).num.any()):
             failures.append(f"size {size}: realized curvature not zero")
         fm = FloatMetric.from_exact(qm)
-        for loop in standard_loops(pair.n, seed=0):
-            s = parallel_transport(fm, loop)
+        for s in parallel_transport(fm, standard_loops(pair.n, seed=0)):
             drift = float(np.max(np.abs(s.transport - np.eye(pair.n))))
             if not drift < 1e-10:
                 failures.append(f"size {size}: |A - I| = {drift:.2e}")
@@ -206,7 +208,8 @@ def test_criterion_6_regular_case():
 
 
 def test_criterion_7_numerical_cross_checks():
-    """Christoffel vs finite differences; transport preserves the metric."""
+    """The transport kernel's Christoffel symbols vs finite differences of the
+    metric; transport preserves the metric."""
 
     def fd_gamma(fm, x, h=1e-5):
         n = fm.n
@@ -214,11 +217,15 @@ def test_criterion_7_numerical_cross_checks():
         for p in range(n):
             e = np.zeros(n)
             e[p] = h
-            dg[p] = (kernels.metric_value(fm.g0, fm.B, x + e)
-                     - kernels.metric_value(fm.g0, fm.B, x - e)) / (2 * h)
-        gx = kernels.metric_value(fm.g0, fm.B, x)
+            dg[p] = (metric_value(fm, x + e) - metric_value(fm, x - e)) / (2 * h)
         t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
-        return 0.5 * np.linalg.solve(gx, t.reshape(n, n * n)).reshape(n, n, n)
+        return 0.5 * np.linalg.solve(metric_value(fm, x), t.reshape(n, n * n)).reshape(n, n, n)
+
+    def kernel_gamma(fm, x):
+        # M(0) = Gamma(x)[e_b] on the segments x + s e_b, b = 0..n-1
+        G, R = kernels.segment_terms(fm.g0, kernels.contraction_matrices(fm.B),
+                                     np.tile(x, (fm.n, 1)), np.eye(fm.n))
+        return kernels.segment_gamma(G, R, np.zeros(1))[:, 0].transpose(1, 0, 2)
 
     rng = np.random.default_rng(11)
     worst_fd = 0.0
@@ -228,11 +235,9 @@ def test_criterion_7_numerical_cross_checks():
         fm = FloatMetric.from_exact(qm)
         for _ in range(10):
             x = rng.uniform(-0.1, 0.1, pair.n)
-            diff = np.max(np.abs(kernels.christoffel(fm.g0, fm.B, x)
-                                 - fd_gamma(fm, x)))
+            diff = np.max(np.abs(kernel_gamma(fm, x) - fd_gamma(fm, x)))
             worst_fd = max(worst_fd, float(diff))
-        for loop in standard_loops(pair.n, seed=1, extra_basepoints=1):
-            s = parallel_transport(fm, loop)
+        for s in parallel_transport(fm, standard_loops(pair.n, seed=1)):
             worst_drift = max(worst_drift, s.metric_drift)
     ok = worst_fd < 1e-6 and worst_drift < 1e-8
     _announce("criterion 7 numerical cross-checks", ok,

@@ -86,6 +86,12 @@ def test_verify_invalid_inputs(tmp_path, capsys):
     assert main(["verify", "--input", str(tmp_path / "missing.json")]) == 2
     good = write_spec(tmp_path, "ok.json", SPEC_SINGLE)
     assert main(["verify", "--input", str(good), "--stages", "bogus"]) == 2
+    # a repeated stage would be echoed twice in the report's config
+    capsys.readouterr()
+    assert main(["verify", "--input", str(good), "--stages", "probe,probe"]) == 2
+    assert main(["verify", "--input", str(good), "--stages", "canonical,berger,canonical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("repeated stage") == 2
     for k, doc in enumerate(MALFORMED_SPECS):
         spec = write_spec(tmp_path, f"bad{k}.json", doc)
         capsys.readouterr()
@@ -117,6 +123,13 @@ def test_verify_dimension_cap(tmp_path, capsys):
     ["--membership-tol", "nan"],
     ["--membership-tol", "inf"],
     ["--rank-threshold", "inf"],
+    # both values are relative: at 1 or more a check is vacuous
+    ["--membership-tol", "1"],
+    ["--membership-tol", "1e300"],
+    ["--membership-tol", "2"],
+    ["--rank-threshold", "1"],
+    ["--rank-threshold", "1e300"],
+    ["--rank-threshold", "2"],
 ])
 def test_verify_rejects_bad_options(tmp_path, capsys, option):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
@@ -133,9 +146,11 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     import holonomy.berger
     import holonomy.liealg
     import holonomy.probe  # noqa: F401  (so its bindings are counted too)
+    import holonomy.realize
 
     counts = {}
-    for module, name in ((holonomy.berger, "r_formal"), (holonomy.liealg, "so_basis")):
+    for module, name in ((holonomy.berger, "r_formal"), (holonomy.liealg, "so_basis"),
+                         (holonomy.realize, "build_B"), (holonomy.realize, "lower_B")):
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -148,7 +163,7 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec)))
     assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
-    assert counts == {"r_formal": 1, "so_basis": 1}
+    assert counts == {"r_formal": 1, "so_basis": 1, "build_B": 1, "lower_B": 1}
 
 
 def test_verify_stage_subset(tmp_path):
@@ -184,6 +199,15 @@ def test_verify_unwritable_out_exits_2(tmp_path, capsys):
     (message,) = [ln for ln in captured.err.splitlines() if not ln.startswith("[timing]")]
     assert "cannot write the report" in message and str(out) in message
     assert not out.parent.exists()
+    # an existing directory: the temp file is written, the rename fails
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    code = main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "cannot write the report" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "taken"]
+    assert not any(taken.iterdir())
 
 
 def test_corpus_out_is_a_file_exits_2(tmp_path, capsys):
@@ -195,6 +219,12 @@ def test_corpus_out_is_a_file_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "cannot write the corpus" in captured.err
     assert taken.read_text(encoding="utf-8") == "keep"
+    # a directory where a spec goes: the rename fails and leaves no temp file
+    out = tmp_path / "corpus"
+    (out / "n2_p1-1_s+-.json").mkdir(parents=True)
+    assert main(["corpus", "--max-n", "2", "--out", str(out)]) == 2
+    assert "cannot write the corpus" in capsys.readouterr().err
+    assert not list(out.glob("*.tmp"))
 
 
 def test_corpus_max_n_2(tmp_path):

@@ -1,5 +1,6 @@
 """Numerical probe: Christoffel symbols, loop transport, holonomy span."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,9 +20,9 @@ from holonomy.probe import (
 )
 from holonomy.probe import kernels
 
-from holonomy.realize import invertibility_bound, validity_radius
+from holonomy.realize import QuadraticMetric, invertibility_bound, validity_radius
 
-from helpers import PROBE_SPECS, certificate, certified_gl, pair_of
+from helpers import PROBE_SPECS, certificate, pair_of
 from oracles import christoffel, metric_at, metric_value, nablaL_residual, transport_polyline_ref
 
 
@@ -43,9 +44,8 @@ def fd_christoffel(fm, x, h=1e-5):
     for p in range(n):
         e = np.zeros(n)
         e[p] = h
-        dg[p] = (kernels.metric_value(fm.g0, fm.B, x + e)
-                 - kernels.metric_value(fm.g0, fm.B, x - e)) / (2 * h)
-    gx = kernels.metric_value(fm.g0, fm.B, x)
+        dg[p] = (metric_value(fm, x + e) - metric_value(fm, x - e)) / (2 * h)
+    gx = metric_value(fm, x)
     t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
     return 0.5 * np.linalg.solve(gx, t.reshape(n, n * n)).reshape(n, n, n)
 
@@ -73,7 +73,7 @@ def test_christoffel_zero_at_origin():
 
 def test_christoffel_flat_metric():
     pair = pair_of([(2, 1)])
-    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)))
+    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
     gamma = christoffel(flat, [0.3, -0.2])
     assert np.max(np.abs(gamma)) < 1e-15
 
@@ -96,7 +96,7 @@ def test_christoffel_symmetric_lower_indices():
 def test_flat_transport_is_identity():
     pair = pair_of([(2, 1)])
     flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
-    s = parallel_transport(flat, LoopSpec((0.0, 0.0), (0, 1), 1e-2, 100))
+    (s,) = parallel_transport(flat, [LoopSpec((0.0, 0.0), (0, 1), 1e-2)], 100)
     assert np.max(np.abs(s.transport - np.eye(2))) < 1e-12
 
 
@@ -106,7 +106,7 @@ def test_rotation_angle_matches_curvature_oracle():
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     side = 1e-2
-    s = parallel_transport(fm, LoopSpec((0.0, 0.0), (0, 1), side, 100))
+    (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0), (0, 1), side)], 100)
     theta = math.atan2(s.transport[1, 0], s.transport[0, 0])
     k_oracle = fd_curvature_op(fm, 0, 1)[0, 1]
     assert abs(abs(theta) / side ** 2 - abs(k_oracle)) < 0.01 * abs(k_oracle)
@@ -118,7 +118,7 @@ def test_loop_shrinking_consistency():
     norms = {}
     psis = {}
     for side in (1e-2, 5e-3):
-        s = parallel_transport(fm, LoopSpec((0.0, 0.0, 0.0), (0, 2), side, 100))
+        (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0, 0.0), (0, 2), side)], 100)
         norms[side] = np.linalg.norm(s.log_approx) / side ** 2
         psis[side] = s.log_approx
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
@@ -134,25 +134,28 @@ def test_loop_shrinking_consistency():
 
 def test_transport_membership_and_drift():
     pair, qm = realized([(1, 1), (2, 1)])
-    gl = list(certified_gl(pair).astype(float))
-    fm = FloatMetric.from_exact(qm)
-    for loop in standard_loops(3, seed=3):
-        s = parallel_transport(fm, loop, gl)
-        assert s.membership_residual < 1e-6
+    loops = standard_loops(3, seed=3)
+    rep = span(qm, pair, loops)
+    assert [s.loop for s in rep.samples] == loops and len(rep.residuals) == len(loops)
+    for s, residual in zip(rep.samples, rep.residuals):
+        assert residual < 1e-6
         assert s.metric_drift < 1e-8
         assert abs(abs(np.linalg.det(s.transport)) - 1.0) < 1e-9
 
 
 def test_loopspec_validation():
     with pytest.raises(ValueError):
-        LoopSpec((0.0,), (1, 1), 1e-2, 100)
+        LoopSpec((0.0,), (1, 1), 1e-2)
     with pytest.raises(ValueError):
-        LoopSpec((0.0,), (0, 1), -1.0, 100)
+        LoopSpec((0.0,), (0, 1), -1.0)
+    _, qm = realized([(1, 1), (2, 1)])
+    fm = FloatMetric.from_exact(qm)
+    loop = LoopSpec((0.0,), (0, 1), 1e-2)
     with pytest.raises(ValueError):
-        LoopSpec((0.0,), (0, 1), 1e-2, 8)
+        parallel_transport(fm, [loop], 8)
     for odd in (17, 101):
         with pytest.raises(ValueError, match="even"):
-            LoopSpec((0.0,), (0, 1), 1e-2, odd)
+            parallel_transport(fm, [loop], odd)
 
 
 def test_singular_metric_detected():
@@ -160,9 +163,9 @@ def test_singular_metric_detected():
     # loop corner right on the degeneracy
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
-    bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2, 100)
+    bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)
     with pytest.raises(SingularMetricError):
-        parallel_transport(fm, bad)
+        parallel_transport(fm, [bad], 100)
 
 
 # -- span reports -----------------------------------------------------------------
@@ -203,6 +206,29 @@ def test_span_fails_with_a_failing_certificate():
     assert not rep.passed
 
 
+def test_membership_detects_a_dropped_basis_element():
+    # negative control: with one of the three g_L basis elements dropped, the
+    # samples along it leave the span; the one solve gives each sample the
+    # residual of its own least-squares solve
+    pair, qm = realized([(1, 1), (1, 1), (2, 1)])
+    cert = certificate(pair)
+    num, den = cert.basis
+    short = dataclasses.replace(cert, basis=(num[1:], den))
+    assert short.passed and short.dim_gL == 3
+    rep = holonomy_span(FloatMetric.from_exact(qm), short, standard_loops(4, seed=0))
+    assert rep.span_rank == 3 and not rep.passed
+    assert rep.max_membership_residual > 0.1 and min(rep.residuals) < 1e-6
+    gl = (num[1:].astype(float) / den).reshape(2, -1).T
+    for s, residual in zip(rep.samples, rep.residuals):
+        psi = s.log_approx.ravel()
+        norm = np.linalg.norm(psi)
+        if norm < transport._NEGLIGIBLE:  # a flat plane: a zero sample
+            assert residual == 0.0
+            continue
+        want = np.linalg.norm(psi - gl @ np.linalg.lstsq(gl, psi, rcond=None)[0]) / norm
+        assert abs(residual - want) < 1e-12
+
+
 def test_span_report_json():
     pair, qm = realized([(1, 1), (2, -1)])
     rep = span(qm, pair, standard_loops(3, seed=0))
@@ -233,10 +259,9 @@ def test_nablaL_residual_origin_and_nearby():
 
 def test_nablaL_residual_detects_corruption():
     pair, qm = realized([(1, 1), (2, 1)])
-    fm = FloatMetric.from_exact(qm)
-    bad_b = fm.B.copy()
-    bad_b[0, 0, 1, 1] += 0.25
-    bad = FloatMetric(fm.g0, bad_b)
+    bad_num = 4 * qm.num
+    bad_num[0, 0, 1, 1] += qm.den  # B[0, 0, 1, 1] += 1/4
+    bad = QuadraticMetric(qm.g0, bad_num, 4 * qm.den)
     assert nablaL_residual(bad, pair.L, [0.05, 0.02, -0.03]) > 1e-3
 
 
@@ -250,13 +275,13 @@ def test_metric_value_matches_exact():
 
 # -- batched kernel against the sequential reference -----------------------------------
 
-def ref_transport(fm, loop):
+def ref_transport(fm, loop, steps=16):
     """The loop through the sequential reference kernel; segments of length 0
     (an origin square's tails) are dropped, which leaves the path unchanged."""
-    verts, steps = transport._loop_polyline(loop, fm.n)
-    keep = steps > 0
+    verts = transport._loop_polyline(loop, fm.n)
+    keep = np.any(verts[1:] != verts[:-1], axis=1)
     return transport_polyline_ref(fm.g0, fm.B, verts[np.concatenate([[True], keep])],
-                                  steps[keep])
+                                  [steps] * int(keep.sum()))
 
 
 @pytest.mark.parametrize("blocks", [b for _, b in PROBE_SPECS], ids=[n for n, _ in PROBE_SPECS])
@@ -274,20 +299,21 @@ def test_batched_kernel_matches_reference(blocks):
 
 
 def test_mixed_batch_equals_solo_calls():
-    # origin squares and lassos with three step counts in one call: each count
-    # is its own kernel call, split into batches of its own
+    # origin squares and lassos of two sides in one call at one step count,
+    # which the kernel splits into several batches
     _, qm = realized([(1, 1), (1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
-    loops = [LoopSpec((0.0,) * 4, (0, 1), 1e-2, 100),
-             LoopSpec((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2, 40),
-             LoopSpec((0.0,) * 4, (2, 3), 1e-2, 40),
-             LoopSpec((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2, 100),
-             LoopSpec((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3, 64),
-             LoopSpec((0.0,) * 4, (1, 3), 5e-3, 64)]
-    batch = parallel_transport(fm, loops)
-    assert len(batch) == len(loops)
+    loops = [LoopSpec((0.0,) * 4, (0, 1), 1e-2),
+             LoopSpec((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2),
+             LoopSpec((0.0,) * 4, (2, 3), 1e-2),
+             LoopSpec((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2),
+             LoopSpec((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3),
+             LoopSpec((0.0,) * 4, (1, 3), 5e-3)] + standard_loops(4, seed=2)
+    per_batch = kernels.NODE_BUDGET // (6 * (2 * 100 + 1) * 4 ** 2)  # segments, nodes, n^2
+    batch = parallel_transport(fm, loops, 100)
+    assert len(batch) == len(loops) > per_batch
     for lp, s in zip(loops, batch):
-        solo = parallel_transport(fm, lp)
+        (solo,) = parallel_transport(fm, [lp], 100)
         assert s.loop == solo.loop == lp
         assert np.array_equal(s.transport, solo.transport)
         assert np.array_equal(s.log_approx, solo.log_approx)
@@ -309,7 +335,7 @@ def test_segment_gamma_matches_christoffel():
         assert m.shape == (2, 3, 4, n, n)
         for idx in np.ndindex(2, 3, 4):
             x = a[idx[:2]] + s[idx] * v[idx[:2]]
-            want = np.einsum("abc,b->ac", kernels.christoffel(fm.g0, fm.B, x), v[idx[:2]])
+            want = np.einsum("abc,b->ac", christoffel(fm, x), v[idx[:2]])
             assert np.max(np.abs(m[idx] - want)) <= 1e-12
 
 
@@ -341,7 +367,7 @@ def test_exact_bound_certifies_standard_loops():
         for seed in (0, 1):
             loops = standard_loops(pair.n, seed=seed)
             for lp in loops:
-                extent = float(np.max(np.abs(transport._loop_polyline(lp, pair.n)[0])))
+                extent = float(np.max(np.abs(transport._loop_polyline(lp, pair.n))))
                 assert extent < radius and fm.certifies(extent)
             assert len(parallel_transport(fm, loops)) == len(loops)
 
@@ -350,10 +376,10 @@ def test_singular_lasso_fails_bound_and_is_refused():
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     assert fm.bound == 1  # g(x) = (1 - |x|^2 / 2) I: radius 1, singular at |x|^2 = 2
-    bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2, 100)
+    bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)
     assert not fm.certifies(math.sqrt(2.0) + 1e-2)
     with pytest.raises(SingularMetricError, match="not certified regular"):
-        parallel_transport(fm, bad)
+        parallel_transport(fm, [bad], 100)
 
 
 def test_regular_loop_beyond_radius_is_refused():
@@ -362,20 +388,17 @@ def test_regular_loop_beyond_radius_is_refused():
     # loop, its extent and the radius
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
-    inside = LoopSpec((0.98, 0.0), (0, 1), 1e-2, 100)    # extent 0.99
-    beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2, 100)   # extent 1.005
-    s_in = parallel_transport(fm, inside)
+    inside = LoopSpec((0.98, 0.0), (0, 1), 1e-2)    # extent 0.99
+    beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2)   # extent 1.005
+    (s_in,) = parallel_transport(fm, [inside], 100)
     assert np.isfinite(s_in.transport).all()
     assert s_in.metric_drift < 1e-8
     assert abs(abs(np.linalg.det(s_in.transport)) - 1.0) < 1e-9
     with pytest.raises(SingularMetricError) as info:
-        parallel_transport(fm, beyond)
+        parallel_transport(fm, [beyond], 100)
     message = str(info.value)
     assert "plane (0, 1)" in message and "[0.995, 0.0]" in message
     assert "1.005" in message and "radius 1.0" in message
-    # floats without an exact origin certify nothing, so they transport nothing
-    with pytest.raises(SingularMetricError, match="no exact bound"):
-        parallel_transport(FloatMetric(fm.g0, fm.B), inside)
 
 
 def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
@@ -384,7 +407,7 @@ def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
     kernel_calls = []
     monkeypatch.setattr(kernels, "transport_polyline",
                         lambda *args: kernel_calls.append(args))
-    loops = standard_loops(2, seed=0) + [LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2, 100)]
+    loops = standard_loops(2, seed=0) + [LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)]
     with pytest.raises(SingularMetricError):
         parallel_transport(fm, loops)
     with pytest.raises(SingularMetricError):
@@ -402,9 +425,9 @@ def test_step_error_estimate_tracks_true_error():
         pair, qm = realized(blocks)
         fm = FloatMetric.from_exact(qm)
         n = pair.n
-        coarse = LoopSpec((0.0,) * n, (0, n - 1), 0.3, 16)
-        s = parallel_transport(fm, coarse)
-        verts, steps = transport._loop_polyline(coarse, n)
+        coarse = LoopSpec((0.0,) * n, (0, n - 1), 0.3)
+        (s,) = parallel_transport(fm, [coarse], 16)
+        verts = transport._loop_polyline(coarse, n)
         fine = transport_polyline_ref(fm.g0, fm.B, verts[1:-1], [400] * 4)
         true = float(np.max(np.abs(s.transport - fine)))
         assert s.step_error > 1e-12

@@ -220,13 +220,13 @@ def test_riemann_linear_in_coefficients():
 def test_verify_realization():
     for blocks in ([(3, 1)], [(1, 1), (2, 1)], [(2, 1), (2, -1)]):
         pair = pair_of(blocks)
-        report, qm, rmap = verify_realization(pair, r_formal(pair))
+        qm = lower_B(build_B(pair), pair.g)
+        report = verify_realization(pair, qm, r_formal(pair))
         assert report.ok, (blocks, report)
         if blocks == [(3, 1)]:
-            assert not rmap.num.any()
+            assert not riemann_at_origin(qm).num.any()
     pair = build_canonical(make_pencil([(0, [(1, 1), (2, 1)]), (1, [(2, -1), (2, -1)])]))
-    report, _, _ = verify_realization(pair, r_formal(pair))
-    assert report.ok
+    assert verify_realization(pair, lower_B(build_B(pair), pair.g), r_formal(pair)).ok
 
 
 def test_verify_realization_rejects_perturbed_formal_map():
@@ -237,9 +237,10 @@ def test_verify_realization_rejects_perturbed_formal_map():
     num = formal.num.copy()
     num[1] = num[1] + eye(pair.n)
     perturbed = CurvatureMap(formal.g, formal.tags, num, formal.den)
-    report, _, _ = verify_realization(pair, perturbed)
+    qm = lower_B(build_B(pair), pair.g)
+    report = verify_realization(pair, qm, perturbed)
     assert report.routes_agree and not report.matches_formal and not report.ok
-    assert verify_realization(pair, formal)[0].matches_formal
+    assert verify_realization(pair, qm, formal).matches_formal
 
 
 def test_lower_B_rejects_asymmetric_point_indices():
