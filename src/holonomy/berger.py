@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import lowest_terms, pivot_columns, rank
+from .exactla import lowest_terms, max_abs, narrowed, pivot_columns, rank
 from .liealg import commutator_system, so_basis, wedge_tags
 
 
@@ -95,9 +95,9 @@ def check_bianchi(rmap: CurvatureMap) -> BianchiReport:
     attains the largest violation max_r |R(e_i, e_j) e_k + cyclic|_r.
     """
     n = rmap.n
-    vals = rmap.num
+    vals, = narrowed(max_abs(rmap.num) * 3, rmap.num)  # a cyclic sum adds 3 entries
     # full[a, b, r, k]: entry (r, k) of R(wedge(e_a, e_b)), antisymmetric in (a, b)
-    full = np.zeros((n, n, n, n), dtype=object)
+    full = np.zeros((n, n, n, n), dtype=vals.dtype)
     a, b = np.array(rmap.tags, dtype=np.intp).reshape(-1, 2).T
     full[a, b] = vals
     full[b, a] = -vals
@@ -109,7 +109,7 @@ def check_bianchi(rmap: CurvatureMap) -> BianchiReport:
     if not worst:
         return BianchiReport(True, None, Fraction(0))
     w, k = divmod(bad.index(worst), n)
-    return BianchiReport(False, (int(rows[w]), int(cols[w]), k), Fraction(worst, rmap.den))
+    return BianchiReport(False, (int(rows[w]), int(cols[w]), k), Fraction(int(worst), rmap.den))
 
 
 def check_sectional(rmap: CurvatureMap, L: tuple) -> bool:
@@ -117,7 +117,8 @@ def check_sectional(rmap: CurvatureMap, L: tuple) -> bool:
 
     Both conditions are linear in R and in L, so the numerators decide them.
     """
-    vals, l, g = rmap.num, L[0], rmap.g
+    bound = max_abs(rmap.num) * max(max_abs(L[0]), max_abs(rmap.g)) * rmap.n
+    vals, l, g = narrowed(bound, rmap.num, L[0], rmap.g)
     return bool((vals @ l == l @ vals).all()
                 and (g @ vals == -(vals.transpose(0, 2, 1) @ g)).all())
 

@@ -101,7 +101,8 @@ def cmd_verify(config: RunConfig) -> tuple:
     report = {
         "spec": pencil_to_json(spec),
         "config": {
-            "stages": list(config.stages),
+            # in pipeline order, so the same stages give the same report
+            "stages": [s for s in ALL_STAGES if s in config.stages],
             "membership_tol": config.membership_tol,
             "rank_threshold": config.rank_threshold,
             "seed": config.seed,
@@ -192,8 +193,8 @@ def iter_corpus_specs(max_n: int) -> list:
     Yields (name, spec document dict) pairs with deterministic names
     ``n{n}_p{sizes}_s{signs}``.
     """
-    if not (2 <= max_n <= 8):
-        raise ValueError("max_n must be between 2 and 8")
+    if not (2 <= max_n <= 12):
+        raise ValueError("max_n must be between 2 and 12")
     out = []
     for n in range(2, max_n + 1):
         for partition in _partitions(n):

@@ -7,9 +7,15 @@ Every exact matrix, or stack of matrices, is an object-dtype ndarray of
 Python ints plus one positive int denominator: ``(num, den)`` stands for
 ``num / den``.  Objects that are integral by construction (the metric g,
 the so(g) wedge stack, the formal curvature values, the block-power
-factors) are plain int arrays.  Python ints never overflow, so numpy
-contractions on these arrays stay exact.  Scalars (an eigenvalue, a
-Bianchi violation) are ``fractions.Fraction`` values.
+factors) are plain int arrays.  Scalars (an eigenvalue, a Bianchi
+violation) are ``fractions.Fraction`` values of Python ints.
+
+A numpy contraction on these arrays runs in int64 when an a-priori bound
+shows that no entry and no partial sum can reach 2**62, and on the object
+arrays of Python ints (which never overflow) otherwise: ``narrowed`` makes
+that choice, from a bound its caller computes with ``max_abs`` before any
+arithmetic, so int64 never wraps around.  Results that outlive the
+contraction are turned back into Python ints.
 
 Rank, pivot columns and inverse all come from one fraction-free
 Gauss-Jordan elimination on rows of Python ints (Bareiss 1968).
@@ -21,6 +27,29 @@ import math
 import operator
 
 import numpy as np
+
+
+# Below 2**62 a bound leaves a factor of two to the int64 range.
+INT64_LIMIT = 2 ** 62
+
+
+def max_abs(a: np.ndarray) -> int:
+    """The largest absolute entry of an integer array as a Python int, and
+    at least 1, so that a product of these also bounds each factor's entries."""
+    return max(1, -int(a.min()), int(a.max())) if a.size else 1
+
+
+def narrowed(bound: int, *arrays) -> tuple:
+    """``arrays`` in int64 when ``bound < INT64_LIMIT``, else as object arrays
+    of Python ints; the same contraction then runs on either dtype.
+
+    ``bound`` is the caller's a-priori bound on every entry of ``arrays`` and
+    on every partial sum of its contraction: the product of ``max_abs`` of the
+    factors, times the length of the summed index, times the number of terms
+    added together.
+    """
+    dtype = np.int64 if bound < INT64_LIMIT else object
+    return tuple(a.astype(dtype, copy=False) for a in arrays)
 
 
 def int_form(entries) -> tuple:

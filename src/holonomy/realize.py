@@ -13,7 +13,9 @@ The block-power factors are int matrices, and the lowered tensor is one
 (n, n, n, n) array of Python ints over one common denominator (the
 ``exactla`` format).  Every exact check on it (symmetry, covariant
 constancy, g(x)-symmetry, both Riemann routes) is a numpy contraction of
-integer arrays, so it is exact and needs no index loop.
+integer arrays and needs no index loop.  Each contraction runs in int64
+when an a-priori bound on its partial sums is below 2**62 and on Python
+ints otherwise (``exactla.narrowed``), so it is exact on either dtype.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .berger import CurvatureMap
 from .canonical import CanonicalPair
-from .exactla import inverse
+from .exactla import inverse, max_abs, narrowed
 from .liealg import wedge_tags
 
 
@@ -114,14 +116,18 @@ def lower_B(b: BTensor, g0: np.ndarray) -> QuadraticMetric:
     n = b.n
     if g0.shape != (n, n):
         raise ValueError("shape mismatch")
-    num = np.einsum("tij,tpq->ijpq", g0 @ b.left, g0 @ b.right)
+    # an entry of g0 C sums n products, an entry of num t products of two such
+    t = max(1, len(b.left))  # at least 1, so the bound covers g0's entries too
+    bound = max_abs(g0) ** 2 * max_abs(b.left) * max_abs(b.right) * n * n * t
+    g, left, right = narrowed(bound, g0, b.left, b.right)
+    num = np.einsum("tij,tpq->ijpq", g @ left, g @ right)
     at = _first_mismatch(num, num.transpose(0, 1, 3, 2))
     if at is not None:
         raise RealizationError(f"lowered tensor not symmetric in (p, q) at {at}")
     at = _first_mismatch(num, num.transpose(1, 0, 2, 3))
     if at is not None:
         raise RealizationError(f"lowered tensor not symmetric in (i, j) at {at}")
-    return QuadraticMetric(g0, num, b.den)
+    return QuadraticMetric(g0, num.astype(object), b.den)
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:
@@ -132,7 +138,8 @@ def invertibility_bound(qm: QuadraticMetric) -> Fraction:
     """
     ginv, gden = inverse(qm.g0)
     ginv_norm = Fraction(max(np.abs(ginv).sum(axis=1)), gden)
-    return ginv_norm * Fraction(max(np.abs(qm.num).sum(axis=(1, 2, 3))), qm.den)
+    num, = narrowed(max_abs(qm.num) * qm.n ** 3, qm.num)
+    return ginv_norm * Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
 
 
 def validity_radius(bound: Fraction) -> float:
@@ -150,7 +157,7 @@ def check_nablaL(qm: QuadraticMetric, L: tuple) -> bool:
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
     summed over b, for every (i, p, q, k).
     """
-    b, l = qm.num, L[0]
+    b, l = narrowed(max_abs(qm.num) * max_abs(L[0]) * qm.n * 2, qm.num, L[0])
     lhs = np.einsum("ipbq,bk->ipqk", b, l) - np.einsum("ibpq,bk->ipqk", b, l)
     rhs = np.einsum("bikq,bp->ipqk", b, l) - np.einsum("ikbq,bp->ipqk", b, l)
     return bool((lhs == rhs).all())
@@ -158,7 +165,7 @@ def check_nablaL(qm: QuadraticMetric, L: tuple) -> bool:
 
 def check_gsym(qm: QuadraticMetric, L: tuple) -> bool:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
-    b, l = qm.num, L[0]
+    b, l = narrowed(max_abs(qm.num) * max_abs(L[0]) * qm.n, qm.num, L[0])
     return bool((np.einsum("ijpq,il->jlpq", b, l) == np.einsum("ilpq,ij->jlpq", b, l)).all())
 
 
@@ -173,8 +180,9 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     Both routes must agree entry for entry; a mismatch raises.
     """
     n = qm.n
-    b = qm.num
     ginv, gden = inverse(qm.g0)
+    # a route adds at most 4 (direct) or 2 * 3 (via Gamma) sums over s
+    ginv, b = narrowed(max_abs(ginv) * max_abs(qm.num) * n * 6, ginv, qm.num)
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
     # scaled by gden * qm.den
     direct = np.einsum("is,absk->abik", ginv,
@@ -191,7 +199,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     if at is not None:
         raise RealizationError(
             f"curvature routes disagree on wedge {tags[at[0]]}")
-    return CurvatureMap(qm.g0, tags, direct[rows, cols], gden * qm.den)
+    return CurvatureMap(qm.g0, tags, direct[rows, cols].astype(object), gden * qm.den)
 
 
 @dataclass(frozen=True)

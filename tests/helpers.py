@@ -1,10 +1,19 @@
 """Shared construction shorthands for the test suite."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 
-from holonomy import berger_certificate, build_canonical, make_pencil, r_formal
+from holonomy import (
+    berger,
+    berger_certificate,
+    build_canonical,
+    exactla,
+    make_pencil,
+    r_formal,
+    realize,
+)
 
 # The acceptance suite's probe specs (criteria 5 and 7), n = 3..5.
 PROBE_SPECS = [
@@ -47,3 +56,22 @@ def fractions(num, den=1):
 
 def unit(n, i):
     return [Fraction(1) if k == i else Fraction(0) for k in range(n)]
+
+
+def record_dtypes(monkeypatch) -> dict:
+    """Spy on every ``narrowed`` call of the exact layers.
+
+    Returns a dict, filled as the calls happen, from the calling function's
+    name to the set of dtype names (``"int64"`` or ``"object"``) it got.
+    """
+    chosen = {}
+    narrowed = exactla.narrowed
+
+    def spy(bound, *arrays):
+        out = narrowed(bound, *arrays)
+        chosen.setdefault(sys._getframe(1).f_code.co_name, set()).add(out[0].dtype.name)
+        return out
+
+    for module in (berger, realize):
+        monkeypatch.setattr(module, "narrowed", spy)
+    return chosen

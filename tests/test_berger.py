@@ -168,6 +168,9 @@ def test_bianchi_detects_violation():
     assert not rep.ok
     assert rep.witness == (0, 1, 2)
     assert rep.max_violation == 1
+    # a Fraction of Python ints, not of the int64 the check ran in
+    assert type(rep.max_violation.numerator) is int
+    assert type(rep.max_violation.denominator) is int
 
 
 # -- sectional check ------------------------------------------------------------

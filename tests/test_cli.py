@@ -173,6 +173,16 @@ def test_verify_stage_subset(tmp_path):
     assert set(report["stages"]) == {"canonical", "berger"}
 
 
+def test_verify_stage_order_does_not_change_the_report(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    outputs = []
+    for stages in ("canonical,berger", "berger,canonical"):
+        assert main(["verify", "--input", str(spec), "--stages", stages]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["config"]["stages"] == ["canonical", "berger"]
+
+
 def test_verify_probe_only_builds_metric(tmp_path):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec), stages=("probe",)))
@@ -252,7 +262,12 @@ def test_corpus_sign_dedup_equal_sizes():
 
 def test_corpus_rejects_bad_max_n(tmp_path):
     assert main(["corpus", "--max-n", "1", "--out", str(tmp_path)]) == 2
-    assert main(["corpus", "--max-n", "9", "--out", str(tmp_path)]) == 2
+    assert main(["corpus", "--max-n", "13", "--out", str(tmp_path)]) == 2
+
+
+def test_corpus_count_max_n_12():
+    assert len(iter_corpus_specs(7)) == 126
+    assert len(iter_corpus_specs(12)) == 1579
 
 
 def test_report_summary(tmp_path, capsys):

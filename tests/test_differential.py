@@ -8,8 +8,14 @@ a correct input, once as the package's integer contraction and once as
 the earlier Fraction index loop kept in ``oracles``.  The two must return
 the same verdicts, the same curvature (or both raise), and the same
 Bianchi witness; and each check must reject some of the perturbations.
+
+Each exact contraction runs in int64 or on Python ints, as an a-priori
+bound decides.  With the int64 limit at 0 every contraction takes the
+object path, and the reports must not change by a byte; eigenvalues too
+large for int64 must take the object path and still pass.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -22,13 +28,14 @@ from holonomy import (
     berger_certificate,
     build_B,
     build_canonical,
+    exactla,
     lower_B,
     make_pencil,
     pencil_from_json,
     r_formal,
 )
 from holonomy.berger import CurvatureMap, check_bianchi, check_sectional
-from holonomy.cli import iter_corpus_specs
+from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.exactla import int_form, inverse, pivot_columns, rank
 from holonomy.liealg import commutator_system, so_basis
 from holonomy.realize import (
@@ -39,7 +46,7 @@ from holonomy.realize import (
     riemann_at_origin,
 )
 
-from helpers import fractions
+from helpers import fractions, pair_of, record_dtypes
 from oracles import (
     centralizer_basis_ref,
     centralizer_dim,
@@ -181,3 +188,65 @@ def test_curvature_checks_agree_with_loops_under_perturbation(case):
         rejected["bianchi"] += not got.ok
         rejected["sectional"] += not sectional
     assert rejected["bianchi"] and rejected["sectional"], rejected
+
+
+TWO_EIGENVALUE_SPECS = [
+    [("0", [(1, 1), (2, 1)]), ("1/2", [(1, -1), (2, 1)])],
+    [("-1", [(2, 1), (2, -1)]), ("3", [(1, 1), (3, 1)])],
+    [("-2/3", [(1, 1), (1, -1), (2, 1)]), ("5/7", [(2, -1), (3, 1)])],
+]
+
+
+def _exact_stdout(specs, tmp_path, capsys) -> list:
+    """``holonomy verify --stages canonical,berger,realize`` stdout of each spec."""
+    path = tmp_path / "spec.json"
+    out = []
+    for doc in specs:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", "--input", str(path),
+                     "--stages", "canonical,berger,realize"]) == 0, doc
+        out.append(capsys.readouterr().out)
+    return out
+
+
+@pytest.mark.parametrize("case", ["0", "-2/3", "two-eigenvalue"])
+def test_reports_identical_on_both_dtypes(case, tmp_path, capsys, monkeypatch):
+    if case == "two-eigenvalue":
+        specs = [{"eigenvalues": [{"lambda": l, "blocks": [{"size": s, "sign": g}
+                                                          for s, g in blocks]}
+                                  for l, blocks in spec]}
+                 for spec in TWO_EIGENVALUE_SPECS]
+    else:
+        specs = [doc for _, doc in iter_corpus_specs(7)]
+        for doc in specs:
+            doc["eigenvalues"][0]["lambda"] = case
+    chosen = record_dtypes(monkeypatch)
+    default = _exact_stdout(specs, tmp_path, capsys)
+    assert set().union(*chosen.values()) == {"int64"}  # small specs fit in int64
+    chosen.clear()
+    monkeypatch.setattr(exactla, "INT64_LIMIT", 0)
+    wide = _exact_stdout(specs, tmp_path, capsys)
+    assert set().union(*chosen.values()) == {"object"}
+    assert wide == default
+
+
+# 3e18 fits in int64 (below 2**63), but its products with B do not
+@pytest.mark.parametrize("lam", [10 ** 20, int("9" * 99), Fraction(1, 10 ** 20), 3 * 10 ** 18],
+                         ids=["1e20", "99-digits", "1/1e20", "3e18"])
+def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
+    blocks = [(1, 1), (2, -1), (2, 1), (3, 1)]
+    pair = pair_of(blocks, lam)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"eigenvalues": [{
+        "lambda": str(lam), "blocks": [{"size": s, "sign": g} for s, g in blocks]}]}))
+    chosen = record_dtypes(monkeypatch)
+    report, code = cmd_verify(RunConfig(input=str(path),
+                                        stages=("canonical", "berger", "realize")))
+    # every contraction with L is too large for int64; those without it are not
+    assert chosen == {"check_nablaL": {"object"}, "check_gsym": {"object"},
+                      "check_sectional": {"object"}, "check_bianchi": {"int64"},
+                      "lower_B": {"int64"}, "riemann_at_origin": {"int64"}}
+    assert code == 0 and report["verdict"] == "pass"
+    assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9
+    assert report["stages"]["berger"]["image_rank"] == 9
+    assert all(report["stages"]["realize"].values())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy.canonical import rat_from_str
-from holonomy.exactla import int_form, inverse, rank
+from holonomy.exactla import INT64_LIMIT, int_form, inverse, max_abs, narrowed, rank
 
 from helpers import mat
 from oracles import (
@@ -62,6 +62,31 @@ def test_rational_round_trip(q):
 @given(rationals.filter(lambda q: q != 0))
 def test_reciprocal_product(q):
     assert q * (1 / q) == 1
+
+
+# -- the checked dtype choice ------------------------------------------------
+
+def test_narrowed_picks_the_dtype_at_the_edge_of_the_bound():
+    a = np.array([[3, -4]], dtype=object)
+    assert INT64_LIMIT == 2 ** 62
+    (wide,) = narrowed(2 ** 62, a)
+    (narrow,) = narrowed(2 ** 62 - 1, a)
+    assert wide.dtype == object and narrow.dtype == np.int64
+    assert np.array_equal(wide, narrow)
+    # an int64 array goes back to Python ints on the object path
+    (back,) = narrowed(2 ** 62, narrow)
+    assert back.dtype == object and all(type(x) is int for x in back.flat)
+
+
+def test_max_abs():
+    big = 10 ** 30
+    assert max_abs(np.array([[2, -7], [5, 0]], dtype=object)) == 7
+    assert max_abs(np.array([-big, 3], dtype=object)) == big
+    assert type(max_abs(np.array([-(2 ** 63)], dtype=np.int64))) is int
+    assert max_abs(np.array([-(2 ** 63)], dtype=np.int64)) == 2 ** 63  # no wraparound
+    # never below 1, so a product of maxima bounds each factor
+    assert max_abs(np.zeros((2, 2), dtype=object)) == 1
+    assert max_abs(np.zeros((0, 3), dtype=object)) == 1
 
 
 # -- rank and kernel ---------------------------------------------------------

@@ -120,6 +120,9 @@ def test_lower_B_zero_tensor():
     low = lowered(qm)
     assert all(low[i][j][p][q] == 0
                for i in range(2) for j in range(2) for p in range(2) for q in range(2))
+    # with no factor pairs the dtype bound still covers g0's entries
+    big = np.array([[10 ** 30, 0], [0, 1]], dtype=object)
+    assert not lower_B(BTensor(empty, empty, 1), big).num.any()
 
 
 def test_lowered_symmetries():
@@ -257,3 +260,15 @@ def test_validity_radius_positive():
     rho = validity_radius(invertibility_bound(qm))
     assert rho > 0.1
     assert rank(int_form(metric_at(qm, [Fraction(1, 20)] * 3))[0]) == qm.n
+
+
+def test_exact_values_leave_int64_as_python_ints():
+    # int64 contractions must hand Python ints to every Fraction and array
+    # they leave behind: an np.int64 inside a Fraction wraps around
+    pair = pair_of([(1, 1), (2, -1), (2, 1)])
+    qm = lower_B(build_B(pair), pair.g)
+    bound = invertibility_bound(qm)
+    assert bound > 0
+    assert type(bound.numerator) is int and type(bound.denominator) is int
+    rm = riemann_at_origin(qm)
+    assert all(type(x) is int for x in (*qm.num.flat, *rm.num.flat, rm.den))
