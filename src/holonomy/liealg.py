@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exactla import rank
+from .exactla import max_abs, narrowed, rank
 
 
 def wedge_tags(n: int) -> list:
@@ -21,12 +21,13 @@ def wedge_tags(n: int) -> list:
 def wedge_rows(a: np.ndarray) -> np.ndarray:
     """The stack {E_ij a}_{i<j} in ``wedge_tags`` order, as (m, n, n).
 
-    E_ij a has row i equal to a[j], row j equal to -a[i] and zeros elsewhere.
+    E_ij a has row i equal to a[j], row j equal to -a[i] and zeros elsewhere;
+    the stack has the dtype of ``a``.
     """
     n = a.shape[0]
     rows, cols = np.triu_indices(n, 1)  # the wedge tags, in their order
     k = np.arange(len(rows))
-    w = np.zeros((len(rows), n, n), dtype=object)
+    w = np.zeros((len(rows), n, n), dtype=a.dtype)
     w[k, rows] = a[cols]
     w[k, cols] = -a[rows]
     return w
@@ -52,8 +53,11 @@ def commutator_system(g: np.ndarray, l: np.ndarray) -> np.ndarray:
 
     Its kernel holds the wedge coordinates of the elements of so(g) that
     commute with l, so dim g_L = m - rank.  Built without the basis: with
-    W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g.
+    W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g.  Each of
+    the two terms sums n products, so 2 |g| |l| n bounds every partial sum;
+    the entries leave as Python ints.
     """
     n = g.shape[0]
+    g, l = narrowed(2 * max_abs(g) * max_abs(l) * n, g, l)
     s = wedge_rows(g @ l) + wedge_rows(l.T).transpose(0, 2, 1) @ g
-    return s.reshape(len(s), n * n).T
+    return s.reshape(len(s), n * n).T.astype(object)

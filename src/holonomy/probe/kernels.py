@@ -19,19 +19,28 @@ Array conventions (all float64):
     D     (..., K, n, n)   RK4 increments: step k maps P to (I + D[..., k, :, :]) P
 
 The transport ODE dP/ds = -M(s) P is linear, so every RK4 step is a matrix
-I + D.  M at all nodes of all segments of a batch of loops comes from one
-batched solve; the steps of each segment, then the segments of each loop,
-are combined pairwise in order.  The even-indexed nodes are exactly the
-nodes of the N/2-step run, which gives the step-doubling error estimate
-|D_N - D_(N/2)|_max / 15 at no extra solve.
+I + D.  The polylines of a call share many segments (the lassos at one
+basepoint share both tails, and squares share edges), so each distinct
+segment, by the exact bits of its (start, direction), is integrated once:
+M at all nodes of a batch of distinct segments comes from one batched
+solve, and the steps of each segment are combined pairwise in order into
+its increment.  Each loop then gathers its segments' increments by index
+(a zero increment for a segment that takes no steps), and they are
+combined pairwise in order, a batch of loops at a time.  The arithmetic
+on a segment does not depend on which other segments share its batch.
+The even-indexed nodes are exactly the nodes of the N/2-step run, which
+gives the step-doubling error estimate |D_N - D_(N/2)|_max / 15 at no
+extra solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Floats in one batch's node array m; a batch holds at least one loop.  This
-# bounds the working set, so peak memory does not grow with the loop count.
+# Floats in one batch's node array m (a batch holds at least one segment),
+# and in one batch's gathered loop increments (at least one loop).  Beyond
+# one (n, n) increment per distinct segment and per loop, this bounds the
+# working set, so peak memory does not grow with the loop count.
 NODE_BUDGET = 1 << 17
 
 
@@ -112,16 +121,19 @@ def _rk4(m, h):
     return _combine(d)
 
 
-def _transport_batch(g0, mats, a, v, active, nsteps):
-    """Loop increments and step-error estimates for one batch of loops."""
-    n = g0.shape[0]
-    G, R = segment_terms(g0, mats, a[active], v[active])
+def _segment_runs(g0, mats, a, v, nsteps):
+    """N-step and N/2-step increments, (2, S, n, n), of the segments a + s v."""
+    G, R = segment_terms(g0, mats, a, v)
     m = segment_gamma(G, R, np.arange(2 * nsteps + 1) / (2 * nsteps))
-    runs = np.zeros((2,) + active.shape + (n, n))
-    runs[0][active] = _rk4(m, 1.0 / nsteps)
-    runs[1][active] = _rk4(m[:, 0::2], 2.0 / nsteps)
-    d_full, d_half = _combine(runs)
-    return d_full, np.max(np.abs(d_full - d_half), axis=(1, 2)) / 15.0
+    return _rk4(m, 1.0 / nsteps), _rk4(m[:, 0::2], 2.0 / nsteps)
+
+
+def _batches(total, per_item):
+    """Slices covering range(total) in equal-sized batches of at most
+    NODE_BUDGET // per_item items (at least one): the largest sets peak memory."""
+    size = max(1, NODE_BUDGET // per_item)
+    size = -(-total // -(-total // size))
+    return [slice(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def transport_polyline(g0, B, verts, steps):
@@ -156,12 +168,19 @@ def transport_polyline(g0, B, verts, steps):
         return d, err
     nsteps = int(counts[0])
     mats = contraction_matrices(B)
-    per_loop = (nverts - 1) * (2 * nsteps + 1) * n * n
-    batch = max(1, NODE_BUDGET // per_loop)
-    # the same number of batches in equal sizes: the largest one sets peak memory
-    batch = -(-nloops // -(-nloops // batch))
-    for lo in range(0, nloops, batch):
-        hi = lo + batch
-        d[lo:hi], err[lo:hi] = _transport_batch(g0, mats, a[lo:hi], v[lo:hi],
-                                                active[lo:hi], nsteps)
+    # the distinct active segments, equal when the bits of (start, direction) are
+    key = np.ascontiguousarray(np.concatenate([a, v], axis=-1)[active])
+    _, first, inverse = np.unique(key.view(np.dtype((np.void, key.itemsize * 2 * n))).ravel(),
+                                  return_index=True, return_inverse=True)
+    seg_a, seg_v = key[first, :n], key[first, n:]
+    # slot len(first) stays zero: the increment of a segment without steps
+    runs = np.zeros((2, len(first) + 1, n, n))
+    for part in _batches(len(first), (2 * nsteps + 1) * n * n):
+        runs[:, part] = _segment_runs(g0, mats, seg_a[part], seg_v[part], nsteps)
+    index = np.full(active.shape, len(first))
+    index[active] = inverse
+    for part in _batches(nloops, 2 * (nverts - 1) * n * n):
+        d_full, d_half = _combine(runs[:, index[part]])
+        d[part] = d_full
+        err[part] = np.max(np.abs(d_full - d_half), axis=(1, 2)) / 15.0
     return d, err

@@ -10,15 +10,17 @@ against.
 
 Every loop is a 7-vertex polyline (a square at the origin has tails of
 length 0 and no steps on them) whose segments all take the call's step
-count, so one kernel call transports all loops of a run.  Before it, each
-polyline is certified regular by the exact bound |x|_inf^2 * c < 1 at its
-vertices (the sup-norm is convex, so that covers every point of every
-segment); a polyline the bound does not cover is refused.  Every sample
-carries the kernel's step-doubling estimate of its RK4 error.
+count, so one kernel call transports all loops of a run.  Before it, the
+polylines are certified regular by the exact bound |x|_inf^2 * c < 1 at
+their vertices (the sup-norm is convex, so that covers every point of every
+segment, and the bound grows with |x|_inf, so one check at the largest
+extent covers every loop); a polyline the bound does not cover is refused.
+Every sample carries the kernel's step-doubling estimate of its RK4 error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,9 +57,12 @@ class LoopSpec:
         a, b = self.plane
         if a == b or a < 0 or b < 0:
             raise ValueError("plane must be two distinct nonnegative indices")
-        if not (self.side > 0):
-            raise ValueError("side must be positive")
-        object.__setattr__(self, "basepoint", tuple(float(v) for v in self.basepoint))
+        if not (self.side > 0 and math.isfinite(self.side)):
+            raise ValueError(f"side must be positive and finite, got {self.side!r}")
+        basepoint = tuple(float(v) for v in self.basepoint)
+        if not all(map(math.isfinite, basepoint)):
+            raise ValueError(f"basepoint coordinates must be finite, got {list(basepoint)}")
+        object.__setattr__(self, "basepoint", basepoint)
 
 
 @dataclass(frozen=True)
@@ -91,22 +96,29 @@ class FloatMetric:
                    invertibility_bound(qm))
 
     def certifies(self, extent: float) -> bool:
-        """Exactly: is g(x) invertible for every |x|_inf <= extent?"""
-        return Fraction(extent) ** 2 * self.bound < 1
+        """Exactly: is g(x) invertible for every |x|_inf <= extent?  An
+        extent that overflowed to infinity is not certified."""
+        return math.isfinite(extent) and Fraction(extent) ** 2 * self.bound < 1
 
 
-def _loop_polyline(loop: LoopSpec, n: int) -> np.ndarray:
-    """The 7 vertices of the origin-based lasso."""
-    a, b = loop.plane
-    if a >= n or b >= n:
+def _lasso_vertices(loops: Sequence[LoopSpec], n: int) -> np.ndarray:
+    """The (L, 7, n) vertices of the origin-based lassos, one row per loop."""
+    planes = np.array([lp.plane for lp in loops])
+    if planes.max() >= n:
         raise ValueError("plane indices exceed the dimension")
-    bp = np.zeros(n)
-    bp[: len(loop.basepoint)] = loop.basepoint
-    ea = np.zeros(n)
-    eb = np.zeros(n)
-    ea[a] = loop.side
-    eb[b] = loop.side
-    return np.stack([np.zeros(n), bp, bp + ea, bp + ea + eb, bp + eb, bp, np.zeros(n)])
+    for lp in loops:
+        if len(lp.basepoint) > n:
+            raise ValueError(f"basepoint {list(lp.basepoint)} has {len(lp.basepoint)} "
+                             f"coordinates, more than the dimension {n}")
+    bp = np.array([lp.basepoint + (0.0,) * (n - len(lp.basepoint)) for lp in loops])
+    rows = np.arange(len(loops))
+    sides = np.array([lp.side for lp in loops])
+    ea = np.zeros_like(bp)
+    eb = np.zeros_like(bp)
+    ea[rows, planes[:, 0]] = sides
+    eb[rows, planes[:, 1]] = sides
+    origin = np.zeros_like(bp)
+    return np.stack([origin, bp, bp + ea, bp + ea + eb, bp + eb, bp, origin], axis=1)
 
 
 def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec], steps: int = 16) -> tuple:
@@ -124,14 +136,15 @@ def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec], steps: int = 
         raise ValueError("need an even count of at least 16 steps per segment")
     if not loops:
         return ()
-    verts = np.stack([_loop_polyline(lp, fm.n) for lp in loops])
+    verts = _lasso_vertices(loops, fm.n)
     extents = np.max(np.abs(verts), axis=(1, 2)).tolist()
-    for lp, extent in zip(loops, extents):
-        if not fm.certifies(extent):
-            raise SingularMetricError(
-                f"loop in plane {lp.plane} at basepoint {list(lp.basepoint)} has extent "
-                f"|x|_inf = {extent!r}, not certified regular by the validity radius "
-                f"{validity_radius(fm.bound)}")
+    # the bound grows with the extent: the largest extent certifies every loop
+    if not fm.certifies(max(extents)):
+        lp, extent = next((lp, e) for lp, e in zip(loops, extents) if not fm.certifies(e))
+        raise SingularMetricError(
+            f"loop in plane {lp.plane} at basepoint {list(lp.basepoint)} has extent "
+            f"|x|_inf = {extent!r}, not certified regular by the validity radius "
+            f"{validity_radius(fm.bound)}")
     # a segment of length 0 (an origin square's tail) takes no steps
     moves = np.any(verts[:, 1:] != verts[:, :-1], axis=-1)
     try:

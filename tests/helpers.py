@@ -10,6 +10,7 @@ from holonomy import (
     berger_certificate,
     build_canonical,
     exactla,
+    liealg,
     make_pencil,
     r_formal,
     realize,
@@ -72,6 +73,6 @@ def record_dtypes(monkeypatch) -> dict:
         chosen.setdefault(sys._getframe(1).f_code.co_name, set()).add(out[0].dtype.name)
         return out
 
-    for module in (berger, realize):
+    for module in (berger, liealg, realize):
         monkeypatch.setattr(module, "narrowed", spy)
     return chosen

@@ -244,7 +244,8 @@ def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
                                         stages=("canonical", "berger", "realize")))
     # every contraction with L is too large for int64; those without it are not
     assert chosen == {"check_nablaL": {"object"}, "check_gsym": {"object"},
-                      "check_sectional": {"object"}, "check_bianchi": {"int64"},
+                      "check_sectional": {"object"}, "commutator_system": {"object"},
+                      "check_bianchi": {"int64"},
                       "lower_B": {"int64"}, "riemann_at_origin": {"int64"}}
     assert code == 0 and report["verdict"] == "pass"
     assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9

@@ -148,8 +148,18 @@ def test_loopspec_validation():
         LoopSpec((0.0,), (1, 1), 1e-2)
     with pytest.raises(ValueError):
         LoopSpec((0.0,), (0, 1), -1.0)
+    with pytest.raises(ValueError, match="side must be positive and finite"):
+        LoopSpec((0.0,), (0, 1), math.inf)
+    with pytest.raises(ValueError, match="basepoint coordinates must be finite"):
+        LoopSpec((0.0, math.nan), (0, 1), 1e-2)
     _, qm = realized([(1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
+    with pytest.raises(ValueError, match="4 coordinates, more than the dimension 3"):
+        parallel_transport(fm, [LoopSpec((0.0,) * 3, (0, 1), 1e-2),
+                                LoopSpec((0.0,) * 4, (0, 1), 1e-2)])
+    # finite input whose corner overflows is refused by the bound, with its message
+    with np.errstate(over="ignore"), pytest.raises(SingularMetricError, match="extent"):
+        parallel_transport(fm, [LoopSpec((1e308, 0.0), (0, 1), 1e308)])
     loop = LoopSpec((0.0,), (0, 1), 1e-2)
     with pytest.raises(ValueError):
         parallel_transport(fm, [loop], 8)
@@ -278,7 +288,7 @@ def test_metric_value_matches_exact():
 def ref_transport(fm, loop, steps=16):
     """The loop through the sequential reference kernel; segments of length 0
     (an origin square's tails) are dropped, which leaves the path unchanged."""
-    verts = transport._loop_polyline(loop, fm.n)
+    verts = transport._lasso_vertices([loop], fm.n)[0]
     keep = np.any(verts[1:] != verts[:-1], axis=1)
     return transport_polyline_ref(fm.g0, fm.B, verts[np.concatenate([[True], keep])],
                                   [steps] * int(keep.sum()))
@@ -298,9 +308,41 @@ def test_batched_kernel_matches_reference(blocks):
             assert np.max(np.abs(s.transport - ref_transport(fm, lp))) <= 1e-12
 
 
-def test_mixed_batch_equals_solo_calls():
+def count_segments(monkeypatch) -> list:
+    """Spy on ``kernels.segment_gamma``: the returned list gets the number of
+    segment rows of each call."""
+    rows = []
+    segment_gamma = kernels.segment_gamma
+
+    def spy(G, R, s):
+        rows.append(G.shape[1])
+        return segment_gamma(G, R, s)
+
+    monkeypatch.setattr(kernels, "segment_gamma", spy)
+    return rows
+
+
+@pytest.mark.parametrize("n, blocks, distinct", [
+    (3, [(1, 1), (2, 1)], 34),
+    (4, [(1, 1), (1, 1), (2, 1)], 58),
+    (5, [(2, 1), (3, -1)], 88),
+])
+def test_each_distinct_segment_is_integrated_once(n, blocks, distinct, monkeypatch):
+    # 3 C(n, 2) lassos of 6 segments; per basepoint the n - 1 first edges
+    # (planes (a, .)), the n - 1 last edges (planes (., b)) and the two
+    # tails of an off-origin corner are shared: 3 (n - 1)(n + 2) + 4 distinct
+    fm = FloatMetric.from_exact(realized(blocks)[1])
+    rows = count_segments(monkeypatch)
+    parallel_transport(fm, standard_loops(n))
+    assert sum(rows) == distinct == 3 * (n - 1) * (n + 2) + 4
+
+
+def test_mixed_batch_equals_solo_calls(monkeypatch):
     # origin squares and lassos of two sides in one call at one step count,
-    # which the kernel splits into several batches
+    # which the kernel integrates in several segment batches of unequal
+    # sizes; two loops share a segment with an origin square in another
+    # position: a tail equal to its first edge, and a tail back equal to
+    # its last edge
     _, qm = realized([(1, 1), (1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
     loops = [LoopSpec((0.0,) * 4, (0, 1), 1e-2),
@@ -308,10 +350,17 @@ def test_mixed_batch_equals_solo_calls():
              LoopSpec((0.0,) * 4, (2, 3), 1e-2),
              LoopSpec((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2),
              LoopSpec((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3),
-             LoopSpec((0.0,) * 4, (1, 3), 5e-3)] + standard_loops(4, seed=2)
-    per_batch = kernels.NODE_BUDGET // (6 * (2 * 100 + 1) * 4 ** 2)  # segments, nodes, n^2
+             LoopSpec((0.0,) * 4, (1, 3), 5e-3),
+             LoopSpec((1e-2, 0.0, 0.0, 0.0), (1, 2), 1e-2),
+             LoopSpec((0.0, 0.0, 0.0, 1e-2), (0, 1), 1e-2)] + standard_loops(4, seed=2)
+    rows = count_segments(monkeypatch)
     batch = parallel_transport(fm, loops, 100)
-    assert len(batch) == len(loops) > per_batch
+    per_batch = kernels.NODE_BUDGET // ((2 * 100 + 1) * 4 ** 2)  # nodes, n^2
+    assert len(batch) == len(loops) and len(rows) > 1 and max(rows) <= per_batch
+    assert sum(rows) % len(rows)  # the last batch is smaller
+    segments = {(tuple(p), tuple(q - p)) for lasso in transport._lasso_vertices(loops, 4)
+                for p, q in zip(lasso[:-1], lasso[1:]) if (q != p).any()}
+    assert sum(rows) == len(segments)
     for lp, s in zip(loops, batch):
         (solo,) = parallel_transport(fm, [lp], 100)
         assert s.loop == solo.loop == lp
@@ -367,7 +416,7 @@ def test_exact_bound_certifies_standard_loops():
         for seed in (0, 1):
             loops = standard_loops(pair.n, seed=seed)
             for lp in loops:
-                extent = float(np.max(np.abs(transport._loop_polyline(lp, pair.n))))
+                extent = float(np.max(np.abs(transport._lasso_vertices([lp], pair.n)[0])))
                 assert extent < radius and fm.certifies(extent)
             assert len(parallel_transport(fm, loops)) == len(loops)
 
@@ -427,7 +476,7 @@ def test_step_error_estimate_tracks_true_error():
         n = pair.n
         coarse = LoopSpec((0.0,) * n, (0, n - 1), 0.3)
         (s,) = parallel_transport(fm, [coarse], 16)
-        verts = transport._loop_polyline(coarse, n)
+        verts = transport._lasso_vertices([coarse], n)[0]
         fine = transport_polyline_ref(fm.g0, fm.B, verts[1:-1], [400] * 4)
         true = float(np.max(np.abs(s.transport - fine)))
         assert s.step_error > 1e-12
