@@ -7,7 +7,12 @@ Commands:
 
 Exit status: 0 all requested stages pass, 1 verification failure,
 2 invalid input.  Report JSON files are deterministic for a fixed config
-and seed; per-stage wall times go to stderr only.
+and seed; a verify report is serialized once, and stdout and the ``--out``
+file carry the same bytes.  Per-stage wall times go to stderr only.
+
+The probe stage transports the standard loops only in the coordinate
+planes (a, b) whose formal curvature value R0(e_a ^ e_b) is nonzero; the
+others add nothing to the span of g_L and are counted in ``flat_planes``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import os
@@ -77,14 +83,18 @@ def _stage_canonical(pair: CanonicalPair) -> dict:
     }
 
 
-def _stage_probe(qm, cert, config: RunConfig) -> dict:
+def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
     from .probe import FloatMetric, holonomy_span, standard_loops
 
-    loops = standard_loops(qm.n, seed=config.seed)
+    # a plane whose formal value is exactly zero adds nothing to the span of
+    # g_L, and its loops transport to the identity: only curved planes go on
+    curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
+    loops = [lp for lp in standard_loops(qm.n, seed=config.seed) if lp.plane in curved]
     report = holonomy_span(FloatMetric.from_exact(qm), cert, loops,
                            membership_tol=config.membership_tol,
                            rank_threshold=config.rank_threshold)
     doc = report.to_json()
+    doc["flat_planes"] = len(rmap.tags) - len(curved)
     doc["seed"] = config.seed
     return doc
 
@@ -129,7 +139,7 @@ def cmd_verify(config: RunConfig) -> tuple:
         elif stage == "realize":
             report["stages"]["realize"] = verify_realization(pair, qm, rmap).to_json()
         elif stage == "probe":
-            report["stages"]["probe"] = _stage_probe(qm, cert, config)
+            report["stages"]["probe"] = _stage_probe(qm, cert, rmap, config)
         timings.append((stage, time.perf_counter() - started))
 
     passed = all(s.get("passed", False) for s in report["stages"].values())
@@ -139,13 +149,17 @@ def cmd_verify(config: RunConfig) -> tuple:
     return report, 0 if passed else 1
 
 
-def _write_json_atomic(path: str, doc: dict) -> None:
+def _dumps(doc: dict) -> str:
+    """The one JSON text of a document, as written to stdout and to files."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):  # the temp file is ours: never leave it behind
@@ -223,7 +237,7 @@ def cmd_corpus(max_n: int, out_dir: str) -> list:
     paths = []
     for name, doc in iter_corpus_specs(max_n):
         path = outp / f"{name}.json"
-        _write_json_atomic(str(path), doc)
+        _write_atomic(str(path), _dumps(doc))
         paths.append(path)
     return paths
 
@@ -309,7 +323,9 @@ def cmd_report(paths, csv_out: str = "") -> tuple:
 
 # -- entry point ---------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused."""
     parser = argparse.ArgumentParser(
         prog="holonomy",
         description="Verify centralizer holonomy algebras from Jordan block data.")
@@ -335,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "verify":
         stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
@@ -347,13 +363,14 @@ def main(argv=None) -> int:
             print(str(exc), file=sys.stderr)
             return 2
         report, code = cmd_verify(config)
+        text = _dumps(report)
         if args.out and "error" not in report:
             try:
-                _write_json_atomic(args.out, report)
+                _write_atomic(args.out, text)
             except OSError as exc:
                 print(f"cannot write the report: {exc}", file=sys.stderr)
                 return 2
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(text)
         return code
 
     if args.command == "corpus":

@@ -16,6 +16,12 @@ their vertices (the sup-norm is convex, so that covers every point of every
 segment, and the bound grows with |x|_inf, so one check at the largest
 extent covers every loop); a polyline the bound does not cover is refused.
 Every sample carries the kernel's step-doubling estimate of its RK4 error.
+
+``standard_loops`` spans every coordinate plane.  The CLI probe keeps only
+the loops in planes whose formal curvature value is nonzero: the loops in
+the other planes transport to the identity to rounding and add nothing to
+the span (the Tier-1 tests check both).  So a report's samples, and its
+``max_step_error`` and ``max_loop_extent``, cover the transported loops.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from holonomy.canonical import MAX_DIM, pencil_from_json
+from holonomy.berger import r_formal
+from holonomy.canonical import MAX_DIM, build_canonical, pencil_from_json
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
+from holonomy.probe.transport import EXTRA_BASEPOINTS
 
 
 def write_spec(tmp_path, name, doc):
@@ -188,6 +190,46 @@ def test_verify_probe_only_builds_metric(tmp_path):
     report, code = cmd_verify(RunConfig(input=str(spec), stages=("probe",)))
     assert code == 0
     assert report["stages"]["probe"]["passed"] is True
+
+
+SPECS_ALL_FLAT = {
+    "2: 3+": {"eigenvalues": [{"lambda": "2", "blocks": [{"size": 3, "sign": 1}]}]},
+    "1: 1+; 2: 2-": {"eigenvalues": [{"lambda": "1", "blocks": [{"size": 1, "sign": 1}]},
+                                     {"lambda": "2", "blocks": [{"size": 2, "sign": -1}]}]},
+}
+
+
+@pytest.mark.parametrize("name", SPECS_ALL_FLAT)
+def test_probe_with_every_plane_flat_transports_nothing(tmp_path, name):
+    spec = write_spec(tmp_path, "spec.json", SPECS_ALL_FLAT[name])
+    report, code = cmd_verify(RunConfig(input=str(spec)))
+    probe = report["stages"]["probe"]
+    assert code == 0 and probe["passed"] is True
+    assert probe["samples"] == [] and probe["flat_planes"] == 3  # every plane at n = 3
+    assert probe["span_rank"] == probe["dim_gL"] == report["stages"]["berger"]["dim_gL"] == 0
+    assert probe["max_loop_extent"] == 0.0 and probe["max_step_error"] == 0.0
+
+
+def test_probe_transports_exactly_the_curved_planes(tmp_path):
+    doc = {"eigenvalues": [{"lambda": "-1/3", "blocks": [
+        {"size": 1, "sign": 1}, {"size": 2, "sign": -1}, {"size": 3, "sign": 1}]}]}
+    spec = write_spec(tmp_path, "spec.json", doc)
+    report, code = cmd_verify(RunConfig(input=str(spec), seed=5))
+    probe = report["stages"]["probe"]
+    assert code == 0 and probe["passed"] is True
+    rmap = r_formal(build_canonical(pencil_from_json(json.dumps(doc))))
+    curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
+    assert {tuple(s["plane"]) for s in probe["samples"]} == curved
+    n = 6
+    assert 0 < probe["flat_planes"] == n * (n - 1) // 2 - len(curved)
+    assert len(probe["samples"]) == (1 + EXTRA_BASEPOINTS) * (n * (n - 1) // 2 - probe["flat_planes"])
+
+
+def test_verify_stdout_and_out_file_are_the_same_bytes(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--input", str(spec), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_reports_deterministic(tmp_path):

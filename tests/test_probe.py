@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holonomy import berger_certificate, build_B, lower_B, r_formal
+from holonomy import berger_certificate, build_B, build_canonical, lower_B, make_pencil, r_formal
 from holonomy.berger import CurvatureMap
 from holonomy.probe import transport
 from holonomy.probe import (
@@ -404,6 +404,37 @@ def test_kernel_rejects_bad_step_counts():
     d_short, err_short = kernels.transport_polyline(fm.g0, fm.B, verts[:, 1:], [16, 16])
     assert np.array_equal(d, d_short) and np.array_equal(err, err_short)
     assert d.shape == (1, 3, 3) and err.shape == (1,) and 0.0 < err[0] < 1e-15
+
+
+# -- flat planes --------------------------------------------------------------------
+
+# The probe specs plus two with two eigenvalues (n = 8 and n = 7), each a
+# list of (eigenvalue, [(size, sign), ...]).
+FLATNESS_SPECS = [(name, [(0, blocks)]) for name, blocks in PROBE_SPECS] + [
+    ("-1: 1-3 +-; 2: 2-2 ++", [(-1, [(1, 1), (3, -1)]), (2, [(2, 1), (2, 1)])]),
+    ("1/2: 2-2 +-; -3: 1-2 ++", [(Fraction(1, 2), [(2, 1), (2, -1)]), (-3, [(1, 1), (2, 1)])]),
+]
+
+
+@pytest.mark.parametrize("eigenvalues", [e for _, e in FLATNESS_SPECS],
+                         ids=[name for name, _ in FLATNESS_SPECS])
+def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
+    """The CLI probe skips the coordinate planes whose formal value
+    R0(e_a ^ e_b) is exactly zero.  This is the evidence that nothing is
+    lost: every standard loop in such a plane, at the origin and at the
+    seeded corners, transports to the identity to rounding, while every
+    loop in a curved plane moves by about side^2.  Zero curvature at the
+    origin alone would not imply this (the off-origin squares sit where
+    the curvature differs from R0), so it is checked by transport."""
+    pair = build_canonical(make_pencil([(Fraction(lam), blocks) for lam, blocks in eigenvalues]))
+    rmap = r_formal(pair)
+    flat = {tag for tag, value in zip(rmap.tags, rmap.num) if not value.any()}
+    assert 0 < len(flat) < len(rmap.tags)
+    fm = FloatMetric.from_exact(lower_B(build_B(pair), pair.g))
+    samples = parallel_transport(fm, standard_loops(pair.n, seed=0))
+    moved = {s.loop: float(np.max(np.abs(s.transport - np.eye(pair.n)))) for s in samples}
+    assert max(m for lp, m in moved.items() if lp.plane in flat) <= 1e-15
+    assert min(m for lp, m in moved.items() if lp.plane not in flat) >= 1e-5
 
 
 # -- the exact path bound ---------------------------------------------------------------
