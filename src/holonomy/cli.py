@@ -47,8 +47,6 @@ ALL_STAGES = ("canonical", "berger", "realize", "probe")
 class RunConfig:
     input: str
     stages: tuple = ALL_STAGES
-    membership_tol: float = 1e-6
-    rank_threshold: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -57,10 +55,6 @@ class RunConfig:
             raise ValueError(f"unknown stages: {','.join(unknown) or '(none)'}")
         if len(set(self.stages)) < len(self.stages):
             raise ValueError(f"repeated stage in: {','.join(self.stages)}")
-        # both are relative, so a value of 1 or more makes its check vacuous (and
-        # the comparison rejects NaN)
-        if not all(0 < t < 1 for t in (self.membership_tol, self.rank_threshold)):
-            raise ValueError("--membership-tol and --rank-threshold must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
@@ -90,12 +84,8 @@ def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
     # g_L, and its loops transport to the identity: only curved planes go on
     curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
     loops = [lp for lp in standard_loops(qm.n, seed=config.seed) if lp.plane in curved]
-    report = holonomy_span(FloatMetric.from_exact(qm), cert, loops,
-                           membership_tol=config.membership_tol,
-                           rank_threshold=config.rank_threshold)
-    doc = report.to_json()
+    doc = holonomy_span(FloatMetric.from_exact(qm), cert, loops).to_json()
     doc["flat_planes"] = len(rmap.tags) - len(curved)
-    doc["seed"] = config.seed
     return doc
 
 
@@ -113,8 +103,6 @@ def cmd_verify(config: RunConfig) -> tuple:
         "config": {
             # in pipeline order, so the same stages give the same report
             "stages": [s for s in ALL_STAGES if s in config.stages],
-            "membership_tol": config.membership_tol,
-            "rank_threshold": config.rank_threshold,
             "seed": config.seed,
         },
         "stages": {},
@@ -150,11 +138,14 @@ def cmd_verify(config: RunConfig) -> tuple:
 
 
 def _dumps(doc: dict) -> str:
-    """The one JSON text of a document, as written to stdout and to files."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON text of a document, as written to stdout and to files;
+    strict JSON, so a non-finite float raises instead of writing Infinity."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:
+    # through a symlink, the rename replaces its target, not the link
+    path = os.path.realpath(path)
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
@@ -337,8 +328,6 @@ def _parser() -> argparse.ArgumentParser:
                           help="comma list from: canonical,berger,realize,probe")
     p_verify.add_argument("--out", default="", help="write the report JSON here")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--membership-tol", type=float, default=1e-6)
-    p_verify.add_argument("--rank-threshold", type=float, default=1e-8)
 
     p_corpus = sub.add_parser("corpus", help="emit the nilpotent spec corpus")
     p_corpus.add_argument("--max-n", type=int, required=True)
@@ -356,9 +345,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
         try:
-            config = RunConfig(input=args.input, stages=stages, seed=args.seed,
-                               membership_tol=args.membership_tol,
-                               rank_threshold=args.rank_threshold)
+            config = RunConfig(input=args.input, stages=stages, seed=args.seed)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2

@@ -5,9 +5,8 @@ Array conventions (all float64):
     B     (n, n, n, n)     lowered quadratic coefficients B[i,j,p,q], converted
                            once from the exact integer form as num / den
     verts (L, V, n)        L polylines of V vertices each, transported together
-    steps (L * (V - 1),)   RK4 steps per segment, loop-major: segment e of loop l
-                           is steps[l * (V - 1) + e]; one even count N for the
-                           whole call, or 0 on a segment of length 0
+    steps int              RK4 steps N on every segment of nonzero length, even
+                           and at least 2; a segment of length 0 is the identity
     mats  (2, n^2, n^2)    B and its Christoffel combination as matrices,
                            from ``contraction_matrices``
     a, v  (S, n)           segment start and direction, x(s) = a + s v, s in [0, 1]
@@ -25,7 +24,7 @@ segment, by the exact bits of its (start, direction), is integrated once:
 M at all nodes of a batch of distinct segments comes from one batched
 solve, and the steps of each segment are combined pairwise in order into
 its increment.  Each loop then gathers its segments' increments by index
-(a zero increment for a segment that takes no steps), and they are
+(a zero increment for a segment of length 0), and they are
 combined pairwise in order, a batch of loops at a time.  The arithmetic
 on a segment does not depend on which other segments share its batch.
 The even-indexed nodes are exactly the nodes of the N/2-step run, which
@@ -139,44 +138,36 @@ def _batches(total, per_item):
 def transport_polyline(g0, B, verts, steps):
     """Parallel transport along L polylines at once.
 
-    Every segment takes the same even number N of fixed RK4 steps; a segment
-    of length 0 may take 0 steps instead (it is the identity).  Returns
+    Every segment of nonzero length takes ``steps`` fixed RK4 steps, an even
+    count N of at least 2; a segment of length 0 is the identity.  Returns
     ``(D, step_error)``: the (L, n, n) increments D = A - I of the transport
     matrices A mapping fibers at each polyline's first vertex to its last,
     and the (L,) Richardson estimates |D_N - D_(N/2)|_max / 15 of their RK4
     error (the N/2-step run uses every second node of the N-step run).
     """
     verts = np.ascontiguousarray(verts, dtype=np.float64)
-    steps = np.ascontiguousarray(steps, dtype=np.int64)
     if verts.ndim != 3 or verts.shape[1] < 2:
         raise ValueError("verts must have shape (loops, vertices >= 2, n)")
+    if not isinstance(steps, int) or steps < 2 or steps % 2:
+        raise ValueError(f"steps must be an even int of at least 2, got {steps!r}")
     nloops, nverts, n = verts.shape
-    if steps.shape != (nloops * (nverts - 1),):
-        raise ValueError("need one step count per segment")
-    steps = steps.reshape(nloops, nverts - 1)
     a = verts[:, :-1]
     v = verts[:, 1:] - a
-    active = steps != 0
-    counts = np.unique(steps[active])
-    if (counts.size > 1 or np.any(counts <= 0) or np.any(counts % 2)
-            or np.any(~active & np.any(v != 0.0, axis=-1))):
-        raise ValueError("every segment of nonzero length must take one even, "
-                         "positive step count")
+    active = np.any(v != 0.0, axis=-1)
     d = np.zeros((nloops, n, n))
     err = np.zeros(nloops)
-    if not counts.size:
+    if not active.any():
         return d, err
-    nsteps = int(counts[0])
     mats = contraction_matrices(B)
     # the distinct active segments, equal when the bits of (start, direction) are
     key = np.ascontiguousarray(np.concatenate([a, v], axis=-1)[active])
     _, first, inverse = np.unique(key.view(np.dtype((np.void, key.itemsize * 2 * n))).ravel(),
                                   return_index=True, return_inverse=True)
     seg_a, seg_v = key[first, :n], key[first, n:]
-    # slot len(first) stays zero: the increment of a segment without steps
+    # slot len(first) stays zero: the increment of a segment of length 0
     runs = np.zeros((2, len(first) + 1, n, n))
-    for part in _batches(len(first), (2 * nsteps + 1) * n * n):
-        runs[:, part] = _segment_runs(g0, mats, seg_a[part], seg_v[part], nsteps)
+    for part in _batches(len(first), (2 * steps + 1) * n * n):
+        runs[:, part] = _segment_runs(g0, mats, seg_a[part], seg_v[part], steps)
     index = np.full(active.shape, len(first))
     index[active] = inverse
     for part in _batches(nloops, 2 * (nverts - 1) * n * n):

@@ -9,12 +9,13 @@ curvature images that span g_L, are the basis the logarithms are tested
 against.
 
 Every loop is a 7-vertex polyline (a square at the origin has tails of
-length 0 and no steps on them) whose segments all take the call's step
-count, so one kernel call transports all loops of a run.  Before it, the
-polylines are certified regular by the exact bound |x|_inf^2 * c < 1 at
-their vertices (the sup-norm is convex, so that covers every point of every
-segment, and the bound grows with |x|_inf, so one check at the largest
-extent covers every loop); a polyline the bound does not cover is refused.
+length 0, which the kernel takes as the identity) whose other segments all
+take ``STEPS`` RK4 steps, so one kernel call transports all loops of a
+run.  Before it, the polylines are certified regular by the exact bound
+|x|_inf^2 * c < 1 at their vertices (the sup-norm is convex, so that covers
+every point of every segment, and the bound grows with |x|_inf, so one
+check at the largest extent covers every loop); a polyline the bound does
+not cover is refused.
 Every sample carries the kernel's step-doubling estimate of its RK4 error.
 
 ``standard_loops`` spans every coordinate plane.  The CLI probe keeps only
@@ -37,7 +38,14 @@ from ..berger import BergerCertificate
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
-# Frobenius norms below this are treated as a zero logarithm sample.
+# The probe's numerical policy: RK4 steps per segment (even, so the
+# kernel's N/2-step error estimate exists), the largest relative membership
+# residual a passing report may have, and the singular values counted in
+# the rank, relative to the largest.  Frobenius norms below _NEGLIGIBLE are
+# treated as a zero logarithm sample.
+STEPS = 16
+MEMBERSHIP_TOL = 1e-6
+RANK_THRESHOLD = 1e-8
 _NEGLIGIBLE = 1e-9
 
 # The standard loop family: side of every square, and the seeded off-origin
@@ -127,10 +135,10 @@ def _lasso_vertices(loops: Sequence[LoopSpec], n: int) -> np.ndarray:
     return np.stack([origin, bp, bp + ea, bp + ea + eb, bp + eb, bp, origin], axis=1)
 
 
-def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec], steps: int = 16) -> tuple:
+def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec]) -> tuple:
     """Integrate transport around origin-based square loops in one kernel call.
 
-    dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4, ``steps``
+    dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4, ``STEPS``
     steps per segment; each square is traversed corner -> +e_a -> +e_b ->
     -e_a -> -e_b.  The logarithm is the second-order truncation D - D^2 / 2
     of A = I + D, adequate because |D| = O(side^2).  Returns one
@@ -138,8 +146,6 @@ def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec], steps: int = 
     certify, or a degenerate metric on any loop, raises before any result
     exists.
     """
-    if steps < 16 or steps % 2:
-        raise ValueError("need an even count of at least 16 steps per segment")
     if not loops:
         return ()
     verts = _lasso_vertices(loops, fm.n)
@@ -151,11 +157,8 @@ def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec], steps: int = 
             f"loop in plane {lp.plane} at basepoint {list(lp.basepoint)} has extent "
             f"|x|_inf = {extent!r}, not certified regular by the validity radius "
             f"{validity_radius(fm.bound)}")
-    # a segment of length 0 (an origin square's tail) takes no steps
-    moves = np.any(verts[:, 1:] != verts[:, :-1], axis=-1)
     try:
-        d, err = kernels.transport_polyline(fm.g0, fm.B, verts,
-                                            np.where(moves, steps, 0).ravel())
+        d, err = kernels.transport_polyline(fm.g0, fm.B, verts, STEPS)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError("metric is singular on a loop") from exc
     if not (np.isfinite(d).all() and np.isfinite(err).all()):
@@ -190,13 +193,15 @@ class SpanReport:
     passed: bool
 
     def to_json(self) -> dict:
+        # strict JSON has no Infinity: an infinite gap (no singular value
+        # discarded) or radius (a constant metric) is written as null
         return {
             "span_rank": self.span_rank,
             "dim_gL": self.dim_gL,
             "max_membership_residual": self.max_membership_residual,
-            "sv_gap": self.sv_gap,
+            "sv_gap": None if math.isinf(self.sv_gap) else self.sv_gap,
             "singular_values": list(self.singular_values),
-            "validity_radius": self.validity_radius,
+            "validity_radius": None if math.isinf(self.validity_radius) else self.validity_radius,
             "max_loop_extent": max((s.extent for s in self.samples), default=0.0),
             "max_step_error": max((s.step_error for s in self.samples), default=0.0),
             "samples": [
@@ -214,8 +219,7 @@ class SpanReport:
         }
 
 
-def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[LoopSpec],
-                  membership_tol: float = 1e-6, rank_threshold: float = 1e-8) -> SpanReport:
+def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[LoopSpec]) -> SpanReport:
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
     ``cert`` is the Berger certificate, built once by the caller: the
@@ -223,10 +227,10 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     the span of the witness values (the curvature image, which is g_L when
     the certificate passed), all samples in one least-squares solve, and
     the target rank is ``cert.dim_gL``.  The numerical rank uses singular
-    values relative to the largest; near-zero samples (flat directions) are
-    excluded from the stack and have residual 0.  The report passes iff the
-    certificate passed, the rank equals dim g_L and every membership
-    residual stays below the tolerance.
+    values above ``RANK_THRESHOLD`` times the largest; near-zero samples
+    (flat directions) are excluded from the stack and have residual 0.  The
+    report passes iff the certificate passed, the rank equals dim g_L and
+    every membership residual stays below ``MEMBERSHIP_TOL``.
     """
     num, den = cert.basis
     dim = cert.dim_gL
@@ -243,7 +247,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     if kept.any():
         sv = np.linalg.svd(psi[kept], compute_uv=False)
         sv = sv[sv > 0.0]
-        rank = int(np.sum(sv > rank_threshold * sv[0])) if sv.size else 0
+        rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
     else:
         sv = np.array([])
         rank = 0
@@ -256,6 +260,6 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     else:
         gap = float(retained[-1] / discarded[0])
     max_res = float(residuals.max(initial=0.0))
-    passed = cert.passed and rank == dim and max_res < membership_tol
+    passed = cert.passed and rank == dim and max_res < MEMBERSHIP_TOL
     return SpanReport(rank, dim, max_res, tuple(float(v) for v in sv), gap,
                       validity_radius(fm.bound), samples, tuple(residuals.tolist()), passed)

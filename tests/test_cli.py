@@ -118,30 +118,62 @@ def test_verify_dimension_cap(tmp_path, capsys):
     assert "[timing]" not in captured.err  # rejected before any stage ran
 
 
+def exit_status(argv) -> int:
+    """``main``'s exit status, also when argparse refuses the arguments."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("option", [
     ["--seed", "-1"],
-    ["--membership-tol", "0"],
-    ["--rank-threshold", "0"],
-    ["--membership-tol", "nan"],
-    ["--membership-tol", "inf"],
-    ["--rank-threshold", "inf"],
-    # both values are relative: at 1 or more a check is vacuous
-    ["--membership-tol", "1"],
-    ["--membership-tol", "1e300"],
-    ["--membership-tol", "2"],
-    ["--rank-threshold", "1"],
-    ["--rank-threshold", "1e300"],
-    ["--rank-threshold", "2"],
+    ["--seed", "x"],
+    ["--seed", "1.5"],
+    ["--seed"],
+    ["--stages", ""],
+    ["--stages", "canonical probe"],  # a comma list, not a space list
+    ["--input"],
+    ["--out"],
+    # the probe's step count and tolerances are constants, not options
+    ["--membership-tol", "1e-3"],
+    ["--rank-threshold", "1e-3"],
+    ["--steps", "4"],
+    ["extra"],
 ])
 def test_verify_rejects_bad_options(tmp_path, capsys, option):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     capsys.readouterr()
-    assert main(["verify", "--input", str(spec)] + option) == 2
+    assert exit_status(["verify", "--input", str(spec)] + option) == 2
     captured = capsys.readouterr()
     # rejected before any stage ran: no stage timings, one message line
+    # (after argparse's usage lines, for arguments it cannot parse)
     assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
+    *usage, message = captured.err.strip().splitlines()
+    assert all(ln.startswith(("usage:", " ")) for ln in usage), usage
     assert "[timing]" not in captured.err
+
+
+def test_report_config_holds_stages_and_seed(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    assert main(["verify", "--input", str(spec), "--seed", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"] == {"stages": ["canonical", "berger", "realize", "probe"], "seed": 5}
+    assert "seed" not in report["stages"]["probe"]
+
+
+def test_report_is_strict_json_when_nothing_is_discarded(tmp_path, capsys):
+    # dim g_L = 0: no singular value is discarded, so sv_gap is infinite and
+    # is written as null
+    spec = write_spec(tmp_path, "single.json", SPEC_SINGLE)
+    assert main(["verify", "--input", str(spec)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    probe = json.loads(capsys.readouterr().out, parse_constant=refuse)["stages"]["probe"]
+    assert probe["dim_gL"] == 0 and probe["passed"] is True
+    assert probe["sv_gap"] is None and probe["validity_radius"] > 0
 
 
 def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
@@ -260,6 +292,25 @@ def test_verify_unwritable_out_exits_2(tmp_path, capsys):
     assert "cannot write the report" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "taken"]
     assert not any(taken.iterdir())
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    target = tmp_path / "target.json"
+    target.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+    # a corpus spec that is a link
+    out = tmp_path / "corpus"
+    out.mkdir()
+    (out / "n2_p2_s+.json").symlink_to(target)
+    assert main(["corpus", "--max-n", "2", "--out", str(out)]) == 0
+    assert (out / "n2_p2_s+.json").is_symlink()
+    assert json.loads(target.read_text(encoding="utf-8")) == dict(iter_corpus_specs(2))["n2_p2_s+"]
+    assert not list(tmp_path.glob("**/*.tmp"))
 
 
 def test_corpus_out_is_a_file_exits_2(tmp_path, capsys):
@@ -402,7 +453,7 @@ def test_report_sorts_n_as_a_number(tmp_path, capsys):
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(input="x", stages=())
-    with pytest.raises(ValueError):
-        RunConfig(input="x", membership_tol=0.0)
+    with pytest.raises(TypeError):  # the probe's tolerances are constants, not fields
+        RunConfig(input="x", membership_tol=1e-6)
     with pytest.raises(ValueError):
         RunConfig(input="x", seed=-1)

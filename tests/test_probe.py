@@ -96,7 +96,7 @@ def test_christoffel_symmetric_lower_indices():
 def test_flat_transport_is_identity():
     pair = pair_of([(2, 1)])
     flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
-    (s,) = parallel_transport(flat, [LoopSpec((0.0, 0.0), (0, 1), 1e-2)], 100)
+    (s,) = parallel_transport(flat, [LoopSpec((0.0, 0.0), (0, 1), 1e-2)])
     assert np.max(np.abs(s.transport - np.eye(2))) < 1e-12
 
 
@@ -106,7 +106,7 @@ def test_rotation_angle_matches_curvature_oracle():
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     side = 1e-2
-    (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0), (0, 1), side)], 100)
+    (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0), (0, 1), side)])
     theta = math.atan2(s.transport[1, 0], s.transport[0, 0])
     k_oracle = fd_curvature_op(fm, 0, 1)[0, 1]
     assert abs(abs(theta) / side ** 2 - abs(k_oracle)) < 0.01 * abs(k_oracle)
@@ -118,7 +118,7 @@ def test_loop_shrinking_consistency():
     norms = {}
     psis = {}
     for side in (1e-2, 5e-3):
-        (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0, 0.0), (0, 2), side)], 100)
+        (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0, 0.0), (0, 2), side)])
         norms[side] = np.linalg.norm(s.log_approx) / side ** 2
         psis[side] = s.log_approx
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
@@ -160,12 +160,6 @@ def test_loopspec_validation():
     # finite input whose corner overflows is refused by the bound, with its message
     with np.errstate(over="ignore"), pytest.raises(SingularMetricError, match="extent"):
         parallel_transport(fm, [LoopSpec((1e308, 0.0), (0, 1), 1e308)])
-    loop = LoopSpec((0.0,), (0, 1), 1e-2)
-    with pytest.raises(ValueError):
-        parallel_transport(fm, [loop], 8)
-    for odd in (17, 101):
-        with pytest.raises(ValueError, match="even"):
-            parallel_transport(fm, [loop], odd)
 
 
 def test_singular_metric_detected():
@@ -175,7 +169,7 @@ def test_singular_metric_detected():
     fm = FloatMetric.from_exact(qm)
     bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)
     with pytest.raises(SingularMetricError):
-        parallel_transport(fm, [bad], 100)
+        parallel_transport(fm, [bad])
 
 
 # -- span reports -----------------------------------------------------------------
@@ -185,6 +179,9 @@ def test_span_flat_single_block():
     rep = span(qm, pair, standard_loops(3, seed=0))
     assert rep.span_rank == 0 and rep.dim_gL == 0 and rep.passed
     assert rep.sv_gap == float("inf")
+    # strict JSON has no Infinity; a constant metric has an infinite radius
+    doc = dataclasses.replace(rep, validity_radius=float("inf")).to_json()
+    assert doc["sv_gap"] is None and doc["validity_radius"] is None
 
 
 def test_span_blocks_1_2():
@@ -285,13 +282,14 @@ def test_metric_value_matches_exact():
 
 # -- batched kernel against the sequential reference -----------------------------------
 
-def ref_transport(fm, loop, steps=16):
-    """The loop through the sequential reference kernel; segments of length 0
-    (an origin square's tails) are dropped, which leaves the path unchanged."""
+def ref_transport(fm, loop):
+    """The loop through the sequential reference kernel at the probe's step
+    count; segments of length 0 (an origin square's tails) are dropped,
+    which leaves the path unchanged."""
     verts = transport._lasso_vertices([loop], fm.n)[0]
     keep = np.any(verts[1:] != verts[:-1], axis=1)
     return transport_polyline_ref(fm.g0, fm.B, verts[np.concatenate([[True], keep])],
-                                  [steps] * int(keep.sum()))
+                                  [transport.STEPS] * int(keep.sum()))
 
 
 @pytest.mark.parametrize("blocks", [b for _, b in PROBE_SPECS], ids=[n for n, _ in PROBE_SPECS])
@@ -340,9 +338,10 @@ def test_each_distinct_segment_is_integrated_once(n, blocks, distinct, monkeypat
 def test_mixed_batch_equals_solo_calls(monkeypatch):
     # origin squares and lassos of two sides in one call at one step count,
     # which the kernel integrates in several segment batches of unequal
-    # sizes; two loops share a segment with an origin square in another
-    # position: a tail equal to its first edge, and a tail back equal to
-    # its last edge
+    # sizes (100 steps per segment make the node arrays large); two loops
+    # share a segment with an origin square in another position: a tail
+    # equal to its first edge, and a tail back equal to its last edge
+    monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
     loops = [LoopSpec((0.0,) * 4, (0, 1), 1e-2),
@@ -354,7 +353,7 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
              LoopSpec((1e-2, 0.0, 0.0, 0.0), (1, 2), 1e-2),
              LoopSpec((0.0, 0.0, 0.0, 1e-2), (0, 1), 1e-2)] + standard_loops(4, seed=2)
     rows = count_segments(monkeypatch)
-    batch = parallel_transport(fm, loops, 100)
+    batch = parallel_transport(fm, loops)
     per_batch = kernels.NODE_BUDGET // ((2 * 100 + 1) * 4 ** 2)  # nodes, n^2
     assert len(batch) == len(loops) and len(rows) > 1 and max(rows) <= per_batch
     assert sum(rows) % len(rows)  # the last batch is smaller
@@ -362,7 +361,7 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
                 for p, q in zip(lasso[:-1], lasso[1:]) if (q != p).any()}
     assert sum(rows) == len(segments)
     for lp, s in zip(loops, batch):
-        (solo,) = parallel_transport(fm, [lp], 100)
+        (solo,) = parallel_transport(fm, [lp])
         assert s.loop == solo.loop == lp
         assert np.array_equal(s.transport, solo.transport)
         assert np.array_equal(s.log_approx, solo.log_approx)
@@ -392,16 +391,14 @@ def test_kernel_rejects_bad_step_counts():
     _, qm = realized([(1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
     verts = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.01, 0.01, 0.0]]])
-    for bad in ([0, 0, 16],      # length 0.01, no steps
-                [-1, 16, 16],
-                [0, 16, 32],     # two step counts in one call
-                [0, 17, 17],     # odd: no N/2-step run
-                [16, 16, 16, 16]):
-        with pytest.raises(ValueError):
+    for bad in (17, 1,           # odd: no N/2-step run
+                0, -2, -16,
+                [16, 16, 16]):   # one count per call, not per segment
+        with pytest.raises(ValueError, match="even int of at least 2"):
             kernels.transport_polyline(fm.g0, fm.B, verts, bad)
-    # a segment of length 0 may take no steps: it is the identity
-    d, err = kernels.transport_polyline(fm.g0, fm.B, verts, [0, 16, 16])
-    d_short, err_short = kernels.transport_polyline(fm.g0, fm.B, verts[:, 1:], [16, 16])
+    # a segment of length 0 is the identity
+    d, err = kernels.transport_polyline(fm.g0, fm.B, verts, 16)
+    d_short, err_short = kernels.transport_polyline(fm.g0, fm.B, verts[:, 1:], 16)
     assert np.array_equal(d, d_short) and np.array_equal(err, err_short)
     assert d.shape == (1, 3, 3) and err.shape == (1,) and 0.0 < err[0] < 1e-15
 
@@ -459,23 +456,25 @@ def test_singular_lasso_fails_bound_and_is_refused():
     bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)
     assert not fm.certifies(math.sqrt(2.0) + 1e-2)
     with pytest.raises(SingularMetricError, match="not certified regular"):
-        parallel_transport(fm, [bad], 100)
+        parallel_transport(fm, [bad])
 
 
-def test_regular_loop_beyond_radius_is_refused():
+def test_regular_loop_beyond_radius_is_refused(monkeypatch):
     # the metric is regular on both loops (|x|^2 < 2), but only the first
     # lies inside the certified radius 1; the second is refused, naming the
-    # loop, its extent and the radius
+    # loop, its extent and the radius.  Near the radius the 1e-8 drift
+    # bound needs more than the probe's 16 steps per segment.
+    monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     inside = LoopSpec((0.98, 0.0), (0, 1), 1e-2)    # extent 0.99
     beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2)   # extent 1.005
-    (s_in,) = parallel_transport(fm, [inside], 100)
+    (s_in,) = parallel_transport(fm, [inside])
     assert np.isfinite(s_in.transport).all()
     assert s_in.metric_drift < 1e-8
     assert abs(abs(np.linalg.det(s_in.transport)) - 1.0) < 1e-9
     with pytest.raises(SingularMetricError) as info:
-        parallel_transport(fm, [beyond], 100)
+        parallel_transport(fm, [beyond])
     message = str(info.value)
     assert "plane (0, 1)" in message and "[0.995, 0.0]" in message
     assert "1.005" in message and "radius 1.0" in message
@@ -497,16 +496,18 @@ def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
 
 # -- the step-doubling error estimate --------------------------------------------------------
 
-def test_step_error_estimate_tracks_true_error():
+def test_step_error_estimate_tracks_true_error(monkeypatch):
     # negative control: one deliberately coarse origin square (side 0.3, 16
-    # steps) per spec; the estimate must see its error, within 2x of the
-    # error against a 400-step run of the reference kernel
+    # steps, pinned here whatever the probe's step count) per spec; the
+    # estimate must see its error, within 2x of the error against a
+    # 400-step run of the reference kernel
+    monkeypatch.setattr(transport, "STEPS", 16)
     for _, blocks in PROBE_SPECS:
         pair, qm = realized(blocks)
         fm = FloatMetric.from_exact(qm)
         n = pair.n
         coarse = LoopSpec((0.0,) * n, (0, n - 1), 0.3)
-        (s,) = parallel_transport(fm, [coarse], 16)
+        (s,) = parallel_transport(fm, [coarse])
         verts = transport._lasso_vertices([coarse], n)[0]
         fine = transport_polyline_ref(fm.g0, fm.B, verts[1:-1], [400] * 4)
         true = float(np.max(np.abs(s.transport - fine)))
