@@ -1,12 +1,12 @@
 """The blockwise formal curvature map and the Berger test.
 
-``r_formal`` builds the curvature map pair by pair: for each pair of
-Jordan blocks inside one eigenvalue it differentiates the minimal
-polynomial along the argument with the pair's own nilpotency degree,
-which makes the image fill the whole centralizer.  The certificate checks
-the Bianchi identity, containment in g_L and the exact rank equality, with
-dim g_L counted by rank-nullity on the commutator system; once it passes,
-the witness values are an exact basis of g_L.
+``r_formal`` sums the terms of ``block_terms``, which states the formula:
+for each pair of Jordan blocks inside one eigenvalue it differentiates the
+minimal polynomial along the argument with the pair's own nilpotency
+degree, which makes the image fill the whole centralizer.  The certificate
+checks the Bianchi identity, containment in g_L and the exact rank
+equality, with dim g_L counted by rank-nullity on the commutator system;
+once it passes, the witness values are an exact basis of g_L.
 """
 
 from __future__ import annotations
@@ -47,36 +47,47 @@ class CurvatureMap:
         return self.g.shape[0]
 
 
-def r_formal(pair: CanonicalPair) -> CurvatureMap:
-    """Blockwise curvature map on the wedge basis of so(g).
+def block_terms(pair: CanonicalPair) -> list:
+    """The terms (block i, block j, a, s) of the formal curvature map, the
+    blocks as ``PlacedBlock``s.
 
-    For every block pair i < j within one eigenvalue, with X_ij the (i, j)
-    block of the argument and J the upper shift, the (i, j) block of the
-    value is R_ij = sum_s J_i^{nij-1-s} X_ij J_j^s, nij = max(n_i, n_j), and
-    the (j, i) block is -g_j R_ij^T g_i.  Cross-eigenvalue blocks of the
-    argument are ignored, so the map assembles block-diagonally.  The
-    argument runs over the whole wedge stack at once, and J^a Y J^s is Y
-    shifted up by a rows and right by s columns.
+    With J_i the upper shift on block i's index range (J_i^0 its
+    projector), the map and the realizing metric's coefficient tensor are
+    the same sum over these terms:
+
+        R(X) = sum J_i^a X J_j^s,    B = -1/2 sum J_i^a (x) J_j^s.
+
+    For each eigenvalue in ``pair.layout``, every ordered pair of its
+    blocks (a block with itself included) contributes, with
+    nij = max(n_i, n_j), the terms s in range(nij - n_i, n_j) and
+    a = nij - 1 - s.  Blocks of different eigenvalues are never paired,
+    so R and B are block-diagonal across eigenvalues and the metric is a
+    product.  The diagonal pairs add nothing to R on so(g), but they make
+    B agree with the plain minimal-polynomial tensor when all blocks have
+    one size.
     """
-    g = pair.g
-    w = so_basis(g)
+    terms = []
+    for eig in pair.layout:
+        for bi in eig.blocks:
+            for bj in eig.blocks:
+                nij = max(bi.size, bj.size)
+                terms.extend((bi, bj, nij - 1 - s, s) for s in range(nij - bi.size, bj.size))
+    return terms
+
+
+def r_formal(pair: CanonicalPair) -> CurvatureMap:
+    """The formal curvature map on the wedge basis of so(g), from ``block_terms``.
+
+    The argument runs over the whole wedge stack at once, and J_i^a X J_j^s
+    is X's (i, j) block shifted up by a rows and right by s columns.
+    """
+    w = so_basis(pair.g)
     values = np.zeros_like(w)
-    blocks = pair.all_blocks()
-    for i, (ei, bi) in enumerate(blocks):
-        si = slice(bi.offset, bi.offset + bi.size)
-        for ej, bj in blocks[i + 1:]:
-            if ei != ej:
-                continue
-            sj = slice(bj.offset, bj.offset + bj.size)
-            x = w[:, si, sj]
-            r = np.zeros_like(x)
-            nij = max(bi.size, bj.size)
-            for s in range(max(0, nij - bi.size), min(nij, bj.size)):
-                a = nij - 1 - s
-                r[:, :bi.size - a, s:] += x[:, a:, :bj.size - s]
-            values[:, si, sj] = r
-            values[:, sj, si] = -(g[sj, sj] @ r.transpose(0, 2, 1) @ g[si, si])
-    return CurvatureMap(g, tuple(wedge_tags(pair.n)), values)
+    for bi, bj, a, s in block_terms(pair):
+        i, j = bi.offset, bj.offset
+        values[:, i:i + bi.size - a, j + s:j + bj.size] += (
+            w[:, i + a:i + bi.size, j:j + bj.size - s])
+    return CurvatureMap(pair.g, tuple(wedge_tags(pair.n)), values)
 
 
 @dataclass(frozen=True)

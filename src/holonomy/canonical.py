@@ -143,7 +143,10 @@ def pencil_from_json(doc) -> PencilSpec:
     for item in doc["eigenvalues"]:
         if not isinstance(item, dict):
             raise InvalidSpecError(f"eigenvalue entry must be an object, got {item!r}")
-        raw = str(item.get("lambda", ""))
+        raw = item.get("lambda")
+        if not isinstance(raw, str):  # null, true, 0.5 or a missing key
+            raise InvalidSpecError(
+                f"lambda must be a rational string, got {repr(raw)[:MAX_RATIONAL_LEN]}")
         try:
             lam = rat_from_str(raw)
         except ValueError as exc:
@@ -206,13 +209,6 @@ class CanonicalPair:
     @property
     def n(self) -> int:
         return self.g.shape[0]
-
-    def all_blocks(self) -> list:
-        """Flattened ``(eig_index, PlacedBlock)`` list in layout order."""
-        out = []
-        for ei, eig in enumerate(self.layout):
-            out.extend((ei, b) for b in eig.blocks)
-        return out
 
 
 def build_canonical(spec: PencilSpec) -> CanonicalPair:

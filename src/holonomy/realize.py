@@ -1,13 +1,8 @@
 """Quadratic metrics realizing the blockwise curvature map at the origin.
 
-The coefficient tensor is assembled per eigenvalue from all ordered block
-pairs (including a block with itself): each pair contributes
--1/2 * sum_s J_i^{nij-1-s} (x) J_j^s with nij = max(n_i, n_j), where J_i is
-the pair's nilpotent part embedded on block i's index range (exponent 0
-giving the block projector).  Diagonal pairs contribute nothing to the
-curvature on so(g) but make the equal-size case agree with the plain
-minimal-polynomial tensor.  Cross-eigenvalue coefficients are zero, so the
-metric is a product across eigenvalues.
+The coefficient tensor B = -1/2 sum J_i^a (x) J_j^s is read off the same
+term list as the formal curvature map (``berger.block_terms``, which
+states the formula), so the metric is a product across eigenvalues.
 
 The block-power factors are int matrices, and the lowered tensor is one
 (n, n, n, n) array of Python ints over one common denominator (the
@@ -25,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .berger import CurvatureMap
+from .berger import CurvatureMap, block_terms
 from .canonical import CanonicalPair
 from .exactla import inverse, max_abs, narrowed
 from .liealg import wedge_tags
@@ -65,18 +60,11 @@ def _block_power(n: int, offset: int, size: int, a: int) -> np.ndarray:
 
 
 def build_B(pair: CanonicalPair) -> BTensor:
-    """Assemble the coefficient tensor from all ordered block pairs."""
+    """The coefficient tensor: each term of ``block_terms`` as (-J_i^a, J_j^s)."""
     n = pair.n
-    blocks = pair.all_blocks()
-    left, right = [], []
-    for ei, bi in blocks:
-        for ej, bj in blocks:
-            if ei != ej:
-                continue
-            nij = max(bi.size, bj.size)
-            for s in range(max(0, nij - bi.size), min(nij, bj.size)):
-                left.append(-_block_power(n, bi.offset, bi.size, nij - 1 - s))
-                right.append(_block_power(n, bj.offset, bj.size, s))
+    terms = block_terms(pair)
+    left = [-_block_power(n, bi.offset, bi.size, a) for bi, _, a, _ in terms]
+    right = [_block_power(n, bj.offset, bj.size, s) for _, bj, _, s in terms]
     return BTensor(np.array(left, dtype=object).reshape(-1, n, n),
                    np.array(right, dtype=object).reshape(-1, n, n), 2)
 

@@ -28,10 +28,22 @@ PROBE_SPECS = [
     ("2-3 +-", [(2, 1), (3, -1)]),
 ]
 
+# Hand-written specs with two eigenvalues, as make_pencil arguments.
+TWO_EIGENVALUE_SPECS = [
+    [("0", [(1, 1), (2, 1)]), ("1/2", [(1, -1), (2, 1)])],
+    [("-1", [(2, 1), (2, -1)]), ("3", [(1, 1), (3, 1)])],
+    [("-2/3", [(1, 1), (1, -1), (2, 1)]), ("5/7", [(2, -1), (3, 1)])],
+]
+
 
 def pair_of(blocks, lam=0):
     """Canonical pair for a single eigenvalue with the given (size, sign) blocks."""
     return build_canonical(make_pencil([(Fraction(lam), blocks)]))
+
+
+def all_blocks(pair):
+    """Flattened ``(eig_index, PlacedBlock)`` list in layout order."""
+    return [(ei, b) for ei, eig in enumerate(pair.layout) for b in eig.blocks]
 
 
 def certificate(pair):

@@ -28,7 +28,7 @@ from holonomy.liealg import wedge_tags
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import BTensor, QuadraticMetric, RealizationError
 
-from helpers import fractions
+from helpers import all_blocks, fractions
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -379,7 +379,7 @@ def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> np.ndarray:
     with a single parameter set to 1 and the (j, i) block forced by
     M_ji = -g_j M_ij^T g_i.  Returned as a (k, n, n) stack of Fractions.
     """
-    blocks = pair.all_blocks()
+    blocks = all_blocks(pair)
     if not (0 <= i < j < len(blocks)):
         raise IndexError("block indices out of range")
     ei, bi = blocks[i]
@@ -622,11 +622,11 @@ def b_components(bt: BTensor) -> list:
 
 
 def b_apply(bt: BTensor, x) -> np.ndarray:
-    """B(X) = sum_t C_t X D_t / den."""
+    """B(X) = sum_t C_t X D_t / den, summed on the numerators."""
     out = np.zeros((bt.n, bt.n), dtype=object)
-    for c, d in zip(fractions(bt.left, bt.den), bt.right):
+    for c, d in zip(bt.left, bt.right):
         out = out + c @ x @ d
-    return out
+    return fractions(out, bt.den)
 
 
 def _metric_value(g0, B, x):
@@ -716,7 +716,7 @@ def nablaL_residual(qm, L, x) -> float:
 def block_element(pair: CanonicalPair, i: int, j: int, xij) -> np.ndarray:
     """The element of so(g) whose only nonzero blocks are X_ij = xij and the
     forced X_ji = -g_j xij^T g_i (blocks i and j in layout order)."""
-    blocks = pair.all_blocks()
+    blocks = all_blocks(pair)
     (_, bi), (_, bj) = blocks[i], blocks[j]
     si = slice(bi.offset, bi.offset + bi.size)
     sj = slice(bj.offset, bj.offset + bj.size)

@@ -34,7 +34,7 @@ from holonomy.probe import (
 from holonomy.probe import kernels
 from holonomy.realize import riemann_at_origin
 
-from helpers import PROBE_SPECS
+from helpers import PROBE_SPECS, all_blocks
 from oracles import (
     apply_map,
     block_element,
@@ -100,7 +100,7 @@ def test_criterion_2_dimension_formula(corpus_pairs):
             failures.append(f"{name}: certificate {dim_gL} != formula {expected}")
         # cross-check against the explicit blockwise generators
         total = 0
-        blocks = pair.all_blocks()
+        blocks = all_blocks(pair)
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
                 if blocks[i][0] == blocks[j][0]:

@@ -116,6 +116,13 @@ def test_json_errors():
         pencil_from_json({"eigenvalues": [{"lambda": "x", "blocks": [{"size": 1, "sign": 1}]}]})
     with pytest.raises(InvalidSpecError):
         pencil_from_json({"eigenvalues": [{"lambda": "0", "blocks": []}]})
+    # a non-string lambda is refused as such, not read through str()
+    for lam, shown in [(None, "None"), (True, "True"), (0.5, "0.5"), (0, "0")]:
+        with pytest.raises(InvalidSpecError,
+                           match=f"^lambda must be a rational string, got {shown}$"):
+            pencil_from_json({"eigenvalues": [{"lambda": lam, "blocks": [{"size": 1, "sign": 1}]}]})
+    with pytest.raises(InvalidSpecError, match="^lambda must be a rational string, got None$"):
+        pencil_from_json({"eigenvalues": [{"blocks": [{"size": 1, "sign": 1}]}]})
 
 
 def test_nilpotency_and_block_determinants():

@@ -75,6 +75,10 @@ MALFORMED_SPECS = [
     {"eigenvalues": [{"lambda": "1e5000", "blocks": [{"size": 1, "sign": 1}]}]},
     {"eigenvalues": [{"lambda": "1e999999999", "blocks": [{"size": 1, "sign": 1}]}]},
     {"eigenvalues": [{"lambda": "9" * 5000, "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": None, "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": True, "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"lambda": 0.5, "blocks": [{"size": 1, "sign": 1}]}]},
+    {"eigenvalues": [{"blocks": [{"size": 1, "sign": 1}]}]},
 ]
 
 

@@ -46,7 +46,7 @@ from holonomy.realize import (
     riemann_at_origin,
 )
 
-from helpers import fractions, pair_of, record_dtypes
+from helpers import TWO_EIGENVALUE_SPECS, fractions, pair_of, record_dtypes
 from oracles import (
     centralizer_basis_ref,
     centralizer_dim,
@@ -188,13 +188,6 @@ def test_curvature_checks_agree_with_loops_under_perturbation(case):
         rejected["bianchi"] += not got.ok
         rejected["sectional"] += not sectional
     assert rejected["bianchi"] and rejected["sectional"], rejected
-
-
-TWO_EIGENVALUE_SPECS = [
-    [("0", [(1, 1), (2, 1)]), ("1/2", [(1, -1), (2, 1)])],
-    [("-1", [(2, 1), (2, -1)]), ("3", [(1, 1), (3, 1)])],
-    [("-2/3", [(1, 1), (1, -1), (2, 1)]), ("5/7", [(2, -1), (3, 1)])],
-]
 
 
 def _exact_stdout(specs, tmp_path, capsys) -> list:

@@ -20,7 +20,7 @@ from holonomy.realize import (
     validity_radius,
 )
 
-from helpers import fractions, mat, pair_of
+from helpers import TWO_EIGENVALUE_SPECS, fractions, mat, pair_of
 from oracles import b_apply, b_components, inverse_ref, lowered, metric_at
 
 HALF = Fraction(1, 2)
@@ -91,14 +91,19 @@ def test_build_B_provenance_and_commutation():
 
 
 def test_B_skew_on_so_and_doubling():
-    # B(X) is g-skew for skew X, so the curvature is exactly -2 B(X)
-    pair = pair_of([(2, 1), (2, -1)])
-    b = build_B(pair)
-    rm = r_formal(pair)
-    for x, v in zip(so_basis(pair.g), values(rm), strict=True):
-        bx = b_apply(b, x)
-        assert not (pair.g @ bx + bx.T @ pair.g).any()
-        assert np.array_equal(v, Fraction(-2) * bx)
+    # B(X) is g-skew for skew X, so the curvature is exactly -2 B(X): the
+    # map and the tensor are read off one term list, and this ties them
+    pairs = [pair_of([(2, 1), (2, -1)]),
+             pair_of([(1, 1), (2, -1), (4, 1)]),  # unequal sizes
+             pair_of([(3, 1)])]
+    pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS[1:]]
+    for pair in pairs:
+        b = build_B(pair)
+        rm = r_formal(pair)
+        for x, v in zip(so_basis(pair.g), values(rm), strict=True):
+            bx = b_apply(b, x)
+            assert not (pair.g @ bx + bx.T @ pair.g).any()
+            assert np.array_equal(v, Fraction(-2) * bx)
 
 
 def test_lower_B_two_point_blocks():
