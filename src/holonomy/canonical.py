@@ -34,6 +34,12 @@ class ComplexBlockError(InvalidSpecError):
     """Complex-conjugate eigenvalue blocks are not supported."""
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to MAX_RATIONAL_LEN characters, for echoing
+    malformed input in a one-line message."""
+    return repr(value)[:MAX_RATIONAL_LEN]
+
+
 def _is_int(value) -> bool:
     """True for a genuine int: bool is an int subclass, and a float such as
     2.7 must not be truncated into a block size."""
@@ -49,9 +55,10 @@ class BlockSpec:
 
     def __post_init__(self) -> None:
         if not _is_int(self.size) or self.size < 1:
-            raise InvalidSpecError(f"block size must be an integer >= 1, got {self.size!r}")
+            raise InvalidSpecError(f"block size must be an integer >= 1, got {_shown(self.size)}")
         if not _is_int(self.sign) or self.sign not in (1, -1):
-            raise InvalidSpecError(f"block sign must be the integer 1 or -1, got {self.sign!r}")
+            raise InvalidSpecError(
+                f"block sign must be the integer 1 or -1, got {_shown(self.sign)}")
 
 
 @dataclass(frozen=True)
@@ -142,11 +149,10 @@ def pencil_from_json(doc) -> PencilSpec:
     eigens = []
     for item in doc["eigenvalues"]:
         if not isinstance(item, dict):
-            raise InvalidSpecError(f"eigenvalue entry must be an object, got {item!r}")
+            raise InvalidSpecError(f"eigenvalue entry must be an object, got {_shown(item)}")
         raw = item.get("lambda")
         if not isinstance(raw, str):  # null, true, 0.5 or a missing key
-            raise InvalidSpecError(
-                f"lambda must be a rational string, got {repr(raw)[:MAX_RATIONAL_LEN]}")
+            raise InvalidSpecError(f"lambda must be a rational string, got {_shown(raw)}")
         try:
             lam = rat_from_str(raw)
         except ValueError as exc:

@@ -39,11 +39,13 @@ from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
 # The probe's numerical policy: RK4 steps per segment (even, so the
-# kernel's N/2-step error estimate exists), the largest relative membership
-# residual a passing report may have, and the singular values counted in
-# the rank, relative to the largest.  Frobenius norms below _NEGLIGIBLE are
-# treated as a zero logarithm sample.
-STEPS = 16
+# kernel's N/2-step error estimate exists; 6 is the fewest that keep every
+# flat-plane loop within 1e-15 of the identity and every estimate under
+# 1e-13, and 4 fails the first), the largest relative membership residual a
+# passing report may have, and the singular values counted in the rank,
+# relative to the largest.  Frobenius norms below _NEGLIGIBLE are treated as
+# a zero logarithm sample.
+STEPS = 6
 MEMBERSHIP_TOL = 1e-6
 RANK_THRESHOLD = 1e-8
 _NEGLIGIBLE = 1e-9

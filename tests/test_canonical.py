@@ -15,6 +15,7 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
+from holonomy.canonical import MAX_RATIONAL_LEN
 from holonomy.exactla import int_form, rank
 
 from helpers import fractions, mat, pair_of
@@ -123,6 +124,20 @@ def test_json_errors():
             pencil_from_json({"eigenvalues": [{"lambda": lam, "blocks": [{"size": 1, "sign": 1}]}]})
     with pytest.raises(InvalidSpecError, match="^lambda must be a rational string, got None$"):
         pencil_from_json({"eigenvalues": [{"blocks": [{"size": 1, "sign": 1}]}]})
+    # a long malformed entry, size or sign is echoed in MAX_RATIONAL_LEN characters
+    long = [0] * 200_000
+    for doc, value in [
+        ({"eigenvalues": [long]}, long),
+        ({"eigenvalues": [{"lambda": "0", "blocks": [{"size": long, "sign": 1}]}]}, long),
+        ({"eigenvalues": [{"lambda": "0", "blocks": [{"size": 1, "sign": long}]}]}, long),
+        ({"eigenvalues": [{"lambda": "0", "blocks": [{"size": -10 ** 4000, "sign": 1}]}]},
+         -10 ** 4000),
+    ]:
+        with pytest.raises(InvalidSpecError) as info:
+            pencil_from_json(doc)
+        message = str(info.value)
+        assert message.endswith(", got " + repr(value)[:MAX_RATIONAL_LEN])
+        assert len(message) < 2 * MAX_RATIONAL_LEN
 
 
 def test_nilpotency_and_block_determinants():

@@ -79,6 +79,10 @@ MALFORMED_SPECS = [
     {"eigenvalues": [{"lambda": True, "blocks": [{"size": 1, "sign": 1}]}]},
     {"eigenvalues": [{"lambda": 0.5, "blocks": [{"size": 1, "sign": 1}]}]},
     {"eigenvalues": [{"blocks": [{"size": 1, "sign": 1}]}]},
+    # a long malformed entry, size or sign: the report echoes only its start
+    {"eigenvalues": [[0] * 200_000]},
+    _blocks({"size": [0] * 200_000, "sign": 1}),
+    _blocks({"size": 1, "sign": [0] * 200_000}),
 ]
 
 
@@ -102,7 +106,9 @@ def test_verify_invalid_inputs(tmp_path, capsys):
         spec = write_spec(tmp_path, f"bad{k}.json", doc)
         capsys.readouterr()
         assert main(["verify", "--input", str(spec)]) == 2, doc
-        assert "error" in json.loads(capsys.readouterr().out), doc
+        out = capsys.readouterr().out
+        assert "error" in json.loads(out), doc
+        assert len(out) < 1024, out[:200]
     for k, raw in enumerate([b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000]):
         spec = tmp_path / f"raw{k}.json"
         spec.write_bytes(raw)

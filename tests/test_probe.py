@@ -463,7 +463,7 @@ def test_regular_loop_beyond_radius_is_refused(monkeypatch):
     # the metric is regular on both loops (|x|^2 < 2), but only the first
     # lies inside the certified radius 1; the second is refused, naming the
     # loop, its extent and the radius.  Near the radius the 1e-8 drift
-    # bound needs more than the probe's 16 steps per segment.
+    # bound needs more steps per segment than the probe's STEPS.
     monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
@@ -513,3 +513,35 @@ def test_step_error_estimate_tracks_true_error(monkeypatch):
         true = float(np.max(np.abs(s.transport - fine)))
         assert s.step_error > 1e-12
         assert 0.5 < s.step_error / true < 2.0
+
+
+def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
+    # STEPS is measured, not guessed: at STEPS every flat-plane loop of
+    # FLATNESS_SPECS (seed 0) stays within 1e-15 of the identity and the
+    # step-error estimate of every curved-plane loop of the probe specs
+    # (seeds 0-2, the loops a report covers) within CI's 1e-13; two steps
+    # fewer break one of the two (the flat-plane bound, at 4)
+    flat_runs, curved_runs = [], []
+    for _, eigenvalues in FLATNESS_SPECS:
+        pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
+        rmap = r_formal(pair)
+        curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
+        fm = FloatMetric.from_exact(lower_B(build_B(pair), pair.g))
+        flat_runs.append((fm, [lp for lp in standard_loops(pair.n, seed=0)
+                               if lp.plane not in curved]))
+        if len(eigenvalues) == 1:  # a probe spec
+            curved_runs += [(fm, [lp for lp in standard_loops(pair.n, seed=seed)
+                                  if lp.plane in curved]) for seed in (0, 1, 2)]
+
+    def worst(steps):
+        monkeypatch.setattr(transport, "STEPS", steps)
+        moved = max(float(np.max(np.abs(s.transport - np.eye(fm.n))))
+                    for fm, loops in flat_runs for s in parallel_transport(fm, loops))
+        step_error = max(s.step_error
+                         for fm, loops in curved_runs for s in parallel_transport(fm, loops))
+        return moved, step_error
+
+    moved, step_error = worst(transport.STEPS)
+    assert moved <= 1e-15 and step_error <= 1e-13, (moved, step_error)
+    moved, step_error = worst(transport.STEPS - 2)
+    assert moved > 1e-15 or step_error > 1e-13, (moved, step_error)
