@@ -19,7 +19,7 @@ import numpy as np
 
 from .canonical import CanonicalPair
 from .exactla import lowest_terms, max_abs, narrowed, pivot_columns, rank
-from .liealg import commutator_system, so_basis, wedge_tags
+from .liealg import commutator_system, so_basis, wedge_index, wedge_tags
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,9 @@ def r_formal(pair: CanonicalPair) -> CurvatureMap:
     """The formal curvature map on the wedge basis of so(g), from ``block_terms``.
 
     The argument runs over the whole wedge stack at once, and J_i^a X J_j^s
-    is X's (i, j) block shifted up by a rows and right by s columns.
+    is X's (i, j) block shifted up by a rows and right by s columns.  The
+    values keep g's dtype: a canonical g is a signed permutation, so an
+    entry sums at most n terms of absolute value 1 and int64 holds it.
     """
     w = so_basis(pair.g)
     values = np.zeros_like(w)
@@ -114,7 +116,7 @@ def check_bianchi(rmap: CurvatureMap) -> BianchiReport:
     full[b, a] = -vals
     cyclic = (np.einsum("ijrk->ijkr", full) + np.einsum("jkri->ijkr", full)
               + np.einsum("kirj->ijkr", full))
-    rows, cols = np.triu_indices(n, 1)  # (i, j), i < j, in lexicographic order
+    rows, cols = wedge_index(n)  # (i, j), i < j, in lexicographic order
     bad = list(np.abs(cyclic).max(axis=3)[rows, cols].flat)
     worst = max(bad, default=0)
     if not worst:

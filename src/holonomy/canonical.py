@@ -10,13 +10,14 @@ symmetric and invertible and gL is symmetric, i.e. L is g-symmetric.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .exactla import int_form, rank
+from .exactla import max_abs, narrowed, rank
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -220,8 +221,9 @@ class CanonicalPair:
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
     n = spec.dim
-    g = np.zeros((n, n), dtype=object)
-    L = np.zeros((n, n), dtype=object)
+    den = math.lcm(*(eig.lam.denominator for eig in spec.eigens))
+    g = np.zeros((n, n), dtype=np.int64)
+    num = np.zeros((n, n), dtype=object)
     layout = []
     off = 0
     for eig in spec.eigens:
@@ -229,12 +231,12 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
         for b in eig.blocks:
             idx = np.arange(off, off + b.size)
             g[idx, idx[::-1]] = b.sign
-            L[idx, idx] = eig.lam
-            L[idx[:-1], idx[1:]] = 1
+            num[idx, idx] = eig.lam.numerator * (den // eig.lam.denominator)
+            num[idx[:-1], idx[1:]] = den
             placed.append(PlacedBlock(off, b.size, b.sign))
             off += b.size
         layout.append(EigenLayout(eig.lam, tuple(placed)))
-    return CanonicalPair(g, int_form(L), tuple(layout))
+    return CanonicalPair(g, (*narrowed(max_abs(num), num), den), tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,7 @@ def validate_pair(g: np.ndarray, L: tuple) -> PairReport:
         failures.append("g is not symmetric")
     elif rank(g) != g.shape[0]:
         failures.append("g is degenerate")
+    g, l = narrowed(max_abs(g) * max_abs(l) * g.shape[0], g, l)
     gl = g @ l
     if not (gl == gl.T).all():
         failures.append("gL is not symmetric (L is not g-symmetric)")

@@ -3,19 +3,20 @@
 Every algebraic computation in this package is exact; nothing here ever
 rounds.  Floating point enters only in the numerical probe package.
 
-Every exact matrix, or stack of matrices, is an object-dtype ndarray of
-Python ints plus one positive int denominator: ``(num, den)`` stands for
-``num / den``.  Objects that are integral by construction (the metric g,
-the so(g) wedge stack, the formal curvature values, the block-power
-factors) are plain int arrays.  Scalars (an eigenvalue, a Bianchi
-violation) are ``fractions.Fraction`` values of Python ints.
+Every exact matrix, or stack of matrices, is an integer ndarray plus one
+positive Python int denominator: ``(num, den)`` stands for ``num / den``.
+Objects that are integral by construction (the metric g, the so(g) wedge
+stack, the formal curvature values, the block-power factors) are plain
+integer arrays.  Scalars (an eigenvalue, a Bianchi violation) are
+``fractions.Fraction`` values of Python ints.
 
-A numpy contraction on these arrays runs in int64 when an a-priori bound
-shows that no entry and no partial sum can reach 2**62, and on the object
-arrays of Python ints (which never overflow) otherwise: ``narrowed`` makes
-that choice, from a bound its caller computes with ``max_abs`` before any
-arithmetic, so int64 never wraps around.  Results that outlive the
-contraction are turned back into Python ints.
+An integer array is int64 when an a-priori bound shows that no entry and
+no partial sum of the contraction that makes it can reach 2**62, and an
+object array of Python ints (which never overflow) otherwise: ``narrowed``
+makes that choice, from a bound its caller computes with ``max_abs`` of
+the actual inputs before any arithmetic, so int64 never wraps around.
+Arrays keep the dtype their bound proved; a scalar leaves an array for a
+``Fraction``, a denominator or a report only as a Python int.
 
 Rank, pivot columns and inverse all come from one fraction-free
 Gauss-Jordan elimination on rows of Python ints (Bareiss 1968).
@@ -52,27 +53,14 @@ def narrowed(bound: int, *arrays) -> tuple:
     return tuple(a.astype(dtype, copy=False) for a in arrays)
 
 
-def int_form(entries) -> tuple:
-    """Exact rationals as ``(num, den)`` with ``entries == num / den``.
-
-    ``entries`` is anything ``np.asarray`` turns into an array of ints or
-    Fractions; ``num`` keeps its shape as an object array of Python ints and
-    ``den`` is the least common denominator (1 for an empty array), so the
-    pair is in lowest terms.
-    """
-    a = np.asarray(entries, dtype=object)
-    den = math.lcm(1, *(x.denominator for x in a.flat))
-    num = np.array([x.numerator * (den // x.denominator) for x in a.flat],
-                   dtype=object).reshape(a.shape)
-    return num, den
-
-
 def lowest_terms(num: np.ndarray, den: int) -> tuple:
     """``(num, den)`` divided by the gcd of all its entries, with ``den > 0``."""
-    g = math.gcd(den, *num.flat)
+    common = int(np.gcd.reduce(num, axis=None))
+    g = math.gcd(den, common)
     if den < 0:
         g = -g
-    return (num if g == 1 else num // g), den // g
+    # an all-zero num (common == 0) is left as it is: g = |den| may not fit int64
+    return (num if g == 1 or not common else num // g), den // g
 
 
 def _echelon(a) -> tuple:
@@ -87,12 +75,15 @@ def _echelon(a) -> tuple:
     pivot mostly equals the previous one; such a step leaves the rows
     without an entry in the pivot column untouched.
     """
-    a = np.asarray(a, dtype=object)
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        # operator.index rejects a Fraction or float entry instead of truncating it
+        a = np.vectorize(operator.index, otypes=[object])(a.astype(object))
     ncols = a.shape[1]
-    # operator.index rejects a Fraction or float entry instead of truncating it
-    m = [[operator.index(x) for x in row] for row in a]
+    # zero rows go; the rest are read as lists of Python ints
+    m = a[a.any(axis=1)].tolist()
     # dividing a row by its content changes no row space and keeps d small
-    m = [[x // g for x in row] for row in m if (g := math.gcd(*row))]
+    m = [row if (g := math.gcd(*row)) == 1 else [x // g for x in row] for row in m]
     pivots: list = []
     d = 1
     for c in range(ncols):
@@ -139,11 +130,11 @@ def inverse(a) -> tuple:
 
     Raises ValueError when the matrix is singular.
     """
-    a = np.asarray(a, dtype=object)
+    a = np.asarray(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("inverse of a non-square matrix")
-    red, pivots, d = _echelon(np.hstack([a, np.eye(n, dtype=object)]))
+    red, pivots, d = _echelon(np.hstack([a, np.eye(n, dtype=a.dtype)]))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return lowest_terms(np.array([row[n:] for row in red], dtype=object).reshape(n, n), d)

@@ -8,6 +8,8 @@ wedge(e_i, e_j) = E_ij g with E_ij = e_i e_j^T - e_j e_i^T.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .exactla import max_abs, narrowed, rank
@@ -18,6 +20,14 @@ def wedge_tags(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+@functools.cache
+def wedge_index(n: int) -> tuple:
+    """The wedge tags as (rows, cols) index arrays, read-only and shared."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def wedge_rows(a: np.ndarray) -> np.ndarray:
     """The stack {E_ij a}_{i<j} in ``wedge_tags`` order, as (m, n, n).
 
@@ -25,7 +35,7 @@ def wedge_rows(a: np.ndarray) -> np.ndarray:
     the stack has the dtype of ``a``.
     """
     n = a.shape[0]
-    rows, cols = np.triu_indices(n, 1)  # the wedge tags, in their order
+    rows, cols = wedge_index(n)
     k = np.arange(len(rows))
     w = np.zeros((len(rows), n, n), dtype=a.dtype)
     w[k, rows] = a[cols]
@@ -55,9 +65,9 @@ def commutator_system(g: np.ndarray, l: np.ndarray) -> np.ndarray:
     commute with l, so dim g_L = m - rank.  Built without the basis: with
     W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g.  Each of
     the two terms sums n products, so 2 |g| |l| n bounds every partial sum;
-    the entries leave as Python ints.
+    the system keeps the dtype that bound chose.
     """
     n = g.shape[0]
     g, l = narrowed(2 * max_abs(g) * max_abs(l) * n, g, l)
     s = wedge_rows(g @ l) + wedge_rows(l.T).transpose(0, 2, 1) @ g
-    return s.reshape(len(s), n * n).T.astype(object)
+    return s.reshape(len(s), n * n).T

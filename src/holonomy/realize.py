@@ -4,17 +4,18 @@ The coefficient tensor B = -1/2 sum J_i^a (x) J_j^s is read off the same
 term list as the formal curvature map (``berger.block_terms``, which
 states the formula), so the metric is a product across eigenvalues.
 
-The block-power factors are int matrices, and the lowered tensor is one
-(n, n, n, n) array of Python ints over one common denominator (the
-``exactla`` format).  Every exact check on it (symmetry, covariant
-constancy, g(x)-symmetry, both Riemann routes) is a numpy contraction of
-integer arrays and needs no index loop.  Each contraction runs in int64
-when an a-priori bound on its partial sums is below 2**62 and on Python
-ints otherwise (``exactla.narrowed``), so it is exact on either dtype.
+The block-power factors are int64 matrices, and the lowered tensor is one
+(n, n, n, n) integer array over one common denominator (the ``exactla``
+format).  Every exact check on it (symmetry, covariant constancy,
+g(x)-symmetry, both Riemann routes) is a numpy contraction of integer
+arrays and needs no index loop.  Each contraction runs in int64 when an
+a-priori bound on its partial sums is below 2**62 and on Python ints
+otherwise (``exactla.narrowed``), so it is exact on either dtype.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import numpy as np
 from .berger import CurvatureMap, block_terms
 from .canonical import CanonicalPair
 from .exactla import inverse, max_abs, narrowed
-from .liealg import wedge_tags
+from .liealg import wedge_index, wedge_tags
 
 
 class RealizationError(RuntimeError):
@@ -53,7 +54,7 @@ def _block_power(n: int, offset: int, size: int, a: int) -> np.ndarray:
 
     Power 0 is the projector onto the block's index range.
     """
-    out = np.zeros((n, n), dtype=object)
+    out = np.zeros((n, n), dtype=np.int64)
     idx = np.arange(offset, offset + size - a)
     out[idx, idx + a] = 1
     return out
@@ -65,8 +66,8 @@ def build_B(pair: CanonicalPair) -> BTensor:
     terms = block_terms(pair)
     left = [-_block_power(n, bi.offset, bi.size, a) for bi, _, a, _ in terms]
     right = [_block_power(n, bj.offset, bj.size, s) for _, bj, _, s in terms]
-    return BTensor(np.array(left, dtype=object).reshape(-1, n, n),
-                   np.array(right, dtype=object).reshape(-1, n, n), 2)
+    return BTensor(np.array(left, dtype=np.int64).reshape(-1, n, n),
+                   np.array(right, dtype=np.int64).reshape(-1, n, n), 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +75,7 @@ class QuadraticMetric:
     """g(x) = g0 + B(x, x) with a constant symmetric rank-4 coefficient tensor.
 
     ``g0`` is an n x n int array.  B = num / den: ``num`` is an (n, n, n, n)
-    object array of Python ints and ``den`` one positive int.  B[i, j, p, q]
+    integer array (see ``exactla``) and ``den`` one positive int.  B[i, j, p, q]
     is symmetric in (i, j) and in (p, q); the metric value at x adds
     B[i, j, p, q] x^p x^q to g0[i, j].
     """
@@ -86,6 +87,11 @@ class QuadraticMetric:
     @property
     def n(self) -> int:
         return self.g0.shape[0]
+
+    @functools.cached_property
+    def ginv(self) -> tuple:
+        """g0's exact inverse as ``(num, den)``, computed once per metric."""
+        return inverse(self.g0)
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray):
@@ -115,7 +121,7 @@ def lower_B(b: BTensor, g0: np.ndarray) -> QuadraticMetric:
     at = _first_mismatch(num, num.transpose(1, 0, 2, 3))
     if at is not None:
         raise RealizationError(f"lowered tensor not symmetric in (i, j) at {at}")
-    return QuadraticMetric(g0, num.astype(object), b.den)
+    return QuadraticMetric(g0, num, b.den)
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:
@@ -124,8 +130,8 @@ def invertibility_bound(qm: QuadraticMetric) -> Fraction:
     |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
     invertible wherever |x|_inf^2 * c < 1.
     """
-    ginv, gden = inverse(qm.g0)
-    ginv_norm = Fraction(max(np.abs(ginv).sum(axis=1)), gden)
+    ginv, gden = qm.ginv
+    ginv_norm = Fraction(int(np.abs(ginv).sum(axis=1).max()), gden)
     num, = narrowed(max_abs(qm.num) * qm.n ** 3, qm.num)
     return ginv_norm * Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
 
@@ -168,7 +174,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     Both routes must agree entry for entry; a mismatch raises.
     """
     n = qm.n
-    ginv, gden = inverse(qm.g0)
+    ginv, gden = qm.ginv
     # a route adds at most 4 (direct) or 2 * 3 (via Gamma) sums over s
     ginv, b = narrowed(max_abs(ginv) * max_abs(qm.num) * n * 6, ginv, qm.num)
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
@@ -182,12 +188,12 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     via_gamma = np.einsum("aibk->abik", dgamma) - np.einsum("biak->abik", dgamma)
 
     tags = tuple(wedge_tags(n))
-    rows, cols = np.triu_indices(n, 1)  # the wedge tags, in their order
+    rows, cols = wedge_index(n)
     at = _first_mismatch(direct[rows, cols], via_gamma[rows, cols])
     if at is not None:
         raise RealizationError(
             f"curvature routes disagree on wedge {tags[at[0]]}")
-    return CurvatureMap(qm.g0, tags, direct[rows, cols].astype(object), gden * qm.den)
+    return CurvatureMap(qm.g0, tags, direct[rows, cols], gden * qm.den)
 
 
 @dataclass(frozen=True)

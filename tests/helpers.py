@@ -1,5 +1,6 @@
 """Shared construction shorthands for the test suite."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from holonomy import (
     berger,
     berger_certificate,
     build_canonical,
+    canonical,
     exactla,
     liealg,
     make_pencil,
@@ -61,6 +63,21 @@ def mat(rows):
     return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
+def int_form(entries) -> tuple:
+    """Exact rationals as ``(num, den)`` with ``entries == num / den``.
+
+    ``entries`` is anything ``np.asarray`` turns into an array of ints or
+    Fractions; ``num`` keeps its shape as an object array of Python ints and
+    ``den`` is the least common denominator (1 for an empty array), so the
+    pair is in lowest terms.
+    """
+    a = np.asarray(entries, dtype=object)
+    den = math.lcm(1, *(x.denominator for x in a.flat))
+    num = np.array([x.numerator * (den // x.denominator) for x in a.flat],
+                   dtype=object).reshape(a.shape)
+    return num, den
+
+
 def fractions(num, den=1):
     """The exact format ``num / den`` as an object array of Fractions."""
     num = np.asarray(num, dtype=object)
@@ -85,6 +102,6 @@ def record_dtypes(monkeypatch) -> dict:
         chosen.setdefault(sys._getframe(1).f_code.co_name, set()).add(out[0].dtype.name)
         return out
 
-    for module in (berger, liealg, realize):
+    for module in (canonical, berger, liealg, realize):
         monkeypatch.setattr(module, "narrowed", spy)
     return chosen

@@ -5,12 +5,14 @@ results by routes other than the pipeline's: the curvature from the
 minimal polynomial, the centralizer from explicit Toeplitz generators and
 its closed-form dimension, membership by exact span solving and the metric
 by direct evaluation.
-Matrices here are object arrays of Fractions.  The ``*_ref`` functions are
-earlier index-loop versions of the exact stages, run on Fractions, for
-differential tests against the package: the Fraction elimination
-(``_rref`` and the rank, kernel and inverse on it), the centralizer
-system, the greedy Berger witness loop, the realization checks and the
-Bianchi check.  The float helpers evaluate the metric and its Christoffel
+Matrices here are object arrays of Fractions.  The package's integer
+arrays (int64 or Python ints) are read as Python ints on entry, since a
+Fraction built from an np.int64 keeps it and can wrap around.  The
+``*_ref`` functions are earlier index-loop versions of the exact stages,
+run on Fractions, for differential tests against the package: the
+Fraction elimination (``_rref`` and the rank, kernel and inverse on it),
+the centralizer system, the greedy Berger witness loop, the realization
+checks and the Bianchi check.  The float helpers evaluate the metric and its Christoffel
 symbols at one point, and ``transport_polyline_ref`` is the earlier
 sequential RK4 transport (one polyline, three Christoffel evaluations per
 step).
@@ -82,7 +84,7 @@ def _rref(rows: list, ncols: int) -> tuple:
 
 
 def _rows(m) -> list:
-    return [[Fraction(x) for x in row] for row in m]
+    return [[Fraction(x) for x in row] for row in np.asarray(m, dtype=object)]
 
 
 def rank_ref(m) -> int:
@@ -157,7 +159,7 @@ def centralizer_basis_ref(pair: CanonicalPair) -> list:
     One row per entry of the symmetric part of gX and one per nonzero row
     of the commutator XL - LX, solved by ``kernel_basis_ref``.
     """
-    g, L = pair.g, fractions(*pair.L)
+    g, L = np.asarray(pair.g, dtype=object), fractions(*pair.L)
     n = pair.n
     rows = []
     # (gX + X^T g)[i][j] = 0 for i <= j
@@ -193,6 +195,7 @@ def wedge(u: Sequence, v: Sequence, g) -> np.ndarray:
     n = g.shape[0]
     if len(u) != n or len(v) != n:
         raise ValueError("vector length must match g")
+    g = np.asarray(g, dtype=object)
     uf = [Fraction(x) for x in u]
     vf = [Fraction(x) for x in v]
     gu = [sum(g[i, k] * uf[k] for k in range(n)) for i in range(n)]
@@ -387,8 +390,9 @@ def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> np.ndarray:
     if ei != ej:
         raise ValueError("blocks belong to different eigenvalues")
     n = pair.n
-    gi = pair.g[bi.offset:bi.offset + bi.size, bi.offset:bi.offset + bi.size]
-    gj = pair.g[bj.offset:bj.offset + bj.size, bj.offset:bj.offset + bj.size]
+    g = np.asarray(pair.g, dtype=object)
+    gi = g[bi.offset:bi.offset + bi.size, bi.offset:bi.offset + bi.size]
+    gj = g[bj.offset:bj.offset + bj.size, bj.offset:bj.offset + bj.size]
     elems = []
     for s in range(1, bi.size + 1):
         m = _toeplitz_block(bi.size, bj.size, s)
@@ -409,6 +413,7 @@ def member_coords(x, basis) -> Optional[list]:
 
     ``basis`` is a (k, n, n) stack of matrices.
     """
+    x, basis = np.asarray(x, dtype=object), np.asarray(basis, dtype=object)
     if x.shape != basis.shape[1:]:
         raise ValueError("shape mismatch")
     return solve_in_span([list(b.flat) for b in basis], list(x.flat))
@@ -417,7 +422,8 @@ def member_coords(x, basis) -> Optional[list]:
 def lowered(qm: QuadraticMetric) -> list:
     """The coefficient tensor as nested lists of Fractions, low[i][j][p][q]."""
     n = qm.n
-    return [[[[Fraction(qm.num[i, j, p, q], qm.den) for q in range(n)] for p in range(n)]
+    num = qm.num.tolist()
+    return [[[[Fraction(num[i][j][p][q], qm.den) for q in range(n)] for p in range(n)]
              for j in range(n)] for i in range(n)]
 
 
@@ -428,11 +434,12 @@ def metric_at(qm: QuadraticMetric, x: Sequence) -> np.ndarray:
     if len(xf) != n:
         raise ValueError("point has wrong dimension")
     low = lowered(qm)
+    g0 = qm.g0.tolist()
     nz = [(p, v) for p, v in enumerate(xf) if v]
     e = []
     for i in range(n):
         for j in range(n):
-            acc = qm.g0[i, j]
+            acc = g0[i][j]
             lij = low[i][j]
             for p, xp in nz:
                 row = lij[p]
@@ -598,7 +605,7 @@ def check_bianchi_ref(rmap: CurvatureMap) -> BianchiReport:
 
 def check_sectional_ref(rmap: CurvatureMap, L: tuple) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element."""
-    g, L = rmap.g, fractions(*L)
+    g, L = np.asarray(rmap.g, dtype=object), fractions(*L)
     for v in fractions(rmap.num, rmap.den):
         if (v @ L - L @ v).any():
             return False
@@ -611,7 +618,7 @@ def b_components(bt: BTensor) -> list:
     """Materialized rank-4 array B[a][b][j][q] (n^4 rationals)."""
     n = bt.n
     out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c, d in zip(fractions(bt.left, bt.den), bt.right):
+    for c, d in zip(fractions(bt.left, bt.den), np.asarray(bt.right, dtype=object)):
         cnz = [(i, j, c[i, j]) for i in range(n) for j in range(n) if c[i, j]]
         dnz = [(i, j, d[i, j]) for i in range(n) for j in range(n) if d[i, j]]
         for a, j, cv in cnz:
@@ -624,7 +631,7 @@ def b_components(bt: BTensor) -> list:
 def b_apply(bt: BTensor, x) -> np.ndarray:
     """B(X) = sum_t C_t X D_t / den, summed on the numerators."""
     out = np.zeros((bt.n, bt.n), dtype=object)
-    for c, d in zip(bt.left, bt.right):
+    for c, d in zip(np.asarray(bt.left, dtype=object), np.asarray(bt.right, dtype=object)):
         out = out + c @ x @ d
     return fractions(out, bt.den)
 
@@ -722,7 +729,8 @@ def block_element(pair: CanonicalPair, i: int, j: int, xij) -> np.ndarray:
     sj = slice(bj.offset, bj.offset + bj.size)
     x = np.zeros((pair.n, pair.n), dtype=object)
     x[si, sj] = xij
-    x[sj, si] = -(pair.g[sj, sj] @ np.asarray(xij, dtype=object).T @ pair.g[si, si])
+    g = np.asarray(pair.g, dtype=object)
+    x[sj, si] = -(g[sj, sj] @ np.asarray(xij, dtype=object).T @ g[si, si])
     return x
 
 

@@ -24,7 +24,7 @@ from holonomy import (
 )
 from holonomy.berger import check_bianchi, check_sectional
 from holonomy.cli import iter_corpus_specs
-from holonomy.exactla import int_form, rank
+from holonomy.exactla import rank
 from holonomy.probe import (
     FloatMetric,
     holonomy_span,
@@ -34,7 +34,7 @@ from holonomy.probe import (
 from holonomy.probe import kernels
 from holonomy.realize import riemann_at_origin
 
-from helpers import PROBE_SPECS, all_blocks
+from helpers import PROBE_SPECS, all_blocks, int_form
 from oracles import (
     apply_map,
     block_element,

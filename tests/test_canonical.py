@@ -16,9 +16,9 @@ from holonomy import (
     validate_pair,
 )
 from holonomy.canonical import MAX_RATIONAL_LEN
-from holonomy.exactla import int_form, rank
+from holonomy.exactla import rank
 
-from helpers import fractions, mat, pair_of
+from helpers import fractions, int_form, mat, pair_of
 
 
 def ints(rows):

@@ -36,7 +36,7 @@ from holonomy import (
 )
 from holonomy.berger import CurvatureMap, check_bianchi, check_sectional
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
-from holonomy.exactla import int_form, inverse, pivot_columns, rank
+from holonomy.exactla import inverse, pivot_columns, rank
 from holonomy.liealg import commutator_system, so_basis
 from holonomy.realize import (
     QuadraticMetric,
@@ -46,7 +46,7 @@ from holonomy.realize import (
     riemann_at_origin,
 )
 
-from helpers import TWO_EIGENVALUE_SPECS, fractions, pair_of, record_dtypes
+from helpers import TWO_EIGENVALUE_SPECS, fractions, int_form, pair_of, record_dtypes
 from oracles import (
     centralizer_basis_ref,
     centralizer_dim,
@@ -235,11 +235,14 @@ def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
     chosen = record_dtypes(monkeypatch)
     report, code = cmd_verify(RunConfig(input=str(path),
                                         stages=("canonical", "berger", "realize")))
-    # every contraction with L is too large for int64; those without it are not
+    # every contraction with L is too large for int64; those without it are
+    # not, and L itself fits only at 3e18
     assert chosen == {"check_nablaL": {"object"}, "check_gsym": {"object"},
                       "check_sectional": {"object"}, "commutator_system": {"object"},
                       "check_bianchi": {"int64"},
-                      "lower_B": {"int64"}, "riemann_at_origin": {"int64"}}
+                      "lower_B": {"int64"}, "riemann_at_origin": {"int64"},
+                      "build_canonical": {"int64" if lam == 3 * 10 ** 18 else "object"},
+                      "validate_pair": {"object"}}
     assert code == 0 and report["verdict"] == "pass"
     assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9
     assert report["stages"]["berger"]["image_rank"] == 9

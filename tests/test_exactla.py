@@ -8,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy.canonical import rat_from_str
-from holonomy.exactla import INT64_LIMIT, int_form, inverse, max_abs, narrowed, rank
+from holonomy.exactla import (
+    INT64_LIMIT,
+    inverse,
+    lowest_terms,
+    max_abs,
+    narrowed,
+    pivot_columns,
+    rank,
+)
 
-from helpers import mat
+from helpers import int_form, mat
 from oracles import (
     Poly,
     kernel_basis_ref,
@@ -87,6 +95,19 @@ def test_max_abs():
     # never below 1, so a product of maxima bounds each factor
     assert max_abs(np.zeros((2, 2), dtype=object)) == 1
     assert max_abs(np.zeros((0, 3), dtype=object)) == 1
+
+
+def test_lowest_terms_keeps_the_dtype():
+    num, den = lowest_terms(np.array([4, -6], dtype=np.int64), 10)
+    assert num.dtype == np.int64 and num.tolist() == [2, -3] and den == 5
+    assert type(den) is int
+    big = 2 ** 70
+    num, den = lowest_terms(np.array([big, -2 * big], dtype=object), -3 * big)
+    assert num.tolist() == [-1, 2] and den == 3
+    # an all-zero num is 0 / 1, and the gcd |den| need not fit int64
+    for dtype in (np.int64, object):
+        num, den = lowest_terms(np.zeros(3, dtype=dtype), -big)
+        assert num.dtype == dtype and not num.any() and den == 1
 
 
 # -- rank and kernel ---------------------------------------------------------
@@ -168,6 +189,34 @@ def test_inverse_round_trip():
         inverse(np.array([[1, 2], [2, 4]], dtype=object))
     with pytest.raises(ValueError):
         inverse(zeros(2, 3))
+
+
+near_edge = st.one_of(st.integers(-3, 3), st.integers(2 ** 62 - 4, 2 ** 63 - 1),
+                      st.integers(-(2 ** 63), -(2 ** 62) + 4))
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_elimination_reads_int64_and_python_ints_alike(rows, cols, data):
+    entries = data.draw(st.lists(near_edge, min_size=rows * cols, max_size=rows * cols))
+    narrow = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    wide = narrow.astype(object)
+    beyond = wide * (2 ** 64 + 1)  # a nonzero scale keeps the rank and the pivots
+    assert rank(narrow) == rank(wide) == rank(beyond) == rank_ref(wide)
+    assert pivot_columns(narrow) == pivot_columns(wide) == pivot_columns(beyond)
+    if rows == cols and rank(wide) == rows:
+        (inum, iden), (wnum, wden) = inverse(narrow), inverse(wide)
+        assert np.array_equal(inum, wnum) and iden == wden
+        assert type(iden) is int and all(type(x) is int for x in inum.flat)
+    # a Fraction or a float is refused wherever it sits, a zero row included
+    bad = wide.copy()
+    bad[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = (
+        data.draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(0), 0.0, 2.0])))
+    calls = [rank, pivot_columns] + ([inverse] if rows == cols else [])
+    for call in calls:
+        for arg in (bad, narrow.astype(np.float64)):
+            with pytest.raises(TypeError):
+                call(arg)
 
 
 def test_solve_in_span():

@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holonomy import build_canonical, make_pencil
-from holonomy.exactla import int_form, rank
+from holonomy.exactla import rank
 from holonomy.liealg import commutator_system, so_basis, wedge_tags
 
-from helpers import certified_gl, fractions, mat, pair_of, unit
+from helpers import certified_gl, fractions, int_form, mat, pair_of, unit
 from oracles import (
     centralizer_dim,
     commutator,

@@ -1,13 +1,23 @@
 """Quadratic metric construction and the exact curvature match."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from holonomy import build_B, build_canonical, lower_B, make_pencil, r_formal, verify_realization
+from holonomy import (
+    berger_certificate,
+    build_B,
+    build_canonical,
+    lower_B,
+    make_pencil,
+    r_formal,
+    verify_realization,
+)
 from holonomy.berger import CurvatureMap
-from holonomy.exactla import int_form, rank
+from holonomy.cli import RunConfig, cmd_verify
+from holonomy.exactla import INT64_LIMIT, max_abs, rank
 from holonomy.liealg import so_basis
 from holonomy.realize import (
     BTensor,
@@ -20,7 +30,7 @@ from holonomy.realize import (
     validity_radius,
 )
 
-from helpers import TWO_EIGENVALUE_SPECS, fractions, mat, pair_of
+from helpers import TWO_EIGENVALUE_SPECS, fractions, int_form, mat, pair_of
 from oracles import b_apply, b_components, inverse_ref, lowered, metric_at
 
 HALF = Fraction(1, 2)
@@ -267,13 +277,40 @@ def test_validity_radius_positive():
     assert rank(int_form(metric_at(qm, [Fraction(1, 20)] * 3))[0]) == qm.n
 
 
-def test_exact_values_leave_int64_as_python_ints():
-    # int64 contractions must hand Python ints to every Fraction and array
-    # they leave behind: an np.int64 inside a Fraction wraps around
-    pair = pair_of([(1, 1), (2, -1), (2, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+@pytest.mark.parametrize("lam", [0, 3 * 10 ** 18, 10 ** 20], ids=["0", "3e18", "1e20"])
+def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, tmp_path):
+    # an int64 array is stored only below the bound its contraction proved,
+    # and every scalar that leaves one is a Python int: an np.int64 inside
+    # a Fraction, a denominator or the report can wrap around
+    blocks = [(1, 1), (2, -1), (2, 1)]
+    pair = pair_of(blocks, lam)
+    rmap = r_formal(pair)
+    cert = berger_certificate(pair, rmap)
+    bt = build_B(pair)
+    qm = lower_B(bt, pair.g)
+    rm = riemann_at_origin(qm)
+    stored = {"g": pair.g, "L": pair.L[0], "left": bt.left, "right": bt.right,
+              "metric": qm.num, "formal": rmap.num, "riemann": rm.num,
+              "basis": cert.basis[0], "ginv": qm.ginv[0]}
+    for name, a in stored.items():
+        if a.dtype == np.int64:
+            assert max_abs(a) < INT64_LIMIT, name
+        else:
+            assert a.dtype == object and all(type(x) is int for x in a.flat), name
+    dtypes = {name: a.dtype for name, a in stored.items() if name != "ginv"}
+    if lam == 0:
+        assert set(dtypes.values()) == {np.dtype(np.int64)}, dtypes
+    if lam == 10 ** 20:
+        assert dtypes["L"] == object, dtypes
     bound = invertibility_bound(qm)
     assert bound > 0
     assert type(bound.numerator) is int and type(bound.denominator) is int
-    rm = riemann_at_origin(qm)
-    assert all(type(x) is int for x in (*qm.num.flat, *rm.num.flat, rm.den))
+    dens = [pair.L[1], bt.den, qm.den, rmap.den, rm.den, cert.basis[1], qm.ginv[1]]
+    assert all(type(d) is int for d in dens), dens
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"eigenvalues": [{
+        "lambda": str(lam), "blocks": [{"size": s, "sign": g} for s, g in blocks]}]}))
+    report, code = cmd_verify(RunConfig(input=str(path)))
+    assert code == 0, report
+    json.dumps(report)  # raises TypeError on an np.int64 anywhere in the report
