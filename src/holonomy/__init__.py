@@ -26,6 +26,6 @@ from .canonical import (
     validate_pair,
 )
 from .berger import berger_certificate, r_formal
-from .realize import build_B, lower_B, verify_realization
+from .realize import lower_B, verify_realization
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
-"""The blockwise formal curvature map and the Berger test.
+"""The block tensor, the blockwise formal curvature map and the Berger test.
 
-``r_formal`` sums the terms of ``block_terms``, which states the formula:
-for each pair of Jordan blocks inside one eigenvalue it differentiates the
-minimal polynomial along the argument with the pair's own nilpotency
-degree, which makes the image fill the whole centralizer.  The certificate
+``block_terms`` states the formula: for each pair of Jordan blocks inside
+one eigenvalue it differentiates the minimal polynomial along the argument
+with the pair's own nilpotency degree, which makes the image fill the whole
+centralizer.  ``block_tensor`` sums the terms once, and ``r_formal`` and
+the realizing metric are both read off that one 0/1 tensor.  The certificate
 checks the Bianchi identity, containment in g_L and the exact rank
 equality, with dim g_L counted by rank-nullity on the commutator system;
 once it passes, the witness values are an exact basis of g_L.
@@ -11,6 +12,7 @@ once it passes, the witness values are an exact basis of g_L.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -19,7 +21,11 @@ import numpy as np
 
 from .canonical import CanonicalPair
 from .exactla import lowest_terms, max_abs, narrowed, pivot_columns, rank
-from .liealg import commutator_system, so_basis, wedge_index, wedge_tags
+from .liealg import commutator_system, wedge_index, wedge_tags
+
+
+class RealizationError(RuntimeError):
+    """Internal consistency failure while building T or a metric."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,21 +81,38 @@ def block_terms(pair: CanonicalPair) -> list:
     return terms
 
 
-def r_formal(pair: CanonicalPair) -> CurvatureMap:
-    """The formal curvature map on the wedge basis of so(g), from ``block_terms``.
+def block_tensor(pair: CanonicalPair) -> np.ndarray:
+    """T = sum of J_i^a (x) J_j^s over ``block_terms`` as one (n, n, n, n)
+    0/1 array, T[r, r + a, p, p + s] = 1, written in one assignment.
 
-    The argument runs over the whole wedge stack at once, and J_i^a X J_j^s
-    is X's (i, j) block shifted up by a rows and right by s columns.  The
-    values keep g's dtype: a canonical g is a signed permutation, so an
-    entry sums at most n terms of absolute value 1 and int64 holds it.
+    An entry gives back its blocks and both shifts, so distinct terms write
+    distinct entries and the assignment is the exact sum; a repeated entry
+    raises.  ``pair.block_tensor`` calls this once and keeps the result.
     """
-    w = so_basis(pair.g)
-    values = np.zeros_like(w)
-    for bi, bj, a, s in block_terms(pair):
-        i, j = bi.offset, bj.offset
-        values[:, i:i + bi.size - a, j + s:j + bj.size] += (
-            w[:, i + a:i + bi.size, j:j + bj.size - s])
-    return CurvatureMap(pair.g, tuple(wedge_tags(pair.n)), values)
+    idx = [(r, r + a, p, p + s) for bi, bj, a, s in block_terms(pair)
+           for r in range(bi.offset, bi.offset + bi.size - a)
+           for p in range(bj.offset, bj.offset + bj.size - s)]
+    t = np.zeros((pair.n,) * 4, dtype=np.int64)
+    t[tuple(np.array(idx, dtype=np.intp).reshape(-1, 4).T)] = 1
+    if int(t.sum()) != len(idx):
+        twice = next(e for e, c in Counter(idx).items() if c > 1)
+        raise RealizationError(f"block terms write entry {twice} more than once")
+    return narrowed(1, t)[0]
+
+
+def r_formal(pair: CanonicalPair) -> CurvatureMap:
+    """The formal curvature map on the wedge basis of so(g), read off T.
+
+    R(X)[a, q] = sum_cb T[a, c, b, q] X[c, b] and wedge(e_i, e_j) = E_ij g,
+    so with Tg[i, d, a, q] = sum_b T[a, i, b, q] g[d, b] the value on the
+    tag (i, j) is Tg[i, j] - Tg[j, i]: two sums of n products.
+    """
+    n = pair.n
+    t, g = narrowed(2 * n * max_abs(pair.block_tensor) * max_abs(pair.g),
+                    pair.block_tensor, pair.g)
+    tg = (g @ t.transpose(1, 2, 0, 3).reshape(n, n, n * n)).reshape((n,) * 4)
+    rows, cols = wedge_index(n)
+    return CurvatureMap(pair.g, tuple(wedge_tags(n)), tg[rows, cols] - tg[cols, rows])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ symmetric and invertible and gL is symmetric, i.e. L is g-symmetric.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +23,9 @@ from .exactla import max_abs, narrowed, rank
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
 MAX_DIM = 24
+# Largest accepted spec file in bytes.  The largest valid spec (MAX_DIM
+# blocks, MAX_RATIONAL_LEN-character lambdas, indented) is about 5 KB.
+MAX_SPEC_BYTES = 64 * 1024
 # Longest accepted eigenvalue string.  Together with the ban on exponent
 # notation this bounds the size of every integer an eigenvalue creates.
 MAX_RATIONAL_LEN = 100
@@ -147,6 +151,8 @@ def pencil_from_json(doc) -> PencilSpec:
             raise InvalidSpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("eigenvalues"), list):
         raise InvalidSpecError('expected an object with an "eigenvalues" list')
+    # each eigenvalue has a block and each block a dimension
+    _check_length(doc["eigenvalues"], "eigenvalues")
     eigens = []
     for item in doc["eigenvalues"]:
         if not isinstance(item, dict):
@@ -161,11 +167,18 @@ def pencil_from_json(doc) -> PencilSpec:
                 raise ComplexBlockError("unsupported: complex block") from exc
             raise InvalidSpecError(f"bad eigenvalue {raw[:MAX_RATIONAL_LEN]!r}: {exc}") from exc
         blocks = item.get("blocks")
+        _check_length(blocks, "blocks")
         if not isinstance(blocks, list) or not all(
                 isinstance(b, dict) and "size" in b and "sign" in b for b in blocks):
             raise InvalidSpecError(f"bad block list for eigenvalue {raw!r}")
         eigens.append((lam, [(b["size"], b["sign"]) for b in blocks]))
     return make_pencil(eigens)
+
+
+def _check_length(items, what: str) -> None:
+    """Refuse a list longer than MAX_DIM before anything is built from it."""
+    if isinstance(items, list) and len(items) > MAX_DIM:
+        raise InvalidSpecError(f"{len(items)} {what} exceed the maximum dimension {MAX_DIM}")
 
 
 def _is_complex(raw: str) -> bool:
@@ -217,6 +230,12 @@ class CanonicalPair:
     def n(self) -> int:
         return self.g.shape[0]
 
+    @functools.cached_property
+    def block_tensor(self) -> np.ndarray:
+        """``berger.block_tensor(self)``, built on first use and kept."""
+        from .berger import block_tensor  # berger imports this module
+        return block_tensor(self)
+
 
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
@@ -236,6 +255,7 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
             placed.append(PlacedBlock(off, b.size, b.sign))
             off += b.size
         layout.append(EigenLayout(eig.lam, tuple(placed)))
+    g, = narrowed(1, g)  # a signed permutation
     return CanonicalPair(g, (*narrowed(max_abs(num), num), den), tuple(layout))
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from .berger import berger_certificate, r_formal
 from .canonical import (
+    MAX_SPEC_BYTES,
     CanonicalPair,
     InvalidSpecError,
     build_canonical,
@@ -38,7 +39,7 @@ from .canonical import (
     pencil_to_json,
     validate_pair,
 )
-from .realize import build_B, lower_B, verify_realization
+from .realize import lower_B, verify_realization
 
 ALL_STAGES = ("canonical", "berger", "realize", "probe")
 
@@ -92,8 +93,11 @@ def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
 def cmd_verify(config: RunConfig) -> tuple:
     """Run the requested stages; returns (report dict, exit code)."""
     try:
-        text = Path(config.input).read_text(encoding="utf-8")
-        spec = pencil_from_json(text)
+        with open(config.input, "rb") as fh:
+            data = fh.read(MAX_SPEC_BYTES + 1)  # never more than one byte past the cap
+        if len(data) > MAX_SPEC_BYTES:
+            raise InvalidSpecError(f"spec file larger than {MAX_SPEC_BYTES} bytes")
+        spec = pencil_from_json(data.decode("utf-8"))
     except (OSError, UnicodeDecodeError, InvalidSpecError) as exc:
         return {"error": str(exc)}, 2
 
@@ -113,7 +117,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     rmap = r_formal(pair) if wanted & {"berger", "realize", "probe"} else None
     # the certificate's witness values are the probe's g_L basis
     cert = berger_certificate(pair, rmap) if wanted & {"berger", "probe"} else None
-    qm = lower_B(build_B(pair), pair.g) if wanted & {"realize", "probe"} else None
+    qm = lower_B(pair.block_tensor, pair.g) if wanted & {"realize", "probe"} else None
     timings = [("shared", time.perf_counter() - started)]
 
     for stage in ALL_STAGES:

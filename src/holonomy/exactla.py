@@ -5,9 +5,9 @@ rounds.  Floating point enters only in the numerical probe package.
 
 Every exact matrix, or stack of matrices, is an integer ndarray plus one
 positive Python int denominator: ``(num, den)`` stands for ``num / den``.
-Objects that are integral by construction (the metric g, the so(g) wedge
-stack, the formal curvature values, the block-power factors) are plain
-integer arrays.  Scalars (an eigenvalue, a Bianchi violation) are
+Objects that are integral by construction (the metric g, the block tensor
+T, the so(g) wedge stack, the formal curvature values) are plain integer
+arrays.  Scalars (an eigenvalue, a Bianchi violation) are
 ``fractions.Fraction`` values of Python ints.
 
 An integer array is int64 when an a-priori bound shows that no entry and

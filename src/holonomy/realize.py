@@ -1,16 +1,14 @@
 """Quadratic metrics realizing the blockwise curvature map at the origin.
 
-The coefficient tensor B = -1/2 sum J_i^a (x) J_j^s is read off the same
-term list as the formal curvature map (``berger.block_terms``, which
-states the formula), so the metric is a product across eigenvalues.
+The coefficient tensor is B = -1/2 T, where T = ``pair.block_tensor`` is
+the 0/1 sum over ``berger.block_terms`` that the formal curvature map is
+read off too, so the metric is a product across eigenvalues.
 
-The block-power factors are int64 matrices, and the lowered tensor is one
-(n, n, n, n) integer array over one common denominator (the ``exactla``
-format).  Every exact check on it (symmetry, covariant constancy,
-g(x)-symmetry, both Riemann routes) is a numpy contraction of integer
-arrays and needs no index loop.  Each contraction runs in int64 when an
-a-priori bound on its partial sums is below 2**62 and on Python ints
-otherwise (``exactla.narrowed``), so it is exact on either dtype.
+The lowered tensor is one (n, n, n, n) integer array over one common
+denominator (the ``exactla`` format).  Every exact check on it (symmetry,
+covariant constancy, g(x)-symmetry, both Riemann routes) is a numpy
+contraction with no index loop, in int64 where ``exactla.narrowed``
+proves it safe and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -21,53 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .berger import CurvatureMap, block_terms
+from .berger import CurvatureMap, RealizationError
 from .canonical import CanonicalPair
 from .exactla import inverse, max_abs, narrowed
 from .liealg import wedge_index, wedge_tags
-
-
-class RealizationError(RuntimeError):
-    """Internal consistency failure while building or checking a metric."""
-
-
-@dataclass(frozen=True, eq=False)
-class BTensor:
-    """Curvature coefficient tensor as a sum of factor pairs over one denominator.
-
-    ``left`` and ``right`` are (t, n, n) int stacks of factors C_t and D_t;
-    the rank-4 components are B[a][b][j][q] = sum_t C_t[a, j] * D_t[b, q] / den
-    and the associated linear map is B(X) = sum_t C_t X D_t / den.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    den: int
-
-    @property
-    def n(self) -> int:
-        return self.left.shape[1]
-
-
-def _block_power(n: int, offset: int, size: int, a: int) -> np.ndarray:
-    """The a-th power of a block's nilpotent part as a full-size int matrix.
-
-    Power 0 is the projector onto the block's index range.
-    """
-    out = np.zeros((n, n), dtype=np.int64)
-    idx = np.arange(offset, offset + size - a)
-    out[idx, idx + a] = 1
-    return out
-
-
-def build_B(pair: CanonicalPair) -> BTensor:
-    """The coefficient tensor: each term of ``block_terms`` as (-J_i^a, J_j^s)."""
-    n = pair.n
-    terms = block_terms(pair)
-    left = [-_block_power(n, bi.offset, bi.size, a) for bi, _, a, _ in terms]
-    right = [_block_power(n, bj.offset, bj.size, s) for _, bj, _, s in terms]
-    return BTensor(np.array(left, dtype=np.int64).reshape(-1, n, n),
-                   np.array(right, dtype=np.int64).reshape(-1, n, n), 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,28 +55,24 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray):
     return tuple(int(v) for v in bad[0]) if len(bad) else None
 
 
-def lower_B(b: BTensor, g0: np.ndarray) -> QuadraticMetric:
-    """Lower both upper indices with g0.
+def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
+    """The metric of B = -t / 2 (t is ``pair.block_tensor`` in the pipeline)
+    with both upper indices lowered: num = -(g0 (x) g0) t over den 2.
 
-    Each term becomes (g0 C) (x) (g0 D); for tensors built from block
-    powers both factors are symmetric matrices, so the result is symmetric
-    in (i, j) and in (p, q).  Both symmetries are checked exactly.
+    g0 J^a is symmetric for a canonical g0, so the result is symmetric in
+    (i, j) and in (p, q).  Both symmetries are checked exactly.
     """
-    n = b.n
-    if g0.shape != (n, n):
+    n = g0.shape[0]
+    if g0.shape != (n, n) or t.shape != (n,) * 4:
         raise ValueError("shape mismatch")
-    # an entry of g0 C sums n products, an entry of num t products of two such
-    t = max(1, len(b.left))  # at least 1, so the bound covers g0's entries too
-    bound = max_abs(g0) ** 2 * max_abs(b.left) * max_abs(b.right) * n * n * t
-    g, left, right = narrowed(bound, g0, b.left, b.right)
-    num = np.einsum("tij,tpq->ijpq", g @ left, g @ right)
-    at = _first_mismatch(num, num.transpose(0, 1, 3, 2))
-    if at is not None:
-        raise RealizationError(f"lowered tensor not symmetric in (p, q) at {at}")
-    at = _first_mismatch(num, num.transpose(1, 0, 2, 3))
-    if at is not None:
-        raise RealizationError(f"lowered tensor not symmetric in (i, j) at {at}")
-    return QuadraticMetric(g0, num, b.den)
+    # an entry sums n^2 products of two g0 entries and one t entry
+    g, t = narrowed(max_abs(g0) ** 2 * max_abs(t) * n * n, g0, t)
+    num = -(g @ (g @ t.reshape(n, n ** 3)).reshape((n,) * 4))
+    for axes, where in (((0, 1, 3, 2), "(p, q)"), ((1, 0, 2, 3), "(i, j)")):
+        at = _first_mismatch(num, num.transpose(axes))
+        if at is not None:
+            raise RealizationError(f"lowered tensor not symmetric in {where} at {at}")
+    return QuadraticMetric(g0, num, 2)
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:
@@ -152,8 +103,8 @@ def check_nablaL(qm: QuadraticMetric, L: tuple) -> bool:
     summed over b, for every (i, p, q, k).
     """
     b, l = narrowed(max_abs(qm.num) * max_abs(L[0]) * qm.n * 2, qm.num, L[0])
-    lhs = np.einsum("ipbq,bk->ipqk", b, l) - np.einsum("ibpq,bk->ipqk", b, l)
-    rhs = np.einsum("bikq,bp->ipqk", b, l) - np.einsum("ikbq,bp->ipqk", b, l)
+    lhs = np.einsum("ipbq,bk->ipqk", b - b.transpose(0, 2, 1, 3), l)
+    rhs = np.einsum("bikq,bp->ipqk", b - b.transpose(2, 0, 1, 3), l)
     return bool((lhs == rhs).all())
 
 
@@ -221,7 +172,7 @@ def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
                        formal: CurvatureMap) -> RealizationReport:
     """Run every exact realization check on the metric ``qm``.
 
-    ``qm`` is ``lower_B(build_B(pair), pair.g)`` and ``formal`` the
+    ``qm`` is ``lower_B(pair.block_tensor, pair.g)`` and ``formal`` the
     certified map ``r_formal(pair)``, both built once by the caller; the
     metric's curvature at the origin is computed independently and
     compared against ``formal`` value for value.

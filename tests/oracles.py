@@ -11,8 +11,9 @@ Fraction built from an np.int64 keeps it and can wrap around.  The
 ``*_ref`` functions are earlier index-loop versions of the exact stages,
 run on Fractions, for differential tests against the package: the
 Fraction elimination (``_rref`` and the rank, kernel and inverse on it),
-the centralizer system, the greedy Berger witness loop, the realization
-checks and the Bianchi check.  The float helpers evaluate the metric and its Christoffel
+the centralizer system, the greedy Berger witness loop, the block tensor
+summed from per-term block-power matrices, the realization checks and the
+Bianchi check.  The float helpers evaluate the metric and its Christoffel
 symbols at one point, and ``transport_polyline_ref`` is the earlier
 sequential RK4 transport (one polyline, three Christoffel evaluations per
 step).
@@ -24,11 +25,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from holonomy import berger
 from holonomy.berger import BianchiReport, CurvatureMap
 from holonomy.canonical import CanonicalPair
 from holonomy.liealg import wedge_tags
 from holonomy.probe.transport import FloatMetric, SingularMetricError
-from holonomy.realize import BTensor, QuadraticMetric, RealizationError
+from holonomy.realize import QuadraticMetric, RealizationError
 
 from helpers import all_blocks, fractions
 
@@ -614,26 +616,48 @@ def check_sectional_ref(rmap: CurvatureMap, L: tuple) -> bool:
     return True
 
 
-def b_components(bt: BTensor) -> list:
-    """Materialized rank-4 array B[a][b][j][q] (n^4 rationals)."""
-    n = bt.n
-    out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c, d in zip(fractions(bt.left, bt.den), np.asarray(bt.right, dtype=object)):
-        cnz = [(i, j, c[i, j]) for i in range(n) for j in range(n) if c[i, j]]
-        dnz = [(i, j, d[i, j]) for i in range(n) for j in range(n) if d[i, j]]
-        for a, j, cv in cnz:
-            row = out[a]
-            for b, q, dv in dnz:
-                row[b][j][q] += cv * dv
+def _block_power(n: int, offset: int, size: int, a: int) -> np.ndarray:
+    """The a-th power of a block's nilpotent part as a full-size int matrix;
+    power 0 is the projector onto the block's index range."""
+    out = np.zeros((n, n), dtype=np.int64)
+    idx = np.arange(offset, offset + size - a)
+    out[idx, idx + a] = 1
     return out
 
 
-def b_apply(bt: BTensor, x) -> np.ndarray:
-    """B(X) = sum_t C_t X D_t / den, summed on the numerators."""
-    out = np.zeros((bt.n, bt.n), dtype=object)
-    for c, d in zip(np.asarray(bt.left, dtype=object), np.asarray(bt.right, dtype=object)):
-        out = out + c @ x @ d
-    return fractions(out, bt.den)
+def block_factors(pair: CanonicalPair) -> list:
+    """Each term of ``berger.block_terms`` (looked up at call time) as its
+    pair (J_i^a, J_j^s) of full matrices."""
+    n = pair.n
+    return [(_block_power(n, bi.offset, bi.size, a), _block_power(n, bj.offset, bj.size, s))
+            for bi, bj, a, s in berger.block_terms(pair)]
+
+
+def block_tensor_ref(pair: CanonicalPair) -> np.ndarray:
+    """T[a, j, b, q] = sum_t C_t[a, j] D_t[b, q] over the factor pairs, summed
+    term by term, so a repeated entry adds up instead of being overwritten."""
+    t = np.zeros((pair.n,) * 4, dtype=np.int64)
+    for c, d in block_factors(pair):
+        t += np.einsum("aj,bq->ajbq", c, d)
+    return t
+
+
+def b_components(t) -> list:
+    """Materialized rank-4 array B[a][b][j][q] = -t[a, j, b, q] / 2 (n^4 rationals)."""
+    n = len(t)
+    half = Fraction(-1, 2)
+    return [[[[half * int(t[a, j, b, q]) for q in range(n)] for j in range(n)]
+             for b in range(n)] for a in range(n)]
+
+
+def b_apply(t, x) -> np.ndarray:
+    """B(X) = -1/2 sum_jb t[a, j, b, q] X[j, b], entry by entry."""
+    n = len(t)
+    out = np.zeros((n, n), dtype=object)
+    for a, j, b, q in zip(*np.nonzero(t)):
+        v = x[j, b]
+        out[a, q] += int(t[a, j, b, q]) * (v if isinstance(v, Fraction) else Fraction(int(v)))
+    return out * Fraction(-1, 2)
 
 
 def _metric_value(g0, B, x):

@@ -14,7 +14,6 @@ import pytest
 
 from holonomy import (
     berger_certificate,
-    build_B,
     build_canonical,
     lower_B,
     make_pencil,
@@ -59,7 +58,7 @@ def corpus_pairs():
 
 def _realized(blocks):
     pair = build_canonical(make_pencil([(Fraction(0), blocks)]))
-    return pair, lower_B(build_B(pair), pair.g)
+    return pair, lower_B(pair.block_tensor, pair.g)
 
 
 def test_criterion_1_berger_suite(corpus_pairs):
@@ -144,7 +143,7 @@ def test_criterion_4_realization_match(corpus_pairs):
     started = time.perf_counter()
     failures = []
     for name, pair in corpus_pairs:
-        qm = lower_B(build_B(pair), pair.g)
+        qm = lower_B(pair.block_tensor, pair.g)
         report = verify_realization(pair, qm, r_formal(pair))
         if not report.ok:
             failures.append(f"{name}: {report}")

@@ -3,12 +3,14 @@
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from holonomy.berger import r_formal
-from holonomy.canonical import MAX_DIM, build_canonical, pencil_from_json
+from holonomy import canonical
+from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
@@ -128,6 +130,53 @@ def test_verify_dimension_cap(tmp_path, capsys):
     assert "[timing]" not in captured.err  # rejected before any stage ran
 
 
+def _refused(path, capsys) -> str:
+    """The one-line error of a verify call that must exit 2 in well under a second."""
+    started = time.perf_counter()
+    assert main(["verify", "--input", str(path)]) == 2
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    message = json.loads(out)["error"]
+    assert "\n" not in message and len(out) < 1024, out[:200]
+    assert elapsed < 0.5, elapsed
+    return message
+
+
+def test_verify_spec_size_caps(tmp_path, capsys, monkeypatch):
+    # a file past MAX_SPEC_BYTES is refused unparsed, however large it is
+    valid = json.dumps(SPEC_SINGLE).encode()
+    for name, size in (("over.json", MAX_SPEC_BYTES + 1), ("huge.json", 30 * 2 ** 20)):
+        path = tmp_path / name
+        path.write_bytes(valid + b" " * (size - len(valid)))
+        assert "larger than" in _refused(path, capsys)
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_bytes(valid + b" " * (MAX_SPEC_BYTES - len(valid)))
+    assert main(["verify", "--input", str(at_cap), "--stages", "canonical"]) == 0
+    capsys.readouterr()
+    # deep nesting inside the cap is still refused by the parser
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 30_000 + b"]" * 30_000)
+    assert "invalid JSON" in _refused(deep, capsys)
+
+    # longer eigenvalue or block lists are refused before any block is built
+    def no_block(*args, **kwargs):
+        raise AssertionError("a BlockSpec was built")
+
+    monkeypatch.setattr(canonical, "BlockSpec", no_block)
+    block = {"size": 1, "sign": 1}
+    eigens = {"eigenvalues": [{"lambda": str(k), "blocks": [block]} for k in range(MAX_DIM + 1)]}
+    assert "eigenvalues exceed" in _refused(write_spec(tmp_path, "eigens.json", eigens), capsys)
+    blocks = _blocks(*[block] * 2000)
+    assert "blocks exceed" in _refused(write_spec(tmp_path, "blocks.json", blocks), capsys)
+    # the list caps hold for a parsed document of any length
+    for doc in ({"eigenvalues": eigens["eigenvalues"] * 40_000},
+                _blocks(*[block] * 1_000_000)):
+        started = time.perf_counter()
+        with pytest.raises(canonical.InvalidSpecError, match="exceed the maximum dimension"):
+            pencil_from_json(doc)
+        assert time.perf_counter() - started < 0.5
+
+
 def exit_status(argv) -> int:
     """``main``'s exit status, also when argparse refuses the arguments."""
     try:
@@ -192,13 +241,16 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     import holonomy.probe  # noqa: F401  (so its bindings are counted too)
     import holonomy.realize
 
-    counts = {}
-    for module, name in ((holonomy.berger, "r_formal"), (holonomy.liealg, "so_basis"),
-                         (holonomy.realize, "build_B"), (holonomy.realize, "lower_B")):
+    # the block tensor is built once and both exact objects are read off it;
+    # the so(g) basis is not built at all
+    targets = ((holonomy.berger, "block_tensor"), (holonomy.berger, "r_formal"),
+               (holonomy.liealg, "so_basis"), (holonomy.realize, "lower_B"))
+    counts = {name: 0 for _, name in targets}
+    for module, name in targets:
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
+            counts[_name] += 1
             return _original(*args, **kwargs)
 
         for modname, mod in list(sys.modules.items()):
@@ -207,7 +259,7 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec)))
     assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
-    assert counts == {"r_formal": 1, "so_basis": 1, "build_B": 1, "lower_B": 1}
+    assert counts == {"block_tensor": 1, "r_formal": 1, "so_basis": 0, "lower_B": 1}
 
 
 def test_verify_stage_subset(tmp_path):

@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy import (
+    berger,
     berger_certificate,
-    build_B,
     build_canonical,
     exactla,
     lower_B,
@@ -34,7 +34,7 @@ from holonomy import (
     pencil_from_json,
     r_formal,
 )
-from holonomy.berger import CurvatureMap, check_bianchi, check_sectional
+from holonomy.berger import CurvatureMap, block_terms, check_bianchi, check_sectional
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.exactla import inverse, pivot_columns, rank
 from holonomy.liealg import commutator_system, so_basis
@@ -48,6 +48,7 @@ from holonomy.realize import (
 
 from helpers import TWO_EIGENVALUE_SPECS, fractions, int_form, pair_of, record_dtypes
 from oracles import (
+    block_tensor_ref,
     centralizer_basis_ref,
     centralizer_dim,
     check_bianchi_ref,
@@ -147,12 +148,50 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
         assert len(values) == rank_ref(values) == rank_ref(stacked) == cert.dim_gL, name
 
 
+N24_BLOCKS = [(1, 1), (2, -1), (2, 1), (3, 1), (4, -1), (5, 1), (7, 1)]
+
+
+def test_block_tensor_matches_per_term_factors():
+    # one assignment of every term's index tuples against the sum of the
+    # terms' full block-power factor products
+    pairs = [build_canonical(pencil_from_json(doc)) for _, doc in iter_corpus_specs(7)]
+    pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
+    pairs.append(pair_of(N24_BLOCKS, Fraction(-1, 3)))
+    assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 1
+    for pair in pairs:
+        t = pair.block_tensor
+        assert t.dtype == np.int64 and np.array_equal(t, block_tensor_ref(pair)), pair.layout
+        assert pair.block_tensor is t  # built once per pair
+
+
+def test_repeated_block_term_is_refused(tmp_path, monkeypatch):
+    # negative control for the disjointness check: a term listed twice would
+    # add its entries twice, and the one assignment would hide that
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"eigenvalues": [{"lambda": "0", "blocks": [
+        {"size": s, "sign": g} for s, g in [(1, 1), (2, -1), (2, 1)]]}]}))
+    terms = berger.block_terms(pair_of([(1, 1), (2, -1), (2, 1)]))
+    for k in range(len(terms)):
+        def repeated(pair, _k=k):
+            out = block_terms(pair)
+            return out + [out[_k]]
+
+        monkeypatch.setattr(berger, "block_terms", repeated)
+        pair = pair_of([(1, 1), (2, -1), (2, 1)])
+        assert block_tensor_ref(pair).max() == 2  # the oracle sums the repeat
+        with pytest.raises(RealizationError, match="more than once"):
+            pair.block_tensor
+        with pytest.raises(RealizationError, match="more than once"):
+            cmd_verify(RunConfig(input=str(path)))
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("case", CASES, ids=["1+2+", "1+2-2+"])
 def test_metric_checks_agree_with_loops_under_perturbation(case):
     pair = _pair(case)
     formal = r_formal(pair)
     formal_values = fractions(formal.num, formal.den).tolist()
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     rejected = Counter()
     for idx in np.ndindex(qm.num.shape):
         num = qm.num.copy()
@@ -236,12 +275,14 @@ def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
     report, code = cmd_verify(RunConfig(input=str(path),
                                         stages=("canonical", "berger", "realize")))
     # every contraction with L is too large for int64; those without it are
-    # not, and L itself fits only at 3e18
+    # not, and L itself fits only at 3e18 (g always does)
     assert chosen == {"check_nablaL": {"object"}, "check_gsym": {"object"},
                       "check_sectional": {"object"}, "commutator_system": {"object"},
-                      "check_bianchi": {"int64"},
+                      "check_bianchi": {"int64"}, "block_tensor": {"int64"},
+                      "r_formal": {"int64"},
                       "lower_B": {"int64"}, "riemann_at_origin": {"int64"},
-                      "build_canonical": {"int64" if lam == 3 * 10 ** 18 else "object"},
+                      "build_canonical": {"int64"} | ({"int64"} if lam == 3 * 10 ** 18
+                                                      else {"object"}),
                       "validate_pair": {"object"}}
     assert code == 0 and report["verdict"] == "pass"
     assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holonomy import berger_certificate, build_B, build_canonical, lower_B, make_pencil, r_formal
+from holonomy import berger_certificate, build_canonical, lower_B, make_pencil, r_formal
 from holonomy.berger import CurvatureMap
 from holonomy.probe import transport
 from holonomy.probe import (
@@ -28,7 +28,7 @@ from oracles import christoffel, metric_at, metric_value, nablaL_residual, trans
 
 def realized(blocks, lam=0):
     pair = pair_of(blocks, lam)
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     return pair, qm
 
 
@@ -427,7 +427,7 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     rmap = r_formal(pair)
     flat = {tag for tag, value in zip(rmap.tags, rmap.num) if not value.any()}
     assert 0 < len(flat) < len(rmap.tags)
-    fm = FloatMetric.from_exact(lower_B(build_B(pair), pair.g))
+    fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
     samples = parallel_transport(fm, standard_loops(pair.n, seed=0))
     moved = {s.loop: float(np.max(np.abs(s.transport - np.eye(pair.n)))) for s in samples}
     assert max(m for lp, m in moved.items() if lp.plane in flat) <= 1e-15
@@ -526,7 +526,7 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
         pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
         rmap = r_formal(pair)
         curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
-        fm = FloatMetric.from_exact(lower_B(build_B(pair), pair.g))
+        fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
         flat_runs.append((fm, [lp for lp in standard_loops(pair.n, seed=0)
                                if lp.plane not in curved]))
         if len(eigenvalues) == 1:  # a probe spec

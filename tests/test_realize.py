@@ -8,7 +8,6 @@ import pytest
 
 from holonomy import (
     berger_certificate,
-    build_B,
     build_canonical,
     lower_B,
     make_pencil,
@@ -20,7 +19,6 @@ from holonomy.cli import RunConfig, cmd_verify
 from holonomy.exactla import INT64_LIMIT, max_abs, rank
 from holonomy.liealg import so_basis
 from holonomy.realize import (
-    BTensor,
     QuadraticMetric,
     RealizationError,
     check_gsym,
@@ -31,7 +29,7 @@ from holonomy.realize import (
 )
 
 from helpers import TWO_EIGENVALUE_SPECS, fractions, int_form, mat, pair_of
-from oracles import b_apply, b_components, inverse_ref, lowered, metric_at
+from oracles import b_apply, b_components, block_factors, inverse_ref, lowered, metric_at
 
 HALF = Fraction(1, 2)
 
@@ -51,7 +49,7 @@ def eye(n):
 def test_build_B_two_point_blocks():
     # L = 0 on two size-1 blocks: the tensor collapses to -1/2 I (x) I
     pair = pair_of([(1, 1), (1, 1)])
-    b = build_B(pair)
+    b = pair.block_tensor
     comps = b_components(b)
     for a in range(2):
         for bb in range(2):
@@ -65,8 +63,8 @@ def test_build_B_two_point_blocks():
 
 def test_build_B_single_block_curvature_vanishes_on_so():
     pair = pair_of([(2, 1)])
-    b = build_B(pair)
-    assert len(b.left)  # the tensor itself is nonzero
+    b = pair.block_tensor
+    assert b.any()  # the tensor itself is nonzero
     for x in so_basis(pair.g):
         bx = b_apply(b, x)
         assert not (-bx + g_adjoint(pair.g, bx)).any()
@@ -74,7 +72,7 @@ def test_build_B_single_block_curvature_vanishes_on_so():
 
 def test_build_B_reproduces_formal_curvature():
     pair = pair_of([(1, 1), (2, 1)])
-    b = build_B(pair)
+    b = pair.block_tensor
     rm = r_formal(pair)
     for x, v in zip(so_basis(pair.g), values(rm), strict=True):
         bx = b_apply(b, x)
@@ -83,11 +81,11 @@ def test_build_B_reproduces_formal_curvature():
 
 def test_build_B_provenance_and_commutation():
     pair = pair_of([(1, 1), (2, -1)])
-    b = build_B(pair)
+    b = pair.block_tensor
     # every left factor commutes with L, and [B(X), L] + [B(X), L]^* = 0 for
     # the full elementary basis of gl(V); here the bracket itself vanishes
     L = fractions(*pair.L)
-    for c in b.left:
+    for c, _ in block_factors(pair):
         assert not (c @ L - L @ c).any()
     n = pair.n
     for i in range(n):
@@ -108,7 +106,7 @@ def test_B_skew_on_so_and_doubling():
              pair_of([(3, 1)])]
     pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS[1:]]
     for pair in pairs:
-        b = build_B(pair)
+        b = pair.block_tensor
         rm = r_formal(pair)
         for x, v in zip(so_basis(pair.g), values(rm), strict=True):
             bx = b_apply(b, x)
@@ -118,7 +116,7 @@ def test_B_skew_on_so_and_doubling():
 
 def test_lower_B_two_point_blocks():
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     low = lowered(qm)
     for i in range(2):
         for j in range(2):
@@ -130,19 +128,19 @@ def test_lower_B_two_point_blocks():
 
 def test_lower_B_zero_tensor():
     pair = pair_of([(2, 1)])
-    empty = np.zeros((0, 2, 2), dtype=object)
-    qm = lower_B(BTensor(empty, empty, 1), pair.g)
+    zero = np.zeros((2, 2, 2, 2), dtype=object)
+    qm = lower_B(zero, pair.g)
     low = lowered(qm)
     assert all(low[i][j][p][q] == 0
                for i in range(2) for j in range(2) for p in range(2) for q in range(2))
-    # with no factor pairs the dtype bound still covers g0's entries
+    # with a zero tensor the dtype bound still covers g0's entries
     big = np.array([[10 ** 30, 0], [0, 1]], dtype=object)
-    assert not lower_B(BTensor(empty, empty, 1), big).num.any()
+    assert not lower_B(zero, big).num.any()
 
 
 def test_lowered_symmetries():
     pair = pair_of([(2, 1), (3, -1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     n = qm.n
     low = lowered(qm)
     for i in range(n):
@@ -155,7 +153,7 @@ def test_lowered_symmetries():
 
 def test_metric_at():
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     assert np.array_equal(metric_at(qm, [0, 0]), pair.g)
     x = [Fraction(1, 2), Fraction(-1, 3)]
     r2 = Fraction(1, 4) + Fraction(1, 9)
@@ -171,14 +169,14 @@ def test_metric_at():
 def test_check_nablaL_and_gsym():
     for blocks in ([(1, 1), (2, 1)], [(2, 1), (2, -1)], [(1, 1), (1, 1), (2, 1)]):
         pair = pair_of(blocks)
-        qm = lower_B(build_B(pair), pair.g)
+        qm = lower_B(pair.block_tensor, pair.g)
         assert check_nablaL(qm, pair.L)
         assert check_gsym(qm, pair.L)
 
 
 def test_checks_trivial_for_zero_L():
     pair = pair_of([(1, 1), (1, -1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     assert not pair.L[0].any()
     assert check_nablaL(qm, pair.L)
     assert check_gsym(qm, pair.L)
@@ -186,7 +184,7 @@ def test_checks_trivial_for_zero_L():
 
 def test_check_nablaL_detects_corruption():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     low = np.array(lowered(qm), dtype=object)
     low[0, 0, 1, 1] += Fraction(1, 7)
     bad = QuadraticMetric(qm.g0, *int_form(low))
@@ -195,7 +193,7 @@ def test_check_nablaL_detects_corruption():
 
 def test_check_gsym_detects_wrong_operator():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     rogue = int_form([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # does not commute with the factors
     assert not check_gsym(qm, rogue)
 
@@ -210,7 +208,7 @@ def test_riemann_round_sphere_like():
     # g(x) = (1 - |x|^2/2) I has curvature operator equal to the identity
     # on so(2) at the origin
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     rm = riemann_at_origin(qm)
     assert np.array_equal(values(rm)[0], mat([[0, 1], [-1, 0]]))
     assert np.array_equal(values(rm)[0], so_basis(pair.g)[0])
@@ -218,7 +216,7 @@ def test_riemann_round_sphere_like():
 
 def test_riemann_matches_formal_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     rm = riemann_at_origin(qm)
     formal = r_formal(pair)
     assert np.array_equal(values(rm), values(formal))
@@ -228,7 +226,7 @@ def test_riemann_matches_formal_blocks_1_2():
 
 def test_riemann_linear_in_coefficients():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     doubled = QuadraticMetric(qm.g0, *int_form(2 * np.array(lowered(qm), dtype=object)))
     r1 = riemann_at_origin(qm)
     r2 = riemann_at_origin(doubled)
@@ -238,13 +236,13 @@ def test_riemann_linear_in_coefficients():
 def test_verify_realization():
     for blocks in ([(3, 1)], [(1, 1), (2, 1)], [(2, 1), (2, -1)]):
         pair = pair_of(blocks)
-        qm = lower_B(build_B(pair), pair.g)
+        qm = lower_B(pair.block_tensor, pair.g)
         report = verify_realization(pair, qm, r_formal(pair))
         assert report.ok, (blocks, report)
         if blocks == [(3, 1)]:
             assert not riemann_at_origin(qm).num.any()
     pair = build_canonical(make_pencil([(0, [(1, 1), (2, 1)]), (1, [(2, -1), (2, -1)])]))
-    assert verify_realization(pair, lower_B(build_B(pair), pair.g), r_formal(pair)).ok
+    assert verify_realization(pair, lower_B(pair.block_tensor, pair.g), r_formal(pair)).ok
 
 
 def test_verify_realization_rejects_perturbed_formal_map():
@@ -255,23 +253,23 @@ def test_verify_realization_rejects_perturbed_formal_map():
     num = formal.num.copy()
     num[1] = num[1] + eye(pair.n)
     perturbed = CurvatureMap(formal.g, formal.tags, num, formal.den)
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     report = verify_realization(pair, qm, perturbed)
     assert report.routes_agree and not report.matches_formal and not report.ok
     assert verify_realization(pair, qm, formal).matches_formal
 
 
 def test_lower_B_rejects_asymmetric_point_indices():
-    # C = I and D = E_01 give (g0 D) = g0 E_01, not symmetric in (p, q)
+    # T = I (x) E_01 gives (g0 E_01) in (p, q), not symmetric there
     g = eye(2)
-    e01 = np.array([[[0, 1], [0, 0]]], dtype=object)
+    e01 = np.array([[0, 1], [0, 0]], dtype=object)
     with pytest.raises(RealizationError, match=r"\(p, q\)"):
-        lower_B(BTensor(g[None], e01, 1), g)
+        lower_B(np.einsum("aj,bq->ajbq", g, e01), g)
 
 
 def test_validity_radius_positive():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(build_B(pair), pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     rho = validity_radius(invertibility_bound(qm))
     assert rho > 0.1
     assert rank(int_form(metric_at(qm, [Fraction(1, 20)] * 3))[0]) == qm.n
@@ -286,10 +284,9 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     pair = pair_of(blocks, lam)
     rmap = r_formal(pair)
     cert = berger_certificate(pair, rmap)
-    bt = build_B(pair)
-    qm = lower_B(bt, pair.g)
+    qm = lower_B(pair.block_tensor, pair.g)
     rm = riemann_at_origin(qm)
-    stored = {"g": pair.g, "L": pair.L[0], "left": bt.left, "right": bt.right,
+    stored = {"g": pair.g, "L": pair.L[0], "T": pair.block_tensor,
               "metric": qm.num, "formal": rmap.num, "riemann": rm.num,
               "basis": cert.basis[0], "ginv": qm.ginv[0]}
     for name, a in stored.items():
@@ -305,7 +302,7 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     bound = invertibility_bound(qm)
     assert bound > 0
     assert type(bound.numerator) is int and type(bound.denominator) is int
-    dens = [pair.L[1], bt.den, qm.den, rmap.den, rm.den, cert.basis[1], qm.ginv[1]]
+    dens = [pair.L[1], qm.den, rmap.den, rm.den, cert.basis[1], qm.ginv[1]]
     assert all(type(d) is int for d in dens), dens
 
     path = tmp_path / "spec.json"
