@@ -43,6 +43,10 @@ from .realize import lower_B, verify_realization
 
 ALL_STAGES = ("canonical", "berger", "realize", "probe")
 
+# An n = 24 report takes about 262 KB; a file past this cap is refused
+# after reading at most one byte beyond it.
+MAX_REPORT_BYTES = 4 * 1024 * 1024
+
 
 @dataclass
 class RunConfig:
@@ -253,7 +257,11 @@ def _spec_pattern(doc: dict) -> tuple:
 
 def _report_row(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_REPORT_BYTES + 1)
+        if len(data) > MAX_REPORT_BYTES:
+            return _error_row(path, f"report file larger than {MAX_REPORT_BYTES} bytes")
+        doc = json.loads(data.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         return _error_row(path, str(exc))
     try:

@@ -18,8 +18,9 @@ the actual inputs before any arithmetic, so int64 never wraps around.
 Arrays keep the dtype their bound proved; a scalar leaves an array for a
 ``Fraction``, a denominator or a report only as a Python int.
 
-Rank, pivot columns and inverse all come from one fraction-free
-Gauss-Jordan elimination on rows of Python ints (Bareiss 1968).
+Rank and pivot columns come from one fraction-free forward elimination
+on rows of Python ints (Bareiss 1968).  No inverse is ever computed: the
+one matrix the package would invert, a canonical g, is its own inverse.
 """
 
 from __future__ import annotations
@@ -63,17 +64,18 @@ def lowest_terms(num: np.ndarray, den: int) -> tuple:
     return (num if g == 1 or not common else num // g), den // g
 
 
-def _echelon(a) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+def pivot_columns(a) -> list:
+    """Indices of the columns of an integer matrix that are not in the span
+    of the columns before them.
 
-    Returns ``(rows, pivots, d)``: ``rows[k]`` is ``d`` times row k of the
-    reduced row echelon form of ``a``, whose pivot columns are ``pivots``.
-    After each step every entry is a minor of the input (each row divided by
-    its content), so each update ``(p * x - f * y) / d_prev`` divides
-    exactly (Sylvester's identity).  Pivots are made positive and chosen
-    smallest in absolute value, so on the sparse systems of this package a
-    pivot mostly equals the previous one; such a step leaves the rows
-    without an entry in the pivot column untouched.
+    They are the pivot columns of a fraction-free forward elimination
+    (Bareiss 1968).  After each step every entry of the rows below the
+    pivot rows is a minor of the input (each row divided by its content),
+    so each update ``(p * x - f * y) / d_prev`` divides exactly (Sylvester's
+    identity).  Pivots are made positive and chosen smallest in absolute
+    value, so on the sparse systems of this package a pivot mostly equals
+    the previous one; such a step leaves the rows without an entry in the
+    pivot column untouched.
     """
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
@@ -100,41 +102,19 @@ def _echelon(a) -> tuple:
         prow = m[r]
         piv = prow[c]
         nz = [j for j in range(c, ncols) if prow[j]]
-        for i, row in enumerate(m):
+        for i in range(r + 1, len(m)):
+            row = m[i]
             f = row[c]
-            if i == r or (not f and piv == d):
-                continue
-            if piv == d:
+            if piv != d:
+                m[i] = [(piv * x - f * y) // d for x, y in zip(row, prow)]
+            elif f:
                 for j in nz:
                     row[j] -= f * prow[j] // d
-            else:
-                m[i] = [(piv * x - f * y) // d for x, y in zip(row, prow)]
         pivots.append(c)
         d = piv
-    return m[:len(pivots)], pivots, d
+    return pivots
 
 
 def rank(a) -> int:
     """Exact rank of an integer matrix."""
-    return len(_echelon(a)[1])
-
-
-def pivot_columns(a) -> list:
-    """Indices of the columns of an integer matrix that are not in the span
-    of the columns before them."""
-    return _echelon(a)[1]
-
-
-def inverse(a) -> tuple:
-    """Exact inverse of a square integer matrix as ``(num, den)``.
-
-    Raises ValueError when the matrix is singular.
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("inverse of a non-square matrix")
-    red, pivots, d = _echelon(np.hstack([a, np.eye(n, dtype=a.dtype)]))
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return lowest_terms(np.array([row[n:] for row in red], dtype=object).reshape(n, n), d)
+    return len(pivot_columns(a))

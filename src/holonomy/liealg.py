@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .exactla import max_abs, narrowed, rank
+from .exactla import max_abs, narrowed
 
 
 def wedge_tags(n: int) -> list:
@@ -32,7 +32,9 @@ def wedge_rows(a: np.ndarray) -> np.ndarray:
     """The stack {E_ij a}_{i<j} in ``wedge_tags`` order, as (m, n, n).
 
     E_ij a has row i equal to a[j], row j equal to -a[i] and zeros elsewhere;
-    the stack has the dtype of ``a``.
+    the stack has the dtype of ``a``.  For a symmetric g, ``wedge_rows(g)``
+    is the wedge basis {wedge(e_i, e_j)}_{i<j} of so(g), independent when g
+    is invertible.
     """
     n = a.shape[0]
     rows, cols = wedge_index(n)
@@ -43,23 +45,9 @@ def wedge_rows(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def so_basis(g: np.ndarray) -> np.ndarray:
-    """The wedge basis {wedge(e_i, e_j)}_{i<j} of so(g) as an (m, n, n) int stack.
-
-    wedge(e_i, e_j) = E_ij g has row i equal to g[j], row j equal to -g[i]
-    (g is symmetric) and zeros elsewhere; the stack follows ``wedge_tags``.
-    For an invertible g these n(n-1)/2 elements are independent.
-    """
-    n = g.shape[0]
-    if g.shape != (n, n) or not (g == g.T).all():
-        raise ValueError("g must be square and symmetric")
-    if rank(g) != n:
-        raise ValueError("degenerate g")
-    return wedge_rows(g)
-
-
 def commutator_system(g: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """The (n^2, m) matrix whose column k is W_k l - l W_k, W_k = so_basis(g)[k].
+    """The (n^2, m) matrix whose column k is W_k l - l W_k, where
+    W_k = wedge(e_i, e_j) = E_k g for the k-th tag (i, j) of ``wedge_tags``.
 
     Its kernel holds the wedge coordinates of the elements of so(g) that
     commute with l, so dim g_L = m - rank.  Built without the basis: with

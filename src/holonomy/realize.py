@@ -8,12 +8,12 @@ The lowered tensor is one (n, n, n, n) integer array over one common
 denominator (the ``exactla`` format).  Every exact check on it (symmetry,
 covariant constancy, g(x)-symmetry, both Riemann routes) is a numpy
 contraction with no index loop, in int64 where ``exactla.narrowed``
-proves it safe and on Python ints otherwise.
+proves it safe and on Python ints otherwise.  Nothing is inverted: a
+canonical g0 is its own inverse, which ``_own_inverse`` checks exactly.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .berger import CurvatureMap, RealizationError
 from .canonical import CanonicalPair
-from .exactla import inverse, max_abs, narrowed
+from .exactla import max_abs, narrowed
 from .liealg import wedge_index, wedge_tags
 
 
@@ -32,7 +32,8 @@ class QuadraticMetric:
     ``g0`` is an n x n int array.  B = num / den: ``num`` is an (n, n, n, n)
     integer array (see ``exactla``) and ``den`` one positive int.  B[i, j, p, q]
     is symmetric in (i, j) and in (p, q); the metric value at x adds
-    B[i, j, p, q] x^p x^q to g0[i, j].
+    B[i, j, p, q] x^p x^q to g0[i, j].  The curvature and the invertibility
+    bound read g0 as its own inverse, which a canonical g0 is.
     """
 
     g0: np.ndarray
@@ -43,16 +44,24 @@ class QuadraticMetric:
     def n(self) -> int:
         return self.g0.shape[0]
 
-    @functools.cached_property
-    def ginv(self) -> tuple:
-        """g0's exact inverse as ``(num, den)``, computed once per metric."""
-        return inverse(self.g0)
-
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray):
     """Lexicographically first index where two arrays differ, or None."""
     bad = np.argwhere(a != b)
     return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def _own_inverse(g0: np.ndarray) -> np.ndarray:
+    """g0, which must be its own inverse: raises ValueError naming the first
+    entry where g0 @ g0 differs from I.  A canonical g0, a signed
+    antidiagonal of ones on each Jordan block, passes."""
+    n = g0.shape[0]
+    # an entry of g0 @ g0 sums n products of two g0 entries
+    g, = narrowed(max_abs(g0) ** 2 * n, g0)
+    at = _first_mismatch(g @ g, np.eye(n, dtype=np.int64))
+    if at is not None:
+        raise ValueError(f"g0 is not its own inverse: g0 @ g0 differs from I at {at}")
+    return g0
 
 
 def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
@@ -76,15 +85,14 @@ def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:
-    """Exact c = |g0^{-1}|_inf * max_i sum_jpq |B_ijpq|.
+    """Exact c = |g0^{-1}|_inf * max_i sum_jpq |B_ijpq|, where g0^{-1} = g0.
 
     |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
     invertible wherever |x|_inf^2 * c < 1.
     """
-    ginv, gden = qm.ginv
-    ginv_norm = Fraction(int(np.abs(ginv).sum(axis=1).max()), gden)
+    g0_norm = int(np.abs(_own_inverse(qm.g0)).sum(axis=1).max())
     num, = narrowed(max_abs(qm.num) * qm.n ** 3, qm.num)
-    return ginv_norm * Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
+    return g0_norm * Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
 
 
 def validity_radius(bound: Fraction) -> float:
@@ -122,14 +130,15 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     Route two assembles first derivatives of the Christoffel symbols at 0
     (the symbols vanish there, so the quadratic terms drop):
         R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}.
-    Both routes must agree entry for entry; a mismatch raises.
+    Both routes read g^{-1} as g0 (see ``_own_inverse``) and must agree
+    entry for entry; a mismatch raises.
     """
     n = qm.n
-    ginv, gden = qm.ginv
+    ginv = _own_inverse(qm.g0)
     # a route adds at most 4 (direct) or 2 * 3 (via Gamma) sums over s
     ginv, b = narrowed(max_abs(ginv) * max_abs(qm.num) * n * 6, ginv, qm.num)
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
-    # scaled by gden * qm.den
+    # scaled by qm.den
     direct = np.einsum("is,absk->abik", ginv,
                        np.einsum("bsak->absk", b) + np.einsum("akbs->absk", b)
                        - np.einsum("bkas->absk", b) - np.einsum("asbk->absk", b))
@@ -144,7 +153,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> CurvatureMap:
     if at is not None:
         raise RealizationError(
             f"curvature routes disagree on wedge {tags[at[0]]}")
-    return CurvatureMap(qm.g0, tags, direct[rows, cols], gden * qm.den)
+    return CurvatureMap(qm.g0, tags, direct[rows, cols], qm.den)
 
 
 @dataclass(frozen=True)

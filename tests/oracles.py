@@ -11,12 +11,12 @@ Fraction built from an np.int64 keeps it and can wrap around.  The
 ``*_ref`` functions are earlier index-loop versions of the exact stages,
 run on Fractions, for differential tests against the package: the
 Fraction elimination (``_rref`` and the rank, kernel and inverse on it),
-the centralizer system, the greedy Berger witness loop, the block tensor
-summed from per-term block-power matrices, the realization checks and the
-Bianchi check.  The float helpers evaluate the metric and its Christoffel
-symbols at one point, and ``transport_polyline_ref`` is the earlier
-sequential RK4 transport (one polyline, three Christoffel evaluations per
-step).
+the so(g) wedge basis, the centralizer system, the greedy Berger witness
+loop, the block tensor summed from per-term block-power matrices, the
+realization checks and the Bianchi check.  The float helpers evaluate the
+metric and its Christoffel symbols at one point, and
+``transport_polyline_ref`` is the earlier sequential RK4 transport (one
+polyline, three Christoffel evaluations per step).
 """
 
 from dataclasses import dataclass
@@ -204,6 +204,24 @@ def wedge(u: Sequence, v: Sequence, g) -> np.ndarray:
     gv = [sum(g[i, k] * vf[k] for k in range(n)) for i in range(n)]
     return np.array([[uf[i] * gv[j] - vf[i] * gu[j] for j in range(n)]
                      for i in range(n)], dtype=object).reshape(n, n)
+
+
+def so_basis_ref(g) -> np.ndarray:
+    """The wedge basis {wedge(e_i, e_j)}_{i<j} of so(g), i < j in
+    lexicographic order, as an (m, n, n) object stack built entry by entry:
+    wedge(e_i, e_j) = e_i (g e_j)^T - e_j (g e_i)^T has [r, c] entry
+    [r == i] g[c, j] - [r == j] g[c, i]."""
+    g = np.asarray(g, dtype=object)
+    n = g.shape[0]
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = np.zeros((n, n), dtype=object)
+            for r in range(n):
+                for c in range(n):
+                    w[r, c] = (r == i) * g[c, j] - (r == j) * g[c, i]
+            basis.append(w)
+    return np.array(basis, dtype=object).reshape(-1, n, n)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from holonomy import berger_certificate, r_formal
 from holonomy.berger import CurvatureMap, check_bianchi, check_sectional
-from holonomy.liealg import so_basis, wedge_tags
+from holonomy.liealg import wedge_rows, wedge_tags
 
 from helpers import certificate, fractions, mat, pair_of
 from oracles import apply_map, block_element, commutator, is_g_skew, r_minpoly
@@ -29,13 +29,13 @@ def values(rmap):
 
 def test_r_minpoly_regular_block_vanishes():
     pair = pair_of([(3, 1)])
-    for x in so_basis(pair.g):
+    for x in wedge_rows(pair.g):
         assert not r_minpoly(pair, x).any()
 
 
 def test_r_minpoly_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    base = so_basis(pair.g)
+    base = wedge_rows(pair.g)
     # base order is (0,1), (0,2), (1,2); p_min = t^2 so R(X) = LX + XL
     assert np.array_equal(r_minpoly(pair, base[1]), Z)
     assert not r_minpoly(pair, base[2]).any()
@@ -44,7 +44,7 @@ def test_r_minpoly_blocks_1_2():
 def test_r_minpoly_lands_in_centralizer():
     pair = pair_of([(2, 1), (3, -1)], lam=Fraction(1, 2))
     L = fractions(*pair.L)
-    for x in so_basis(pair.g):
+    for x in wedge_rows(pair.g):
         v = r_minpoly(pair, x)
         assert is_g_skew(pair.g, v) and not commutator(v, L).any()
 
@@ -74,7 +74,7 @@ def test_r_formal_zero_and_linearity():
     pair = pair_of([(2, 1), (2, -1)])
     rm = r_formal(pair)
     assert not apply_map(rm, np.zeros((4, 4), dtype=object)).any()
-    base = so_basis(pair.g)
+    base = wedge_rows(pair.g)
     a, b = Fraction(2, 3), Fraction(-5)
     lhs = r_minpoly(pair, a * base[0] + b * base[3])
     rhs = a * values(rm)[0] + b * values(rm)[3]
@@ -98,7 +98,7 @@ def test_r_formal_two_blocks_agrees_with_minpoly(blocks, lam):
     pair = pair_of(blocks, lam)
     rm = r_formal(pair)
     assert rm.den == 1  # the formal values are integral
-    for x, v in zip(so_basis(pair.g), values(rm), strict=True):
+    for x, v in zip(wedge_rows(pair.g), values(rm), strict=True):
         assert np.array_equal(r_minpoly(pair, x), v)
 
 
@@ -113,7 +113,7 @@ def test_r_formal_linearity_via_apply():
     # element of so(g), so a combination must map to the same combination
     pair = pair_of([(2, 1), (2, 1)])
     rm = r_formal(pair)
-    base = so_basis(pair.g)
+    base = wedge_rows(pair.g)
     a, b = Fraction(3, 7), Fraction(-2)
     x = a * base[1] + b * base[4]
     assert np.array_equal(r_minpoly(pair, x), a * values(rm)[1] + b * values(rm)[4])
@@ -150,7 +150,7 @@ def test_bianchi_commutator_map_consistency(blocks):
     # the commutator map may or may not be a formal curvature tensor; the
     # report must either carry a witness or claim a clean pass
     pair = pair_of(blocks)
-    base = so_basis(pair.g)
+    base = wedge_rows(pair.g)
     vals = pair.L[0] @ base - base @ pair.L[0]
     assert vals.any()
     rep = check_bianchi(CurvatureMap(pair.g, tuple(wedge_tags(pair.n)), vals))
@@ -161,7 +161,7 @@ def test_bianchi_detects_violation():
     # map e0^e1 to wedge(e0, e2), everything else to zero: the cyclic sum
     # on (e0, e1, e2) is wedge(e0, e2) e2 = e0, which is nonzero
     g = np.eye(3, dtype=object)
-    base = so_basis(g)
+    base = wedge_rows(g)
     vals = np.zeros((3, 3, 3), dtype=object)
     vals[0] = base[1]
     rep = check_bianchi(CurvatureMap(g, tuple(wedge_tags(3)), vals))
@@ -184,7 +184,7 @@ def test_sectional_r_formal_and_zero_pass():
 
 def test_sectional_identity_map_fails():
     pair = pair_of([(1, 1), (2, 1)])
-    base = so_basis(pair.g)
+    base = wedge_rows(pair.g)
     ident = CurvatureMap(pair.g, tuple(wedge_tags(pair.n)), base)
     assert not check_sectional(ident, pair.L)
 
@@ -238,7 +238,7 @@ def test_certificate_rejects_a_value_outside_gl():
     pair = pair_of([(1, 1), (1, 1), (2, 1)])
     rm = r_formal(pair)
     vals = rm.num.copy()
-    vals[0] += so_basis(pair.g)[-1]  # wedge(e_2, e_3) does not commute with L
+    vals[0] += wedge_rows(pair.g)[-1]  # wedge(e_2, e_3) does not commute with L
     cert = berger_certificate(pair, CurvatureMap(rm.g, rm.tags, vals, rm.den))
     assert not cert.containment_ok and cert.dim_gL == 3
     assert not cert.passed

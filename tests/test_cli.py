@@ -11,7 +11,7 @@ import pytest
 from holonomy.berger import r_formal
 from holonomy import canonical
 from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json
-from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
+from holonomy.cli import MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
 
@@ -237,14 +237,12 @@ def test_report_is_strict_json_when_nothing_is_discarded(tmp_path, capsys):
 
 def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     import holonomy.berger
-    import holonomy.liealg
     import holonomy.probe  # noqa: F401  (so its bindings are counted too)
     import holonomy.realize
 
-    # the block tensor is built once and both exact objects are read off it;
-    # the so(g) basis is not built at all
+    # the block tensor is built once and both exact objects are read off it
     targets = ((holonomy.berger, "block_tensor"), (holonomy.berger, "r_formal"),
-               (holonomy.liealg, "so_basis"), (holonomy.realize, "lower_B"))
+               (holonomy.realize, "lower_B"))
     counts = {name: 0 for _, name in targets}
     for module, name in targets:
         original = getattr(module, name)
@@ -259,7 +257,7 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec)))
     assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
-    assert counts == {"block_tensor": 1, "r_formal": 1, "so_basis": 0, "lower_B": 1}
+    assert counts == {"block_tensor": 1, "r_formal": 1, "lower_B": 1}
 
 
 def test_verify_stage_subset(tmp_path):
@@ -479,6 +477,33 @@ def test_report_empty_and_errors(tmp_path, capsys):
         assert csv_row["error"] == row["error"]
         if k < 7:  # parsed as JSON, but not shaped like a report
             assert "not a verify report" in row["error"]
+
+
+def test_report_refuses_a_file_past_the_size_cap(tmp_path, capsys):
+    # the largest spec's full report is far below the cap and reads normally
+    spec = write_spec(tmp_path, "n24.json", _blocks(
+        *({"size": s, "sign": g} for s, g in [(1, 1), (2, -1), (2, 1), (3, 1),
+                                              (4, -1), (5, 1), (7, 1)])))
+    real = tmp_path / "n24.report.json"
+    assert main(["verify", "--input", str(spec), "--out", str(real)]) == 0
+    text = real.read_text()
+    assert 100_000 < len(text) < MAX_REPORT_BYTES
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_text(text + " " * (MAX_REPORT_BYTES - len(text)))
+    capsys.readouterr()
+    assert main(["report", str(real), str(at_cap)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2 and all(r.split("\t")[-2:] == ["pass", ""] for r in rows)
+    # the same report padded to tens of MB is one error row, read only to the cap
+    padded = tmp_path / "padded.json"
+    padded.write_text(text + " " * (30 * 2 ** 20))
+    start = time.perf_counter()
+    assert main(["report", str(padded)]) == 1
+    assert time.perf_counter() - start < 1.0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    (row,) = [dict(zip(header.split("\t"), r.split("\t"))) for r in rows]
+    assert row["file"] == "padded.json" and row["verdict"] == "error"
+    assert row["error"] == f"report file larger than {MAX_REPORT_BYTES} bytes"
 
 
 def test_report_failing_rows_first(tmp_path, capsys):

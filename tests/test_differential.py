@@ -1,13 +1,16 @@
 """Differential tests: the integer core against the earlier Fraction code.
 
-The fraction-free elimination must give the Fraction elimination's rank,
-inverse and Berger witnesses, on random matrices and on the corpus, and
-the certificate's g_L (its dimension by rank-nullity, its basis the
-witness values) must match the Fraction kernel of the defining equations.  Each exact check runs on every single-entry perturbation of
-a correct input, once as the package's integer contraction and once as
-the earlier Fraction index loop kept in ``oracles``.  The two must return
-the same verdicts, the same curvature (or both raise), and the same
-Bianchi witness; and each check must reject some of the perturbations.
+The fraction-free elimination must give the Fraction elimination's rank
+and Berger witnesses, on random matrices and on the corpus; every
+canonical g must be the Fraction inverse of itself, since the realization
+reads it as its own inverse; and the certificate's g_L (its dimension by
+rank-nullity, its basis the witness values) must match the Fraction
+kernel of the defining equations.  Each exact check runs on every
+single-entry perturbation of a correct input, once as the package's
+integer contraction and once as the earlier Fraction index loop kept in
+``oracles``.  The two must return the same verdicts, the same curvature
+(or both raise), and the same Bianchi witness; and each check must
+reject some of the perturbations.
 
 Each exact contraction runs in int64 or on Python ints, as an a-priori
 bound decides.  With the int64 limit at 0 every contraction takes the
@@ -36,8 +39,8 @@ from holonomy import (
 )
 from holonomy.berger import CurvatureMap, block_terms, check_bianchi, check_sectional
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
-from holonomy.exactla import inverse, pivot_columns, rank
-from holonomy.liealg import commutator_system, so_basis
+from holonomy.exactla import pivot_columns, rank
+from holonomy.liealg import commutator_system
 from holonomy.realize import (
     QuadraticMetric,
     RealizationError,
@@ -58,6 +61,7 @@ from oracles import (
     inverse_ref,
     rank_ref,
     riemann_at_origin_ref,
+    so_basis_ref,
     witnesses_ref,
 )
 
@@ -84,19 +88,10 @@ def _riemann_outcome(fn, qm):
 
 def _same_elimination(m):
     """The integer elimination of the Fraction matrix m agrees with the
-    Fraction one: rank, inverse, and pivot columns as the witnesses of the
-    greedy span loop over m's rows."""
+    Fraction one: rank, and pivot columns as the witnesses of the greedy
+    span loop over m's rows."""
     num, den = int_form(m)
     assert rank(num) == rank_ref(m)
-    if m.shape[0] == m.shape[1]:
-        try:
-            want = inverse_ref(m)
-        except ValueError:
-            with pytest.raises(ValueError):
-                inverse(num)
-        else:
-            inum, iden = inverse(num)
-            assert np.array_equal(fractions(inum * den, iden), want)
     # the rows of m as the values of a map, tagged by their index
     rows = CurvatureMap(np.eye(1, dtype=object), tuple(range(len(m))),
                         num.reshape(-1, 1, m.shape[1]), den)
@@ -123,11 +118,17 @@ def test_elimination_matches_fraction_rref_on_corpus(lam):
     for name, doc in iter_corpus_specs(5):
         doc["eigenvalues"][0]["lambda"] = str(lam)
         pair = build_canonical(pencil_from_json(doc))
-        assert np.array_equal(fractions(*inverse(pair.g)), inverse_ref(pair.g)), name
         rmap = r_formal(pair)
         cert = berger_certificate(pair, rmap)
         assert cert.witnesses == witnesses_ref(rmap), name
         assert cert.image_rank == rank_ref(rmap.num.reshape(len(rmap.tags), pair.n ** 2)), name
+    # both Riemann routes and the invertibility bound read g as its own inverse
+    pairs = [build_canonical(pencil_from_json(doc)) for _, doc in iter_corpus_specs(7)]
+    pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
+    pairs.append(pair_of(N24_BLOCKS, lam))
+    for pair in pairs:
+        assert np.array_equal(pair.g @ pair.g, np.eye(pair.n, dtype=int)), pair.n
+        assert np.array_equal(inverse_ref(pair.g), pair.g), pair.n
 
 
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(-2, 3)])
@@ -136,7 +137,7 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
         doc["eigenvalues"][0]["lambda"] = str(lam)
         pair = build_canonical(pencil_from_json(doc))
         n, l = pair.n, pair.L[0]
-        w = so_basis(pair.g)
+        w = so_basis_ref(pair.g)
         assert np.array_equal(commutator_system(pair.g, l),
                               (w @ l - l @ w).reshape(len(w), n * n).T), name
         cert = berger_certificate(pair, r_formal(pair))
@@ -281,6 +282,7 @@ def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
                       "check_bianchi": {"int64"}, "block_tensor": {"int64"},
                       "r_formal": {"int64"},
                       "lower_B": {"int64"}, "riemann_at_origin": {"int64"},
+                      "_own_inverse": {"int64"},
                       "build_canonical": {"int64"} | ({"int64"} if lam == 3 * 10 ** 18
                                                       else {"object"}),
                       "validate_pair": {"object"}}

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from holonomy.canonical import rat_from_str
 from holonomy.exactla import (
     INT64_LIMIT,
-    inverse,
     lowest_terms,
     max_abs,
     narrowed,
@@ -166,7 +165,7 @@ def test_minpoly_annihilates_and_is_minimal(entries):
     assert rank(int_form(stack)[0]) == p.degree
 
 
-# -- powers, inverse, solving ------------------------------------------------
+# -- powers, solving ---------------------------------------------------------
 
 def test_matrix_powers_examples():
     m = mat([[2, 1], [0, 1]])
@@ -179,16 +178,6 @@ def test_matrix_powers_examples():
 
     d = mat([[2]])
     assert [p[0, 0] for p in matrix_powers(d, 3)] == [1, 2, 4, 8]
-
-
-def test_inverse_round_trip():
-    num, _ = int_form(mat([[1, 2], [3, Fraction(1, 2)]]))
-    inum, iden = inverse(num)
-    assert np.array_equal(num @ inum, iden * eye(2))  # (num / den)^-1 = den * inum / iden
-    with pytest.raises(ValueError):
-        inverse(np.array([[1, 2], [2, 4]], dtype=object))
-    with pytest.raises(ValueError):
-        inverse(zeros(2, 3))
 
 
 near_edge = st.one_of(st.integers(-3, 3), st.integers(2 ** 62 - 4, 2 ** 63 - 1),
@@ -204,16 +193,11 @@ def test_elimination_reads_int64_and_python_ints_alike(rows, cols, data):
     beyond = wide * (2 ** 64 + 1)  # a nonzero scale keeps the rank and the pivots
     assert rank(narrow) == rank(wide) == rank(beyond) == rank_ref(wide)
     assert pivot_columns(narrow) == pivot_columns(wide) == pivot_columns(beyond)
-    if rows == cols and rank(wide) == rows:
-        (inum, iden), (wnum, wden) = inverse(narrow), inverse(wide)
-        assert np.array_equal(inum, wnum) and iden == wden
-        assert type(iden) is int and all(type(x) is int for x in inum.flat)
     # a Fraction or a float is refused wherever it sits, a zero row included
     bad = wide.copy()
     bad[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = (
         data.draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(0), 0.0, 2.0])))
-    calls = [rank, pivot_columns] + ([inverse] if rows == cols else [])
-    for call in calls:
+    for call in (rank, pivot_columns):
         for arg in (bad, narrow.astype(np.float64)):
             with pytest.raises(TypeError):
                 call(arg)

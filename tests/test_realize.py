@@ -1,6 +1,7 @@
 """Quadratic metric construction and the exact curvature match."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,8 @@ from holonomy import (
 from holonomy.berger import CurvatureMap
 from holonomy.cli import RunConfig, cmd_verify
 from holonomy.exactla import INT64_LIMIT, max_abs, rank
-from holonomy.liealg import so_basis
+from holonomy.liealg import wedge_rows
+from holonomy.probe.transport import FloatMetric
 from holonomy.realize import (
     QuadraticMetric,
     RealizationError,
@@ -65,7 +67,7 @@ def test_build_B_single_block_curvature_vanishes_on_so():
     pair = pair_of([(2, 1)])
     b = pair.block_tensor
     assert b.any()  # the tensor itself is nonzero
-    for x in so_basis(pair.g):
+    for x in wedge_rows(pair.g):
         bx = b_apply(b, x)
         assert not (-bx + g_adjoint(pair.g, bx)).any()
 
@@ -74,7 +76,7 @@ def test_build_B_reproduces_formal_curvature():
     pair = pair_of([(1, 1), (2, 1)])
     b = pair.block_tensor
     rm = r_formal(pair)
-    for x, v in zip(so_basis(pair.g), values(rm), strict=True):
+    for x, v in zip(wedge_rows(pair.g), values(rm), strict=True):
         bx = b_apply(b, x)
         assert np.array_equal(-bx + g_adjoint(pair.g, bx), v)
 
@@ -108,7 +110,7 @@ def test_B_skew_on_so_and_doubling():
     for pair in pairs:
         b = pair.block_tensor
         rm = r_formal(pair)
-        for x, v in zip(so_basis(pair.g), values(rm), strict=True):
+        for x, v in zip(wedge_rows(pair.g), values(rm), strict=True):
             bx = b_apply(b, x)
             assert not (pair.g @ bx + bx.T @ pair.g).any()
             assert np.array_equal(v, Fraction(-2) * bx)
@@ -211,7 +213,7 @@ def test_riemann_round_sphere_like():
     qm = lower_B(pair.block_tensor, pair.g)
     rm = riemann_at_origin(qm)
     assert np.array_equal(values(rm)[0], mat([[0, 1], [-1, 0]]))
-    assert np.array_equal(values(rm)[0], so_basis(pair.g)[0])
+    assert np.array_equal(values(rm)[0], wedge_rows(pair.g)[0])
 
 
 def test_riemann_matches_formal_blocks_1_2():
@@ -267,6 +269,16 @@ def test_lower_B_rejects_asymmetric_point_indices():
         lower_B(np.einsum("aj,bq->ajbq", g, e01), g)
 
 
+@pytest.mark.parametrize("g0, at", [([[2, 0], [0, 1]], (0, 0)), ([[0, 1], [1, 1]], (0, 1))])
+def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
+    # both Riemann routes and the invertibility bound read g0 as its own
+    # inverse, which a canonical g0 is; any other g0 is refused by entry
+    qm = QuadraticMetric(np.array(g0, dtype=np.int64), np.ones((2,) * 4, dtype=np.int64), 2)
+    for call in (riemann_at_origin, invertibility_bound, FloatMetric.from_exact):
+        with pytest.raises(ValueError, match=re.escape(f"differs from I at {at}")):
+            call(qm)
+
+
 def test_validity_radius_positive():
     pair = pair_of([(1, 1), (2, 1)])
     qm = lower_B(pair.block_tensor, pair.g)
@@ -288,13 +300,13 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     rm = riemann_at_origin(qm)
     stored = {"g": pair.g, "L": pair.L[0], "T": pair.block_tensor,
               "metric": qm.num, "formal": rmap.num, "riemann": rm.num,
-              "basis": cert.basis[0], "ginv": qm.ginv[0]}
+              "basis": cert.basis[0]}
     for name, a in stored.items():
         if a.dtype == np.int64:
             assert max_abs(a) < INT64_LIMIT, name
         else:
             assert a.dtype == object and all(type(x) is int for x in a.flat), name
-    dtypes = {name: a.dtype for name, a in stored.items() if name != "ginv"}
+    dtypes = {name: a.dtype for name, a in stored.items()}
     if lam == 0:
         assert set(dtypes.values()) == {np.dtype(np.int64)}, dtypes
     if lam == 10 ** 20:
@@ -302,7 +314,7 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     bound = invertibility_bound(qm)
     assert bound > 0
     assert type(bound.numerator) is int and type(bound.denominator) is int
-    dens = [pair.L[1], qm.den, rmap.den, rm.den, cert.basis[1], qm.ginv[1]]
+    dens = [pair.L[1], qm.den, rmap.den, rm.den, cert.basis[1]]
     assert all(type(d) is int for d in dens), dens
 
     path = tmp_path / "spec.json"
