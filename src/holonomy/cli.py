@@ -87,7 +87,7 @@ def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
 
     # a plane whose formal value is exactly zero adds nothing to the span of
     # g_L, and its loops transport to the identity: only curved planes go on
-    curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
+    curved = set(itertools.compress(rmap.tags, rmap.num.any(axis=(1, 2))))
     loops = [lp for lp in standard_loops(qm.n, seed=config.seed) if lp.plane in curved]
     doc = holonomy_span(FloatMetric.from_exact(qm), cert, loops).to_json()
     doc["flat_planes"] = len(rmap.tags) - len(curved)
@@ -152,10 +152,11 @@ def _dumps(doc: dict) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    # through a symlink, the rename replaces its target, not the link
+    # through a symlink, the rename replaces its target, not the link; the
+    # temp name is this process's, and O_EXCL refuses any entry already there
     path = os.path.realpath(path)
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8")
     try:
         with fh:
             fh.write(text)

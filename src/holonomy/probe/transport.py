@@ -15,8 +15,8 @@ run.  Before it, the polylines are certified regular by the exact bound
 |x|_inf^2 * c < 1 at their vertices (the sup-norm is convex, so that covers
 every point of every segment, and the bound grows with |x|_inf, so one
 check at the largest extent covers every loop); a polyline the bound does
-not cover is refused.
-Every sample carries the kernel's step-doubling estimate of its RK4 error.
+not cover is refused.  The transport returns the kernel's arrays, one row
+per loop, and the span estimate reads them as they are, without restacking.
 
 ``standard_loops`` spans every coordinate plane.  The CLI probe keeps only
 the loops in planes whose formal curvature value is nonzero: the loops in
@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ..berger import BergerCertificate
+from ..canonical import _is_int
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
@@ -71,7 +72,7 @@ class LoopSpec:
 
     def __post_init__(self) -> None:
         a, b = self.plane
-        if a == b or a < 0 or b < 0:
+        if not (_is_int(a) and _is_int(b)) or a == b or a < 0 or b < 0:
             raise ValueError("plane must be two distinct nonnegative indices")
         if not (self.side > 0 and math.isfinite(self.side)):
             raise ValueError(f"side must be positive and finite, got {self.side!r}")
@@ -79,16 +80,6 @@ class LoopSpec:
         if not all(map(math.isfinite, basepoint)):
             raise ValueError(f"basepoint coordinates must be finite, got {list(basepoint)}")
         object.__setattr__(self, "basepoint", basepoint)
-
-
-@dataclass(frozen=True)
-class HolonomySample:
-    transport: np.ndarray
-    log_approx: np.ndarray
-    metric_drift: float
-    step_error: float  # Richardson estimate |D_N - D_(N/2)|_max / 15, A = I + D
-    extent: float  # largest vertex sup-norm of the loop's polyline
-    loop: LoopSpec
 
 
 class FloatMetric:
@@ -108,8 +99,7 @@ class FloatMetric:
 
     @classmethod
     def from_exact(cls, qm: QuadraticMetric) -> "FloatMetric":
-        return cls(qm.g0.astype(np.float64), qm.num.astype(np.float64) / qm.den,
-                   invertibility_bound(qm))
+        return cls(qm.g0, qm.num.astype(np.float64) / qm.den, invertibility_bound(qm))
 
     def certifies(self, extent: float) -> bool:
         """Exactly: is g(x) invertible for every |x|_inf <= extent?  An
@@ -142,19 +132,19 @@ def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec]) -> tuple:
 
     dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4, ``STEPS``
     steps per segment; each square is traversed corner -> +e_a -> +e_b ->
-    -e_a -> -e_b.  The logarithm is the second-order truncation D - D^2 / 2
-    of A = I + D, adequate because |D| = O(side^2).  Returns one
-    HolonomySample per loop, in order; a loop the exact bound does not
-    certify, or a degenerate metric on any loop, raises before any result
-    exists.
+    -e_a -> -e_b.  Returns ``(d, step_error, extent)``, a row per loop: the
+    (L, n, n) increments D = A - I of the transport matrices A, the kernel's
+    RK4 error estimates |D_N - D_(N/2)|_max / 15, and the largest vertex
+    sup-norm of each polyline.  A loop the exact bound does not certify, or
+    a degenerate metric on any loop, raises before any result exists.
     """
     if not loops:
-        return ()
+        return np.zeros((0, fm.n, fm.n)), np.zeros(0), np.zeros(0)
     verts = _lasso_vertices(loops, fm.n)
-    extents = np.max(np.abs(verts), axis=(1, 2)).tolist()
+    extents = np.max(np.abs(verts), axis=(1, 2))
     # the bound grows with the extent: the largest extent certifies every loop
-    if not fm.certifies(max(extents)):
-        lp, extent = next((lp, e) for lp, e in zip(loops, extents) if not fm.certifies(e))
+    if not fm.certifies(float(extents.max())):
+        lp, extent = next((lp, e) for lp, e in zip(loops, extents.tolist()) if not fm.certifies(e))
         raise SingularMetricError(
             f"loop in plane {lp.plane} at basepoint {list(lp.basepoint)} has extent "
             f"|x|_inf = {extent!r}, not certified regular by the validity radius "
@@ -165,11 +155,7 @@ def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec]) -> tuple:
         raise SingularMetricError("metric is singular on a loop") from exc
     if not (np.isfinite(d).all() and np.isfinite(err).all()):
         raise SingularMetricError("transport diverged; metric degenerates on the loop")
-    a = d + np.eye(fm.n)
-    psi = d - 0.5 * (d @ d)
-    drift = np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
-    return tuple(HolonomySample(a[i], psi[i], float(drift[i]), float(err[i]), extents[i], lp)
-                 for i, lp in enumerate(loops))
+    return d, err, extents
 
 
 def standard_loops(n: int, seed: int = 0) -> list:
@@ -190,8 +176,11 @@ class SpanReport:
     singular_values: tuple
     sv_gap: float
     validity_radius: float
-    samples: tuple  # of HolonomySample
-    residuals: tuple  # membership residual of each sample, in order
+    loops: tuple  # of LoopSpec, in transport order; the arrays below are per loop
+    residuals: np.ndarray  # relative membership residual of the logarithm
+    metric_drift: np.ndarray  # |g0 - A^T g0 A|_F
+    step_error: np.ndarray  # the kernel's RK4 error estimate
+    extent: np.ndarray  # largest vertex sup-norm of the loop's polyline
     passed: bool
 
     def to_json(self) -> dict:
@@ -204,18 +193,19 @@ class SpanReport:
             "sv_gap": None if math.isinf(self.sv_gap) else self.sv_gap,
             "singular_values": list(self.singular_values),
             "validity_radius": None if math.isinf(self.validity_radius) else self.validity_radius,
-            "max_loop_extent": max((s.extent for s in self.samples), default=0.0),
-            "max_step_error": max((s.step_error for s in self.samples), default=0.0),
+            "max_loop_extent": float(self.extent.max(initial=0.0)),
+            "max_step_error": float(self.step_error.max(initial=0.0)),
             "samples": [
                 {
-                    "plane": list(s.loop.plane),
-                    "side": s.loop.side,
-                    "basepoint": list(s.loop.basepoint),
+                    "plane": list(lp.plane),
+                    "side": lp.side,
+                    "basepoint": list(lp.basepoint),
                     "residual": r,
-                    "metric_drift": s.metric_drift,
-                    "step_error": s.step_error,
+                    "metric_drift": drift,
+                    "step_error": err,
                 }
-                for s, r in zip(self.samples, self.residuals)
+                for lp, r, drift, err in zip(self.loops, self.residuals.tolist(),
+                                             self.metric_drift.tolist(), self.step_error.tolist())
             ],
             "passed": self.passed,
         }
@@ -236,14 +226,17 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     """
     num, den = cert.basis
     dim = cert.dim_gL
-    samples = parallel_transport(fm, loops)
+    d, step_error, extent = parallel_transport(fm, loops)
+    # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
+    psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
+    a = d + np.eye(fm.n)
+    drift = np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
 
-    psi = np.array([s.log_approx.ravel() for s in samples]).reshape(len(samples), fm.n ** 2)
     norms = np.linalg.norm(psi, axis=1)
     kept = norms >= _NEGLIGIBLE
     gl = (num.astype(np.float64) / den).reshape(len(num), fm.n ** 2).T
     coef = np.linalg.lstsq(gl, psi[kept].T, rcond=None)[0]
-    residuals = np.zeros(len(samples))
+    residuals = np.zeros(len(d))
     residuals[kept] = np.linalg.norm(psi[kept].T - gl @ coef, axis=0) / norms[kept]
 
     if kept.any():
@@ -263,5 +256,5 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
         gap = float(retained[-1] / discarded[0])
     max_res = float(residuals.max(initial=0.0))
     passed = cert.passed and rank == dim and max_res < MEMBERSHIP_TOL
-    return SpanReport(rank, dim, max_res, tuple(float(v) for v in sv), gap,
-                      validity_radius(fm.bound), samples, tuple(residuals.tolist()), passed)
+    return SpanReport(rank, dim, max_res, tuple(sv.tolist()), gap, validity_radius(fm.bound),
+                      tuple(loops), residuals, drift, step_error, extent, passed)

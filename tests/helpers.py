@@ -17,6 +17,7 @@ from holonomy import (
     r_formal,
     realize,
 )
+from holonomy.probe import parallel_transport
 
 # The acceptance suite's probe specs (criteria 5 and 7), n = 3..5.
 PROBE_SPECS = [
@@ -51,6 +52,21 @@ def all_blocks(pair):
 def certificate(pair):
     """The Berger certificate of ``pair``'s formal curvature map."""
     return berger_certificate(pair, r_formal(pair))
+
+
+def transports(fm, loops):
+    """The loops' transport matrices A = I + D, formed as the probe forms them."""
+    return parallel_transport(fm, loops)[0] + np.eye(fm.n)
+
+
+def logarithms(d):
+    """The probe's second-order logarithms D - D^2 / 2 of the transports I + D."""
+    return d - 0.5 * (d @ d)
+
+
+def metric_drift(fm, a):
+    """|g0 - A^T g0 A|_F of each transport matrix in the stack ``a``."""
+    return np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
 
 
 def certified_gl(pair):

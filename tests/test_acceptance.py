@@ -27,13 +27,12 @@ from holonomy.exactla import rank
 from holonomy.probe import (
     FloatMetric,
     holonomy_span,
-    parallel_transport,
     standard_loops,
 )
 from holonomy.probe import kernels
 from holonomy.realize import riemann_at_origin
 
-from helpers import PROBE_SPECS, all_blocks, int_form
+from helpers import PROBE_SPECS, all_blocks, int_form, metric_drift, transports
 from oracles import (
     apply_map,
     block_element,
@@ -196,8 +195,8 @@ def test_criterion_6_regular_case():
         if not (report.ok and not riemann_at_origin(qm).num.any()):
             failures.append(f"size {size}: realized curvature not zero")
         fm = FloatMetric.from_exact(qm)
-        for s in parallel_transport(fm, standard_loops(pair.n, seed=0)):
-            drift = float(np.max(np.abs(s.transport - np.eye(pair.n))))
+        for a in transports(fm, standard_loops(pair.n, seed=0)):
+            drift = float(np.max(np.abs(a - np.eye(pair.n))))
             if not drift < 1e-10:
                 failures.append(f"size {size}: |A - I| = {drift:.2e}")
                 break
@@ -236,8 +235,8 @@ def test_criterion_7_numerical_cross_checks():
             x = rng.uniform(-0.1, 0.1, pair.n)
             diff = np.max(np.abs(kernel_gamma(fm, x) - fd_gamma(fm, x)))
             worst_fd = max(worst_fd, float(diff))
-        for s in parallel_transport(fm, standard_loops(pair.n, seed=1)):
-            worst_drift = max(worst_drift, s.metric_drift)
+        for drift in metric_drift(fm, transports(fm, standard_loops(pair.n, seed=1))):
+            worst_drift = max(worst_drift, float(drift))
     ok = worst_fd < 1e-6 and worst_drift < 1e-8
     _announce("criterion 7 numerical cross-checks", ok,
               f"fd {worst_fd:.2e}, drift {worst_drift:.2e}")

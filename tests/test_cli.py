@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -371,6 +372,36 @@ def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
     assert (out / "n2_p2_s+.json").is_symlink()
     assert json.loads(target.read_text(encoding="utf-8")) == dict(iter_corpus_specs(2))["n2_p2_s+"]
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_a_stale_tmp_symlink_is_never_written_through(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    victim = tmp_path / "victim"
+    victim.write_text("untouched", encoding="utf-8")
+    out = tmp_path / "r.json"
+    (tmp_path / "r.json.tmp").symlink_to(victim)
+    assert main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(out)]) == 0
+    assert victim.read_text(encoding="utf-8") == "untouched"
+    assert not out.is_symlink() and out.read_text(encoding="utf-8") == capsys.readouterr().out
+    # a link at this process's own temp name is refused, not followed, and kept
+    own = tmp_path / f"r2.json.{os.getpid()}.tmp"
+    own.symlink_to(victim)
+    out = tmp_path / "r2.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(out)]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
+    assert victim.read_text(encoding="utf-8") == "untouched"
+    assert own.is_symlink() and not out.exists()
+
+
+def test_a_stale_tmp_directory_does_not_block_the_report(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    (tmp_path / "r.json.tmp").mkdir()
+    out = tmp_path / "r.json"
+    for _ in range(2):
+        assert main(["verify", "--input", str(spec), "--stages", "canonical",
+                     "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp", "spec.json"]
 
 
 def test_corpus_out_is_a_file_exits_2(tmp_path, capsys):

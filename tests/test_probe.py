@@ -22,7 +22,7 @@ from holonomy.probe import kernels
 
 from holonomy.realize import QuadraticMetric, invertibility_bound, validity_radius
 
-from helpers import PROBE_SPECS, certificate, pair_of
+from helpers import PROBE_SPECS, certificate, logarithms, metric_drift, pair_of, transports
 from oracles import christoffel, metric_at, metric_value, nablaL_residual, transport_polyline_ref
 
 
@@ -96,8 +96,8 @@ def test_christoffel_symmetric_lower_indices():
 def test_flat_transport_is_identity():
     pair = pair_of([(2, 1)])
     flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
-    (s,) = parallel_transport(flat, [LoopSpec((0.0, 0.0), (0, 1), 1e-2)])
-    assert np.max(np.abs(s.transport - np.eye(2))) < 1e-12
+    (a,) = transports(flat, [LoopSpec((0.0, 0.0), (0, 1), 1e-2)])
+    assert np.max(np.abs(a - np.eye(2))) < 1e-12
 
 
 def test_rotation_angle_matches_curvature_oracle():
@@ -106,8 +106,8 @@ def test_rotation_angle_matches_curvature_oracle():
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     side = 1e-2
-    (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0), (0, 1), side)])
-    theta = math.atan2(s.transport[1, 0], s.transport[0, 0])
+    (a,) = transports(fm, [LoopSpec((0.0, 0.0), (0, 1), side)])
+    theta = math.atan2(a[1, 0], a[0, 0])
     k_oracle = fd_curvature_op(fm, 0, 1)[0, 1]
     assert abs(abs(theta) / side ** 2 - abs(k_oracle)) < 0.01 * abs(k_oracle)
 
@@ -118,9 +118,9 @@ def test_loop_shrinking_consistency():
     norms = {}
     psis = {}
     for side in (1e-2, 5e-3):
-        (s,) = parallel_transport(fm, [LoopSpec((0.0, 0.0, 0.0), (0, 2), side)])
-        norms[side] = np.linalg.norm(s.log_approx) / side ** 2
-        psis[side] = s.log_approx
+        d, _, _ = parallel_transport(fm, [LoopSpec((0.0, 0.0, 0.0), (0, 2), side)])
+        (psis[side],) = logarithms(d)
+        norms[side] = np.linalg.norm(psis[side]) / side ** 2
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
     # direction matches the certified curvature value up to sign
     rm = r_formal(pair)
@@ -135,17 +135,22 @@ def test_loop_shrinking_consistency():
 def test_transport_membership_and_drift():
     pair, qm = realized([(1, 1), (2, 1)])
     loops = standard_loops(3, seed=3)
-    rep = span(qm, pair, loops)
-    assert [s.loop for s in rep.samples] == loops and len(rep.residuals) == len(loops)
-    for s, residual in zip(rep.samples, rep.residuals):
+    fm = FloatMetric.from_exact(qm)
+    rep = holonomy_span(fm, certificate(pair), loops)
+    assert list(rep.loops) == loops and len(rep.residuals) == len(rep.metric_drift) == len(loops)
+    for a, residual, drift in zip(transports(fm, loops), rep.residuals, rep.metric_drift):
         assert residual < 1e-6
-        assert s.metric_drift < 1e-8
-        assert abs(abs(np.linalg.det(s.transport)) - 1.0) < 1e-9
+        assert drift < 1e-8
+        assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
 
 
 def test_loopspec_validation():
     with pytest.raises(ValueError):
         LoopSpec((0.0,), (1, 1), 1e-2)
+    # a plane is two ints: a float is no index, a bool is not an int, nor is a str
+    for plane in [(0.5, 1), (0, 1.0), (True, 2), (0, False), ("0", 1)]:
+        with pytest.raises(ValueError, match="plane must be two distinct nonnegative indices"):
+            LoopSpec((0.0,) * 3, plane, 1e-2)
     with pytest.raises(ValueError):
         LoopSpec((0.0,), (0, 1), -1.0)
     with pytest.raises(ValueError, match="side must be positive and finite"):
@@ -222,12 +227,14 @@ def test_membership_detects_a_dropped_basis_element():
     num, den = cert.basis
     short = dataclasses.replace(cert, basis=(num[1:], den))
     assert short.passed and short.dim_gL == 3
-    rep = holonomy_span(FloatMetric.from_exact(qm), short, standard_loops(4, seed=0))
+    fm = FloatMetric.from_exact(qm)
+    loops = standard_loops(4, seed=0)
+    rep = holonomy_span(fm, short, loops)
     assert rep.span_rank == 3 and not rep.passed
     assert rep.max_membership_residual > 0.1 and min(rep.residuals) < 1e-6
     gl = (num[1:].astype(float) / den).reshape(2, -1).T
-    for s, residual in zip(rep.samples, rep.residuals):
-        psi = s.log_approx.ravel()
+    d, _, _ = parallel_transport(fm, loops)
+    for psi, residual in zip(logarithms(d).reshape(len(d), -1), rep.residuals):
         norm = np.linalg.norm(psi)
         if norm < transport._NEGLIGIBLE:  # a flat plane: a zero sample
             assert residual == 0.0
@@ -248,7 +255,7 @@ def test_span_report_json():
     assert doc["max_step_error"] == max(d["step_error"] for d in doc["samples"]) <= 1e-13
     assert doc["singular_values"] == list(rep.singular_values) and len(doc["singular_values"]) >= 1
     assert doc["validity_radius"] == validity_radius(invertibility_bound(qm))
-    assert doc["max_loop_extent"] == max(s.extent for s in rep.samples)
+    assert doc["max_loop_extent"] == max(rep.extent)
     assert 0.0 < doc["max_loop_extent"] < doc["validity_radius"]
     assert all(0.0 <= d["metric_drift"] < 1e-8 for d in doc["samples"])
 
@@ -299,11 +306,11 @@ def test_batched_kernel_matches_reference(blocks):
     seen = set()
     for seed in (0, 1):
         loops = standard_loops(pair.n, seed=seed)
-        for lp, s in zip(loops, parallel_transport(fm, loops)):
+        for lp, a in zip(loops, transports(fm, loops)):
             if (lp.basepoint, lp.plane) in seen:  # origin squares repeat across seeds
                 continue
             seen.add((lp.basepoint, lp.plane))
-            assert np.max(np.abs(s.transport - ref_transport(fm, lp))) <= 1e-12
+            assert np.max(np.abs(a - ref_transport(fm, lp))) <= 1e-12
 
 
 def count_segments(monkeypatch) -> list:
@@ -353,20 +360,19 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
              LoopSpec((1e-2, 0.0, 0.0, 0.0), (1, 2), 1e-2),
              LoopSpec((0.0, 0.0, 0.0, 1e-2), (0, 1), 1e-2)] + standard_loops(4, seed=2)
     rows = count_segments(monkeypatch)
-    batch = parallel_transport(fm, loops)
+    d, step_error, extent = parallel_transport(fm, loops)
     per_batch = kernels.NODE_BUDGET // ((2 * 100 + 1) * 4 ** 2)  # nodes, n^2
-    assert len(batch) == len(loops) and len(rows) > 1 and max(rows) <= per_batch
+    assert d.shape == (len(loops), 4, 4) and step_error.shape == extent.shape == (len(loops),)
+    assert len(rows) > 1 and max(rows) <= per_batch
     assert sum(rows) % len(rows)  # the last batch is smaller
     segments = {(tuple(p), tuple(q - p)) for lasso in transport._lasso_vertices(loops, 4)
                 for p, q in zip(lasso[:-1], lasso[1:]) if (q != p).any()}
     assert sum(rows) == len(segments)
-    for lp, s in zip(loops, batch):
-        (solo,) = parallel_transport(fm, [lp])
-        assert s.loop == solo.loop == lp
-        assert np.array_equal(s.transport, solo.transport)
-        assert np.array_equal(s.log_approx, solo.log_approx)
-        assert s.metric_drift == solo.metric_drift and s.extent == solo.extent
-        assert s.step_error == solo.step_error
+    for i, lp in enumerate(loops):
+        d_solo, step_error_solo, extent_solo = parallel_transport(fm, [lp])
+        assert np.array_equal(d[i:i + 1], d_solo)
+        assert np.array_equal(step_error[i:i + 1], step_error_solo)
+        assert np.array_equal(extent[i:i + 1], extent_solo)
 
 
 def test_segment_gamma_matches_christoffel():
@@ -428,8 +434,9 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     flat = {tag for tag, value in zip(rmap.tags, rmap.num) if not value.any()}
     assert 0 < len(flat) < len(rmap.tags)
     fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
-    samples = parallel_transport(fm, standard_loops(pair.n, seed=0))
-    moved = {s.loop: float(np.max(np.abs(s.transport - np.eye(pair.n)))) for s in samples}
+    loops = standard_loops(pair.n, seed=0)
+    moved = {lp: float(np.max(np.abs(a - np.eye(pair.n))))
+             for lp, a in zip(loops, transports(fm, loops))}
     assert max(m for lp, m in moved.items() if lp.plane in flat) <= 1e-15
     assert min(m for lp, m in moved.items() if lp.plane not in flat) >= 1e-5
 
@@ -446,7 +453,8 @@ def test_exact_bound_certifies_standard_loops():
             for lp in loops:
                 extent = float(np.max(np.abs(transport._lasso_vertices([lp], pair.n)[0])))
                 assert extent < radius and fm.certifies(extent)
-            assert len(parallel_transport(fm, loops)) == len(loops)
+            d, _, extents = parallel_transport(fm, loops)
+            assert len(d) == len(loops) and extents.max() < radius
 
 
 def test_singular_lasso_fails_bound_and_is_refused():
@@ -469,10 +477,10 @@ def test_regular_loop_beyond_radius_is_refused(monkeypatch):
     fm = FloatMetric.from_exact(qm)
     inside = LoopSpec((0.98, 0.0), (0, 1), 1e-2)    # extent 0.99
     beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2)   # extent 1.005
-    (s_in,) = parallel_transport(fm, [inside])
-    assert np.isfinite(s_in.transport).all()
-    assert s_in.metric_drift < 1e-8
-    assert abs(abs(np.linalg.det(s_in.transport)) - 1.0) < 1e-9
+    a = transports(fm, [inside])
+    assert np.isfinite(a).all()
+    assert metric_drift(fm, a)[0] < 1e-8
+    assert abs(abs(np.linalg.det(a[0])) - 1.0) < 1e-9
     with pytest.raises(SingularMetricError) as info:
         parallel_transport(fm, [beyond])
     message = str(info.value)
@@ -507,12 +515,12 @@ def test_step_error_estimate_tracks_true_error(monkeypatch):
         fm = FloatMetric.from_exact(qm)
         n = pair.n
         coarse = LoopSpec((0.0,) * n, (0, n - 1), 0.3)
-        (s,) = parallel_transport(fm, [coarse])
+        (d,), (step_error,), _ = parallel_transport(fm, [coarse])
         verts = transport._lasso_vertices([coarse], n)[0]
         fine = transport_polyline_ref(fm.g0, fm.B, verts[1:-1], [400] * 4)
-        true = float(np.max(np.abs(s.transport - fine)))
-        assert s.step_error > 1e-12
-        assert 0.5 < s.step_error / true < 2.0
+        true = float(np.max(np.abs(d + np.eye(n) - fine)))
+        assert step_error > 1e-12
+        assert 0.5 < step_error / true < 2.0
 
 
 def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
@@ -535,10 +543,10 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
 
     def worst(steps):
         monkeypatch.setattr(transport, "STEPS", steps)
-        moved = max(float(np.max(np.abs(s.transport - np.eye(fm.n))))
-                    for fm, loops in flat_runs for s in parallel_transport(fm, loops))
-        step_error = max(s.step_error
-                         for fm, loops in curved_runs for s in parallel_transport(fm, loops))
+        moved = max(float(np.max(np.abs(a - np.eye(fm.n))))
+                    for fm, loops in flat_runs for a in transports(fm, loops))
+        step_error = max(float(e)
+                         for fm, loops in curved_runs for e in parallel_transport(fm, loops)[1])
         return moved, step_error
 
     moved, step_error = worst(transport.STEPS)
