@@ -14,43 +14,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import lowest_terms, max_abs, narrowed, pivot_columns, rank
-from .liealg import commutator_system, wedge_index, wedge_tags
+from .exactla import max_abs, narrowed, pivot_columns, rank
+from .liealg import commutator_system, wedge_index
 
 
 class RealizationError(RuntimeError):
     """Internal consistency failure while building T or a metric."""
-
-
-@dataclass(frozen=True, eq=False)
-class CurvatureMap:
-    """Linear map so(g) -> gl(V) stored by its values on the wedge basis.
-
-    ``num[k] / den`` is the image of wedge(e_i, e_j) for ``tags[k] == (i, j)``;
-    ``num`` is an (m, n, n) int array and the pair is kept in lowest terms,
-    so two maps on the same tags are equal exactly when their ``num`` and
-    ``den`` are.
-    """
-
-    g: np.ndarray
-    tags: tuple  # of (i, j), i < j, aligned with num
-    num: np.ndarray
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        num, den = lowest_terms(self.num, self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
 
 
 def block_terms(pair: CanonicalPair) -> list:
@@ -100,29 +74,30 @@ def block_tensor(pair: CanonicalPair) -> np.ndarray:
     return narrowed(1, t)[0]
 
 
-def r_formal(pair: CanonicalPair) -> CurvatureMap:
-    """The formal curvature map on the wedge basis of so(g), read off T.
+def r_formal(pair: CanonicalPair) -> np.ndarray:
+    """The formal curvature map, read off T, as an (m, n, n) int array: row k
+    is the image of wedge(e_i, e_j) for the k-th pair (i, j) of ``wedge_index``.
 
     R(X)[a, q] = sum_cb T[a, c, b, q] X[c, b] and wedge(e_i, e_j) = E_ij g,
-    so with Tg[i, d, a, q] = sum_b T[a, i, b, q] g[d, b] the value on the
-    tag (i, j) is Tg[i, j] - Tg[j, i]: two sums of n products.
+    so with Tg[i, d, a, q] = sum_b T[a, i, b, q] g[d, b] the value on
+    (i, j) is Tg[i, j] - Tg[j, i]: two sums of n products.
     """
     n = pair.n
     t, g = narrowed(2 * n * max_abs(pair.block_tensor) * max_abs(pair.g),
                     pair.block_tensor, pair.g)
     tg = (g @ t.transpose(1, 2, 0, 3).reshape(n, n, n * n)).reshape((n,) * 4)
     rows, cols = wedge_index(n)
-    return CurvatureMap(pair.g, tuple(wedge_tags(n)), tg[rows, cols] - tg[cols, rows])
+    return tg[rows, cols] - tg[cols, rows]
 
 
 @dataclass(frozen=True)
 class BianchiReport:
     ok: bool
     witness: Optional[tuple]  # (i, j, k) with the largest violation
-    max_violation: Fraction
+    max_violation: int  # in the units of the values
 
 
-def check_bianchi(rmap: CurvatureMap) -> BianchiReport:
+def check_bianchi(values: np.ndarray) -> BianchiReport:
     """Exhaustive first-Bianchi check over standard basis vector triples.
 
     Multilinearity makes basis triples sufficient; triples with repeated
@@ -130,31 +105,30 @@ def check_bianchi(rmap: CurvatureMap) -> BianchiReport:
     The witness is the first (i, j, k), i < j, in lexicographic order that
     attains the largest violation max_r |R(e_i, e_j) e_k + cyclic|_r.
     """
-    n = rmap.n
-    vals, = narrowed(max_abs(rmap.num) * 3, rmap.num)  # a cyclic sum adds 3 entries
+    n = values.shape[1]
+    vals, = narrowed(max_abs(values) * 3, values)  # a cyclic sum adds 3 entries
     # full[a, b, r, k]: entry (r, k) of R(wedge(e_a, e_b)), antisymmetric in (a, b)
     full = np.zeros((n, n, n, n), dtype=vals.dtype)
-    a, b = np.array(rmap.tags, dtype=np.intp).reshape(-1, 2).T
-    full[a, b] = vals
-    full[b, a] = -vals
+    rows, cols = wedge_index(n)  # (i, j), i < j, in lexicographic order
+    full[rows, cols] = vals
+    full[cols, rows] = -vals
     cyclic = (np.einsum("ijrk->ijkr", full) + np.einsum("jkri->ijkr", full)
               + np.einsum("kirj->ijkr", full))
-    rows, cols = wedge_index(n)  # (i, j), i < j, in lexicographic order
     bad = list(np.abs(cyclic).max(axis=3)[rows, cols].flat)
-    worst = max(bad, default=0)
+    worst = int(max(bad, default=0))
     if not worst:
-        return BianchiReport(True, None, Fraction(0))
+        return BianchiReport(True, None, 0)
     w, k = divmod(bad.index(worst), n)
-    return BianchiReport(False, (int(rows[w]), int(cols[w]), k), Fraction(int(worst), rmap.den))
+    return BianchiReport(False, (int(rows[w]), int(cols[w]), k), worst)
 
 
-def check_sectional(rmap: CurvatureMap, L: tuple) -> bool:
+def check_sectional(values: np.ndarray, g: np.ndarray, L: tuple) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element.
 
     Both conditions are linear in R and in L, so the numerators decide them.
     """
-    bound = max_abs(rmap.num) * max(max_abs(L[0]), max_abs(rmap.g)) * rmap.n
-    vals, l, g = narrowed(bound, rmap.num, L[0], rmap.g)
+    bound = max_abs(values) * max(max_abs(L[0]), max_abs(g)) * g.shape[0]
+    vals, l, g = narrowed(bound, values, L[0], g)
     return bool((vals @ l == l @ vals).all()
                 and (g @ vals == -(vals.transpose(0, 2, 1) @ g)).all())
 
@@ -165,10 +139,9 @@ class BergerCertificate:
     image_rank: int
     bianchi_ok: bool
     containment_ok: bool
-    witnesses: tuple  # of (i, j) wedge tags whose images span the image
-    # the witnesses' values as (num, den): num[k] / den is the image of
-    # witnesses[k]; a basis of g_L when the certificate passes
-    basis: tuple = field(compare=False, repr=False)
+    witnesses: tuple  # of (i, j), i < j, whose images span the image
+    # basis[k] is the image of witnesses[k]: a basis of g_L when the certificate passes
+    basis: np.ndarray = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -185,20 +158,21 @@ class BergerCertificate:
         }
 
 
-def berger_certificate(pair: CanonicalPair, rmap: CurvatureMap) -> BergerCertificate:
+def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> BergerCertificate:
     """Certify image_rank(rmap) == dim g_L, exactly.
 
     ``rmap`` is ``r_formal(pair)``, built once by the caller.  dim g_L is
     m - rank of ``commutator_system``, m = n(n-1)/2.  The witnesses are the
-    pivot columns of the matrix whose columns are the values in tag order:
-    a tag is kept when its value is not in the span of the values before
-    it.  The witness values are independent; with containment and equal
-    ranks they span g_L.
+    pivot columns of the matrix whose columns are the values in
+    ``wedge_index`` order: a pair is kept when its value is not in the span
+    of the values before it.  The witness values are independent; with
+    containment and equal ranks they span g_L.
     """
     system = commutator_system(pair.g, pair.L[0])  # linear in L: its numerator decides
     dim_gL = system.shape[1] - rank(system)
-    pivots = pivot_columns(rmap.num.reshape(len(rmap.tags), rmap.n ** 2).T)
+    pivots = pivot_columns(rmap.reshape(len(rmap), pair.n ** 2).T)
+    rows, cols = wedge_index(pair.n)
     return BergerCertificate(dim_gL, len(pivots), check_bianchi(rmap).ok,
-                             check_sectional(rmap, pair.L),
-                             tuple(rmap.tags[k] for k in pivots),
-                             (rmap.num[pivots], rmap.den))
+                             check_sectional(rmap, pair.g, pair.L),
+                             tuple((int(rows[k]), int(cols[k])) for k in pivots),
+                             rmap[pivots])

@@ -39,6 +39,7 @@ from .canonical import (
     pencil_to_json,
     validate_pair,
 )
+from .liealg import wedge_index
 from .realize import lower_B, verify_realization
 
 ALL_STAGES = ("canonical", "berger", "realize", "probe")
@@ -87,10 +88,12 @@ def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
 
     # a plane whose formal value is exactly zero adds nothing to the span of
     # g_L, and its loops transport to the identity: only curved planes go on
-    curved = set(itertools.compress(rmap.tags, rmap.num.any(axis=(1, 2))))
+    rows, cols = wedge_index(qm.n)
+    mask = rmap.any(axis=(1, 2))
+    curved = set(zip(rows[mask].tolist(), cols[mask].tolist()))
     loops = [lp for lp in standard_loops(qm.n, seed=config.seed) if lp.plane in curved]
     doc = holonomy_span(FloatMetric.from_exact(qm), cert, loops).to_json()
-    doc["flat_planes"] = len(rmap.tags) - len(curved)
+    doc["flat_planes"] = len(rmap) - len(curved)
     return doc
 
 

@@ -6,8 +6,9 @@ rounds.  Floating point enters only in the numerical probe package.
 Every exact matrix, or stack of matrices, is an integer ndarray plus one
 positive Python int denominator: ``(num, den)`` stands for ``num / den``.
 Objects that are integral by construction (the metric g, the block tensor
-T, the so(g) wedge stack, the formal curvature values) are plain integer
-arrays.  Scalars (an eigenvalue, a Bianchi violation) are
+T, the so(g) wedge stack, the formal curvature map as one (m, n, n) array
+in the order ``liealg.wedge_index`` fixes) are plain integer arrays.
+Rational scalars (an eigenvalue, the invertibility bound) are
 ``fractions.Fraction`` values of Python ints.
 
 An integer array is int64 when an a-priori bound shows that no entry and
@@ -52,16 +53,6 @@ def narrowed(bound: int, *arrays) -> tuple:
     """
     dtype = np.int64 if bound < INT64_LIMIT else object
     return tuple(a.astype(dtype, copy=False) for a in arrays)
-
-
-def lowest_terms(num: np.ndarray, den: int) -> tuple:
-    """``(num, den)`` divided by the gcd of all its entries, with ``den > 0``."""
-    common = int(np.gcd.reduce(num, axis=None))
-    g = math.gcd(den, common)
-    if den < 0:
-        g = -g
-    # an all-zero num (common == 0) is left as it is: g = |den| may not fit int64
-    return (num if g == 1 or not common else num // g), den // g
 
 
 def pivot_columns(a) -> list:

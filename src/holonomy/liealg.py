@@ -15,21 +15,18 @@ import numpy as np
 from .exactla import max_abs, narrowed
 
 
-def wedge_tags(n: int) -> list:
-    """Index pairs (i, j), i < j, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 @functools.cache
 def wedge_index(n: int) -> tuple:
-    """The wedge tags as (rows, cols) index arrays, read-only and shared."""
+    """The pairs (i, j), i < j, in lexicographic order, as (rows, cols)
+    index arrays, read-only and shared.  This is the one order of the wedge
+    basis, of a curvature map's values and of the Berger witnesses."""
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
 
 def wedge_rows(a: np.ndarray) -> np.ndarray:
-    """The stack {E_ij a}_{i<j} in ``wedge_tags`` order, as (m, n, n).
+    """The stack {E_ij a}_{i<j} in ``wedge_index`` order, as (m, n, n).
 
     E_ij a has row i equal to a[j], row j equal to -a[i] and zeros elsewhere;
     the stack has the dtype of ``a``.  For a symmetric g, ``wedge_rows(g)``
@@ -47,7 +44,7 @@ def wedge_rows(a: np.ndarray) -> np.ndarray:
 
 def commutator_system(g: np.ndarray, l: np.ndarray) -> np.ndarray:
     """The (n^2, m) matrix whose column k is W_k l - l W_k, where
-    W_k = wedge(e_i, e_j) = E_k g for the k-th tag (i, j) of ``wedge_tags``.
+    W_k = wedge(e_i, e_j) = E_k g for the k-th pair (i, j) of ``wedge_index``.
 
     Its kernel holds the wedge coordinates of the elements of so(g) that
     commute with l, so dim g_L = m - rank.  Built without the basis: with

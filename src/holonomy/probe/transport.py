@@ -28,6 +28,8 @@ the span (the Tier-1 tests check both).  So a report's samples, and its
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ..berger import BergerCertificate
-from ..canonical import _is_int
+from ..canonical import _is_int, _shown
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
@@ -62,6 +64,12 @@ class SingularMetricError(RuntimeError):
     """The metric degenerates somewhere on the requested path."""
 
 
+def _finite(value) -> float:
+    """``value`` as a float; nan for a bool, a non-number or one no finite float holds."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return float(value) if real and abs(value) <= sys.float_info.max else math.nan
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """Axis-aligned square loop: corner basepoint, coordinate plane, side."""
@@ -74,12 +82,14 @@ class LoopSpec:
         a, b = self.plane
         if not (_is_int(a) and _is_int(b)) or a == b or a < 0 or b < 0:
             raise ValueError("plane must be two distinct nonnegative indices")
-        if not (self.side > 0 and math.isfinite(self.side)):
-            raise ValueError(f"side must be positive and finite, got {self.side!r}")
-        basepoint = tuple(float(v) for v in self.basepoint)
-        if not all(map(math.isfinite, basepoint)):
-            raise ValueError(f"basepoint coordinates must be finite, got {list(basepoint)}")
+        side, basepoint = _finite(self.side), tuple(map(_finite, self.basepoint))
+        if not side > 0:
+            raise ValueError(f"side must be positive and finite, got {_shown(self.side)}")
+        if any(map(math.isnan, basepoint)):
+            raise ValueError("basepoint coordinates must be finite, "
+                             f"got {_shown(list(self.basepoint))}")
         object.__setattr__(self, "basepoint", basepoint)
+        object.__setattr__(self, "side", side)
 
 
 class FloatMetric:
@@ -224,7 +234,6 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     report passes iff the certificate passed, the rank equals dim g_L and
     every membership residual stays below ``MEMBERSHIP_TOL``.
     """
-    num, den = cert.basis
     dim = cert.dim_gL
     d, step_error, extent = parallel_transport(fm, loops)
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
@@ -234,7 +243,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
 
     norms = np.linalg.norm(psi, axis=1)
     kept = norms >= _NEGLIGIBLE
-    gl = (num.astype(np.float64) / den).reshape(len(num), fm.n ** 2).T
+    gl = cert.basis.astype(np.float64).reshape(len(cert.basis), fm.n ** 2).T
     coef = np.linalg.lstsq(gl, psi[kept].T, rcond=None)[0]
     residuals = np.zeros(len(d))
     residuals[kept] = np.linalg.norm(psi[kept].T - gl @ coef, axis=0) / norms[kept]

@@ -71,7 +71,7 @@ def metric_drift(fm, a):
 
 def certified_gl(pair):
     """The certificate's g_L basis (its witness values) as a stack of Fractions."""
-    return fractions(*certificate(pair).basis)
+    return fractions(certificate(pair).basis)
 
 
 def mat(rows):

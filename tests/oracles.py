@@ -13,8 +13,11 @@ run on Fractions, for differential tests against the package: the
 Fraction elimination (``_rref`` and the rank, kernel and inverse on it),
 the so(g) wedge basis, the centralizer system, the greedy Berger witness
 loop, the block tensor summed from per-term block-power matrices, the
-realization checks and the Bianchi check.  The float helpers evaluate the
-metric and its Christoffel symbols at one point, and
+realization checks and the Bianchi check.  Curvature maps are passed as
+their values, denominator and g; ``wedge_tags`` is the reference order of
+those values, and no oracle reads the package's ``wedge_index``, so the
+references do not depend on the code they check.  The float helpers
+evaluate the metric and its Christoffel symbols at one point, and
 ``transport_polyline_ref`` is the earlier sequential RK4 transport (one
 polyline, three Christoffel evaluations per step).
 """
@@ -26,9 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from holonomy import berger
-from holonomy.berger import BianchiReport, CurvatureMap
+from holonomy.berger import BianchiReport
 from holonomy.canonical import CanonicalPair
-from holonomy.liealg import wedge_tags
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import QuadraticMetric, RealizationError
 
@@ -36,6 +38,12 @@ from helpers import all_blocks, fractions
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def wedge_tags(n: int) -> list:
+    """The reference order of the wedge basis and of a curvature map's
+    values: index pairs (i, j), i < j, in lexicographic order."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 # -- elimination -----------------------------------------------------------
@@ -131,13 +139,13 @@ def inverse_ref(m) -> np.ndarray:
                     dtype=object).reshape(n, n)
 
 
-def witnesses_ref(rmap: CurvatureMap) -> tuple:
-    """Berger witnesses, collected greedily in lexicographic wedge order: a
-    tag is kept whenever its image enlarges the span collected so far."""
-    witnesses = []
+def independent_rows_ref(m) -> tuple:
+    """Indices of the rows of m collected greedily in order: a row is kept
+    whenever it enlarges the span of the rows kept before it."""
+    kept = []
     stored = []  # reduced row vectors with pivot bookkeeping
-    for tag, v in zip(rmap.tags, fractions(rmap.num, rmap.den)):
-        vec = list(v.flat)
+    for k, v in enumerate(np.asarray(m, dtype=object)):
+        vec = [Fraction(x) for x in v.flat]
         for pivcol, bvec in stored:
             f = vec[pivcol]
             if f:
@@ -151,8 +159,15 @@ def witnesses_ref(rmap: CurvatureMap) -> tuple:
         if inv != 1:
             vec = [x * inv if x else x for x in vec]
         stored.append((piv, vec))
-        witnesses.append(tag)
-    return tuple(witnesses)
+        kept.append(k)
+    return tuple(kept)
+
+
+def witnesses_ref(values, den) -> tuple:
+    """Berger witnesses of the map with values num / den in ``wedge_tags``
+    order: the pairs whose images enlarge the span collected before them."""
+    tags = wedge_tags(values.shape[1])
+    return tuple(tags[k] for k in independent_rows_ref(fractions(values, den)))
 
 
 def centralizer_basis_ref(pair: CanonicalPair) -> list:
@@ -525,8 +540,9 @@ def check_gsym_ref(qm: QuadraticMetric, L: tuple) -> bool:
     return True
 
 
-def riemann_at_origin_ref(qm: QuadraticMetric) -> CurvatureMap:
-    """Curvature operator of the metric at x = 0, via two exact routes.
+def riemann_at_origin_ref(qm: QuadraticMetric) -> np.ndarray:
+    """Curvature operator of the metric at x = 0, via two exact routes, as
+    an (m, n, n) array of Fractions in ``wedge_tags`` order.
 
     Route one contracts the lowered tensor directly:
         R^i_{k ab} = g^{is} (B_{bs,ak} + B_{ak,bs} - B_{bk,as} - B_{as,bk}).
@@ -582,18 +598,21 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> CurvatureMap:
     return np.array(values, dtype=object).reshape(len(tags), n, n)
 
 
-def check_bianchi_ref(rmap: CurvatureMap) -> BianchiReport:
-    """Exhaustive first-Bianchi check over standard basis vector triples.
+def check_bianchi_ref(values, den) -> BianchiReport:
+    """Exhaustive first-Bianchi check over standard basis vector triples, on
+    the map with values num / den in ``wedge_tags`` order.
 
     Multilinearity makes basis triples sufficient; triples with repeated
     indices are included (they cost nothing and must vanish identically).
+    The violation is reported in the units of ``values``, as the package
+    reports it.
     """
-    n = rmap.n
+    n = values.shape[1]
     ok = True
     worst = _ZERO
     witness = None
     cols = {}
-    for (i, j), v in zip(rmap.tags, fractions(rmap.num, rmap.den)):
+    for (i, j), v in zip(wedge_tags(n), fractions(values, den), strict=True):
         for k in range(n):
             cols[(i, j, k)] = [v[r, k] for r in range(n)]
 
@@ -620,13 +639,14 @@ def check_bianchi_ref(rmap: CurvatureMap) -> BianchiReport:
                     if bad > worst:
                         worst = bad
                         witness = (i, j, k)
-    return BianchiReport(ok, witness, worst)
+    return BianchiReport(ok, witness, worst * den)
 
 
-def check_sectional_ref(rmap: CurvatureMap, L: tuple) -> bool:
-    """[R(X), L] = 0 and g-skewness of R(X) on every basis element."""
-    g, L = np.asarray(rmap.g, dtype=object), fractions(*L)
-    for v in fractions(rmap.num, rmap.den):
+def check_sectional_ref(values, den, g, L: tuple) -> bool:
+    """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for the
+    map with values num / den."""
+    g, L = np.asarray(g, dtype=object), fractions(*L)
+    for v in fractions(values, den):
         if (v @ L - L @ v).any():
             return False
         if (g @ v + v.T @ g).any():
@@ -776,16 +796,18 @@ def block_element(pair: CanonicalPair, i: int, j: int, xij) -> np.ndarray:
     return x
 
 
-def apply_map(rmap: CurvatureMap, x) -> np.ndarray:
-    """R(x) for x in so(g), from the map's values on the wedge basis.
+def apply_map(values, den, g, x) -> np.ndarray:
+    """R(x) for x in so(g), from the map's values num / den on the wedge
+    basis in ``wedge_tags`` order.
 
     wedge(e_a, e_b) g^-1 = E_ab - E_ba, so the coordinate of x on that
     basis element is (x g^-1)[a, b].
     """
-    y = x @ inverse_ref(rmap.g)
+    n = g.shape[0]
+    y = x @ inverse_ref(g)
     if (y + y.T).any():
         raise ValueError("argument is not in so(g)")
-    out = np.zeros((rmap.n, rmap.n), dtype=object)
-    for (a, b), v in zip(rmap.tags, fractions(rmap.num, rmap.den)):
+    out = np.zeros((n, n), dtype=object)
+    for (a, b), v in zip(wedge_tags(n), fractions(values, den), strict=True):
         out = out + y[a, b] * v
     return out

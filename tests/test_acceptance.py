@@ -68,7 +68,7 @@ def test_criterion_1_berger_suite(corpus_pairs):
         rmap = r_formal(pair)
         if not check_bianchi(rmap).ok:
             failures.append(f"{name}: bianchi")
-        if not check_sectional(rmap, pair.L):
+        if not check_sectional(rmap, pair.g, pair.L):
             failures.append(f"{name}: containment")
         cert = berger_certificate(pair, rmap)
         if not (cert.passed and cert.image_rank == cert.dim_gL):
@@ -121,7 +121,7 @@ def test_criterion_3_two_block_mu_formulas():
             xij = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                     for _ in range(n)] for _ in range(m)]
             # the value at the so(g) element whose (0, 1) block is xij
-            out = apply_map(r_formal(pair), block_element(pair, 0, 1, xij))
+            out = apply_map(r_formal(pair), 1, pair.g, block_element(pair, 0, 1, xij))
             # mu_s = sum_d x[m-s+d, d] (1-based), laid on the shifted diagonals
             mu = [sum(xij[m - s + d - 1][d - 1] for d in range(1, s + 1))
                   for s in range(1, m + 1)]
@@ -189,10 +189,10 @@ def test_criterion_6_regular_case():
     for size in range(2, 7):
         pair, qm = _realized([(size, 1)])
         formal = r_formal(pair)
-        if formal.num.any():
+        if formal.any():
             failures.append(f"size {size}: formal map not zero")
         report = verify_realization(pair, qm, formal)
-        if not (report.ok and not riemann_at_origin(qm).num.any()):
+        if not (report.ok and not riemann_at_origin(qm)[0].any()):
             failures.append(f"size {size}: realized curvature not zero")
         fm = FloatMetric.from_exact(qm)
         for a in transports(fm, standard_loops(pair.n, seed=0)):

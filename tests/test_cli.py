@@ -15,6 +15,8 @@ from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_
 from holonomy.cli import MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
+from oracles import wedge_tags
+
 
 def write_spec(tmp_path, name, doc):
     path = tmp_path / name
@@ -311,7 +313,7 @@ def test_probe_transports_exactly_the_curved_planes(tmp_path):
     probe = report["stages"]["probe"]
     assert code == 0 and probe["passed"] is True
     rmap = r_formal(build_canonical(pencil_from_json(json.dumps(doc))))
-    curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
+    curved = {tag for tag, value in zip(wedge_tags(6), rmap, strict=True) if value.any()}
     assert {tuple(s["plane"]) for s in probe["samples"]} == curved
     n = 6
     assert 0 < probe["flat_planes"] == n * (n - 1) // 2 - len(curved)

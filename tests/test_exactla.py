@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from holonomy.canonical import rat_from_str
 from holonomy.exactla import (
     INT64_LIMIT,
-    lowest_terms,
     max_abs,
     narrowed,
     pivot_columns,
@@ -94,19 +93,6 @@ def test_max_abs():
     # never below 1, so a product of maxima bounds each factor
     assert max_abs(np.zeros((2, 2), dtype=object)) == 1
     assert max_abs(np.zeros((0, 3), dtype=object)) == 1
-
-
-def test_lowest_terms_keeps_the_dtype():
-    num, den = lowest_terms(np.array([4, -6], dtype=np.int64), 10)
-    assert num.dtype == np.int64 and num.tolist() == [2, -3] and den == 5
-    assert type(den) is int
-    big = 2 ** 70
-    num, den = lowest_terms(np.array([big, -2 * big], dtype=object), -3 * big)
-    assert num.tolist() == [-1, 2] and den == 3
-    # an all-zero num is 0 / 1, and the gcd |den| need not fit int64
-    for dtype in (np.int64, object):
-        num, den = lowest_terms(np.zeros(3, dtype=dtype), -big)
-        assert num.dtype == dtype and not num.any() and den == 1
 
 
 # -- rank and kernel ---------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from holonomy import build_canonical, make_pencil
 from holonomy.exactla import rank
-from holonomy.liealg import commutator_system, wedge_rows, wedge_tags
+from holonomy.liealg import commutator_system, wedge_index, wedge_rows
 
 from helpers import certified_gl, fractions, int_form, mat, pair_of, unit
 from oracles import (
@@ -21,6 +21,7 @@ from oracles import (
     member_coords,
     so_basis_ref,
     wedge,
+    wedge_tags,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -32,10 +33,17 @@ def test_wedge_antisymmetry_and_example():
     assert not wedge(e0, e0, g).any()
     assert np.array_equal(wedge(e0, e1, g), mat([[1, 0], [0, -1]]))
     assert np.array_equal(wedge(e1, e0, g), mat([[-1, 0], [0, 1]]))
-    # wedge_rows(g) stacks wedge(e_i, e_j) in tag order
+    # wedge_rows(g) stacks wedge(e_i, e_j) in the reference pair order
     pair = pair_of([(1, 1), (2, -1)])
     for (i, j), x in zip(wedge_tags(3), wedge_rows(pair.g), strict=True):
         assert np.array_equal(x, wedge(unit(3, i), unit(3, j), pair.g))
+
+
+def test_wedge_index_is_the_reference_order():
+    # the one order of the wedge basis, the curvature values and the witnesses
+    for n in range(25):
+        rows, cols = wedge_index(n)
+        assert list(zip(rows.tolist(), cols.tolist())) == wedge_tags(n), n
 
 
 @given(rationals, rationals, rationals, rationals, rationals)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from holonomy import berger_certificate, build_canonical, lower_B, make_pencil, r_formal
-from holonomy.berger import CurvatureMap
 from holonomy.probe import transport
 from holonomy.probe import (
     FloatMetric,
@@ -23,7 +22,14 @@ from holonomy.probe import kernels
 from holonomy.realize import QuadraticMetric, invertibility_bound, validity_radius
 
 from helpers import PROBE_SPECS, certificate, logarithms, metric_drift, pair_of, transports
-from oracles import christoffel, metric_at, metric_value, nablaL_residual, transport_polyline_ref
+from oracles import (
+    christoffel,
+    metric_at,
+    metric_value,
+    nablaL_residual,
+    transport_polyline_ref,
+    wedge_tags,
+)
 
 
 def realized(blocks, lam=0):
@@ -124,7 +130,7 @@ def test_loop_shrinking_consistency():
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
     # direction matches the certified curvature value up to sign
     rm = r_formal(pair)
-    z = rm.num[rm.tags.index((0, 2))].astype(float) / rm.den
+    z = rm[wedge_tags(pair.n).index((0, 2))].astype(float)
     psi = psis[5e-3]
     unit_psi = psi / np.linalg.norm(psi)
     unit_z = z / np.linalg.norm(z)
@@ -157,6 +163,18 @@ def test_loopspec_validation():
         LoopSpec((0.0,), (0, 1), math.inf)
     with pytest.raises(ValueError, match="basepoint coordinates must be finite"):
         LoopSpec((0.0, math.nan), (0, 1), 1e-2)
+    # a side or a coordinate is a real number that a float holds: a bool is
+    # not a number, a str is not one, and 10**400 overflows a float
+    for side in (True, "1", 10 ** 400):
+        with pytest.raises(ValueError, match="side must be positive and finite"):
+            LoopSpec((0.0,), (0, 1), side)
+    for basepoint in [(True, 0.0), ("1", 0.0), (0.0, 10 ** 400)]:
+        with pytest.raises(ValueError, match="basepoint coordinates must be finite"):
+            LoopSpec(basepoint, (0, 1), 1e-2)
+    with pytest.raises(ValueError, match="side must be positive and finite"):
+        LoopSpec((True, 0.0), (0, 1), True)
+    loop = LoopSpec((0, 0), (0, 1), 1)  # ints are numbers, stored as floats
+    assert type(loop.side) is float and all(type(v) is float for v in loop.basepoint)
     _, qm = realized([(1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
     with pytest.raises(ValueError, match="4 coordinates, more than the dimension 3"):
@@ -209,9 +227,10 @@ def test_span_fails_with_a_failing_certificate():
     # Here only Bianchi fails: the image is still g_L, so the samples match it.
     pair, qm = realized([(1, 1), (2, 1)])
     rm = r_formal(pair)
-    vals = rm.num.copy()
-    vals[rm.tags.index((0, 1))] = vals[rm.tags.index((0, 2))]
-    bad = berger_certificate(pair, CurvatureMap(rm.g, rm.tags, vals, rm.den))
+    tags = wedge_tags(pair.n)
+    vals = rm.copy()
+    vals[tags.index((0, 1))] = vals[tags.index((0, 2))]
+    bad = berger_certificate(pair, vals)
     assert not bad.bianchi_ok and bad.containment_ok and bad.image_rank == bad.dim_gL
     rep = holonomy_span(FloatMetric.from_exact(qm), bad, standard_loops(3, seed=0))
     assert rep.span_rank == 1 == rep.dim_gL and rep.max_membership_residual < 1e-6
@@ -224,15 +243,14 @@ def test_membership_detects_a_dropped_basis_element():
     # residual of its own least-squares solve
     pair, qm = realized([(1, 1), (1, 1), (2, 1)])
     cert = certificate(pair)
-    num, den = cert.basis
-    short = dataclasses.replace(cert, basis=(num[1:], den))
+    short = dataclasses.replace(cert, basis=cert.basis[1:])
     assert short.passed and short.dim_gL == 3
     fm = FloatMetric.from_exact(qm)
     loops = standard_loops(4, seed=0)
     rep = holonomy_span(fm, short, loops)
     assert rep.span_rank == 3 and not rep.passed
     assert rep.max_membership_residual > 0.1 and min(rep.residuals) < 1e-6
-    gl = (num[1:].astype(float) / den).reshape(2, -1).T
+    gl = cert.basis[1:].astype(float).reshape(2, -1).T
     d, _, _ = parallel_transport(fm, loops)
     for psi, residual in zip(logarithms(d).reshape(len(d), -1), rep.residuals):
         norm = np.linalg.norm(psi)
@@ -431,8 +449,8 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     the curvature differs from R0), so it is checked by transport."""
     pair = build_canonical(make_pencil([(Fraction(lam), blocks) for lam, blocks in eigenvalues]))
     rmap = r_formal(pair)
-    flat = {tag for tag, value in zip(rmap.tags, rmap.num) if not value.any()}
-    assert 0 < len(flat) < len(rmap.tags)
+    flat = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if not value.any()}
+    assert 0 < len(flat) < len(rmap)
     fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
     loops = standard_loops(pair.n, seed=0)
     moved = {lp: float(np.max(np.abs(a - np.eye(pair.n))))
@@ -533,7 +551,7 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
     for _, eigenvalues in FLATNESS_SPECS:
         pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
         rmap = r_formal(pair)
-        curved = {tag for tag, value in zip(rmap.tags, rmap.num) if value.any()}
+        curved = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()}
         fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
         flat_runs.append((fm, [lp for lp in standard_loops(pair.n, seed=0)
                                if lp.plane not in curved]))

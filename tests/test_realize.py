@@ -15,7 +15,6 @@ from holonomy import (
     r_formal,
     verify_realization,
 )
-from holonomy.berger import CurvatureMap
 from holonomy.cli import RunConfig, cmd_verify
 from holonomy.exactla import INT64_LIMIT, max_abs, rank
 from holonomy.liealg import wedge_rows
@@ -31,17 +30,21 @@ from holonomy.realize import (
 )
 
 from helpers import TWO_EIGENVALUE_SPECS, fractions, int_form, mat, pair_of
-from oracles import b_apply, b_components, block_factors, inverse_ref, lowered, metric_at
+from oracles import (
+    b_apply,
+    b_components,
+    block_factors,
+    inverse_ref,
+    lowered,
+    metric_at,
+    wedge_tags,
+)
 
 HALF = Fraction(1, 2)
 
 
 def g_adjoint(g, m):
     return inverse_ref(g) @ m.T @ g
-
-
-def values(rmap):
-    return fractions(rmap.num, rmap.den)
 
 
 def eye(n):
@@ -76,7 +79,7 @@ def test_build_B_reproduces_formal_curvature():
     pair = pair_of([(1, 1), (2, 1)])
     b = pair.block_tensor
     rm = r_formal(pair)
-    for x, v in zip(wedge_rows(pair.g), values(rm), strict=True):
+    for x, v in zip(wedge_rows(pair.g), fractions(rm), strict=True):
         bx = b_apply(b, x)
         assert np.array_equal(-bx + g_adjoint(pair.g, bx), v)
 
@@ -110,7 +113,7 @@ def test_B_skew_on_so_and_doubling():
     for pair in pairs:
         b = pair.block_tensor
         rm = r_formal(pair)
-        for x, v in zip(wedge_rows(pair.g), values(rm), strict=True):
+        for x, v in zip(wedge_rows(pair.g), fractions(rm), strict=True):
             bx = b_apply(b, x)
             assert not (pair.g @ bx + bx.T @ pair.g).any()
             assert np.array_equal(v, Fraction(-2) * bx)
@@ -203,7 +206,7 @@ def test_check_gsym_detects_wrong_operator():
 def test_riemann_flat_metric():
     pair = pair_of([(2, 1)])
     qm = QuadraticMetric(pair.g, *int_form(np.zeros((2, 2, 2, 2), dtype=object)))
-    assert not riemann_at_origin(qm).num.any()
+    assert not riemann_at_origin(qm)[0].any()
 
 
 def test_riemann_round_sphere_like():
@@ -212,8 +215,8 @@ def test_riemann_round_sphere_like():
     pair = pair_of([(1, 1), (1, 1)])
     qm = lower_B(pair.block_tensor, pair.g)
     rm = riemann_at_origin(qm)
-    assert np.array_equal(values(rm)[0], mat([[0, 1], [-1, 0]]))
-    assert np.array_equal(values(rm)[0], wedge_rows(pair.g)[0])
+    assert np.array_equal(fractions(*rm)[0], mat([[0, 1], [-1, 0]]))
+    assert np.array_equal(fractions(*rm)[0], wedge_rows(pair.g)[0])
 
 
 def test_riemann_matches_formal_blocks_1_2():
@@ -221,9 +224,9 @@ def test_riemann_matches_formal_blocks_1_2():
     qm = lower_B(pair.block_tensor, pair.g)
     rm = riemann_at_origin(qm)
     formal = r_formal(pair)
-    assert np.array_equal(values(rm), values(formal))
+    assert np.array_equal(fractions(*rm), fractions(formal))
     z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])
-    assert np.array_equal(values(rm)[rm.tags.index((0, 2))], z)
+    assert np.array_equal(fractions(*rm)[wedge_tags(pair.n).index((0, 2))], z)
 
 
 def test_riemann_linear_in_coefficients():
@@ -232,7 +235,7 @@ def test_riemann_linear_in_coefficients():
     doubled = QuadraticMetric(qm.g0, *int_form(2 * np.array(lowered(qm), dtype=object)))
     r1 = riemann_at_origin(qm)
     r2 = riemann_at_origin(doubled)
-    assert np.array_equal(values(r2), 2 * values(r1))
+    assert np.array_equal(fractions(*r2), 2 * fractions(*r1))
 
 
 def test_verify_realization():
@@ -242,7 +245,7 @@ def test_verify_realization():
         report = verify_realization(pair, qm, r_formal(pair))
         assert report.ok, (blocks, report)
         if blocks == [(3, 1)]:
-            assert not riemann_at_origin(qm).num.any()
+            assert not riemann_at_origin(qm)[0].any()
     pair = build_canonical(make_pencil([(0, [(1, 1), (2, 1)]), (1, [(2, -1), (2, -1)])]))
     assert verify_realization(pair, lower_B(pair.block_tensor, pair.g), r_formal(pair)).ok
 
@@ -252,13 +255,25 @@ def test_verify_realization_rejects_perturbed_formal_map():
     # handed in, so one wrong value must break the match
     pair = pair_of([(1, 1), (2, 1)])
     formal = r_formal(pair)
-    num = formal.num.copy()
-    num[1] = num[1] + eye(pair.n)
-    perturbed = CurvatureMap(formal.g, formal.tags, num, formal.den)
+    perturbed = formal.copy()
+    perturbed[1] = perturbed[1] + eye(pair.n)
     qm = lower_B(pair.block_tensor, pair.g)
     report = verify_realization(pair, qm, perturbed)
     assert report.routes_agree and not report.matches_formal and not report.ok
     assert verify_realization(pair, qm, formal).matches_formal
+
+
+def test_verify_realization_compares_the_denominator():
+    # negative control for den: the metric's numerator over 1 realizes
+    # 2 * formal, and so does the true metric against 2 * formal handed in;
+    # the routes agree on both, but neither may match
+    pair = pair_of([(1, 1), (2, 1)])
+    formal = r_formal(pair)
+    qm = lower_B(pair.block_tensor, pair.g)
+    assert formal.any() and qm.den == 2
+    for metric, rmap in ((QuadraticMetric(qm.g0, qm.num, 1), formal), (qm, 2 * formal)):
+        report = verify_realization(pair, metric, rmap)
+        assert report.routes_agree and not report.matches_formal, report
 
 
 def test_lower_B_rejects_asymmetric_point_indices():
@@ -299,8 +314,8 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     qm = lower_B(pair.block_tensor, pair.g)
     rm = riemann_at_origin(qm)
     stored = {"g": pair.g, "L": pair.L[0], "T": pair.block_tensor,
-              "metric": qm.num, "formal": rmap.num, "riemann": rm.num,
-              "basis": cert.basis[0]}
+              "metric": qm.num, "formal": rmap, "riemann": rm[0],
+              "basis": cert.basis}
     for name, a in stored.items():
         if a.dtype == np.int64:
             assert max_abs(a) < INT64_LIMIT, name
@@ -314,7 +329,7 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     bound = invertibility_bound(qm)
     assert bound > 0
     assert type(bound.numerator) is int and type(bound.denominator) is int
-    dens = [pair.L[1], qm.den, rmap.den, rm.den, cert.basis[1]]
+    dens = [pair.L[1], qm.den, rm[1]]
     assert all(type(d) is int for d in dens), dens
 
     path = tmp_path / "spec.json"
