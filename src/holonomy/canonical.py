@@ -41,8 +41,14 @@ class ComplexBlockError(InvalidSpecError):
 
 def _shown(value) -> str:
     """``repr(value)`` cut to MAX_RATIONAL_LEN characters, for echoing
-    malformed input in a one-line message."""
-    return repr(value)[:MAX_RATIONAL_LEN]
+    malformed input in a one-line message.  An int past Python's int-to-str
+    digit limit has no repr and is shown by its bit length."""
+    try:
+        return repr(value)[:MAX_RATIONAL_LEN]
+    except ValueError:  # an int, or a container holding one
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return "an unprintable value"
 
 
 def _is_int(value) -> bool:

@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .berger import berger_certificate, r_formal
 from .canonical import (
     MAX_SPEC_BYTES,
@@ -88,12 +90,12 @@ def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
 
     # a plane whose formal value is exactly zero adds nothing to the span of
     # g_L, and its loops transport to the identity: only curved planes go on
-    rows, cols = wedge_index(qm.n)
-    mask = rmap.any(axis=(1, 2))
-    curved = set(zip(rows[mask].tolist(), cols[mask].tolist()))
-    loops = [lp for lp in standard_loops(qm.n, seed=config.seed) if lp.plane in curved]
-    doc = holonomy_span(FloatMetric.from_exact(qm), cert, loops).to_json()
-    doc["flat_planes"] = len(rmap) - len(curved)
+    curved = np.zeros((qm.n, qm.n), dtype=bool)
+    curved[wedge_index(qm.n)] = rmap.any(axis=(1, 2))
+    loops = standard_loops(qm.n, seed=config.seed)
+    keep = curved[loops[0][:, 0], loops[0][:, 1]]
+    doc = holonomy_span(FloatMetric.from_exact(qm), cert, tuple(a[keep] for a in loops)).to_json()
+    doc["flat_planes"] = len(rmap) - int(curved.sum())
     return doc
 
 

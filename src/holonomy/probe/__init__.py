@@ -2,7 +2,6 @@
 
 from .transport import (
     FloatMetric,
-    LoopSpec,
     SingularMetricError,
     holonomy_span,
     parallel_transport,

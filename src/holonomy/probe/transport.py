@@ -15,8 +15,11 @@ run.  Before it, the polylines are certified regular by the exact bound
 |x|_inf^2 * c < 1 at their vertices (the sup-norm is convex, so that covers
 every point of every segment, and the bound grows with |x|_inf, so one
 check at the largest extent covers every loop); a polyline the bound does
-not cover is refused.  The transport returns the kernel's arrays, one row
-per loop, and the span estimate reads them as they are, without restacking.
+not cover is refused.  A loop family is one tuple of aligned arrays
+``(planes, basepoints, sides)``: (L, 2) ints (a, b), (L, k) float corners
+(k <= n, zero-padded) and (L,) float sides.  The transport checks them once
+and returns the kernel's arrays, one row per loop, which the span estimate
+reads as they are.
 
 ``standard_loops`` spans every coordinate plane.  The CLI probe keeps only
 the loops in planes whose formal curvature value is nonzero: the loops in
@@ -28,16 +31,13 @@ the span (the Tier-1 tests check both).  So a report's samples, and its
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from ..berger import BergerCertificate
-from ..canonical import _is_int, _shown
+from ..liealg import wedge_index
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
@@ -62,34 +62,6 @@ BASEPOINT_NORM = 0.05
 
 class SingularMetricError(RuntimeError):
     """The metric degenerates somewhere on the requested path."""
-
-
-def _finite(value) -> float:
-    """``value`` as a float; nan for a bool, a non-number or one no finite float holds."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return float(value) if real and abs(value) <= sys.float_info.max else math.nan
-
-
-@dataclass(frozen=True)
-class LoopSpec:
-    """Axis-aligned square loop: corner basepoint, coordinate plane, side."""
-
-    basepoint: tuple
-    plane: tuple
-    side: float
-
-    def __post_init__(self) -> None:
-        a, b = self.plane
-        if not (_is_int(a) and _is_int(b)) or a == b or a < 0 or b < 0:
-            raise ValueError("plane must be two distinct nonnegative indices")
-        side, basepoint = _finite(self.side), tuple(map(_finite, self.basepoint))
-        if not side > 0:
-            raise ValueError(f"side must be positive and finite, got {_shown(self.side)}")
-        if any(map(math.isnan, basepoint)):
-            raise ValueError("basepoint coordinates must be finite, "
-                             f"got {_shown(list(self.basepoint))}")
-        object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(self, "side", side)
 
 
 class FloatMetric:
@@ -117,47 +89,76 @@ class FloatMetric:
         return math.isfinite(extent) and Fraction(extent) ** 2 * self.bound < 1
 
 
-def _lasso_vertices(loops: Sequence[LoopSpec], n: int) -> np.ndarray:
-    """The (L, 7, n) vertices of the origin-based lassos, one row per loop."""
-    planes = np.array([lp.plane for lp in loops])
-    if planes.max() >= n:
+def _floats(a, message: str, low: float = -math.inf) -> np.ndarray:
+    """An int or float array ``a`` as float64 with every entry finite and
+    above ``low``; anything else is refused with ``message``."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuf"):
+        raise ValueError(f"{message}, got {getattr(a, 'dtype', type(a).__name__)}")
+    x = a.astype(np.float64)
+    bad = ~(np.isfinite(x) & (x > low))
+    if bad.any():
+        raise ValueError(f"{message}, got {float(x[bad][0])!r}")
+    return x
+
+
+def _checked(loops: tuple, n: int) -> tuple:
+    """The loop family checked against the dimension ``n``, basepoints and
+    sides as float64.  An array of another kind is refused, never coerced:
+    ``np.asarray([(True, 2)])`` would be the plane (1, 2)."""
+    planes, basepoints, sides = loops
+    if not (isinstance(planes, np.ndarray) and planes.dtype.kind in "iu" and planes.ndim == 2
+            and planes.shape[1] == 2) or (planes < 0).any() or (planes[:, 0] == planes[:, 1]).any():
+        raise ValueError("plane must be two distinct nonnegative indices")
+    sides = _floats(sides, "side must be positive and finite", low=0.0)
+    basepoints = _floats(basepoints, "basepoint coordinates must be finite")
+    if sides.shape != (len(planes),) or basepoints.ndim != 2 or len(basepoints) != len(planes):
+        raise ValueError(f"loop arrays of shapes {planes.shape}, {basepoints.shape} and "
+                         f"{sides.shape} are not (L, 2), (L, k) and (L,)")
+    if (planes >= n).any():
         raise ValueError("plane indices exceed the dimension")
-    for lp in loops:
-        if len(lp.basepoint) > n:
-            raise ValueError(f"basepoint {list(lp.basepoint)} has {len(lp.basepoint)} "
-                             f"coordinates, more than the dimension {n}")
-    bp = np.array([lp.basepoint + (0.0,) * (n - len(lp.basepoint)) for lp in loops])
-    rows = np.arange(len(loops))
-    sides = np.array([lp.side for lp in loops])
-    ea = np.zeros_like(bp)
-    eb = np.zeros_like(bp)
+    if basepoints.shape[1] > n:
+        raise ValueError(f"basepoints have {basepoints.shape[1]} coordinates, "
+                         f"more than the dimension {n}")
+    return planes, basepoints, sides
+
+
+def _lasso_vertices(loops: tuple, n: int) -> np.ndarray:
+    """The (L, 7, n) vertices of the origin-based lassos of a checked loop
+    family, one row per loop."""
+    planes, basepoints, sides = loops
+    bp = np.zeros((len(planes), n))
+    bp[:, :basepoints.shape[1]] = basepoints
+    rows = np.arange(len(planes))
+    ea, eb, origin = np.zeros((3,) + bp.shape)
     ea[rows, planes[:, 0]] = sides
     eb[rows, planes[:, 1]] = sides
-    origin = np.zeros_like(bp)
     return np.stack([origin, bp, bp + ea, bp + ea + eb, bp + eb, bp, origin], axis=1)
 
 
-def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec]) -> tuple:
+def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
     """Integrate transport around origin-based square loops in one kernel call.
 
-    dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4, ``STEPS``
-    steps per segment; each square is traversed corner -> +e_a -> +e_b ->
-    -e_a -> -e_b.  Returns ``(d, step_error, extent)``, a row per loop: the
-    (L, n, n) increments D = A - I of the transport matrices A, the kernel's
-    RK4 error estimates |D_N - D_(N/2)|_max / 15, and the largest vertex
-    sup-norm of each polyline.  A loop the exact bound does not certify, or
-    a degenerate metric on any loop, raises before any result exists.
+    ``loops`` is a loop family ``(planes, basepoints, sides)``, checked
+    first.  dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4,
+    ``STEPS`` steps per segment; each square is traversed corner -> +e_a ->
+    +e_b -> -e_a -> -e_b.  Returns ``(d, step_error, extent)``, a row per
+    loop: the (L, n, n) increments D = A - I of the transport matrices A,
+    the kernel's RK4 error estimates |D_N - D_(N/2)|_max / 15, and the
+    largest vertex sup-norm of each polyline.  A loop the exact bound does
+    not certify, or a degenerate metric on any loop, raises before any
+    result exists.
     """
-    if not loops:
+    planes, basepoints, _ = loops = _checked(loops, fm.n)
+    if not len(planes):
         return np.zeros((0, fm.n, fm.n)), np.zeros(0), np.zeros(0)
     verts = _lasso_vertices(loops, fm.n)
     extents = np.max(np.abs(verts), axis=(1, 2))
     # the bound grows with the extent: the largest extent certifies every loop
     if not fm.certifies(float(extents.max())):
-        lp, extent = next((lp, e) for lp, e in zip(loops, extents.tolist()) if not fm.certifies(e))
+        i, extent = next((i, e) for i, e in enumerate(extents.tolist()) if not fm.certifies(e))
         raise SingularMetricError(
-            f"loop in plane {lp.plane} at basepoint {list(lp.basepoint)} has extent "
-            f"|x|_inf = {extent!r}, not certified regular by the validity radius "
+            f"loop in plane {tuple(planes[i].tolist())} at basepoint {basepoints[i].tolist()} "
+            f"has extent |x|_inf = {extent!r}, not certified regular by the validity radius "
             f"{validity_radius(fm.bound)}")
     try:
         d, err = kernels.transport_polyline(fm.g0, fm.B, verts, STEPS)
@@ -168,14 +169,16 @@ def parallel_transport(fm: FloatMetric, loops: Sequence[LoopSpec]) -> tuple:
     return d, err, extents
 
 
-def standard_loops(n: int, seed: int = 0) -> list:
-    """Squares in every coordinate plane at the origin plus seeded basepoints."""
+def standard_loops(n: int, seed: int = 0) -> tuple:
+    """Squares of side ``SIDE`` in every coordinate plane, at the origin and
+    at ``EXTRA_BASEPOINTS`` seeded corners: a loop family with the planes in
+    ``wedge_index`` order, one row per corner in each."""
     rng = np.random.default_rng(seed)
-    basepoints = [tuple(0.0 for _ in range(n))]
-    for _ in range(EXTRA_BASEPOINTS):
-        basepoints.append(tuple(rng.uniform(-BASEPOINT_NORM, BASEPOINT_NORM, n).tolist()))
-    return [LoopSpec(bp, (a, b), SIDE)
-            for a in range(n) for b in range(a + 1, n) for bp in basepoints]
+    corners = np.zeros((1 + EXTRA_BASEPOINTS, n))
+    for k in range(1, 1 + EXTRA_BASEPOINTS):
+        corners[k] = rng.uniform(-BASEPOINT_NORM, BASEPOINT_NORM, n)
+    planes = np.repeat(np.stack(wedge_index(n), axis=1), len(corners), axis=0)
+    return planes, np.tile(corners, (n * (n - 1) // 2, 1)), np.full(len(planes), SIDE)
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ class SpanReport:
     singular_values: tuple
     sv_gap: float
     validity_radius: float
-    loops: tuple  # of LoopSpec, in transport order; the arrays below are per loop
+    loops: tuple  # the checked (planes, basepoints, sides); the arrays below are per loop
     residuals: np.ndarray  # relative membership residual of the logarithm
     metric_drift: np.ndarray  # |g0 - A^T g0 A|_F
     step_error: np.ndarray  # the kernel's RK4 error estimate
@@ -206,22 +209,17 @@ class SpanReport:
             "max_loop_extent": float(self.extent.max(initial=0.0)),
             "max_step_error": float(self.step_error.max(initial=0.0)),
             "samples": [
-                {
-                    "plane": list(lp.plane),
-                    "side": lp.side,
-                    "basepoint": list(lp.basepoint),
-                    "residual": r,
-                    "metric_drift": drift,
-                    "step_error": err,
-                }
-                for lp, r, drift, err in zip(self.loops, self.residuals.tolist(),
-                                             self.metric_drift.tolist(), self.step_error.tolist())
+                {"plane": plane, "side": side, "basepoint": basepoint, "residual": r,
+                 "metric_drift": drift, "step_error": err}
+                for plane, basepoint, side, r, drift, err in zip(
+                    *(a.tolist() for a in self.loops), self.residuals.tolist(),
+                    self.metric_drift.tolist(), self.step_error.tolist())
             ],
             "passed": self.passed,
         }
 
 
-def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[LoopSpec]) -> SpanReport:
+def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> SpanReport:
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
     ``cert`` is the Berger certificate, built once by the caller: the
@@ -235,6 +233,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     every membership residual stays below ``MEMBERSHIP_TOL``.
     """
     dim = cert.dim_gL
+    loops = _checked(loops, fm.n)
     d, step_error, extent = parallel_transport(fm, loops)
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
     psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
@@ -248,22 +247,15 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: Sequence[Loop
     residuals = np.zeros(len(d))
     residuals[kept] = np.linalg.norm(psi[kept].T - gl @ coef, axis=0) / norms[kept]
 
-    if kept.any():
-        sv = np.linalg.svd(psi[kept], compute_uv=False)
-        sv = sv[sv > 0.0]
-        rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
-    else:
-        sv = np.array([])
-        rank = 0
-    retained = sv[:dim]
-    discarded = sv[dim:]
-    if discarded.size == 0 or discarded[0] == 0.0:
+    sv = np.linalg.svd(psi[kept], compute_uv=False) if kept.any() else np.zeros(0)
+    sv = sv[sv > 0.0]
+    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
+    retained, discarded = sv[:dim], sv[dim:]
+    if discarded.size == 0:
         gap = float("inf")
-    elif retained.size < dim:
-        gap = 0.0
-    else:
-        gap = float(retained[-1] / discarded[0])
+    else:  # with dim 0, nothing is retained
+        gap = float(retained[-1] / discarded[0]) if retained.size else 0.0
     max_res = float(residuals.max(initial=0.0))
     passed = cert.passed and rank == dim and max_res < MEMBERSHIP_TOL
     return SpanReport(rank, dim, max_res, tuple(sv.tolist()), gap, validity_radius(fm.bound),
-                      tuple(loops), residuals, drift, step_error, extent, passed)
+                      loops, residuals, drift, step_error, extent, passed)

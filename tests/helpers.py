@@ -59,6 +59,24 @@ def transports(fm, loops):
     return parallel_transport(fm, loops)[0] + np.eye(fm.n)
 
 
+def loops_of(*loops):
+    """The loop family ``(planes, basepoints, sides)`` of ``(basepoint,
+    plane, side)`` triples, as the probe takes it."""
+    basepoints, planes, sides = zip(*loops)
+    return np.array(planes), np.array(basepoints, dtype=float), np.array(sides, dtype=float)
+
+
+def loop_rows(loops, rows):
+    """The loops ``rows`` (an index, a slice or a mask) of a loop family, as a family."""
+    rows = slice(rows, rows + 1) if isinstance(rows, int) else rows
+    return tuple(a[rows] for a in loops)
+
+
+def joined(*families):
+    """The loop families one after the other, as one family."""
+    return tuple(np.concatenate(parts) for parts in zip(*families))
+
+
 def logarithms(d):
     """The probe's second-order logarithms D - D^2 / 2 of the transports I + D."""
     return d - 0.5 * (d @ d)

@@ -19,7 +19,8 @@ those values, and no oracle reads the package's ``wedge_index``, so the
 references do not depend on the code they check.  The float helpers
 evaluate the metric and its Christoffel symbols at one point, and
 ``transport_polyline_ref`` is the earlier sequential RK4 transport (one
-polyline, three Christoffel evaluations per step).
+polyline, three Christoffel evaluations per step).  ``standard_loops_ref``
+is the earlier per-loop construction of the standard loop family.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ import numpy as np
 from holonomy import berger
 from holonomy.berger import BianchiReport
 from holonomy.canonical import CanonicalPair
+from holonomy.probe import transport
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import QuadraticMetric, RealizationError
 
@@ -747,6 +749,19 @@ def transport_polyline_ref(g0, B, verts, steps):
             k4 = -m1 @ (p + h * k3)
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return p
+
+
+def standard_loops_ref(n: int, seed: int = 0) -> list:
+    """The standard loop family as ``(basepoint, plane, side)`` triples, one
+    per loop: planes in lexicographic order, the origin and then each seeded
+    corner in every plane, the corners drawn one ``rng.uniform`` call each."""
+    rng = np.random.default_rng(seed)
+    basepoints = [tuple(0.0 for _ in range(n))]
+    for _ in range(transport.EXTRA_BASEPOINTS):
+        basepoints.append(tuple(rng.uniform(-transport.BASEPOINT_NORM,
+                                            transport.BASEPOINT_NORM, n).tolist()))
+    return [(bp, (a, b), transport.SIDE)
+            for a in range(n) for b in range(a + 1, n) for bp in basepoints]
 
 
 def _as_float_metric(qm) -> FloatMetric:

@@ -15,7 +15,7 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
-from holonomy.canonical import MAX_RATIONAL_LEN
+from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec
 from holonomy.exactla import rank
 
 from helpers import fractions, int_form, mat, pair_of
@@ -138,6 +138,15 @@ def test_json_errors():
         message = str(info.value)
         assert message.endswith(", got " + repr(value)[:MAX_RATIONAL_LEN])
         assert len(message) < 2 * MAX_RATIONAL_LEN
+    # an int past Python's int-to-str digit limit has no repr: its bit length is shown
+    for make in (lambda sign: BlockSpec(1, sign),
+                 lambda sign: pencil_from_json(
+                     {"eigenvalues": [{"lambda": "0", "blocks": [{"size": 1, "sign": sign}]}]})):
+        with pytest.raises(InvalidSpecError, match="^block sign must be the integer 1 or -1, "
+                                                   "got an int of 16610 bits$"):
+            make(10 ** 5000)
+    with pytest.raises(InvalidSpecError, match="got an unprintable value$"):
+        BlockSpec(1, [10 ** 5000])
 
 
 def test_nilpotency_and_block_determinants():

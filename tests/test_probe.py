@@ -11,7 +11,6 @@ from holonomy import berger_certificate, build_canonical, lower_B, make_pencil, 
 from holonomy.probe import transport
 from holonomy.probe import (
     FloatMetric,
-    LoopSpec,
     SingularMetricError,
     holonomy_span,
     parallel_transport,
@@ -21,12 +20,23 @@ from holonomy.probe import kernels
 
 from holonomy.realize import QuadraticMetric, invertibility_bound, validity_radius
 
-from helpers import PROBE_SPECS, certificate, logarithms, metric_drift, pair_of, transports
+from helpers import (
+    PROBE_SPECS,
+    certificate,
+    joined,
+    logarithms,
+    loop_rows,
+    loops_of,
+    metric_drift,
+    pair_of,
+    transports,
+)
 from oracles import (
     christoffel,
     metric_at,
     metric_value,
     nablaL_residual,
+    standard_loops_ref,
     transport_polyline_ref,
     wedge_tags,
 )
@@ -102,7 +112,7 @@ def test_christoffel_symmetric_lower_indices():
 def test_flat_transport_is_identity():
     pair = pair_of([(2, 1)])
     flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
-    (a,) = transports(flat, [LoopSpec((0.0, 0.0), (0, 1), 1e-2)])
+    (a,) = transports(flat, loops_of(((0.0, 0.0), (0, 1), 1e-2)))
     assert np.max(np.abs(a - np.eye(2))) < 1e-12
 
 
@@ -112,7 +122,7 @@ def test_rotation_angle_matches_curvature_oracle():
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     side = 1e-2
-    (a,) = transports(fm, [LoopSpec((0.0, 0.0), (0, 1), side)])
+    (a,) = transports(fm, loops_of(((0.0, 0.0), (0, 1), side)))
     theta = math.atan2(a[1, 0], a[0, 0])
     k_oracle = fd_curvature_op(fm, 0, 1)[0, 1]
     assert abs(abs(theta) / side ** 2 - abs(k_oracle)) < 0.01 * abs(k_oracle)
@@ -124,7 +134,7 @@ def test_loop_shrinking_consistency():
     norms = {}
     psis = {}
     for side in (1e-2, 5e-3):
-        d, _, _ = parallel_transport(fm, [LoopSpec((0.0, 0.0, 0.0), (0, 2), side)])
+        d, _, _ = parallel_transport(fm, loops_of(((0.0, 0.0, 0.0), (0, 2), side)))
         (psis[side],) = logarithms(d)
         norms[side] = np.linalg.norm(psis[side]) / side ** 2
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
@@ -138,12 +148,45 @@ def test_loop_shrinking_consistency():
                np.linalg.norm(unit_psi + unit_z)) < 1e-3
 
 
+@pytest.mark.parametrize("n", range(2, 25))
+def test_standard_loops_match_reference(n):
+    # the arrays hold the loops of the per-loop reference, bit for bit, in
+    # its order: planes in lexicographic order, the origin first in each
+    for seed in (0, 1, 2):
+        got = standard_loops(n, seed=seed)
+        want = loops_of(*standard_loops_ref(n, seed=seed))
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [[(1, 1), (2, 1)], [(2, 1), (3, -1)], [(1, 1), (1, 1), (2, -1)]],
+                         ids=["1+2+", "2+3-", "1+1+2-"])
+def test_origin_squares_carry_minus_the_curvature(blocks):
+    # Ambrose-Singer at the origin, where Gamma and the curvature's gradient
+    # vanish: the square of side h in the plane (a, b), run corner -> +e_a ->
+    # +e_b, has log A = -h^2 R0(e_a ^ e_b) + O(h^4), R0 the formal value.
+    # The defect is about 7e-5 at h = 1e-2; a square run the other way
+    # round flips the sign of every logarithm and gives 2.
+    pair, qm = realized(blocks)
+    fm = FloatMetric.from_exact(qm)
+    h = 1e-2
+    rmap = r_formal(pair).astype(float)
+    tags = [tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()]
+    assert tags
+    d, _, _ = parallel_transport(fm, loops_of(*(((0.0,) * pair.n, tag, h) for tag in tags)))
+    values = rmap[[wedge_tags(pair.n).index(tag) for tag in tags]]
+    defect = np.max(np.abs(logarithms(d) / h ** 2 + values), axis=(1, 2))
+    assert np.max(defect / np.max(np.abs(values), axis=(1, 2))) < 1e-3
+
+
 def test_transport_membership_and_drift():
     pair, qm = realized([(1, 1), (2, 1)])
     loops = standard_loops(3, seed=3)
     fm = FloatMetric.from_exact(qm)
     rep = holonomy_span(fm, certificate(pair), loops)
-    assert list(rep.loops) == loops and len(rep.residuals) == len(rep.metric_drift) == len(loops)
+    assert all(np.array_equal(kept, given) for kept, given in zip(rep.loops, loops, strict=True))
+    assert len(rep.residuals) == len(rep.metric_drift) == len(loops[0])
     for a, residual, drift in zip(transports(fm, loops), rep.residuals, rep.metric_drift):
         assert residual < 1e-6
         assert drift < 1e-8
@@ -151,38 +194,58 @@ def test_transport_membership_and_drift():
 
 
 def test_loopspec_validation():
-    with pytest.raises(ValueError):
-        LoopSpec((0.0,), (1, 1), 1e-2)
-    # a plane is two ints: a float is no index, a bool is not an int, nor is a str
-    for plane in [(0.5, 1), (0, 1.0), (True, 2), (0, False), ("0", 1)]:
-        with pytest.raises(ValueError, match="plane must be two distinct nonnegative indices"):
-            LoopSpec((0.0,) * 3, plane, 1e-2)
-    with pytest.raises(ValueError):
-        LoopSpec((0.0,), (0, 1), -1.0)
-    with pytest.raises(ValueError, match="side must be positive and finite"):
-        LoopSpec((0.0,), (0, 1), math.inf)
-    with pytest.raises(ValueError, match="basepoint coordinates must be finite"):
-        LoopSpec((0.0, math.nan), (0, 1), 1e-2)
-    # a side or a coordinate is a real number that a float holds: a bool is
-    # not a number, a str is not one, and 10**400 overflows a float
-    for side in (True, "1", 10 ** 400):
-        with pytest.raises(ValueError, match="side must be positive and finite"):
-            LoopSpec((0.0,), (0, 1), side)
-    for basepoint in [(True, 0.0), ("1", 0.0), (0.0, 10 ** 400)]:
-        with pytest.raises(ValueError, match="basepoint coordinates must be finite"):
-            LoopSpec(basepoint, (0, 1), 1e-2)
-    with pytest.raises(ValueError, match="side must be positive and finite"):
-        LoopSpec((True, 0.0), (0, 1), True)
-    loop = LoopSpec((0, 0), (0, 1), 1)  # ints are numbers, stored as floats
-    assert type(loop.side) is float and all(type(v) is float for v in loop.basepoint)
+    # a loop family is three aligned arrays, refused (never coerced) unless
+    # each is an ndarray of the right kind: np.asarray([(True, 2)]) would
+    # silently be the plane (1, 2)
     _, qm = realized([(1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
+    one = np.array([[0, 1]])
+    origin = np.zeros((1, 1))
+    side = np.array([1e-2])
+    # a plane is two distinct nonnegative ints: a float is no index, a bool
+    # is not an int, nor is a str
+    for planes in [np.array([[1, 1]]), np.array([[0.5, 1]]), np.array([[0, 1.0]]),
+                   np.array([[True, False]]), np.array([["0", "1"]]), [(True, 2)],
+                   np.array([[-1, 1]]), np.array([[0, 1, 2]])]:
+        with pytest.raises(ValueError, match="plane must be two distinct nonnegative indices"):
+            parallel_transport(fm, (planes, origin, side))
+    with pytest.raises(ValueError, match="plane indices exceed the dimension"):
+        parallel_transport(fm, (np.array([[0, 3]]), origin, side))
+    for sides in (np.array([-1.0]), np.array([0.0]), np.array([math.inf]), np.array([math.nan])):
+        with pytest.raises(ValueError, match="side must be positive and finite"):
+            parallel_transport(fm, (one, origin, sides))
+    with pytest.raises(ValueError, match="basepoint coordinates must be finite"):
+        parallel_transport(fm, (one, np.array([[0.0, math.nan]]), side))
+    # a side or a coordinate is a real number that a float holds: a bool is
+    # not a number, a str is not one, and 10**400 (an object array) overflows
+    # a float
+    for sides in (np.array([True]), np.array(["1"]), np.array([10 ** 400]), [1e-2]):
+        with pytest.raises(ValueError, match="side must be positive and finite"):
+            parallel_transport(fm, (one, origin, sides))
+    for basepoints in [np.array([[True, False]]), np.array([["1", "0"]]),
+                       np.array([[0.0, 10 ** 400]]), [(0.0, 0.0)]]:
+        with pytest.raises(ValueError, match="basepoint coordinates must be finite"):
+            parallel_transport(fm, (one, basepoints, side))
+    with pytest.raises(ValueError, match="side must be positive and finite"):
+        parallel_transport(fm, (one, np.array([[True, False]]), np.array([True])))
+    # the arrays hold one row per loop
+    for loops in [(one, np.zeros((2, 3)), side), (one, origin, np.full(2, 1e-2)),
+                  (one, np.zeros(3), side)]:
+        with pytest.raises(ValueError, match=r"are not \(L, 2\), \(L, k\) and \(L,\)"):
+            parallel_transport(fm, loops)
+    # ints are numbers, taken as floats (a side of 1 needs the flat metric's
+    # infinite radius)
+    ints = (one, np.zeros((1, 2), dtype=int), np.ones(1, dtype=int))
+    flat = FloatMetric(fm.g0, np.zeros_like(fm.B), Fraction(0))
+    rep = holonomy_span(flat, certificate(pair_of([(1, 1), (2, 1)])), ints)
+    assert rep.loops[1].dtype == rep.loops[2].dtype == np.float64
+    sample = rep.to_json()["samples"][0]
+    assert type(sample["side"]) is float and all(type(v) is float for v in sample["basepoint"])
     with pytest.raises(ValueError, match="4 coordinates, more than the dimension 3"):
-        parallel_transport(fm, [LoopSpec((0.0,) * 3, (0, 1), 1e-2),
-                                LoopSpec((0.0,) * 4, (0, 1), 1e-2)])
+        parallel_transport(fm, (np.array([[0, 1], [0, 1]]), np.zeros((2, 4)), np.full(2, 1e-2)))
     # finite input whose corner overflows is refused by the bound, with its message
     with np.errstate(over="ignore"), pytest.raises(SingularMetricError, match="extent"):
-        parallel_transport(fm, [LoopSpec((1e308, 0.0), (0, 1), 1e308)])
+        parallel_transport(fm, loops_of(((1e308, 0.0), (0, 1), 1e308)))
 
 
 def test_singular_metric_detected():
@@ -190,9 +253,9 @@ def test_singular_metric_detected():
     # loop corner right on the degeneracy
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
-    bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)
+    bad = loops_of(((math.sqrt(2.0), 0.0), (0, 1), 1e-2))
     with pytest.raises(SingularMetricError):
-        parallel_transport(fm, [bad])
+        parallel_transport(fm, bad)
 
 
 # -- span reports -----------------------------------------------------------------
@@ -235,6 +298,27 @@ def test_span_fails_with_a_failing_certificate():
     rep = holonomy_span(FloatMetric.from_exact(qm), bad, standard_loops(3, seed=0))
     assert rep.span_rank == 1 == rep.dim_gL and rep.max_membership_residual < 1e-6
     assert not rep.passed
+
+
+def test_span_fails_when_the_samples_outrank_dim_gL():
+    # negative control for the rank verdict: a certificate that passes its
+    # own checks but claims one dimension fewer, with its full basis kept.
+    # The samples stay in the span and have rank dim + 1, so the report fails.
+    pair, qm = realized([(2, 1), (3, -1)])
+    cert = certificate(pair)
+    low = dataclasses.replace(cert, dim_gL=cert.dim_gL - 1, image_rank=cert.image_rank - 1)
+    assert low.passed and len(low.basis) == cert.dim_gL == 2
+    rep = span(qm, pair, standard_loops(5, seed=0))
+    assert rep.span_rank == 2 and rep.passed
+    rep = holonomy_span(FloatMetric.from_exact(qm), low, standard_loops(5, seed=0))
+    assert rep.span_rank == 2 == rep.dim_gL + 1 and rep.max_membership_residual < 1e-6
+    assert not rep.passed
+    # down to dim 0: nothing is retained, so the gap is 0
+    pair, qm = realized([(1, 1), (2, 1)])
+    cert = certificate(pair)
+    none = dataclasses.replace(cert, dim_gL=0, image_rank=0)
+    rep = holonomy_span(FloatMetric.from_exact(qm), none, standard_loops(3, seed=0))
+    assert rep.span_rank == 1 and rep.sv_gap == 0.0 and not rep.passed
 
 
 def test_membership_detects_a_dropped_basis_element():
@@ -308,10 +392,10 @@ def test_metric_value_matches_exact():
 # -- batched kernel against the sequential reference -----------------------------------
 
 def ref_transport(fm, loop):
-    """The loop through the sequential reference kernel at the probe's step
-    count; segments of length 0 (an origin square's tails) are dropped,
-    which leaves the path unchanged."""
-    verts = transport._lasso_vertices([loop], fm.n)[0]
+    """The one loop of the family ``loop`` through the sequential reference
+    kernel at the probe's step count; segments of length 0 (an origin
+    square's tails) are dropped, which leaves the path unchanged."""
+    verts = transport._lasso_vertices(loop, fm.n)[0]
     keep = np.any(verts[1:] != verts[:-1], axis=1)
     return transport_polyline_ref(fm.g0, fm.B, verts[np.concatenate([[True], keep])],
                                   [transport.STEPS] * int(keep.sum()))
@@ -324,11 +408,13 @@ def test_batched_kernel_matches_reference(blocks):
     seen = set()
     for seed in (0, 1):
         loops = standard_loops(pair.n, seed=seed)
-        for lp, a in zip(loops, transports(fm, loops)):
-            if (lp.basepoint, lp.plane) in seen:  # origin squares repeat across seeds
+        planes, basepoints, _ = loops
+        for i, a in enumerate(transports(fm, loops)):
+            key = (tuple(basepoints[i].tolist()), tuple(planes[i].tolist()))
+            if key in seen:  # origin squares repeat across seeds
                 continue
-            seen.add((lp.basepoint, lp.plane))
-            assert np.max(np.abs(a - ref_transport(fm, lp))) <= 1e-12
+            seen.add(key)
+            assert np.max(np.abs(a - ref_transport(fm, loop_rows(loops, i)))) <= 1e-12
 
 
 def count_segments(monkeypatch) -> list:
@@ -369,25 +455,27 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
     monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1), (2, 1)])
     fm = FloatMetric.from_exact(qm)
-    loops = [LoopSpec((0.0,) * 4, (0, 1), 1e-2),
-             LoopSpec((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2),
-             LoopSpec((0.0,) * 4, (2, 3), 1e-2),
-             LoopSpec((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2),
-             LoopSpec((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3),
-             LoopSpec((0.0,) * 4, (1, 3), 5e-3),
-             LoopSpec((1e-2, 0.0, 0.0, 0.0), (1, 2), 1e-2),
-             LoopSpec((0.0, 0.0, 0.0, 1e-2), (0, 1), 1e-2)] + standard_loops(4, seed=2)
+    loops = joined(loops_of(((0.0,) * 4, (0, 1), 1e-2),
+                            ((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2),
+                            ((0.0,) * 4, (2, 3), 1e-2),
+                            ((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2),
+                            ((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3),
+                            ((0.0,) * 4, (1, 3), 5e-3),
+                            ((1e-2, 0.0, 0.0, 0.0), (1, 2), 1e-2),
+                            ((0.0, 0.0, 0.0, 1e-2), (0, 1), 1e-2)),
+                   standard_loops(4, seed=2))
+    count = len(loops[0])
     rows = count_segments(monkeypatch)
     d, step_error, extent = parallel_transport(fm, loops)
     per_batch = kernels.NODE_BUDGET // ((2 * 100 + 1) * 4 ** 2)  # nodes, n^2
-    assert d.shape == (len(loops), 4, 4) and step_error.shape == extent.shape == (len(loops),)
+    assert d.shape == (count, 4, 4) and step_error.shape == extent.shape == (count,)
     assert len(rows) > 1 and max(rows) <= per_batch
     assert sum(rows) % len(rows)  # the last batch is smaller
     segments = {(tuple(p), tuple(q - p)) for lasso in transport._lasso_vertices(loops, 4)
                 for p, q in zip(lasso[:-1], lasso[1:]) if (q != p).any()}
     assert sum(rows) == len(segments)
-    for i, lp in enumerate(loops):
-        d_solo, step_error_solo, extent_solo = parallel_transport(fm, [lp])
+    for i in range(count):
+        d_solo, step_error_solo, extent_solo = parallel_transport(fm, loop_rows(loops, i))
         assert np.array_equal(d[i:i + 1], d_solo)
         assert np.array_equal(step_error[i:i + 1], step_error_solo)
         assert np.array_equal(extent[i:i + 1], extent_solo)
@@ -429,6 +517,11 @@ def test_kernel_rejects_bad_step_counts():
 
 # -- flat planes --------------------------------------------------------------------
 
+def in_planes(loops, tags) -> np.ndarray:
+    """The mask of the loops whose plane (a, b) is one of ``tags``."""
+    return np.array([tuple(plane) in tags for plane in loops[0].tolist()], dtype=bool)
+
+
 # The probe specs plus two with two eigenvalues (n = 8 and n = 7), each a
 # list of (eigenvalue, [(size, sign), ...]).
 FLATNESS_SPECS = [(name, [(0, blocks)]) for name, blocks in PROBE_SPECS] + [
@@ -453,10 +546,10 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     assert 0 < len(flat) < len(rmap)
     fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
     loops = standard_loops(pair.n, seed=0)
-    moved = {lp: float(np.max(np.abs(a - np.eye(pair.n))))
-             for lp, a in zip(loops, transports(fm, loops))}
-    assert max(m for lp, m in moved.items() if lp.plane in flat) <= 1e-15
-    assert min(m for lp, m in moved.items() if lp.plane not in flat) >= 1e-5
+    moved = np.max(np.abs(transports(fm, loops) - np.eye(pair.n)), axis=(1, 2))
+    in_flat = in_planes(loops, flat)
+    assert moved[in_flat].max() <= 1e-15
+    assert moved[~in_flat].min() >= 1e-5
 
 
 # -- the exact path bound ---------------------------------------------------------------
@@ -468,21 +561,21 @@ def test_exact_bound_certifies_standard_loops():
         radius = validity_radius(fm.bound)
         for seed in (0, 1):
             loops = standard_loops(pair.n, seed=seed)
-            for lp in loops:
-                extent = float(np.max(np.abs(transport._lasso_vertices([lp], pair.n)[0])))
+            verts = transport._lasso_vertices(loops, pair.n)
+            for extent in np.max(np.abs(verts), axis=(1, 2)).tolist():
                 assert extent < radius and fm.certifies(extent)
             d, _, extents = parallel_transport(fm, loops)
-            assert len(d) == len(loops) and extents.max() < radius
+            assert len(d) == len(loops[0]) and extents.max() < radius
 
 
 def test_singular_lasso_fails_bound_and_is_refused():
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
     assert fm.bound == 1  # g(x) = (1 - |x|^2 / 2) I: radius 1, singular at |x|^2 = 2
-    bad = LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)
+    bad = loops_of(((math.sqrt(2.0), 0.0), (0, 1), 1e-2))
     assert not fm.certifies(math.sqrt(2.0) + 1e-2)
     with pytest.raises(SingularMetricError, match="not certified regular"):
-        parallel_transport(fm, [bad])
+        parallel_transport(fm, bad)
 
 
 def test_regular_loop_beyond_radius_is_refused(monkeypatch):
@@ -493,14 +586,14 @@ def test_regular_loop_beyond_radius_is_refused(monkeypatch):
     monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1)])
     fm = FloatMetric.from_exact(qm)
-    inside = LoopSpec((0.98, 0.0), (0, 1), 1e-2)    # extent 0.99
-    beyond = LoopSpec((0.995, 0.0), (0, 1), 1e-2)   # extent 1.005
-    a = transports(fm, [inside])
+    inside = loops_of(((0.98, 0.0), (0, 1), 1e-2))    # extent 0.99
+    beyond = loops_of(((0.995, 0.0), (0, 1), 1e-2))   # extent 1.005
+    a = transports(fm, inside)
     assert np.isfinite(a).all()
     assert metric_drift(fm, a)[0] < 1e-8
     assert abs(abs(np.linalg.det(a[0])) - 1.0) < 1e-9
     with pytest.raises(SingularMetricError) as info:
-        parallel_transport(fm, [beyond])
+        parallel_transport(fm, beyond)
     message = str(info.value)
     assert "plane (0, 1)" in message and "[0.995, 0.0]" in message
     assert "1.005" in message and "radius 1.0" in message
@@ -512,7 +605,7 @@ def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
     kernel_calls = []
     monkeypatch.setattr(kernels, "transport_polyline",
                         lambda *args: kernel_calls.append(args))
-    loops = standard_loops(2, seed=0) + [LoopSpec((math.sqrt(2.0), 0.0), (0, 1), 1e-2)]
+    loops = joined(standard_loops(2, seed=0), loops_of(((math.sqrt(2.0), 0.0), (0, 1), 1e-2)))
     with pytest.raises(SingularMetricError):
         parallel_transport(fm, loops)
     with pytest.raises(SingularMetricError):
@@ -532,9 +625,9 @@ def test_step_error_estimate_tracks_true_error(monkeypatch):
         pair, qm = realized(blocks)
         fm = FloatMetric.from_exact(qm)
         n = pair.n
-        coarse = LoopSpec((0.0,) * n, (0, n - 1), 0.3)
-        (d,), (step_error,), _ = parallel_transport(fm, [coarse])
-        verts = transport._lasso_vertices([coarse], n)[0]
+        coarse = loops_of(((0.0,) * n, (0, n - 1), 0.3))
+        (d,), (step_error,), _ = parallel_transport(fm, coarse)
+        verts = transport._lasso_vertices(coarse, n)[0]
         fine = transport_polyline_ref(fm.g0, fm.B, verts[1:-1], [400] * 4)
         true = float(np.max(np.abs(d + np.eye(n) - fine)))
         assert step_error > 1e-12
@@ -553,11 +646,11 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
         rmap = r_formal(pair)
         curved = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()}
         fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
-        flat_runs.append((fm, [lp for lp in standard_loops(pair.n, seed=0)
-                               if lp.plane not in curved]))
+        loops = standard_loops(pair.n, seed=0)
+        flat_runs.append((fm, loop_rows(loops, ~in_planes(loops, curved))))
         if len(eigenvalues) == 1:  # a probe spec
-            curved_runs += [(fm, [lp for lp in standard_loops(pair.n, seed=seed)
-                                  if lp.plane in curved]) for seed in (0, 1, 2)]
+            curved_runs += [(fm, loop_rows(loops, in_planes(loops, curved)))
+                            for loops in (standard_loops(pair.n, seed=seed) for seed in (0, 1, 2))]
 
     def worst(steps):
         monkeypatch.setattr(transport, "STEPS", steps)
