@@ -80,13 +80,12 @@ def r_formal(pair: CanonicalPair) -> np.ndarray:
 
     R(X)[a, q] = sum_cb T[a, c, b, q] X[c, b] and wedge(e_i, e_j) = E_ij g,
     so with Tg[i, d, a, q] = sum_b T[a, i, b, q] g[d, b] the value on
-    (i, j) is Tg[i, j] - Tg[j, i]: two sums of n products.
+    (i, j) is Tg[i, j] - Tg[j, i], with Tg[i, d] = sign[d] T[:, i, perm[d]].
     """
-    n = pair.n
-    t, g = narrowed(2 * n * max_abs(pair.block_tensor) * max_abs(pair.g),
-                    pair.block_tensor, pair.g)
-    tg = (g @ t.transpose(1, 2, 0, 3).reshape(n, n, n * n)).reshape((n,) * 4)
-    rows, cols = wedge_index(n)
+    perm, sign = pair.involution
+    t, = narrowed(2 * max_abs(pair.block_tensor), pair.block_tensor)
+    tg = sign[:, None, None] * t.transpose(1, 2, 0, 3)[:, perm]
+    rows, cols = wedge_index(pair.n)
     return tg[rows, cols] - tg[cols, rows]
 
 
@@ -122,15 +121,16 @@ def check_bianchi(values: np.ndarray) -> BianchiReport:
     return BianchiReport(False, (int(rows[w]), int(cols[w]), k), worst)
 
 
-def check_sectional(values: np.ndarray, g: np.ndarray, L: tuple) -> bool:
-    """[R(X), L] = 0 and g-skewness of R(X) on every basis element.
+def check_sectional(values: np.ndarray, involution: tuple, L: tuple) -> bool:
+    """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for g of
+    ``involution`` (perm, sign): g R(X) = -(R(X)^T g) = -(g R(X))^T, a gather.
 
     Both conditions are linear in R and in L, so the numerators decide them.
     """
-    bound = max_abs(values) * max(max_abs(L[0]), max_abs(g)) * g.shape[0]
-    vals, l, g = narrowed(bound, values, L[0], g)
-    return bool((vals @ l == l @ vals).all()
-                and (g @ vals == -(vals.transpose(0, 2, 1) @ g)).all())
+    perm, sign = involution
+    vals, l = narrowed(max_abs(values) * max_abs(L[0]) * len(perm), values, L[0])
+    gv = sign[:, None] * vals[:, perm]
+    return bool((vals @ l == l @ vals).all() and (gv == -gv.transpose(0, 2, 1)).all())
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,11 @@ def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> BergerCertifica
     of the values before it.  The witness values are independent; with
     containment and equal ranks they span g_L.
     """
-    system = commutator_system(pair.g, pair.L[0])  # linear in L: its numerator decides
+    system = commutator_system(pair.involution, pair.L[0])  # linear in L: its numerator decides
     dim_gL = system.shape[1] - rank(system)
     pivots = pivot_columns(rmap.reshape(len(rmap), pair.n ** 2).T)
     rows, cols = wedge_index(pair.n)
     return BergerCertificate(dim_gL, len(pivots), check_bianchi(rmap).ok,
-                             check_sectional(rmap, pair.g, pair.L),
+                             check_sectional(rmap, pair.involution, pair.L),
                              tuple((int(rows[k]), int(cols[k])) for k in pivots),
                              rmap[pivots])

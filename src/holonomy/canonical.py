@@ -3,8 +3,8 @@
 A pencil spec lists real eigenvalues, each with Jordan block sizes and
 signs.  The canonical form puts, for every block, an upper-shift Jordan
 block (plus lambda on the diagonal) into L and a signed antidiagonal of
-ones into g; blocks are concatenated diagonally.  In this basis g is
-symmetric and invertible and gL is symmetric, i.e. L is g-symmetric.
+ones into g; blocks are concatenated diagonally.  In this basis g is a
+signed involution, g = g^T = g^{-1}, and gL is symmetric: L is g-symmetric.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .exactla import max_abs, narrowed, rank
+from .exactla import max_abs, narrowed, signed_involution
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -126,17 +127,20 @@ def make_pencil(eigens: Iterable) -> PencilSpec:
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse a rational written as "p", "p/q" or a decimal (base 10, '-' or
-    U+2212 minus) of at most MAX_RATIONAL_LEN characters.
+    """Parse a rational written as "p", "p/q" or a decimal (ASCII digits in
+    base 10, '-' or U+2212 minus) of at most MAX_RATIONAL_LEN characters.
 
     Exponent notation is refused: "1e999999999" would build its integer
-    before any size check could run.
+    before any size check could run.  Only ASCII digits pass, without the
+    underscores that ``Fraction`` takes on Python 3.11 but not on 3.10.
     """
     s = text.strip().replace("−", "-")
     if len(s) > MAX_RATIONAL_LEN:
         raise ValueError(f"rational longer than {MAX_RATIONAL_LEN} characters")
     if "e" in s.lower():
         raise ValueError("exponent notation is not accepted")
+    if not re.fullmatch(r"[+-]?[0-9]*(\.[0-9]*|/[0-9]+)?", s):
+        raise ValueError("not a rational")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -242,6 +246,11 @@ class CanonicalPair:
         from .berger import block_tensor  # berger imports this module
         return block_tensor(self)
 
+    @functools.cached_property
+    def involution(self) -> tuple:
+        """``exactla.signed_involution(self.g)``, checked on first use and kept."""
+        return signed_involution(self.g)
+
 
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
@@ -261,7 +270,6 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
             placed.append(PlacedBlock(off, b.size, b.sign))
             off += b.size
         layout.append(EigenLayout(eig.lam, tuple(placed)))
-    g, = narrowed(1, g)  # a signed permutation
     return CanonicalPair(g, (*narrowed(max_abs(num), num), den), tuple(layout))
 
 
@@ -272,20 +280,15 @@ class PairReport:
 
 
 def validate_pair(g: np.ndarray, L: tuple) -> PairReport:
-    """Check g symmetric, g invertible, and gL symmetric; report failures.
-
-    ``g`` is an int array and ``L`` is ``(num, den)``.
-    """
-    l = L[0]
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape != l.shape:
-        raise ValueError("g and L must be square matrices of equal size")
-    failures = []
-    if not (g == g.T).all():
-        failures.append("g is not symmetric")
-    elif rank(g) != g.shape[0]:
-        failures.append("g is degenerate")
-    g, l = narrowed(max_abs(g) * max_abs(l) * g.shape[0], g, l)
-    gl = g @ l
-    if not (gl == gl.T).all():
-        failures.append("gL is not symmetric (L is not g-symmetric)")
-    return PairReport(not failures, tuple(failures))
+    """Check that the int array g is a signed involution and that gL is
+    symmetric, for L = ``(num, den)``; report failures."""
+    l, = narrowed(max_abs(L[0]), L[0])  # a gather adds nothing to |l|
+    if g.shape != l.shape:
+        raise ValueError("g and L must be matrices of equal shape")
+    try:
+        perm, sign = signed_involution(g)
+    except ValueError as exc:
+        return PairReport(False, (str(exc),))
+    gl = sign[:, None] * l[perm]
+    ok = bool((gl == gl.T).all())
+    return PairReport(ok, () if ok else ("gL is not symmetric (L is not g-symmetric)",))

@@ -20,8 +20,8 @@ Arrays keep the dtype their bound proved; a scalar leaves an array for a
 ``Fraction``, a denominator or a report only as a Python int.
 
 Rank and pivot columns come from one fraction-free forward elimination
-on rows of Python ints (Bareiss 1968).  No inverse is ever computed: the
-one matrix the package would invert, a canonical g, is its own inverse.
+on rows of Python ints (Bareiss 1968).  No inverse is ever computed: a
+canonical g = g^T = g^{-1} is a signed permutation (``signed_involution``).
 """
 
 from __future__ import annotations
@@ -53,6 +53,30 @@ def narrowed(bound: int, *arrays) -> tuple:
     """
     dtype = np.int64 if bound < INT64_LIMIT else object
     return tuple(a.astype(dtype, copy=False) for a in arrays)
+
+
+def first_mismatch(a: np.ndarray, b: np.ndarray):
+    """Lexicographically first index where two arrays differ, or None."""
+    bad = a != b
+    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+def signed_involution(g: np.ndarray) -> tuple:
+    """``(perm, sign)`` for a symmetric g whose row i has the one nonzero entry
+    g[i, perm[i]] = sign[i] = +-1: then g @ x = sign[:, None] * x[perm] and
+    x @ g = x[..., perm] * sign.  Any other g raises ValueError naming the
+    first entry where it differs from that signed permutation or its transpose.
+    """
+    rows = np.arange(len(g))
+    if g.shape != (len(g),) * 2:
+        raise ValueError("g must be a square matrix")
+    perm = np.abs(g).argmax(axis=1)
+    want = np.zeros(g.shape, dtype=np.int64)
+    want[rows, perm] = sign = np.where(g[rows, perm] < 0, -1, 1)
+    at = first_mismatch(g, want) or first_mismatch(g, want.T)
+    if at is not None:
+        raise ValueError(f"g is not a signed involution: bad entry {at}")
+    return perm, sign
 
 
 def pivot_columns(a) -> list:

@@ -29,9 +29,8 @@ def wedge_rows(a: np.ndarray) -> np.ndarray:
     """The stack {E_ij a}_{i<j} in ``wedge_index`` order, as (m, n, n).
 
     E_ij a has row i equal to a[j], row j equal to -a[i] and zeros elsewhere;
-    the stack has the dtype of ``a``.  For a symmetric g, ``wedge_rows(g)``
-    is the wedge basis {wedge(e_i, e_j)}_{i<j} of so(g), independent when g
-    is invertible.
+    the stack has the dtype of ``a``; ``wedge_rows(g)`` is the wedge basis
+    {wedge(e_i, e_j)}_{i<j} of so(g).
     """
     n = a.shape[0]
     rows, cols = wedge_index(n)
@@ -42,17 +41,18 @@ def wedge_rows(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def commutator_system(g: np.ndarray, l: np.ndarray) -> np.ndarray:
+def commutator_system(involution: tuple, l: np.ndarray) -> np.ndarray:
     """The (n^2, m) matrix whose column k is W_k l - l W_k, where
     W_k = wedge(e_i, e_j) = E_k g for the k-th pair (i, j) of ``wedge_index``.
 
     Its kernel holds the wedge coordinates of the elements of so(g) that
     commute with l, so dim g_L = m - rank.  Built without the basis: with
-    W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g.  Each of
-    the two terms sums n products, so 2 |g| |l| n bounds every partial sum;
-    the system keeps the dtype that bound chose.
+    W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g, where both
+    products with g are gathers along its ``involution`` (perm, sign); so
+    2 |l| bounds every entry, and the system keeps the dtype that bound chose.
     """
-    n = g.shape[0]
-    g, l = narrowed(2 * max_abs(g) * max_abs(l) * n, g, l)
-    s = wedge_rows(g @ l) + wedge_rows(l.T).transpose(0, 2, 1) @ g
-    return s.reshape(len(s), n * n).T
+    perm, sign = involution
+    l, = narrowed(2 * max_abs(l), l)
+    s = (wedge_rows(sign[:, None] * l[perm])
+         + wedge_rows(l.T).transpose(0, 2, 1)[..., perm] * sign)
+    return s.reshape(len(s), l.size).T

@@ -8,8 +8,8 @@ The lowered tensor is one (n, n, n, n) integer array over one common
 denominator (the ``exactla`` format).  Every exact check on it (symmetry,
 covariant constancy, g(x)-symmetry, both Riemann routes) is a numpy
 contraction with no index loop, in int64 where ``exactla.narrowed``
-proves it safe and on Python ints otherwise.  Nothing is inverted: a
-canonical g0 is its own inverse, which ``_own_inverse`` checks exactly.
+proves it safe and on Python ints otherwise.  Nothing is inverted: g0 must
+be a signed involution (``exactla.signed_involution``): products are gathers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .berger import RealizationError
 from .canonical import CanonicalPair
-from .exactla import max_abs, narrowed
+from .exactla import first_mismatch, max_abs, narrowed, signed_involution
 from .liealg import wedge_index
 
 
@@ -33,7 +33,7 @@ class QuadraticMetric:
     integer array (see ``exactla``) and ``den`` one positive int.  B[i, j, p, q]
     is symmetric in (i, j) and in (p, q); the metric value at x adds
     B[i, j, p, q] x^p x^q to g0[i, j].  The curvature and the invertibility
-    bound read g0 as its own inverse, which a canonical g0 is.
+    bound refuse a g0 that is not a signed involution, as a canonical g0 is.
     """
 
     g0: np.ndarray
@@ -45,25 +45,6 @@ class QuadraticMetric:
         return self.g0.shape[0]
 
 
-def _first_mismatch(a: np.ndarray, b: np.ndarray):
-    """Lexicographically first index where two arrays differ, or None."""
-    bad = np.argwhere(a != b)
-    return tuple(int(v) for v in bad[0]) if len(bad) else None
-
-
-def _own_inverse(g0: np.ndarray) -> np.ndarray:
-    """g0, which must be its own inverse: raises ValueError naming the first
-    entry where g0 @ g0 differs from I.  A canonical g0, a signed
-    antidiagonal of ones on each Jordan block, passes."""
-    n = g0.shape[0]
-    # an entry of g0 @ g0 sums n products of two g0 entries
-    g, = narrowed(max_abs(g0) ** 2 * n, g0)
-    at = _first_mismatch(g @ g, np.eye(n, dtype=np.int64))
-    if at is not None:
-        raise ValueError(f"g0 is not its own inverse: g0 @ g0 differs from I at {at}")
-    return g0
-
-
 def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
     """The metric of B = -t / 2 (t is ``pair.block_tensor`` in the pipeline)
     with both upper indices lowered: num = -(g0 (x) g0) t over den 2.
@@ -71,28 +52,27 @@ def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
     g0 J^a is symmetric for a canonical g0, so the result is symmetric in
     (i, j) and in (p, q).  Both symmetries are checked exactly.
     """
-    n = g0.shape[0]
-    if g0.shape != (n, n) or t.shape != (n,) * 4:
+    if t.shape != (len(g0),) * 4:
         raise ValueError("shape mismatch")
-    # an entry sums n^2 products of two g0 entries and one t entry
-    g, t = narrowed(max_abs(g0) ** 2 * max_abs(t) * n * n, g0, t)
-    num = -(g @ (g @ t.reshape(n, n ** 3)).reshape((n,) * 4))
+    perm, sign = signed_involution(g0)
+    t, = narrowed(max_abs(t), t)  # num[i, j, p, q] = -sign[i] sign[p] t[perm[i], j, perm[p], q]
+    num = -sign[:, None, None, None] * (sign[:, None] * t[perm][:, :, perm])
     for axes, where in (((0, 1, 3, 2), "(p, q)"), ((1, 0, 2, 3), "(i, j)")):
-        at = _first_mismatch(num, num.transpose(axes))
+        at = first_mismatch(num, num.transpose(axes))
         if at is not None:
             raise RealizationError(f"lowered tensor not symmetric in {where} at {at}")
     return QuadraticMetric(g0, num, 2)
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:
-    """Exact c = |g0^{-1}|_inf * max_i sum_jpq |B_ijpq|, where g0^{-1} = g0.
+    """Exact c = |g0^{-1}|_inf * max_i sum_jpq |B_ijpq|, where |g0^{-1}|_inf = 1.
 
     |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
     invertible wherever |x|_inf^2 * c < 1.
     """
-    g0_norm = int(np.abs(_own_inverse(qm.g0)).sum(axis=1).max())
+    signed_involution(qm.g0)  # refuses any other g0
     num, = narrowed(max_abs(qm.num) * qm.n ** 3, qm.num)
-    return g0_norm * Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
+    return Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
 
 
 def validity_radius(bound: Fraction) -> float:
@@ -132,25 +112,22 @@ def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     Route two assembles first derivatives of the Christoffel symbols at 0
     (the symbols vanish there, so the quadratic terms drop):
         R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}.
-    Both routes read g^{-1} as g0 (see ``_own_inverse``) and must agree
-    entry for entry; a mismatch raises.
+    Both routes read g^{-1} as g0, a signed involution, so the sums over s
+    are gathers; the routes must agree entry for entry, and a mismatch raises.
     """
-    n = qm.n
-    ginv = _own_inverse(qm.g0)
-    # a route adds at most 4 (direct) or 2 * 3 (via Gamma) sums over s
-    ginv, b = narrowed(max_abs(ginv) * max_abs(qm.num) * n * 6, ginv, qm.num)
+    perm, sign = signed_involution(qm.g0)
+    b, = narrowed(max_abs(qm.num) * 6, qm.num)  # a route adds at most 4 or 2 * 3 entries
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
-    # scaled by qm.den
-    direct = np.einsum("is,absk->abik", ginv,
-                       np.einsum("bsak->absk", b) + np.einsum("akbs->absk", b)
-                       - np.einsum("bkas->absk", b) - np.einsum("asbk->absk", b))
-    dgamma = np.einsum("is,asbk->aibk", ginv,
-                       np.einsum("skba->asbk", b) + np.einsum("sbka->asbk", b)
-                       - np.einsum("bksa->asbk", b))
+    # scaled by qm.den; the sum g^{is} x_s is the gather sign[i] x_perm[i]
+    direct = (np.einsum("bsak->absk", b) + np.einsum("akbs->absk", b)
+              - np.einsum("bkas->absk", b) - np.einsum("asbk->absk", b))
+    direct = sign[:, None] * direct[:, :, perm]
+    dgamma = np.einsum("skba->asbk", b) + np.einsum("sbka->asbk", b) - np.einsum("bksa->asbk", b)
+    dgamma = sign[:, None, None] * dgamma[:, perm]
     via_gamma = np.einsum("aibk->abik", dgamma) - np.einsum("biak->abik", dgamma)
 
-    rows, cols = wedge_index(n)
-    at = _first_mismatch(direct[rows, cols], via_gamma[rows, cols])
+    rows, cols = wedge_index(qm.n)
+    at = first_mismatch(direct[rows, cols], via_gamma[rows, cols])
     if at is not None:
         raise RealizationError(f"curvature routes disagree on wedge ({rows[at[0]]}, {cols[at[0]]})")
     return direct[rows, cols], qm.den

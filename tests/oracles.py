@@ -9,12 +9,16 @@ Matrices here are object arrays of Fractions.  The package's integer
 arrays (int64 or Python ints) are read as Python ints on entry, since a
 Fraction built from an np.int64 keeps it and can wrap around.  The
 ``*_ref`` functions are earlier index-loop versions of the exact stages,
-run on Fractions, for differential tests against the package: the
-Fraction elimination (``_rref`` and the rank, kernel and inverse on it),
-the so(g) wedge basis, the centralizer system, the greedy Berger witness
-loop, the block tensor summed from per-term block-power matrices, the
-realization checks and the Bianchi check.  Curvature maps are passed as
-their values, denominator and g; ``wedge_tags`` is the reference order of
+for differential tests against the package: the Fraction elimination
+(``_rref`` and the rank, kernel and inverse on it), the so(g) wedge
+basis, the centralizer system, the greedy Berger witness loop and the
+block tensor summed from per-term block-power matrices run on Fractions;
+the realization checks, the Riemann routes and the Bianchi and
+containment checks are linear in their inputs and run on Python-int
+numerators, the Riemann routes dividing once at the end.  Every product
+with g here is a dense product, never the package's gather.  Curvature
+maps are passed as their values, with a denominator where an oracle
+divides and g where it multiplies; ``wedge_tags`` is the reference order of
 those values, and no oracle reads the package's ``wedge_index``, so the
 references do not depend on the code they check.  The float helpers
 evaluate the metric and its Christoffel symbols at one point, and
@@ -36,7 +40,7 @@ from holonomy.probe import transport
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import QuadraticMetric, RealizationError
 
-from helpers import all_blocks, fractions
+from helpers import all_blocks, fractions, int_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -492,22 +496,23 @@ def check_nablaL_ref(qm: QuadraticMetric, L: tuple) -> bool:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
-    summed over b, for every (i, p, q, k).
+    summed over b, for every (i, p, q, k).  Both sides are linear in B and
+    in L, so they run on the Python-int numerators of both.
     """
     n = qm.n
-    low = lowered(qm)
-    L = fractions(*L)
-    lnz = [[(b, L[b, c]) for b in range(n) if L[b, c]] for c in range(n)]
+    low = qm.num.tolist()
+    L = np.asarray(L[0]).tolist()
+    lnz = [[(b, L[b][c]) for b in range(n) if L[b][c]] for c in range(n)]
     for i in range(n):
         for p in range(n):
             for q in range(n):
                 for k in range(n):
-                    lhs = _ZERO
+                    lhs = 0
                     for b, lv in lnz[k]:
                         t = low[i][p][b][q] - low[i][b][p][q]
                         if t:
                             lhs += t * lv
-                    rhs = _ZERO
+                    rhs = 0
                     for b, lv in lnz[p]:
                         t = low[b][i][k][q] - low[i][k][b][q]
                         if t:
@@ -518,21 +523,22 @@ def check_nablaL_ref(qm: QuadraticMetric, L: tuple) -> bool:
 
 
 def check_gsym_ref(qm: QuadraticMetric, L: tuple) -> bool:
-    """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
+    """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j,
+    on the Python-int numerators of B and L (both sides are linear in each)."""
     n = qm.n
-    low = lowered(qm)
-    L = fractions(*L)
-    lnz = [[(i, L[i, c]) for i in range(n) if L[i, c]] for c in range(n)]
+    low = qm.num.tolist()
+    L = np.asarray(L[0]).tolist()
+    lnz = [[(i, L[i][c]) for i in range(n) if L[i][c]] for c in range(n)]
     for j in range(n):
         for l in range(n):
             for p in range(n):
                 for q in range(n):
-                    lhs = _ZERO
+                    lhs = 0
                     for i, lv in lnz[l]:
                         t = low[i][j][p][q]
                         if t:
                             lhs += t * lv
-                    rhs = _ZERO
+                    rhs = 0
                     for i, lv in lnz[j]:
                         t = low[i][l][p][q]
                         if t:
@@ -551,76 +557,75 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> np.ndarray:
     Route two assembles first derivatives of the Christoffel symbols at 0
     (the symbols vanish there, so the quadratic terms drop):
         R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}.
-    Both routes must agree entry for entry; a mismatch raises.
+    Both routes must agree entry for entry; a mismatch raises.  g^{-1} is
+    the Fraction inverse of g0; both routes run on the Python-int
+    numerators of B and of g^{-1}, and the values are divided by the two
+    denominators once at the end.
     """
     n = qm.n
-    low = lowered(qm)
-    ginv = inverse_ref(qm.g0)
+    low = qm.num.tolist()
+    ginv, gden = int_form(inverse_ref(qm.g0))
     ginv_nz = [[(s, ginv[i, s]) for s in range(n) if ginv[i, s]] for i in range(n)]
 
-    def route_direct(a: int, b: int) -> np.ndarray:
+    def route_direct(a: int, b: int) -> list:
         e = []
         for i in range(n):
             row = []
             for k in range(n):
-                acc = _ZERO
+                acc = 0
                 for s, gv in ginv_nz[i]:
                     t = low[b][s][a][k] + low[a][k][b][s] - low[b][k][a][s] - low[a][s][b][k]
                     if t:
                         acc += gv * t
                 row.append(acc)
-            e.extend(row)
-        return np.array(e, dtype=object).reshape(n, n)
+            e.append(row)
+        return e
 
     # dGamma[a][i][b][k] = d_a Gamma^i_{bk} at 0
-    def dgamma(a: int, i: int, b: int, k: int) -> Fraction:
-        acc = _ZERO
+    def dgamma(a: int, i: int, b: int, k: int) -> int:
+        acc = 0
         for s, gv in ginv_nz[i]:
             t = low[s][k][b][a] + low[s][b][k][a] - low[b][k][s][a]
             if t:
                 acc += gv * t
         return acc
 
-    def route_christoffel(a: int, b: int) -> np.ndarray:
-        e = []
-        for i in range(n):
-            for k in range(n):
-                e.append(dgamma(a, i, b, k) - dgamma(b, i, a, k))
-        return np.array(e, dtype=object).reshape(n, n)
+    def route_christoffel(a: int, b: int) -> list:
+        return [[dgamma(a, i, b, k) - dgamma(b, i, a, k) for k in range(n)] for i in range(n)]
 
     tags = tuple(wedge_tags(n))
     values = []
     for a, b in tags:
         direct = route_direct(a, b)
         via_gamma = route_christoffel(a, b)
-        if not np.array_equal(direct, via_gamma):
+        if direct != via_gamma:
             raise RealizationError(
                 f"curvature routes disagree on wedge ({a}, {b})")
         values.append(direct)
-    return np.array(values, dtype=object).reshape(len(tags), n, n)
+    return fractions(np.array(values, dtype=object).reshape(len(tags), n, n), qm.den * gden)
 
 
-def check_bianchi_ref(values, den) -> BianchiReport:
+def check_bianchi_ref(values) -> BianchiReport:
     """Exhaustive first-Bianchi check over standard basis vector triples, on
-    the map with values num / den in ``wedge_tags`` order.
+    the map with integer values in ``wedge_tags`` order.
 
     Multilinearity makes basis triples sufficient; triples with repeated
     indices are included (they cost nothing and must vanish identically).
-    The violation is reported in the units of ``values``, as the package
-    reports it.
+    The check is linear in the values, so it runs on them as Python ints,
+    and the violation is in their units, as the package reports it.
     """
     n = values.shape[1]
     ok = True
-    worst = _ZERO
+    worst = 0
     witness = None
     cols = {}
-    for (i, j), v in zip(wedge_tags(n), fractions(values, den), strict=True):
+    for (i, j), v in zip(wedge_tags(n), np.asarray(values, dtype=object).tolist(), strict=True):
         for k in range(n):
-            cols[(i, j, k)] = [v[r, k] for r in range(n)]
+            cols[(i, j, k)] = [v[r][k] for r in range(n)]
 
     def col(a: int, b: int, k: int) -> list:
         if a == b:
-            return [_ZERO] * n
+            return [0] * n
         if a < b:
             return cols[(a, b, k)]
         return [-x for x in cols[(b, a, k)]]
@@ -631,7 +636,7 @@ def check_bianchi_ref(values, den) -> BianchiReport:
                 c1 = col(i, j, k)
                 c2 = col(j, k, i)
                 c3 = col(k, i, j)
-                bad = _ZERO
+                bad = 0
                 for a, b, c in zip(c1, c2, c3):
                     s = a + b + c
                     if s:
@@ -641,14 +646,15 @@ def check_bianchi_ref(values, den) -> BianchiReport:
                     if bad > worst:
                         worst = bad
                         witness = (i, j, k)
-    return BianchiReport(ok, witness, worst * den)
+    return BianchiReport(ok, witness, worst)
 
 
-def check_sectional_ref(values, den, g, L: tuple) -> bool:
-    """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for the
-    map with values num / den."""
-    g, L = np.asarray(g, dtype=object), fractions(*L)
-    for v in fractions(values, den):
+def check_sectional_ref(values, g, L: tuple) -> bool:
+    """[R(X), L] = 0 and g-skewness of R(X) on every basis element, as
+    dense products with g.  Both conditions are linear in the values and in
+    L, so they run on the Python-int numerators of both."""
+    g, L = np.asarray(g, dtype=object), np.asarray(L[0], dtype=object)
+    for v in np.asarray(values, dtype=object):
         if (v @ L - L @ v).any():
             return False
         if (g @ v + v.T @ g).any():

@@ -172,15 +172,15 @@ def test_bianchi_detects_violation():
 
 def test_sectional_r_formal_and_zero_pass():
     pair = pair_of([(2, 1), (3, -1)])
-    assert check_sectional(r_formal(pair), pair.g, pair.L)
+    assert check_sectional(r_formal(pair), pair.involution, pair.L)
     zm = zero_map(pair.n)
-    assert check_sectional(zm, pair.g, pair.L)
+    assert check_sectional(zm, pair.involution, pair.L)
 
 
 def test_sectional_identity_map_fails():
     pair = pair_of([(1, 1), (2, 1)])
     base = wedge_rows(pair.g)
-    assert not check_sectional(base, pair.g, pair.L)
+    assert not check_sectional(base, pair.involution, pair.L)
 
 
 # -- certificate ----------------------------------------------------------------

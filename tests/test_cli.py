@@ -12,7 +12,7 @@ import pytest
 from holonomy.berger import r_formal
 from holonomy import canonical
 from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json
-from holonomy.cli import MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
+from holonomy.cli import ALL_STAGES, MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
 from oracles import wedge_tags
@@ -238,14 +238,11 @@ def test_report_is_strict_json_when_nothing_is_discarded(tmp_path, capsys):
     assert probe["sv_gap"] is None and probe["validity_radius"] > 0
 
 
-def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
-    import holonomy.berger
+def _count_calls(monkeypatch, targets) -> dict:
+    """Count the calls of each (module, name) target through every
+    ``holonomy`` module that bound it; returns the counts, filled as they happen."""
     import holonomy.probe  # noqa: F401  (so its bindings are counted too)
-    import holonomy.realize
 
-    # the block tensor is built once and both exact objects are read off it
-    targets = ((holonomy.berger, "block_tensor"), (holonomy.berger, "r_formal"),
-               (holonomy.realize, "lower_B"))
     counts = {name: 0 for _, name in targets}
     for module, name in targets:
         original = getattr(module, name)
@@ -257,10 +254,35 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("holonomy") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
+    import holonomy.berger
+    import holonomy.realize
+
+    # the block tensor is built once and both exact objects are read off it
+    counts = _count_calls(monkeypatch, ((holonomy.berger, "block_tensor"),
+                                        (holonomy.berger, "r_formal"),
+                                        (holonomy.realize, "lower_B")))
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec)))
     assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
     assert counts == {"block_tensor": 1, "r_formal": 1, "lower_B": 1}
+
+
+@pytest.mark.parametrize("stages, most", [(("berger",), 1), (ALL_STAGES, 5)], ids=["berger", "all"])
+def test_verify_checks_g_once_per_object(stages, most, tmp_path, monkeypatch):
+    # r_formal, the commutator system and the containment check share the
+    # pair's one check; validate_pair, lower_B, the Riemann routes and the
+    # invertibility bound each check the g they are handed
+    import holonomy.exactla
+
+    counts = _count_calls(monkeypatch, ((holonomy.exactla, "signed_involution"),))
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    report, code = cmd_verify(RunConfig(input=str(spec), stages=stages))
+    assert code == 0 and report["stages"]["berger"]["passed"]
+    assert 1 <= counts["signed_involution"] <= most
 
 
 def test_verify_stage_subset(tmp_path):

@@ -7,10 +7,11 @@ reads it as its own inverse; and the certificate's g_L (its dimension by
 rank-nullity, its basis the witness values) must match the Fraction
 kernel of the defining equations.  Each exact check runs on every
 single-entry perturbation of a correct input, once as the package's
-integer contraction and once as the earlier Fraction index loop kept in
-``oracles``.  The two must return the same verdicts, the same curvature
-(or both raise), and the same Bianchi witness; and each check must
-reject some of the perturbations.
+integer contraction (a gather wherever it multiplies by g) and once as the
+earlier index loop kept in ``oracles``, with dense g and the Fraction
+inverse of g0, on Python-int numerators.  The two must return the same
+verdicts, the same curvature (or both raise), and the same Bianchi
+witness; and each check must reject some of the perturbations.
 
 Each exact contraction runs in int64 or on Python ints, as an a-priori
 bound decides.  With the int64 limit at 0 every contraction takes the
@@ -136,7 +137,7 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
         pair = build_canonical(pencil_from_json(doc))
         n, l = pair.n, pair.L[0]
         w = so_basis_ref(pair.g)
-        assert np.array_equal(commutator_system(pair.g, l),
+        assert np.array_equal(commutator_system(pair.involution, l),
                               (w @ l - l @ w).reshape(len(w), n * n).T), name
         cert = berger_certificate(pair, r_formal(pair))
         kernel = centralizer_basis_ref(pair)
@@ -217,11 +218,11 @@ def test_curvature_checks_agree_with_loops_under_perturbation(case):
     for idx in np.ndindex(formal.shape):
         bad = formal.copy()
         bad[idx] += 1
-        got, want = check_bianchi(bad), check_bianchi_ref(bad, 1)
+        got, want = check_bianchi(bad), check_bianchi_ref(bad)
         assert (got.ok, got.witness, got.max_violation) == \
             (want.ok, want.witness, want.max_violation), idx
-        sectional = check_sectional(bad, pair.g, pair.L)
-        assert sectional == check_sectional_ref(bad, 1, pair.g, pair.L), idx
+        sectional = check_sectional(bad, pair.involution, pair.L)
+        assert sectional == check_sectional_ref(bad, pair.g, pair.L), idx
         rejected["bianchi"] += not got.ok
         rejected["sectional"] += not sectional
     assert rejected["bianchi"] and rejected["sectional"], rejected
@@ -273,16 +274,16 @@ def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
     report, code = cmd_verify(RunConfig(input=str(path),
                                         stages=("canonical", "berger", "realize")))
     # every contraction with L is too large for int64; those without it are
-    # not, and L itself fits only at 3e18 (g always does)
+    # not, and L itself fits only at 3e18, as does validate_pair's gather of
+    # it (g is never an operand: every product with it is a gather)
+    l_dtype = {"int64"} if lam == 3 * 10 ** 18 else {"object"}
     assert chosen == {"check_nablaL": {"object"}, "check_gsym": {"object"},
                       "check_sectional": {"object"}, "commutator_system": {"object"},
                       "check_bianchi": {"int64"}, "block_tensor": {"int64"},
                       "r_formal": {"int64"},
                       "lower_B": {"int64"}, "riemann_at_origin": {"int64"},
-                      "verify_realization": {"int64"}, "_own_inverse": {"int64"},
-                      "build_canonical": {"int64"} | ({"int64"} if lam == 3 * 10 ** 18
-                                                      else {"object"}),
-                      "validate_pair": {"object"}}
+                      "verify_realization": {"int64"},
+                      "build_canonical": l_dtype, "validate_pair": l_dtype}
     assert code == 0 and report["verdict"] == "pass"
     assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9
     assert report["stages"]["berger"]["image_rank"] == 9

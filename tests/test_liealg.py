@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy import build_canonical, make_pencil
-from holonomy.exactla import rank
+from holonomy import build_canonical, lower_B, make_pencil
+from holonomy.berger import RealizationError, check_sectional
+from holonomy.exactla import rank, signed_involution
 from holonomy.liealg import commutator_system, wedge_index, wedge_rows
 
 from helpers import certified_gl, fractions, int_form, mat, pair_of, unit
 from oracles import (
     centralizer_dim,
+    check_sectional_ref,
     commutator,
     is_g_skew,
     m_ij_basis,
@@ -92,20 +94,63 @@ def test_so_basis_euclidean_spans_antisymmetric():
         assert member_coords(e, basis) is not None
 
 
-@given(st.integers(2, 5), st.data())
+def _signed_involution(data, n: int) -> np.ndarray:
+    """A random symmetric signed permutation matrix: an involution of
+    disjoint transpositions, with one sign on each orbit."""
+    order = data.draw(st.permutations(range(n)))
+    perm = list(range(n))
+    for k in range(data.draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        perm[a], perm[b] = b, a
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    g = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        g[i, perm[i]] = signs[min(i, perm[i])]
+    return g
+
+
+def _lowered_ref(g, t):
+    """-(g (x) g) t as one dense contraction."""
+    return -np.einsum("ia,pc,ajcq->ijpq", g, g, t)
+
+
+@given(st.integers(1, 8), st.data())
 @settings(max_examples=30, deadline=None)
 def test_commutator_system_matches_basis_commutators(n, data):
-    # column k is W_k l - l W_k for any integer l, g-symmetric or not, and
-    # for any symmetric integer g, degenerate or not
-    ints = st.integers(-3, 3)
-    g = np.array(data.draw(st.lists(ints, min_size=n * n, max_size=n * n)),
-                 dtype=object).reshape(n, n)
-    g = g + g.T
-    l = np.array(data.draw(st.lists(ints, min_size=n * n, max_size=n * n)),
-                 dtype=object).reshape(n, n)
+    # every product with g is a gather along signed_involution(g); each is
+    # checked against dense products with g on a random signed involution.
+    # Column k of the system is W_k l - l W_k for any integer l, g-symmetric or not
+    g = _signed_involution(data, n)
+    involution = signed_involution(g)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    l = rng.integers(-3, 4, (n, n)).astype(object)
     w = so_basis_ref(g)
     want = (w @ l - l @ w).reshape(len(w), n * n).T
-    assert np.array_equal(commutator_system(g, l), want)
+    assert np.array_equal(commutator_system(involution, l), want)
+
+    # lower_B is -(g (x) g) t, refused when that is not symmetric in both
+    # index pairs: a random t, and (g (x) g) s with s symmetric in both
+    t = rng.integers(-3, 4, (n,) * 4)
+    s = t + t.transpose(1, 0, 2, 3)
+    s = s + s.transpose(0, 1, 3, 2)
+    for tensor in (t, -_lowered_ref(g, s)):
+        want = _lowered_ref(g, tensor)
+        if (want == want.transpose(1, 0, 2, 3)).all() and (want == want.transpose(0, 1, 3, 2)).all():
+            assert np.array_equal(lower_B(tensor, g).num, want)
+        else:
+            with pytest.raises(RealizationError, match="not symmetric"):
+                lower_B(tensor, g)
+
+    # check_sectional against the loop oracle with dense g: the so(g) basis
+    # passes with a scalar L, and an element v of so(g) with the g-symmetric
+    # v @ v, which commutes with v but is not in general symmetric; with l
+    # they pass only if they commute, and random values fail
+    scalar = int_form(np.eye(n, dtype=object) * Fraction(int(rng.integers(-3, 4)), 2))
+    v = np.tensordot(rng.integers(-2, 3, len(w)), w, 1)[None]
+    for values, L in ((w, scalar), (w, (l, 1)), (v, (v[0] @ v[0], 1)),
+                      (rng.integers(-3, 4, w.shape), (l, 1))):
+        assert check_sectional(values, involution, L) == check_sectional_ref(values, g, L)
+    assert check_sectional(w, involution, scalar) and check_sectional(v, involution, (v[0] @ v[0], 1))
 
 
 def test_centralizer_single_block_trivial():

@@ -13,10 +13,11 @@ from holonomy import (
     lower_B,
     make_pencil,
     r_formal,
+    validate_pair,
     verify_realization,
 )
 from holonomy.cli import RunConfig, cmd_verify
-from holonomy.exactla import INT64_LIMIT, max_abs, rank
+from holonomy.exactla import INT64_LIMIT, max_abs, rank, signed_involution
 from holonomy.liealg import wedge_rows
 from holonomy.probe.transport import FloatMetric
 from holonomy.realize import (
@@ -138,9 +139,10 @@ def test_lower_B_zero_tensor():
     low = lowered(qm)
     assert all(low[i][j][p][q] == 0
                for i in range(2) for j in range(2) for p in range(2) for q in range(2))
-    # with a zero tensor the dtype bound still covers g0's entries
+    # a g0 that is not a signed involution is refused, even with a zero tensor
     big = np.array([[10 ** 30, 0], [0, 1]], dtype=object)
-    assert not lower_B(zero, big).num.any()
+    with pytest.raises(ValueError, match=re.escape("bad entry (0, 0)")):
+        lower_B(zero, big)
 
 
 def test_lowered_symmetries():
@@ -284,14 +286,30 @@ def test_lower_B_rejects_asymmetric_point_indices():
         lower_B(np.einsum("aj,bq->ajbq", g, e01), g)
 
 
-@pytest.mark.parametrize("g0, at", [([[2, 0], [0, 1]], (0, 0)), ([[0, 1], [1, 1]], (0, 1))])
+@pytest.mark.parametrize("g0, at", [
+    ([[2, 0], [0, 1]], (0, 0)),  # an entry of 2
+    ([[0, 1], [1, 1]], (1, 1)),  # symmetric and invertible, with two entries in a row
+    ([[1, 0], [0, 0]], (1, 0)),  # degenerate: a zero row
+    ([[10 ** 30, 0], [0, 1]], (0, 0)),  # past int64
+    ([[0, -1, 0], [0, 0, 1], [1, 0, 0]], (0, 1)),  # a signed 3-cycle: not symmetric
+])
 def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
-    # both Riemann routes and the invertibility bound read g0 as its own
-    # inverse, which a canonical g0 is; any other g0 is refused by entry
-    qm = QuadraticMetric(np.array(g0, dtype=np.int64), np.ones((2,) * 4, dtype=np.int64), 2)
+    # every product with g0 is a gather along its (perm, sign), which a
+    # canonical g0, a signed involution, has; every entry point refuses any
+    # other g0 by its first bad entry, and validate_pair reports it
+    g0 = np.array(g0)  # int64, or object past int64
+    n = len(g0)
+    message = f"g is not a signed involution: bad entry {at}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        signed_involution(g0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lower_B(np.zeros((n,) * 4, dtype=np.int64), g0)
+    qm = QuadraticMetric(g0, np.ones((n,) * 4, dtype=np.int64), 2)
     for call in (riemann_at_origin, invertibility_bound, FloatMetric.from_exact):
-        with pytest.raises(ValueError, match=re.escape(f"differs from I at {at}")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             call(qm)
+    report = validate_pair(g0, int_form(np.zeros((n, n), dtype=object)))
+    assert not report.ok and report.failures == (message,)
 
 
 def test_validity_radius_positive():
