@@ -25,7 +25,7 @@ from .exactla import max_abs, narrowed, signed_involution
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
 MAX_DIM = 24
 # Largest accepted spec file in bytes.  The largest valid spec (MAX_DIM
-# blocks, MAX_RATIONAL_LEN-character lambdas, indented) is about 5 KB.
+# blocks, MAX_RATIONAL_LEN-character lambdas) is about 5 KB.
 MAX_SPEC_BYTES = 64 * 1024
 # Longest accepted eigenvalue string.  Together with the ban on exponent
 # notation this bounds the size of every integer an eigenvalue creates.

@@ -151,9 +151,11 @@ def cmd_verify(config: RunConfig) -> tuple:
 
 
 def _dumps(doc: dict) -> str:
-    """The one JSON text of a document, as written to stdout and to files;
-    strict JSON, so a non-finite float raises instead of writing Infinity."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The one JSON text of a document, as written to stdout and to files:
+    compact, one line, so the C encoder writes it (``python3 -m json.tool``
+    indents it); strict JSON, so a non-finite float raises instead of
+    writing Infinity."""
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:

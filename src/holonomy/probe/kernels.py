@@ -1,19 +1,19 @@
 """Hot float kernel: batched RK4 parallel transport along polylines.
 
 Array conventions (all float64):
-    g0    (n, n)           constant metric value at the origin
-    B     (n, n, n, n)     lowered quadratic coefficients B[i,j,p,q], converted
-                           once from the exact integer form as num / den
+    mats  (2, n^2, n^2)    g0 B and g0 C from ``contraction_matrices``: B and
+                           its Christoffel combination C with their rows
+                           (i, j) gathered along g0's involution; the rows
+                           (i, j) of g0 B with i > j are zero, so that
+                           g0 g(x) is upper triangular
     verts (L, V, n)        L polylines of V vertices each, transported together
     steps int              RK4 steps N on every segment of nonzero length, even
                            and at least 2; a segment of length 0 is the identity
-    mats  (2, n^2, n^2)    B and its Christoffel combination as matrices,
-                           from ``contraction_matrices``
     a, v  (S, n)           segment start and direction, x(s) = a + s v, s in [0, 1]
-                           (any leading shape in segment_terms)
-    G     (3, S, n, n)     metric along the segment, g(s) = G[0] + s G[1] + s^2 G[2]
-    R     (2, S, n, n)     Christoffel right-hand side R(s) = R[0] + s R[1], so that
-                           M(s) = Gamma(x(s))[v] = 1/2 g(s)^-1 R(s)
+    G     (3, n, n, S)     raised metric along the segment, h(s) = g0 g(x(s))
+                           = G[0] + s G[1] + s^2 G[2], with G[0] = I + g0 B(a, a)
+    R     (2, n, n, S)     raised Christoffel right-hand side g0 R(s) = R[0] + s R[1],
+                           so that M(s) = Gamma(x(s))[v] = 1/2 h(s)^-1 g0 R(s)
     m     (S, 2N + 1, n, n) M at the nodes s = j / (2N) of every segment
     D     (..., K, n, n)   RK4 increments: step k maps P to (I + D[..., k, :, :]) P
 
@@ -21,9 +21,12 @@ The transport ODE dP/ds = -M(s) P is linear, so every RK4 step is a matrix
 I + D.  The polylines of a call share many segments (the lassos at one
 basepoint share both tails, and squares share edges), so each distinct
 segment, by the exact bits of its (start, direction), is integrated once:
-M at all nodes of a batch of distinct segments comes from one batched
-solve, and the steps of each segment are combined pairwise in order into
-its increment.  Each loop then gathers its segments' increments by index
+M at all nodes of a batch of distinct segments comes from one back
+substitution on the upper triangular h, with the nodes on the last axis,
+and the steps of each segment are combined pairwise in order into its
+increment.  No pivot is zero on a certified polyline: there
+|g0 B(x, x)|_inf <= |x|_inf^2 c < 1, so every diagonal entry of h is
+positive.  Each loop then gathers its segments' increments by index
 (a zero increment for a segment of length 0), and they are
 combined pairwise in order, a batch of loops at a time.  The arithmetic
 on a segment does not depend on which other segments share its batch.
@@ -43,49 +46,56 @@ import numpy as np
 NODE_BUDGET = 1 << 17
 
 
-def contraction_matrices(B):
-    """B and C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q], each as an
-    (n^2, n^2) matrix, so that the polynomial terms along segments are GEMMs."""
+def contraction_matrices(B, involution):
+    """g0 B and g0 C, C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q], each
+    as an (n^2, n^2) matrix with rows (k, c), so that the polynomial terms
+    along segments are GEMMs.  g0 is the signed involution ``(perm, sign)``
+    of ``exactla.signed_involution``: raising k is the exact gather
+    sign[k] * row perm[k]."""
+    perm, sign = involution
     n = B.shape[0]
     C = B + B.transpose(0, 2, 1, 3) - B.transpose(2, 1, 0, 3)
-    return np.stack([B.reshape(n * n, n * n), C.reshape(n * n, n * n)])
+    return (np.stack([B, C])[:, perm] * sign[:, None, None, None]).reshape(2, n * n, n * n)
 
 
-def segment_terms(g0, mats, a, v):
-    """Polynomial coefficients (G, R) of the metric and of the Christoffel
-    right-hand side along the segments x(s) = a + s v.
+def segment_terms(mats, a, v):
+    """Polynomial coefficients (G, R) of the raised metric and of the raised
+    Christoffel right-hand side along the segments x(s) = a + s v.
 
     With d_p g_ij(x) = 2 B_ijpq x^q, the right-hand side is
     R(s)[k, c] = sum_b (d_b g_kc + d_c g_kb - d_k g_bc)(x(s)) v^b
-    = 2 sum_bq C[k,c,b,q] v^b x(s)^q, linear in x.
+    = 2 sum_bq C[k,c,b,q] v^b x(s)^q, linear in x; ``mats`` raises k.
     """
-    n = g0.shape[0]
+    n = a.shape[-1]
+    a, v = a.T, v.T
 
     def outer(x, y):
-        return (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (n * n,))
+        return (x[:, None] * y[None, :]).reshape(n * n, -1)
 
-    G = np.stack([outer(a, a), outer(a, v) + outer(v, a), outer(v, v)]) @ mats[0].T
-    R = np.stack([outer(v, a), outer(v, v)]) @ mats[1].T
-    G = G.reshape(G.shape[:-1] + (n, n))
-    G[0] += g0
-    R = 2.0 * R.reshape(R.shape[:-1] + (n, n))
-    return G, R
+    G = mats[0] @ np.stack([outer(a, a), outer(a, v) + outer(v, a), outer(v, v)])
+    R = mats[1] @ np.stack([outer(v, a), outer(v, v)])
+    G = G.reshape(3, n, n, -1)
+    G[0, np.arange(n), np.arange(n)] += 1.0
+    return G, 2.0 * R.reshape(2, n, n, -1)
 
 
 def segment_gamma(G, R, s):
-    """M(s) = 1/2 g(s)^-1 R(s) for G, R of shape (3|2, *batch, n, n) and s of
-    shape (*batch, K) or (K,): one batched solve, result (*batch, K, n, n)."""
-    s = s[..., None, None]
-    G = G[:, ..., None, :, :]
-    R = R[:, ..., None, :, :]
-    g = s * G[2]
-    g += G[1]
-    g *= s
-    g += G[0]
-    r = s * R[1]
-    r += R[0]
-    r *= 0.5
-    return np.linalg.solve(g, r)
+    """M(s) = 1/2 h(s)^-1 g0 R(s) for G, R of shape (3|2, n, n, S) and s of
+    shape (K,), by back substitution on the upper triangular h(s) with the
+    S K nodes on the last axis; result (n, n, S, K)."""
+    h = G[2][..., None] * s
+    h += G[1][..., None]
+    h *= s
+    h += G[0][..., None]
+    x = R[1][..., None] * s
+    x += R[0][..., None]
+    x *= 0.5
+    n = len(x)
+    for k in reversed(range(n)):
+        if k + 1 < n:
+            x[k] -= (h[k, k + 1:, None] * x[k + 1:]).sum(axis=0)
+        x[k] /= h[k, k]
+    return x
 
 
 def _combine(d):
@@ -120,10 +130,11 @@ def _rk4(m, h):
     return _combine(d)
 
 
-def _segment_runs(g0, mats, a, v, nsteps):
+def _segment_runs(mats, a, v, nsteps):
     """N-step and N/2-step increments, (2, S, n, n), of the segments a + s v."""
-    G, R = segment_terms(g0, mats, a, v)
+    G, R = segment_terms(mats, a, v)
     m = segment_gamma(G, R, np.arange(2 * nsteps + 1) / (2 * nsteps))
+    m = np.ascontiguousarray(m.transpose(2, 3, 0, 1))  # nodes first, for the batched GEMMs
     return _rk4(m, 1.0 / nsteps), _rk4(m[:, 0::2], 2.0 / nsteps)
 
 
@@ -135,8 +146,9 @@ def _batches(total, per_item):
     return [slice(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def transport_polyline(g0, B, verts, steps):
-    """Parallel transport along L polylines at once.
+def transport_polyline(mats, verts, steps):
+    """Parallel transport along L polylines at once, for the raised
+    contraction matrices ``mats`` of ``contraction_matrices``.
 
     Every segment of nonzero length takes ``steps`` fixed RK4 steps, an even
     count N of at least 2; a segment of length 0 is the identity.  Returns
@@ -158,7 +170,6 @@ def transport_polyline(g0, B, verts, steps):
     err = np.zeros(nloops)
     if not active.any():
         return d, err
-    mats = contraction_matrices(B)
     # the distinct active segments, equal when the bits of (start, direction) are
     key = np.ascontiguousarray(np.concatenate([a, v], axis=-1)[active])
     _, first, inverse = np.unique(key.view(np.dtype((np.void, key.itemsize * 2 * n))).ravel(),
@@ -167,7 +178,7 @@ def transport_polyline(g0, B, verts, steps):
     # slot len(first) stays zero: the increment of a segment of length 0
     runs = np.zeros((2, len(first) + 1, n, n))
     for part in _batches(len(first), (2 * steps + 1) * n * n):
-        runs[:, part] = _segment_runs(g0, mats, seg_a[part], seg_v[part], steps)
+        runs[:, part] = _segment_runs(mats, seg_a[part], seg_v[part], steps)
     index = np.full(active.shape, len(first))
     index[active] = inverse
     for part in _batches(nloops, 2 * (nverts - 1) * n * n):

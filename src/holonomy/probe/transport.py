@@ -37,6 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..berger import BergerCertificate
+from ..exactla import first_mismatch
 from ..liealg import wedge_index
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
@@ -67,21 +68,35 @@ class SingularMetricError(RuntimeError):
 class FloatMetric:
     """Float64 view of a quadratic metric, converted once per probe run.
 
+    ``involution`` is g0's ``(perm, sign)`` (``exactla.signed_involution``)
+    and ``B`` the lowered coefficient tensor.  ``mats`` holds the kernel's
+    raised contraction matrices, and the raised tensor g0 B must vanish at
+    every (i, j, p, q) with i > j, so that g0 g(x) is upper triangular;
+    any other B is refused with ``ValueError`` naming its first such entry.
     ``bound`` is the exact invertibility constant c of the metric, which
     certifies the loops the probe may transport.
     """
 
-    __slots__ = ("g0", "B", "n", "bound")
+    __slots__ = ("g0", "B", "n", "bound", "mats")
 
-    def __init__(self, g0: np.ndarray, B: np.ndarray, bound: Fraction) -> None:
-        self.g0 = np.ascontiguousarray(g0, dtype=np.float64)
+    def __init__(self, involution: tuple, B: np.ndarray, bound: Fraction) -> None:
+        perm, sign = involution
+        self.n = len(perm)
+        self.g0 = np.zeros((self.n, self.n))
+        self.g0[np.arange(self.n), perm] = sign
         self.B = np.ascontiguousarray(B, dtype=np.float64)
-        self.n = self.g0.shape[0]
         self.bound = bound
+        self.mats = kernels.contraction_matrices(self.B, involution)
+        raised = self.mats[0].reshape((self.n,) * 4)
+        lower = np.tri(self.n, k=-1, dtype=bool)[:, :, None, None]
+        at = first_mismatch(np.where(lower, raised, 0.0), np.zeros_like(raised))
+        if at is not None:
+            raise ValueError(f"g0 B has a nonzero entry below the diagonal at {at}: "
+                             f"g0 g(x) is not upper triangular")
 
     @classmethod
     def from_exact(cls, qm: QuadraticMetric) -> "FloatMetric":
-        return cls(qm.g0, qm.num.astype(np.float64) / qm.den, invertibility_bound(qm))
+        return cls(qm.involution, qm.num.astype(np.float64) / qm.den, invertibility_bound(qm))
 
     def certifies(self, extent: float) -> bool:
         """Exactly: is g(x) invertible for every |x|_inf <= extent?  An
@@ -160,10 +175,7 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
             f"loop in plane {tuple(planes[i].tolist())} at basepoint {basepoints[i].tolist()} "
             f"has extent |x|_inf = {extent!r}, not certified regular by the validity radius "
             f"{validity_radius(fm.bound)}")
-    try:
-        d, err = kernels.transport_polyline(fm.g0, fm.B, verts, STEPS)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("metric is singular on a loop") from exc
+    d, err = kernels.transport_polyline(fm.mats, verts, STEPS)
     if not (np.isfinite(d).all() and np.isfinite(err).all()):
         raise SingularMetricError("transport diverged; metric degenerates on the loop")
     return d, err, extents
@@ -233,8 +245,9 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     every membership residual stays below ``MEMBERSHIP_TOL``.
     """
     dim = cert.dim_gL
-    loops = _checked(loops, fm.n)
-    d, step_error, extent = parallel_transport(fm, loops)
+    d, step_error, extent = parallel_transport(fm, loops)  # checks the loop family
+    planes, basepoints, sides = loops  # as the check converts them
+    loops = planes, basepoints.astype(np.float64), sides.astype(np.float64)
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
     psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
     a = d + np.eye(fm.n)

@@ -14,6 +14,7 @@ be a signed involution (``exactla.signed_involution``): products are gathers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ class QuadraticMetric:
     integer array (see ``exactla``) and ``den`` one positive int.  B[i, j, p, q]
     is symmetric in (i, j) and in (p, q); the metric value at x adds
     B[i, j, p, q] x^p x^q to g0[i, j].  The curvature and the invertibility
-    bound refuse a g0 that is not a signed involution, as a canonical g0 is.
+    bound refuse a g0 that is not a signed involution, as a canonical g0 is;
+    ``involution`` keeps the check.
     """
 
     g0: np.ndarray
@@ -43,6 +45,11 @@ class QuadraticMetric:
     @property
     def n(self) -> int:
         return self.g0.shape[0]
+
+    @functools.cached_property
+    def involution(self) -> tuple:
+        """``exactla.signed_involution(self.g0)``, checked on first use and kept."""
+        return signed_involution(self.g0)
 
 
 def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
@@ -61,7 +68,9 @@ def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
         at = first_mismatch(num, num.transpose(axes))
         if at is not None:
             raise RealizationError(f"lowered tensor not symmetric in {where} at {at}")
-    return QuadraticMetric(g0, num, 2)
+    qm = QuadraticMetric(g0, num, 2)
+    vars(qm)["involution"] = perm, sign  # the check above, kept as the cached property
+    return qm
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:
@@ -70,7 +79,7 @@ def invertibility_bound(qm: QuadraticMetric) -> Fraction:
     |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
     invertible wherever |x|_inf^2 * c < 1.
     """
-    signed_involution(qm.g0)  # refuses any other g0
+    qm.involution  # refuses any other g0
     num, = narrowed(max_abs(qm.num) * qm.n ** 3, qm.num)
     return Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
 
@@ -115,7 +124,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     Both routes read g^{-1} as g0, a signed involution, so the sums over s
     are gathers; the routes must agree entry for entry, and a mismatch raises.
     """
-    perm, sign = signed_involution(qm.g0)
+    perm, sign = qm.involution
     b, = narrowed(max_abs(qm.num) * 6, qm.num)  # a route adds at most 4 or 2 * 3 entries
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
     # scaled by qm.den; the sum g^{is} x_s is the gather sign[i] x_perm[i]

@@ -39,6 +39,10 @@ TWO_EIGENVALUE_SPECS = [
 ]
 
 
+# The n = 24 spec of CI's smoke tests, one eigenvalue (-1/3 there).
+N24_BLOCKS = [(1, 1), (2, -1), (2, 1), (3, 1), (4, -1), (5, 1), (7, 1)]
+
+
 def pair_of(blocks, lam=0):
     """Canonical pair for a single eigenvalue with the given (size, sign) blocks."""
     return build_canonical(make_pencil([(Fraction(lam), blocks)]))

@@ -793,14 +793,9 @@ def christoffel(qm, x) -> np.ndarray:
 
 def nablaL_residual(qm, L, x) -> float:
     """Max-norm of the covariant derivative of the constant operator L at x."""
-    fm = _as_float_metric(qm)
     lf = np.asarray(L[0], float) / L[1] if isinstance(L, tuple) else np.asarray(L, float)
-    gamma = christoffel(qm, x)
-    worst = 0.0
-    for k in range(fm.n):
-        mk = gamma[:, k, :]
-        worst = max(worst, float(np.max(np.abs(mk @ lf - lf @ mk))))
-    return worst
+    m = christoffel(qm, x).transpose(1, 0, 2)  # m[k] = gamma[:, k, :]
+    return float(np.max(np.abs(m @ lf - lf @ m)))  # NaN propagates
 
 
 def block_element(pair: CanonicalPair, i: int, j: int, xij) -> np.ndarray:

@@ -50,7 +50,7 @@ from holonomy.realize import (
     riemann_at_origin,
 )
 
-from helpers import TWO_EIGENVALUE_SPECS, fractions, int_form, pair_of, record_dtypes
+from helpers import N24_BLOCKS, TWO_EIGENVALUE_SPECS, fractions, int_form, pair_of, record_dtypes
 from oracles import (
     block_tensor_ref,
     centralizer_basis_ref,
@@ -146,9 +146,6 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
         values = fractions(cert.basis).reshape(-1, n * n)
         stacked = np.array(kernel + values.tolist(), dtype=object).reshape(-1, n * n)
         assert len(values) == rank_ref(values) == rank_ref(stacked) == cert.dim_gL, name
-
-
-N24_BLOCKS = [(1, 1), (2, -1), (2, 1), (3, 1), (4, -1), (5, 1), (7, 1)]
 
 
 def test_block_tensor_matches_per_term_factors():

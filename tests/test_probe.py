@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from holonomy import berger_certificate, build_canonical, lower_B, make_pencil, r_formal
+from holonomy.canonical import pencil_from_json
+from holonomy.cli import iter_corpus_specs
 from holonomy.probe import transport
 from holonomy.probe import (
     FloatMetric,
@@ -21,7 +24,9 @@ from holonomy.probe import kernels
 from holonomy.realize import QuadraticMetric, invertibility_bound, validity_radius
 
 from helpers import (
+    N24_BLOCKS,
     PROBE_SPECS,
+    TWO_EIGENVALUE_SPECS,
     certificate,
     joined,
     logarithms,
@@ -89,7 +94,7 @@ def test_christoffel_zero_at_origin():
 
 def test_christoffel_flat_metric():
     pair = pair_of([(2, 1)])
-    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
+    flat = FloatMetric(pair.involution, np.zeros((2, 2, 2, 2)), Fraction(0))
     gamma = christoffel(flat, [0.3, -0.2])
     assert np.max(np.abs(gamma)) < 1e-15
 
@@ -111,7 +116,7 @@ def test_christoffel_symmetric_lower_indices():
 
 def test_flat_transport_is_identity():
     pair = pair_of([(2, 1)])
-    flat = FloatMetric(pair.g.astype(float), np.zeros((2, 2, 2, 2)), Fraction(0))
+    flat = FloatMetric(pair.involution, np.zeros((2, 2, 2, 2)), Fraction(0))
     (a,) = transports(flat, loops_of(((0.0, 0.0), (0, 1), 1e-2)))
     assert np.max(np.abs(a - np.eye(2))) < 1e-12
 
@@ -193,6 +198,20 @@ def test_transport_membership_and_drift():
         assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
 
 
+def test_span_checks_the_loop_family_once(monkeypatch):
+    calls = []
+    checked = transport._checked
+
+    def spy(loops, n):
+        calls.append(n)
+        return checked(loops, n)
+
+    monkeypatch.setattr(transport, "_checked", spy)
+    pair, qm = realized([(1, 1), (2, 1)])
+    rep = holonomy_span(FloatMetric.from_exact(qm), certificate(pair), standard_loops(3, seed=1))
+    assert calls == [3] and rep.passed
+
+
 def test_loopspec_validation():
     # a loop family is three aligned arrays, refused (never coerced) unless
     # each is an ndarray of the right kind: np.asarray([(True, 2)]) would
@@ -236,7 +255,7 @@ def test_loopspec_validation():
     # ints are numbers, taken as floats (a side of 1 needs the flat metric's
     # infinite radius)
     ints = (one, np.zeros((1, 2), dtype=int), np.ones(1, dtype=int))
-    flat = FloatMetric(fm.g0, np.zeros_like(fm.B), Fraction(0))
+    flat = FloatMetric(qm.involution, np.zeros_like(fm.B), Fraction(0))
     rep = holonomy_span(flat, certificate(pair_of([(1, 1), (2, 1)])), ints)
     assert rep.loops[1].dtype == rep.loops[2].dtype == np.float64
     sample = rep.to_json()["samples"][0]
@@ -424,7 +443,7 @@ def count_segments(monkeypatch) -> list:
     segment_gamma = kernels.segment_gamma
 
     def spy(G, R, s):
-        rows.append(G.shape[1])
+        rows.append(G.shape[-1])
         return segment_gamma(G, R, s)
 
     monkeypatch.setattr(kernels, "segment_gamma", spy)
@@ -487,16 +506,48 @@ def test_segment_gamma_matches_christoffel():
         _, qm = realized(blocks)
         fm = FloatMetric.from_exact(qm)
         n = fm.n
-        a = rng.uniform(-0.2, 0.2, (2, 3, n))
-        v = rng.uniform(-0.2, 0.2, (2, 3, n))
-        s = rng.uniform(0.0, 1.0, (2, 3, 4))
-        G, R = kernels.segment_terms(fm.g0, kernels.contraction_matrices(fm.B), a, v)
+        a = rng.uniform(-0.2, 0.2, (3, n))
+        v = rng.uniform(-0.2, 0.2, (3, n))
+        s = rng.uniform(0.0, 1.0, 4)
+        G, R = kernels.segment_terms(fm.mats, a, v)
         m = kernels.segment_gamma(G, R, s)
-        assert m.shape == (2, 3, 4, n, n)
-        for idx in np.ndindex(2, 3, 4):
-            x = a[idx[:2]] + s[idx] * v[idx[:2]]
-            want = np.einsum("abc,b->ac", christoffel(fm, x), v[idx[:2]])
-            assert np.max(np.abs(m[idx] - want)) <= 1e-12
+        assert m.shape == (n, n, 3, 4)
+        for i, k in np.ndindex(3, 4):
+            want = np.einsum("abc,b->ac", christoffel(fm, a[i] + s[k] * v[i]), v[i])
+            assert np.max(np.abs(m[:, :, i, k] - want)) <= 1e-12
+
+
+def test_raised_metric_is_upper_triangular():
+    # g0 B(x, x) = -1/2 sum ((g0 x)^T J_j^s x) J_i^a is a sum of powers of
+    # upper shifts, so the raised tensor g0 B vanishes at every i > j; the
+    # oracle raises by a matrix product, not by the involution's gather
+    pairs = [build_canonical(pencil_from_json(doc)) for _, doc in iter_corpus_specs(7)]
+    pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
+    pairs.append(pair_of(N24_BLOCKS, Fraction(-1, 3)))
+    assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 1
+    for pair in pairs:
+        qm = lower_B(pair.block_tensor, pair.g)
+        raised = np.einsum("is,sjpq->ijpq", pair.g, qm.num)
+        rows, cols = np.tril_indices(pair.n, -1)
+        assert not raised[rows, cols].any(), pair.layout
+        fm = FloatMetric.from_exact(qm)
+        assert np.array_equal(fm.mats[0].reshape((pair.n,) * 4), raised / qm.den)
+
+
+def test_metric_that_is_not_upper_triangular_is_refused():
+    # negative control: one entry of g0 B below the diagonal, (i, j) = (2, 1),
+    # is refused by name; the same value above the diagonal is accepted
+    _, qm = realized([(1, 1), (2, 1)])
+    perm, sign = qm.involution
+    B = qm.num / qm.den
+    upper = B.copy()
+    upper[perm[1], 2, 0, 1] += 0.25
+    FloatMetric(qm.involution, upper, invertibility_bound(qm))
+    lower = B.copy()
+    lower[perm[2], 1, 0, 1] += 0.25 * sign[2]
+    lower[perm[2], 1, 1, 0] += 0.25 * sign[2]
+    with pytest.raises(ValueError, match=re.escape("below the diagonal at (2, 1, 0, 1)")):
+        FloatMetric(qm.involution, lower, invertibility_bound(qm))
 
 
 def test_kernel_rejects_bad_step_counts():
@@ -507,10 +558,10 @@ def test_kernel_rejects_bad_step_counts():
                 0, -2, -16,
                 [16, 16, 16]):   # one count per call, not per segment
         with pytest.raises(ValueError, match="even int of at least 2"):
-            kernels.transport_polyline(fm.g0, fm.B, verts, bad)
+            kernels.transport_polyline(fm.mats, verts, bad)
     # a segment of length 0 is the identity
-    d, err = kernels.transport_polyline(fm.g0, fm.B, verts, 16)
-    d_short, err_short = kernels.transport_polyline(fm.g0, fm.B, verts[:, 1:], 16)
+    d, err = kernels.transport_polyline(fm.mats, verts, 16)
+    d_short, err_short = kernels.transport_polyline(fm.mats, verts[:, 1:], 16)
     assert np.array_equal(d, d_short) and np.array_equal(err, err_short)
     assert d.shape == (1, 3, 3) and err.shape == (1,) and 0.0 < err[0] < 1e-15
 

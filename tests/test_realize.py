@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -310,6 +311,35 @@ def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
             call(qm)
     report = validate_pair(g0, int_form(np.zeros((n, n), dtype=object)))
     assert not report.ok and report.failures == (message,)
+
+
+def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
+    # a full verify checks g0 three times: validate_pair, the pair's cached
+    # check, and lower_B's, which the metric keeps; the curvature, the
+    # bound and the probe's float metric read the kept one
+    calls = []
+
+    def counted(g):
+        calls.append(len(g))
+        return signed_involution(g)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("holonomy") and \
+                getattr(module, "signed_involution", None) is signed_involution:
+            monkeypatch.setattr(module, "signed_involution", counted)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"eigenvalues": [{"lambda": "0", "blocks": [
+        {"size": 1, "sign": 1}, {"size": 2, "sign": -1}]}]}))
+    report, code = cmd_verify(RunConfig(input=str(spec), stages=(
+        "canonical", "berger", "realize", "probe"), seed=0))
+    assert code == 0 and report["verdict"] == "pass"
+    assert calls == [3, 3, 3]
+    pair = pair_of([(1, 1), (2, -1)])
+    qm = lower_B(pair.block_tensor, pair.g)
+    calls.clear()
+    for call in (riemann_at_origin, invertibility_bound, FloatMetric.from_exact):
+        call(qm)
+    assert calls == [] and qm.involution is qm.involution
 
 
 def test_validity_radius_positive():
