@@ -21,7 +21,9 @@ not cover is refused.  A loop family is one tuple of aligned arrays
 and returns the kernel's arrays, one row per loop, which the span estimate
 reads as they are.
 
-``standard_loops`` spans every coordinate plane.  The CLI probe keeps only
+``standard_loops`` spans every coordinate plane, with its off-origin
+corners drawn from the standard library's ``random.Random(seed)``, so the
+probe never imports ``numpy.random``.  The CLI probe keeps only
 the loops in planes whose formal curvature value is nonzero: the loops in
 the other planes transport to the identity to rounding and add nothing to
 the span (the Tier-1 tests check both).  So a report's samples, and its
@@ -31,6 +33,8 @@ the span (the Tier-1 tests check both).  So a report's samples, and its
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +59,10 @@ RANK_THRESHOLD = 1e-8
 _NEGLIGIBLE = 1e-9
 
 # The standard loop family: side of every square, and the seeded off-origin
-# corners, drawn uniformly from [-BASEPOINT_NORM, BASEPOINT_NORM]^n.
+# corners, drawn uniformly from [-BASEPOINT_NORM, BASEPOINT_NORM]^n by
+# ``random.Random(seed)``: Python keeps its stream for an int seed fixed
+# across versions, numpy does not for its generators, so a seed names the
+# same loops everywhere.
 SIDE = 1e-2
 EXTRA_BASEPOINTS = 2
 BASEPOINT_NORM = 0.05
@@ -184,11 +191,20 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
 def standard_loops(n: int, seed: int = 0) -> tuple:
     """Squares of side ``SIDE`` in every coordinate plane, at the origin and
     at ``EXTRA_BASEPOINTS`` seeded corners: a loop family with the planes in
-    ``wedge_index`` order, one row per corner in each."""
-    rng = np.random.default_rng(seed)
+    ``wedge_index`` order, one row per corner in each.
+
+    Each corner coordinate is ``BASEPOINT_NORM * (2 * u - 1)`` for one draw
+    u of ``random.Random(seed).random()``, corners in order and coordinates
+    in row-major order.  ``seed`` is a nonnegative integer (``operator.index``):
+    a float or str seed raises ``TypeError`` and a negative one
+    ``ValueError``, where ``random.Random`` would take ``abs`` or a hash."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    draw = random.Random(seed).random
     corners = np.zeros((1 + EXTRA_BASEPOINTS, n))
-    for k in range(1, 1 + EXTRA_BASEPOINTS):
-        corners[k] = rng.uniform(-BASEPOINT_NORM, BASEPOINT_NORM, n)
+    corners[1:] = [[BASEPOINT_NORM * (2.0 * draw() - 1.0) for _ in range(n)]
+                   for _ in range(EXTRA_BASEPOINTS)]
     planes = np.repeat(np.stack(wedge_index(n), axis=1), len(corners), axis=0)
     return planes, np.tile(corners, (n * (n - 1) // 2, 1)), np.full(len(planes), SIDE)
 

@@ -27,6 +27,7 @@ polyline, three Christoffel evaluations per step).  ``standard_loops_ref``
 is the earlier per-loop construction of the standard loop family.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -760,12 +761,13 @@ def transport_polyline_ref(g0, B, verts, steps):
 def standard_loops_ref(n: int, seed: int = 0) -> list:
     """The standard loop family as ``(basepoint, plane, side)`` triples, one
     per loop: planes in lexicographic order, the origin and then each seeded
-    corner in every plane, the corners drawn one ``rng.uniform`` call each."""
-    rng = np.random.default_rng(seed)
+    corner in every plane, each corner coordinate ``BASEPOINT_NORM * (2u - 1)``
+    from one ``random.Random(seed).random()`` draw u, in order."""
+    rng = random.Random(seed)
+    norm = transport.BASEPOINT_NORM
     basepoints = [tuple(0.0 for _ in range(n))]
     for _ in range(transport.EXTRA_BASEPOINTS):
-        basepoints.append(tuple(rng.uniform(-transport.BASEPOINT_NORM,
-                                            transport.BASEPOINT_NORM, n).tolist()))
+        basepoints.append(tuple(norm * (2 * rng.random() - 1) for _ in range(n)))
     return [(bp, (a, b), transport.SIDE)
             for a in range(n) for b in range(a + 1, n) for bp in basepoints]
 

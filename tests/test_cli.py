@@ -3,12 +3,14 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import holonomy
 from holonomy.berger import r_formal
 from holonomy import canonical
 from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json
@@ -43,6 +45,26 @@ def test_verify_full_pipeline(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[timing]" in captured.err
     assert "timing" not in out.read_text()
+
+
+def test_full_verify_never_imports_numpy_random(tmp_path):
+    # the probe's corners come from the standard library's random; checked
+    # in a fresh interpreter, because this test session loads numpy.random
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    out = tmp_path / "report.json"
+    code = ("import sys\n"
+            "from holonomy.cli import main\n"
+            f"assert main(['verify', '--input', {str(spec)!r}, '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n")
+    path = [str(Path(holonomy.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    # the report goes to stdout too; the module list is the last line
+    assert run.stdout.splitlines()[-1] == "[]", run.stdout[-500:]
+    report = json.loads(out.read_text())
+    assert set(report["stages"]) == set(ALL_STAGES) and report["verdict"] == "pass"
 
 
 def test_verify_regular_spec_trivial_algebra(tmp_path):
