@@ -19,9 +19,11 @@ the actual inputs before any arithmetic, so int64 never wraps around.
 Arrays keep the dtype their bound proved; a scalar leaves an array for a
 ``Fraction``, a denominator or a report only as a Python int.
 
-Rank and pivot columns come from one fraction-free forward elimination
-on rows of Python ints (Bareiss 1968).  No inverse is ever computed: a
-canonical g = g^T = g^{-1} is a signed permutation (``signed_involution``).
+Rank and pivot columns come from one elimination: each column, read once
+as a sparse vector of Python ints, is inserted into an echelon basis keyed
+by each vector's first nonzero row, and every vector is kept primitive.
+No inverse is ever computed: a canonical g = g^T = g^{-1} is a signed
+permutation (``signed_involution``).
 """
 
 from __future__ import annotations
@@ -83,50 +85,44 @@ def pivot_columns(a) -> list:
     """Indices of the columns of an integer matrix that are not in the span
     of the columns before them.
 
-    They are the pivot columns of a fraction-free forward elimination
-    (Bareiss 1968).  After each step every entry of the rows below the
-    pivot rows is a minor of the input (each row divided by its content),
-    so each update ``(p * x - f * y) / d_prev`` divides exactly (Sylvester's
-    identity).  Pivots are made positive and chosen smallest in absolute
-    value, so on the sparse systems of this package a pivot mostly equals
-    the previous one; such a step leaves the rows without an entry in the
-    pivot column untouched.
+    Each column is inserted into an echelon basis held as sparse columns of
+    Python ints, keyed by lead, a vector's smallest row with a nonzero.  A
+    column v is reduced while it has entries: if the basis holds b at v's
+    lead, v becomes the primitive part (divided by the gcd of its entries)
+    of b[lead] * v - v[lead] * b, which must vanish at that lead (else
+    ArithmeticError); otherwise v is stored there and its column is a pivot.
+
+    The division keeps the entries small.  Once v leads at row l, it lies in
+    the span of its column and of the pivot columns whose vectors lead at
+    rows before l, and it vanishes on those rows.  That fixes v up to scale,
+    and Cramer's rule gives such a vector whose entries are minors of the
+    input; v is its primitive part up to sign, so its entries are
+    Hadamard-bounded as in a fraction-free elimination (Bareiss 1968).
     """
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
         # operator.index rejects a Fraction or float entry instead of truncating it
         a = np.vectorize(operator.index, otypes=[object])(a.astype(object))
-    ncols = a.shape[1]
-    # zero rows go; the rest are read as lists of Python ints
-    m = a[a.any(axis=1)].tolist()
-    # dividing a row by its content changes no row space and keeps d small
-    m = [row if (g := math.gcd(*row)) == 1 else [x // g for x in row] for row in m]
+    columns = [{} for _ in range(a.shape[1])]
+    cols, rows = np.nonzero(a.T)
+    for c, r, x in zip(cols.tolist(), rows.tolist(), a.T[cols, rows].tolist()):
+        columns[c][r] = x
+    basis: dict = {}
     pivots: list = []
-    d = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        cand = [(abs(m[i][c]), i) for i in range(r, len(m)) if m[i][c]]
-        if not cand:
-            continue
-        best = min(cand)[1]
-        m[r], m[best] = m[best], m[r]
-        if m[r][c] < 0:  # negating a row of a keeps every entry a minor
-            m[r] = [-x for x in m[r]]
-        prow = m[r]
-        piv = prow[c]
-        nz = [j for j in range(c, ncols) if prow[j]]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            f = row[c]
-            if piv != d:
-                m[i] = [(piv * x - f * y) // d for x, y in zip(row, prow)]
-            elif f:
-                for j in nz:
-                    row[j] -= f * prow[j] // d
-        pivots.append(c)
-        d = piv
+    for c, v in enumerate(columns):
+        while v:
+            g = math.gcd(*v.values())
+            v = {i: x // g for i, x in v.items()}
+            lead = min(v)
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                pivots.append(c)
+                break
+            p, f = b[lead], v[lead]
+            v = {i: y for i in v.keys() | b.keys() if (y := p * v.get(i, 0) - f * b.get(i, 0))}
+            if v.pop(lead, 0):
+                raise ArithmeticError(f"column {c} kept an entry at its lead {lead}")
     return pivots
 
 

@@ -20,6 +20,7 @@ large for int64 must take the object path and still pass.
 """
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -112,15 +113,31 @@ def test_elimination_matches_fraction_rref(rows, cols, data):
     _same_elimination(np.vstack([m, [m[0] - 2 * m[-1]]]))
 
 
+def test_elimination_matches_fraction_rref_on_a_dense_matrix():
+    # the growth control: dense 20-bit entries and one dependent column, on
+    # which an elimination that never divides out the content takes minutes
+    rng = random.Random(24)
+    m = np.array([[Fraction(rng.randint(-2 ** 19, 2 ** 19)) for _ in range(24)]
+                  for _ in range(24)], dtype=object)
+    m[:, 17] = 3 * m[:, 2] - 5 * m[:, 20]
+    _same_elimination(m)
+    assert rank(int_form(m)[0]) == 23
+
+
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(-2, 3)])
 def test_elimination_matches_fraction_rref_on_corpus(lam):
+    cases = []
     for name, doc in iter_corpus_specs(5):
         doc["eigenvalues"][0]["lambda"] = str(lam)
-        pair = build_canonical(pencil_from_json(doc))
+        cases.append((name, build_canonical(pencil_from_json(doc))))
+    # and specs with two eigenvalues, which the corpus lacks
+    cases += [(str(spec), build_canonical(make_pencil(spec))) for spec in TWO_EIGENVALUE_SPECS]
+    for name, pair in cases:
         rmap = r_formal(pair)
         cert = berger_certificate(pair, rmap)
         assert cert.witnesses == witnesses_ref(rmap, 1), name
         assert cert.image_rank == rank_ref(rmap.reshape(len(rmap), pair.n ** 2)), name
+        assert cert.dim_gL == centralizer_dim(pair), name
     # both Riemann routes and the invertibility bound read g as its own inverse
     pairs = [build_canonical(pencil_from_json(doc)) for _, doc in iter_corpus_specs(7)]
     pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]

@@ -218,7 +218,12 @@ def test_transport_membership_and_drift():
     rep = holonomy_span(fm, certificate(pair), loops)
     assert all(np.array_equal(kept, given) for kept, given in zip(rep.loops, loops, strict=True))
     assert len(rep.residuals) == len(rep.metric_drift) == len(loops[0])
-    for a, residual, drift in zip(transports(fm, loops), rep.residuals, rep.metric_drift):
+    stack = transports(fm, loops)
+    # the report's drift is the oracle's on the same transports, bit for bit,
+    # and the oracle's is rounding, not zero: a zeroed drift would pass the bound
+    assert np.array_equal(rep.metric_drift, metric_drift(fm, stack))
+    assert metric_drift(fm, stack).any()
+    for a, residual, drift in zip(stack, rep.residuals, rep.metric_drift):
         assert residual < 1e-6
         assert drift < 1e-8
         assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
