@@ -4,7 +4,8 @@ A pencil spec lists real eigenvalues, each with Jordan block sizes and
 signs.  The canonical form puts, for every block, an upper-shift Jordan
 block (plus lambda on the diagonal) into L and a signed antidiagonal of
 ones into g; blocks are concatenated diagonally.  In this basis g is a
-signed involution, g = g^T = g^{-1}, and gL is symmetric: L is g-symmetric.
+signed involution, g = g^T = g^{-1}, held as ``(perm, sign)`` (see
+``exactla.check_involution``), and gL is symmetric: L is g-symmetric.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exactla import max_abs, narrowed, signed_involution
+from .exactla import check_involution, max_abs, narrowed
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -226,19 +227,21 @@ class EigenLayout:
 
 @dataclass(frozen=True, eq=False)
 class CanonicalPair:
-    """Matrices (g, L) in the canonical basis plus block layout metadata.
+    """The canonical (g, L) plus block layout metadata.
 
-    ``g`` is an n x n int array; ``L`` is ``(num, den)`` (see ``exactla``),
-    with den the least common denominator of the eigenvalues.
+    ``involution`` is g as ``(perm, sign)``, two int vectors with
+    g[i, perm[i]] = sign[i] (see ``exactla.check_involution``); ``L`` is
+    ``(num, den)`` (see ``exactla``), with den the least common denominator
+    of the eigenvalues.
     """
 
-    g: np.ndarray
+    involution: tuple
     L: tuple
     layout: tuple  # of EigenLayout
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return len(self.involution[0])
 
     @functools.cached_property
     def block_tensor(self) -> np.ndarray:
@@ -246,17 +249,13 @@ class CanonicalPair:
         from .berger import block_tensor  # berger imports this module
         return block_tensor(self)
 
-    @functools.cached_property
-    def involution(self) -> tuple:
-        """``exactla.signed_involution(self.g)``, checked on first use and kept."""
-        return signed_involution(self.g)
-
 
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
     n = spec.dim
     den = math.lcm(*(eig.lam.denominator for eig in spec.eigens))
-    g = np.zeros((n, n), dtype=np.int64)
+    perm = np.arange(n)
+    sign = np.zeros(n, dtype=np.int64)
     num = np.zeros((n, n), dtype=object)
     layout = []
     off = 0
@@ -264,13 +263,15 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
         placed = []
         for b in eig.blocks:
             idx = np.arange(off, off + b.size)
-            g[idx, idx[::-1]] = b.sign
+            perm[idx] = idx[::-1]  # each index's antidiagonal partner
+            sign[idx] = b.sign
             num[idx, idx] = eig.lam.numerator * (den // eig.lam.denominator)
             num[idx[:-1], idx[1:]] = den
             placed.append(PlacedBlock(off, b.size, b.sign))
             off += b.size
         layout.append(EigenLayout(eig.lam, tuple(placed)))
-    return CanonicalPair(g, (*narrowed(max_abs(num), num), den), tuple(layout))
+    check_involution(perm, sign)
+    return CanonicalPair((perm, sign), (*narrowed(max_abs(num), num), den), tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -279,14 +280,15 @@ class PairReport:
     failures: tuple  # of str
 
 
-def validate_pair(g: np.ndarray, L: tuple) -> PairReport:
-    """Check that the int array g is a signed involution and that gL is
-    symmetric, for L = ``(num, den)``; report failures."""
+def validate_pair(involution: tuple, L: tuple) -> PairReport:
+    """Check that g = ``involution`` (perm, sign) is a signed involution and
+    that gL is symmetric, for L = ``(num, den)``; report failures."""
     l, = narrowed(max_abs(L[0]), L[0])  # a gather adds nothing to |l|
-    if g.shape != l.shape:
-        raise ValueError("g and L must be matrices of equal shape")
+    perm, sign = involution
+    if l.shape != (len(perm),) * 2:
+        raise ValueError("g and L must be of equal size")
     try:
-        perm, sign = signed_involution(g)
+        check_involution(perm, sign)
     except ValueError as exc:
         return PairReport(False, (str(exc),))
     gl = sign[:, None] * l[perm]

@@ -70,7 +70,7 @@ class RunConfig:
 # -- verify ------------------------------------------------------------------
 
 def _stage_canonical(pair: CanonicalPair) -> dict:
-    rep = validate_pair(pair.g, pair.L)
+    rep = validate_pair(pair.involution, pair.L)
     return {
         "n": pair.n,
         "layout": [
@@ -126,7 +126,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     rmap = r_formal(pair) if wanted & {"berger", "realize", "probe"} else None
     # the certificate's witness values are the probe's g_L basis
     cert = berger_certificate(pair, rmap) if wanted & {"berger", "probe"} else None
-    qm = lower_B(pair.block_tensor, pair.g) if wanted & {"realize", "probe"} else None
+    qm = lower_B(pair.block_tensor, pair.involution) if wanted & {"realize", "probe"} else None
     timings = [("shared", time.perf_counter() - started)]
 
     for stage in ALL_STAGES:

@@ -5,9 +5,9 @@ rounds.  Floating point enters only in the numerical probe package.
 
 Every exact matrix, or stack of matrices, is an integer ndarray plus one
 positive Python int denominator: ``(num, den)`` stands for ``num / den``.
-Objects that are integral by construction (the metric g, the block tensor
-T, the so(g) wedge stack, the formal curvature map as one (m, n, n) array
-in the order ``liealg.wedge_index`` fixes) are plain integer arrays.
+Objects that are integral by construction (the block tensor T, the so(g)
+wedge stack, the formal curvature map as one (m, n, n) array in the order
+``liealg.wedge_index`` fixes) are plain integer arrays.
 Rational scalars (an eigenvalue, the invertibility bound) are
 ``fractions.Fraction`` values of Python ints.
 
@@ -22,8 +22,9 @@ Arrays keep the dtype their bound proved; a scalar leaves an array for a
 Rank and pivot columns come from one elimination: each column, read once
 as a sparse vector of Python ints, is inserted into an echelon basis keyed
 by each vector's first nonzero row, and every vector is kept primitive.
-No inverse is ever computed: a canonical g = g^T = g^{-1} is a signed
-permutation (``signed_involution``).
+No inverse is ever computed, and the metric g is never a matrix: a
+canonical g = g^T = g^{-1} is held as its signed involution ``(perm, sign)``,
+which ``check_involution`` checks, and every product with it is a gather.
 """
 
 from __future__ import annotations
@@ -63,22 +64,23 @@ def first_mismatch(a: np.ndarray, b: np.ndarray):
     return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
 
 
-def signed_involution(g: np.ndarray) -> tuple:
-    """``(perm, sign)`` for a symmetric g whose row i has the one nonzero entry
-    g[i, perm[i]] = sign[i] = +-1: then g @ x = sign[:, None] * x[perm] and
-    x @ g = x[..., perm] * sign.  Any other g raises ValueError naming the
-    first entry where it differs from that signed permutation or its transpose.
+def check_involution(perm: np.ndarray, sign: np.ndarray) -> None:
+    """Refuse ``(perm, sign)`` unless it is a signed involution: the symmetric
+    g with g[i, perm[i]] = sign[i] = +-1 and no other nonzero, so g = g^{-1},
+    g @ x = sign[:, None] * x[perm] and x @ g = x[..., perm] * sign.  That
+    needs perm in range and its own inverse, and sign[perm] == sign; any
+    other pair raises ValueError naming the first bad index.
     """
-    rows = np.arange(len(g))
-    if g.shape != (len(g),) * 2:
-        raise ValueError("g must be a square matrix")
-    perm = np.abs(g).argmax(axis=1)
-    want = np.zeros(g.shape, dtype=np.int64)
-    want[rows, perm] = sign = np.where(g[rows, perm] < 0, -1, 1)
-    at = first_mismatch(g, want) or first_mismatch(g, want.T)
-    if at is not None:
-        raise ValueError(f"g is not a signed involution: bad entry {at}")
-    return perm, sign
+    n = len(perm)
+    if not all(isinstance(a, np.ndarray) and a.dtype.kind == "i" and a.shape == (n,)
+               for a in (perm, sign)):
+        raise ValueError("perm and sign must be integer vectors of one length")
+    rows = np.arange(n)
+    inside = (perm >= 0) & (perm < n)
+    p = np.where(inside, perm, rows)
+    ok = inside & (p[p] == rows) & (np.abs(sign) == 1) & (sign[p] == sign)
+    if not ok.all():
+        raise ValueError(f"g is not a signed involution: bad index {int(np.argmin(ok))}")
 
 
 def pivot_columns(a) -> list:

@@ -50,7 +50,7 @@ def contraction_matrices(B, involution):
     """g0 B and g0 C, C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q], each
     as an (n^2, n^2) matrix with rows (k, c), so that the polynomial terms
     along segments are GEMMs.  g0 is the signed involution ``(perm, sign)``
-    of ``exactla.signed_involution``: raising k is the exact gather
+    of ``exactla.check_involution``: raising k is the exact gather
     sign[k] * row perm[k]."""
     perm, sign = involution
     n = B.shape[0]

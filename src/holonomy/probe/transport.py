@@ -75,7 +75,7 @@ class SingularMetricError(RuntimeError):
 class FloatMetric:
     """Float64 view of a quadratic metric, converted once per probe run.
 
-    ``involution`` is g0's ``(perm, sign)`` (``exactla.signed_involution``)
+    ``involution`` is g0's ``(perm, sign)`` (``exactla.check_involution``)
     and ``B`` the lowered coefficient tensor.  ``mats`` holds the kernel's
     raised contraction matrices, and the raised tensor g0 B must vanish at
     every (i, j, p, q) with i > j, so that g0 g(x) is upper triangular;
@@ -215,7 +215,6 @@ class SpanReport:
     dim_gL: int
     max_membership_residual: float
     singular_values: tuple
-    sv_gap: float
     validity_radius: float
     loops: tuple  # the checked (planes, basepoints, sides); the arrays below are per loop
     residuals: np.ndarray  # relative membership residual of the logarithm
@@ -225,13 +224,12 @@ class SpanReport:
     passed: bool
 
     def to_json(self) -> dict:
-        # strict JSON has no Infinity: an infinite gap (no singular value
-        # discarded) or radius (a constant metric) is written as null
+        # strict JSON has no Infinity: an infinite radius (a constant
+        # metric) is written as null
         return {
             "span_rank": self.span_rank,
             "dim_gL": self.dim_gL,
             "max_membership_residual": self.max_membership_residual,
-            "sv_gap": None if math.isinf(self.sv_gap) else self.sv_gap,
             "singular_values": list(self.singular_values),
             "validity_radius": None if math.isinf(self.validity_radius) else self.validity_radius,
             "max_loop_extent": float(self.extent.max(initial=0.0)),
@@ -279,12 +277,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     sv = np.linalg.svd(psi[kept], compute_uv=False) if kept.any() else np.zeros(0)
     sv = sv[sv > 0.0]
     rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
-    retained, discarded = sv[:dim], sv[dim:]
-    if discarded.size == 0:
-        gap = float("inf")
-    else:  # with dim 0, nothing is retained
-        gap = float(retained[-1] / discarded[0]) if retained.size else 0.0
     max_res = float(residuals.max(initial=0.0))
     passed = cert.passed and rank == dim and max_res < MEMBERSHIP_TOL
-    return SpanReport(rank, dim, max_res, tuple(sv.tolist()), gap, validity_radius(fm.bound),
+    return SpanReport(rank, dim, max_res, tuple(sv.tolist()), validity_radius(fm.bound),
                       loops, residuals, drift, step_error, extent, passed)

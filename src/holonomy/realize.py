@@ -8,13 +8,13 @@ The lowered tensor is one (n, n, n, n) integer array over one common
 denominator (the ``exactla`` format).  Every exact check on it (symmetry,
 covariant constancy, g(x)-symmetry, both Riemann routes) is a numpy
 contraction with no index loop, in int64 where ``exactla.narrowed``
-proves it safe and on Python ints otherwise.  Nothing is inverted: g0 must
-be a signed involution (``exactla.signed_involution``): products are gathers.
+proves it safe and on Python ints otherwise.  Nothing is inverted: g0 is
+held as its signed involution ``(perm, sign)`` (``exactla.check_involution``),
+so every product with it is a gather.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .berger import RealizationError
 from .canonical import CanonicalPair
-from .exactla import first_mismatch, max_abs, narrowed, signed_involution
+from .exactla import check_involution, first_mismatch, max_abs, narrowed
 from .liealg import wedge_index
 
 
@@ -30,47 +30,44 @@ from .liealg import wedge_index
 class QuadraticMetric:
     """g(x) = g0 + B(x, x) with a constant symmetric rank-4 coefficient tensor.
 
-    ``g0`` is an n x n int array.  B = num / den: ``num`` is an (n, n, n, n)
-    integer array (see ``exactla``) and ``den`` one positive int.  B[i, j, p, q]
-    is symmetric in (i, j) and in (p, q); the metric value at x adds
-    B[i, j, p, q] x^p x^q to g0[i, j].  The curvature and the invertibility
-    bound refuse a g0 that is not a signed involution, as a canonical g0 is;
-    ``involution`` keeps the check.
+    ``involution`` is g0 as ``(perm, sign)``, g0[i, perm[i]] = sign[i],
+    and construction refuses any pair that is not a signed involution, as a
+    canonical g0 is (``exactla.check_involution``).  B = num / den: ``num``
+    is an (n, n, n, n) integer array (see ``exactla``) and ``den`` one
+    positive int.  B[i, j, p, q] is symmetric in (i, j) and in (p, q); the
+    metric value at x adds B[i, j, p, q] x^p x^q to g0[i, j].
     """
 
-    g0: np.ndarray
+    involution: tuple
     num: np.ndarray
     den: int
 
+    def __post_init__(self) -> None:
+        check_involution(*self.involution)
+
     @property
     def n(self) -> int:
-        return self.g0.shape[0]
-
-    @functools.cached_property
-    def involution(self) -> tuple:
-        """``exactla.signed_involution(self.g0)``, checked on first use and kept."""
-        return signed_involution(self.g0)
+        return len(self.involution[0])
 
 
-def lower_B(t: np.ndarray, g0: np.ndarray) -> QuadraticMetric:
+def lower_B(t: np.ndarray, involution: tuple) -> QuadraticMetric:
     """The metric of B = -t / 2 (t is ``pair.block_tensor`` in the pipeline)
-    with both upper indices lowered: num = -(g0 (x) g0) t over den 2.
+    with both upper indices lowered: num = -(g0 (x) g0) t over den 2, for
+    g0 = ``involution`` (perm, sign), the pair's.
 
     g0 J^a is symmetric for a canonical g0, so the result is symmetric in
     (i, j) and in (p, q).  Both symmetries are checked exactly.
     """
-    if t.shape != (len(g0),) * 4:
+    perm, sign = involution
+    if t.shape != (len(perm),) * 4:
         raise ValueError("shape mismatch")
-    perm, sign = signed_involution(g0)
     t, = narrowed(max_abs(t), t)  # num[i, j, p, q] = -sign[i] sign[p] t[perm[i], j, perm[p], q]
     num = -sign[:, None, None, None] * (sign[:, None] * t[perm][:, :, perm])
     for axes, where in (((0, 1, 3, 2), "(p, q)"), ((1, 0, 2, 3), "(i, j)")):
         at = first_mismatch(num, num.transpose(axes))
         if at is not None:
             raise RealizationError(f"lowered tensor not symmetric in {where} at {at}")
-    qm = QuadraticMetric(g0, num, 2)
-    vars(qm)["involution"] = perm, sign  # the check above, kept as the cached property
-    return qm
+    return QuadraticMetric(involution, num, 2)
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:
@@ -79,7 +76,6 @@ def invertibility_bound(qm: QuadraticMetric) -> Fraction:
     |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
     invertible wherever |x|_inf^2 * c < 1.
     """
-    qm.involution  # refuses any other g0
     num, = narrowed(max_abs(qm.num) * qm.n ** 3, qm.num)
     return Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
 
@@ -167,9 +163,9 @@ def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
                        formal: np.ndarray) -> RealizationReport:
     """Run every exact realization check on the metric ``qm``.
 
-    ``qm`` is ``lower_B(pair.block_tensor, pair.g)`` and ``formal`` the
-    certified map ``r_formal(pair)``, both built once by the caller; the
-    metric's curvature ``(num, den)`` at the origin is computed
+    ``qm`` is ``lower_B(pair.block_tensor, pair.involution)`` and
+    ``formal`` the certified map ``r_formal(pair)``, both built once by the
+    caller; the metric's curvature ``(num, den)`` at the origin is computed
     independently and matches when num == den * formal, value for value.
     """
     try:

@@ -48,6 +48,15 @@ def pair_of(blocks, lam=0):
     return build_canonical(make_pencil([(Fraction(lam), blocks)]))
 
 
+def dense_g(involution):
+    """The int matrix of g = ``(perm, sign)``: g[i, perm[i]] = sign[i] and
+    zeros elsewhere.  The package never builds it; dense oracles do."""
+    perm, sign = involution
+    g = np.zeros((len(perm),) * 2, dtype=np.int64)
+    g[np.arange(len(perm)), perm] = sign
+    return g
+
+
 def all_blocks(pair):
     """Flattened ``(eig_index, PlacedBlock)`` list in layout order."""
     return [(ei, b) for ei, eig in enumerate(pair.layout) for b in eig.blocks]

@@ -41,7 +41,7 @@ from holonomy.probe import transport
 from holonomy.probe.transport import FloatMetric, SingularMetricError
 from holonomy.realize import QuadraticMetric, RealizationError
 
-from helpers import all_blocks, fractions, int_form
+from helpers import all_blocks, dense_g, fractions, int_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -183,7 +183,7 @@ def centralizer_basis_ref(pair: CanonicalPair) -> list:
     One row per entry of the symmetric part of gX and one per nonzero row
     of the commutator XL - LX, solved by ``kernel_basis_ref``.
     """
-    g, L = np.asarray(pair.g, dtype=object), fractions(*pair.L)
+    g, L = dense_g(pair.involution).astype(object), fractions(*pair.L)
     n = pair.n
     rows = []
     # (gX + X^T g)[i][j] = 0 for i <= j
@@ -432,7 +432,7 @@ def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> np.ndarray:
     if ei != ej:
         raise ValueError("blocks belong to different eigenvalues")
     n = pair.n
-    g = np.asarray(pair.g, dtype=object)
+    g = dense_g(pair.involution).astype(object)
     gi = g[bi.offset:bi.offset + bi.size, bi.offset:bi.offset + bi.size]
     gj = g[bj.offset:bj.offset + bj.size, bj.offset:bj.offset + bj.size]
     elems = []
@@ -476,7 +476,7 @@ def metric_at(qm: QuadraticMetric, x: Sequence) -> np.ndarray:
     if len(xf) != n:
         raise ValueError("point has wrong dimension")
     low = lowered(qm)
-    g0 = qm.g0.tolist()
+    g0 = dense_g(qm.involution).tolist()
     nz = [(p, v) for p, v in enumerate(xf) if v]
     e = []
     for i in range(n):
@@ -565,7 +565,7 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> np.ndarray:
     """
     n = qm.n
     low = qm.num.tolist()
-    ginv, gden = int_form(inverse_ref(qm.g0))
+    ginv, gden = int_form(inverse_ref(dense_g(qm.involution)))
     ginv_nz = [[(s, ginv[i, s]) for s in range(n) if ginv[i, s]] for i in range(n)]
 
     def route_direct(a: int, b: int) -> list:
@@ -809,7 +809,7 @@ def block_element(pair: CanonicalPair, i: int, j: int, xij) -> np.ndarray:
     sj = slice(bj.offset, bj.offset + bj.size)
     x = np.zeros((pair.n, pair.n), dtype=object)
     x[si, sj] = xij
-    g = np.asarray(pair.g, dtype=object)
+    g = dense_g(pair.involution).astype(object)
     x[sj, si] = -(g[sj, sj] @ np.asarray(xij, dtype=object).T @ g[si, si])
     return x
 

@@ -5,6 +5,7 @@ criteria execute.  Exact criteria tolerate nothing; numerical criteria pin
 the stated tolerances.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,7 +33,7 @@ from holonomy.probe import (
 from holonomy.probe import kernels
 from holonomy.realize import riemann_at_origin
 
-from helpers import PROBE_SPECS, all_blocks, int_form, metric_drift, transports
+from helpers import PROBE_SPECS, all_blocks, dense_g, int_form, metric_drift, transports
 from oracles import (
     apply_map,
     block_element,
@@ -57,7 +58,7 @@ def corpus_pairs():
 
 def _realized(blocks):
     pair = build_canonical(make_pencil([(Fraction(0), blocks)]))
-    return pair, lower_B(pair.block_tensor, pair.g)
+    return pair, lower_B(pair.block_tensor, pair.involution)
 
 
 def test_criterion_1_berger_suite(corpus_pairs):
@@ -121,7 +122,7 @@ def test_criterion_3_two_block_mu_formulas():
             xij = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                     for _ in range(n)] for _ in range(m)]
             # the value at the so(g) element whose (0, 1) block is xij
-            out = apply_map(r_formal(pair), 1, pair.g, block_element(pair, 0, 1, xij))
+            out = apply_map(r_formal(pair), 1, dense_g(pair.involution), block_element(pair, 0, 1, xij))
             # mu_s = sum_d x[m-s+d, d] (1-based), laid on the shifted diagonals
             mu = [sum(xij[m - s + d - 1][d - 1] for d in range(1, s + 1))
                   for s in range(1, m + 1)]
@@ -142,7 +143,7 @@ def test_criterion_4_realization_match(corpus_pairs):
     started = time.perf_counter()
     failures = []
     for name, pair in corpus_pairs:
-        qm = lower_B(pair.block_tensor, pair.g)
+        qm = lower_B(pair.block_tensor, pair.involution)
         report = verify_realization(pair, qm, r_formal(pair))
         if not report.ok:
             failures.append(f"{name}: {report}")
@@ -170,8 +171,11 @@ def test_criterion_5_holonomy_probe():
                 failures.append(f"{tag}: rank {rep.span_rank} != dim {rep.dim_gL}")
             if not rep.max_membership_residual < 1e-6:
                 failures.append(f"{tag}: residual {rep.max_membership_residual:.2e}")
-            if not rep.sv_gap >= 1e3:
-                failures.append(f"{tag}: gap {rep.sv_gap:.2e}")
+            # the smallest retained singular value over the largest discarded one
+            sv = rep.singular_values
+            gap = sv[rep.dim_gL - 1] / sv[rep.dim_gL] if len(sv) > rep.dim_gL else math.inf
+            if not gap >= 1e3:
+                failures.append(f"{tag}: gap {gap:.2e}")
             step_error = rep.to_json()["max_step_error"]
             if not step_error <= 1e-13:
                 failures.append(f"{tag}: step error {step_error:.2e}")

@@ -9,7 +9,7 @@ from holonomy import berger_certificate, r_formal
 from holonomy.berger import check_bianchi, check_sectional
 from holonomy.liealg import wedge_rows
 
-from helpers import certificate, fractions, mat, pair_of
+from helpers import certificate, dense_g, fractions, mat, pair_of
 from oracles import apply_map, block_element, commutator, is_g_skew, r_minpoly, wedge_tags
 
 Z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])  # generator for blocks (1, 2)
@@ -24,13 +24,13 @@ def zero_map(n):
 
 def test_r_minpoly_regular_block_vanishes():
     pair = pair_of([(3, 1)])
-    for x in wedge_rows(pair.g):
+    for x in wedge_rows(dense_g(pair.involution)):
         assert not r_minpoly(pair, x).any()
 
 
 def test_r_minpoly_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    base = wedge_rows(pair.g)
+    base = wedge_rows(dense_g(pair.involution))
     # base order is (0,1), (0,2), (1,2); p_min = t^2 so R(X) = LX + XL
     assert np.array_equal(r_minpoly(pair, base[1]), Z)
     assert not r_minpoly(pair, base[2]).any()
@@ -39,9 +39,10 @@ def test_r_minpoly_blocks_1_2():
 def test_r_minpoly_lands_in_centralizer():
     pair = pair_of([(2, 1), (3, -1)], lam=Fraction(1, 2))
     L = fractions(*pair.L)
-    for x in wedge_rows(pair.g):
+    g = dense_g(pair.involution)
+    for x in wedge_rows(g):
         v = r_minpoly(pair, x)
-        assert is_g_skew(pair.g, v) and not commutator(v, L).any()
+        assert is_g_skew(g, v) and not commutator(v, L).any()
 
 
 # -- two-block patterns ----------------------------------------------------------
@@ -51,7 +52,8 @@ def test_r_minpoly_lands_in_centralizer():
 
 def test_r_formal_square_blocks():
     pair = pair_of([(2, 1), (2, 1)])
-    out = apply_map(r_formal(pair), 1, pair.g, block_element(pair, 0, 1, mat([[1, 2], [3, 4]])))
+    xij = mat([[1, 2], [3, 4]])
+    out = apply_map(r_formal(pair), 1, dense_g(pair.involution), block_element(pair, 0, 1, xij))
     # upper-right block: [[3, 5], [0, 3]]
     assert out[:2, 2:].tolist() == [[3, 5], [0, 3]]
     # lower-left block forced by -g2 R12^T g1 (antidiagonal conjugation)
@@ -61,15 +63,16 @@ def test_r_formal_square_blocks():
 def test_r_formal_rectangular_blocks():
     pair = pair_of([(2, 1), (3, 1)])
     xij = mat([[0, 0, 0], [1, 0, 0]])  # x_21 = 1 in the 2x3 block
-    out = apply_map(r_formal(pair), 1, pair.g, block_element(pair, 0, 1, xij))
+    out = apply_map(r_formal(pair), 1, dense_g(pair.involution), block_element(pair, 0, 1, xij))
     assert out[:2, 2:].tolist() == [[0, 1, 0], [0, 0, 1]]  # mu_1 = 1, mu_2 = 0
 
 
 def test_r_formal_zero_and_linearity():
     pair = pair_of([(2, 1), (2, -1)])
     rm = r_formal(pair)
-    assert not apply_map(rm, 1, pair.g, np.zeros((4, 4), dtype=object)).any()
-    base = wedge_rows(pair.g)
+    g = dense_g(pair.involution)
+    assert not apply_map(rm, 1, g, np.zeros((4, 4), dtype=object)).any()
+    base = wedge_rows(g)
     a, b = Fraction(2, 3), Fraction(-5)
     lhs = r_minpoly(pair, a * base[0] + b * base[3])
     rhs = a * fractions(rm)[0] + b * fractions(rm)[3]
@@ -93,7 +96,7 @@ def test_r_formal_two_blocks_agrees_with_minpoly(blocks, lam):
     pair = pair_of(blocks, lam)
     rm = r_formal(pair)
     assert rm.dtype.kind == "i"  # the formal values are integral
-    for x, v in zip(wedge_rows(pair.g), fractions(rm), strict=True):
+    for x, v in zip(wedge_rows(dense_g(pair.involution)), fractions(rm), strict=True):
         assert np.array_equal(r_minpoly(pair, x), v)
 
 
@@ -108,7 +111,7 @@ def test_r_formal_linearity_via_apply():
     # element of so(g), so a combination must map to the same combination
     pair = pair_of([(2, 1), (2, 1)])
     rm = r_formal(pair)
-    base = wedge_rows(pair.g)
+    base = wedge_rows(dense_g(pair.involution))
     a, b = Fraction(3, 7), Fraction(-2)
     x = a * base[1] + b * base[4]
     assert np.array_equal(r_minpoly(pair, x), a * fractions(rm)[1] + b * fractions(rm)[4])
@@ -146,7 +149,7 @@ def test_bianchi_commutator_map_consistency(blocks):
     # the commutator map may or may not be a formal curvature tensor; the
     # report must either carry a witness or claim a clean pass
     pair = pair_of(blocks)
-    base = wedge_rows(pair.g)
+    base = wedge_rows(dense_g(pair.involution))
     vals = pair.L[0] @ base - base @ pair.L[0]
     assert vals.any()
     rep = check_bianchi(vals)
@@ -179,7 +182,7 @@ def test_sectional_r_formal_and_zero_pass():
 
 def test_sectional_identity_map_fails():
     pair = pair_of([(1, 1), (2, 1)])
-    base = wedge_rows(pair.g)
+    base = wedge_rows(dense_g(pair.involution))
     assert not check_sectional(base, pair.involution, pair.L)
 
 
@@ -232,7 +235,7 @@ def test_certificate_rejects_a_value_outside_gl():
     pair = pair_of([(1, 1), (1, 1), (2, 1)])
     rm = r_formal(pair)
     vals = rm.copy()
-    vals[0] += wedge_rows(pair.g)[-1]  # wedge(e_2, e_3) does not commute with L
+    vals[0] += wedge_rows(dense_g(pair.involution))[-1]  # wedge(e_2, e_3) does not commute with L
     cert = berger_certificate(pair, vals)
     assert not cert.containment_ok and cert.dim_gL == 3
     assert not cert.passed

@@ -18,22 +18,22 @@ from holonomy import (
 from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec
 from holonomy.exactla import rank
 
-from helpers import fractions, int_form, mat, pair_of
+from helpers import dense_g, fractions, int_form, mat, pair_of
 
 
-def ints(rows):
-    return np.array(rows, dtype=object)
+def involution(perm, sign):
+    return np.array(perm), np.array(sign)
 
 
 def test_build_trivial_block():
     pair = pair_of([(1, 1)])
-    assert np.array_equal(pair.g, [[1]])
+    assert np.array_equal(dense_g(pair.involution), [[1]])
     assert np.array_equal(fractions(*pair.L), [[0]])
 
 
 def test_build_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    assert np.array_equal(pair.g, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert np.array_equal(dense_g(pair.involution), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     # single 1 in row 2, column 3 (1-based)
     assert np.array_equal(fractions(*pair.L), [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -41,8 +41,9 @@ def test_build_blocks_1_2():
 def test_build_two_eigenvalues():
     pair = build_canonical(make_pencil([(0, [(2, 1)]), (1, [(1, -1)])]))
     assert np.array_equal(fractions(*pair.L), [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
-    assert np.array_equal(pair.g, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    assert validate_pair(pair.g, pair.L).ok
+    assert np.array_equal(dense_g(pair.involution), [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    assert [v.tolist() for v in pair.involution] == [[1, 0, 2], [1, 1, -1]]
+    assert validate_pair(pair.involution, pair.L).ok
     # L is held over the least common denominator of the eigenvalues
     pair = build_canonical(make_pencil([(Fraction(-1, 2), [(2, 1)]), (Fraction(2, 3), [(1, 1)])]))
     assert pair.L[1] == 6
@@ -60,29 +61,32 @@ def test_layout_metadata():
 
 def test_validate_pair_reports():
     pair = pair_of([(1, 1), (2, 1)])
-    assert validate_pair(pair.g, pair.L).ok
+    assert validate_pair(pair.involution, pair.L).ok
 
-    bad = validate_pair(ints([[1, 0], [0, 1]]), int_form([[0, 1], [0, 0]]))
+    # g = I
+    bad = validate_pair(involution([0, 1], [1, 1]), int_form([[0, 1], [0, 0]]))
     assert not bad.ok
     assert any("gL" in f for f in bad.failures)
 
-    good = validate_pair(ints([[0, 1], [1, 0]]), int_form([[0, 1], [0, 0]]))
+    # g = [[0, 1], [1, 0]]
+    good = validate_pair(involution([1, 0], [1, 1]), int_form([[0, 1], [0, 0]]))
     assert good.ok
 
     # the signs of g count: [[0, 1], [-1, 0]] is g-symmetric for g = diag(1, -1)
     # and [[0, 1], [1, 0]] is not
-    signed = ints([[1, 0], [0, -1]])
+    signed = involution([0, 1], [1, -1])
     assert validate_pair(signed, int_form([[0, 1], [-1, 0]])).ok
     assert not validate_pair(signed, int_form([[0, 1], [1, 0]])).ok
 
     with pytest.raises(ValueError):
-        validate_pair(ints([[1, 0], [0, 1]]), int_form(np.eye(3, dtype=object)))
+        validate_pair(involution([0, 1], [1, 1]), int_form(np.eye(3, dtype=object)))
 
 
 def test_degenerate_g_reported():
-    rep = validate_pair(ints([[1, 0], [0, 0]]), int_form([[0, 0], [0, 0]]))
+    # g = diag(1, 0)
+    rep = validate_pair(involution([0, 1], [1, 0]), int_form([[0, 0], [0, 0]]))
     assert not rep.ok
-    assert rep.failures == ("g is not a signed involution: bad entry (1, 0)",)
+    assert rep.failures == ("g is not a signed involution: bad index 1",)
 
 
 def test_duplicate_eigenvalues_rejected():
@@ -168,11 +172,12 @@ def test_nilpotency_and_block_determinants():
     for _ in range(nmax):
         power = power @ shifted
     assert not power.any()
-    assert rank(pair.g) == pair.n
+    g = dense_g(pair.involution)
+    assert rank(g) == pair.n
     # every g block is a signed antidiagonal, so its determinant is +-1
     for eig in pair.layout:
         for b in eig.blocks:
-            block = [[float(pair.g[b.offset + i, b.offset + j])
+            block = [[float(g[b.offset + i, b.offset + j])
                       for j in range(b.size)] for i in range(b.size)]
             assert abs(abs(np.linalg.det(np.array(block))) - 1.0) < 1e-12
 
@@ -182,4 +187,4 @@ def test_validate_pair_passes_on_corpus():
     from holonomy.cli import iter_corpus_specs
     for name, doc in iter_corpus_specs(5):
         pair = build_canonical(pencil_from_json(doc))
-        assert validate_pair(pair.g, pair.L).ok, name
+        assert validate_pair(pair.involution, pair.L).ok, name

@@ -51,7 +51,15 @@ from holonomy.realize import (
     riemann_at_origin,
 )
 
-from helpers import N24_BLOCKS, TWO_EIGENVALUE_SPECS, fractions, int_form, pair_of, record_dtypes
+from helpers import (
+    N24_BLOCKS,
+    TWO_EIGENVALUE_SPECS,
+    dense_g,
+    fractions,
+    int_form,
+    pair_of,
+    record_dtypes,
+)
 from oracles import (
     block_tensor_ref,
     centralizer_basis_ref,
@@ -143,8 +151,9 @@ def test_elimination_matches_fraction_rref_on_corpus(lam):
     pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
     pairs.append(pair_of(N24_BLOCKS, lam))
     for pair in pairs:
-        assert np.array_equal(pair.g @ pair.g, np.eye(pair.n, dtype=int)), pair.n
-        assert np.array_equal(inverse_ref(pair.g), pair.g), pair.n
+        g = dense_g(pair.involution)
+        assert np.array_equal(g @ g, np.eye(pair.n, dtype=int)), pair.n
+        assert np.array_equal(inverse_ref(g), g), pair.n
 
 
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(-2, 3)])
@@ -153,7 +162,7 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
         doc["eigenvalues"][0]["lambda"] = str(lam)
         pair = build_canonical(pencil_from_json(doc))
         n, l = pair.n, pair.L[0]
-        w = so_basis_ref(pair.g)
+        w = so_basis_ref(dense_g(pair.involution))
         assert np.array_equal(commutator_system(pair.involution, l),
                               (w @ l - l @ w).reshape(len(w), n * n).T), name
         cert = berger_certificate(pair, r_formal(pair))
@@ -205,12 +214,12 @@ def test_metric_checks_agree_with_loops_under_perturbation(case):
     pair = _pair(case)
     formal = r_formal(pair)
     formal_values = fractions(formal).tolist()
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     rejected = Counter()
     for idx in np.ndindex(qm.num.shape):
         num = qm.num.copy()
         num[idx] += 1
-        bad = QuadraticMetric(qm.g0, num, qm.den)
+        bad = QuadraticMetric(qm.involution, num, qm.den)
         nabla = check_nablaL(bad, pair.L)
         gsym = check_gsym(bad, pair.L)
         curvature = _riemann_outcome(riemann_at_origin, bad)
@@ -236,7 +245,7 @@ def test_curvature_checks_agree_with_loops_under_perturbation(case):
         assert (got.ok, got.witness, got.max_violation) == \
             (want.ok, want.witness, want.max_violation), idx
         sectional = check_sectional(bad, pair.involution, pair.L)
-        assert sectional == check_sectional_ref(bad, pair.g, pair.L), idx
+        assert sectional == check_sectional_ref(bad, dense_g(pair.involution), pair.L), idx
         rejected["bianchi"] += not got.ok
         rejected["sectional"] += not sectional
     assert rejected["bianchi"] and rejected["sectional"], rejected

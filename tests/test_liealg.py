@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from holonomy import build_canonical, lower_B, make_pencil
 from holonomy.berger import RealizationError, check_sectional
-from holonomy.exactla import rank, signed_involution
+from holonomy.exactla import rank
 from holonomy.liealg import commutator_system, wedge_index, wedge_rows
 
-from helpers import certified_gl, fractions, int_form, mat, pair_of, unit
+from helpers import certified_gl, dense_g, fractions, int_form, mat, pair_of, unit
 from oracles import (
     centralizer_dim,
     check_sectional_ref,
@@ -37,8 +37,9 @@ def test_wedge_antisymmetry_and_example():
     assert np.array_equal(wedge(e1, e0, g), mat([[-1, 0], [0, 1]]))
     # wedge_rows(g) stacks wedge(e_i, e_j) in the reference pair order
     pair = pair_of([(1, 1), (2, -1)])
-    for (i, j), x in zip(wedge_tags(3), wedge_rows(pair.g), strict=True):
-        assert np.array_equal(x, wedge(unit(3, i), unit(3, j), pair.g))
+    g = dense_g(pair.involution)
+    for (i, j), x in zip(wedge_tags(3), wedge_rows(g), strict=True):
+        assert np.array_equal(x, wedge(unit(3, i), unit(3, j), g))
 
 
 def test_wedge_index_is_the_reference_order():
@@ -64,8 +65,9 @@ def test_wedge_bilinear(a, b, u0, u1, v0):
 
 def test_wedge_output_is_g_skew():
     pair = pair_of([(1, 1), (2, -1)])
-    for x in wedge_rows(pair.g):
-        assert is_g_skew(pair.g, x)
+    g = dense_g(pair.involution)
+    for x in wedge_rows(g):
+        assert is_g_skew(g, x)
 
 
 def test_so_basis_dimensions():
@@ -73,11 +75,12 @@ def test_so_basis_dimensions():
     assert len(wedge_rows(g)) == 1
     assert np.array_equal(wedge_rows(g), so_basis_ref(g))
     pair = pair_of([(2, 1), (2, -1)])
-    basis = wedge_rows(pair.g)
-    assert np.array_equal(basis, so_basis_ref(pair.g))
+    g = dense_g(pair.involution)
+    basis = wedge_rows(g)
+    assert np.array_equal(basis, so_basis_ref(g))
     assert len(basis) == 6
     for x in basis:
-        assert is_g_skew(pair.g, x)
+        assert is_g_skew(g, x)
 
 
 def test_so_basis_euclidean_spans_antisymmetric():
@@ -94,19 +97,16 @@ def test_so_basis_euclidean_spans_antisymmetric():
         assert member_coords(e, basis) is not None
 
 
-def _signed_involution(data, n: int) -> np.ndarray:
-    """A random symmetric signed permutation matrix: an involution of
-    disjoint transpositions, with one sign on each orbit."""
+def _signed_involution(data, n: int) -> tuple:
+    """A random signed involution ``(perm, sign)``: disjoint transpositions,
+    with one sign on each orbit."""
     order = data.draw(st.permutations(range(n)))
-    perm = list(range(n))
+    perm = np.arange(n)
     for k in range(data.draw(st.integers(0, n // 2))):
         a, b = order[2 * k], order[2 * k + 1]
         perm[a], perm[b] = b, a
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-    g = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        g[i, perm[i]] = signs[min(i, perm[i])]
-    return g
+    return perm, np.array([signs[min(i, perm[i])] for i in range(n)])
 
 
 def _lowered_ref(g, t):
@@ -117,11 +117,11 @@ def _lowered_ref(g, t):
 @given(st.integers(1, 8), st.data())
 @settings(max_examples=30, deadline=None)
 def test_commutator_system_matches_basis_commutators(n, data):
-    # every product with g is a gather along signed_involution(g); each is
+    # every product with g is a gather along its (perm, sign); each is
     # checked against dense products with g on a random signed involution.
     # Column k of the system is W_k l - l W_k for any integer l, g-symmetric or not
-    g = _signed_involution(data, n)
-    involution = signed_involution(g)
+    involution = _signed_involution(data, n)
+    g = dense_g(involution)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     l = rng.integers(-3, 4, (n, n)).astype(object)
     w = so_basis_ref(g)
@@ -136,10 +136,10 @@ def test_commutator_system_matches_basis_commutators(n, data):
     for tensor in (t, -_lowered_ref(g, s)):
         want = _lowered_ref(g, tensor)
         if (want == want.transpose(1, 0, 2, 3)).all() and (want == want.transpose(0, 1, 3, 2)).all():
-            assert np.array_equal(lower_B(tensor, g).num, want)
+            assert np.array_equal(lower_B(tensor, involution).num, want)
         else:
             with pytest.raises(RealizationError, match="not symmetric"):
-                lower_B(tensor, g)
+                lower_B(tensor, involution)
 
     # check_sectional against the loop oracle with dense g: the so(g) basis
     # passes with a scalar L, and an element v of so(g) with the g-symmetric
@@ -181,7 +181,7 @@ def test_centralizer_defining_equations_and_cross_blocks():
     assert len(basis) == centralizer_dim(pair) == 1 + 1
     lo = 3  # first index of the second eigenvalue
     for x in basis:
-        assert is_g_skew(pair.g, x)
+        assert is_g_skew(dense_g(pair.involution), x)
         assert not commutator(x, fractions(*pair.L)).any()
         # cross-eigenvalue blocks vanish exactly
         for i in range(lo):
@@ -202,7 +202,7 @@ def test_m_ij_dimensions_and_commutativity():
     a, b = basis
     assert not commutator(a, b).any()
     for x in basis:
-        assert is_g_skew(pair.g, x)
+        assert is_g_skew(dense_g(pair.involution), x)
         assert not commutator(x, fractions(*pair.L)).any()
 
 
@@ -238,7 +238,7 @@ def test_centralizer_closed_under_bracket():
 
 def test_member_coords_examples():
     pair = pair_of([(1, 1), (2, 1)])
-    basis = wedge_rows(pair.g)
+    basis = wedge_rows(dense_g(pair.involution))
     first = basis[0]
     coords = member_coords(first, basis)
     assert coords[0] == 1 and not any(coords[1:])

@@ -21,13 +21,14 @@ from holonomy.probe import (
 )
 from holonomy.probe import kernels
 
-from holonomy.realize import QuadraticMetric, invertibility_bound, validity_radius
+from holonomy.realize import QuadraticMetric, check_nablaL, invertibility_bound, validity_radius
 
 from helpers import (
     N24_BLOCKS,
     PROBE_SPECS,
     TWO_EIGENVALUE_SPECS,
     certificate,
+    dense_g,
     joined,
     logarithms,
     loop_rows,
@@ -49,7 +50,7 @@ from oracles import (
 
 def realized(blocks, lam=0):
     pair = pair_of(blocks, lam)
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     return pair, qm
 
 
@@ -229,6 +230,36 @@ def test_transport_membership_and_drift():
         assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
 
 
+def _commutation_defect(pair, qm, seed=0):
+    """The largest |D L - L D|_max / (|D|_max |L|_max) over the standard
+    loops' transports I + D that moved (D != 0)."""
+    l = pair.L[0].astype(np.float64) / pair.L[1]
+    d = parallel_transport(FloatMetric.from_exact(qm), standard_loops(pair.n, seed=seed))[0]
+    d = d[np.abs(d).max(axis=(1, 2)) > 0]
+    defect = np.abs(d @ l - l @ d).max(axis=(1, 2))
+    return float((defect / (np.abs(d).max(axis=(1, 2)) * np.abs(l).max())).max())
+
+
+def test_holonomy_commutes_with_L():
+    # L is parallel, so every holonomy matrix commutes with it: on the
+    # probe specs and the two-eigenvalue specs the defect is rounding
+    pairs = [pair_of(blocks, Fraction(-1, 3)) for _, blocks in PROBE_SPECS]
+    pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
+    for pair in pairs:
+        qm = lower_B(pair.block_tensor, pair.involution)
+        assert _commutation_defect(pair, qm) < 1e-12, pair.layout
+    # negative control: one coefficient of B and its symmetric partner
+    # raised by 1 breaks nabla L = 0 yet leaves g0 g(x) upper triangular,
+    # so the probe accepts the metric; its holonomy does not commute with L
+    pair, qm = realized([(2, 1), (3, 1)])
+    num = qm.num.copy()
+    num[0, 1, 0, 0] += 1
+    num[1, 0, 0, 0] += 1
+    bad = QuadraticMetric(qm.involution, num, qm.den)
+    assert not check_nablaL(bad, pair.L)
+    assert _commutation_defect(pair, bad) > 0.5
+
+
 def test_span_checks_the_loop_family_once(monkeypatch):
     calls = []
     checked = transport._checked
@@ -314,10 +345,10 @@ def test_span_flat_single_block():
     pair, qm = realized([(3, 1)])
     rep = span(qm, pair, standard_loops(3, seed=0))
     assert rep.span_rank == 0 and rep.dim_gL == 0 and rep.passed
-    assert rep.sv_gap == float("inf")
+    assert rep.singular_values == ()
     # strict JSON has no Infinity; a constant metric has an infinite radius
     doc = dataclasses.replace(rep, validity_radius=float("inf")).to_json()
-    assert doc["sv_gap"] is None and doc["validity_radius"] is None
+    assert "sv_gap" not in doc and doc["singular_values"] == [] and doc["validity_radius"] is None
 
 
 def test_span_blocks_1_2():
@@ -363,12 +394,12 @@ def test_span_fails_when_the_samples_outrank_dim_gL():
     rep = holonomy_span(FloatMetric.from_exact(qm), low, standard_loops(5, seed=0))
     assert rep.span_rank == 2 == rep.dim_gL + 1 and rep.max_membership_residual < 1e-6
     assert not rep.passed
-    # down to dim 0: nothing is retained, so the gap is 0
+    # down to dim 0: the one curved direction is more than it allows
     pair, qm = realized([(1, 1), (2, 1)])
     cert = certificate(pair)
     none = dataclasses.replace(cert, dim_gL=0, image_rank=0)
     rep = holonomy_span(FloatMetric.from_exact(qm), none, standard_loops(3, seed=0))
-    assert rep.span_rank == 1 and rep.sv_gap == 0.0 and not rep.passed
+    assert rep.span_rank == 1 and not rep.passed
 
 
 def test_membership_detects_a_dropped_basis_element():
@@ -427,7 +458,7 @@ def test_nablaL_residual_detects_corruption():
     pair, qm = realized([(1, 1), (2, 1)])
     bad_num = 4 * qm.num
     bad_num[0, 0, 1, 1] += qm.den  # B[0, 0, 1, 1] += 1/4
-    bad = QuadraticMetric(qm.g0, bad_num, 4 * qm.den)
+    bad = QuadraticMetric(qm.involution, bad_num, 4 * qm.den)
     assert nablaL_residual(bad, pair.L, [0.05, 0.02, -0.03]) > 1e-3
 
 
@@ -557,8 +588,8 @@ def test_raised_metric_is_upper_triangular():
     pairs.append(pair_of(N24_BLOCKS, Fraction(-1, 3)))
     assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 1
     for pair in pairs:
-        qm = lower_B(pair.block_tensor, pair.g)
-        raised = np.einsum("is,sjpq->ijpq", pair.g, qm.num)
+        qm = lower_B(pair.block_tensor, pair.involution)
+        raised = np.einsum("is,sjpq->ijpq", dense_g(pair.involution), qm.num)
         rows, cols = np.tril_indices(pair.n, -1)
         assert not raised[rows, cols].any(), pair.layout
         fm = FloatMetric.from_exact(qm)
@@ -626,7 +657,7 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     rmap = r_formal(pair)
     flat = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if not value.any()}
     assert 0 < len(flat) < len(rmap)
-    fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
+    fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.involution))
     loops = standard_loops(pair.n, seed=0)
     moved = np.max(np.abs(transports(fm, loops) - np.eye(pair.n)), axis=(1, 2))
     in_flat = in_planes(loops, flat)
@@ -727,7 +758,7 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
         pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
         rmap = r_formal(pair)
         curved = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()}
-        fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.g))
+        fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.involution))
         for loops in (standard_loops(pair.n, seed=seed) for seed in (0, 1, 2)):
             flat_runs.append((fm, loop_rows(loops, ~in_planes(loops, curved))))
             if len(eigenvalues) == 1:  # a probe spec

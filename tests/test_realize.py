@@ -18,7 +18,7 @@ from holonomy import (
     verify_realization,
 )
 from holonomy.cli import RunConfig, cmd_verify
-from holonomy.exactla import INT64_LIMIT, max_abs, rank, signed_involution
+from holonomy.exactla import INT64_LIMIT, check_involution, max_abs, rank
 from holonomy.liealg import wedge_rows
 from holonomy.probe.transport import FloatMetric
 from holonomy.realize import (
@@ -31,7 +31,7 @@ from holonomy.realize import (
     validity_radius,
 )
 
-from helpers import TWO_EIGENVALUE_SPECS, fractions, int_form, mat, pair_of
+from helpers import TWO_EIGENVALUE_SPECS, dense_g, fractions, int_form, mat, pair_of
 from oracles import (
     b_apply,
     b_components,
@@ -72,18 +72,18 @@ def test_build_B_single_block_curvature_vanishes_on_so():
     pair = pair_of([(2, 1)])
     b = pair.block_tensor
     assert b.any()  # the tensor itself is nonzero
-    for x in wedge_rows(pair.g):
+    for x in wedge_rows(dense_g(pair.involution)):
         bx = b_apply(b, x)
-        assert not (-bx + g_adjoint(pair.g, bx)).any()
+        assert not (-bx + g_adjoint(dense_g(pair.involution), bx)).any()
 
 
 def test_build_B_reproduces_formal_curvature():
     pair = pair_of([(1, 1), (2, 1)])
     b = pair.block_tensor
     rm = r_formal(pair)
-    for x, v in zip(wedge_rows(pair.g), fractions(rm), strict=True):
+    for x, v in zip(wedge_rows(dense_g(pair.involution)), fractions(rm), strict=True):
         bx = b_apply(b, x)
-        assert np.array_equal(-bx + g_adjoint(pair.g, bx), v)
+        assert np.array_equal(-bx + g_adjoint(dense_g(pair.involution), bx), v)
 
 
 def test_build_B_provenance_and_commutation():
@@ -102,7 +102,7 @@ def test_build_B_provenance_and_commutation():
             bx = b_apply(b, e)
             bracket = bx @ L - L @ bx
             assert not bracket.any()
-            assert not (bracket + g_adjoint(pair.g, bracket)).any()
+            assert not (bracket + g_adjoint(dense_g(pair.involution), bracket)).any()
 
 
 def test_B_skew_on_so_and_doubling():
@@ -115,40 +115,41 @@ def test_B_skew_on_so_and_doubling():
     for pair in pairs:
         b = pair.block_tensor
         rm = r_formal(pair)
-        for x, v in zip(wedge_rows(pair.g), fractions(rm), strict=True):
+        g = dense_g(pair.involution)
+        for x, v in zip(wedge_rows(g), fractions(rm), strict=True):
             bx = b_apply(b, x)
-            assert not (pair.g @ bx + bx.T @ pair.g).any()
+            assert not (g @ bx + bx.T @ g).any()
             assert np.array_equal(v, Fraction(-2) * bx)
 
 
 def test_lower_B_two_point_blocks():
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     low = lowered(qm)
+    g = dense_g(pair.involution)
     for i in range(2):
         for j in range(2):
             for p in range(2):
                 for q in range(2):
-                    want = -HALF * pair.g[i, j] * pair.g[p, q]
+                    want = -HALF * g[i, j] * g[p, q]
                     assert low[i][j][p][q] == want
 
 
 def test_lower_B_zero_tensor():
     pair = pair_of([(2, 1)])
     zero = np.zeros((2, 2, 2, 2), dtype=object)
-    qm = lower_B(zero, pair.g)
+    qm = lower_B(zero, pair.involution)
     low = lowered(qm)
     assert all(low[i][j][p][q] == 0
                for i in range(2) for j in range(2) for p in range(2) for q in range(2))
     # a g0 that is not a signed involution is refused, even with a zero tensor
-    big = np.array([[10 ** 30, 0], [0, 1]], dtype=object)
-    with pytest.raises(ValueError, match=re.escape("bad entry (0, 0)")):
-        lower_B(zero, big)
+    with pytest.raises(ValueError, match=re.escape("bad index 1")):
+        lower_B(zero, (np.array([0, 1]), np.array([1, 2])))
 
 
 def test_lowered_symmetries():
     pair = pair_of([(2, 1), (3, -1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     n = qm.n
     low = lowered(qm)
     for i in range(n):
@@ -161,8 +162,9 @@ def test_lowered_symmetries():
 
 def test_metric_at():
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
-    assert np.array_equal(metric_at(qm, [0, 0]), pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
+    g = dense_g(pair.involution)
+    assert np.array_equal(metric_at(qm, [0, 0]), g)
     x = [Fraction(1, 2), Fraction(-1, 3)]
     r2 = Fraction(1, 4) + Fraction(1, 9)
     expect = (1 - r2 * HALF) * eye(2)
@@ -171,20 +173,20 @@ def test_metric_at():
     t = Fraction(3)
     gx = metric_at(qm, x)
     gtx = metric_at(qm, [t * v for v in x])
-    assert np.array_equal(gtx - pair.g, t * t * (gx - pair.g))
+    assert np.array_equal(gtx - g, t * t * (gx - g))
 
 
 def test_check_nablaL_and_gsym():
     for blocks in ([(1, 1), (2, 1)], [(2, 1), (2, -1)], [(1, 1), (1, 1), (2, 1)]):
         pair = pair_of(blocks)
-        qm = lower_B(pair.block_tensor, pair.g)
+        qm = lower_B(pair.block_tensor, pair.involution)
         assert check_nablaL(qm, pair.L)
         assert check_gsym(qm, pair.L)
 
 
 def test_checks_trivial_for_zero_L():
     pair = pair_of([(1, 1), (1, -1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     assert not pair.L[0].any()
     assert check_nablaL(qm, pair.L)
     assert check_gsym(qm, pair.L)
@@ -192,23 +194,23 @@ def test_checks_trivial_for_zero_L():
 
 def test_check_nablaL_detects_corruption():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     low = np.array(lowered(qm), dtype=object)
     low[0, 0, 1, 1] += Fraction(1, 7)
-    bad = QuadraticMetric(qm.g0, *int_form(low))
+    bad = QuadraticMetric(qm.involution, *int_form(low))
     assert not check_nablaL(bad, pair.L)
 
 
 def test_check_gsym_detects_wrong_operator():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     rogue = int_form([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # does not commute with the factors
     assert not check_gsym(qm, rogue)
 
 
 def test_riemann_flat_metric():
     pair = pair_of([(2, 1)])
-    qm = QuadraticMetric(pair.g, *int_form(np.zeros((2, 2, 2, 2), dtype=object)))
+    qm = QuadraticMetric(pair.involution, *int_form(np.zeros((2, 2, 2, 2), dtype=object)))
     assert not riemann_at_origin(qm)[0].any()
 
 
@@ -216,15 +218,15 @@ def test_riemann_round_sphere_like():
     # g(x) = (1 - |x|^2/2) I has curvature operator equal to the identity
     # on so(2) at the origin
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     rm = riemann_at_origin(qm)
     assert np.array_equal(fractions(*rm)[0], mat([[0, 1], [-1, 0]]))
-    assert np.array_equal(fractions(*rm)[0], wedge_rows(pair.g)[0])
+    assert np.array_equal(fractions(*rm)[0], wedge_rows(dense_g(pair.involution))[0])
 
 
 def test_riemann_matches_formal_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     rm = riemann_at_origin(qm)
     formal = r_formal(pair)
     assert np.array_equal(fractions(*rm), fractions(formal))
@@ -234,8 +236,8 @@ def test_riemann_matches_formal_blocks_1_2():
 
 def test_riemann_linear_in_coefficients():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
-    doubled = QuadraticMetric(qm.g0, *int_form(2 * np.array(lowered(qm), dtype=object)))
+    qm = lower_B(pair.block_tensor, pair.involution)
+    doubled = QuadraticMetric(qm.involution, *int_form(2 * np.array(lowered(qm), dtype=object)))
     r1 = riemann_at_origin(qm)
     r2 = riemann_at_origin(doubled)
     assert np.array_equal(fractions(*r2), 2 * fractions(*r1))
@@ -244,13 +246,13 @@ def test_riemann_linear_in_coefficients():
 def test_verify_realization():
     for blocks in ([(3, 1)], [(1, 1), (2, 1)], [(2, 1), (2, -1)]):
         pair = pair_of(blocks)
-        qm = lower_B(pair.block_tensor, pair.g)
+        qm = lower_B(pair.block_tensor, pair.involution)
         report = verify_realization(pair, qm, r_formal(pair))
         assert report.ok, (blocks, report)
         if blocks == [(3, 1)]:
             assert not riemann_at_origin(qm)[0].any()
     pair = build_canonical(make_pencil([(0, [(1, 1), (2, 1)]), (1, [(2, -1), (2, -1)])]))
-    assert verify_realization(pair, lower_B(pair.block_tensor, pair.g), r_formal(pair)).ok
+    assert verify_realization(pair, lower_B(pair.block_tensor, pair.involution), r_formal(pair)).ok
 
 
 def test_verify_realization_rejects_perturbed_formal_map():
@@ -260,7 +262,7 @@ def test_verify_realization_rejects_perturbed_formal_map():
     formal = r_formal(pair)
     perturbed = formal.copy()
     perturbed[1] = perturbed[1] + eye(pair.n)
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     report = verify_realization(pair, qm, perturbed)
     assert report.routes_agree and not report.matches_formal and not report.ok
     assert verify_realization(pair, qm, formal).matches_formal
@@ -272,61 +274,65 @@ def test_verify_realization_compares_the_denominator():
     # the routes agree on both, but neither may match
     pair = pair_of([(1, 1), (2, 1)])
     formal = r_formal(pair)
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     assert formal.any() and qm.den == 2
-    for metric, rmap in ((QuadraticMetric(qm.g0, qm.num, 1), formal), (qm, 2 * formal)):
+    for metric, rmap in ((QuadraticMetric(qm.involution, qm.num, 1), formal), (qm, 2 * formal)):
         report = verify_realization(pair, metric, rmap)
         assert report.routes_agree and not report.matches_formal, report
 
 
 def test_lower_B_rejects_asymmetric_point_indices():
-    # T = I (x) E_01 gives (g0 E_01) in (p, q), not symmetric there
-    g = eye(2)
+    # T = I (x) E_01 gives (g0 E_01) in (p, q), not symmetric there; g0 = I
     e01 = np.array([[0, 1], [0, 0]], dtype=object)
     with pytest.raises(RealizationError, match=r"\(p, q\)"):
-        lower_B(np.einsum("aj,bq->ajbq", g, e01), g)
+        lower_B(np.einsum("aj,bq->ajbq", eye(2), e01), (np.arange(2), np.ones(2, dtype=int)))
 
 
 @pytest.mark.parametrize("g0, at", [
-    ([[2, 0], [0, 1]], (0, 0)),  # an entry of 2
-    ([[0, 1], [1, 1]], (1, 1)),  # symmetric and invertible, with two entries in a row
-    ([[1, 0], [0, 0]], (1, 0)),  # degenerate: a zero row
-    ([[10 ** 30, 0], [0, 1]], (0, 0)),  # past int64
-    ([[0, -1, 0], [0, 0, 1], [1, 0, 0]], (0, 1)),  # a signed 3-cycle: not symmetric
-])
+    (([1, 2, 0], [1, 1, 1]), 0),  # a 3-cycle: perm is not its own inverse
+    (([1, 0], [1, -1]), 0),  # asymmetric: g[0, 1] = 1 but g[1, 0] = -1
+    (([0, 1], [1, 0]), 1),  # degenerate: a zero row
+    (([0, 1], [2, 1]), 0),  # an entry of 2
+    (([0, 2], [1, 1]), 1),  # perm out of range
+], ids=[f"g0{k}-at{k}" for k in range(5)])
 def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
     # every product with g0 is a gather along its (perm, sign), which a
-    # canonical g0, a signed involution, has; every entry point refuses any
-    # other g0 by its first bad entry, and validate_pair reports it
-    g0 = np.array(g0)  # int64, or object past int64
-    n = len(g0)
-    message = f"g is not a signed involution: bad entry {at}"
+    # canonical g0, a signed involution, has; the check and the metric refuse
+    # any other (perm, sign) by its first bad index, and validate_pair reports it
+    perm, sign = g0 = tuple(np.array(v) for v in g0)
+    n = len(perm)
+    message = f"g is not a signed involution: bad index {at}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        signed_involution(g0)
+        check_involution(perm, sign)
     with pytest.raises(ValueError, match=re.escape(message)):
-        lower_B(np.zeros((n,) * 4, dtype=np.int64), g0)
-    qm = QuadraticMetric(g0, np.ones((n,) * 4, dtype=np.int64), 2)
-    for call in (riemann_at_origin, invertibility_bound, FloatMetric.from_exact):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            call(qm)
+        QuadraticMetric(g0, np.zeros((n,) * 4, dtype=np.int64), 2)
     report = validate_pair(g0, int_form(np.zeros((n, n), dtype=object)))
     assert not report.ok and report.failures == (message,)
 
 
+def test_involution_must_be_two_int_vectors_of_one_length():
+    for perm, sign in (([0, 1], [1, 1]),  # lists, not arrays
+                       (np.arange(2), np.ones(2)),  # a float sign
+                       (np.arange(2), np.ones(3, dtype=int)),  # lengths differ
+                       (np.zeros((1, 1), dtype=int), np.ones((1, 1), dtype=int))):  # matrices
+        with pytest.raises(ValueError, match="integer vectors of one length"):
+            check_involution(perm, sign)
+
+
 def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
-    # a full verify checks g0 three times: validate_pair, the pair's cached
-    # check, and lower_B's, which the metric keeps; the curvature, the
-    # bound and the probe's float metric read the kept one
+    # a full verify checks g three times: build_canonical's check of the
+    # pair, the metric's on construction and validate_pair's for the report;
+    # the curvature, the bound and the probe's float metric check nothing
     calls = []
 
-    def counted(g):
-        calls.append(len(g))
-        return signed_involution(g)
+    def counted(perm, sign):
+        calls.append(len(perm))
+        return check_involution(perm, sign)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("holonomy") and \
-                getattr(module, "signed_involution", None) is signed_involution:
-            monkeypatch.setattr(module, "signed_involution", counted)
+                getattr(module, "check_involution", None) is check_involution:
+            monkeypatch.setattr(module, "check_involution", counted)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"eigenvalues": [{"lambda": "0", "blocks": [
         {"size": 1, "sign": 1}, {"size": 2, "sign": -1}]}]}))
@@ -335,16 +341,17 @@ def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
     assert code == 0 and report["verdict"] == "pass"
     assert calls == [3, 3, 3]
     pair = pair_of([(1, 1), (2, -1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
+    assert calls[3:] == [3, 3] and qm.involution is pair.involution
     calls.clear()
     for call in (riemann_at_origin, invertibility_bound, FloatMetric.from_exact):
         call(qm)
-    assert calls == [] and qm.involution is qm.involution
+    assert calls == []
 
 
 def test_validity_radius_positive():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     rho = validity_radius(invertibility_bound(qm))
     assert rho > 0.1
     assert rank(int_form(metric_at(qm, [Fraction(1, 20)] * 3))[0]) == qm.n
@@ -359,9 +366,10 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     pair = pair_of(blocks, lam)
     rmap = r_formal(pair)
     cert = berger_certificate(pair, rmap)
-    qm = lower_B(pair.block_tensor, pair.g)
+    qm = lower_B(pair.block_tensor, pair.involution)
     rm = riemann_at_origin(qm)
-    stored = {"g": pair.g, "L": pair.L[0], "T": pair.block_tensor,
+    stored = {"perm": pair.involution[0], "sign": pair.involution[1],
+              "L": pair.L[0], "T": pair.block_tensor,
               "metric": qm.num, "formal": rmap, "riemann": rm[0],
               "basis": cert.basis}
     for name, a in stored.items():
