@@ -94,7 +94,7 @@ def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
     curved[wedge_index(qm.n)] = rmap.any(axis=(1, 2))
     loops = standard_loops(qm.n, seed=config.seed)
     keep = curved[loops[0][:, 0], loops[0][:, 1]]
-    doc = holonomy_span(FloatMetric.from_exact(qm), cert, tuple(a[keep] for a in loops)).to_json()
+    doc = holonomy_span(FloatMetric(qm), cert, tuple(a[keep] for a in loops)).to_json()
     doc["flat_planes"] = len(rmap) - int(curved.sum())
     return doc
 

@@ -73,37 +73,28 @@ class SingularMetricError(RuntimeError):
 
 
 class FloatMetric:
-    """Float64 view of a quadratic metric, converted once per probe run.
+    """Float64 view of a checked ``QuadraticMetric`` ``qm``, made once per probe run.
 
-    ``involution`` is g0's ``(perm, sign)`` (``exactla.check_involution``)
-    and ``B`` the lowered coefficient tensor.  ``mats`` holds the kernel's
-    raised contraction matrices, and the raised tensor g0 B must vanish at
-    every (i, j, p, q) with i > j, so that g0 g(x) is upper triangular;
-    any other B is refused with ``ValueError`` naming its first such entry.
-    ``bound`` is the exact invertibility constant c of the metric, which
-    certifies the loops the probe may transport.
+    ``involution`` is qm's g0 as ``(perm, sign)``, never a dense matrix, and
+    ``mats`` the kernel's raised contraction matrices of B = num / den.  The
+    raised tensor g0 B must vanish at every (i, j, p, q) with i > j, so that
+    g0 g(x) is upper triangular; any other metric is refused with
+    ``ValueError`` naming its first such entry.  ``bound`` is the exact
+    invertibility constant c, which certifies the loops the probe may transport.
     """
 
-    __slots__ = ("g0", "B", "n", "bound", "mats")
+    __slots__ = ("involution", "n", "bound", "mats")
 
-    def __init__(self, involution: tuple, B: np.ndarray, bound: Fraction) -> None:
-        perm, sign = involution
-        self.n = len(perm)
-        self.g0 = np.zeros((self.n, self.n))
-        self.g0[np.arange(self.n), perm] = sign
-        self.B = np.ascontiguousarray(B, dtype=np.float64)
-        self.bound = bound
-        self.mats = kernels.contraction_matrices(self.B, involution)
+    def __init__(self, qm: QuadraticMetric) -> None:
+        self.involution, self.n = qm.involution, qm.n
+        self.bound = invertibility_bound(qm)
+        self.mats = kernels.contraction_matrices(qm.num.astype(np.float64) / qm.den, qm.involution)
         raised = self.mats[0].reshape((self.n,) * 4)
         lower = np.tri(self.n, k=-1, dtype=bool)[:, :, None, None]
         at = first_mismatch(np.where(lower, raised, 0.0), np.zeros_like(raised))
         if at is not None:
             raise ValueError(f"g0 B has a nonzero entry below the diagonal at {at}: "
                              f"g0 g(x) is not upper triangular")
-
-    @classmethod
-    def from_exact(cls, qm: QuadraticMetric) -> "FloatMetric":
-        return cls(qm.involution, qm.num.astype(np.float64) / qm.den, invertibility_bound(qm))
 
     def certifies(self, extent: float) -> bool:
         """Exactly: is g(x) invertible for every |x|_inf <= extent?  An
@@ -255,17 +246,20 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     the target rank is ``cert.dim_gL``.  The numerical rank uses singular
     values above ``RANK_THRESHOLD`` times the largest; near-zero samples
     (flat directions) are excluded from the stack and have residual 0.  The
-    report passes iff the certificate passed, the rank equals dim g_L and
-    every membership residual stays below ``MEMBERSHIP_TOL``.
+    metric drift |g0 - A^T g0 A|_F gathers along g0's involution.  The report
+    passes iff the certificate passed, the rank equals dim g_L and every
+    membership residual stays below ``MEMBERSHIP_TOL``.
     """
-    dim = cert.dim_gL
     d, step_error, extent = parallel_transport(fm, loops)  # checks the loop family
     planes, basepoints, sides = loops  # as the check converts them
     loops = planes, basepoints.astype(np.float64), sides.astype(np.float64)
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
     psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
     a = d + np.eye(fm.n)
-    drift = np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
+    perm, sign = fm.involution
+    m = (sign[:, None] * a[:, perm]).transpose(0, 2, 1) @ a  # A^T g0 A, g0 A a gather
+    m[:, np.arange(fm.n), perm] -= sign
+    drift = np.linalg.norm(m, axis=(1, 2))
 
     norms = np.linalg.norm(psi, axis=1)
     kept = norms >= _NEGLIGIBLE
@@ -278,6 +272,6 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     sv = sv[sv > 0.0]
     rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
     max_res = float(residuals.max(initial=0.0))
-    passed = cert.passed and rank == dim and max_res < MEMBERSHIP_TOL
-    return SpanReport(rank, dim, max_res, tuple(sv.tolist()), validity_radius(fm.bound),
+    passed = cert.passed and rank == cert.dim_gL and max_res < MEMBERSHIP_TOL
+    return SpanReport(rank, cert.dim_gL, max_res, tuple(sv.tolist()), validity_radius(fm.bound),
                       loops, residuals, drift, step_error, extent, passed)

@@ -56,18 +56,23 @@ def lower_B(t: np.ndarray, involution: tuple) -> QuadraticMetric:
     g0 = ``involution`` (perm, sign), the pair's.
 
     g0 J^a is symmetric for a canonical g0, so the result is symmetric in
-    (i, j) and in (p, q).  Both symmetries are checked exactly.
+    (i, j) and in (p, q): checked exactly, once the metric has checked g0.
     """
     perm, sign = involution
     if t.shape != (len(perm),) * 4:
         raise ValueError("shape mismatch")
     t, = narrowed(max_abs(t), t)  # num[i, j, p, q] = -sign[i] sign[p] t[perm[i], j, perm[p], q]
-    num = -sign[:, None, None, None] * (sign[:, None] * t[perm][:, :, perm])
+    try:
+        num = -sign[:, None, None, None] * (sign[:, None] * t[perm][:, :, perm])
+    except (IndexError, TypeError, ValueError):  # the check names what is wrong with g0
+        check_involution(perm, sign)
+        raise
+    qm = QuadraticMetric(involution, num, 2)
     for axes, where in (((0, 1, 3, 2), "(p, q)"), ((1, 0, 2, 3), "(i, j)")):
         at = first_mismatch(num, num.transpose(axes))
         if at is not None:
             raise RealizationError(f"lowered tensor not symmetric in {where} at {at}")
-    return QuadraticMetric(involution, num, 2)
+    return qm
 
 
 def invertibility_bound(qm: QuadraticMetric) -> Fraction:

@@ -96,8 +96,10 @@ def logarithms(d):
 
 
 def metric_drift(fm, a):
-    """|g0 - A^T g0 A|_F of each transport matrix in the stack ``a``."""
-    return np.linalg.norm(fm.g0 - a.transpose(0, 2, 1) @ fm.g0 @ a, axis=(1, 2))
+    """|g0 - A^T g0 A|_F of each transport matrix in the stack ``a``, with
+    g0 the dense float matrix of ``fm.involution``."""
+    g0 = dense_g(fm.involution).astype(np.float64)
+    return np.linalg.norm(g0 - a.transpose(0, 2, 1) @ g0 @ a, axis=(1, 2))
 
 
 def certified_gl(pair):

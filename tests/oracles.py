@@ -38,7 +38,7 @@ from holonomy import berger
 from holonomy.berger import BianchiReport
 from holonomy.canonical import CanonicalPair
 from holonomy.probe import transport
-from holonomy.probe.transport import FloatMetric, SingularMetricError
+from holonomy.probe.transport import SingularMetricError
 from holonomy.realize import QuadraticMetric, RealizationError
 
 from helpers import all_blocks, dense_g, fractions, int_form
@@ -772,25 +772,23 @@ def standard_loops_ref(n: int, seed: int = 0) -> list:
             for a in range(n) for b in range(a + 1, n) for bp in basepoints]
 
 
-def _as_float_metric(qm) -> FloatMetric:
-    if isinstance(qm, FloatMetric):
-        return qm
-    return FloatMetric.from_exact(qm)
+def float_parts(qm: QuadraticMetric) -> tuple:
+    """The dense float64 g0 and B = num / den of a quadratic metric."""
+    return dense_g(qm.involution).astype(np.float64), qm.num.astype(np.float64) / qm.den
 
 
-def metric_value(qm, x) -> np.ndarray:
-    fm = _as_float_metric(qm)
-    return _metric_value(fm.g0, fm.B, np.asarray(x, dtype=np.float64))
+def metric_value(qm: QuadraticMetric, x) -> np.ndarray:
+    return _metric_value(*float_parts(qm), np.asarray(x, dtype=np.float64))
 
 
-def christoffel(qm, x) -> np.ndarray:
+def christoffel(qm: QuadraticMetric, x) -> np.ndarray:
     """Levi-Civita symbols gamma[k, i, j] at a float point; gamma(0) = 0."""
-    fm = _as_float_metric(qm)
+    g0, B = float_parts(qm)
     xv = np.asarray(x, dtype=np.float64)
-    gx = _metric_value(fm.g0, fm.B, xv)
-    if abs(np.linalg.det(gx)) < 1e-12 * abs(np.linalg.det(fm.g0)):
+    gx = _metric_value(g0, B, xv)
+    if abs(np.linalg.det(gx)) < 1e-12 * abs(np.linalg.det(g0)):
         raise SingularMetricError(f"metric is singular near {xv.tolist()}")
-    return _christoffel(fm.g0, fm.B, xv)
+    return _christoffel(g0, B, xv)
 
 
 def nablaL_residual(qm, L, x) -> float:

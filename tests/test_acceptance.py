@@ -162,7 +162,7 @@ def test_criterion_5_holonomy_probe():
     failures = []
     for name, blocks in PROBE_SPECS:
         pair, qm = _realized(blocks)
-        fm = FloatMetric.from_exact(qm)
+        fm = FloatMetric(qm)
         cert = berger_certificate(pair, r_formal(pair))
         for seed in (0, 1):
             rep = holonomy_span(fm, cert, standard_loops(pair.n, seed=seed))
@@ -198,7 +198,7 @@ def test_criterion_6_regular_case():
         report = verify_realization(pair, qm, formal)
         if not (report.ok and not riemann_at_origin(qm)[0].any()):
             failures.append(f"size {size}: realized curvature not zero")
-        fm = FloatMetric.from_exact(qm)
+        fm = FloatMetric(qm)
         for a in transports(fm, standard_loops(pair.n, seed=0)):
             drift = float(np.max(np.abs(a - np.eye(pair.n))))
             if not drift < 1e-10:
@@ -213,15 +213,15 @@ def test_criterion_7_numerical_cross_checks():
     """The transport kernel's Christoffel symbols vs finite differences of the
     metric; transport preserves the metric."""
 
-    def fd_gamma(fm, x, h=1e-5):
-        n = fm.n
+    def fd_gamma(qm, x, h=1e-5):
+        n = qm.n
         dg = np.empty((n, n, n))
         for p in range(n):
             e = np.zeros(n)
             e[p] = h
-            dg[p] = (metric_value(fm, x + e) - metric_value(fm, x - e)) / (2 * h)
+            dg[p] = (metric_value(qm, x + e) - metric_value(qm, x - e)) / (2 * h)
         t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
-        return 0.5 * np.linalg.solve(metric_value(fm, x), t.reshape(n, n * n)).reshape(n, n, n)
+        return 0.5 * np.linalg.solve(metric_value(qm, x), t.reshape(n, n * n)).reshape(n, n, n)
 
     def kernel_gamma(fm, x):
         # M(0) = Gamma(x)[e_b] on the segments x + s e_b, b = 0..n-1
@@ -232,10 +232,10 @@ def test_criterion_7_numerical_cross_checks():
     fd, drifts = [], []
     for name, blocks in PROBE_SPECS:
         pair, qm = _realized(blocks)
-        fm = FloatMetric.from_exact(qm)
+        fm = FloatMetric(qm)
         for _ in range(10):
             x = rng.uniform(-0.1, 0.1, pair.n)
-            fd.append(np.max(np.abs(kernel_gamma(fm, x) - fd_gamma(fm, x))))
+            fd.append(np.max(np.abs(kernel_gamma(fm, x) - fd_gamma(qm, x))))
         drifts.append(metric_drift(fm, transports(fm, standard_loops(pair.n, seed=1))))
     # np.max, unlike max(), propagates NaN, which then fails both bounds
     worst_fd = float(np.max(fd))

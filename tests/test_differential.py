@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holonomy import (
@@ -38,6 +38,7 @@ from holonomy import (
     make_pencil,
     pencil_from_json,
     r_formal,
+    verify_realization,
 )
 from holonomy.berger import block_terms, check_bianchi, check_sectional
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
@@ -311,3 +312,49 @@ def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
     assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9
     assert report["stages"]["berger"]["image_rank"] == 9
     assert all(report["stages"]["realize"].values())
+
+
+# A rational eigenvalue: negative values and large denominators included.
+sweep_rationals = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
+
+
+@st.composite
+def multi_eigenvalue_specs(draw):
+    """1-3 distinct eigenvalues with blocks of random size and sign, n <= 8,
+    as make_pencil arguments: the spec, the spec with every eigenvalue
+    shifted by one rational, and the spec with its eigenvalues and the
+    blocks of each in a drawn order."""
+    k = draw(st.integers(1, 3))
+    lams = draw(st.lists(sweep_rationals, min_size=k, max_size=k, unique=True))
+    blocks = st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, -1))), min_size=1, max_size=3)
+    spec = [(lam, draw(blocks)) for lam in lams]
+    assume(sum(size for _, bl in spec for size, _ in bl) <= 8)
+    shift = draw(sweep_rationals)
+    shifted = [(lam + shift, bl) for lam, bl in spec]
+    permuted = [(lam, draw(st.permutations(bl))) for lam, bl in draw(st.permutations(spec))]
+    return spec, shifted, permuted
+
+
+def _exact_stages(spec):
+    """The pair and the berger and realize reports' JSON text of a spec."""
+    pair = build_canonical(make_pencil(spec))
+    rmap = r_formal(pair)
+    cert = berger_certificate(pair, rmap)
+    realization = verify_realization(pair, lower_B(pair.block_tensor, pair.involution), rmap)
+    return pair, json.dumps({"berger": cert.to_json(), "realize": realization.to_json()},
+                            sort_keys=True)
+
+
+@given(multi_eigenvalue_specs())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_multi_eigenvalue_sweep(specs):
+    # the certificate passes with the closed-form dim g_L, the metric
+    # realizes the map, and both reports are the same bytes when every
+    # eigenvalue moves by one shift, and in any input order of the blocks
+    spec, shifted, permuted = specs
+    pair, text = _exact_stages(spec)
+    doc = json.loads(text)
+    assert doc["berger"]["passed"] and doc["berger"]["dim_gL"] == centralizer_dim(pair), doc
+    assert doc["realize"]["passed"], doc
+    assert _exact_stages(shifted)[1] == text
+    assert _exact_stages(permuted)[1] == text

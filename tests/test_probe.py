@@ -39,6 +39,7 @@ from helpers import (
 )
 from oracles import (
     christoffel,
+    float_parts,
     metric_at,
     metric_value,
     nablaL_residual,
@@ -55,32 +56,37 @@ def realized(blocks, lam=0):
 
 
 def span(qm, pair, loops):
-    return holonomy_span(FloatMetric.from_exact(qm), certificate(pair), loops)
+    return holonomy_span(FloatMetric(qm), certificate(pair), loops)
 
 
-def fd_christoffel(fm, x, h=1e-5):
+def flat_metric(involution):
+    """The constant metric g0: B = 0 as an all-zero num over den 1."""
+    return QuadraticMetric(involution, np.zeros((len(involution[0]),) * 4, dtype=np.int64), 1)
+
+
+def fd_christoffel(qm, x, h=1e-5):
     """Independent oracle: central differences of the metric values."""
-    n = fm.n
+    n = qm.n
     x = np.asarray(x, float)
     dg = np.empty((n, n, n))
     for p in range(n):
         e = np.zeros(n)
         e[p] = h
-        dg[p] = (metric_value(fm, x + e) - metric_value(fm, x - e)) / (2 * h)
-    gx = metric_value(fm, x)
+        dg[p] = (metric_value(qm, x + e) - metric_value(qm, x - e)) / (2 * h)
+    gx = metric_value(qm, x)
     t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
     return 0.5 * np.linalg.solve(gx, t.reshape(n, n * n)).reshape(n, n, n)
 
 
-def fd_curvature_op(fm, a, b, h=1e-5):
+def fd_curvature_op(qm, a, b, h=1e-5):
     """R(e_a ^ e_b) at 0 by differencing Christoffel symbols (zero at 0)."""
-    n = fm.n
+    n = qm.n
     ea = np.zeros(n)
     eb = np.zeros(n)
     ea[a] = h
     eb[b] = h
-    dga = (fd_christoffel(fm, ea) - fd_christoffel(fm, -ea)) / (2 * h)
-    dgb = (fd_christoffel(fm, eb) - fd_christoffel(fm, -eb)) / (2 * h)
+    dga = (fd_christoffel(qm, ea) - fd_christoffel(qm, -ea)) / (2 * h)
+    dgb = (fd_christoffel(qm, eb) - fd_christoffel(qm, -eb)) / (2 * h)
     # R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}
     return dga[:, b, :] - dgb[:, a, :]
 
@@ -94,17 +100,15 @@ def test_christoffel_zero_at_origin():
 
 
 def test_christoffel_flat_metric():
-    pair = pair_of([(2, 1)])
-    flat = FloatMetric(pair.involution, np.zeros((2, 2, 2, 2)), Fraction(0))
+    flat = flat_metric(pair_of([(2, 1)]).involution)
     gamma = christoffel(flat, [0.3, -0.2])
     assert np.max(np.abs(gamma)) < 1e-15
 
 
 def test_christoffel_against_finite_differences():
     _, qm = realized([(1, 1), (1, 1)])
-    fm = FloatMetric.from_exact(qm)
-    gamma = christoffel(fm, [0.1, 0.0])
-    assert np.max(np.abs(gamma - fd_christoffel(fm, [0.1, 0.0]))) < 1e-7
+    gamma = christoffel(qm, [0.1, 0.0])
+    assert np.max(np.abs(gamma - fd_christoffel(qm, [0.1, 0.0]))) < 1e-7
 
 
 def test_christoffel_symmetric_lower_indices():
@@ -116,8 +120,8 @@ def test_christoffel_symmetric_lower_indices():
 # -- transport -------------------------------------------------------------------
 
 def test_flat_transport_is_identity():
-    pair = pair_of([(2, 1)])
-    flat = FloatMetric(pair.involution, np.zeros((2, 2, 2, 2)), Fraction(0))
+    flat = FloatMetric(flat_metric(pair_of([(2, 1)]).involution))
+    assert flat.bound == 0
     (a,) = transports(flat, loops_of(((0.0, 0.0), (0, 1), 1e-2)))
     assert np.max(np.abs(a - np.eye(2))) < 1e-12
 
@@ -126,17 +130,17 @@ def test_rotation_angle_matches_curvature_oracle():
     # definite 2d case: transport around a small square is a rotation whose
     # angle per unit area equals the sectional curvature at the origin
     _, qm = realized([(1, 1), (1, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     side = 1e-2
     (a,) = transports(fm, loops_of(((0.0, 0.0), (0, 1), side)))
     theta = math.atan2(a[1, 0], a[0, 0])
-    k_oracle = fd_curvature_op(fm, 0, 1)[0, 1]
+    k_oracle = fd_curvature_op(qm, 0, 1)[0, 1]
     assert abs(abs(theta) / side ** 2 - abs(k_oracle)) < 0.01 * abs(k_oracle)
 
 
 def test_loop_shrinking_consistency():
     pair, qm = realized([(1, 1), (2, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     norms = {}
     psis = {}
     for side in (1e-2, 5e-3):
@@ -201,7 +205,7 @@ def test_origin_squares_carry_minus_the_curvature(blocks):
     # The defect is about 7e-5 at h = 1e-2; a square run the other way
     # round flips the sign of every logarithm and gives 2.
     pair, qm = realized(blocks)
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     h = 1e-2
     rmap = r_formal(pair).astype(float)
     tags = [tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()]
@@ -213,28 +217,39 @@ def test_origin_squares_carry_minus_the_curvature(blocks):
 
 
 def test_transport_membership_and_drift():
-    pair, qm = realized([(1, 1), (2, 1)])
-    loops = standard_loops(3, seed=3)
-    fm = FloatMetric.from_exact(qm)
-    rep = holonomy_span(fm, certificate(pair), loops)
-    assert all(np.array_equal(kept, given) for kept, given in zip(rep.loops, loops, strict=True))
-    assert len(rep.residuals) == len(rep.metric_drift) == len(loops[0])
-    stack = transports(fm, loops)
-    # the report's drift is the oracle's on the same transports, bit for bit,
-    # and the oracle's is rounding, not zero: a zeroed drift would pass the bound
-    assert np.array_equal(rep.metric_drift, metric_drift(fm, stack))
-    assert metric_drift(fm, stack).any()
-    for a, residual, drift in zip(stack, rep.residuals, rep.metric_drift):
-        assert residual < 1e-6
-        assert drift < 1e-8
-        assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
+    # the report's drift, gathered along g0's involution, is the dense
+    # oracle's on the same transports, bit for bit, and the oracle's is
+    # rounding, not zero: a zeroed drift would pass the bound.  On the probe
+    # specs, the two-eigenvalue specs and n = 24 (its curved planes, as the
+    # CLI keeps them)
+    cases = [(pair_of([(1, 1), (2, 1)]), 3)]
+    cases += [(pair_of(blocks), 0) for _, blocks in PROBE_SPECS]
+    cases += [(build_canonical(make_pencil(spec)), 0) for spec in TWO_EIGENVALUE_SPECS]
+    cases.append((pair_of(N24_BLOCKS, Fraction(-1, 3)), 0))
+    for pair, seed in cases:
+        fm = FloatMetric(lower_B(pair.block_tensor, pair.involution))
+        loops = standard_loops(pair.n, seed=seed)
+        if pair.n == 24:
+            curved = {tag for tag, value in zip(wedge_tags(pair.n), r_formal(pair), strict=True)
+                      if value.any()}
+            loops = loop_rows(loops, in_planes(loops, curved))
+        rep = holonomy_span(fm, certificate(pair), loops)
+        assert all(np.array_equal(kept, given) for kept, given in zip(rep.loops, loops, strict=True))
+        assert len(rep.residuals) == len(rep.metric_drift) == len(loops[0])
+        stack = transports(fm, loops)
+        assert np.array_equal(rep.metric_drift, metric_drift(fm, stack)), pair.layout
+        assert metric_drift(fm, stack).any(), pair.layout
+        for a, residual, drift in zip(stack, rep.residuals, rep.metric_drift):
+            assert residual < 1e-6
+            assert drift < 1e-8
+            assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
 
 
 def _commutation_defect(pair, qm, seed=0):
     """The largest |D L - L D|_max / (|D|_max |L|_max) over the standard
     loops' transports I + D that moved (D != 0)."""
     l = pair.L[0].astype(np.float64) / pair.L[1]
-    d = parallel_transport(FloatMetric.from_exact(qm), standard_loops(pair.n, seed=seed))[0]
+    d = parallel_transport(FloatMetric(qm), standard_loops(pair.n, seed=seed))[0]
     d = d[np.abs(d).max(axis=(1, 2)) > 0]
     defect = np.abs(d @ l - l @ d).max(axis=(1, 2))
     return float((defect / (np.abs(d).max(axis=(1, 2)) * np.abs(l).max())).max())
@@ -270,7 +285,7 @@ def test_span_checks_the_loop_family_once(monkeypatch):
 
     monkeypatch.setattr(transport, "_checked", spy)
     pair, qm = realized([(1, 1), (2, 1)])
-    rep = holonomy_span(FloatMetric.from_exact(qm), certificate(pair), standard_loops(3, seed=1))
+    rep = holonomy_span(FloatMetric(qm), certificate(pair), standard_loops(3, seed=1))
     assert calls == [3] and rep.passed
 
 
@@ -279,7 +294,7 @@ def test_loopspec_validation():
     # each is an ndarray of the right kind: np.asarray([(True, 2)]) would
     # silently be the plane (1, 2)
     _, qm = realized([(1, 1), (2, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     one = np.array([[0, 1]])
     origin = np.zeros((1, 1))
     side = np.array([1e-2])
@@ -317,7 +332,7 @@ def test_loopspec_validation():
     # ints are numbers, taken as floats (a side of 1 needs the flat metric's
     # infinite radius)
     ints = (one, np.zeros((1, 2), dtype=int), np.ones(1, dtype=int))
-    flat = FloatMetric(qm.involution, np.zeros_like(fm.B), Fraction(0))
+    flat = FloatMetric(flat_metric(qm.involution))
     rep = holonomy_span(flat, certificate(pair_of([(1, 1), (2, 1)])), ints)
     assert rep.loops[1].dtype == rep.loops[2].dtype == np.float64
     sample = rep.to_json()["samples"][0]
@@ -333,7 +348,7 @@ def test_singular_metric_detected():
     # the definite 2d metric (1 - |x|^2/2) I degenerates at |x|^2 = 2; park a
     # loop corner right on the degeneracy
     _, qm = realized([(1, 1), (1, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     bad = loops_of(((math.sqrt(2.0), 0.0), (0, 1), 1e-2))
     with pytest.raises(SingularMetricError):
         parallel_transport(fm, bad)
@@ -376,7 +391,7 @@ def test_span_fails_with_a_failing_certificate():
     vals[tags.index((0, 1))] = vals[tags.index((0, 2))]
     bad = berger_certificate(pair, vals)
     assert not bad.bianchi_ok and bad.containment_ok and bad.image_rank == bad.dim_gL
-    rep = holonomy_span(FloatMetric.from_exact(qm), bad, standard_loops(3, seed=0))
+    rep = holonomy_span(FloatMetric(qm), bad, standard_loops(3, seed=0))
     assert rep.span_rank == 1 == rep.dim_gL and rep.max_membership_residual < 1e-6
     assert not rep.passed
 
@@ -391,14 +406,14 @@ def test_span_fails_when_the_samples_outrank_dim_gL():
     assert low.passed and len(low.basis) == cert.dim_gL == 2
     rep = span(qm, pair, standard_loops(5, seed=0))
     assert rep.span_rank == 2 and rep.passed
-    rep = holonomy_span(FloatMetric.from_exact(qm), low, standard_loops(5, seed=0))
+    rep = holonomy_span(FloatMetric(qm), low, standard_loops(5, seed=0))
     assert rep.span_rank == 2 == rep.dim_gL + 1 and rep.max_membership_residual < 1e-6
     assert not rep.passed
     # down to dim 0: the one curved direction is more than it allows
     pair, qm = realized([(1, 1), (2, 1)])
     cert = certificate(pair)
     none = dataclasses.replace(cert, dim_gL=0, image_rank=0)
-    rep = holonomy_span(FloatMetric.from_exact(qm), none, standard_loops(3, seed=0))
+    rep = holonomy_span(FloatMetric(qm), none, standard_loops(3, seed=0))
     assert rep.span_rank == 1 and not rep.passed
 
 
@@ -410,7 +425,7 @@ def test_membership_detects_a_dropped_basis_element():
     cert = certificate(pair)
     short = dataclasses.replace(cert, basis=cert.basis[1:])
     assert short.passed and short.dim_gL == 3
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     loops = standard_loops(4, seed=0)
     rep = holonomy_span(fm, short, loops)
     assert rep.span_rank == 3 and not rep.passed
@@ -472,20 +487,20 @@ def test_metric_value_matches_exact():
 
 # -- batched kernel against the sequential reference -----------------------------------
 
-def ref_transport(fm, loop):
+def ref_transport(qm, loop):
     """The one loop of the family ``loop`` through the sequential reference
     kernel at the probe's step count; segments of length 0 (an origin
     square's tails) are dropped, which leaves the path unchanged."""
-    verts = transport._lasso_vertices(loop, fm.n)[0]
+    verts = transport._lasso_vertices(loop, qm.n)[0]
     keep = np.any(verts[1:] != verts[:-1], axis=1)
-    return transport_polyline_ref(fm.g0, fm.B, verts[np.concatenate([[True], keep])],
+    return transport_polyline_ref(*float_parts(qm), verts[np.concatenate([[True], keep])],
                                   [transport.STEPS] * int(keep.sum()))
 
 
 @pytest.mark.parametrize("blocks", [b for _, b in PROBE_SPECS], ids=[n for n, _ in PROBE_SPECS])
 def test_batched_kernel_matches_reference(blocks):
     pair, qm = realized(blocks)
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     seen = set()
     for seed in (0, 1):
         loops = standard_loops(pair.n, seed=seed)
@@ -495,7 +510,7 @@ def test_batched_kernel_matches_reference(blocks):
             if key in seen:  # origin squares repeat across seeds
                 continue
             seen.add(key)
-            assert np.max(np.abs(a - ref_transport(fm, loop_rows(loops, i)))) <= 1e-12
+            assert np.max(np.abs(a - ref_transport(qm, loop_rows(loops, i)))) <= 1e-12
 
 
 def count_segments(monkeypatch) -> list:
@@ -521,7 +536,7 @@ def test_each_distinct_segment_is_integrated_once(n, blocks, distinct, monkeypat
     # 3 C(n, 2) lassos of 6 segments; per basepoint the n - 1 first edges
     # (planes (a, .)), the n - 1 last edges (planes (., b)) and the two
     # tails of an off-origin corner are shared: 3 (n - 1)(n + 2) + 4 distinct
-    fm = FloatMetric.from_exact(realized(blocks)[1])
+    fm = FloatMetric(realized(blocks)[1])
     rows = count_segments(monkeypatch)
     parallel_transport(fm, standard_loops(n))
     assert sum(rows) == distinct == 3 * (n - 1) * (n + 2) + 4
@@ -535,7 +550,7 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
     # equal to its first edge, and a tail back equal to its last edge
     monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1), (2, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     loops = joined(loops_of(((0.0,) * 4, (0, 1), 1e-2),
                             ((0.02, 0.0, 0.0, 0.0), (1, 3), 1e-2),
                             ((0.0,) * 4, (2, 3), 1e-2),
@@ -566,7 +581,7 @@ def test_segment_gamma_matches_christoffel():
     rng = np.random.default_rng(5)
     for _, blocks in PROBE_SPECS:
         _, qm = realized(blocks)
-        fm = FloatMetric.from_exact(qm)
+        fm = FloatMetric(qm)
         n = fm.n
         a = rng.uniform(-0.2, 0.2, (3, n))
         v = rng.uniform(-0.2, 0.2, (3, n))
@@ -575,7 +590,7 @@ def test_segment_gamma_matches_christoffel():
         m = kernels.segment_gamma(G, R, s)
         assert m.shape == (n, n, 3, 4)
         for i, k in np.ndindex(3, 4):
-            want = np.einsum("abc,b->ac", christoffel(fm, a[i] + s[k] * v[i]), v[i])
+            want = np.einsum("abc,b->ac", christoffel(qm, a[i] + s[k] * v[i]), v[i])
             assert np.max(np.abs(m[:, :, i, k] - want)) <= 1e-12
 
 
@@ -592,29 +607,29 @@ def test_raised_metric_is_upper_triangular():
         raised = np.einsum("is,sjpq->ijpq", dense_g(pair.involution), qm.num)
         rows, cols = np.tril_indices(pair.n, -1)
         assert not raised[rows, cols].any(), pair.layout
-        fm = FloatMetric.from_exact(qm)
+        fm = FloatMetric(qm)
         assert np.array_equal(fm.mats[0].reshape((pair.n,) * 4), raised / qm.den)
 
 
 def test_metric_that_is_not_upper_triangular_is_refused():
     # negative control: one entry of g0 B below the diagonal, (i, j) = (2, 1),
     # is refused by name; the same value above the diagonal is accepted
+    # (B shifted by 1/4 exactly: 2 num, plus or minus 1 there, over 4)
     _, qm = realized([(1, 1), (2, 1)])
     perm, sign = qm.involution
-    B = qm.num / qm.den
-    upper = B.copy()
-    upper[perm[1], 2, 0, 1] += 0.25
-    FloatMetric(qm.involution, upper, invertibility_bound(qm))
-    lower = B.copy()
-    lower[perm[2], 1, 0, 1] += 0.25 * sign[2]
-    lower[perm[2], 1, 1, 0] += 0.25 * sign[2]
+    upper = 2 * qm.num
+    upper[perm[1], 2, 0, 1] += 1
+    FloatMetric(QuadraticMetric(qm.involution, upper, 2 * qm.den))
+    lower = 2 * qm.num
+    lower[perm[2], 1, 0, 1] += sign[2]
+    lower[perm[2], 1, 1, 0] += sign[2]
     with pytest.raises(ValueError, match=re.escape("below the diagonal at (2, 1, 0, 1)")):
-        FloatMetric(qm.involution, lower, invertibility_bound(qm))
+        FloatMetric(QuadraticMetric(qm.involution, lower, 2 * qm.den))
 
 
 def test_kernel_rejects_bad_step_counts():
     _, qm = realized([(1, 1), (2, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     verts = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.01, 0.01, 0.0]]])
     for bad in (17, 1,           # odd: no N/2-step run
                 0, -2, -16,
@@ -657,7 +672,7 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     rmap = r_formal(pair)
     flat = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if not value.any()}
     assert 0 < len(flat) < len(rmap)
-    fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.involution))
+    fm = FloatMetric(lower_B(pair.block_tensor, pair.involution))
     loops = standard_loops(pair.n, seed=0)
     moved = np.max(np.abs(transports(fm, loops) - np.eye(pair.n)), axis=(1, 2))
     in_flat = in_planes(loops, flat)
@@ -670,7 +685,7 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
 def test_exact_bound_certifies_standard_loops():
     for _, blocks in PROBE_SPECS:
         pair, qm = realized(blocks)
-        fm = FloatMetric.from_exact(qm)
+        fm = FloatMetric(qm)
         radius = validity_radius(fm.bound)
         for seed in (0, 1):
             loops = standard_loops(pair.n, seed=seed)
@@ -683,7 +698,7 @@ def test_exact_bound_certifies_standard_loops():
 
 def test_singular_lasso_fails_bound_and_is_refused():
     _, qm = realized([(1, 1), (1, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     assert fm.bound == 1  # g(x) = (1 - |x|^2 / 2) I: radius 1, singular at |x|^2 = 2
     bad = loops_of(((math.sqrt(2.0), 0.0), (0, 1), 1e-2))
     assert not fm.certifies(math.sqrt(2.0) + 1e-2)
@@ -698,7 +713,7 @@ def test_regular_loop_beyond_radius_is_refused(monkeypatch):
     # bound needs more steps per segment than the probe's STEPS.
     monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     inside = loops_of(((0.98, 0.0), (0, 1), 1e-2))    # extent 0.99
     beyond = loops_of(((0.995, 0.0), (0, 1), 1e-2))   # extent 1.005
     a = transports(fm, inside)
@@ -714,7 +729,7 @@ def test_regular_loop_beyond_radius_is_refused(monkeypatch):
 
 def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
     pair, qm = realized([(1, 1), (1, 1)])
-    fm = FloatMetric.from_exact(qm)
+    fm = FloatMetric(qm)
     kernel_calls = []
     monkeypatch.setattr(kernels, "transport_polyline",
                         lambda *args: kernel_calls.append(args))
@@ -736,12 +751,12 @@ def test_step_error_estimate_tracks_true_error(monkeypatch):
     monkeypatch.setattr(transport, "STEPS", 16)
     for _, blocks in PROBE_SPECS:
         pair, qm = realized(blocks)
-        fm = FloatMetric.from_exact(qm)
+        fm = FloatMetric(qm)
         n = pair.n
         coarse = loops_of(((0.0,) * n, (0, n - 1), 0.3))
         (d,), (step_error,), _ = parallel_transport(fm, coarse)
         verts = transport._lasso_vertices(coarse, n)[0]
-        fine = transport_polyline_ref(fm.g0, fm.B, verts[1:-1], [400] * 4)
+        fine = transport_polyline_ref(*float_parts(qm), verts[1:-1], [400] * 4)
         true = float(np.max(np.abs(d + np.eye(n) - fine)))
         assert step_error > 1e-12
         assert 0.5 < step_error / true < 2.0
@@ -758,7 +773,7 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
         pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
         rmap = r_formal(pair)
         curved = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()}
-        fm = FloatMetric.from_exact(lower_B(pair.block_tensor, pair.involution))
+        fm = FloatMetric(lower_B(pair.block_tensor, pair.involution))
         for loops in (standard_loops(pair.n, seed=seed) for seed in (0, 1, 2)):
             flat_runs.append((fm, loop_rows(loops, ~in_planes(loops, curved))))
             if len(eigenvalues) == 1:  # a probe spec

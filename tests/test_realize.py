@@ -306,8 +306,26 @@ def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
         check_involution(perm, sign)
     with pytest.raises(ValueError, match=re.escape(message)):
         QuadraticMetric(g0, np.zeros((n,) * 4, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lower_B(np.zeros((n,) * 4, dtype=np.int64), g0)
     report = validate_pair(g0, int_form(np.zeros((n, n), dtype=object)))
     assert not report.ok and report.failures == (message,)
+
+
+def test_lower_B_checks_the_involution_before_the_symmetries():
+    # lower_B gathers along the involution: a perm out of range is refused
+    # by the check's message, not an IndexError, and an in-range 3-cycle on
+    # a block tensor by the check, before the symmetry test it would fail.
+    # The 3-cycle is the one a FloatMetric could once carry; now only a
+    # checked QuadraticMetric makes one
+    message = "g is not a signed involution: bad index {}"
+    with pytest.raises(ValueError, match=re.escape(message.format(1))):
+        lower_B(np.zeros((2,) * 4, dtype=np.int64), (np.array([0, 2]), np.ones(2, dtype=np.int64)))
+    cycle = (np.array([1, 2, 0]), np.ones(3, dtype=np.int64))
+    with pytest.raises(ValueError, match=re.escape(message.format(0))):
+        lower_B(pair_of([(1, 1), (2, 1)]).block_tensor, cycle)
+    with pytest.raises(ValueError, match=re.escape(message.format(0))):
+        FloatMetric(QuadraticMetric(cycle, np.zeros((3,) * 4, dtype=np.int64), 1))
 
 
 def test_involution_must_be_two_int_vectors_of_one_length():
@@ -317,6 +335,8 @@ def test_involution_must_be_two_int_vectors_of_one_length():
                        (np.zeros((1, 1), dtype=int), np.ones((1, 1), dtype=int))):  # matrices
         with pytest.raises(ValueError, match="integer vectors of one length"):
             check_involution(perm, sign)
+        with pytest.raises(ValueError, match="integer vectors of one length"):
+            lower_B(np.zeros((len(perm),) * 4, dtype=np.int64), (perm, sign))
 
 
 def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
@@ -344,7 +364,7 @@ def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
     qm = lower_B(pair.block_tensor, pair.involution)
     assert calls[3:] == [3, 3] and qm.involution is pair.involution
     calls.clear()
-    for call in (riemann_at_origin, invertibility_bound, FloatMetric.from_exact):
+    for call in (riemann_at_origin, invertibility_bound, FloatMetric):
         call(qm)
     assert calls == []
 
