@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import max_abs, narrowed, pivot_columns, rank
+from .exactla import narrowed, pivot_columns, rank, times_g
 from .liealg import commutator_system, wedge_index
 
 
@@ -80,11 +80,10 @@ def r_formal(pair: CanonicalPair) -> np.ndarray:
 
     R(X)[a, q] = sum_cb T[a, c, b, q] X[c, b] and wedge(e_i, e_j) = E_ij g,
     so with Tg[i, d, a, q] = sum_b T[a, i, b, q] g[d, b] the value on
-    (i, j) is Tg[i, j] - Tg[j, i], with Tg[i, d] = sign[d] T[:, i, perm[d]].
+    (i, j) is Tg[i, j] - Tg[j, i], where the sum over b is one ``times_g``.
     """
-    perm, sign = pair.involution
-    t, = narrowed(2 * max_abs(pair.block_tensor), pair.block_tensor)
-    tg = sign[:, None, None] * t.transpose(1, 2, 0, 3)[:, perm]
+    t, = narrowed(2, pair.block_tensor)
+    tg = times_g(t.transpose(1, 2, 0, 3), pair.involution, 1)
     rows, cols = wedge_index(pair.n)
     return tg[rows, cols] - tg[cols, rows]
 
@@ -105,7 +104,7 @@ def check_bianchi(values: np.ndarray) -> BianchiReport:
     attains the largest violation max_r |R(e_i, e_j) e_k + cyclic|_r.
     """
     n = values.shape[1]
-    vals, = narrowed(max_abs(values) * 3, values)  # a cyclic sum adds 3 entries
+    vals, = narrowed(3, values)  # a cyclic sum adds 3 entries
     # full[a, b, r, k]: entry (r, k) of R(wedge(e_a, e_b)), antisymmetric in (a, b)
     full = np.zeros((n, n, n, n), dtype=vals.dtype)
     rows, cols = wedge_index(n)  # (i, j), i < j, in lexicographic order
@@ -123,13 +122,12 @@ def check_bianchi(values: np.ndarray) -> BianchiReport:
 
 def check_sectional(values: np.ndarray, involution: tuple, L: tuple) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for g of
-    ``involution`` (perm, sign): g R(X) = -(R(X)^T g) = -(g R(X))^T, a gather.
+    ``involution``: g R(X) = -(R(X)^T g) = -(g R(X))^T, with g R(X) a ``times_g``.
 
     Both conditions are linear in R and in L, so the numerators decide them.
     """
-    perm, sign = involution
-    vals, l = narrowed(max_abs(values) * max_abs(L[0]) * len(perm), values, L[0])
-    gv = sign[:, None] * vals[:, perm]
+    vals, l = narrowed(len(L[0]), values, L[0])
+    gv = times_g(vals, involution, 1)
     return bool((vals @ l == l @ vals).all() and (gv == -gv.transpose(0, 2, 1)).all())
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exactla import check_involution, max_abs, narrowed
+from .exactla import check_involution, narrowed, times_g
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -271,7 +271,7 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
             off += b.size
         layout.append(EigenLayout(eig.lam, tuple(placed)))
     check_involution(perm, sign)
-    return CanonicalPair((perm, sign), (*narrowed(max_abs(num), num), den), tuple(layout))
+    return CanonicalPair((perm, sign), (*narrowed(1, num), den), tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -283,14 +283,13 @@ class PairReport:
 def validate_pair(involution: tuple, L: tuple) -> PairReport:
     """Check that g = ``involution`` (perm, sign) is a signed involution and
     that gL is symmetric, for L = ``(num, den)``; report failures."""
-    l, = narrowed(max_abs(L[0]), L[0])  # a gather adds nothing to |l|
-    perm, sign = involution
-    if l.shape != (len(perm),) * 2:
+    l, = narrowed(1, L[0])  # a gather adds nothing to |l|
+    if l.shape != (len(involution[0]),) * 2:
         raise ValueError("g and L must be of equal size")
     try:
-        check_involution(perm, sign)
+        check_involution(*involution)
     except ValueError as exc:
         return PairReport(False, (str(exc),))
-    gl = sign[:, None] * l[perm]
+    gl = times_g(l, involution, 0)
     ok = bool((gl == gl.T).all())
     return PairReport(ok, () if ok else ("gL is not symmetric (L is not g-symmetric)",))

@@ -14,8 +14,8 @@ Rational scalars (an eigenvalue, the invertibility bound) are
 An integer array is int64 when an a-priori bound shows that no entry and
 no partial sum of the contraction that makes it can reach 2**62, and an
 object array of Python ints (which never overflow) otherwise: ``narrowed``
-makes that choice, from a bound its caller computes with ``max_abs`` of
-the actual inputs before any arithmetic, so int64 never wraps around.
+makes that choice before any arithmetic, from ``max_abs`` of the actual
+factors times the count its caller gives, so int64 never wraps around.
 Arrays keep the dtype their bound proved; a scalar leaves an array for a
 ``Fraction``, a denominator or a report only as a Python int.
 
@@ -24,7 +24,7 @@ as a sparse vector of Python ints, is inserted into an echelon basis keyed
 by each vector's first nonzero row, and every vector is kept primitive.
 No inverse is ever computed, and the metric g is never a matrix: a
 canonical g = g^T = g^{-1} is held as its signed involution ``(perm, sign)``,
-which ``check_involution`` checks, and every product with it is a gather.
+which ``check_involution`` checks, and every product with it is ``times_g``.
 """
 
 from __future__ import annotations
@@ -45,17 +45,26 @@ def max_abs(a: np.ndarray) -> int:
     return max(1, -int(a.min()), int(a.max())) if a.size else 1
 
 
-def narrowed(bound: int, *arrays) -> tuple:
-    """``arrays`` in int64 when ``bound < INT64_LIMIT``, else as object arrays
-    of Python ints; the same contraction then runs on either dtype.
-
-    ``bound`` is the caller's a-priori bound on every entry of ``arrays`` and
-    on every partial sum of its contraction: the product of ``max_abs`` of the
-    factors, times the length of the summed index, times the number of terms
-    added together.
+def narrowed(k: int, *factors) -> tuple:
+    """``factors`` in int64 when k times the product of their ``max_abs`` is
+    below ``INT64_LIMIT``, else as object arrays of Python ints, so the same
+    contraction runs on either dtype.  That bound covers every entry and
+    partial sum of the contraction when ``k`` is the summed index's length
+    times the number of terms added together, times any scalar factor.
     """
+    bound = math.prod(map(max_abs, factors), start=k)
     dtype = np.int64 if bound < INT64_LIMIT else object
-    return tuple(a.astype(dtype, copy=False) for a in arrays)
+    return tuple(a.astype(dtype, copy=False) for a in factors)
+
+
+def times_g(x: np.ndarray, involution: tuple, axis: int) -> np.ndarray:
+    """g @ x along ``axis`` of ``x``, for g the signed involution
+    ``involution`` = (perm, sign): sign[i] * x[.., perm[i], ..].  g is
+    symmetric, so this is also x @ g contracted on that axis.  The result
+    keeps x's dtype (a sign is +-1), and on floats it is exact.
+    """
+    perm, sign = involution
+    return np.take(x, perm, axis) * np.reshape(sign, (-1,) + (1,) * (x.ndim - 1 - axis % x.ndim))
 
 
 def first_mismatch(a: np.ndarray, b: np.ndarray):
@@ -66,10 +75,10 @@ def first_mismatch(a: np.ndarray, b: np.ndarray):
 
 def check_involution(perm: np.ndarray, sign: np.ndarray) -> None:
     """Refuse ``(perm, sign)`` unless it is a signed involution: the symmetric
-    g with g[i, perm[i]] = sign[i] = +-1 and no other nonzero, so g = g^{-1},
-    g @ x = sign[:, None] * x[perm] and x @ g = x[..., perm] * sign.  That
-    needs perm in range and its own inverse, and sign[perm] == sign; any
-    other pair raises ValueError naming the first bad index.
+    g with g[i, perm[i]] = sign[i] = +-1 and no other nonzero, so g = g^{-1}
+    (``times_g`` multiplies by it).  That needs perm in range and its own
+    inverse, and sign[perm] == sign; any other pair raises ValueError naming
+    the first bad index.
     """
     n = len(perm)
     if not all(isinstance(a, np.ndarray) and a.dtype.kind == "i" and a.shape == (n,)

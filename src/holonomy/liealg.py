@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .exactla import max_abs, narrowed
+from .exactla import narrowed, times_g
 
 
 @functools.cache
@@ -48,11 +48,10 @@ def commutator_system(involution: tuple, l: np.ndarray) -> np.ndarray:
     Its kernel holds the wedge coordinates of the elements of so(g) that
     commute with l, so dim g_L = m - rank.  Built without the basis: with
     W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g, where both
-    products with g are gathers along its ``involution`` (perm, sign); so
+    products with g are ``times_g`` gathers along its ``involution``; so
     2 |l| bounds every entry, and the system keeps the dtype that bound chose.
     """
-    perm, sign = involution
-    l, = narrowed(2 * max_abs(l), l)
-    s = (wedge_rows(sign[:, None] * l[perm])
-         + wedge_rows(l.T).transpose(0, 2, 1)[..., perm] * sign)
+    l, = narrowed(2, l)
+    s = (wedge_rows(times_g(l, involution, 0))
+         + times_g(wedge_rows(l.T).transpose(0, 2, 1), involution, 2))
     return s.reshape(len(s), l.size).T

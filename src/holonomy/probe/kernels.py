@@ -2,8 +2,8 @@
 
 Array conventions (all float64):
     mats  (2, n^2, n^2)    g0 B and g0 C from ``contraction_matrices``: B and
-                           its Christoffel combination C with their rows
-                           (i, j) gathered along g0's involution; the rows
+                           its Christoffel combination C with index i
+                           raised by ``exactla.times_g``; the rows
                            (i, j) of g0 B with i > j are zero, so that
                            g0 g(x) is upper triangular
     verts (L, V, n)        L polylines of V vertices each, transported together
@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exactla import times_g
+
 # Floats in one batch's node array m (a batch holds at least one segment),
 # and in one batch's gathered loop increments (at least one loop).  Beyond
 # one (n, n) increment per distinct segment and per loop, this bounds the
@@ -49,13 +51,11 @@ NODE_BUDGET = 1 << 17
 def contraction_matrices(B, involution):
     """g0 B and g0 C, C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q], each
     as an (n^2, n^2) matrix with rows (k, c), so that the polynomial terms
-    along segments are GEMMs.  g0 is the signed involution ``(perm, sign)``
-    of ``exactla.check_involution``: raising k is the exact gather
-    sign[k] * row perm[k]."""
-    perm, sign = involution
+    along segments are GEMMs.  g0 is the signed ``involution`` of
+    ``exactla.check_involution``, so raising k is the exact ``times_g``."""
     n = B.shape[0]
     C = B + B.transpose(0, 2, 1, 3) - B.transpose(2, 1, 0, 3)
-    return (np.stack([B, C])[:, perm] * sign[:, None, None, None]).reshape(2, n * n, n * n)
+    return times_g(np.stack([B, C]), involution, 1).reshape(2, n * n, n * n)
 
 
 def segment_terms(mats, a, v):

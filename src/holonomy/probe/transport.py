@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..berger import BergerCertificate
-from ..exactla import first_mismatch
+from ..exactla import first_mismatch, times_g
 from ..liealg import wedge_index
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
@@ -246,7 +246,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     the target rank is ``cert.dim_gL``.  The numerical rank uses singular
     values above ``RANK_THRESHOLD`` times the largest; near-zero samples
     (flat directions) are excluded from the stack and have residual 0.  The
-    metric drift |g0 - A^T g0 A|_F gathers along g0's involution.  The report
+    metric drift |g0 - A^T g0 A|_F takes g0 A by ``times_g``.  The report
     passes iff the certificate passed, the rank equals dim g_L and every
     membership residual stays below ``MEMBERSHIP_TOL``.
     """
@@ -256,8 +256,8 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
     psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
     a = d + np.eye(fm.n)
+    m = times_g(a, fm.involution, 1).transpose(0, 2, 1) @ a  # A^T g0 A
     perm, sign = fm.involution
-    m = (sign[:, None] * a[:, perm]).transpose(0, 2, 1) @ a  # A^T g0 A, g0 A a gather
     m[:, np.arange(fm.n), perm] -= sign
     drift = np.linalg.norm(m, axis=(1, 2))
 

@@ -10,7 +10,7 @@ covariant constancy, g(x)-symmetry, both Riemann routes) is a numpy
 contraction with no index loop, in int64 where ``exactla.narrowed``
 proves it safe and on Python ints otherwise.  Nothing is inverted: g0 is
 held as its signed involution ``(perm, sign)`` (``exactla.check_involution``),
-so every product with it is a gather.
+so every product with it is the gather ``exactla.times_g``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .berger import RealizationError
 from .canonical import CanonicalPair
-from .exactla import check_involution, first_mismatch, max_abs, narrowed
+from .exactla import check_involution, first_mismatch, narrowed, times_g
 from .liealg import wedge_index
 
 
@@ -53,19 +53,18 @@ class QuadraticMetric:
 def lower_B(t: np.ndarray, involution: tuple) -> QuadraticMetric:
     """The metric of B = -t / 2 (t is ``pair.block_tensor`` in the pipeline)
     with both upper indices lowered: num = -(g0 (x) g0) t over den 2, for
-    g0 = ``involution`` (perm, sign), the pair's.
+    g0 = ``involution`` (perm, sign), the pair's, one ``times_g`` per index.
 
     g0 J^a is symmetric for a canonical g0, so the result is symmetric in
     (i, j) and in (p, q): checked exactly, once the metric has checked g0.
     """
-    perm, sign = involution
-    if t.shape != (len(perm),) * 4:
+    if t.shape != (len(involution[0]),) * 4:
         raise ValueError("shape mismatch")
-    t, = narrowed(max_abs(t), t)  # num[i, j, p, q] = -sign[i] sign[p] t[perm[i], j, perm[p], q]
+    t, = narrowed(1, t)
     try:
-        num = -sign[:, None, None, None] * (sign[:, None] * t[perm][:, :, perm])
+        num = -times_g(times_g(t, involution, 0), involution, 2)
     except (IndexError, TypeError, ValueError):  # the check names what is wrong with g0
-        check_involution(perm, sign)
+        check_involution(*involution)
         raise
     qm = QuadraticMetric(involution, num, 2)
     for axes, where in (((0, 1, 3, 2), "(p, q)"), ((1, 0, 2, 3), "(i, j)")):
@@ -81,7 +80,7 @@ def invertibility_bound(qm: QuadraticMetric) -> Fraction:
     |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
     invertible wherever |x|_inf^2 * c < 1.
     """
-    num, = narrowed(max_abs(qm.num) * qm.n ** 3, qm.num)
+    num, = narrowed(qm.n ** 3, qm.num)
     return Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
 
 
@@ -100,7 +99,7 @@ def check_nablaL(qm: QuadraticMetric, L: tuple) -> bool:
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
     summed over b, for every (i, p, q, k).
     """
-    b, l = narrowed(max_abs(qm.num) * max_abs(L[0]) * qm.n * 2, qm.num, L[0])
+    b, l = narrowed(qm.n * 2, qm.num, L[0])
     lhs = np.einsum("ipbq,bk->ipqk", b - b.transpose(0, 2, 1, 3), l)
     rhs = np.einsum("bikq,bp->ipqk", b - b.transpose(2, 0, 1, 3), l)
     return bool((lhs == rhs).all())
@@ -108,7 +107,7 @@ def check_nablaL(qm: QuadraticMetric, L: tuple) -> bool:
 
 def check_gsym(qm: QuadraticMetric, L: tuple) -> bool:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
-    b, l = narrowed(max_abs(qm.num) * max_abs(L[0]) * qm.n, qm.num, L[0])
+    b, l = narrowed(qm.n, qm.num, L[0])
     return bool((np.einsum("ijpq,il->jlpq", b, l) == np.einsum("ilpq,ij->jlpq", b, l)).all())
 
 
@@ -122,18 +121,17 @@ def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     Route two assembles first derivatives of the Christoffel symbols at 0
     (the symbols vanish there, so the quadratic terms drop):
         R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}.
-    Both routes read g^{-1} as g0, a signed involution, so the sums over s
-    are gathers; the routes must agree entry for entry, and a mismatch raises.
+    Both routes read g^{-1} as g0, a signed involution, so each sum over s
+    is a ``times_g``; the routes must agree entry for entry, and a mismatch raises.
     """
-    perm, sign = qm.involution
-    b, = narrowed(max_abs(qm.num) * 6, qm.num)  # a route adds at most 4 or 2 * 3 entries
+    b, = narrowed(6, qm.num)  # a route adds at most 4 or 2 * 3 entries
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
-    # scaled by qm.den; the sum g^{is} x_s is the gather sign[i] x_perm[i]
+    # scaled by qm.den; the sum g^{is} x_s is ``times_g`` on the i axis
     direct = (np.einsum("bsak->absk", b) + np.einsum("akbs->absk", b)
               - np.einsum("bkas->absk", b) - np.einsum("asbk->absk", b))
-    direct = sign[:, None] * direct[:, :, perm]
+    direct = times_g(direct, qm.involution, 2)
     dgamma = np.einsum("skba->asbk", b) + np.einsum("sbka->asbk", b) - np.einsum("bksa->asbk", b)
-    dgamma = sign[:, None, None] * dgamma[:, perm]
+    dgamma = times_g(dgamma, qm.involution, 1)
     via_gamma = np.einsum("aibk->abik", dgamma) - np.einsum("biak->abik", dgamma)
 
     rows, cols = wedge_index(qm.n)
@@ -177,7 +175,6 @@ def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
         num, den = riemann_at_origin(qm)
     except RealizationError:
         num = None
-    matches = num is not None and np.array_equal(
-        num, den * narrowed(max_abs(formal) * den, formal)[0])
+    matches = num is not None and np.array_equal(num, den * narrowed(den, formal)[0])
     return RealizationReport(check_nablaL(qm, pair.L), check_gsym(qm, pair.L),
                              num is not None, matches)

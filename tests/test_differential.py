@@ -21,6 +21,7 @@ large for int64 must take the object path and still pass.
 
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -336,25 +337,37 @@ def multi_eigenvalue_specs(draw):
 
 
 def _exact_stages(spec):
-    """The pair and the berger and realize reports' JSON text of a spec."""
+    """The pair, the berger and realize reports' JSON text and the flat
+    planes (the zero rows of ``r_formal``, as wedge indices) of a spec."""
     pair = build_canonical(make_pencil(spec))
     rmap = r_formal(pair)
     cert = berger_certificate(pair, rmap)
     realization = verify_realization(pair, lower_B(pair.block_tensor, pair.involution), rmap)
+    flat = np.flatnonzero(~rmap.any(axis=(1, 2))).tolist()
     return pair, json.dumps({"berger": cert.to_json(), "realize": realization.to_json()},
-                            sort_keys=True)
+                            sort_keys=True), flat
 
 
 @given(multi_eigenvalue_specs())
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-def test_multi_eigenvalue_sweep(specs):
+def _sweep(specs):
     # the certificate passes with the closed-form dim g_L, the metric
     # realizes the map, and both reports are the same bytes when every
-    # eigenvalue moves by one shift, and in any input order of the blocks
+    # eigenvalue moves by one shift, in any input order of the blocks and
+    # when every block's sign flips, which keeps the flat planes too
     spec, shifted, permuted = specs
-    pair, text = _exact_stages(spec)
+    pair, text, flat = _exact_stages(spec)
     doc = json.loads(text)
     assert doc["berger"]["passed"] and doc["berger"]["dim_gL"] == centralizer_dim(pair), doc
     assert doc["realize"]["passed"], doc
     assert _exact_stages(shifted)[1] == text
     assert _exact_stages(permuted)[1] == text
+    flipped = [(lam, [(size, -sign) for size, sign in bl]) for lam, bl in spec]
+    assert _exact_stages(flipped)[1:] == (text, flat)
+
+
+def test_multi_eigenvalue_sweep():
+    # 100 derandomized examples within the sweep's budget of 5 s
+    start = time.perf_counter()
+    _sweep()
+    assert time.perf_counter() - start < 5.0

@@ -14,9 +14,10 @@ from holonomy.exactla import (
     narrowed,
     pivot_columns,
     rank,
+    times_g,
 )
 
-from helpers import int_form, mat
+from helpers import dense_g, int_form, mat, pair_of
 from oracles import (
     Poly,
     kernel_basis_ref,
@@ -73,15 +74,60 @@ def test_reciprocal_product(q):
 # -- the checked dtype choice ------------------------------------------------
 
 def test_narrowed_picks_the_dtype_at_the_edge_of_the_bound():
-    a = np.array([[3, -4]], dtype=object)
+    # the bound is k times the product of the factors' max_abs
+    a = np.array([[3, -4]], dtype=object)  # max_abs 4
+    b = np.array([[-3, 1]], dtype=object)  # max_abs 3, and 3 divides 2**62 - 1
     assert INT64_LIMIT == 2 ** 62
-    (wide,) = narrowed(2 ** 62, a)
-    (narrow,) = narrowed(2 ** 62 - 1, a)
+    (wide,) = narrowed(2 ** 60, a)  # 4 * 2**60 = 2**62
+    (narrow,) = narrowed((2 ** 62 - 1) // 3, b)
     assert wide.dtype == object and narrow.dtype == np.int64
-    assert np.array_equal(wide, narrow)
+    assert np.array_equal(wide, a) and np.array_equal(narrow, b)
+    # every factor counts, and every factor takes the one dtype
+    assert [x.dtype for x in narrowed(2 ** 58, a, a)] == [object, object]
+    assert [x.dtype for x in narrowed(2 ** 58 - 1, a, b)] == [np.int64, np.int64]
     # an int64 array goes back to Python ints on the object path
     (back,) = narrowed(2 ** 62, narrow)
     assert back.dtype == object and all(type(x) is int for x in back.flat)
+
+
+def test_narrowed_bounds_the_product_of_its_factors():
+    # each factor alone is far below the limit, their product is not
+    a = np.array([2 ** 31, -5], dtype=np.int64)
+    b = np.array([[1, -(2 ** 31)]], dtype=np.int64)
+    assert max_abs(a) < INT64_LIMIT and max_abs(b) < INT64_LIMIT
+    assert {x.dtype for x in narrowed(1, a, b)} == {np.dtype(object)}
+    assert {x.dtype for x in narrowed(1, a[1:], b)} == {np.dtype(np.int64)}
+
+
+# -- products with g -----------------------------------------------------------
+
+@pytest.mark.parametrize("blocks", [[(1, 1), (2, -1), (3, 1)], [(4, -1), (1, -1)]])
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+def test_times_g_is_the_dense_product_on_every_axis(blocks, ndim):
+    # g is symmetric: the gather is g @ x and x @ g on the chosen axis, for
+    # int64, for Python ints beyond int64 and, bit for bit, for floats
+    involution = pair_of(blocks).involution
+    g = dense_g(involution)
+    n = len(g)
+    rng = np.random.default_rng(ndim)
+    for axis in range(-ndim, ndim):
+        shape = [n if i == axis % ndim else i + 2 for i in range(ndim)]
+        small = rng.integers(-9, 10, size=shape)
+        # no float zeros: 0 * -1 is -0.0 where a dense sum gives +0.0
+        floats = rng.standard_normal(shape)
+        for x, dense in ((small, g), (small.astype(object) * 2 ** 70, g.astype(object)),
+                         (floats, g)):
+            out = times_g(x, involution, axis)
+            left = np.moveaxis(np.tensordot(dense, x, axes=(1, axis)), 0, axis)
+            right = np.moveaxis(np.tensordot(x, dense, axes=(axis, 0)), -1, axis)
+            assert out.dtype == x.dtype and out.shape == x.shape
+            if x.dtype == np.float64:
+                assert out.tobytes() == left.tobytes() == right.tobytes()
+            else:
+                assert np.array_equal(out, left) and np.array_equal(out, right)
+            if x.dtype == object:
+                assert all(type(v) is int for v in out.flat)
+                assert max_abs(out) > 2 ** 63
 
 
 def test_max_abs():
