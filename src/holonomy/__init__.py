@@ -8,10 +8,10 @@ metric whose curvature at the origin reproduces the certified tensor,
 and probes parallel-transport holonomy numerically against that basis.
 
 Stages 1-3 are exact and hold every matrix in one format (see
-:mod:`holonomy.exactla`): an integer numpy array over one positive common
-denominator.  An array is int64 where an a-priori bound proves that
-nothing overflows and holds Python ints otherwise; it keeps the dtype its
-bound proved, and scalars leave it as Python ints.
+:mod:`holonomy.exactla`): an int64 numpy array over one positive common
+denominator, its entries capped so that nothing overflows.  They read L
+with each eigenvalue relabeled by its rank, so a certificate holds for
+every L of its Jordan type and block grouping, whatever the eigenvalues.
 The floating-point probe lives in :mod:`holonomy.probe`; the CLI imports
 it only when the probe stage runs.
 """

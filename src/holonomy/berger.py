@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import narrowed, pivot_columns, rank, times_g
+from .exactla import capped, pivot_columns, rank, times_g
 from .liealg import commutator_system, wedge_index
 
 
@@ -71,7 +71,7 @@ def block_tensor(pair: CanonicalPair) -> np.ndarray:
     if int(t.sum()) != len(idx):
         twice = next(e for e, c in Counter(idx).items() if c > 1)
         raise RealizationError(f"block terms write entry {twice} more than once")
-    return narrowed(1, t)[0]
+    return t
 
 
 def r_formal(pair: CanonicalPair) -> np.ndarray:
@@ -82,8 +82,7 @@ def r_formal(pair: CanonicalPair) -> np.ndarray:
     so with Tg[i, d, a, q] = sum_b T[a, i, b, q] g[d, b] the value on
     (i, j) is Tg[i, j] - Tg[j, i], where the sum over b is one ``times_g``.
     """
-    t, = narrowed(2, pair.block_tensor)
-    tg = times_g(t.transpose(1, 2, 0, 3), pair.involution, 1)
+    tg = times_g(pair.block_tensor.transpose(1, 2, 0, 3), pair.involution, 1)
     rows, cols = wedge_index(pair.n)
     return tg[rows, cols] - tg[cols, rows]
 
@@ -103,10 +102,10 @@ def check_bianchi(values: np.ndarray) -> BianchiReport:
     The witness is the first (i, j, k), i < j, in lexicographic order that
     attains the largest violation max_r |R(e_i, e_j) e_k + cyclic|_r.
     """
-    n = values.shape[1]
-    vals, = narrowed(3, values)  # a cyclic sum adds 3 entries
+    vals, = capped(values)
+    n = vals.shape[1]
     # full[a, b, r, k]: entry (r, k) of R(wedge(e_a, e_b)), antisymmetric in (a, b)
-    full = np.zeros((n, n, n, n), dtype=vals.dtype)
+    full = np.zeros((n, n, n, n), dtype=np.int64)
     rows, cols = wedge_index(n)  # (i, j), i < j, in lexicographic order
     full[rows, cols] = vals
     full[cols, rows] = -vals
@@ -120,13 +119,13 @@ def check_bianchi(values: np.ndarray) -> BianchiReport:
     return BianchiReport(False, (int(rows[w]), int(cols[w]), k), worst)
 
 
-def check_sectional(values: np.ndarray, involution: tuple, L: tuple) -> bool:
+def check_sectional(values: np.ndarray, involution: tuple, L) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for g of
     ``involution``: g R(X) = -(R(X)^T g) = -(g R(X))^T, with g R(X) a ``times_g``.
 
-    Both conditions are linear in R and in L, so the numerators decide them.
+    Both conditions are linear in R, so the numerators decide them.
     """
-    vals, l = narrowed(len(L[0]), values, L[0])
+    vals, l = capped(values, L)
     gv = times_g(vals, involution, 1)
     return bool((vals @ l == l @ vals).all() and (gv == -gv.transpose(0, 2, 1)).all())
 
@@ -166,7 +165,7 @@ def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> BergerCertifica
     of the values before it.  The witness values are independent; with
     containment and equal ranks they span g_L.
     """
-    system = commutator_system(pair.involution, pair.L[0])  # linear in L: its numerator decides
+    system = commutator_system(pair.involution, pair.L)
     dim_gL = system.shape[1] - rank(system)
     pivots = pivot_columns(rmap.reshape(len(rmap), pair.n ** 2).T)
     rows, cols = wedge_index(pair.n)

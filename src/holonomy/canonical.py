@@ -2,17 +2,17 @@
 
 A pencil spec lists real eigenvalues, each with Jordan block sizes and
 signs.  The canonical form puts, for every block, an upper-shift Jordan
-block (plus lambda on the diagonal) into L and a signed antidiagonal of
-ones into g; blocks are concatenated diagonally.  In this basis g is a
-signed involution, g = g^T = g^{-1}, held as ``(perm, sign)`` (see
-``exactla.check_involution``), and gL is symmetric: L is g-symmetric.
+block (plus a label of lambda on the diagonal, see ``CanonicalPair``) into
+L and a signed antidiagonal of ones into g; blocks are concatenated
+diagonally.  In this basis g is a signed involution, g = g^T = g^{-1},
+held as ``(perm, sign)`` (see ``exactla.check_involution``), and gL is
+symmetric: L is g-symmetric.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exactla import check_involution, narrowed, times_g
+from .exactla import capped, check_involution, times_g
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -229,14 +229,19 @@ class EigenLayout:
 class CanonicalPair:
     """The canonical (g, L) plus block layout metadata.
 
-    ``involution`` is g as ``(perm, sign)``, two int vectors with
-    g[i, perm[i]] = sign[i] (see ``exactla.check_involution``); ``L`` is
-    ``(num, den)`` (see ``exactla``), with den the least common denominator
-    of the eigenvalues.
+    ``involution`` is g as ``(perm, sign)``, g[i, perm[i]] = sign[i] (see
+    ``exactla.check_involution``).  ``L`` is relabeled: the int64 array
+    L' = sum_k k P_k + N, eigenvalue k's 0-based label in place of lambda_k.
+    With distinct eigenvalues, L and L' are polynomials in each other, and
+    every exact check reads L as X L = L X or X L = L^T X with X free of L
+    (for g(x)-symmetry and covariant constancy once B is symmetric in its
+    first index pair, which ``realize.lower_B`` checks).  So each verdict
+    holds for every L of this Jordan type and grouping of blocks into
+    eigenvalues, whatever the values, which live only in ``layout``.
     """
 
     involution: tuple
-    L: tuple
+    L: np.ndarray
     layout: tuple  # of EigenLayout
 
     @property
@@ -253,25 +258,24 @@ class CanonicalPair:
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
     n = spec.dim
-    den = math.lcm(*(eig.lam.denominator for eig in spec.eigens))
     perm = np.arange(n)
     sign = np.zeros(n, dtype=np.int64)
-    num = np.zeros((n, n), dtype=object)
+    labels = np.zeros((n, n), dtype=np.int64)
     layout = []
     off = 0
-    for eig in spec.eigens:
+    for label, eig in enumerate(spec.eigens):
         placed = []
         for b in eig.blocks:
             idx = np.arange(off, off + b.size)
             perm[idx] = idx[::-1]  # each index's antidiagonal partner
             sign[idx] = b.sign
-            num[idx, idx] = eig.lam.numerator * (den // eig.lam.denominator)
-            num[idx[:-1], idx[1:]] = den
+            labels[idx, idx] = label
+            labels[idx[:-1], idx[1:]] = 1
             placed.append(PlacedBlock(off, b.size, b.sign))
             off += b.size
         layout.append(EigenLayout(eig.lam, tuple(placed)))
     check_involution(perm, sign)
-    return CanonicalPair((perm, sign), (*narrowed(1, num), den), tuple(layout))
+    return CanonicalPair((perm, sign), labels, tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -280,10 +284,10 @@ class PairReport:
     failures: tuple  # of str
 
 
-def validate_pair(involution: tuple, L: tuple) -> PairReport:
+def validate_pair(involution: tuple, L) -> PairReport:
     """Check that g = ``involution`` (perm, sign) is a signed involution and
-    that gL is symmetric, for L = ``(num, den)``; report failures."""
-    l, = narrowed(1, L[0])  # a gather adds nothing to |l|
+    that gL is symmetric, for the integer matrix L; report failures."""
+    l, = capped(L)
     if l.shape != (len(involution[0]),) * 2:
         raise ValueError("g and L must be of equal size")
     try:

@@ -46,8 +46,8 @@ from .realize import lower_B, verify_realization
 
 ALL_STAGES = ("canonical", "berger", "realize", "probe")
 
-# An n = 24 report takes about 262 KB; a file past this cap is refused
-# after reading at most one byte beyond it.
+# An n = 24 report takes 141 KB, and 448 KB with all 276 planes curved; a
+# file past this cap is refused after reading at most one byte beyond it.
 MAX_REPORT_BYTES = 4 * 1024 * 1024
 
 

@@ -3,21 +3,18 @@
 Every algebraic computation in this package is exact; nothing here ever
 rounds.  Floating point enters only in the numerical probe package.
 
-Every exact matrix, or stack of matrices, is an integer ndarray plus one
-positive Python int denominator: ``(num, den)`` stands for ``num / den``.
-Objects that are integral by construction (the block tensor T, the so(g)
-wedge stack, the formal curvature map as one (m, n, n) array in the order
-``liealg.wedge_index`` fixes) are plain integer arrays.
-Rational scalars (an eigenvalue, the invertibility bound) are
-``fractions.Fraction`` values of Python ints.
-
-An integer array is int64 when an a-priori bound shows that no entry and
-no partial sum of the contraction that makes it can reach 2**62, and an
-object array of Python ints (which never overflow) otherwise: ``narrowed``
-makes that choice before any arithmetic, from ``max_abs`` of the actual
-factors times the count its caller gives, so int64 never wraps around.
-Arrays keep the dtype their bound proved; a scalar leaves an array for a
-``Fraction``, a denominator or a report only as a Python int.
+Every exact matrix, or stack of matrices, is an int64 ndarray, over one
+positive Python int denominator where it is rational: ``(num, den)`` stands
+for ``num / den``.  Rational scalars (an eigenvalue, the invertibility
+bound) are ``fractions.Fraction`` values of Python ints.  ``capped`` is the
+one entry check: every integer array or denominator entering the exact
+core must lie within C = ``ENTRY_CAP`` in absolute value, else ValueError.
+numpy holds fewer than 2**60 int64 entries in one array, so n < 2**15 for
+the metric's (n, n, n, n) numerator and n < 2**30 for an (n, n) L, and no
+partial sum reaches 2**63: the largest are n^3 C < 2**61 (the invertibility
+bound), n C^2 < 2**62 ([R(X), L]), 2n C^2 < 2**49 (covariant constancy) and
+6C (the Riemann routes).  Legal specs are far below the cap: the relabeled
+L has entries at most 23, the metric's numerator at most 1 over 2.
 
 Rank and pivot columns come from one elimination: each column, read once
 as a sparse vector of Python ints, is inserted into an echelon basis keyed
@@ -35,26 +32,20 @@ import operator
 import numpy as np
 
 
-# Below 2**62 a bound leaves a factor of two to the int64 range.
-INT64_LIMIT = 2 ** 62
+# The largest absolute value of an entry entering the exact core.
+ENTRY_CAP = 2 ** 16
 
 
-def max_abs(a: np.ndarray) -> int:
-    """The largest absolute entry of an integer array as a Python int, and
-    at least 1, so that a product of these also bounds each factor's entries."""
-    return max(1, -int(a.min()), int(a.max())) if a.size else 1
-
-
-def narrowed(k: int, *factors) -> tuple:
-    """``factors`` in int64 when k times the product of their ``max_abs`` is
-    below ``INT64_LIMIT``, else as object arrays of Python ints, so the same
-    contraction runs on either dtype.  That bound covers every entry and
-    partial sum of the contraction when ``k`` is the summed index's length
-    times the number of terms added together, times any scalar factor.
-    """
-    bound = math.prod(map(max_abs, factors), start=k)
-    dtype = np.int64 if bound < INT64_LIMIT else object
-    return tuple(a.astype(dtype, copy=False) for a in factors)
+def capped(*arrays) -> tuple:
+    """The integer arrays (or ints) as int64 arrays, once every entry is
+    checked to lie within ``ENTRY_CAP`` in absolute value; any other dtype
+    (floats, bools, objects such as Fractions or Python ints past int64) or
+    an entry past the cap raises ValueError."""
+    arrays = [np.asarray(a) for a in arrays]
+    for a in arrays:
+        if a.dtype.kind not in "iu" or (a.size and max(-int(a.min()), int(a.max())) > ENTRY_CAP):
+            raise ValueError(f"exact input must be integers of absolute value at most {ENTRY_CAP}")
+    return tuple(a.astype(np.int64, copy=False) for a in arrays)
 
 
 def times_g(x: np.ndarray, involution: tuple, axis: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .exactla import narrowed, times_g
+from .exactla import capped, times_g
 
 
 @functools.cache
@@ -49,9 +49,9 @@ def commutator_system(involution: tuple, l: np.ndarray) -> np.ndarray:
     commute with l, so dim g_L = m - rank.  Built without the basis: with
     W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g, where both
     products with g are ``times_g`` gathers along its ``involution``; so
-    2 |l| bounds every entry, and the system keeps the dtype that bound chose.
+    every entry is a sum of at most two entries of l.
     """
-    l, = narrowed(2, l)
+    l, = capped(l)
     s = (wedge_rows(times_g(l, involution, 0))
          + times_g(wedge_rows(l.T).transpose(0, 2, 1), involution, 2))
     return s.reshape(len(s), l.size).T

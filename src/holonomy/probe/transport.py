@@ -154,16 +154,17 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
     ``loops`` is a loop family ``(planes, basepoints, sides)``, checked
     first.  dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4,
     ``STEPS`` steps per segment; each square is traversed corner -> +e_a ->
-    +e_b -> -e_a -> -e_b.  Returns ``(d, step_error, extent)``, a row per
-    loop: the (L, n, n) increments D = A - I of the transport matrices A,
-    the kernel's RK4 error estimates |D_N - D_(N/2)|_max / 15, and the
-    largest vertex sup-norm of each polyline.  A loop the exact bound does
-    not certify, or a degenerate metric on any loop, raises before any
-    result exists.
+    +e_b -> -e_a -> -e_b.  Returns ``(d, step_error, extent, loops)``, a row
+    per loop: the (L, n, n) increments D = A - I of the transport matrices
+    A, the kernel's RK4 error estimates |D_N - D_(N/2)|_max / 15, the
+    largest vertex sup-norm of each polyline, and the checked family, its
+    basepoints and sides as float64.  A loop the exact bound does not
+    certify, or a degenerate metric on any loop, raises before any result
+    exists.
     """
     planes, basepoints, _ = loops = _checked(loops, fm.n)
     if not len(planes):
-        return np.zeros((0, fm.n, fm.n)), np.zeros(0), np.zeros(0)
+        return np.zeros((0, fm.n, fm.n)), np.zeros(0), np.zeros(0), loops
     verts = _lasso_vertices(loops, fm.n)
     extents = np.max(np.abs(verts), axis=(1, 2))
     # the bound grows with the extent: the largest extent certifies every loop
@@ -176,7 +177,7 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
     d, err = kernels.transport_polyline(fm.mats, verts, STEPS)
     if not (np.isfinite(d).all() and np.isfinite(err).all()):
         raise SingularMetricError("transport diverged; metric degenerates on the loop")
-    return d, err, extents
+    return d, err, extents, loops
 
 
 def standard_loops(n: int, seed: int = 0) -> tuple:
@@ -250,9 +251,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     passes iff the certificate passed, the rank equals dim g_L and every
     membership residual stays below ``MEMBERSHIP_TOL``.
     """
-    d, step_error, extent = parallel_transport(fm, loops)  # checks the loop family
-    planes, basepoints, sides = loops  # as the check converts them
-    loops = planes, basepoints.astype(np.float64), sides.astype(np.float64)
+    d, step_error, extent, loops = parallel_transport(fm, loops)  # checks the loop family
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
     psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
     a = d + np.eye(fm.n)

@@ -4,13 +4,14 @@ The coefficient tensor is B = -1/2 T, where T = ``pair.block_tensor`` is
 the 0/1 sum over ``berger.block_terms`` that the formal curvature map is
 read off too, so the metric is a product across eigenvalues.
 
-The lowered tensor is one (n, n, n, n) integer array over one common
+The lowered tensor is one (n, n, n, n) int64 array over one common
 denominator (the ``exactla`` format).  Every exact check on it (symmetry,
-covariant constancy, g(x)-symmetry, both Riemann routes) is a numpy
-contraction with no index loop, in int64 where ``exactla.narrowed``
-proves it safe and on Python ints otherwise.  Nothing is inverted: g0 is
-held as its signed involution ``(perm, sign)`` (``exactla.check_involution``),
-so every product with it is the gather ``exactla.times_g``.
+covariant constancy, g(x)-symmetry, both Riemann routes) is an int64 numpy
+contraction with no index loop, which ``exactla.capped`` keeps from
+wrapping around; L is the relabeled ``pair.L``.  Nothing is inverted: g0
+is held as its signed involution ``(perm, sign)``
+(``exactla.check_involution``), so every product with it is the gather
+``exactla.times_g``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .berger import RealizationError
 from .canonical import CanonicalPair
-from .exactla import check_involution, first_mismatch, narrowed, times_g
+from .exactla import capped, check_involution, first_mismatch, times_g
 from .liealg import wedge_index
 
 
@@ -33,9 +34,10 @@ class QuadraticMetric:
     ``involution`` is g0 as ``(perm, sign)``, g0[i, perm[i]] = sign[i],
     and construction refuses any pair that is not a signed involution, as a
     canonical g0 is (``exactla.check_involution``).  B = num / den: ``num``
-    is an (n, n, n, n) integer array (see ``exactla``) and ``den`` one
-    positive int.  B[i, j, p, q] is symmetric in (i, j) and in (p, q); the
-    metric value at x adds B[i, j, p, q] x^p x^q to g0[i, j].
+    is an (n, n, n, n) integer array, kept as int64, and ``den`` one
+    positive int, both ``exactla.capped``.  B[i, j, p, q] is symmetric in
+    (i, j) and in (p, q); the metric value at x adds B[i, j, p, q] x^p x^q
+    to g0[i, j].
     """
 
     involution: tuple
@@ -44,6 +46,11 @@ class QuadraticMetric:
 
     def __post_init__(self) -> None:
         check_involution(*self.involution)
+        num, den = capped(self.num, self.den)
+        if den <= 0:
+            raise ValueError(f"den must be positive, got {den}")
+        object.__setattr__(self, "num", num)  # frozen: the checked int64 copy
+        object.__setattr__(self, "den", int(den))
 
     @property
     def n(self) -> int:
@@ -60,7 +67,7 @@ def lower_B(t: np.ndarray, involution: tuple) -> QuadraticMetric:
     """
     if t.shape != (len(involution[0]),) * 4:
         raise ValueError("shape mismatch")
-    t, = narrowed(1, t)
+    t, = capped(t)
     try:
         num = -times_g(times_g(t, involution, 0), involution, 2)
     except (IndexError, TypeError, ValueError):  # the check names what is wrong with g0
@@ -80,8 +87,7 @@ def invertibility_bound(qm: QuadraticMetric) -> Fraction:
     |g(x) - g0|_inf <= |x|_inf^2 * max_i sum_jpq |B_ijpq|, so g(x) is
     invertible wherever |x|_inf^2 * c < 1.
     """
-    num, = narrowed(qm.n ** 3, qm.num)
-    return Fraction(int(np.abs(num).sum(axis=(1, 2, 3)).max()), qm.den)
+    return Fraction(int(np.abs(qm.num).sum(axis=(1, 2, 3)).max()), qm.den)
 
 
 def validity_radius(bound: Fraction) -> float:
@@ -90,24 +96,23 @@ def validity_radius(bound: Fraction) -> float:
     return float("inf") if bound == 0 else float(1 / bound) ** 0.5
 
 
-# The checks below are linear in B and in L, so scaling both by their
-# denominators changes no equality: they run on num and on L's numerator.
+# The checks below are linear in B, so they run on num; L is pair.L.
 
-def check_nablaL(qm: QuadraticMetric, L: tuple) -> bool:
+def check_nablaL(qm: QuadraticMetric, L) -> bool:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
     summed over b, for every (i, p, q, k).
     """
-    b, l = narrowed(qm.n * 2, qm.num, L[0])
+    b, l = qm.num, capped(L)[0]
     lhs = np.einsum("ipbq,bk->ipqk", b - b.transpose(0, 2, 1, 3), l)
     rhs = np.einsum("bikq,bp->ipqk", b - b.transpose(2, 0, 1, 3), l)
     return bool((lhs == rhs).all())
 
 
-def check_gsym(qm: QuadraticMetric, L: tuple) -> bool:
+def check_gsym(qm: QuadraticMetric, L) -> bool:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
-    b, l = narrowed(qm.n, qm.num, L[0])
+    b, l = qm.num, capped(L)[0]
     return bool((np.einsum("ijpq,il->jlpq", b, l) == np.einsum("ilpq,ij->jlpq", b, l)).all())
 
 
@@ -124,7 +129,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     Both routes read g^{-1} as g0, a signed involution, so each sum over s
     is a ``times_g``; the routes must agree entry for entry, and a mismatch raises.
     """
-    b, = narrowed(6, qm.num)  # a route adds at most 4 or 2 * 3 entries
+    b = qm.num  # a route adds at most 4 or 2 * 3 entries
     # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
     # scaled by qm.den; the sum g^{is} x_s is ``times_g`` on the i axis
     direct = (np.einsum("bsak->absk", b) + np.einsum("akbs->absk", b)
@@ -175,6 +180,6 @@ def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
         num, den = riemann_at_origin(qm)
     except RealizationError:
         num = None
-    matches = num is not None and np.array_equal(num, den * narrowed(den, formal)[0])
+    matches = num is not None and np.array_equal(num, den * capped(formal)[0])
     return RealizationReport(check_nablaL(qm, pair.L), check_gsym(qm, pair.L),
                              num is not None, matches)

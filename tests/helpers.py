@@ -1,22 +1,11 @@
 """Shared construction shorthands for the test suite."""
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
 
-from holonomy import (
-    berger,
-    berger_certificate,
-    build_canonical,
-    canonical,
-    exactla,
-    liealg,
-    make_pencil,
-    r_formal,
-    realize,
-)
+from holonomy import berger_certificate, build_canonical, make_pencil, r_formal
 from holonomy.probe import parallel_transport
 
 # The acceptance suite's probe specs (criteria 5 and 7), n = 3..5.
@@ -116,14 +105,14 @@ def int_form(entries) -> tuple:
     """Exact rationals as ``(num, den)`` with ``entries == num / den``.
 
     ``entries`` is anything ``np.asarray`` turns into an array of ints or
-    Fractions; ``num`` keeps its shape as an object array of Python ints and
-    ``den`` is the least common denominator (1 for an empty array), so the
-    pair is in lowest terms.
+    Fractions; ``num`` keeps its shape as an int64 array (a numerator past
+    int64 raises OverflowError) and ``den`` is the least common denominator
+    (1 for an empty array), so the pair is in lowest terms.
     """
     a = np.asarray(entries, dtype=object)
     den = math.lcm(1, *(x.denominator for x in a.flat))
     num = np.array([x.numerator * (den // x.denominator) for x in a.flat],
-                   dtype=object).reshape(a.shape)
+                   dtype=np.int64).reshape(a.shape)
     return num, den
 
 
@@ -136,21 +125,3 @@ def fractions(num, den=1):
 def unit(n, i):
     return [Fraction(1) if k == i else Fraction(0) for k in range(n)]
 
-
-def record_dtypes(monkeypatch) -> dict:
-    """Spy on every ``narrowed`` call of the exact layers.
-
-    Returns a dict, filled as the calls happen, from the calling function's
-    name to the set of dtype names (``"int64"`` or ``"object"``) it got.
-    """
-    chosen = {}
-    narrowed = exactla.narrowed
-
-    def spy(bound, *arrays):
-        out = narrowed(bound, *arrays)
-        chosen.setdefault(sys._getframe(1).f_code.co_name, set()).add(out[0].dtype.name)
-        return out
-
-    for module in (canonical, berger, liealg, realize):
-        monkeypatch.setattr(module, "narrowed", spy)
-    return chosen

@@ -5,9 +5,12 @@ results by routes other than the pipeline's: the curvature from the
 minimal polynomial, the centralizer from explicit Toeplitz generators and
 its closed-form dimension, membership by exact span solving and the metric
 by direct evaluation.
-Matrices here are object arrays of Fractions.  The package's integer
-arrays (int64 or Python ints) are read as Python ints on entry, since a
-Fraction built from an np.int64 keeps it and can wrap around.  The
+Matrices here are object arrays of Fractions.  The package's int64 arrays
+are read as Python ints on entry, since a Fraction built from an np.int64
+keeps it and can wrap around.  The package holds L relabeled (each
+eigenvalue's 0-based label in place of its value); ``true_L`` builds the
+operator with the eigenvalues themselves, which the oracles that stand for
+"the pair's L" use.  The
 ``*_ref`` functions are earlier index-loop versions of the exact stages,
 for differential tests against the package: the Fraction elimination
 (``_rref`` and the rank, kernel and inverse on it), the so(g) wedge
@@ -177,13 +180,26 @@ def witnesses_ref(values, den) -> tuple:
     return tuple(tags[k] for k in independent_rows_ref(fractions(values, den)))
 
 
-def centralizer_basis_ref(pair: CanonicalPair) -> list:
-    """Kernel vectors of {X : gX + X^T g = 0 and XL = LX}, X row-major.
+def true_L(pair: CanonicalPair) -> np.ndarray:
+    """The pair's operator sum_k lambda_k P_k + N as Fractions: the relabeled
+    ``pair.L`` with each block's diagonal set to its eigenvalue."""
+    L = fractions(pair.L)
+    for eig in pair.layout:
+        for b in eig.blocks:
+            idx = np.arange(b.offset, b.offset + b.size)
+            L[idx, idx] = eig.lam
+    return L
+
+
+def centralizer_basis_ref(pair: CanonicalPair, L=None) -> list:
+    """Kernel vectors of {X : gX + X^T g = 0 and XL = LX}, X row-major, for
+    L the matrix given (ints or Fractions), by default ``true_L(pair)``.
 
     One row per entry of the symmetric part of gX and one per nonzero row
     of the commutator XL - LX, solved by ``kernel_basis_ref``.
     """
-    g, L = dense_g(pair.involution).astype(object), fractions(*pair.L)
+    g = dense_g(pair.involution).astype(object)
+    L = true_L(pair) if L is None else fractions(L)
     n = pair.n
     rows = []
     # (gX + X^T g)[i][j] = 0 for i <= j
@@ -370,7 +386,7 @@ def r_minpoly(pair: CanonicalPair, x) -> np.ndarray:
     R(X) = sum_m a_m sum_{j<m} L^{m-1-j} X L^j for p_min = sum a_m t^m.
     For X in so(g) the result is g-skew and commutes with L.
     """
-    L = fractions(*pair.L)
+    L = true_L(pair)
     n = pair.n
     if x.shape != (n, n):
         raise ValueError("shape mismatch")
@@ -493,16 +509,17 @@ def metric_at(qm: QuadraticMetric, x: Sequence) -> np.ndarray:
     return np.array(e, dtype=object).reshape(n, n)
 
 
-def check_nablaL_ref(qm: QuadraticMetric, L: tuple) -> bool:
+def check_nablaL_ref(qm: QuadraticMetric, L) -> bool:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
     summed over b, for every (i, p, q, k).  Both sides are linear in B and
-    in L, so they run on the Python-int numerators of both.
+    in L (a matrix of ints or Fractions), so they run on the Python-int
+    numerators of both.
     """
     n = qm.n
     low = qm.num.tolist()
-    L = np.asarray(L[0]).tolist()
+    L = int_form(L)[0].tolist()
     lnz = [[(b, L[b][c]) for b in range(n) if L[b][c]] for c in range(n)]
     for i in range(n):
         for p in range(n):
@@ -523,12 +540,12 @@ def check_nablaL_ref(qm: QuadraticMetric, L: tuple) -> bool:
     return True
 
 
-def check_gsym_ref(qm: QuadraticMetric, L: tuple) -> bool:
+def check_gsym_ref(qm: QuadraticMetric, L) -> bool:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j,
     on the Python-int numerators of B and L (both sides are linear in each)."""
     n = qm.n
     low = qm.num.tolist()
-    L = np.asarray(L[0]).tolist()
+    L = int_form(L)[0].tolist()
     lnz = [[(i, L[i][c]) for i in range(n) if L[i][c]] for c in range(n)]
     for j in range(n):
         for l in range(n):
@@ -650,11 +667,12 @@ def check_bianchi_ref(values) -> BianchiReport:
     return BianchiReport(ok, witness, worst)
 
 
-def check_sectional_ref(values, g, L: tuple) -> bool:
+def check_sectional_ref(values, g, L) -> bool:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element, as
     dense products with g.  Both conditions are linear in the values and in
-    L, so they run on the Python-int numerators of both."""
-    g, L = np.asarray(g, dtype=object), np.asarray(L[0], dtype=object)
+    L (a matrix of ints or Fractions), so they run on the Python-int
+    numerators of both."""
+    g, L = np.asarray(g, dtype=object), int_form(L)[0]
     for v in np.asarray(values, dtype=object):
         if (v @ L - L @ v).any():
             return False
@@ -792,8 +810,9 @@ def christoffel(qm: QuadraticMetric, x) -> np.ndarray:
 
 
 def nablaL_residual(qm, L, x) -> float:
-    """Max-norm of the covariant derivative of the constant operator L at x."""
-    lf = np.asarray(L[0], float) / L[1] if isinstance(L, tuple) else np.asarray(L, float)
+    """Max-norm of the covariant derivative of the constant operator L (ints
+    or Fractions) at x."""
+    lf = np.asarray(L, float)
     m = christoffel(qm, x).transpose(1, 0, 2)  # m[k] = gamma[:, k, :]
     return float(np.max(np.abs(m @ lf - lf @ m)))  # NaN propagates
 

@@ -18,7 +18,8 @@ from holonomy import (
 from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec
 from holonomy.exactla import rank
 
-from helpers import dense_g, fractions, int_form, mat, pair_of
+from helpers import dense_g, int_form, mat, pair_of
+from oracles import true_L
 
 
 def involution(perm, sign):
@@ -28,28 +29,33 @@ def involution(perm, sign):
 def test_build_trivial_block():
     pair = pair_of([(1, 1)])
     assert np.array_equal(dense_g(pair.involution), [[1]])
-    assert np.array_equal(fractions(*pair.L), [[0]])
+    assert pair.L.dtype == np.int64 and np.array_equal(pair.L, [[0]])
 
 
 def test_build_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
     assert np.array_equal(dense_g(pair.involution), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     # single 1 in row 2, column 3 (1-based)
-    assert np.array_equal(fractions(*pair.L), [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    assert np.array_equal(pair.L, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def test_build_two_eigenvalues():
     pair = build_canonical(make_pencil([(0, [(2, 1)]), (1, [(1, -1)])]))
-    assert np.array_equal(fractions(*pair.L), [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    assert np.array_equal(pair.L, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
     assert np.array_equal(dense_g(pair.involution), [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     assert [v.tolist() for v in pair.involution] == [[1, 0, 2], [1, 1, -1]]
     assert validate_pair(pair.involution, pair.L).ok
-    # L is held over the least common denominator of the eigenvalues
+    # L is held relabeled: each eigenvalue's 0-based label on its blocks'
+    # diagonal, an int64 array with no denominator; the eigenvalues
+    # themselves stay in the layout, from which the oracle rebuilds L
     pair = build_canonical(make_pencil([(Fraction(-1, 2), [(2, 1)]), (Fraction(2, 3), [(1, 1)])]))
-    assert pair.L[1] == 6
-    assert np.array_equal(fractions(*pair.L), mat([[Fraction(-1, 2), 1, 0],
-                                                   [0, Fraction(-1, 2), 0],
-                                                   [0, 0, Fraction(2, 3)]]))
+    assert pair.L.dtype == np.int64
+    assert np.array_equal(pair.L, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    assert [eig.lam for eig in pair.layout] == [Fraction(-1, 2), Fraction(2, 3)]
+    assert np.array_equal(true_L(pair), mat([[Fraction(-1, 2), 1, 0],
+                                             [0, Fraction(-1, 2), 0],
+                                             [0, 0, Fraction(2, 3)]]))
+    assert validate_pair(pair.involution, int_form(true_L(pair))[0]).ok  # over den 6
 
 
 def test_layout_metadata():
@@ -64,27 +70,27 @@ def test_validate_pair_reports():
     assert validate_pair(pair.involution, pair.L).ok
 
     # g = I
-    bad = validate_pair(involution([0, 1], [1, 1]), int_form([[0, 1], [0, 0]]))
+    bad = validate_pair(involution([0, 1], [1, 1]), np.array([[0, 1], [0, 0]]))
     assert not bad.ok
     assert any("gL" in f for f in bad.failures)
 
     # g = [[0, 1], [1, 0]]
-    good = validate_pair(involution([1, 0], [1, 1]), int_form([[0, 1], [0, 0]]))
+    good = validate_pair(involution([1, 0], [1, 1]), np.array([[0, 1], [0, 0]]))
     assert good.ok
 
     # the signs of g count: [[0, 1], [-1, 0]] is g-symmetric for g = diag(1, -1)
     # and [[0, 1], [1, 0]] is not
     signed = involution([0, 1], [1, -1])
-    assert validate_pair(signed, int_form([[0, 1], [-1, 0]])).ok
-    assert not validate_pair(signed, int_form([[0, 1], [1, 0]])).ok
+    assert validate_pair(signed, np.array([[0, 1], [-1, 0]])).ok
+    assert not validate_pair(signed, np.array([[0, 1], [1, 0]])).ok
 
     with pytest.raises(ValueError):
-        validate_pair(involution([0, 1], [1, 1]), int_form(np.eye(3, dtype=object)))
+        validate_pair(involution([0, 1], [1, 1]), np.eye(3, dtype=int))
 
 
 def test_degenerate_g_reported():
     # g = diag(1, 0)
-    rep = validate_pair(involution([0, 1], [1, 0]), int_form([[0, 0], [0, 0]]))
+    rep = validate_pair(involution([0, 1], [1, 0]), np.zeros((2, 2), dtype=int))
     assert not rep.ok
     assert rep.failures == ("g is not a signed involution: bad index 1",)
 
@@ -166,12 +172,13 @@ def test_json_errors():
 def test_nilpotency_and_block_determinants():
     lam = Fraction(1, 3)
     pair = build_canonical(make_pencil([(lam, [(1, 1), (3, -1)])]))
-    shifted = fractions(*pair.L) - lam * np.eye(pair.n, dtype=object)
+    # L - lambda and the relabeled L - 0 are the same nilpotent part
     nmax = max(b.size for b in pair.layout[0].blocks)
-    power = np.eye(pair.n, dtype=object)
-    for _ in range(nmax):
-        power = power @ shifted
-    assert not power.any()
+    for shifted in (true_L(pair) - lam * np.eye(pair.n, dtype=object), pair.L):
+        power = np.eye(pair.n, dtype=object)
+        for _ in range(nmax - 1):
+            power = power @ shifted
+        assert power.any() and not (power @ shifted).any()
     g = dense_g(pair.involution)
     assert rank(g) == pair.n
     # every g block is a signed antidiagonal, so its determinant is +-1

@@ -13,10 +13,12 @@ inverse of g0, on Python-int numerators.  The two must return the same
 verdicts, the same curvature (or both raise), and the same Bianchi
 witness; and each check must reject some of the perturbations.
 
-Each exact contraction runs in int64 or on Python ints, as an a-priori
-bound decides.  With the int64 limit at 0 every contraction takes the
-object path, and the reports must not change by a byte; eigenvalues too
-large for int64 must take the object path and still pass.
+The package holds L relabeled, each eigenvalue's 0-based label in place of
+its value.  The oracles' verdicts on the true L and on the relabeled one
+must agree on symmetric perturbations of the metric and on perturbed
+curvature values, with the same centralizer dimension; reports must not
+change when the eigenvalues are relabeled 0, 1, ...; and eigenvalues of
+any size pass in int64.
 """
 
 import json
@@ -34,7 +36,6 @@ from holonomy import (
     berger,
     berger_certificate,
     build_canonical,
-    exactla,
     lower_B,
     make_pencil,
     pencil_from_json,
@@ -60,7 +61,6 @@ from helpers import (
     fractions,
     int_form,
     pair_of,
-    record_dtypes,
 )
 from oracles import (
     block_tensor_ref,
@@ -75,6 +75,7 @@ from oracles import (
     rank_ref,
     riemann_at_origin_ref,
     so_basis_ref,
+    true_L,
     witnesses_ref,
 )
 
@@ -163,7 +164,7 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
     for name, doc in iter_corpus_specs(7):
         doc["eigenvalues"][0]["lambda"] = str(lam)
         pair = build_canonical(pencil_from_json(doc))
-        n, l = pair.n, pair.L[0]
+        n, l = pair.n, pair.L
         w = so_basis_ref(dense_g(pair.involution))
         assert np.array_equal(commutator_system(pair.involution, l),
                               (w @ l - l @ w).reshape(len(w), n * n).T), name
@@ -253,66 +254,124 @@ def test_curvature_checks_agree_with_loops_under_perturbation(case):
     assert rejected["bianchi"] and rejected["sectional"], rejected
 
 
-def _exact_stdout(specs, tmp_path, capsys) -> list:
-    """``holonomy verify --stages canonical,berger,realize`` stdout of each spec."""
+def _doc(spec) -> dict:
+    """The JSON spec document of ``make_pencil`` arguments."""
+    return {"eigenvalues": [{"lambda": str(lam),
+                             "blocks": [{"size": s, "sign": g} for s, g in blocks]}
+                            for lam, blocks in spec]}
+
+
+def _exact_reports(doc, tmp_path, capsys) -> dict:
+    """``holonomy verify --stages canonical,berger,realize`` of a spec, passing."""
     path = tmp_path / "spec.json"
-    out = []
-    for doc in specs:
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["verify", "--input", str(path),
-                     "--stages", "canonical,berger,realize"]) == 0, doc
-        out.append(capsys.readouterr().out)
-    return out
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--stages", "canonical,berger,realize"]) == 0, doc
+    return json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("case", ["0", "-2/3", "two-eigenvalue"])
-def test_reports_identical_on_both_dtypes(case, tmp_path, capsys, monkeypatch):
+def test_reports_identical_under_relabeling(case, tmp_path, capsys):
+    # the exact stages read the eigenvalues only through their order: each
+    # spec's berger and realize reports are those of its twin with the
+    # eigenvalues relabeled 0, 1, ..., and the canonical stage differs only
+    # in the lambdas it echoes
     if case == "two-eigenvalue":
-        specs = [{"eigenvalues": [{"lambda": l, "blocks": [{"size": s, "sign": g}
-                                                          for s, g in blocks]}
-                                  for l, blocks in spec]}
-                 for spec in TWO_EIGENVALUE_SPECS]
+        specs = [_doc(spec) for spec in TWO_EIGENVALUE_SPECS]
     else:
         specs = [doc for _, doc in iter_corpus_specs(7)]
         for doc in specs:
             doc["eigenvalues"][0]["lambda"] = case
-    chosen = record_dtypes(monkeypatch)
-    default = _exact_stdout(specs, tmp_path, capsys)
-    assert set().union(*chosen.values()) == {"int64"}  # small specs fit in int64
-    chosen.clear()
-    monkeypatch.setattr(exactla, "INT64_LIMIT", 0)
-    wide = _exact_stdout(specs, tmp_path, capsys)
-    assert set().union(*chosen.values()) == {"object"}
-    assert wide == default
+    for doc in specs:
+        twin = json.loads(json.dumps(doc))
+        eigens = sorted(twin["eigenvalues"], key=lambda e: Fraction(e["lambda"]))
+        for label, eig in enumerate(eigens):
+            eig["lambda"] = str(label)
+        got, want = _exact_reports(doc, tmp_path, capsys), _exact_reports(twin, tmp_path, capsys)
+        for stage in ("berger", "realize"):
+            assert got["stages"][stage] == want["stages"][stage], (doc, stage)
+        for layout in (got, want):
+            for eig in layout["stages"]["canonical"]["layout"]:
+                eig.pop("lambda")
+        assert got["stages"]["canonical"] == want["stages"]["canonical"], doc
 
 
-# 3e18 fits in int64 (below 2**63), but its products with B do not
+# 3e18 fits in int64 (below 2**63), 1e20 and 99 digits do not, and 1/1e20
+# has a denominator past it: none of them reaches the exact arithmetic
 @pytest.mark.parametrize("lam", [10 ** 20, int("9" * 99), Fraction(1, 10 ** 20), 3 * 10 ** 18],
                          ids=["1e20", "99-digits", "1/1e20", "3e18"])
-def test_large_eigenvalue_takes_the_object_path(lam, tmp_path, monkeypatch):
+def test_large_eigenvalue_passes_end_to_end(lam, tmp_path):
     blocks = [(1, 1), (2, -1), (2, 1), (3, 1)]
     pair = pair_of(blocks, lam)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"eigenvalues": [{
-        "lambda": str(lam), "blocks": [{"size": s, "sign": g} for s, g in blocks]}]}))
-    chosen = record_dtypes(monkeypatch)
+    path.write_text(json.dumps(_doc([(lam, blocks)])))
     report, code = cmd_verify(RunConfig(input=str(path),
                                         stages=("canonical", "berger", "realize")))
-    # every contraction with L is too large for int64; those without it are
-    # not, and L itself fits only at 3e18, as does validate_pair's gather of
-    # it (g is never an operand: every product with it is a gather)
-    l_dtype = {"int64"} if lam == 3 * 10 ** 18 else {"object"}
-    assert chosen == {"check_nablaL": {"object"}, "check_gsym": {"object"},
-                      "check_sectional": {"object"}, "commutator_system": {"object"},
-                      "check_bianchi": {"int64"}, "block_tensor": {"int64"},
-                      "r_formal": {"int64"},
-                      "lower_B": {"int64"}, "riemann_at_origin": {"int64"},
-                      "verify_realization": {"int64"},
-                      "build_canonical": l_dtype, "validate_pair": l_dtype}
     assert code == 0 and report["verdict"] == "pass"
+    assert report["stages"]["canonical"]["layout"][0]["lambda"] == str(lam)
     assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9
     assert report["stages"]["berger"]["image_rank"] == 9
     assert all(report["stages"]["realize"].values())
+
+
+# multi in CI's smoke tests: two eigenvalues, three blocks and two
+MULTI = [("0", [(1, 1), (2, -1), (3, 1)]), ("5/7", [(2, 1), (2, -1)])]
+# perturbations per sweep of the relabeling test
+SAMPLE = 150
+
+
+def _symmetric_orbit(idx) -> set:
+    """The entries (i, j, p, q) that B's symmetries in (i, j) and in (p, q) tie to ``idx``."""
+    i, j, p, q = idx
+    return {(a, b, c, d) for a, b in ((i, j), (j, i)) for c, d in ((p, q), (q, p))}
+
+
+@pytest.mark.parametrize("spec", TWO_EIGENVALUE_SPECS + [MULTI],
+                         ids=["two0", "two1", "two2", "multi"])
+def test_verdicts_agree_on_true_and_relabeled_L(spec):
+    # the relabeled L and the true one are polynomials in each other, and
+    # each check reads L through X L = L X or X L = L^T X, so the oracles'
+    # verdicts on the two agree, and the package's on the relabeled L with
+    # them: covariant constancy and g(x)-symmetry on symmetric-orbit
+    # perturbations of B (the precondition both forms need), the sectional
+    # check on perturbations of the curvature values, and the dimension of
+    # the commutator kernel.  The loop oracles take about a millisecond a
+    # call at n = 10, so each sweep is a seeded sample of SAMPLE
+    # perturbations; each check rejects some of them.
+    pair = build_canonical(make_pencil(spec))
+    true, relabeled = true_L(pair), pair.L
+    assert not np.array_equal(int_form(true)[0], relabeled)  # the two differ
+    n, g = pair.n, dense_g(pair.involution)
+    assert (len(centralizer_basis_ref(pair, true)) == len(centralizer_basis_ref(pair, relabeled))
+            == centralizer_dim(pair))
+    rng = random.Random(n)
+    qm = lower_B(pair.block_tensor, pair.involution)
+    orbits = sorted({min(_symmetric_orbit(idx)) for idx in np.ndindex((n,) * 4)})
+    rejected = Counter()
+    for idx in rng.sample(orbits, min(SAMPLE, len(orbits))):
+        num = qm.num.copy()
+        for at in _symmetric_orbit(idx):
+            num[at] += 1
+        bad = QuadraticMetric(qm.involution, num, qm.den)
+        nabla, gsym = check_nablaL_ref(bad, true), check_gsym_ref(bad, true)
+        for nabla_of, gsym_of in ((check_nablaL_ref, check_gsym_ref), (check_nablaL, check_gsym)):
+            assert (nabla, gsym) == (nabla_of(bad, relabeled), gsym_of(bad, relabeled)), idx
+        rejected["nablaL"] += not nabla
+        rejected["gsym"] += not gsym
+    # a single entry is never g-skew, so the skewness half rejects all of
+    # those; a wedge basis element is, and the commutator with L decides
+    formal = r_formal(pair)
+    steps = np.concatenate([np.eye(n * n, dtype=np.int64).reshape(-1, n, n),
+                            so_basis_ref(g).astype(np.int64)])
+    moves = [(k, s) for k in range(len(formal)) for s in range(len(steps))]
+    for k, s in rng.sample(moves, SAMPLE):
+        bad = formal.copy()
+        bad[k] += steps[s]
+        sectional = check_sectional_ref(bad, g, true)
+        assert sectional == check_sectional_ref(bad, g, relabeled), (k, s)
+        assert sectional == check_sectional(bad, pair.involution, relabeled), (k, s)
+        rejected["sectional"] += not sectional
+        rejected["sectional kept"] += sectional
+    assert all(rejected[c] for c in ("nablaL", "gsym", "sectional", "sectional kept")), rejected
 
 
 # A rational eigenvalue: negative values and large denominators included.

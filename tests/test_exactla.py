@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy.canonical import rat_from_str
-from holonomy.exactla import (
-    INT64_LIMIT,
-    max_abs,
-    narrowed,
-    pivot_columns,
-    rank,
-    times_g,
-)
+from holonomy.exactla import ENTRY_CAP, capped, pivot_columns, rank, times_g
 
 from helpers import dense_g, int_form, mat, pair_of
 from oracles import (
@@ -71,32 +64,35 @@ def test_reciprocal_product(q):
     assert q * (1 / q) == 1
 
 
-# -- the checked dtype choice ------------------------------------------------
+# -- the entry cap ---------------------------------------------------------------
 
-def test_narrowed_picks_the_dtype_at_the_edge_of_the_bound():
-    # the bound is k times the product of the factors' max_abs
-    a = np.array([[3, -4]], dtype=object)  # max_abs 4
-    b = np.array([[-3, 1]], dtype=object)  # max_abs 3, and 3 divides 2**62 - 1
-    assert INT64_LIMIT == 2 ** 62
-    (wide,) = narrowed(2 ** 60, a)  # 4 * 2**60 = 2**62
-    (narrow,) = narrowed((2 ** 62 - 1) // 3, b)
-    assert wide.dtype == object and narrow.dtype == np.int64
-    assert np.array_equal(wide, a) and np.array_equal(narrow, b)
-    # every factor counts, and every factor takes the one dtype
-    assert [x.dtype for x in narrowed(2 ** 58, a, a)] == [object, object]
-    assert [x.dtype for x in narrowed(2 ** 58 - 1, a, b)] == [np.int64, np.int64]
-    # an int64 array goes back to Python ints on the object path
-    (back,) = narrowed(2 ** 62, narrow)
-    assert back.dtype == object and all(type(x) is int for x in back.flat)
+def test_capped_takes_ints_up_to_the_cap_as_int64():
+    # the cap is inclusive, on both signs, and an int64, int32 or Python-int
+    # array within it comes back as int64 with the same entries
+    edge = [[ENTRY_CAP, -ENTRY_CAP], [0, 1]]
+    for a in (np.array(edge), np.array(edge, dtype=np.int32), edge,
+              np.zeros((0, 3), dtype=np.int64), np.array([ENTRY_CAP], dtype=np.uint64)):
+        (out,) = capped(a)
+        assert out.dtype == np.int64 and np.array_equal(out, np.asarray(a))
+    (den,) = capped(2)
+    assert den.dtype == np.int64 and den == 2
 
 
-def test_narrowed_bounds_the_product_of_its_factors():
-    # each factor alone is far below the limit, their product is not
-    a = np.array([2 ** 31, -5], dtype=np.int64)
-    b = np.array([[1, -(2 ** 31)]], dtype=np.int64)
-    assert max_abs(a) < INT64_LIMIT and max_abs(b) < INT64_LIMIT
-    assert {x.dtype for x in narrowed(1, a, b)} == {np.dtype(object)}
-    assert {x.dtype for x in narrowed(1, a[1:], b)} == {np.dtype(np.int64)}
+@pytest.mark.parametrize("bad", [
+    np.array([ENTRY_CAP + 1]), np.array([-ENTRY_CAP - 1]),
+    # past int64 itself: neither cast to it nor wrapped around
+    2 ** 64 + 1, np.array([-(2 ** 63)], dtype=np.int64),
+    # not an integer array: a Fraction or float is never truncated, a bool is
+    # no int, and an object array is refused even when it holds small ints
+    np.array([Fraction(1, 2)], dtype=object), np.array([Fraction(2)], dtype=object),
+    np.array([1.0]), np.array([True]), np.array([ENTRY_CAP + 1], dtype=np.uint32), Fraction(2),
+    np.array([1], dtype=object)],
+    ids=["cap+1", "-cap-1", "2**64+1", "int64-min", "half", "Fraction-2", "float", "bool",
+         "uint32", "Fraction-den", "object"])
+def test_capped_refuses_entries_past_the_cap(bad):
+    ok = np.zeros(2, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"at most {ENTRY_CAP}"):
+        capped(ok, bad)
 
 
 # -- products with g -----------------------------------------------------------
@@ -127,18 +123,7 @@ def test_times_g_is_the_dense_product_on_every_axis(blocks, ndim):
                 assert np.array_equal(out, left) and np.array_equal(out, right)
             if x.dtype == object:
                 assert all(type(v) is int for v in out.flat)
-                assert max_abs(out) > 2 ** 63
-
-
-def test_max_abs():
-    big = 10 ** 30
-    assert max_abs(np.array([[2, -7], [5, 0]], dtype=object)) == 7
-    assert max_abs(np.array([-big, 3], dtype=object)) == big
-    assert type(max_abs(np.array([-(2 ** 63)], dtype=np.int64))) is int
-    assert max_abs(np.array([-(2 ** 63)], dtype=np.int64)) == 2 ** 63  # no wraparound
-    # never below 1, so a product of maxima bounds each factor
-    assert max_abs(np.zeros((2, 2), dtype=object)) == 1
-    assert max_abs(np.zeros((0, 3), dtype=object)) == 1
+                assert max(abs(v) for v in out.flat) > 2 ** 63
 
 
 # -- rank and kernel ---------------------------------------------------------

@@ -45,6 +45,7 @@ from oracles import (
     nablaL_residual,
     standard_loops_ref,
     transport_polyline_ref,
+    true_L,
     wedge_tags,
 )
 
@@ -144,7 +145,7 @@ def test_loop_shrinking_consistency():
     norms = {}
     psis = {}
     for side in (1e-2, 5e-3):
-        d, _, _ = parallel_transport(fm, loops_of(((0.0, 0.0, 0.0), (0, 2), side)))
+        d, *_ = parallel_transport(fm, loops_of(((0.0, 0.0, 0.0), (0, 2), side)))
         (psis[side],) = logarithms(d)
         norms[side] = np.linalg.norm(psis[side]) / side ** 2
     assert abs(norms[1e-2] / norms[5e-3] - 1.0) < 0.05
@@ -210,7 +211,7 @@ def test_origin_squares_carry_minus_the_curvature(blocks):
     rmap = r_formal(pair).astype(float)
     tags = [tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()]
     assert tags
-    d, _, _ = parallel_transport(fm, loops_of(*(((0.0,) * pair.n, tag, h) for tag in tags)))
+    d, *_ = parallel_transport(fm, loops_of(*(((0.0,) * pair.n, tag, h) for tag in tags)))
     values = rmap[[wedge_tags(pair.n).index(tag) for tag in tags]]
     defect = np.max(np.abs(logarithms(d) / h ** 2 + values), axis=(1, 2))
     assert np.max(defect / np.max(np.abs(values), axis=(1, 2))) < 1e-3
@@ -248,7 +249,7 @@ def test_transport_membership_and_drift():
 def _commutation_defect(pair, qm, seed=0):
     """The largest |D L - L D|_max / (|D|_max |L|_max) over the standard
     loops' transports I + D that moved (D != 0)."""
-    l = pair.L[0].astype(np.float64) / pair.L[1]
+    l = true_L(pair).astype(np.float64)
     d = parallel_transport(FloatMetric(qm), standard_loops(pair.n, seed=seed))[0]
     d = d[np.abs(d).max(axis=(1, 2)) > 0]
     defect = np.abs(d @ l - l @ d).max(axis=(1, 2))
@@ -287,6 +288,20 @@ def test_span_checks_the_loop_family_once(monkeypatch):
     pair, qm = realized([(1, 1), (2, 1)])
     rep = holonomy_span(FloatMetric(qm), certificate(pair), standard_loops(3, seed=1))
     assert calls == [3] and rep.passed
+
+
+def test_transport_hands_back_the_checked_family():
+    # the transport returns the family it checked, int basepoints as
+    # float64, and the span reports those arrays without converting again
+    pair, qm = realized([(1, 1), (2, 1)])
+    fm = FloatMetric(qm)
+    loops = (np.array([[0, 1], [1, 2]]), np.zeros((2, 3), dtype=np.int64), np.full(2, 1e-2))
+    *_, checked = parallel_transport(fm, loops)
+    assert [a.dtype for a in checked] == [np.int64, np.float64, np.float64]
+    assert all(np.array_equal(a, b) for a, b in zip(checked, loops))
+    rep = holonomy_span(fm, certificate(pair), loops)
+    assert rep.loops[1].dtype == np.float64
+    assert rep.to_json()["samples"][0]["basepoint"] == [0.0, 0.0, 0.0]
 
 
 def test_loopspec_validation():
@@ -431,7 +446,7 @@ def test_membership_detects_a_dropped_basis_element():
     assert rep.span_rank == 3 and not rep.passed
     assert rep.max_membership_residual > 0.1 and min(rep.residuals) < 1e-6
     gl = cert.basis[1:].astype(float).reshape(2, -1).T
-    d, _, _ = parallel_transport(fm, loops)
+    d, *_ = parallel_transport(fm, loops)
     for psi, residual in zip(logarithms(d).reshape(len(d), -1), rep.residuals):
         norm = np.linalg.norm(psi)
         if norm < transport._NEGLIGIBLE:  # a flat plane: a zero sample
@@ -462,11 +477,11 @@ def test_span_report_json():
 
 def test_nablaL_residual_origin_and_nearby():
     pair, qm = realized([(2, 1), (2, -1)])
-    assert nablaL_residual(qm, pair.L, [0.0] * 4) < 1e-15
+    assert nablaL_residual(qm, true_L(pair), [0.0] * 4) < 1e-15
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.uniform(-0.05, 0.05, 4)
-        assert nablaL_residual(qm, pair.L, x) < 1e-9
+        assert nablaL_residual(qm, true_L(pair), x) < 1e-9
 
 
 def test_nablaL_residual_detects_corruption():
@@ -474,7 +489,7 @@ def test_nablaL_residual_detects_corruption():
     bad_num = 4 * qm.num
     bad_num[0, 0, 1, 1] += qm.den  # B[0, 0, 1, 1] += 1/4
     bad = QuadraticMetric(qm.involution, bad_num, 4 * qm.den)
-    assert nablaL_residual(bad, pair.L, [0.05, 0.02, -0.03]) > 1e-3
+    assert nablaL_residual(bad, true_L(pair), [0.05, 0.02, -0.03]) > 1e-3
 
 
 def test_metric_value_matches_exact():
@@ -562,7 +577,7 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
                    standard_loops(4, seed=2))
     count = len(loops[0])
     rows = count_segments(monkeypatch)
-    d, step_error, extent = parallel_transport(fm, loops)
+    d, step_error, extent, _ = parallel_transport(fm, loops)
     per_batch = kernels.NODE_BUDGET // ((2 * 100 + 1) * 4 ** 2)  # nodes, n^2
     assert d.shape == (count, 4, 4) and step_error.shape == extent.shape == (count,)
     assert len(rows) > 1 and max(rows) <= per_batch
@@ -571,7 +586,7 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
                 for p, q in zip(lasso[:-1], lasso[1:]) if (q != p).any()}
     assert sum(rows) == len(segments)
     for i in range(count):
-        d_solo, step_error_solo, extent_solo = parallel_transport(fm, loop_rows(loops, i))
+        d_solo, step_error_solo, extent_solo, _ = parallel_transport(fm, loop_rows(loops, i))
         assert np.array_equal(d[i:i + 1], d_solo)
         assert np.array_equal(step_error[i:i + 1], step_error_solo)
         assert np.array_equal(extent[i:i + 1], extent_solo)
@@ -692,7 +707,7 @@ def test_exact_bound_certifies_standard_loops():
             verts = transport._lasso_vertices(loops, pair.n)
             for extent in np.max(np.abs(verts), axis=(1, 2)).tolist():
                 assert extent < radius and fm.certifies(extent)
-            d, _, extents = parallel_transport(fm, loops)
+            d, _, extents, _ = parallel_transport(fm, loops)
             assert len(d) == len(loops[0]) and extents.max() < radius
 
 
@@ -754,7 +769,7 @@ def test_step_error_estimate_tracks_true_error(monkeypatch):
         fm = FloatMetric(qm)
         n = pair.n
         coarse = loops_of(((0.0,) * n, (0, n - 1), 0.3))
-        (d,), (step_error,), _ = parallel_transport(fm, coarse)
+        (d,), (step_error,), *_ = parallel_transport(fm, coarse)
         verts = transport._lasso_vertices(coarse, n)[0]
         fine = transport_polyline_ref(*float_parts(qm), verts[1:-1], [400] * 4)
         true = float(np.max(np.abs(d + np.eye(n) - fine)))

@@ -18,7 +18,9 @@ from holonomy import (
     verify_realization,
 )
 from holonomy.cli import RunConfig, cmd_verify
-from holonomy.exactla import INT64_LIMIT, check_involution, max_abs, rank
+from holonomy.berger import check_bianchi, check_sectional
+from holonomy.exactla import ENTRY_CAP, check_involution, rank
+from holonomy.liealg import commutator_system
 from holonomy.liealg import wedge_rows
 from holonomy.probe.transport import FloatMetric
 from holonomy.realize import (
@@ -36,9 +38,14 @@ from oracles import (
     b_apply,
     b_components,
     block_factors,
+    check_bianchi_ref,
+    check_gsym_ref,
+    check_nablaL_ref,
+    check_sectional_ref,
     inverse_ref,
     lowered,
     metric_at,
+    true_L,
     wedge_tags,
 )
 
@@ -91,7 +98,7 @@ def test_build_B_provenance_and_commutation():
     b = pair.block_tensor
     # every left factor commutes with L, and [B(X), L] + [B(X), L]^* = 0 for
     # the full elementary basis of gl(V); here the bracket itself vanishes
-    L = fractions(*pair.L)
+    L = true_L(pair)
     for c, _ in block_factors(pair):
         assert not (c @ L - L @ c).any()
     n = pair.n
@@ -137,7 +144,7 @@ def test_lower_B_two_point_blocks():
 
 def test_lower_B_zero_tensor():
     pair = pair_of([(2, 1)])
-    zero = np.zeros((2, 2, 2, 2), dtype=object)
+    zero = np.zeros((2, 2, 2, 2), dtype=np.int64)
     qm = lower_B(zero, pair.involution)
     low = lowered(qm)
     assert all(low[i][j][p][q] == 0
@@ -187,7 +194,7 @@ def test_check_nablaL_and_gsym():
 def test_checks_trivial_for_zero_L():
     pair = pair_of([(1, 1), (1, -1)])
     qm = lower_B(pair.block_tensor, pair.involution)
-    assert not pair.L[0].any()
+    assert not pair.L.any()
     assert check_nablaL(qm, pair.L)
     assert check_gsym(qm, pair.L)
 
@@ -204,7 +211,7 @@ def test_check_nablaL_detects_corruption():
 def test_check_gsym_detects_wrong_operator():
     pair = pair_of([(1, 1), (2, 1)])
     qm = lower_B(pair.block_tensor, pair.involution)
-    rogue = int_form([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # does not commute with the factors
+    rogue = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # does not commute with the factors
     assert not check_gsym(qm, rogue)
 
 
@@ -283,9 +290,10 @@ def test_verify_realization_compares_the_denominator():
 
 def test_lower_B_rejects_asymmetric_point_indices():
     # T = I (x) E_01 gives (g0 E_01) in (p, q), not symmetric there; g0 = I
-    e01 = np.array([[0, 1], [0, 0]], dtype=object)
+    e01 = np.array([[0, 1], [0, 0]])
     with pytest.raises(RealizationError, match=r"\(p, q\)"):
-        lower_B(np.einsum("aj,bq->ajbq", eye(2), e01), (np.arange(2), np.ones(2, dtype=int)))
+        lower_B(np.einsum("aj,bq->ajbq", np.eye(2, dtype=int), e01),
+                (np.arange(2), np.ones(2, dtype=int)))
 
 
 @pytest.mark.parametrize("g0, at", [
@@ -308,7 +316,7 @@ def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
         QuadraticMetric(g0, np.zeros((n,) * 4, dtype=np.int64), 2)
     with pytest.raises(ValueError, match=re.escape(message)):
         lower_B(np.zeros((n,) * 4, dtype=np.int64), g0)
-    report = validate_pair(g0, int_form(np.zeros((n, n), dtype=object)))
+    report = validate_pair(g0, np.zeros((n, n), dtype=int))
     assert not report.ok and report.failures == (message,)
 
 
@@ -379,9 +387,10 @@ def test_validity_radius_positive():
 
 @pytest.mark.parametrize("lam", [0, 3 * 10 ** 18, 10 ** 20], ids=["0", "3e18", "1e20"])
 def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, tmp_path):
-    # an int64 array is stored only below the bound its contraction proved,
-    # and every scalar that leaves one is a Python int: an np.int64 inside
-    # a Fraction, a denominator or the report can wrap around
+    # every exact array is int64 within the entry cap that proves its
+    # contractions safe, whatever the eigenvalue, and every scalar that
+    # leaves one is a Python int: an np.int64 inside a Fraction, a
+    # denominator or the report can wrap around
     blocks = [(1, 1), (2, -1), (2, 1)]
     pair = pair_of(blocks, lam)
     rmap = r_formal(pair)
@@ -389,23 +398,17 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     qm = lower_B(pair.block_tensor, pair.involution)
     rm = riemann_at_origin(qm)
     stored = {"perm": pair.involution[0], "sign": pair.involution[1],
-              "L": pair.L[0], "T": pair.block_tensor,
+              "L": pair.L, "T": pair.block_tensor,
               "metric": qm.num, "formal": rmap, "riemann": rm[0],
               "basis": cert.basis}
     for name, a in stored.items():
-        if a.dtype == np.int64:
-            assert max_abs(a) < INT64_LIMIT, name
-        else:
-            assert a.dtype == object and all(type(x) is int for x in a.flat), name
-    dtypes = {name: a.dtype for name, a in stored.items()}
-    if lam == 0:
-        assert set(dtypes.values()) == {np.dtype(np.int64)}, dtypes
-    if lam == 10 ** 20:
-        assert dtypes["L"] == object, dtypes
+        assert a.dtype == np.int64 and np.abs(a).max() <= ENTRY_CAP, name
+    # one eigenvalue: L is its nilpotent part, whatever lambda is
+    assert np.array_equal(pair.L, pair_of(blocks).L)
     bound = invertibility_bound(qm)
     assert bound > 0
     assert type(bound.numerator) is int and type(bound.denominator) is int
-    dens = [pair.L[1], qm.den, rm[1]]
+    dens = [qm.den, rm[1]]
     assert all(type(d) is int for d in dens), dens
 
     path = tmp_path / "spec.json"
@@ -414,3 +417,52 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     report, code = cmd_verify(RunConfig(input=str(path)))
     assert code == 0, report
     json.dumps(report)  # raises TypeError on an np.int64 anywhere in the report
+
+
+def test_exact_inputs_past_the_entry_cap_are_refused():
+    # negative controls for the one entry check: a hand-built metric's
+    # numerator or denominator, an L and curvature values past the cap are
+    # refused before any arithmetic, never wrapped around in int64
+    pair = pair_of([(1, 1), (2, -1), (2, 1)])
+    qm = lower_B(pair.block_tensor, pair.involution)
+    rmap = r_formal(pair)
+    message = f"at most {ENTRY_CAP}"
+    for big in (ENTRY_CAP + 1, -ENTRY_CAP - 1, 2 ** 62, 2 ** 64 + 1):
+        def past(a, at, big=big):
+            # int64 holds all but the last, which stays a Python int
+            out = a.astype(object if abs(big) >= 2 ** 63 else np.int64)
+            out[at] = big
+            return out
+
+        num, L = past(qm.num, (0, 0, 1, 1)), past(pair.L, (0, 0))
+        values, t = past(rmap, (-1, 0, 0)), past(pair.block_tensor, (0, 0, 0, 0))
+        for call in (lambda: QuadraticMetric(qm.involution, num, qm.den),
+                     lambda: QuadraticMetric(qm.involution, qm.num, abs(big)),
+                     lambda: lower_B(t, pair.involution),
+                     lambda: check_nablaL(qm, L), lambda: check_gsym(qm, L),
+                     lambda: validate_pair(pair.involution, L),
+                     lambda: commutator_system(pair.involution, L),
+                     lambda: check_sectional(rmap, pair.involution, L),
+                     lambda: check_sectional(values, pair.involution, pair.L),
+                     lambda: check_bianchi(values),
+                     lambda: verify_realization(pair, qm, values)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="den must be positive"):
+            QuadraticMetric(qm.involution, qm.num, den)
+    # at the cap every check runs in int64 and decides as the Python-int
+    # oracles do, on the metric and on a perturbation of it
+    L = pair.L * ENTRY_CAP
+    for bump in (0, 1):
+        num = qm.num * ENTRY_CAP
+        num[0, 0, 1, 1] -= bump
+        edge = QuadraticMetric(qm.involution, num, ENTRY_CAP)
+        assert edge.num.dtype == np.int64 and type(edge.den) is int
+        assert check_nablaL(edge, L) == check_nablaL_ref(edge, L) == (not bump)
+        assert check_gsym(edge, L) == check_gsym_ref(edge, L)
+    values = rmap * ENTRY_CAP
+    values[-1, 0, 0] -= 1
+    assert check_sectional(values, pair.involution, L) == check_sectional_ref(
+        values, dense_g(pair.involution), L)
+    assert check_bianchi(values).max_violation == check_bianchi_ref(values).max_violation
