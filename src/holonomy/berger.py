@@ -1,18 +1,18 @@
 """The block tensor, the blockwise formal curvature map and the Berger test.
 
-``block_terms`` states the formula: for each pair of Jordan blocks inside
+``block_tensor`` states the formula: for each pair of Jordan blocks inside
 one eigenvalue it differentiates the minimal polynomial along the argument
 with the pair's own nilpotency degree, which makes the image fill the whole
-centralizer.  ``block_tensor`` sums the terms once, and ``r_formal`` and
-the realizing metric are both read off that one 0/1 tensor.  The certificate
-checks the Bianchi identity, containment in g_L and the exact rank
-equality, with dim g_L counted by rank-nullity on the commutator system;
-once it passes, the witness values are an exact basis of g_L.
+centralizer.  It is one mask over ``pair.block`` and ``pair.label``, and
+``r_formal`` and the realizing metric are both read off that one 0/1
+tensor.  The certificate checks the Bianchi identity, containment in g_L
+and the exact rank equality, with dim g_L counted by rank-nullity on the
+commutator system; once it passes, the witness values are an exact basis
+of g_L.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,55 +23,36 @@ from .exactla import capped, pivot_columns, rank, times_g
 from .liealg import commutator_system, wedge_index
 
 
-class RealizationError(RuntimeError):
-    """Internal consistency failure while building T or a metric."""
-
-
-def block_terms(pair: CanonicalPair) -> list:
-    """The terms (block i, block j, a, s) of the formal curvature map, the
-    blocks as ``PlacedBlock``s.
+def block_tensor(pair: CanonicalPair) -> np.ndarray:
+    """T = sum J_i^a (x) J_j^s as one (n, n, n, n) 0/1 int64 array.
 
     With J_i the upper shift on block i's index range (J_i^0 its
-    projector), the map and the realizing metric's coefficient tensor are
-    the same sum over these terms:
+    projector), the formal curvature map and the realizing metric's
+    coefficient tensor are the same sum:
 
-        R(X) = sum J_i^a X J_j^s,    B = -1/2 sum J_i^a (x) J_j^s.
+        R(X) = sum J_i^a X J_j^s,    B = -1/2 sum J_i^a (x) J_j^s,
 
-    For each eigenvalue in ``pair.layout``, every ordered pair of its
-    blocks (a block with itself included) contributes, with
-    nij = max(n_i, n_j), the terms s in range(nij - n_i, n_j) and
-    a = nij - 1 - s.  Blocks of different eigenvalues are never paired,
-    so R and B are block-diagonal across eigenvalues and the metric is a
-    product.  The diagonal pairs add nothing to R on so(g), but they make
-    B agree with the plain minimal-polynomial tensor when all blocks have
-    one size.
+    over every ordered pair of blocks i, j of one eigenvalue (a block with
+    itself included) and every a, s >= 0 with a + s = max(n_i, n_j) - 1:
+    T[r, c, p, q] = 1 exactly when c - r = a inside one block, q - p = s
+    inside one block and r, p share a label.  So R and B are block-diagonal
+    across eigenvalues, and the metric is a product.  The diagonal pairs
+    add nothing to R on so(g), but they make B agree with the plain
+    minimal-polynomial tensor when all blocks have one size.  A mask sets
+    each entry once, so T is the exact sum.  ``pair.block_tensor`` calls
+    this once and keeps the result.
     """
-    terms = []
-    for eig in pair.layout:
-        for bi in eig.blocks:
-            for bj in eig.blocks:
-                nij = max(bi.size, bj.size)
-                terms.extend((bi, bj, nij - 1 - s, s) for s in range(nij - bi.size, bj.size))
-    return terms
-
-
-def block_tensor(pair: CanonicalPair) -> np.ndarray:
-    """T = sum of J_i^a (x) J_j^s over ``block_terms`` as one (n, n, n, n)
-    0/1 array, T[r, r + a, p, p + s] = 1, written in one assignment.
-
-    An entry gives back its blocks and both shifts, so distinct terms write
-    distinct entries and the assignment is the exact sum; a repeated entry
-    raises.  ``pair.block_tensor`` calls this once and keeps the result.
-    """
-    idx = [(r, r + a, p, p + s) for bi, bj, a, s in block_terms(pair)
-           for r in range(bi.offset, bi.offset + bi.size - a)
-           for p in range(bj.offset, bj.offset + bj.size - s)]
-    t = np.zeros((pair.n,) * 4, dtype=np.int64)
-    t[tuple(np.array(idx, dtype=np.intp).reshape(-1, 4).T)] = 1
-    if int(t.sum()) != len(idx):
-        twice = next(e for e, c in Counter(idx).items() if c > 1)
-        raise RealizationError(f"block terms write entry {twice} more than once")
-    return t
+    block, label = pair.block, pair.label
+    idx = np.arange(pair.n)
+    size = np.bincount(block)[block]
+    # shift[r, c] = c - r for r and c in one block, and -1 elsewhere.  A
+    # shift is below its block's size, so two add up to the larger size
+    # minus one only when both are >= 0: a >= 0 and s >= 0 need no test
+    shift = np.where(block[:, None] == block, idx - idx[:, None], -1)
+    reach = np.maximum(size[:, None], size) - 1  # [r, p]
+    t = ((label[:, None, None, None] == label[:, None])
+         & (shift[:, :, None, None] + shift == reach[:, None, :, None]))
+    return t.astype(np.int64)
 
 
 def r_formal(pair: CanonicalPair) -> np.ndarray:

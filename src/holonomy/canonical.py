@@ -12,6 +12,7 @@ symmetric: L is g-symmetric.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -212,41 +213,39 @@ def pencil_to_json(spec: PencilSpec) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PlacedBlock:
-    offset: int
-    size: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class EigenLayout:
-    lam: Fraction
-    blocks: tuple  # of PlacedBlock
+def layout_to_json(spec: PencilSpec) -> list:
+    """The canonical report's layout: per eigenvalue, its blocks as
+    ``[offset, size, sign]``, the offsets running sums of the sizes."""
+    offsets = iter(itertools.accumulate((b.size for e in spec.eigens for b in e.blocks), initial=0))
+    return [{"lambda": str(e.lam), "blocks": [[next(offsets), b.size, b.sign] for b in e.blocks]}
+            for e in spec.eigens]
 
 
 @dataclass(frozen=True, eq=False)
 class CanonicalPair:
-    """The canonical (g, L) plus block layout metadata.
+    """The canonical (g, L) and the block structure of each index.
 
     ``involution`` is g as ``(perm, sign)``, g[i, perm[i]] = sign[i] (see
-    ``exactla.check_involution``).  ``L`` is relabeled: the int64 array
-    L' = sum_k k P_k + N, eigenvalue k's 0-based label in place of lambda_k.
+    ``exactla.check_involution``).  ``block`` and ``label`` are int vectors
+    of length n: the Jordan block of each index, numbered in spec order,
+    and its eigenvalue's 0-based label.  ``L`` is relabeled: the int64
+    array L' = diag(label) + N, eigenvalue k's label in place of lambda_k.
     With distinct eigenvalues, L and L' are polynomials in each other, and
     every exact check reads L as X L = L X or X L = L^T X with X free of L
     (for g(x)-symmetry and covariant constancy once B is symmetric in its
     first index pair, which ``realize.lower_B`` checks).  So each verdict
     holds for every L of this Jordan type and grouping of blocks into
-    eigenvalues, whatever the values, which live only in ``layout``.
+    eigenvalues, whatever the values, which live only in the spec.
     """
 
     involution: tuple
     L: np.ndarray
-    layout: tuple  # of EigenLayout
+    block: np.ndarray
+    label: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.involution[0])
+        return len(self.block)
 
     @functools.cached_property
     def block_tensor(self) -> np.ndarray:
@@ -257,25 +256,17 @@ class CanonicalPair:
 
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
-    n = spec.dim
-    perm = np.arange(n)
-    sign = np.zeros(n, dtype=np.int64)
-    labels = np.zeros((n, n), dtype=np.int64)
-    layout = []
-    off = 0
-    for label, eig in enumerate(spec.eigens):
-        placed = []
-        for b in eig.blocks:
-            idx = np.arange(off, off + b.size)
-            perm[idx] = idx[::-1]  # each index's antidiagonal partner
-            sign[idx] = b.sign
-            labels[idx, idx] = label
-            labels[idx[:-1], idx[1:]] = 1
-            placed.append(PlacedBlock(off, b.size, b.sign))
-            off += b.size
-        layout.append(EigenLayout(eig.lam, tuple(placed)))
+    labels, sizes, signs = (np.array(col, dtype=np.int64) for col in zip(
+        *[(k, b.size, b.sign) for k, eig in enumerate(spec.eigens) for b in eig.blocks]))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    i = np.arange(spec.dim)
+    perm = 2 * first + sizes[block] - 1 - i  # each index's antidiagonal partner
+    sign = signs[block]
+    label = labels[block]
+    L = np.diag(label) + np.diag((block[1:] == block[:-1]).astype(np.int64), 1)
     check_involution(perm, sign)
-    return CanonicalPair((perm, sign), labels, tuple(layout))
+    return CanonicalPair((perm, sign), L, block, label)
 
 
 @dataclass(frozen=True)

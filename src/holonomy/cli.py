@@ -36,7 +36,9 @@ from .canonical import (
     MAX_SPEC_BYTES,
     CanonicalPair,
     InvalidSpecError,
+    PencilSpec,
     build_canonical,
+    layout_to_json,
     pencil_from_json,
     pencil_to_json,
     validate_pair,
@@ -69,17 +71,11 @@ class RunConfig:
 
 # -- verify ------------------------------------------------------------------
 
-def _stage_canonical(pair: CanonicalPair) -> dict:
+def _stage_canonical(spec: PencilSpec, pair: CanonicalPair) -> dict:
     rep = validate_pair(pair.involution, pair.L)
     return {
         "n": pair.n,
-        "layout": [
-            {
-                "lambda": str(eig.lam),
-                "blocks": [[b.offset, b.size, b.sign] for b in eig.blocks],
-            }
-            for eig in pair.layout
-        ],
+        "layout": layout_to_json(spec),
         "failures": list(rep.failures),
         "passed": rep.ok,
     }
@@ -134,7 +130,7 @@ def cmd_verify(config: RunConfig) -> tuple:
             continue
         started = time.perf_counter()
         if stage == "canonical":
-            report["stages"]["canonical"] = _stage_canonical(pair)
+            report["stages"]["canonical"] = _stage_canonical(spec, pair)
         elif stage == "berger":
             report["stages"]["berger"] = cert.to_json()
         elif stage == "realize":

@@ -1,8 +1,9 @@
 """Quadratic metrics realizing the blockwise curvature map at the origin.
 
 The coefficient tensor is B = -1/2 T, where T = ``pair.block_tensor`` is
-the 0/1 sum over ``berger.block_terms`` that the formal curvature map is
-read off too, so the metric is a product across eigenvalues.
+the 0/1 mask over the pairs of Jordan blocks of one eigenvalue
+(``berger.block_tensor``) that the formal curvature map is read off too,
+so the metric is a product across eigenvalues.
 
 The lowered tensor is one (n, n, n, n) int64 array over one common
 denominator (the ``exactla`` format).  Every exact check on it (symmetry,
@@ -21,10 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .berger import RealizationError
 from .canonical import CanonicalPair
 from .exactla import capped, check_involution, first_mismatch, times_g
 from .liealg import wedge_index
+
+
+class RealizationError(RuntimeError):
+    """Internal consistency failure while building a metric."""
 
 
 @dataclass(frozen=True, eq=False)

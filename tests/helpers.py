@@ -30,11 +30,18 @@ TWO_EIGENVALUE_SPECS = [
 
 # The n = 24 spec of CI's smoke tests, one eigenvalue (-1/3 there).
 N24_BLOCKS = [(1, 1), (2, -1), (2, 1), (3, 1), (4, -1), (5, 1), (7, 1)]
+# ones24 of CI's smoke tests: 24 blocks of size 1, so g_L = so(12, 12).
+ONES24_BLOCKS = [(1, 1)] * 12 + [(1, -1)] * 12
+
+
+def spec_of(blocks, lam=0):
+    """The spec of a single eigenvalue with the given (size, sign) blocks."""
+    return make_pencil([(Fraction(lam), blocks)])
 
 
 def pair_of(blocks, lam=0):
     """Canonical pair for a single eigenvalue with the given (size, sign) blocks."""
-    return build_canonical(make_pencil([(Fraction(lam), blocks)]))
+    return build_canonical(spec_of(blocks, lam))
 
 
 def dense_g(involution):
@@ -47,8 +54,10 @@ def dense_g(involution):
 
 
 def all_blocks(pair):
-    """Flattened ``(eig_index, PlacedBlock)`` list in layout order."""
-    return [(ei, b) for ei, eig in enumerate(pair.layout) for b in eig.blocks]
+    """``(label, offset, size)`` of each Jordan block, read off ``pair.block``
+    and ``pair.label``, in block order."""
+    _, first, size = np.unique(pair.block, return_index=True, return_counts=True)
+    return [(int(pair.label[f]), int(f), int(n)) for f, n in zip(first, size)]
 
 
 def certificate(pair):

@@ -9,13 +9,14 @@ Matrices here are object arrays of Fractions.  The package's int64 arrays
 are read as Python ints on entry, since a Fraction built from an np.int64
 keeps it and can wrap around.  The package holds L relabeled (each
 eigenvalue's 0-based label in place of its value); ``true_L`` builds the
-operator with the eigenvalues themselves, which the oracles that stand for
-"the pair's L" use.  The
+operator with the eigenvalues themselves, read from the spec the pair was
+built from, and the oracles that stand for "the pair's L" take it.  The
 ``*_ref`` functions are earlier index-loop versions of the exact stages,
 for differential tests against the package: the Fraction elimination
 (``_rref`` and the rank, kernel and inverse on it), the so(g) wedge
 basis, the centralizer system, the greedy Berger witness loop and the
-block tensor summed from per-term block-power matrices run on Fractions;
+block tensor summed term by term over ``block_terms`` from block-power
+matrices run on Fractions;
 the realization checks, the Riemann routes and the Bianchi and
 containment checks are linear in their inputs and run on Python-int
 numerators, the Riemann routes dividing once at the end.  Every product
@@ -37,9 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from holonomy import berger
 from holonomy.berger import BianchiReport
-from holonomy.canonical import CanonicalPair
+from holonomy.canonical import CanonicalPair, PencilSpec
 from holonomy.probe import transport
 from holonomy.probe.transport import SingularMetricError
 from holonomy.realize import QuadraticMetric, RealizationError
@@ -180,26 +180,25 @@ def witnesses_ref(values, den) -> tuple:
     return tuple(tags[k] for k in independent_rows_ref(fractions(values, den)))
 
 
-def true_L(pair: CanonicalPair) -> np.ndarray:
+def true_L(pair: CanonicalPair, spec: PencilSpec) -> np.ndarray:
     """The pair's operator sum_k lambda_k P_k + N as Fractions: the relabeled
-    ``pair.L`` with each block's diagonal set to its eigenvalue."""
+    ``pair.L`` with each index's diagonal entry set to its eigenvalue, read
+    from ``spec``, the spec the pair was built from."""
     L = fractions(pair.L)
-    for eig in pair.layout:
-        for b in eig.blocks:
-            idx = np.arange(b.offset, b.offset + b.size)
-            L[idx, idx] = eig.lam
+    for i, k in enumerate(pair.label):
+        L[i, i] = spec.eigens[k].lam
     return L
 
 
-def centralizer_basis_ref(pair: CanonicalPair, L=None) -> list:
+def centralizer_basis_ref(pair: CanonicalPair, L) -> list:
     """Kernel vectors of {X : gX + X^T g = 0 and XL = LX}, X row-major, for
-    L the matrix given (ints or Fractions), by default ``true_L(pair)``.
+    L the matrix given (ints or Fractions), such as ``true_L``.
 
     One row per entry of the symmetric part of gX and one per nonzero row
     of the commutator XL - LX, solved by ``kernel_basis_ref``.
     """
     g = dense_g(pair.involution).astype(object)
-    L = true_L(pair) if L is None else fractions(L)
+    L = fractions(L)
     n = pair.n
     rows = []
     # (gX + X^T g)[i][j] = 0 for i <= j
@@ -380,14 +379,14 @@ def minimal_polynomial(m) -> Poly:
         d += 1
 
 
-def r_minpoly(pair: CanonicalPair, x) -> np.ndarray:
-    """Derivative of the minimal polynomial of L at L along direction x.
+def r_minpoly(L, x) -> np.ndarray:
+    """Derivative of the minimal polynomial of L at L along direction x, for
+    L a matrix of Fractions such as ``true_L``.
 
     R(X) = sum_m a_m sum_{j<m} L^{m-1-j} X L^j for p_min = sum a_m t^m.
     For X in so(g) the result is g-skew and commutes with L.
     """
-    L = true_L(pair)
-    n = pair.n
+    n = len(L)
     if x.shape != (n, n):
         raise ValueError("shape mismatch")
     p = minimal_polynomial(L)
@@ -425,17 +424,16 @@ def _toeplitz_block(rows: int, cols: int, mu_index: int) -> np.ndarray:
 def centralizer_dim(pair: CanonicalPair) -> int:
     """Closed-form dim g_L: per eigenvalue with k blocks sized n_1 <= ... <= n_k
     (1-indexed), sum over i of (k - i) * n_i."""
-    total = 0
-    for eig in pair.layout:
-        k = len(eig.blocks)
-        total += sum((k - i - 1) * b.size for i, b in enumerate(eig.blocks))
-    return total
+    sizes = {}
+    for label, _, size in all_blocks(pair):
+        sizes.setdefault(label, []).append(size)
+    return sum((len(s) - i - 1) * size for s in sizes.values() for i, size in enumerate(sorted(s)))
 
 
 def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> np.ndarray:
     """Generators of the abelian piece supported on blocks i and j (i < j).
 
-    Block indices are global (layout order); both must belong to the same
+    Block indices are ``pair.block``'s; both must belong to the same
     eigenvalue.  Each generator has the shifted upper-Toeplitz (i, j) block
     with a single parameter set to 1 and the (j, i) block forced by
     M_ji = -g_j M_ij^T g_i.  Returned as a (k, n, n) stack of Fractions.
@@ -443,25 +441,25 @@ def m_ij_basis(pair: CanonicalPair, i: int, j: int) -> np.ndarray:
     blocks = all_blocks(pair)
     if not (0 <= i < j < len(blocks)):
         raise IndexError("block indices out of range")
-    ei, bi = blocks[i]
-    ej, bj = blocks[j]
+    ei, oi, ni = blocks[i]
+    ej, oj, nj = blocks[j]
     if ei != ej:
         raise ValueError("blocks belong to different eigenvalues")
     n = pair.n
     g = dense_g(pair.involution).astype(object)
-    gi = g[bi.offset:bi.offset + bi.size, bi.offset:bi.offset + bi.size]
-    gj = g[bj.offset:bj.offset + bj.size, bj.offset:bj.offset + bj.size]
+    gi = g[oi:oi + ni, oi:oi + ni]
+    gj = g[oj:oj + nj, oj:oj + nj]
     elems = []
-    for s in range(1, bi.size + 1):
-        m = _toeplitz_block(bi.size, bj.size, s)
+    for s in range(1, ni + 1):
+        m = _toeplitz_block(ni, nj, s)
         mji = -(gj @ m.T @ gi)
         x = [[_ZERO] * n for _ in range(n)]
-        for r in range(bi.size):
-            for c in range(bj.size):
-                x[bi.offset + r][bj.offset + c] = m[r, c]
-        for r in range(bj.size):
-            for c in range(bi.size):
-                x[bj.offset + r][bi.offset + c] = mji[r, c]
+        for r in range(ni):
+            for c in range(nj):
+                x[oi + r][oj + c] = m[r, c]
+        for r in range(nj):
+            for c in range(ni):
+                x[oj + r][oi + c] = mji[r, c]
         elems.append(x)
     return np.array(elems, dtype=object).reshape(-1, n, n)
 
@@ -690,12 +688,35 @@ def _block_power(n: int, offset: int, size: int, a: int) -> np.ndarray:
     return out
 
 
+def block_terms(pair: CanonicalPair) -> list:
+    """The terms (block i, block j, a, s) of the formal curvature map, each
+    block as ``helpers.all_blocks`` gives it.
+
+    With J_i the upper shift on block i's index range (J_i^0 its
+    projector), the map and the realizing metric's coefficient tensor are
+    the same sum over these terms:
+
+        R(X) = sum J_i^a X J_j^s,    B = -1/2 sum J_i^a (x) J_j^s.
+
+    Every ordered pair of blocks with one label (a block with itself
+    included) contributes, with nij = max(n_i, n_j), the terms s in
+    range(nij - n_i, n_j) and a = nij - 1 - s.
+    """
+    blocks = all_blocks(pair)
+    terms = []
+    for bi in blocks:
+        for bj in blocks:
+            if bi[0] == bj[0]:
+                nij = max(bi[2], bj[2])
+                terms.extend((bi, bj, nij - 1 - s, s) for s in range(nij - bi[2], bj[2]))
+    return terms
+
+
 def block_factors(pair: CanonicalPair) -> list:
-    """Each term of ``berger.block_terms`` (looked up at call time) as its
-    pair (J_i^a, J_j^s) of full matrices."""
+    """Each term of ``block_terms`` as its pair (J_i^a, J_j^s) of full matrices."""
     n = pair.n
-    return [(_block_power(n, bi.offset, bi.size, a), _block_power(n, bj.offset, bj.size, s))
-            for bi, bj, a, s in berger.block_terms(pair)]
+    return [(_block_power(n, oi, ni, a), _block_power(n, oj, nj, s))
+            for (_, oi, ni), (_, oj, nj), a, s in block_terms(pair)]
 
 
 def block_tensor_ref(pair: CanonicalPair) -> np.ndarray:
@@ -819,11 +840,11 @@ def nablaL_residual(qm, L, x) -> float:
 
 def block_element(pair: CanonicalPair, i: int, j: int, xij) -> np.ndarray:
     """The element of so(g) whose only nonzero blocks are X_ij = xij and the
-    forced X_ji = -g_j xij^T g_i (blocks i and j in layout order)."""
+    forced X_ji = -g_j xij^T g_i (blocks i and j as in ``pair.block``)."""
     blocks = all_blocks(pair)
-    (_, bi), (_, bj) = blocks[i], blocks[j]
-    si = slice(bi.offset, bi.offset + bi.size)
-    sj = slice(bj.offset, bj.offset + bj.size)
+    (_, oi, ni), (_, oj, nj) = blocks[i], blocks[j]
+    si = slice(oi, oi + ni)
+    sj = slice(oj, oj + nj)
     x = np.zeros((pair.n, pair.n), dtype=object)
     x[si, sj] = xij
     g = dense_g(pair.involution).astype(object)

@@ -41,6 +41,7 @@ from oracles import (
     centralizer_dim,
     m_ij_basis,
     metric_value,
+    true_L,
 )
 
 CORPUS_MAX_N = 7
@@ -52,8 +53,9 @@ def _announce(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def corpus_pairs():
-    return [(name, build_canonical(pencil_from_json(doc)))
-            for name, doc in iter_corpus_specs(CORPUS_MAX_N)]
+    """(name, spec, pair) of each corpus spec."""
+    specs = [(name, pencil_from_json(doc)) for name, doc in iter_corpus_specs(CORPUS_MAX_N)]
+    return [(name, spec, build_canonical(spec)) for name, spec in specs]
 
 
 def _realized(blocks):
@@ -65,7 +67,7 @@ def test_criterion_1_berger_suite(corpus_pairs):
     """Bianchi, containment and exact rank equality over the whole corpus."""
     started = time.perf_counter()
     failures = []
-    for name, pair in corpus_pairs:
+    for name, _, pair in corpus_pairs:
         rmap = r_formal(pair)
         if not check_bianchi(rmap).ok:
             failures.append(f"{name}: bianchi")
@@ -85,8 +87,8 @@ def test_criterion_1_berger_suite(corpus_pairs):
 def test_criterion_2_dimension_formula(corpus_pairs):
     """Certified dim g_L == closed-form dimension == kernel rank, exactly."""
     failures = []
-    for name, pair in corpus_pairs:
-        basis = centralizer_basis_ref(pair)
+    for name, spec, pair in corpus_pairs:
+        basis = centralizer_basis_ref(pair, true_L(pair, spec))
         expected = centralizer_dim(pair)
         if len(basis) != expected:
             failures.append(f"{name}: kernel {len(basis)} != formula {expected}")
@@ -142,7 +144,7 @@ def test_criterion_4_realization_match(corpus_pairs):
     """Exact realization checks and curvature match over the whole corpus."""
     started = time.perf_counter()
     failures = []
-    for name, pair in corpus_pairs:
+    for name, _, pair in corpus_pairs:
         qm = lower_B(pair.block_tensor, pair.involution)
         report = verify_realization(pair, qm, r_formal(pair))
         if not report.ok:

@@ -5,14 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holonomy import berger_certificate, r_formal
+from holonomy import berger_certificate, build_canonical, r_formal
 from holonomy.berger import check_bianchi, check_sectional
 from holonomy.liealg import wedge_rows
 
-from helpers import certificate, dense_g, fractions, mat, pair_of
+from helpers import certificate, dense_g, fractions, mat, pair_of, spec_of
 from oracles import apply_map, block_element, commutator, is_g_skew, r_minpoly, true_L, wedge_tags
 
 Z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])  # generator for blocks (1, 2)
+
+
+def with_true_L(blocks, lam=0):
+    """The canonical pair of one eigenvalue and its true L."""
+    spec = spec_of(blocks, lam)
+    pair = build_canonical(spec)
+    return pair, true_L(pair, spec)
 
 
 def zero_map(n):
@@ -23,25 +30,24 @@ def zero_map(n):
 # -- r_minpoly ---------------------------------------------------------------
 
 def test_r_minpoly_regular_block_vanishes():
-    pair = pair_of([(3, 1)])
+    pair, L = with_true_L([(3, 1)])
     for x in wedge_rows(dense_g(pair.involution)):
-        assert not r_minpoly(pair, x).any()
+        assert not r_minpoly(L, x).any()
 
 
 def test_r_minpoly_blocks_1_2():
-    pair = pair_of([(1, 1), (2, 1)])
+    pair, L = with_true_L([(1, 1), (2, 1)])
     base = wedge_rows(dense_g(pair.involution))
     # base order is (0,1), (0,2), (1,2); p_min = t^2 so R(X) = LX + XL
-    assert np.array_equal(r_minpoly(pair, base[1]), Z)
-    assert not r_minpoly(pair, base[2]).any()
+    assert np.array_equal(r_minpoly(L, base[1]), Z)
+    assert not r_minpoly(L, base[2]).any()
 
 
 def test_r_minpoly_lands_in_centralizer():
-    pair = pair_of([(2, 1), (3, -1)], lam=Fraction(1, 2))
-    L = true_L(pair)
+    pair, L = with_true_L([(2, 1), (3, -1)], lam=Fraction(1, 2))
     g = dense_g(pair.involution)
     for x in wedge_rows(g):
-        v = r_minpoly(pair, x)
+        v = r_minpoly(L, x)
         assert is_g_skew(g, v) and not commutator(v, L).any()
 
 
@@ -68,13 +74,13 @@ def test_r_formal_rectangular_blocks():
 
 
 def test_r_formal_zero_and_linearity():
-    pair = pair_of([(2, 1), (2, -1)])
+    pair, L = with_true_L([(2, 1), (2, -1)])
     rm = r_formal(pair)
     g = dense_g(pair.involution)
     assert not apply_map(rm, 1, g, np.zeros((4, 4), dtype=object)).any()
     base = wedge_rows(g)
     a, b = Fraction(2, 3), Fraction(-5)
-    lhs = r_minpoly(pair, a * base[0] + b * base[3])
+    lhs = r_minpoly(L, a * base[0] + b * base[3])
     rhs = a * fractions(rm)[0] + b * fractions(rm)[3]
     assert np.array_equal(lhs, rhs)
 
@@ -93,11 +99,11 @@ def test_r_formal_single_block_is_zero_map():
     ([(1, 1), (4, 1)], -2),
 ])
 def test_r_formal_two_blocks_agrees_with_minpoly(blocks, lam):
-    pair = pair_of(blocks, lam)
+    pair, L = with_true_L(blocks, lam)
     rm = r_formal(pair)
     assert rm.dtype.kind == "i"  # the formal values are integral
     for x, v in zip(wedge_rows(dense_g(pair.involution)), fractions(rm), strict=True):
-        assert np.array_equal(r_minpoly(pair, x), v)
+        assert np.array_equal(r_minpoly(L, x), v)
 
 
 def test_r_formal_three_blocks_image_rank():
@@ -109,12 +115,12 @@ def test_r_formal_three_blocks_image_rank():
 def test_r_formal_linearity_via_apply():
     # two equal blocks: the minimal-polynomial oracle applies the map to any
     # element of so(g), so a combination must map to the same combination
-    pair = pair_of([(2, 1), (2, 1)])
+    pair, L = with_true_L([(2, 1), (2, 1)])
     rm = r_formal(pair)
     base = wedge_rows(dense_g(pair.involution))
     a, b = Fraction(3, 7), Fraction(-2)
     x = a * base[1] + b * base[4]
-    assert np.array_equal(r_minpoly(pair, x), a * fractions(rm)[1] + b * fractions(rm)[4])
+    assert np.array_equal(r_minpoly(L, x), a * fractions(rm)[1] + b * fractions(rm)[4])
 
 
 def test_curvature_map_wedge_lookup():

@@ -15,10 +15,10 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
-from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec
+from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec, layout_to_json
 from holonomy.exactla import rank
 
-from helpers import dense_g, int_form, mat, pair_of
+from helpers import all_blocks, dense_g, int_form, mat, pair_of
 from oracles import true_L
 
 
@@ -47,22 +47,38 @@ def test_build_two_eigenvalues():
     assert validate_pair(pair.involution, pair.L).ok
     # L is held relabeled: each eigenvalue's 0-based label on its blocks'
     # diagonal, an int64 array with no denominator; the eigenvalues
-    # themselves stay in the layout, from which the oracle rebuilds L
-    pair = build_canonical(make_pencil([(Fraction(-1, 2), [(2, 1)]), (Fraction(2, 3), [(1, 1)])]))
+    # themselves stay in the spec, from which the oracle rebuilds L
+    spec = make_pencil([(Fraction(-1, 2), [(2, 1)]), (Fraction(2, 3), [(1, 1)])])
+    pair = build_canonical(spec)
     assert pair.L.dtype == np.int64
     assert np.array_equal(pair.L, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
-    assert [eig.lam for eig in pair.layout] == [Fraction(-1, 2), Fraction(2, 3)]
-    assert np.array_equal(true_L(pair), mat([[Fraction(-1, 2), 1, 0],
-                                             [0, Fraction(-1, 2), 0],
-                                             [0, 0, Fraction(2, 3)]]))
-    assert validate_pair(pair.involution, int_form(true_L(pair))[0]).ok  # over den 6
+    assert np.array_equal(true_L(pair, spec), mat([[Fraction(-1, 2), 1, 0],
+                                                   [0, Fraction(-1, 2), 0],
+                                                   [0, 0, Fraction(2, 3)]]))
+    assert validate_pair(pair.involution, int_form(true_L(pair, spec))[0]).ok  # over den 6
 
 
 def test_layout_metadata():
-    pair = build_canonical(make_pencil([(0, [(2, 1), (1, 1)])]))
-    (eig,) = pair.layout
-    # blocks are stored ascending by size
-    assert [(b.offset, b.size, b.sign) for b in eig.blocks] == [(0, 1, 1), (1, 2, 1)]
+    spec = make_pencil([(Fraction(5, 7), [(2, -1), (2, 1)]), (-1, [(2, 1), (1, -1)])])
+    pair = build_canonical(spec)
+    # blocks are numbered in spec order: eigenvalues ascending, then sizes
+    # ascending, + before - on ties
+    assert pair.block.tolist() == [0, 1, 1, 2, 2, 3, 3]
+    assert pair.label.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    assert pair.L.tolist() == [[0, 0, 0, 0, 0, 0, 0],
+                               [0, 0, 1, 0, 0, 0, 0],
+                               [0, 0, 0, 0, 0, 0, 0],
+                               [0, 0, 0, 1, 1, 0, 0],
+                               [0, 0, 0, 0, 1, 0, 0],
+                               [0, 0, 0, 0, 0, 1, 1],
+                               [0, 0, 0, 0, 0, 0, 1]]
+    assert [v.tolist() for v in pair.involution] == [[0, 2, 1, 4, 3, 6, 5],
+                                                      [-1, 1, 1, 1, 1, -1, -1]]
+    # the report's offsets are the running sums of the sizes
+    assert layout_to_json(spec) == [
+        {"lambda": "-1", "blocks": [[0, 1, -1], [1, 2, 1]]},
+        {"lambda": "5/7", "blocks": [[3, 2, 1], [5, 2, -1]]},
+    ]
 
 
 def test_validate_pair_reports():
@@ -171,10 +187,11 @@ def test_json_errors():
 
 def test_nilpotency_and_block_determinants():
     lam = Fraction(1, 3)
-    pair = build_canonical(make_pencil([(lam, [(1, 1), (3, -1)])]))
+    spec = make_pencil([(lam, [(1, 1), (3, -1)])])
+    pair = build_canonical(spec)
     # L - lambda and the relabeled L - 0 are the same nilpotent part
-    nmax = max(b.size for b in pair.layout[0].blocks)
-    for shifted in (true_L(pair) - lam * np.eye(pair.n, dtype=object), pair.L):
+    nmax = np.bincount(pair.block).max()
+    for shifted in (true_L(pair, spec) - lam * np.eye(pair.n, dtype=object), pair.L):
         power = np.eye(pair.n, dtype=object)
         for _ in range(nmax - 1):
             power = power @ shifted
@@ -182,11 +199,9 @@ def test_nilpotency_and_block_determinants():
     g = dense_g(pair.involution)
     assert rank(g) == pair.n
     # every g block is a signed antidiagonal, so its determinant is +-1
-    for eig in pair.layout:
-        for b in eig.blocks:
-            block = [[float(g[b.offset + i, b.offset + j])
-                      for j in range(b.size)] for i in range(b.size)]
-            assert abs(abs(np.linalg.det(np.array(block))) - 1.0) < 1e-12
+    for _, offset, size in all_blocks(pair):
+        block = [[float(g[offset + i, offset + j]) for j in range(size)] for i in range(size)]
+        assert abs(abs(np.linalg.det(np.array(block))) - 1.0) < 1e-12
 
 
 def test_validate_pair_passes_on_corpus():

@@ -33,7 +33,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holonomy import (
-    berger,
     berger_certificate,
     build_canonical,
     lower_B,
@@ -42,7 +41,7 @@ from holonomy import (
     r_formal,
     verify_realization,
 )
-from holonomy.berger import block_terms, check_bianchi, check_sectional
+from holonomy.berger import check_bianchi, check_sectional
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.exactla import pivot_columns, rank
 from holonomy.liealg import commutator_system
@@ -56,6 +55,7 @@ from holonomy.realize import (
 
 from helpers import (
     N24_BLOCKS,
+    ONES24_BLOCKS,
     TWO_EIGENVALUE_SPECS,
     dense_g,
     fractions,
@@ -163,13 +163,14 @@ def test_elimination_matches_fraction_rref_on_corpus(lam):
 def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
     for name, doc in iter_corpus_specs(7):
         doc["eigenvalues"][0]["lambda"] = str(lam)
-        pair = build_canonical(pencil_from_json(doc))
+        spec = pencil_from_json(doc)
+        pair = build_canonical(spec)
         n, l = pair.n, pair.L
         w = so_basis_ref(dense_g(pair.involution))
         assert np.array_equal(commutator_system(pair.involution, l),
                               (w @ l - l @ w).reshape(len(w), n * n).T), name
         cert = berger_certificate(pair, r_formal(pair))
-        kernel = centralizer_basis_ref(pair)
+        kernel = centralizer_basis_ref(pair, true_L(pair, spec))
         assert cert.dim_gL == len(kernel) == centralizer_dim(pair), name
         # the witness values lie in the oracle's kernel and span it
         values = fractions(cert.basis).reshape(-1, n * n)
@@ -178,38 +179,18 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
 
 
 def test_block_tensor_matches_per_term_factors():
-    # one assignment of every term's index tuples against the sum of the
-    # terms' full block-power factor products
+    # the package's one mask against the sum, term by term, of the oracle's
+    # block-pair terms as full block-power factor products; ones24 has the
+    # most blocks, all of size 1
     pairs = [build_canonical(pencil_from_json(doc)) for _, doc in iter_corpus_specs(7)]
     pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
     pairs.append(pair_of(N24_BLOCKS, Fraction(-1, 3)))
-    assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 1
+    pairs.append(pair_of(ONES24_BLOCKS))
+    assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 2
     for pair in pairs:
         t = pair.block_tensor
-        assert t.dtype == np.int64 and np.array_equal(t, block_tensor_ref(pair)), pair.layout
+        assert t.dtype == np.int64 and np.array_equal(t, block_tensor_ref(pair)), pair.block
         assert pair.block_tensor is t  # built once per pair
-
-
-def test_repeated_block_term_is_refused(tmp_path, monkeypatch):
-    # negative control for the disjointness check: a term listed twice would
-    # add its entries twice, and the one assignment would hide that
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"eigenvalues": [{"lambda": "0", "blocks": [
-        {"size": s, "sign": g} for s, g in [(1, 1), (2, -1), (2, 1)]]}]}))
-    terms = berger.block_terms(pair_of([(1, 1), (2, -1), (2, 1)]))
-    for k in range(len(terms)):
-        def repeated(pair, _k=k):
-            out = block_terms(pair)
-            return out + [out[_k]]
-
-        monkeypatch.setattr(berger, "block_terms", repeated)
-        pair = pair_of([(1, 1), (2, -1), (2, 1)])
-        assert block_tensor_ref(pair).max() == 2  # the oracle sums the repeat
-        with pytest.raises(RealizationError, match="more than once"):
-            pair.block_tensor
-        with pytest.raises(RealizationError, match="more than once"):
-            cmd_verify(RunConfig(input=str(path)))
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("case", CASES, ids=["1+2+", "1+2-2+"])
@@ -337,8 +318,9 @@ def test_verdicts_agree_on_true_and_relabeled_L(spec):
     # the commutator kernel.  The loop oracles take about a millisecond a
     # call at n = 10, so each sweep is a seeded sample of SAMPLE
     # perturbations; each check rejects some of them.
-    pair = build_canonical(make_pencil(spec))
-    true, relabeled = true_L(pair), pair.L
+    spec = make_pencil(spec)
+    pair = build_canonical(spec)
+    true, relabeled = true_L(pair, spec), pair.L
     assert not np.array_equal(int_form(true)[0], relabeled)  # the two differ
     n, g = pair.n, dense_g(pair.involution)
     assert (len(centralizer_basis_ref(pair, true)) == len(centralizer_basis_ref(pair, relabeled))
@@ -416,6 +398,7 @@ def _sweep(specs):
     # when every block's sign flips, which keeps the flat planes too
     spec, shifted, permuted = specs
     pair, text, flat = _exact_stages(spec)
+    assert np.array_equal(pair.block_tensor, block_tensor_ref(pair)), spec
     doc = json.loads(text)
     assert doc["berger"]["passed"] and doc["berger"]["dim_gL"] == centralizer_dim(pair), doc
     assert doc["realize"]["passed"], doc

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy import build_canonical, lower_B, make_pencil
-from holonomy.berger import RealizationError, check_sectional
+from holonomy.berger import check_sectional
 from holonomy.exactla import rank
 from holonomy.liealg import commutator_system, wedge_index, wedge_rows
+from holonomy.realize import RealizationError
 
-from helpers import certified_gl, dense_g, int_form, mat, pair_of, unit
+from helpers import certified_gl, dense_g, int_form, mat, pair_of, spec_of, unit
 from oracles import (
     centralizer_dim,
     check_sectional_ref,
@@ -176,13 +177,14 @@ def test_centralizer_blocks_1_2_3():
 
 
 def test_centralizer_defining_equations_and_cross_blocks():
-    pair = build_canonical(make_pencil([(0, [(1, 1), (2, -1)]), (2, [(1, 1), (1, -1)])]))
+    spec = make_pencil([(0, [(1, 1), (2, -1)]), (2, [(1, 1), (1, -1)])])
+    pair = build_canonical(spec)
     basis = certified_gl(pair)
     assert len(basis) == centralizer_dim(pair) == 1 + 1
     lo = 3  # first index of the second eigenvalue
     for x in basis:
         assert is_g_skew(dense_g(pair.involution), x)
-        assert not commutator(x, true_L(pair)).any()
+        assert not commutator(x, true_L(pair, spec)).any()
         # cross-eigenvalue blocks vanish exactly
         for i in range(lo):
             for j in range(lo, pair.n):
@@ -196,14 +198,15 @@ def test_m_ij_generator_matches_kernel():
 
 
 def test_m_ij_dimensions_and_commutativity():
-    pair = pair_of([(2, 1), (2, -1)])
+    spec = spec_of([(2, 1), (2, -1)])
+    pair = build_canonical(spec)
     basis = m_ij_basis(pair, 0, 1)
     assert len(basis) == 2
     a, b = basis
     assert not commutator(a, b).any()
     for x in basis:
         assert is_g_skew(dense_g(pair.involution), x)
-        assert not commutator(x, true_L(pair)).any()
+        assert not commutator(x, true_L(pair, spec)).any()
 
 
 def test_m_ij_direct_sum_fills_centralizer():
@@ -237,11 +240,12 @@ def test_centralizer_closed_under_bracket():
 
 
 def test_member_coords_examples():
-    pair = pair_of([(1, 1), (2, 1)])
+    spec = spec_of([(1, 1), (2, 1)])
+    pair = build_canonical(spec)
     basis = wedge_rows(dense_g(pair.involution))
     first = basis[0]
     coords = member_coords(first, basis)
     assert coords[0] == 1 and not any(coords[1:])
     assert member_coords(np.zeros((3, 3), dtype=object), basis) == [0, 0, 0]
     # L is g-symmetric and nonzero, so it cannot lie in the skew algebra
-    assert member_coords(true_L(pair), certified_gl(pair)) is None
+    assert member_coords(true_L(pair, spec), certified_gl(pair)) is None

@@ -35,6 +35,7 @@ from helpers import (
     loops_of,
     metric_drift,
     pair_of,
+    spec_of,
     transports,
 )
 from oracles import (
@@ -54,6 +55,12 @@ def realized(blocks, lam=0):
     pair = pair_of(blocks, lam)
     qm = lower_B(pair.block_tensor, pair.involution)
     return pair, qm
+
+
+def with_true_L(spec):
+    """The canonical pair of ``spec`` and its true L."""
+    pair = build_canonical(spec)
+    return pair, true_L(pair, spec)
 
 
 def span(qm, pair, loops):
@@ -238,18 +245,18 @@ def test_transport_membership_and_drift():
         assert all(np.array_equal(kept, given) for kept, given in zip(rep.loops, loops, strict=True))
         assert len(rep.residuals) == len(rep.metric_drift) == len(loops[0])
         stack = transports(fm, loops)
-        assert np.array_equal(rep.metric_drift, metric_drift(fm, stack)), pair.layout
-        assert metric_drift(fm, stack).any(), pair.layout
+        assert np.array_equal(rep.metric_drift, metric_drift(fm, stack)), pair.block
+        assert metric_drift(fm, stack).any(), pair.block
         for a, residual, drift in zip(stack, rep.residuals, rep.metric_drift):
             assert residual < 1e-6
             assert drift < 1e-8
             assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
 
 
-def _commutation_defect(pair, qm, seed=0):
+def _commutation_defect(pair, L, qm, seed=0):
     """The largest |D L - L D|_max / (|D|_max |L|_max) over the standard
-    loops' transports I + D that moved (D != 0)."""
-    l = true_L(pair).astype(np.float64)
+    loops' transports I + D that moved (D != 0), for L the pair's true L."""
+    l = L.astype(np.float64)
     d = parallel_transport(FloatMetric(qm), standard_loops(pair.n, seed=seed))[0]
     d = d[np.abs(d).max(axis=(1, 2)) > 0]
     defect = np.abs(d @ l - l @ d).max(axis=(1, 2))
@@ -259,21 +266,23 @@ def _commutation_defect(pair, qm, seed=0):
 def test_holonomy_commutes_with_L():
     # L is parallel, so every holonomy matrix commutes with it: on the
     # probe specs and the two-eigenvalue specs the defect is rounding
-    pairs = [pair_of(blocks, Fraction(-1, 3)) for _, blocks in PROBE_SPECS]
-    pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
-    for pair in pairs:
+    specs = [spec_of(blocks, Fraction(-1, 3)) for _, blocks in PROBE_SPECS]
+    specs += [make_pencil(spec) for spec in TWO_EIGENVALUE_SPECS]
+    for spec in specs:
+        pair, L = with_true_L(spec)
         qm = lower_B(pair.block_tensor, pair.involution)
-        assert _commutation_defect(pair, qm) < 1e-12, pair.layout
+        assert _commutation_defect(pair, L, qm) < 1e-12, spec
     # negative control: one coefficient of B and its symmetric partner
     # raised by 1 breaks nabla L = 0 yet leaves g0 g(x) upper triangular,
     # so the probe accepts the metric; its holonomy does not commute with L
-    pair, qm = realized([(2, 1), (3, 1)])
+    pair, L = with_true_L(spec_of([(2, 1), (3, 1)]))
+    qm = lower_B(pair.block_tensor, pair.involution)
     num = qm.num.copy()
     num[0, 1, 0, 0] += 1
     num[1, 0, 0, 0] += 1
     bad = QuadraticMetric(qm.involution, num, qm.den)
     assert not check_nablaL(bad, pair.L)
-    assert _commutation_defect(pair, bad) > 0.5
+    assert _commutation_defect(pair, L, bad) > 0.5
 
 
 def test_span_checks_the_loop_family_once(monkeypatch):
@@ -476,20 +485,22 @@ def test_span_report_json():
 # -- covariant constancy -------------------------------------------------------------
 
 def test_nablaL_residual_origin_and_nearby():
-    pair, qm = realized([(2, 1), (2, -1)])
-    assert nablaL_residual(qm, true_L(pair), [0.0] * 4) < 1e-15
+    pair, L = with_true_L(spec_of([(2, 1), (2, -1)]))
+    qm = lower_B(pair.block_tensor, pair.involution)
+    assert nablaL_residual(qm, L, [0.0] * 4) < 1e-15
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.uniform(-0.05, 0.05, 4)
-        assert nablaL_residual(qm, true_L(pair), x) < 1e-9
+        assert nablaL_residual(qm, L, x) < 1e-9
 
 
 def test_nablaL_residual_detects_corruption():
-    pair, qm = realized([(1, 1), (2, 1)])
+    pair, L = with_true_L(spec_of([(1, 1), (2, 1)]))
+    qm = lower_B(pair.block_tensor, pair.involution)
     bad_num = 4 * qm.num
     bad_num[0, 0, 1, 1] += qm.den  # B[0, 0, 1, 1] += 1/4
     bad = QuadraticMetric(qm.involution, bad_num, 4 * qm.den)
-    assert nablaL_residual(bad, true_L(pair), [0.05, 0.02, -0.03]) > 1e-3
+    assert nablaL_residual(bad, L, [0.05, 0.02, -0.03]) > 1e-3
 
 
 def test_metric_value_matches_exact():
@@ -621,7 +632,7 @@ def test_raised_metric_is_upper_triangular():
         qm = lower_B(pair.block_tensor, pair.involution)
         raised = np.einsum("is,sjpq->ijpq", dense_g(pair.involution), qm.num)
         rows, cols = np.tril_indices(pair.n, -1)
-        assert not raised[rows, cols].any(), pair.layout
+        assert not raised[rows, cols].any(), pair.block
         fm = FloatMetric(qm)
         assert np.array_equal(fm.mats[0].reshape((pair.n,) * 4), raised / qm.den)
 

@@ -33,7 +33,7 @@ from holonomy.realize import (
     validity_radius,
 )
 
-from helpers import TWO_EIGENVALUE_SPECS, dense_g, fractions, int_form, mat, pair_of
+from helpers import TWO_EIGENVALUE_SPECS, dense_g, fractions, int_form, mat, pair_of, spec_of
 from oracles import (
     b_apply,
     b_components,
@@ -94,11 +94,12 @@ def test_build_B_reproduces_formal_curvature():
 
 
 def test_build_B_provenance_and_commutation():
-    pair = pair_of([(1, 1), (2, -1)])
+    spec = spec_of([(1, 1), (2, -1)])
+    pair = build_canonical(spec)
     b = pair.block_tensor
     # every left factor commutes with L, and [B(X), L] + [B(X), L]^* = 0 for
     # the full elementary basis of gl(V); here the bracket itself vanishes
-    L = true_L(pair)
+    L = true_L(pair, spec)
     for c, _ in block_factors(pair):
         assert not (c @ L - L @ c).any()
     n = pair.n
