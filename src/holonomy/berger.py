@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import capped, pivot_columns, rank, times_g
+from .exactla import capped, pivot_columns, rank, times_L, times_g
 from .liealg import commutator_system, wedge_index
 
 
@@ -100,15 +100,17 @@ def check_bianchi(values: np.ndarray) -> BianchiReport:
     return BianchiReport(False, (int(rows[w]), int(cols[w]), k), worst)
 
 
-def check_sectional(values: np.ndarray, involution: tuple, L) -> bool:
-    """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for g of
-    ``involution``: g R(X) = -(R(X)^T g) = -(g R(X))^T, with g R(X) a ``times_g``.
+def check_sectional(values: np.ndarray, pair: CanonicalPair) -> bool:
+    """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for the
+    pair's g and L: g R(X) = -(R(X)^T g) = -(g R(X))^T, with g R(X) a
+    ``times_g``, and R(X) L = L R(X), each side a ``times_L``.
 
     Both conditions are linear in R, so the numerators decide them.
     """
-    vals, l = capped(values, L)
-    gv = times_g(vals, involution, 1)
-    return bool((vals @ l == l @ vals).all() and (gv == -gv.transpose(0, 2, 1)).all())
+    vals, = capped(values)
+    gv = times_g(vals, pair.involution, 1)
+    return bool((times_L(vals, pair, 2, transpose=True) == times_L(vals, pair, 1)).all()
+                and (gv == -gv.transpose(0, 2, 1)).all())
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,11 @@ def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> BergerCertifica
     of the values before it.  The witness values are independent; with
     containment and equal ranks they span g_L.
     """
-    system = commutator_system(pair.involution, pair.L)
+    system = commutator_system(pair)
     dim_gL = system.shape[1] - rank(system)
     pivots = pivot_columns(rmap.reshape(len(rmap), pair.n ** 2).T)
     rows, cols = wedge_index(pair.n)
     return BergerCertificate(dim_gL, len(pivots), check_bianchi(rmap).ok,
-                             check_sectional(rmap, pair.involution, pair.L),
+                             check_sectional(rmap, pair),
                              tuple((int(rows[k]), int(cols[k])) for k in pivots),
                              rmap[pivots])

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exactla import capped, check_involution, times_g
+from .exactla import capped, check_involution, times_L, times_g
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -226,10 +226,10 @@ class CanonicalPair:
     """The canonical (g, L) and the block structure of each index.
 
     ``involution`` is g as ``(perm, sign)``, g[i, perm[i]] = sign[i] (see
-    ``exactla.check_involution``).  ``block`` and ``label`` are int vectors
-    of length n: the Jordan block of each index, numbered in spec order,
-    and its eigenvalue's 0-based label.  ``L`` is relabeled: the int64
-    array L' = diag(label) + N, eigenvalue k's label in place of lambda_k.
+    ``exactla.check_involution``).  ``block`` and ``label`` (capped) are int
+    vectors of length n: the Jordan block of each index in spec order, and
+    its eigenvalue's 0-based label.  They are L relabeled, L' = diag(label)
+    + N with k in place of lambda_k, and ``exactla.times_L`` multiplies by it.
     With distinct eigenvalues, L and L' are polynomials in each other, and
     every exact check reads L as X L = L X or X L = L^T X with X free of L
     (for g(x)-symmetry and covariant constancy once B is symmetric in its
@@ -239,9 +239,11 @@ class CanonicalPair:
     """
 
     involution: tuple
-    L: np.ndarray
     block: np.ndarray
     label: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", capped(self.label)[0])  # frozen: the checked int64 copy
 
     @property
     def n(self) -> int:
@@ -263,28 +265,16 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
     i = np.arange(spec.dim)
     perm = 2 * first + sizes[block] - 1 - i  # each index's antidiagonal partner
     sign = signs[block]
-    label = labels[block]
-    L = np.diag(label) + np.diag((block[1:] == block[:-1]).astype(np.int64), 1)
     check_involution(perm, sign)
-    return CanonicalPair((perm, sign), L, block, label)
+    return CanonicalPair((perm, sign), block, labels[block])
 
 
-@dataclass(frozen=True)
-class PairReport:
-    ok: bool
-    failures: tuple  # of str
-
-
-def validate_pair(involution: tuple, L) -> PairReport:
-    """Check that g = ``involution`` (perm, sign) is a signed involution and
-    that gL is symmetric, for the integer matrix L; report failures."""
-    l, = capped(L)
-    if l.shape != (len(involution[0]),) * 2:
-        raise ValueError("g and L must be of equal size")
+def validate_pair(pair: CanonicalPair) -> tuple:
+    """The failures (str) of ``pair``, none when g = ``pair.involution`` is
+    a signed involution and gL is symmetric."""
     try:
-        check_involution(*involution)
+        check_involution(*pair.involution)
     except ValueError as exc:
-        return PairReport(False, (str(exc),))
-    gl = times_g(l, involution, 0)
-    ok = bool((gl == gl.T).all())
-    return PairReport(ok, () if ok else ("gL is not symmetric (L is not g-symmetric)",))
+        return (str(exc),)
+    gl = times_g(times_L(np.eye(pair.n, dtype=np.int64), pair, 0), pair.involution, 0)
+    return () if (gl == gl.T).all() else ("gL is not symmetric (L is not g-symmetric)",)

@@ -72,13 +72,9 @@ class RunConfig:
 # -- verify ------------------------------------------------------------------
 
 def _stage_canonical(spec: PencilSpec, pair: CanonicalPair) -> dict:
-    rep = validate_pair(pair.involution, pair.L)
-    return {
-        "n": pair.n,
-        "layout": layout_to_json(spec),
-        "failures": list(rep.failures),
-        "passed": rep.ok,
-    }
+    failures = list(validate_pair(pair))
+    return {"n": pair.n, "layout": layout_to_json(spec), "failures": failures,
+            "passed": not failures}
 
 
 def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:

@@ -10,18 +10,20 @@ bound) are ``fractions.Fraction`` values of Python ints.  ``capped`` is the
 one entry check: every integer array or denominator entering the exact
 core must lie within C = ``ENTRY_CAP`` in absolute value, else ValueError.
 numpy holds fewer than 2**60 int64 entries in one array, so n < 2**15 for
-the metric's (n, n, n, n) numerator and n < 2**30 for an (n, n) L, and no
-partial sum reaches 2**63: the largest are n^3 C < 2**61 (the invertibility
-bound), n C^2 < 2**62 ([R(X), L]), 2n C^2 < 2**49 (covariant constancy) and
-6C (the Riemann routes).  Legal specs are far below the cap: the relabeled
-L has entries at most 23, the metric's numerator at most 1 over 2.
+the metric's (n, n, n, n) numerator, and no partial sum reaches 2**63: the
+largest are n^3 C < 2**61 (the invertibility bound) and 6C (the Riemann
+routes), and a product with L adds at most two terms (``times_L``), so
+2C(C + 1) < 2**35 (covariant constancy) and C(C + 1) ([R(X), L]).  Legal
+specs are far below the cap: the relabeled L has entries at most 23, the
+metric's numerator at most 1 over 2.
 
 Rank and pivot columns come from one elimination: each column, read once
 as a sparse vector of Python ints, is inserted into an echelon basis keyed
 by each vector's first nonzero row, and every vector is kept primitive.
 No inverse is ever computed, and the metric g is never a matrix: a
 canonical g = g^T = g^{-1} is held as its signed involution ``(perm, sign)``,
-which ``check_involution`` checks, and every product with it is ``times_g``.
+which ``check_involution`` checks, and every product with it is ``times_g``;
+L is a pair's ``label`` and ``block``, and every product with it ``times_L``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,21 @@ def times_g(x: np.ndarray, involution: tuple, axis: int) -> np.ndarray:
     """
     perm, sign = involution
     return np.take(x, perm, axis) * np.reshape(sign, (-1,) + (1,) * (x.ndim - 1 - axis % x.ndim))
+
+
+def times_L(x: np.ndarray, pair, axis: int, transpose: bool = False) -> np.ndarray:
+    """L @ x along ``axis`` of ``x``, or x @ L there when ``transpose`` is
+    set, for the relabeled L = diag(label) + N of ``pair``: entry i is
+    label[i] * x[i] plus x[i + 1] (x[i - 1] for x @ L) where ``pair.block``
+    repeats, that is, where N links i to its neighbour in one Jordan block.
+    """
+    axis %= x.ndim
+    along = (slice(None),) + (None,) * (x.ndim - 1 - axis)  # a vector along axis
+    head, tail = ((slice(None),) * axis + (s,) for s in (slice(None, -1), slice(1, None)))
+    to, src = (tail, head) if transpose else (head, tail)
+    out = x * pair.label[along]
+    out[to] += x[src] * (pair.block[1:] == pair.block[:-1])[along]
+    return out
 
 
 def first_mismatch(a: np.ndarray, b: np.ndarray):

@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .exactla import capped, times_g
+from .exactla import times_L, times_g
 
 
 @functools.cache
@@ -41,17 +41,17 @@ def wedge_rows(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def commutator_system(involution: tuple, l: np.ndarray) -> np.ndarray:
-    """The (n^2, m) matrix whose column k is W_k l - l W_k, where
-    W_k = wedge(e_i, e_j) = E_k g for the k-th pair (i, j) of ``wedge_index``.
+def commutator_system(pair) -> np.ndarray:
+    """The (n^2, m) matrix whose column k is [W_k, L] = W_k L - L W_k, where
+    W_k = wedge(e_i, e_j) = E_k g for the k-th pair (i, j) of ``wedge_index``
+    and (g, L) is the canonical ``pair``.
 
     Its kernel holds the wedge coordinates of the elements of so(g) that
-    commute with l, so dim g_L = m - rank.  Built without the basis: with
-    W_k = E_k g, W_k l = E_k (g l) and l E_k g = -(E_k l^T)^T g, where both
-    products with g are ``times_g`` gathers along its ``involution``; so
-    every entry is a sum of at most two entries of l.
+    commute with L, so dim g_L = m - rank.  The wedge stack is
+    ``wedge_rows`` of g, the gather ``times_g`` of the identity, and both
+    products with L are ``times_L``, so every entry is a sum of at most four
+    signed entries of L.
     """
-    l, = capped(l)
-    s = (wedge_rows(times_g(l, involution, 0))
-         + times_g(wedge_rows(l.T).transpose(0, 2, 1), involution, 2))
-    return s.reshape(len(s), l.size).T
+    w = wedge_rows(times_g(np.eye(pair.n, dtype=np.int64), pair.involution, 0))
+    s = times_L(w, pair, 2, transpose=True) - times_L(w, pair, 1)
+    return s.reshape(len(s), pair.n ** 2).T

@@ -9,10 +9,10 @@ The lowered tensor is one (n, n, n, n) int64 array over one common
 denominator (the ``exactla`` format).  Every exact check on it (symmetry,
 covariant constancy, g(x)-symmetry, both Riemann routes) is an int64 numpy
 contraction with no index loop, which ``exactla.capped`` keeps from
-wrapping around; L is the relabeled ``pair.L``.  Nothing is inverted: g0
-is held as its signed involution ``(perm, sign)``
-(``exactla.check_involution``), so every product with it is the gather
-``exactla.times_g``.
+wrapping around.  Nothing is inverted: g0 is held as its signed involution
+``(perm, sign)`` (``exactla.check_involution``), so every product with it
+is the gather ``exactla.times_g``, and L is the pair's relabeled L, so
+every product with it is ``exactla.times_L``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import capped, check_involution, first_mismatch, times_g
+from .exactla import capped, check_involution, first_mismatch, times_L, times_g
 from .liealg import wedge_index
 
 
@@ -100,24 +100,25 @@ def validity_radius(bound: Fraction) -> float:
     return float("inf") if bound == 0 else float(1 / bound) ** 0.5
 
 
-# The checks below are linear in B, so they run on num; L is pair.L.
+# The checks below are linear in B, so they run on num; each product with L is ``times_L``.
 
-def check_nablaL(qm: QuadraticMetric, L) -> bool:
+def check_nablaL(qm: QuadraticMetric, pair: CanonicalPair) -> bool:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
-    summed over b, for every (i, p, q, k).
+    summed over b, for every (i, p, q, k): each side a ``times_L``, as [i, p, k, q].
     """
-    b, l = qm.num, capped(L)[0]
-    lhs = np.einsum("ipbq,bk->ipqk", b - b.transpose(0, 2, 1, 3), l)
-    rhs = np.einsum("bikq,bp->ipqk", b - b.transpose(2, 0, 1, 3), l)
-    return bool((lhs == rhs).all())
+    b = qm.num
+    lhs = times_L(b - b.transpose(0, 2, 1, 3), pair, 2, transpose=True)
+    rhs = times_L(b - b.transpose(2, 0, 1, 3), pair, 0, transpose=True)
+    return bool((lhs == rhs.transpose(1, 0, 2, 3)).all())
 
 
-def check_gsym(qm: QuadraticMetric, L) -> bool:
-    """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j."""
-    b, l = qm.num, capped(L)[0]
-    return bool((np.einsum("ijpq,il->jlpq", b, l) == np.einsum("ilpq,ij->jlpq", b, l)).all())
+def check_gsym(qm: QuadraticMetric, pair: CanonicalPair) -> bool:
+    """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j,
+    that is, (L^T B_pq)[l, j] = sum_i L^i_l B_{ij,pq} is symmetric in (l, j)."""
+    lb = times_L(qm.num, pair, 0, transpose=True)
+    return bool((lb == lb.transpose(1, 0, 2, 3)).all())
 
 
 def riemann_at_origin(qm: QuadraticMetric) -> tuple:
@@ -162,13 +163,7 @@ class RealizationReport:
         return self.nablaL_ok and self.gsym_ok and self.routes_agree and self.matches_formal
 
     def to_json(self) -> dict:
-        return {
-            "nablaL_ok": self.nablaL_ok,
-            "gsym_ok": self.gsym_ok,
-            "routes_agree": self.routes_agree,
-            "matches_formal": self.matches_formal,
-            "passed": self.ok,
-        }
+        return {**vars(self), "passed": self.ok}
 
 
 def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
@@ -185,5 +180,5 @@ def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
     except RealizationError:
         num = None
     matches = num is not None and np.array_equal(num, den * capped(formal)[0])
-    return RealizationReport(check_nablaL(qm, pair.L), check_gsym(qm, pair.L),
+    return RealizationReport(check_nablaL(qm, pair), check_gsym(qm, pair),
                              num is not None, matches)

@@ -8,9 +8,11 @@ by direct evaluation.
 Matrices here are object arrays of Fractions.  The package's int64 arrays
 are read as Python ints on entry, since a Fraction built from an np.int64
 keeps it and can wrap around.  The package holds L relabeled (each
-eigenvalue's 0-based label in place of its value); ``true_L`` builds the
-operator with the eigenvalues themselves, read from the spec the pair was
-built from, and the oracles that stand for "the pair's L" take it.  The
+eigenvalue's 0-based label in place of its value) and never as a matrix;
+``relabeled_L`` builds that matrix by index loops over the blocks, and
+``true_L`` the operator with the eigenvalues themselves, read from the spec
+the pair was built from; the oracles that stand for "the pair's L" take
+one of them.  The
 ``*_ref`` functions are earlier index-loop versions of the exact stages,
 for differential tests against the package: the Fraction elimination
 (``_rref`` and the rank, kernel and inverse on it), the so(g) wedge
@@ -180,11 +182,25 @@ def witnesses_ref(values, den) -> tuple:
     return tuple(tags[k] for k in independent_rows_ref(fractions(values, den)))
 
 
+def relabeled_L(pair: CanonicalPair) -> np.ndarray:
+    """The pair's relabeled L' = diag(label) + N as a dense int64 matrix,
+    written block by block: each index's label on the diagonal and a 1 above
+    it wherever the next index is in its block.  Each block of ``pair.block``
+    is one run of indices, as ``build_canonical`` makes it."""
+    L = np.zeros((pair.n, pair.n), dtype=np.int64)
+    for _, offset, size in all_blocks(pair):
+        for i in range(offset, offset + size):
+            L[i, i] = pair.label[i]
+            if i + 1 < offset + size:
+                L[i, i + 1] = 1
+    return L
+
+
 def true_L(pair: CanonicalPair, spec: PencilSpec) -> np.ndarray:
-    """The pair's operator sum_k lambda_k P_k + N as Fractions: the relabeled
-    ``pair.L`` with each index's diagonal entry set to its eigenvalue, read
-    from ``spec``, the spec the pair was built from."""
-    L = fractions(pair.L)
+    """The pair's operator sum_k lambda_k P_k + N as Fractions: the
+    ``relabeled_L`` with each index's diagonal entry set to its eigenvalue,
+    read from ``spec``, the spec the pair was built from."""
+    L = fractions(relabeled_L(pair))
     for i, k in enumerate(pair.label):
         L[i, i] = spec.eigens[k].lam
     return L

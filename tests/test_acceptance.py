@@ -71,7 +71,7 @@ def test_criterion_1_berger_suite(corpus_pairs):
         rmap = r_formal(pair)
         if not check_bianchi(rmap).ok:
             failures.append(f"{name}: bianchi")
-        if not check_sectional(rmap, pair.involution, pair.L):
+        if not check_sectional(rmap, pair):
             failures.append(f"{name}: containment")
         cert = berger_certificate(pair, rmap)
         if not (cert.passed and cert.image_rank == cert.dim_gL):

@@ -10,7 +10,16 @@ from holonomy.berger import check_bianchi, check_sectional
 from holonomy.liealg import wedge_rows
 
 from helpers import certificate, dense_g, fractions, mat, pair_of, spec_of
-from oracles import apply_map, block_element, commutator, is_g_skew, r_minpoly, true_L, wedge_tags
+from oracles import (
+    apply_map,
+    block_element,
+    commutator,
+    is_g_skew,
+    r_minpoly,
+    relabeled_L,
+    true_L,
+    wedge_tags,
+)
 
 Z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])  # generator for blocks (1, 2)
 
@@ -156,7 +165,8 @@ def test_bianchi_commutator_map_consistency(blocks):
     # report must either carry a witness or claim a clean pass
     pair = pair_of(blocks)
     base = wedge_rows(dense_g(pair.involution))
-    vals = pair.L @ base - base @ pair.L
+    L = relabeled_L(pair)
+    vals = L @ base - base @ L
     assert vals.any()
     rep = check_bianchi(vals)
     assert rep.ok == (rep.witness is None)
@@ -181,15 +191,15 @@ def test_bianchi_detects_violation():
 
 def test_sectional_r_formal_and_zero_pass():
     pair = pair_of([(2, 1), (3, -1)])
-    assert check_sectional(r_formal(pair), pair.involution, pair.L)
+    assert check_sectional(r_formal(pair), pair)
     zm = zero_map(pair.n)
-    assert check_sectional(zm, pair.involution, pair.L)
+    assert check_sectional(zm, pair)
 
 
 def test_sectional_identity_map_fails():
     pair = pair_of([(1, 1), (2, 1)])
     base = wedge_rows(dense_g(pair.involution))
-    assert not check_sectional(base, pair.involution, pair.L)
+    assert not check_sectional(base, pair)
 
 
 # -- certificate ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Canonical pair construction and pencil spec handling."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -15,47 +16,57 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
-from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec, layout_to_json
-from holonomy.exactla import rank
+from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec, CanonicalPair, layout_to_json
+from holonomy.exactla import rank, times_L
 
-from helpers import all_blocks, dense_g, int_form, mat, pair_of
-from oracles import true_L
+from helpers import all_blocks, dense_g, mat, pair_of
+from oracles import relabeled_L, true_L
 
 
 def involution(perm, sign):
     return np.array(perm), np.array(sign)
 
 
+def assert_L(pair, want):
+    """The pair's L, as ``times_L`` applies it to the identity and as the
+    oracle writes it, is the int64 matrix ``want``."""
+    got = times_L(np.eye(pair.n, dtype=np.int64), pair, 0)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert relabeled_L(pair).tolist() == want
+
+
 def test_build_trivial_block():
     pair = pair_of([(1, 1)])
     assert np.array_equal(dense_g(pair.involution), [[1]])
-    assert pair.L.dtype == np.int64 and np.array_equal(pair.L, [[0]])
+    assert_L(pair, [[0]])
 
 
 def test_build_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
     assert np.array_equal(dense_g(pair.involution), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     # single 1 in row 2, column 3 (1-based)
-    assert np.array_equal(pair.L, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    assert_L(pair, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def test_build_two_eigenvalues():
     pair = build_canonical(make_pencil([(0, [(2, 1)]), (1, [(1, -1)])]))
-    assert np.array_equal(pair.L, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    assert_L(pair, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
     assert np.array_equal(dense_g(pair.involution), [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     assert [v.tolist() for v in pair.involution] == [[1, 0, 2], [1, 1, -1]]
-    assert validate_pair(pair.involution, pair.L).ok
+    assert validate_pair(pair) == ()
     # L is held relabeled: each eigenvalue's 0-based label on its blocks'
-    # diagonal, an int64 array with no denominator; the eigenvalues
+    # diagonal, int64 vectors with no denominator; the eigenvalues
     # themselves stay in the spec, from which the oracle rebuilds L
     spec = make_pencil([(Fraction(-1, 2), [(2, 1)]), (Fraction(2, 3), [(1, 1)])])
     pair = build_canonical(spec)
-    assert pair.L.dtype == np.int64
-    assert np.array_equal(pair.L, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    assert pair.label.dtype == np.int64 and pair.label.tolist() == [0, 0, 1]
+    assert_L(pair, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
     assert np.array_equal(true_L(pair, spec), mat([[Fraction(-1, 2), 1, 0],
                                                    [0, Fraction(-1, 2), 0],
                                                    [0, 0, Fraction(2, 3)]]))
-    assert validate_pair(pair.involution, int_form(true_L(pair, spec))[0]).ok  # over den 6
+    # the true L is g-symmetric too, as a dense product over Fractions
+    gl = dense_g(pair.involution) @ true_L(pair, spec)
+    assert (gl == gl.T).all()
 
 
 def test_layout_metadata():
@@ -65,13 +76,13 @@ def test_layout_metadata():
     # ascending, + before - on ties
     assert pair.block.tolist() == [0, 1, 1, 2, 2, 3, 3]
     assert pair.label.tolist() == [0, 0, 0, 1, 1, 1, 1]
-    assert pair.L.tolist() == [[0, 0, 0, 0, 0, 0, 0],
-                               [0, 0, 1, 0, 0, 0, 0],
-                               [0, 0, 0, 0, 0, 0, 0],
-                               [0, 0, 0, 1, 1, 0, 0],
-                               [0, 0, 0, 0, 1, 0, 0],
-                               [0, 0, 0, 0, 0, 1, 1],
-                               [0, 0, 0, 0, 0, 0, 1]]
+    assert_L(pair, [[0, 0, 0, 0, 0, 0, 0],
+                    [0, 0, 1, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0, 0, 0],
+                    [0, 0, 0, 1, 1, 0, 0],
+                    [0, 0, 0, 0, 1, 0, 0],
+                    [0, 0, 0, 0, 0, 1, 1],
+                    [0, 0, 0, 0, 0, 0, 1]])
     assert [v.tolist() for v in pair.involution] == [[0, 2, 1, 4, 3, 6, 5],
                                                       [-1, 1, 1, 1, 1, -1, -1]]
     # the report's offsets are the running sums of the sizes
@@ -81,34 +92,42 @@ def test_layout_metadata():
     ]
 
 
+def rogue(g, block, label):
+    """A pair with any g, block vector and labels: L = diag(label) plus a 1
+    above the diagonal wherever the block repeats."""
+    return CanonicalPair(involution(*g), np.array(block), np.array(label))
+
+
 def test_validate_pair_reports():
     pair = pair_of([(1, 1), (2, 1)])
-    assert validate_pair(pair.involution, pair.L).ok
+    assert validate_pair(pair) == ()
+    gl_failure = ("gL is not symmetric (L is not g-symmetric)",)
 
-    # g = I
-    bad = validate_pair(involution([0, 1], [1, 1]), np.array([[0, 1], [0, 0]]))
-    assert not bad.ok
-    assert any("gL" in f for f in bad.failures)
+    # L = [[0, 1], [0, 0]] is g-symmetric for g = [[0, 1], [1, 0]], not for g = I
+    assert validate_pair(rogue(([0, 1], [1, 1]), [0, 0], [0, 0])) == gl_failure
+    assert validate_pair(rogue(([1, 0], [1, 1]), [0, 0], [0, 0])) == ()
 
-    # g = [[0, 1], [1, 0]]
-    good = validate_pair(involution([1, 0], [1, 1]), np.array([[0, 1], [0, 0]]))
-    assert good.ok
+    # for g = [[0, 1], [1, 0]] and no link, gL is symmetric exactly when
+    # the label agrees on i and its partner perm[i]
+    assert validate_pair(rogue(([1, 0], [1, 1]), [0, 1], [2, 2])) == ()
+    assert validate_pair(rogue(([1, 0], [1, 1]), [0, 1], [0, 1])) == gl_failure
 
-    # the signs of g count: [[0, 1], [-1, 0]] is g-symmetric for g = diag(1, -1)
-    # and [[0, 1], [1, 0]] is not
-    signed = involution([0, 1], [1, -1])
-    assert validate_pair(signed, np.array([[0, 1], [-1, 0]])).ok
-    assert not validate_pair(signed, np.array([[0, 1], [1, 0]])).ok
-
-    with pytest.raises(ValueError):
-        validate_pair(involution([0, 1], [1, 1]), np.eye(3, dtype=int))
+    # the signs of g count: one block of size 3 with its antidiagonal g is
+    # g-symmetric when sign[1] = sign[2], and not otherwise
+    assert validate_pair(rogue(([2, 1, 0], [1, 1, 1]), [0, 0, 0], [0, 0, 0])) == ()
+    assert validate_pair(rogue(([2, 1, 0], [1, -1, 1]), [0, 0, 0], [0, 0, 0])) == gl_failure
+    # a built pair stays g-symmetric with every sign of g flipped, and with
+    # labels that agree on each block, but not with labels that split one
+    flipped = dataclasses.replace(pair, involution=(pair.involution[0], -pair.involution[1]))
+    assert validate_pair(flipped) == ()
+    assert validate_pair(dataclasses.replace(pair, label=np.array([0, 1, 1]))) == ()
+    assert validate_pair(dataclasses.replace(pair, label=np.array([0, 0, 1]))) == gl_failure
 
 
 def test_degenerate_g_reported():
     # g = diag(1, 0)
-    rep = validate_pair(involution([0, 1], [1, 0]), np.zeros((2, 2), dtype=int))
-    assert not rep.ok
-    assert rep.failures == ("g is not a signed involution: bad index 1",)
+    pair = rogue(([0, 1], [1, 0]), [0, 1], [0, 0])
+    assert validate_pair(pair) == ("g is not a signed involution: bad index 1",)
 
 
 def test_duplicate_eigenvalues_rejected():
@@ -191,7 +210,7 @@ def test_nilpotency_and_block_determinants():
     pair = build_canonical(spec)
     # L - lambda and the relabeled L - 0 are the same nilpotent part
     nmax = np.bincount(pair.block).max()
-    for shifted in (true_L(pair, spec) - lam * np.eye(pair.n, dtype=object), pair.L):
+    for shifted in (true_L(pair, spec) - lam * np.eye(pair.n, dtype=object), relabeled_L(pair)):
         power = np.eye(pair.n, dtype=object)
         for _ in range(nmax - 1):
             power = power @ shifted
@@ -209,4 +228,4 @@ def test_validate_pair_passes_on_corpus():
     from holonomy.cli import iter_corpus_specs
     for name, doc in iter_corpus_specs(5):
         pair = build_canonical(pencil_from_json(doc))
-        assert validate_pair(pair.involution, pair.L).ok, name
+        assert validate_pair(pair) == (), name

@@ -74,6 +74,7 @@ from oracles import (
     inverse_ref,
     rank_ref,
     riemann_at_origin_ref,
+    relabeled_L,
     so_basis_ref,
     true_L,
     witnesses_ref,
@@ -165,9 +166,9 @@ def test_certified_gl_matches_fraction_kernel_on_corpus(lam):
         doc["eigenvalues"][0]["lambda"] = str(lam)
         spec = pencil_from_json(doc)
         pair = build_canonical(spec)
-        n, l = pair.n, pair.L
+        n, l = pair.n, relabeled_L(pair)
         w = so_basis_ref(dense_g(pair.involution))
-        assert np.array_equal(commutator_system(pair.involution, l),
+        assert np.array_equal(commutator_system(pair),
                               (w @ l - l @ w).reshape(len(w), n * n).T), name
         cert = berger_certificate(pair, r_formal(pair))
         kernel = centralizer_basis_ref(pair, true_L(pair, spec))
@@ -199,16 +200,17 @@ def test_metric_checks_agree_with_loops_under_perturbation(case):
     formal = r_formal(pair)
     formal_values = fractions(formal).tolist()
     qm = lower_B(pair.block_tensor, pair.involution)
+    L = relabeled_L(pair)
     rejected = Counter()
     for idx in np.ndindex(qm.num.shape):
         num = qm.num.copy()
         num[idx] += 1
         bad = QuadraticMetric(qm.involution, num, qm.den)
-        nabla = check_nablaL(bad, pair.L)
-        gsym = check_gsym(bad, pair.L)
+        nabla = check_nablaL(bad, pair)
+        gsym = check_gsym(bad, pair)
         curvature = _riemann_outcome(riemann_at_origin, bad)
-        assert nabla == check_nablaL_ref(bad, pair.L), idx
-        assert gsym == check_gsym_ref(bad, pair.L), idx
+        assert nabla == check_nablaL_ref(bad, L), idx
+        assert gsym == check_gsym_ref(bad, L), idx
         assert curvature == _riemann_outcome(riemann_at_origin_ref, bad), idx
         rejected["nablaL"] += not nabla
         rejected["gsym"] += not gsym
@@ -221,6 +223,7 @@ def test_metric_checks_agree_with_loops_under_perturbation(case):
 def test_curvature_checks_agree_with_loops_under_perturbation(case):
     pair = _pair(case)
     formal = r_formal(pair)
+    g, L = dense_g(pair.involution), relabeled_L(pair)
     rejected = Counter()
     for idx in np.ndindex(formal.shape):
         bad = formal.copy()
@@ -228,8 +231,8 @@ def test_curvature_checks_agree_with_loops_under_perturbation(case):
         got, want = check_bianchi(bad), check_bianchi_ref(bad)
         assert (got.ok, got.witness, got.max_violation) == \
             (want.ok, want.witness, want.max_violation), idx
-        sectional = check_sectional(bad, pair.involution, pair.L)
-        assert sectional == check_sectional_ref(bad, dense_g(pair.involution), pair.L), idx
+        sectional = check_sectional(bad, pair)
+        assert sectional == check_sectional_ref(bad, g, L), idx
         rejected["bianchi"] += not got.ok
         rejected["sectional"] += not sectional
     assert rejected["bianchi"] and rejected["sectional"], rejected
@@ -320,7 +323,7 @@ def test_verdicts_agree_on_true_and_relabeled_L(spec):
     # perturbations; each check rejects some of them.
     spec = make_pencil(spec)
     pair = build_canonical(spec)
-    true, relabeled = true_L(pair, spec), pair.L
+    true, relabeled = true_L(pair, spec), relabeled_L(pair)
     assert not np.array_equal(int_form(true)[0], relabeled)  # the two differ
     n, g = pair.n, dense_g(pair.involution)
     assert (len(centralizer_basis_ref(pair, true)) == len(centralizer_basis_ref(pair, relabeled))
@@ -335,8 +338,9 @@ def test_verdicts_agree_on_true_and_relabeled_L(spec):
             num[at] += 1
         bad = QuadraticMetric(qm.involution, num, qm.den)
         nabla, gsym = check_nablaL_ref(bad, true), check_gsym_ref(bad, true)
-        for nabla_of, gsym_of in ((check_nablaL_ref, check_gsym_ref), (check_nablaL, check_gsym)):
-            assert (nabla, gsym) == (nabla_of(bad, relabeled), gsym_of(bad, relabeled)), idx
+        for nabla_of, gsym_of, l in ((check_nablaL_ref, check_gsym_ref, relabeled),
+                                     (check_nablaL, check_gsym, pair)):
+            assert (nabla, gsym) == (nabla_of(bad, l), gsym_of(bad, l)), idx
         rejected["nablaL"] += not nabla
         rejected["gsym"] += not gsym
     # a single entry is never g-skew, so the skewness half rejects all of
@@ -350,7 +354,7 @@ def test_verdicts_agree_on_true_and_relabeled_L(spec):
         bad[k] += steps[s]
         sectional = check_sectional_ref(bad, g, true)
         assert sectional == check_sectional_ref(bad, g, relabeled), (k, s)
-        assert sectional == check_sectional(bad, pair.involution, relabeled), (k, s)
+        assert sectional == check_sectional(bad, pair), (k, s)
         rejected["sectional"] += not sectional
         rejected["sectional kept"] += sectional
     assert all(rejected[c] for c in ("nablaL", "gsym", "sectional", "sectional kept")), rejected

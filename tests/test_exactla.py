@@ -1,5 +1,6 @@
 """Exact scalar and matrix arithmetic."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy.canonical import rat_from_str
-from holonomy.exactla import ENTRY_CAP, capped, pivot_columns, rank, times_g
+from holonomy.exactla import ENTRY_CAP, capped, pivot_columns, rank, times_L, times_g
 
 from helpers import dense_g, int_form, mat, pair_of
 from oracles import (
@@ -17,6 +18,7 @@ from oracles import (
     matrix_powers,
     minimal_polynomial,
     rank_ref,
+    relabeled_L,
     solve_in_span,
 )
 
@@ -95,19 +97,36 @@ def test_capped_refuses_entries_past_the_cap(bad):
         capped(ok, bad)
 
 
-# -- products with g -----------------------------------------------------------
+# -- products with g and L -----------------------------------------------------
 
 @pytest.mark.parametrize("blocks", [[(1, 1), (2, -1), (3, 1)], [(4, -1), (1, -1)]])
 @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
 def test_times_g_is_the_dense_product_on_every_axis(blocks, ndim):
     # g is symmetric: the gather is g @ x and x @ g on the chosen axis, for
-    # int64, for Python ints beyond int64 and, bit for bit, for floats
-    involution = pair_of(blocks).involution
+    # int64, for Python ints beyond int64 and, bit for bit, for floats.
+    # times_L is L @ x there, and x @ L with transpose, for the oracle's
+    # dense L: on the built pair (labels 0, so L = N) and with labels up to
+    # +-ENTRY_CAP, on int64 entries up to +-ENTRY_CAP
+    pair = pair_of(blocks)
+    involution = pair.involution
     g = dense_g(involution)
     n = len(g)
     rng = np.random.default_rng(ndim)
+    labels = rng.integers(-ENTRY_CAP, ENTRY_CAP + 1, n)
+    labels[[0, -1]] = ENTRY_CAP, -ENTRY_CAP
+    pairs = [pair, dataclasses.replace(pair, label=labels)]
     for axis in range(-ndim, ndim):
         shape = [n if i == axis % ndim else i + 2 for i in range(ndim)]
+        edge = rng.integers(-ENTRY_CAP, ENTRY_CAP + 1, size=shape)
+        edge.flat[[0, -1]] = ENTRY_CAP, -ENTRY_CAP
+        for p in pairs:
+            L = relabeled_L(p)
+            left = np.moveaxis(np.tensordot(L, edge, axes=(1, axis)), 0, axis)
+            right = np.moveaxis(np.tensordot(edge, L, axes=(axis, 0)), -1, axis)
+            for transpose, dense in ((False, left), (True, right)):
+                out = times_L(edge, p, axis, transpose)
+                assert out.dtype == np.int64 and out.shape == edge.shape
+                assert np.array_equal(out, dense), (p.label, axis, transpose)
         small = rng.integers(-9, 10, size=shape)
         # no float zeros: 0 * -1 is -0.0 where a dense sum gives +0.0
         floats = rng.standard_normal(shape)

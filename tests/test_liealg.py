@@ -1,6 +1,7 @@
 """so(g) bases, the commutator system, the certified g_L basis, and the
 block decomposition."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,18 +11,21 @@ from hypothesis import strategies as st
 
 from holonomy import build_canonical, lower_B, make_pencil
 from holonomy.berger import check_sectional
+from holonomy.canonical import CanonicalPair
 from holonomy.exactla import rank
 from holonomy.liealg import commutator_system, wedge_index, wedge_rows
 from holonomy.realize import RealizationError
 
 from helpers import certified_gl, dense_g, int_form, mat, pair_of, spec_of, unit
 from oracles import (
+    centralizer_basis_ref,
     centralizer_dim,
     check_sectional_ref,
     commutator,
     is_g_skew,
     m_ij_basis,
     member_coords,
+    relabeled_L,
     so_basis_ref,
     true_L,
     wedge,
@@ -111,6 +115,16 @@ def _signed_involution(data, n: int) -> tuple:
     return perm, np.array([signs[min(i, perm[i])] for i in range(n)])
 
 
+def _rogue_pair(data, n: int, involution: tuple) -> CanonicalPair:
+    """A pair with the given g and any L of the canonical shape, g-symmetric
+    or not: random labels, and N linking i to i + 1 wherever a drawn
+    boolean says they share a block."""
+    links = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    labels = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    block = np.cumsum([0] + [not link for link in links])
+    return CanonicalPair(involution, block, np.array(labels))
+
+
 def _lowered_ref(g, t):
     """-(g (x) g) t as one dense contraction."""
     return -np.einsum("ia,pc,ajcq->ijpq", g, g, t)
@@ -119,16 +133,18 @@ def _lowered_ref(g, t):
 @given(st.integers(1, 8), st.data())
 @settings(max_examples=30, deadline=None)
 def test_commutator_system_matches_basis_commutators(n, data):
-    # every product with g is a gather along its (perm, sign); each is
-    # checked against dense products with g on a random signed involution.
-    # Column k of the system is W_k l - l W_k for any integer l, g-symmetric or not
+    # every product with g is a gather along its (perm, sign), and every
+    # product with L a times_L; each is checked against dense products on a
+    # random signed involution and a random pair of the canonical shape.
+    # Column k of the system is W_k L - L W_k for any such L, g-symmetric or not
     involution = _signed_involution(data, n)
     g = dense_g(involution)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    l = rng.integers(-3, 4, (n, n))
+    pair = _rogue_pair(data, n, involution)
+    l = relabeled_L(pair)
     w = so_basis_ref(g).astype(np.int64)
     want = (w @ l - l @ w).reshape(len(w), n * n).T
-    assert np.array_equal(commutator_system(involution, l), want)
+    assert np.array_equal(commutator_system(pair), want)
 
     # lower_B is -(g (x) g) t, refused when that is not symmetric in both
     # index pairs: a random t, and (g (x) g) s with s symmetric in both
@@ -144,14 +160,16 @@ def test_commutator_system_matches_basis_commutators(n, data):
                 lower_B(tensor, involution)
 
     # check_sectional against the loop oracle with dense g: the so(g) basis
-    # passes with a scalar L, and an element v of so(g) with the g-symmetric
-    # v @ v, which commutes with v but is not in general symmetric; with l
-    # they pass only if they commute, and random values fail
-    scalar = int_form(np.eye(n, dtype=object) * Fraction(int(rng.integers(-3, 4)), 2))[0]
-    v = np.tensordot(rng.integers(-2, 3, len(w)), w, 1)[None]
-    for values, L in ((w, scalar), (w, l), (v, v[0] @ v[0]), (rng.integers(-3, 4, w.shape), l)):
-        assert check_sectional(values, involution, L) == check_sectional_ref(values, g, L)
-    assert check_sectional(w, involution, scalar) and check_sectional(v, involution, v[0] @ v[0])
+    # passes with a scalar L (one label, no link), and the oracle's basis of
+    # the elements of so(g) that commute with l passes with l; with l the
+    # so(g) basis passes only if it commutes, and random values fail
+    scalar = dataclasses.replace(pair, block=np.arange(n), label=np.full(n, rng.integers(-3, 4)))
+    kernel = np.array(centralizer_basis_ref(pair, l), dtype=object).reshape(-1, n, n)
+    commuting = int_form(kernel)[0]
+    noise = rng.integers(-3, 4, w.shape)
+    for values, p in ((w, scalar), (w, pair), (commuting, pair), (noise, pair)):
+        assert check_sectional(values, p) == check_sectional_ref(values, g, relabeled_L(p))
+    assert check_sectional(w, scalar) and check_sectional(commuting, pair)
 
 
 def test_centralizer_single_block_trivial():

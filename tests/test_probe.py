@@ -281,7 +281,7 @@ def test_holonomy_commutes_with_L():
     num[0, 1, 0, 0] += 1
     num[1, 0, 0, 0] += 1
     bad = QuadraticMetric(qm.involution, num, qm.den)
-    assert not check_nablaL(bad, pair.L)
+    assert not check_nablaL(bad, pair)
     assert _commutation_defect(pair, L, bad) > 0.5
 
 

@@ -1,5 +1,6 @@
 """Quadratic metric construction and the exact curvature match."""
 
+import dataclasses
 import json
 import re
 import sys
@@ -19,8 +20,8 @@ from holonomy import (
 )
 from holonomy.cli import RunConfig, cmd_verify
 from holonomy.berger import check_bianchi, check_sectional
+from holonomy.canonical import CanonicalPair
 from holonomy.exactla import ENTRY_CAP, check_involution, rank
-from holonomy.liealg import commutator_system
 from holonomy.liealg import wedge_rows
 from holonomy.probe.transport import FloatMetric
 from holonomy.realize import (
@@ -45,6 +46,7 @@ from oracles import (
     inverse_ref,
     lowered,
     metric_at,
+    relabeled_L,
     true_L,
     wedge_tags,
 )
@@ -188,16 +190,16 @@ def test_check_nablaL_and_gsym():
     for blocks in ([(1, 1), (2, 1)], [(2, 1), (2, -1)], [(1, 1), (1, 1), (2, 1)]):
         pair = pair_of(blocks)
         qm = lower_B(pair.block_tensor, pair.involution)
-        assert check_nablaL(qm, pair.L)
-        assert check_gsym(qm, pair.L)
+        assert check_nablaL(qm, pair)
+        assert check_gsym(qm, pair)
 
 
 def test_checks_trivial_for_zero_L():
     pair = pair_of([(1, 1), (1, -1)])
     qm = lower_B(pair.block_tensor, pair.involution)
-    assert not pair.L.any()
-    assert check_nablaL(qm, pair.L)
-    assert check_gsym(qm, pair.L)
+    assert not relabeled_L(pair).any()
+    assert check_nablaL(qm, pair)
+    assert check_gsym(qm, pair)
 
 
 def test_check_nablaL_detects_corruption():
@@ -206,14 +208,17 @@ def test_check_nablaL_detects_corruption():
     low = np.array(lowered(qm), dtype=object)
     low[0, 0, 1, 1] += Fraction(1, 7)
     bad = QuadraticMetric(qm.involution, *int_form(low))
-    assert not check_nablaL(bad, pair.L)
+    assert not check_nablaL(bad, pair)
 
 
 def test_check_gsym_detects_wrong_operator():
     pair = pair_of([(1, 1), (2, 1)])
     qm = lower_B(pair.block_tensor, pair.involution)
-    rogue = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # does not commute with the factors
-    assert not check_gsym(qm, rogue)
+    # indices 0 and 1 in one block: L links 0 to 1, which does not commute
+    # with the factors, where the built pair links 1 to 2
+    rogue = dataclasses.replace(pair, block=np.array([0, 0, 1]))
+    assert relabeled_L(rogue).tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert check_gsym(qm, pair) and not check_gsym(qm, rogue)
 
 
 def test_riemann_flat_metric():
@@ -307,7 +312,8 @@ def test_lower_B_rejects_asymmetric_point_indices():
 def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
     # every product with g0 is a gather along its (perm, sign), which a
     # canonical g0, a signed involution, has; the check and the metric refuse
-    # any other (perm, sign) by its first bad index, and validate_pair reports it
+    # any other (perm, sign) by its first bad index, and validate_pair reports
+    # it on a pair built by hand
     perm, sign = g0 = tuple(np.array(v) for v in g0)
     n = len(perm)
     message = f"g is not a signed involution: bad index {at}"
@@ -317,8 +323,8 @@ def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
         QuadraticMetric(g0, np.zeros((n,) * 4, dtype=np.int64), 2)
     with pytest.raises(ValueError, match=re.escape(message)):
         lower_B(np.zeros((n,) * 4, dtype=np.int64), g0)
-    report = validate_pair(g0, np.zeros((n, n), dtype=int))
-    assert not report.ok and report.failures == (message,)
+    pair = CanonicalPair(g0, np.arange(n), np.zeros(n, dtype=np.int64))
+    assert validate_pair(pair) == (message,)
 
 
 def test_lower_B_checks_the_involution_before_the_symmetries():
@@ -399,13 +405,13 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     qm = lower_B(pair.block_tensor, pair.involution)
     rm = riemann_at_origin(qm)
     stored = {"perm": pair.involution[0], "sign": pair.involution[1],
-              "L": pair.L, "T": pair.block_tensor,
+              "block": pair.block, "label": pair.label, "T": pair.block_tensor,
               "metric": qm.num, "formal": rmap, "riemann": rm[0],
               "basis": cert.basis}
     for name, a in stored.items():
         assert a.dtype == np.int64 and np.abs(a).max() <= ENTRY_CAP, name
     # one eigenvalue: L is its nilpotent part, whatever lambda is
-    assert np.array_equal(pair.L, pair_of(blocks).L)
+    assert np.array_equal(relabeled_L(pair), relabeled_L(pair_of(blocks)))
     bound = invertibility_bound(qm)
     assert bound > 0
     assert type(bound.numerator) is int and type(bound.denominator) is int
@@ -422,8 +428,8 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
 
 def test_exact_inputs_past_the_entry_cap_are_refused():
     # negative controls for the one entry check: a hand-built metric's
-    # numerator or denominator, an L and curvature values past the cap are
-    # refused before any arithmetic, never wrapped around in int64
+    # numerator or denominator, a pair's label and curvature values past the
+    # cap are refused before any arithmetic, never wrapped around in int64
     pair = pair_of([(1, 1), (2, -1), (2, 1)])
     qm = lower_B(pair.block_tensor, pair.involution)
     rmap = r_formal(pair)
@@ -435,16 +441,14 @@ def test_exact_inputs_past_the_entry_cap_are_refused():
             out[at] = big
             return out
 
-        num, L = past(qm.num, (0, 0, 1, 1)), past(pair.L, (0, 0))
+        num, label = past(qm.num, (0, 0, 1, 1)), past(pair.label, 0)
         values, t = past(rmap, (-1, 0, 0)), past(pair.block_tensor, (0, 0, 0, 0))
         for call in (lambda: QuadraticMetric(qm.involution, num, qm.den),
                      lambda: QuadraticMetric(qm.involution, qm.num, abs(big)),
                      lambda: lower_B(t, pair.involution),
-                     lambda: check_nablaL(qm, L), lambda: check_gsym(qm, L),
-                     lambda: validate_pair(pair.involution, L),
-                     lambda: commutator_system(pair.involution, L),
-                     lambda: check_sectional(rmap, pair.involution, L),
-                     lambda: check_sectional(values, pair.involution, pair.L),
+                     lambda: dataclasses.replace(pair, label=label),
+                     lambda: CanonicalPair(pair.involution, pair.block, label),
+                     lambda: check_sectional(values, pair),
                      lambda: check_bianchi(values),
                      lambda: verify_realization(pair, qm, values)):
             with pytest.raises(ValueError, match=message):
@@ -453,17 +457,26 @@ def test_exact_inputs_past_the_entry_cap_are_refused():
         with pytest.raises(ValueError, match="den must be positive"):
             QuadraticMetric(qm.involution, qm.num, den)
     # at the cap every check runs in int64 and decides as the Python-int
-    # oracles do, on the metric and on a perturbation of it
-    L = pair.L * ENTRY_CAP
-    for bump in (0, 1):
-        num = qm.num * ENTRY_CAP
-        num[0, 0, 1, 1] -= bump
-        edge = QuadraticMetric(qm.involution, num, ENTRY_CAP)
-        assert edge.num.dtype == np.int64 and type(edge.den) is int
-        assert check_nablaL(edge, L) == check_nablaL_ref(edge, L) == (not bump)
-        assert check_gsym(edge, L) == check_gsym_ref(edge, L)
+    # oracles do, on the metric and on a perturbation of it, with labels
+    # +-ENTRY_CAP: one label on every index (L = C + N commutes as N does),
+    # and labels of both signs
     values = rmap * ENTRY_CAP
     values[-1, 0, 0] -= 1
-    assert check_sectional(values, pair.involution, L) == check_sectional_ref(
-        values, dense_g(pair.involution), L)
+    n = pair.n
+    for labels in ([ENTRY_CAP] * n, [-ENTRY_CAP] * n, [(-1) ** i * ENTRY_CAP for i in range(n)]):
+        edge_pair = dataclasses.replace(pair, label=np.array(labels))
+        assert edge_pair.label.dtype == np.int64
+        L = relabeled_L(edge_pair)
+        for bump in (0, 1):
+            num = qm.num * ENTRY_CAP
+            num[0, 0, 1, 1] -= bump
+            edge = QuadraticMetric(qm.involution, num, ENTRY_CAP)
+            assert edge.num.dtype == np.int64 and type(edge.den) is int
+            assert check_nablaL(edge, edge_pair) == check_nablaL_ref(edge, L)
+            assert check_gsym(edge, edge_pair) == check_gsym_ref(edge, L)
+            if len(set(labels)) == 1:
+                assert check_nablaL(edge, edge_pair) == (not bump)
+        for vals in (rmap * ENTRY_CAP, values):
+            assert check_sectional(vals, edge_pair) == check_sectional_ref(
+                vals, dense_g(pair.involution), L)
     assert check_bianchi(values).max_violation == check_bianchi_ref(values).max_violation
