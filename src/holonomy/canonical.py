@@ -1,7 +1,9 @@
 """Canonical pairs (g, L) built from declarative Jordan block data.
 
-A pencil spec lists real eigenvalues, each with Jordan block sizes and
-signs.  The canonical form puts, for every block, an upper-shift Jordan
+A pencil spec is one flat value, ``PencilSpec(lams, blocks)``: the real
+eigenvalues in ascending order and, for each, its Jordan blocks as
+``(size, sign)`` pairs; ``make_pencil`` is the one place it is checked.
+The canonical form puts, for every block, an upper-shift Jordan
 block (plus a label of lambda on the diagonal, see ``CanonicalPair``) into
 L and a signed antidiagonal of ones into g; blocks are concatenated
 diagonally.  In this basis g is a signed involution, g = g^T = g^{-1},
@@ -60,72 +62,52 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """One Jordan block: its size and the sign of its antidiagonal metric."""
-
-    size: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.size) or self.size < 1:
-            raise InvalidSpecError(f"block size must be an integer >= 1, got {_shown(self.size)}")
-        if not _is_int(self.sign) or self.sign not in (1, -1):
-            raise InvalidSpecError(
-                f"block sign must be the integer 1 or -1, got {_shown(self.sign)}")
-
-
-@dataclass(frozen=True)
-class EigenSpec:
-    """A real eigenvalue with its blocks, sorted by size (ties: + first)."""
-
-    lam: Fraction
-    blocks: tuple
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise InvalidSpecError("eigenvalue needs at least one block")
-        key = [(b.size, 0 if b.sign > 0 else 1) for b in self.blocks]
-        if key != sorted(key):
-            raise InvalidSpecError("blocks must be sorted by size, + before - on ties")
-
-    @property
-    def dim(self) -> int:
-        return sum(b.size for b in self.blocks)
+def _block(size, sign) -> tuple:
+    """One Jordan block as ``(size, sign)``: its size, an integer >= 1, and
+    the sign of its antidiagonal metric, the integer 1 or -1."""
+    if not _is_int(size) or size < 1:
+        raise InvalidSpecError(f"block size must be an integer >= 1, got {_shown(size)}")
+    if not _is_int(sign) or sign not in (1, -1):
+        raise InvalidSpecError(f"block sign must be the integer 1 or -1, got {_shown(sign)}")
+    return size, sign
 
 
 @dataclass(frozen=True)
 class PencilSpec:
-    """Full declarative description of a g-symmetric operator."""
+    """Full declarative description of a g-symmetric operator: ``lams``,
+    the ascending eigenvalues (Fractions), and ``blocks[k]``, the blocks of
+    ``lams[k]`` as ``(size, sign)`` pairs sorted by size (ties: + first).
+    ``make_pencil`` makes it and is where it is checked."""
 
-    eigens: tuple
-
-    def __post_init__(self) -> None:
-        if not self.eigens:
-            raise InvalidSpecError("spec needs at least one eigenvalue")
-        lams = [e.lam for e in self.eigens]
-        if len(set(lams)) != len(lams):
-            raise InvalidSpecError("duplicate eigenvalues")
-        if lams != sorted(lams):
-            raise InvalidSpecError("eigenvalues must be sorted ascending")
-        if self.dim > MAX_DIM:
-            raise InvalidSpecError(f"dimension {self.dim} exceeds the maximum {MAX_DIM}")
+    lams: tuple
+    blocks: tuple
 
     @property
     def dim(self) -> int:
-        return sum(e.dim for e in self.eigens)
+        return sum(size for blocks in self.blocks for size, _ in blocks)
 
 
 def make_pencil(eigens: Iterable) -> PencilSpec:
-    """Build a spec from ``[(lam, [(size, sign), ...]), ...]``, normalizing order."""
+    """Build a spec from ``[(lam, [(size, sign), ...]), ...]``, normalizing order.
+
+    Each eigenvalue's blocks are checked in input order, then the sorted
+    spec for at least one eigenvalue, no duplicates and n <= MAX_DIM."""
     specs = []
     for lam, blocks in eigens:
         lam = lam if isinstance(lam, Fraction) else Fraction(lam)
-        bs = sorted((BlockSpec(s, sg) for s, sg in blocks),
-                    key=lambda b: (b.size, 0 if b.sign > 0 else 1))
-        specs.append(EigenSpec(lam, tuple(bs)))
-    specs.sort(key=lambda e: e.lam)
-    return PencilSpec(tuple(specs))
+        blocks = sorted((_block(s, sg) for s, sg in blocks), key=lambda b: (b[0], -b[1]))
+        if not blocks:
+            raise InvalidSpecError("eigenvalue needs at least one block")
+        specs.append((lam, tuple(blocks)))
+    if not specs:
+        raise InvalidSpecError("spec needs at least one eigenvalue")
+    specs.sort(key=lambda e: e[0])
+    spec = PencilSpec(*zip(*specs))
+    if len(set(spec.lams)) != len(spec.lams):
+        raise InvalidSpecError("duplicate eigenvalues")
+    if spec.dim > MAX_DIM:
+        raise InvalidSpecError(f"dimension {spec.dim} exceeds the maximum {MAX_DIM}")
+    return spec
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -202,23 +184,17 @@ def _is_complex(raw: str) -> bool:
 
 
 def pencil_to_json(spec: PencilSpec) -> dict:
-    return {
-        "eigenvalues": [
-            {
-                "lambda": str(e.lam),
-                "blocks": [{"size": b.size, "sign": b.sign} for b in e.blocks],
-            }
-            for e in spec.eigens
-        ]
-    }
+    return {"eigenvalues": [
+        {"lambda": str(lam), "blocks": [{"size": s, "sign": sg} for s, sg in bs]}
+        for lam, bs in zip(spec.lams, spec.blocks)]}
 
 
 def layout_to_json(spec: PencilSpec) -> list:
     """The canonical report's layout: per eigenvalue, its blocks as
     ``[offset, size, sign]``, the offsets running sums of the sizes."""
-    offsets = iter(itertools.accumulate((b.size for e in spec.eigens for b in e.blocks), initial=0))
-    return [{"lambda": str(e.lam), "blocks": [[next(offsets), b.size, b.sign] for b in e.blocks]}
-            for e in spec.eigens]
+    offsets = iter(itertools.accumulate((s for bs in spec.blocks for s, _ in bs), initial=0))
+    return [{"lambda": str(lam), "blocks": [[next(offsets), s, sg] for s, sg in bs]}
+            for lam, bs in zip(spec.lams, spec.blocks)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +235,7 @@ class CanonicalPair:
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
     """Assemble the block-diagonal canonical matrices for a pencil spec."""
     labels, sizes, signs = (np.array(col, dtype=np.int64) for col in zip(
-        *[(k, b.size, b.sign) for k, eig in enumerate(spec.eigens) for b in eig.blocks]))
+        *[(k, s, sg) for k, bs in enumerate(spec.blocks) for s, sg in bs]))
     block = np.repeat(np.arange(len(sizes)), sizes)
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     i = np.arange(spec.dim)

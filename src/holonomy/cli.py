@@ -287,12 +287,8 @@ def _report_row(path: str) -> dict:
 
 
 def _error_row(path: str, error: str) -> dict:
-    return {
-        "file": Path(path).name, "n": "", "partition": "", "signs": "",
-        "dim_gL": "", "berger": "", "realize": "", "probe_rank": "",
-        "probe_residual": "", "verdict": "error",
-        "error": " ".join(error.split()),  # one line, one table cell
-    }
+    return {**dict.fromkeys(_COLUMNS, ""), "file": Path(path).name, "verdict": "error",
+            "error": " ".join(error.split())}  # one line, one table cell
 
 
 def _flag(stage: dict) -> str:

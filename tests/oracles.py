@@ -202,7 +202,7 @@ def true_L(pair: CanonicalPair, spec: PencilSpec) -> np.ndarray:
     read from ``spec``, the spec the pair was built from."""
     L = fractions(relabeled_L(pair))
     for i, k in enumerate(pair.label):
-        L[i, i] = spec.eigens[k].lam
+        L[i, i] = spec.lams[k]
     return L
 
 

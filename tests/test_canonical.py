@@ -16,7 +16,7 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
-from holonomy.canonical import MAX_RATIONAL_LEN, BlockSpec, CanonicalPair, layout_to_json
+from holonomy.canonical import MAX_RATIONAL_LEN, CanonicalPair, layout_to_json
 from holonomy.exactla import rank, times_L
 
 from helpers import all_blocks, dense_g, mat, pair_of
@@ -130,9 +130,37 @@ def test_degenerate_g_reported():
     assert validate_pair(pair) == ("g is not a signed involution: bad index 1",)
 
 
-def test_duplicate_eigenvalues_rejected():
-    with pytest.raises(InvalidSpecError):
-        make_pencil([(0, [(1, 1)]), (0, [(2, 1)])])
+def _eig(lam, *blocks):
+    return {"lambda": lam, "blocks": [{"size": size, "sign": sign} for size, sign in blocks]}
+
+
+# a dict is a JSON spec, a list make_pencil's input; blocks are checked per
+# eigenvalue in input order, then the sorted spec for eigenvalues, duplicates
+# and dimension, so of two faults the first one met is reported
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({"eigenvalues": []}, "spec needs at least one eigenvalue", id="no-eigenvalue"),
+    pytest.param({"eigenvalues": [_eig("0")]}, "eigenvalue needs at least one block",
+                 id="no-block"),
+    pytest.param({"eigenvalues": [_eig("0", (1, 1)), _eig("0/5", (2, 1))]},
+                 "duplicate eigenvalues", id="duplicate"),
+    pytest.param([(0, [(1, 1)]), (0, [(2, 1)])], "duplicate eigenvalues",
+                 id="duplicate-make_pencil"),
+    pytest.param({"eigenvalues": [_eig("0", (24, 1)), _eig("1", (1, -1))]},
+                 "dimension 25 exceeds the maximum 24", id="dimension-25"),
+    pytest.param({"eigenvalues": [_eig("0", (1, 1), (0, 1))]},
+                 "block size must be an integer >= 1, got 0", id="bad-size"),
+    pytest.param({"eigenvalues": [_eig("0", (2, 1), (1, 2))]},
+                 "block sign must be the integer 1 or -1, got 2", id="bad-sign"),
+    pytest.param({"eigenvalues": [_eig("1", (0, 1)), _eig("0")]},
+                 "block size must be an integer >= 1, got 0", id="bad-size-then-no-block"),
+    pytest.param({"eigenvalues": [_eig("1"), _eig("0", (0, 1))]},
+                 "eigenvalue needs at least one block", id="no-block-then-bad-size"),
+])
+def test_spec_refusal_message(spec, message):
+    parse = pencil_from_json if isinstance(spec, dict) else make_pencil
+    with pytest.raises(InvalidSpecError) as info:
+        parse(spec)
+    assert str(info.value) == message
 
 
 def test_complex_block_rejected():
@@ -159,8 +187,8 @@ def test_json_round_trip():
     ]}
     spec = pencil_from_json(json.dumps(doc))
     # normalization: eigenvalues ascending, blocks ascending by size
-    assert [e.lam for e in spec.eigens] == [Fraction(-1, 2), Fraction(0)]
-    assert [(b.size, b.sign) for b in spec.eigens[0].blocks] == [(1, 1), (2, -1)]
+    assert spec.lams == (Fraction(-1, 2), Fraction(0))
+    assert spec.blocks[0] == ((1, 1), (2, -1))
     again = pencil_from_json(pencil_to_json(spec))
     assert again == spec
 
@@ -194,14 +222,14 @@ def test_json_errors():
         assert message.endswith(", got " + repr(value)[:MAX_RATIONAL_LEN])
         assert len(message) < 2 * MAX_RATIONAL_LEN
     # an int past Python's int-to-str digit limit has no repr: its bit length is shown
-    for make in (lambda sign: BlockSpec(1, sign),
+    for make in (lambda sign: make_pencil([(0, [(1, sign)])]),
                  lambda sign: pencil_from_json(
                      {"eigenvalues": [{"lambda": "0", "blocks": [{"size": 1, "sign": sign}]}]})):
         with pytest.raises(InvalidSpecError, match="^block sign must be the integer 1 or -1, "
                                                    "got an int of 16610 bits$"):
             make(10 ** 5000)
     with pytest.raises(InvalidSpecError, match="got an unprintable value$"):
-        BlockSpec(1, [10 ** 5000])
+        make_pencil([(0, [(1, [10 ** 5000])])])
 
 
 def test_nilpotency_and_block_determinants():

@@ -185,9 +185,9 @@ def test_verify_spec_size_caps(tmp_path, capsys, monkeypatch):
 
     # longer eigenvalue or block lists are refused before any block is built
     def no_block(*args, **kwargs):
-        raise AssertionError("a BlockSpec was built")
+        raise AssertionError("a block was checked")
 
-    monkeypatch.setattr(canonical, "BlockSpec", no_block)
+    monkeypatch.setattr(canonical, "_block", no_block)
     block = {"size": 1, "sign": 1}
     eigens = {"eigenvalues": [{"lambda": str(k), "blocks": [block]} for k in range(MAX_DIM + 1)]}
     assert "eigenvalues exceed" in _refused(write_spec(tmp_path, "eigens.json", eigens), capsys)
