@@ -265,6 +265,8 @@ def _report_row(path: str) -> dict:
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         return _error_row(path, str(exc))
     try:
+        if doc.get("error") is not None:  # a refused spec: its message is the row
+            return _error_row(path, str(doc["error"]))
         n, partition, signs = _spec_pattern(doc.get("spec", {}))
         stages = doc.get("stages", {})
         berger = stages.get("berger", {})

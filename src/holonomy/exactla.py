@@ -11,11 +11,11 @@ one entry check: every integer array or denominator entering the exact
 core must lie within C = ``ENTRY_CAP`` in absolute value, else ValueError.
 numpy holds fewer than 2**60 int64 entries in one array, so n < 2**15 for
 the metric's (n, n, n, n) numerator, and no partial sum reaches 2**63: the
-largest are n^3 C < 2**61 (the invertibility bound) and 6C (the Riemann
-routes), and a product with L adds at most two terms (``times_L``), so
-2C(C + 1) < 2**35 (covariant constancy) and C(C + 1) ([R(X), L]).  Legal
-specs are far below the cap: the relabeled L has entries at most 23, the
-metric's numerator at most 1 over 2.
+largest are n^3 C < 2**61 (the invertibility bound), 3C (a raised
+Christoffel entry) and 6C (a Riemann route), and a product with L adds at
+most two terms (``times_L``), so 2C(C + 1) < 2**35 (covariant constancy)
+and C(C + 1) ([R(X), L]).  Legal specs are far below the cap: the relabeled L
+has entries at most 23, the metric's numerator at most 1 over 2.
 
 Rank and pivot columns come from one elimination: each column, read once
 as a sparse vector of Python ints, is inserted into an echelon basis keyed

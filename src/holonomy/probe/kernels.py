@@ -1,11 +1,11 @@
 """Hot float kernel: batched RK4 parallel transport along polylines.
 
 Array conventions (all float64):
-    mats  (2, n^2, n^2)    g0 B and g0 C from ``contraction_matrices``: B and
-                           its Christoffel combination C with index i
-                           raised by ``exactla.times_g``; the rows
-                           (i, j) of g0 B with i > j are zero, so that
-                           g0 g(x) is upper triangular
+    mats  (2, n^2, n^2)    g0 B and g0 C, C the Christoffel combination of
+                           B, as rows (i, j): ``QuadraticMetric.raised``
+                           cast and divided by den (``FloatMetric``); the
+                           rows of g0 B with i > j are zero, so that g0 g(x)
+                           is upper triangular
     verts (L, V, n)        L polylines of V vertices each, transported together
     steps int              RK4 steps N on every segment of nonzero length, even
                            and at least 2; a segment of length 0 is the identity
@@ -39,23 +39,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exactla import times_g
-
 # Floats in one batch's node array m (a batch holds at least one segment),
 # and in one batch's gathered loop increments (at least one loop).  Beyond
 # one (n, n) increment per distinct segment and per loop, this bounds the
 # working set, so peak memory does not grow with the loop count.
 NODE_BUDGET = 1 << 17
-
-
-def contraction_matrices(B, involution):
-    """g0 B and g0 C, C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q], each
-    as an (n^2, n^2) matrix with rows (k, c), so that the polynomial terms
-    along segments are GEMMs.  g0 is the signed ``involution`` of
-    ``exactla.check_involution``, so raising k is the exact ``times_g``."""
-    n = B.shape[0]
-    C = B + B.transpose(0, 2, 1, 3) - B.transpose(2, 1, 0, 3)
-    return times_g(np.stack([B, C]), involution, 1).reshape(2, n * n, n * n)
 
 
 def segment_terms(mats, a, v):
@@ -148,7 +136,7 @@ def _batches(total, per_item):
 
 def transport_polyline(mats, verts, steps):
     """Parallel transport along L polylines at once, for the raised
-    contraction matrices ``mats`` of ``contraction_matrices``.
+    contraction matrices ``mats`` of ``FloatMetric``.
 
     Every segment of nonzero length takes ``steps`` fixed RK4 steps, an even
     count N of at least 2; a segment of length 0 is the identity.  Returns

@@ -76,9 +76,10 @@ class FloatMetric:
     """Float64 view of a checked ``QuadraticMetric`` ``qm``, made once per probe run.
 
     ``involution`` is qm's g0 as ``(perm, sign)``, never a dense matrix, and
-    ``mats`` the kernel's raised contraction matrices of B = num / den.  The
-    raised tensor g0 B must vanish at every (i, j, p, q) with i > j, so that
-    g0 g(x) is upper triangular; any other metric is refused with
+    ``mats`` the kernel's contraction matrices: qm's exact ``raised`` pair
+    g0 B and g0 C, cast and divided by den once.  The raised tensor g0 B
+    must vanish at every (i, j, p, q) with i > j, so that g0 g(x) is upper
+    triangular, decided on the exact pair; any other metric is refused with
     ``ValueError`` naming its first such entry.  ``bound`` is the exact
     invertibility constant c, which certifies the loops the probe may transport.
     """
@@ -88,13 +89,12 @@ class FloatMetric:
     def __init__(self, qm: QuadraticMetric) -> None:
         self.involution, self.n = qm.involution, qm.n
         self.bound = invertibility_bound(qm)
-        self.mats = kernels.contraction_matrices(qm.num.astype(np.float64) / qm.den, qm.involution)
-        raised = self.mats[0].reshape((self.n,) * 4)
         lower = np.tri(self.n, k=-1, dtype=bool)[:, :, None, None]
-        at = first_mismatch(np.where(lower, raised, 0.0), np.zeros_like(raised))
+        at = first_mismatch(np.where(lower, qm.raised[0], 0), 0)
         if at is not None:
             raise ValueError(f"g0 B has a nonzero entry below the diagonal at {at}: "
                              f"g0 g(x) is not upper triangular")
+        self.mats = qm.raised.reshape(2, self.n ** 2, self.n ** 2) / qm.den
 
     def certifies(self, extent: float) -> bool:
         """Exactly: is g(x) invertible for every |x|_inf <= extent?  An

@@ -6,19 +6,22 @@ the 0/1 mask over the pairs of Jordan blocks of one eigenvalue
 so the metric is a product across eigenvalues.
 
 The lowered tensor is one (n, n, n, n) int64 array over one common
-denominator (the ``exactla`` format).  Every exact check on it (symmetry,
-covariant constancy, g(x)-symmetry, both Riemann routes) is an int64 numpy
-contraction with no index loop, which ``exactla.capped`` keeps from
-wrapping around.  Nothing is inverted: g0 is held as its signed involution
-``(perm, sign)`` (``exactla.check_involution``), so every product with it
-is the gather ``exactla.times_g``, and L is the pair's relabeled L, so
-every product with it is ``exactla.times_L``.
+denominator (the ``exactla`` format), and its Christoffel combination C is
+formed once, raised, as ``QuadraticMetric.raised``: the second Riemann
+route reads it, and the float probe casts it.  Every exact check on them
+(symmetry, covariant constancy, g(x)-symmetry, both Riemann routes) is an
+int64 numpy contraction with no index loop, which ``exactla.capped`` keeps
+from wrapping around.  Nothing is inverted: g0 is held as its signed
+involution ``(perm, sign)`` (``exactla.check_involution``), so every
+product with it is the gather ``exactla.times_g``, and L is the pair's
+relabeled L, so every product with it is ``exactla.times_L``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +62,15 @@ class QuadraticMetric:
     @property
     def n(self) -> int:
         return len(self.involution[0])
+
+    @cached_property
+    def raised(self) -> np.ndarray:
+        """g0 B and g0 C over ``den``, (2, n, n, n, n), for the Christoffel
+        combination C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q]:
+        route two of ``riemann_at_origin`` and ``FloatMetric`` read it."""
+        b = self.num
+        return times_g(np.stack([b, b + b.transpose(0, 2, 1, 3) - b.transpose(2, 1, 0, 3)]),
+                       self.involution, 1)
 
 
 def lower_B(t: np.ndarray, involution: tuple) -> QuadraticMetric:
@@ -124,31 +136,27 @@ def check_gsym(qm: QuadraticMetric, pair: CanonicalPair) -> bool:
 def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     """Curvature operator of the metric at x = 0, via two exact routes, as
     ``(num, den)`` in the ``exactla`` format: num[k] / den is the image of
-    wedge(e_i, e_j) for the k-th pair of ``wedge_index``.
+    wedge(e_i, e_j) for the k-th pair (a, b) of ``wedge_index``.
 
     Route one contracts the lowered tensor directly:
         R^i_{k ab} = g^{is} (B_{bs,ak} + B_{ak,bs} - B_{bk,as} - B_{as,bk}).
     Route two assembles first derivatives of the Christoffel symbols at 0
     (the symbols vanish there, so the quadratic terms drop):
-        R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}.
-    Both routes read g^{-1} as g0, a signed involution, so each sum over s
-    is a ``times_g``; the routes must agree entry for entry, and a mismatch raises.
+        R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak},
+    with d_a Gamma^i_{bk} = (g0 C)[i, k, b, a] read off ``qm.raised``, which
+    the float probe transports with.  Both read g^{-1} as g0, so each sum over
+    s is a ``times_g``; both run on the wedge pairs only, and must agree
+    entry for entry, else a mismatch raises.
     """
-    b = qm.num  # a route adds at most 4 or 2 * 3 entries
-    # direct[a, b, i, k] and dgamma[a, i, b, k] = d_a Gamma^i_{bk}, both
-    # scaled by qm.den; the sum g^{is} x_s is ``times_g`` on the i axis
-    direct = (np.einsum("bsak->absk", b) + np.einsum("akbs->absk", b)
-              - np.einsum("bkas->absk", b) - np.einsum("asbk->absk", b))
-    direct = times_g(direct, qm.involution, 2)
-    dgamma = np.einsum("skba->asbk", b) + np.einsum("sbka->asbk", b) - np.einsum("bksa->asbk", b)
-    dgamma = times_g(dgamma, qm.involution, 1)
-    via_gamma = np.einsum("aibk->abik", dgamma) - np.einsum("biak->abik", dgamma)
-
     rows, cols = wedge_index(qm.n)
-    at = first_mismatch(direct[rows, cols], via_gamma[rows, cols])
+    # d[w, s, k] = B_{bs,ak} - B_{as,bk} at the w-th (a, b); route one adds -d^T
+    d = qm.num[cols, :, rows, :] - qm.num[rows, :, cols, :]
+    direct = times_g(d - d.transpose(0, 2, 1), qm.involution, 1)
+    c = qm.raised[1].transpose(3, 2, 0, 1)  # c[a, b, i, k] = d_a Gamma^i_{bk}
+    at = first_mismatch(direct, c[rows, cols] - c[cols, rows])
     if at is not None:
         raise RealizationError(f"curvature routes disagree on wedge ({rows[at[0]]}, {cols[at[0]]})")
-    return direct[rows, cols], qm.den
+    return direct, qm.den
 
 
 @dataclass(frozen=True)

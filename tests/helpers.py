@@ -34,6 +34,39 @@ N24_BLOCKS = [(1, 1), (2, -1), (2, 1), (3, 1), (4, -1), (5, 1), (7, 1)]
 ONES24_BLOCKS = [(1, 1)] * 12 + [(1, -1)] * 12
 
 
+def eigenvalue_entry(lam, *blocks):
+    """One entry of a JSON spec's eigenvalue list, blocks as (size, sign)."""
+    return {"lambda": lam, "blocks": [{"size": size, "sign": sign} for size, sign in blocks]}
+
+
+# Refused specs as (id, spec, message): a dict is a JSON spec, a list
+# make_pencil's input; blocks are checked per eigenvalue in input order, then
+# the sorted spec for eigenvalues, duplicates and dimension, so of two faults
+# the first one met is reported.
+SPEC_REFUSALS = [
+    ("no-eigenvalue", {"eigenvalues": []}, "spec needs at least one eigenvalue"),
+    ("no-block", {"eigenvalues": [eigenvalue_entry("0")]},
+     "eigenvalue needs at least one block"),
+    ("duplicate",
+     {"eigenvalues": [eigenvalue_entry("0", (1, 1)), eigenvalue_entry("0/5", (2, 1))]},
+     "duplicate eigenvalues"),
+    ("duplicate-make_pencil", [(0, [(1, 1)]), (0, [(2, 1)])], "duplicate eigenvalues"),
+    ("dimension-25",
+     {"eigenvalues": [eigenvalue_entry("0", (24, 1)), eigenvalue_entry("1", (1, -1))]},
+     "dimension 25 exceeds the maximum 24"),
+    ("bad-size", {"eigenvalues": [eigenvalue_entry("0", (1, 1), (0, 1))]},
+     "block size must be an integer >= 1, got 0"),
+    ("bad-sign", {"eigenvalues": [eigenvalue_entry("0", (2, 1), (1, 2))]},
+     "block sign must be the integer 1 or -1, got 2"),
+    ("bad-size-then-no-block",
+     {"eigenvalues": [eigenvalue_entry("1", (0, 1)), eigenvalue_entry("0")]},
+     "block size must be an integer >= 1, got 0"),
+    ("no-block-then-bad-size",
+     {"eigenvalues": [eigenvalue_entry("1"), eigenvalue_entry("0", (0, 1))]},
+     "eigenvalue needs at least one block"),
+]
+
+
 def spec_of(blocks, lam=0):
     """The spec of a single eigenvalue with the given (size, sign) blocks."""
     return make_pencil([(Fraction(lam), blocks)])

@@ -27,9 +27,10 @@ maps are passed as their values, with a denominator where an oracle
 divides and g where it multiplies; ``wedge_tags`` is the reference order of
 those values, and no oracle reads the package's ``wedge_index``, so the
 references do not depend on the code they check.  The float helpers
-evaluate the metric and its Christoffel symbols at one point, and
-``transport_polyline_ref`` is the earlier sequential RK4 transport (one
-polyline, three Christoffel evaluations per step).  ``standard_loops_ref``
+evaluate the metric and its Christoffel symbols at one point,
+``contraction_matrices_ref`` is the kernel's earlier float contraction of
+B, and ``transport_polyline_ref`` is the earlier sequential RK4 transport
+(one polyline, three Christoffel evaluations per step).  ``standard_loops_ref``
 is the earlier per-loop construction of the standard loop family.
 """
 
@@ -830,6 +831,16 @@ def standard_loops_ref(n: int, seed: int = 0) -> list:
 def float_parts(qm: QuadraticMetric) -> tuple:
     """The dense float64 g0 and B = num / den of a quadratic metric."""
     return dense_g(qm.involution).astype(np.float64), qm.num.astype(np.float64) / qm.den
+
+
+def contraction_matrices_ref(qm: QuadraticMetric) -> np.ndarray:
+    """The probe kernel's matrices g0 B and g0 C as the kernel once formed
+    them, in float64: C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q] for
+    B = num / den, raised by the dense g0, each an (n^2, n^2) matrix with
+    rows (k, c)."""
+    g0, B = float_parts(qm)
+    C = B + B.transpose(0, 2, 1, 3) - B.transpose(2, 1, 0, 3)
+    return np.einsum("ks,xs...->xk...", g0, np.stack([B, C])).reshape(2, qm.n ** 2, qm.n ** 2)
 
 
 def metric_value(qm: QuadraticMetric, x) -> np.ndarray:

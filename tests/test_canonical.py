@@ -19,7 +19,7 @@ from holonomy import (
 from holonomy.canonical import MAX_RATIONAL_LEN, CanonicalPair, layout_to_json
 from holonomy.exactla import rank, times_L
 
-from helpers import all_blocks, dense_g, mat, pair_of
+from helpers import SPEC_REFUSALS, all_blocks, dense_g, mat, pair_of
 from oracles import relabeled_L, true_L
 
 
@@ -130,32 +130,8 @@ def test_degenerate_g_reported():
     assert validate_pair(pair) == ("g is not a signed involution: bad index 1",)
 
 
-def _eig(lam, *blocks):
-    return {"lambda": lam, "blocks": [{"size": size, "sign": sign} for size, sign in blocks]}
-
-
-# a dict is a JSON spec, a list make_pencil's input; blocks are checked per
-# eigenvalue in input order, then the sorted spec for eigenvalues, duplicates
-# and dimension, so of two faults the first one met is reported
-@pytest.mark.parametrize("spec, message", [
-    pytest.param({"eigenvalues": []}, "spec needs at least one eigenvalue", id="no-eigenvalue"),
-    pytest.param({"eigenvalues": [_eig("0")]}, "eigenvalue needs at least one block",
-                 id="no-block"),
-    pytest.param({"eigenvalues": [_eig("0", (1, 1)), _eig("0/5", (2, 1))]},
-                 "duplicate eigenvalues", id="duplicate"),
-    pytest.param([(0, [(1, 1)]), (0, [(2, 1)])], "duplicate eigenvalues",
-                 id="duplicate-make_pencil"),
-    pytest.param({"eigenvalues": [_eig("0", (24, 1)), _eig("1", (1, -1))]},
-                 "dimension 25 exceeds the maximum 24", id="dimension-25"),
-    pytest.param({"eigenvalues": [_eig("0", (1, 1), (0, 1))]},
-                 "block size must be an integer >= 1, got 0", id="bad-size"),
-    pytest.param({"eigenvalues": [_eig("0", (2, 1), (1, 2))]},
-                 "block sign must be the integer 1 or -1, got 2", id="bad-sign"),
-    pytest.param({"eigenvalues": [_eig("1", (0, 1)), _eig("0")]},
-                 "block size must be an integer >= 1, got 0", id="bad-size-then-no-block"),
-    pytest.param({"eigenvalues": [_eig("1"), _eig("0", (0, 1))]},
-                 "eigenvalue needs at least one block", id="no-block-then-bad-size"),
-])
+@pytest.mark.parametrize("spec, message", [pytest.param(spec, message, id=name)
+                                            for name, spec, message in SPEC_REFUSALS])
 def test_spec_refusal_message(spec, message):
     parse = pencil_from_json if isinstance(spec, dict) else make_pencil
     with pytest.raises(InvalidSpecError) as info:

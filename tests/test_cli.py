@@ -1,6 +1,7 @@
 """CLI pipeline, corpus enumeration, and report summarization."""
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -17,6 +18,8 @@ from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_
 from holonomy.cli import ALL_STAGES, MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
+import exact_digest
+from helpers import SPEC_REFUSALS
 from oracles import wedge_tags
 
 
@@ -287,10 +290,21 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     counts = _count_calls(monkeypatch, ((holonomy.berger, "block_tensor"),
                                         (holonomy.berger, "r_formal"),
                                         (holonomy.realize, "lower_B")))
+    # the raised Christoffel pair is formed once, for the realize and probe stages
+    build = holonomy.realize.QuadraticMetric.raised.func
+
+    def raised(qm):
+        counts["raised"] += 1
+        return build(qm)
+
+    counted = functools.cached_property(raised)
+    counted.__set_name__(holonomy.realize.QuadraticMetric, "raised")
+    monkeypatch.setattr(holonomy.realize.QuadraticMetric, "raised", counted)
+    counts["raised"] = 0
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec)))
     assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
-    assert counts == {"block_tensor": 1, "r_formal": 1, "lower_B": 1}
+    assert counts == {"block_tensor": 1, "r_formal": 1, "lower_B": 1, "raised": 1}
 
 
 @pytest.mark.parametrize("stages, checks", [(("berger",), 1), (ALL_STAGES, 3)], ids=["berger", "all"])
@@ -500,6 +514,14 @@ def test_corpus_count_max_n_12():
     assert len(iter_corpus_specs(12)) == 1579
 
 
+def test_exact_stage_reports_match_the_committed_digest(tmp_path):
+    # the exact-stage stdout of all 1579 corpus specs and of CI's six specs,
+    # byte for byte; a change that alters it on purpose regenerates the
+    # digest (tests/exact_digest.py --write) and says so
+    found = exact_digest.digest(tmp_path)
+    assert found == exact_digest.DIGEST_FILE.read_text(encoding="ascii").strip()
+
+
 def test_report_summary(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     out = tmp_path / "report.json"
@@ -554,6 +576,24 @@ def test_report_empty_and_errors(tmp_path, capsys):
         assert csv_row["error"] == row["error"]
         if k < 7:  # parsed as JSON, but not shaped like a report
             assert "not a verify report" in row["error"]
+
+
+def test_report_shows_a_refused_spec_as_its_message(tmp_path, capsys):
+    # verify writes a refused spec's report as {"error": message}; its
+    # report row is an error row carrying that message, as for an unreadable file
+    refusals = {}
+    for name, spec, message in SPEC_REFUSALS:
+        if isinstance(spec, dict):
+            path = write_spec(tmp_path, f"{name}.json", spec)
+            assert main(["verify", "--input", str(path)]) == 2
+            (tmp_path / f"{name}.out.json").write_text(capsys.readouterr().out)
+            refusals[f"{name}.out.json"] = message
+    assert len(refusals) == len(SPEC_REFUSALS) - 1
+    assert main(["report", *(str(tmp_path / name) for name in refusals)]) == 1
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    rows = [dict(zip(header.split("\t"), r.split("\t"))) for r in rows]
+    assert {r["file"]: r["error"] for r in rows} == refusals
+    assert all(r["verdict"] == "error" and r["n"] == "" for r in rows)
 
 
 def test_report_refuses_a_file_past_the_size_cap(tmp_path, capsys):

@@ -25,6 +25,7 @@ from holonomy.realize import QuadraticMetric, check_nablaL, invertibility_bound,
 
 from helpers import (
     N24_BLOCKS,
+    ONES24_BLOCKS,
     PROBE_SPECS,
     TWO_EIGENVALUE_SPECS,
     certificate,
@@ -40,6 +41,7 @@ from helpers import (
 )
 from oracles import (
     christoffel,
+    contraction_matrices_ref,
     float_parts,
     metric_at,
     metric_value,
@@ -635,6 +637,20 @@ def test_raised_metric_is_upper_triangular():
         assert not raised[rows, cols].any(), pair.block
         fm = FloatMetric(qm)
         assert np.array_equal(fm.mats[0].reshape((pair.n,) * 4), raised / qm.den)
+
+
+def test_kernel_matrices_are_the_cast_of_the_exact_raised_pair():
+    # the probe forms no Christoffel combination of its own: its matrices
+    # are the exact pair cast once, bit for bit the float64 formula
+    pairs = [build_canonical(pencil_from_json(doc)) for _, doc in iter_corpus_specs(7)]
+    pairs += [build_canonical(make_pencil(spec)) for spec in TWO_EIGENVALUE_SPECS]
+    pairs += [pair_of(N24_BLOCKS, Fraction(-1, 3)), pair_of(ONES24_BLOCKS)]
+    assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 2
+    for pair in pairs:
+        qm = lower_B(pair.block_tensor, pair.involution)
+        assert qm.raised.dtype == np.int64
+        mats, ref = FloatMetric(qm).mats, contraction_matrices_ref(qm)
+        assert mats.shape == ref.shape and mats.tobytes() == ref.tobytes(), pair.block
 
 
 def test_metric_that_is_not_upper_triangular_is_refused():

@@ -21,7 +21,7 @@ from holonomy import (
 from holonomy.cli import RunConfig, cmd_verify
 from holonomy.berger import check_bianchi, check_sectional
 from holonomy.canonical import CanonicalPair
-from holonomy.exactla import ENTRY_CAP, check_involution, rank
+from holonomy.exactla import ENTRY_CAP, check_involution, rank, times_g
 from holonomy.liealg import wedge_rows
 from holonomy.probe.transport import FloatMetric
 from holonomy.realize import (
@@ -34,7 +34,16 @@ from holonomy.realize import (
     validity_radius,
 )
 
-from helpers import TWO_EIGENVALUE_SPECS, dense_g, fractions, int_form, mat, pair_of, spec_of
+from helpers import (
+    N24_BLOCKS,
+    TWO_EIGENVALUE_SPECS,
+    dense_g,
+    fractions,
+    int_form,
+    mat,
+    pair_of,
+    spec_of,
+)
 from oracles import (
     b_apply,
     b_components,
@@ -254,6 +263,33 @@ def test_riemann_linear_in_coefficients():
     r1 = riemann_at_origin(qm)
     r2 = riemann_at_origin(doubled)
     assert np.array_equal(fractions(*r2), 2 * fractions(*r1))
+
+
+# C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q] and four slips in it;
+# B is symmetric in its first and in its last two indices, so each wrong
+# axis order below changes C
+CHRISTOFFEL = {
+    "control": lambda b: b + b.transpose(0, 2, 1, 3) - b.transpose(2, 1, 0, 3),
+    "third-term-dropped": lambda b: b + b.transpose(0, 2, 1, 3),
+    "third-term-sign": lambda b: b + b.transpose(0, 2, 1, 3) + b.transpose(2, 1, 0, 3),
+    "second-term-axes": lambda b: b + b.transpose(0, 3, 2, 1) - b.transpose(2, 1, 0, 3),
+    "third-term-axes": lambda b: b + b.transpose(0, 2, 1, 3) - b.transpose(2, 3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("formula", CHRISTOFFEL)
+def test_a_wrong_christoffel_combination_splits_the_routes(formula, monkeypatch):
+    # negative control: the second Riemann route and the float probe read
+    # the one raised C, so the exact routes check refuses a wrong C before
+    # the probe could transport with it
+    c = CHRISTOFFEL[formula]
+    monkeypatch.setattr(QuadraticMetric, "raised", property(
+        lambda qm: times_g(np.stack([qm.num, c(qm.num)]), qm.involution, 1)))
+    for blocks in ([(1, 1), (2, 1)], [(2, 1), (3, -1)], N24_BLOCKS, [(1, 1)] * 3 + [(1, -1)] * 2):
+        pair = pair_of(blocks)
+        report = verify_realization(pair, lower_B(pair.block_tensor, pair.involution),
+                                    r_formal(pair))
+        assert report.routes_agree is (formula == "control"), blocks
 
 
 def test_verify_realization():
