@@ -14,13 +14,12 @@ of g_L.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .canonical import CanonicalPair
 from .exactla import capped, pivot_columns, rank, times_L, times_g
-from .liealg import commutator_system, wedge_index
+from .liealg import commutator_system, wedge_index, wedge_mismatch
 
 
 def block_tensor(pair: CanonicalPair) -> np.ndarray:
@@ -68,20 +67,14 @@ def r_formal(pair: CanonicalPair) -> np.ndarray:
     return tg[rows, cols] - tg[cols, rows]
 
 
-@dataclass(frozen=True)
-class BianchiReport:
-    ok: bool
-    witness: Optional[tuple]  # (i, j, k) with the largest violation
-    max_violation: int  # in the units of the values
-
-
-def check_bianchi(values: np.ndarray) -> BianchiReport:
+def check_bianchi(values: np.ndarray) -> tuple | None:
     """Exhaustive first-Bianchi check over standard basis vector triples.
 
     Multilinearity makes basis triples sufficient; triples with repeated
     indices are included (they cost nothing and must vanish identically).
-    The witness is the first (i, j, k), i < j, in lexicographic order that
-    attains the largest violation max_r |R(e_i, e_j) e_k + cyclic|_r.
+    Returns None when R(e_i, e_j) e_k + cyclic vanishes on every triple,
+    else the witness: the first (i, j, k), i < j, in lexicographic order
+    where it does not.
     """
     vals, = capped(values)
     n = vals.shape[1]
@@ -90,52 +83,49 @@ def check_bianchi(values: np.ndarray) -> BianchiReport:
     rows, cols = wedge_index(n)  # (i, j), i < j, in lexicographic order
     full[rows, cols] = vals
     full[cols, rows] = -vals
-    cyclic = (np.einsum("ijrk->ijkr", full) + np.einsum("jkri->ijkr", full)
-              + np.einsum("kirj->ijkr", full))
-    bad = list(np.abs(cyclic).max(axis=3)[rows, cols].flat)
-    worst = int(max(bad, default=0))
-    if not worst:
-        return BianchiReport(True, None, 0)
-    w, k = divmod(bad.index(worst), n)
-    return BianchiReport(False, (int(rows[w]), int(cols[w]), k), worst)
+    # cyclic[w, k, r]: entry r of R(e_i, e_j) e_k + cyclic at the w-th (i, j)
+    cyclic = vals.transpose(0, 2, 1) + full[cols, :, :, rows] + full[:, rows, :, cols]
+    at = wedge_mismatch(cyclic, 0)  # (i, j, k, r)
+    return None if at is None else at[:3]
 
 
-def check_sectional(values: np.ndarray, pair: CanonicalPair) -> bool:
+def check_sectional(values: np.ndarray, pair: CanonicalPair) -> tuple | None:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element, for the
-    pair's g and L: g R(X) = -(R(X)^T g) = -(g R(X))^T, with g R(X) a
-    ``times_g``, and R(X) L = L R(X), each side a ``times_L``.
+    pair's g and L: R(X) L = L R(X), each side a ``times_L``, and
+    g R(X) = -(R(X)^T g) = -(g R(X))^T, with g R(X) a ``times_g``.
 
-    Both conditions are linear in R, so the numerators decide them.
+    Both conditions are linear in R, so the numerators decide them.  Returns
+    None when both hold, else the witness (i, j, r, c): the wedge (i, j) and
+    the entry (r, c) of R L - L R, or, when R commutes with L on every
+    wedge, of g R + (g R)^T, the first in lexicographic order.
     """
     vals, = capped(values)
     gv = times_g(vals, pair.involution, 1)
-    return bool((times_L(vals, pair, 2, transpose=True) == times_L(vals, pair, 1)).all()
-                and (gv == -gv.transpose(0, 2, 1)).all())
+    at = wedge_mismatch(times_L(vals, pair, 2, transpose=True), times_L(vals, pair, 1))
+    return at if at is not None else wedge_mismatch(gv, -gv.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
 class BergerCertificate:
     dim_gL: int
     image_rank: int
-    bianchi_ok: bool
-    containment_ok: bool
+    bianchi_witness: tuple | None  # None when it passes, else ``check_bianchi``'s witness
+    containment_witness: tuple | None  # the same for ``check_sectional``
     witnesses: tuple  # of (i, j), i < j, whose images span the image
     # basis[k] is the image of witnesses[k]: a basis of g_L when the certificate passes
     basis: np.ndarray = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
-        return self.bianchi_ok and self.containment_ok and self.image_rank == self.dim_gL
+        return (self.bianchi_witness is None and self.containment_witness is None
+                and self.image_rank == self.dim_gL)
 
     def to_json(self) -> dict:
-        return {
-            "dim_gL": self.dim_gL,
-            "image_rank": self.image_rank,
-            "bianchi_ok": self.bianchi_ok,
-            "containment_ok": self.containment_ok,
-            "witnesses": [list(t) for t in self.witnesses],
-            "passed": self.passed,
-        }
+        b, c = self.bianchi_witness, self.containment_witness
+        return {"dim_gL": self.dim_gL, "image_rank": self.image_rank,
+                "bianchi_ok": b is None, "bianchi_witness": b and list(b),
+                "containment_ok": c is None, "containment_witness": c and list(c),
+                "witnesses": [list(t) for t in self.witnesses], "passed": self.passed}
 
 
 def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> BergerCertificate:
@@ -152,7 +142,7 @@ def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> BergerCertifica
     dim_gL = system.shape[1] - rank(system)
     pivots = pivot_columns(rmap.reshape(len(rmap), pair.n ** 2).T)
     rows, cols = wedge_index(pair.n)
-    return BergerCertificate(dim_gL, len(pivots), check_bianchi(rmap).ok,
+    return BergerCertificate(dim_gL, len(pivots), check_bianchi(rmap),
                              check_sectional(rmap, pair),
                              tuple((int(rows[k]), int(cols[k])) for k in pivots),
                              rmap[pivots])

@@ -121,9 +121,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     qm = lower_B(pair.block_tensor, pair.involution) if wanted & {"realize", "probe"} else None
     timings = [("shared", time.perf_counter() - started)]
 
-    for stage in ALL_STAGES:
-        if stage not in wanted:
-            continue
+    for stage in report["config"]["stages"]:
         started = time.perf_counter()
         if stage == "canonical":
             report["stages"]["canonical"] = _stage_canonical(spec, pair)
@@ -271,6 +269,9 @@ def _report_row(path: str) -> dict:
         stages = doc.get("stages", {})
         berger = stages.get("berger", {})
         probe = stages.get("probe", {})
+        verdict = doc.get("verdict", "fail")
+        at = next((f"{s}.{k} {stages[s][k]}" for s, k in _WITNESSES
+                   if stages.get(s, {}).get(k) is not None), "")
         return {
             "file": Path(path).name,
             "n": n,
@@ -281,8 +282,8 @@ def _report_row(path: str) -> dict:
             "realize": _flag(stages.get("realize", {})),
             "probe_rank": probe.get("span_rank", ""),
             "probe_residual": probe.get("max_membership_residual", ""),
-            "verdict": doc.get("verdict", "fail"),
-            "error": "",
+            "verdict": verdict,
+            "error": "" if verdict == "pass" else " ".join(at.split()),  # one table cell
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a field of the wrong shape
         return _error_row(path, f"not a verify report: {exc!r}")
@@ -301,6 +302,9 @@ def _flag(stage: dict) -> str:
 
 _COLUMNS = ("file", "n", "partition", "signs", "dim_gL", "berger",
             "realize", "probe_rank", "probe_residual", "verdict", "error")
+# the exact checks in pipeline order: a failing report's error is its first witness
+_WITNESSES = [("berger", f"{c}_witness") for c in ("bianchi", "containment")] + [
+    ("realize", f"{c}_witness") for c in ("nablaL", "gsym", "routes", "formal")]
 
 
 def cmd_report(paths, csv_out: str = "") -> tuple:

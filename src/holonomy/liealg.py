@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .exactla import times_L, times_g
+from .exactla import first_mismatch, times_L, times_g
 
 
 @functools.cache
@@ -23,6 +23,15 @@ def wedge_index(n: int) -> tuple:
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+def wedge_mismatch(a: np.ndarray, b) -> tuple | None:
+    """``exactla.first_mismatch`` of a stack ``a`` in ``wedge_index`` order
+    (axis 0, for n = a.shape[1]) and ``b``, with the stack index replaced by
+    its pair: None, or (i, j, ...), lexicographically first."""
+    at = first_mismatch(a, b)
+    rows, cols = wedge_index(a.shape[1])
+    return at and (int(rows[at[0]]), int(cols[at[0]])) + at[1:]
 
 
 def wedge_rows(a: np.ndarray) -> np.ndarray:

@@ -256,8 +256,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
     a = d + np.eye(fm.n)
     m = times_g(a, fm.involution, 1).transpose(0, 2, 1) @ a  # A^T g0 A
-    perm, sign = fm.involution
-    m[:, np.arange(fm.n), perm] -= sign
+    m -= times_g(np.eye(fm.n), fm.involution, 0)  # the dense g0, formed once
     drift = np.linalg.norm(m, axis=(1, 2))
 
     norms = np.linalg.norm(psi, axis=1)

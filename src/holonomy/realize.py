@@ -27,11 +27,11 @@ import numpy as np
 
 from .canonical import CanonicalPair
 from .exactla import capped, check_involution, first_mismatch, times_L, times_g
-from .liealg import wedge_index
+from .liealg import wedge_index, wedge_mismatch
 
 
 class RealizationError(RuntimeError):
-    """Internal consistency failure while building a metric."""
+    """A lowered tensor that is not symmetric, refused by ``lower_B``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +112,10 @@ def validity_radius(bound: Fraction) -> float:
     return float("inf") if bound == 0 else float(1 / bound) ** 0.5
 
 
-# The checks below are linear in B, so they run on num; each product with L is ``times_L``.
+# The checks below are linear in B, so they run on num; each product with L is
+# ``times_L``.  Each returns None, or its first failing index tuple (witness).
 
-def check_nablaL(qm: QuadraticMetric, pair: CanonicalPair) -> bool:
+def check_nablaL(qm: QuadraticMetric, pair: CanonicalPair) -> tuple | None:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
@@ -123,20 +124,20 @@ def check_nablaL(qm: QuadraticMetric, pair: CanonicalPair) -> bool:
     b = qm.num
     lhs = times_L(b - b.transpose(0, 2, 1, 3), pair, 2, transpose=True)
     rhs = times_L(b - b.transpose(2, 0, 1, 3), pair, 0, transpose=True)
-    return bool((lhs == rhs.transpose(1, 0, 2, 3)).all())
+    return first_mismatch(lhs, rhs.transpose(1, 0, 2, 3))
 
 
-def check_gsym(qm: QuadraticMetric, pair: CanonicalPair) -> bool:
+def check_gsym(qm: QuadraticMetric, pair: CanonicalPair) -> tuple | None:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j,
     that is, (L^T B_pq)[l, j] = sum_i L^i_l B_{ij,pq} is symmetric in (l, j)."""
     lb = times_L(qm.num, pair, 0, transpose=True)
-    return bool((lb == lb.transpose(1, 0, 2, 3)).all())
+    return first_mismatch(lb, lb.transpose(1, 0, 2, 3))
 
 
 def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     """Curvature operator of the metric at x = 0, via two exact routes, as
-    ``(num, den)`` in the ``exactla`` format: num[k] / den is the image of
-    wedge(e_i, e_j) for the k-th pair (a, b) of ``wedge_index``.
+    ``(num, den, routes_witness)``: route one's num[k] / den (``exactla``
+    format) is the image of wedge(e_a, e_b), (a, b) the k-th ``wedge_index`` pair.
 
     Route one contracts the lowered tensor directly:
         R^i_{k ab} = g^{is} (B_{bs,ak} + B_{ak,bs} - B_{bk,as} - B_{as,bk}).
@@ -145,33 +146,33 @@ def riemann_at_origin(qm: QuadraticMetric) -> tuple:
         R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak},
     with d_a Gamma^i_{bk} = (g0 C)[i, k, b, a] read off ``qm.raised``, which
     the float probe transports with.  Both read g^{-1} as g0, so each sum over
-    s is a ``times_g``; both run on the wedge pairs only, and must agree
-    entry for entry, else a mismatch raises.
+    s is a ``times_g``; both run on the wedge pairs only, and ``routes_witness``
+    is the first (a, b, i, k) where they differ, or None when they agree.
     """
     rows, cols = wedge_index(qm.n)
     # d[w, s, k] = B_{bs,ak} - B_{as,bk} at the w-th (a, b); route one adds -d^T
     d = qm.num[cols, :, rows, :] - qm.num[rows, :, cols, :]
     direct = times_g(d - d.transpose(0, 2, 1), qm.involution, 1)
     c = qm.raised[1].transpose(3, 2, 0, 1)  # c[a, b, i, k] = d_a Gamma^i_{bk}
-    at = first_mismatch(direct, c[rows, cols] - c[cols, rows])
-    if at is not None:
-        raise RealizationError(f"curvature routes disagree on wedge ({rows[at[0]]}, {cols[at[0]]})")
-    return direct, qm.den
+    return direct, qm.den, wedge_mismatch(direct, c[rows, cols] - c[cols, rows])
 
 
 @dataclass(frozen=True)
 class RealizationReport:
-    nablaL_ok: bool
-    gsym_ok: bool
-    routes_agree: bool
-    matches_formal: bool
+    nablaL_witness: tuple | None  # (i, p, k, q), ``check_nablaL``
+    gsym_witness: tuple | None  # (l, j, p, q), ``check_gsym``
+    routes_witness: tuple | None  # (a, b, i, k), ``riemann_at_origin``
+    formal_witness: tuple | None  # (a, b, i, k): route one against den * formal
 
     @property
     def ok(self) -> bool:
-        return self.nablaL_ok and self.gsym_ok and self.routes_agree and self.matches_formal
+        return all(at is None for at in vars(self).values())
 
     def to_json(self) -> dict:
-        return {**vars(self), "passed": self.ok}
+        flags = ("nablaL_ok", "gsym_ok", "routes_agree", "matches_formal")  # one per field
+        doc = {flag: at is None for flag, at in zip(flags, vars(self).values())}
+        return {**doc, **{key: at and list(at) for key, at in vars(self).items()},
+                "passed": self.ok}
 
 
 def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
@@ -180,13 +181,10 @@ def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
 
     ``qm`` is ``lower_B(pair.block_tensor, pair.involution)`` and
     ``formal`` the certified map ``r_formal(pair)``, both built once by the
-    caller; the metric's curvature ``(num, den)`` at the origin is computed
-    independently and matches when num == den * formal, value for value.
+    caller; the metric's curvature ``(num, den)`` at the origin, route one,
+    is computed independently and matches when num == den * formal, value
+    for value, whether or not route two agrees.
     """
-    try:
-        num, den = riemann_at_origin(qm)
-    except RealizationError:
-        num = None
-    matches = num is not None and np.array_equal(num, den * capped(formal)[0])
-    return RealizationReport(check_nablaL(qm, pair), check_gsym(qm, pair),
-                             num is not None, matches)
+    num, den, routes = riemann_at_origin(qm)
+    return RealizationReport(check_nablaL(qm, pair), check_gsym(qm, pair), routes,
+                             wedge_mismatch(num, den * capped(formal)[0]))

@@ -76,11 +76,16 @@ def _run(argv) -> str:
     return out.getvalue()
 
 
+def corpus(workdir: Path) -> list:
+    """The paths of the 1579 specs that ``holonomy corpus --max-n 12``
+    writes under ``workdir``, in corpus order."""
+    return _run(["corpus", "--max-n", "12", "--out", str(workdir / "corpus")]).split()
+
+
 def digest(workdir: Path) -> str:
     """Hex SHA-256 of the exact-stage stdout of every spec, in order; the
     corpus and CI's specs are written under ``workdir``."""
-    corpus = workdir / "corpus"
-    paths = _run(["corpus", "--max-n", "12", "--out", str(corpus)]).split()
+    paths = corpus(workdir)
     for name, eigenvalues in ci_specs():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps({"eigenvalues": eigenvalues}), encoding="utf-8")

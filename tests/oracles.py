@@ -21,7 +21,9 @@ block tensor summed term by term over ``block_terms`` from block-power
 matrices run on Fractions;
 the realization checks, the Riemann routes and the Bianchi and
 containment checks are linear in their inputs and run on Python-int
-numerators, the Riemann routes dividing once at the end.  Every product
+numerators, the Riemann routes dividing once at the end.  Each check
+oracle returns None when its check passes, else its witness, the first
+failing index tuple in the package's index order.  Every product
 with g here is a dense product, never the package's gather.  Curvature
 maps are passed as their values, with a denominator where an oracle
 divides and g where it multiplies; ``wedge_tags`` is the reference order of
@@ -41,11 +43,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from holonomy.berger import BianchiReport
 from holonomy.canonical import CanonicalPair, PencilSpec
 from holonomy.probe import transport
 from holonomy.probe.transport import SingularMetricError
-from holonomy.realize import QuadraticMetric, RealizationError
+from holonomy.realize import QuadraticMetric
 
 from helpers import all_blocks, dense_g, fractions, int_form
 
@@ -524,13 +525,14 @@ def metric_at(qm: QuadraticMetric, x: Sequence) -> np.ndarray:
     return np.array(e, dtype=object).reshape(n, n)
 
 
-def check_nablaL_ref(qm: QuadraticMetric, L) -> bool:
+def check_nablaL_ref(qm: QuadraticMetric, L) -> Optional[tuple]:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
     summed over b, for every (i, p, q, k).  Both sides are linear in B and
     in L (a matrix of ints or Fractions), so they run on the Python-int
-    numerators of both.
+    numerators of both.  Returns None, or the first (i, p, k, q) in that
+    loop order where the sides differ.
     """
     n = qm.n
     low = qm.num.tolist()
@@ -538,8 +540,8 @@ def check_nablaL_ref(qm: QuadraticMetric, L) -> bool:
     lnz = [[(b, L[b][c]) for b in range(n) if L[b][c]] for c in range(n)]
     for i in range(n):
         for p in range(n):
-            for q in range(n):
-                for k in range(n):
+            for k in range(n):
+                for q in range(n):
                     lhs = 0
                     for b, lv in lnz[k]:
                         t = low[i][p][b][q] - low[i][b][p][q]
@@ -551,19 +553,21 @@ def check_nablaL_ref(qm: QuadraticMetric, L) -> bool:
                         if t:
                             rhs += t * lv
                     if lhs != rhs:
-                        return False
-    return True
+                        return (i, p, k, q)
+    return None
 
 
-def check_gsym_ref(qm: QuadraticMetric, L) -> bool:
+def check_gsym_ref(qm: QuadraticMetric, L) -> Optional[tuple]:
     """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j,
-    on the Python-int numerators of B and L (both sides are linear in each)."""
+    on the Python-int numerators of B and L (both sides are linear in each).
+    Returns None, or the first (l, j, p, q) in that loop order where the
+    sides differ."""
     n = qm.n
     low = qm.num.tolist()
     L = int_form(L)[0].tolist()
     lnz = [[(i, L[i][c]) for i in range(n) if L[i][c]] for c in range(n)]
-    for j in range(n):
-        for l in range(n):
+    for l in range(n):
+        for j in range(n):
             for p in range(n):
                 for q in range(n):
                     lhs = 0
@@ -577,21 +581,22 @@ def check_gsym_ref(qm: QuadraticMetric, L) -> bool:
                         if t:
                             rhs += t * lv
                     if lhs != rhs:
-                        return False
-    return True
+                        return (l, j, p, q)
+    return None
 
 
-def riemann_at_origin_ref(qm: QuadraticMetric) -> np.ndarray:
+def riemann_at_origin_ref(qm: QuadraticMetric) -> tuple:
     """Curvature operator of the metric at x = 0, via two exact routes, as
-    an (m, n, n) array of Fractions in ``wedge_tags`` order.
+    ``(values, witness)``: route one's values, an (m, n, n) array of
+    Fractions in ``wedge_tags`` order, and None when the routes agree, else
+    the first (a, b, i, k) in that order where they differ.
 
     Route one contracts the lowered tensor directly:
         R^i_{k ab} = g^{is} (B_{bs,ak} + B_{ak,bs} - B_{bk,as} - B_{as,bk}).
     Route two assembles first derivatives of the Christoffel symbols at 0
     (the symbols vanish there, so the quadratic terms drop):
         R^i_{k ab} = d_a Gamma^i_{bk} - d_b Gamma^i_{ak}.
-    Both routes must agree entry for entry; a mismatch raises.  g^{-1} is
-    the Fraction inverse of g0; both routes run on the Python-int
+    g^{-1} is the Fraction inverse of g0; both routes run on the Python-int
     numerators of B and of g^{-1}, and the values are divided by the two
     denominators once at the end.
     """
@@ -628,29 +633,30 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> np.ndarray:
 
     tags = tuple(wedge_tags(n))
     values = []
+    witness = None
     for a, b in tags:
         direct = route_direct(a, b)
         via_gamma = route_christoffel(a, b)
-        if direct != via_gamma:
-            raise RealizationError(
-                f"curvature routes disagree on wedge ({a}, {b})")
+        for i in range(n):
+            for k in range(n):
+                if witness is None and direct[i][k] != via_gamma[i][k]:
+                    witness = (a, b, i, k)
         values.append(direct)
-    return fractions(np.array(values, dtype=object).reshape(len(tags), n, n), qm.den * gden)
+    values = np.array(values, dtype=object).reshape(len(tags), n, n)
+    return fractions(values, qm.den * gden), witness
 
 
-def check_bianchi_ref(values) -> BianchiReport:
+def check_bianchi_ref(values) -> Optional[tuple]:
     """Exhaustive first-Bianchi check over standard basis vector triples, on
     the map with integer values in ``wedge_tags`` order.
 
     Multilinearity makes basis triples sufficient; triples with repeated
     indices are included (they cost nothing and must vanish identically).
-    The check is linear in the values, so it runs on them as Python ints,
-    and the violation is in their units, as the package reports it.
+    The check is linear in the values, so it runs on them as Python ints.
+    Returns None, or the first (i, j, k), i < j, in lexicographic order
+    whose cyclic sum is nonzero.
     """
     n = values.shape[1]
-    ok = True
-    worst = 0
-    witness = None
     cols = {}
     for (i, j), v in zip(wedge_tags(n), np.asarray(values, dtype=object).tolist(), strict=True):
         for k in range(n):
@@ -666,34 +672,27 @@ def check_bianchi_ref(values) -> BianchiReport:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                c1 = col(i, j, k)
-                c2 = col(j, k, i)
-                c3 = col(k, i, j)
-                bad = 0
-                for a, b, c in zip(c1, c2, c3):
-                    s = a + b + c
-                    if s:
-                        bad = max(bad, abs(s))
-                if bad:
-                    ok = False
-                    if bad > worst:
-                        worst = bad
-                        witness = (i, j, k)
-    return BianchiReport(ok, witness, worst)
+                if any(a + b + c for a, b, c in zip(col(i, j, k), col(j, k, i), col(k, i, j))):
+                    return (i, j, k)
+    return None
 
 
-def check_sectional_ref(values, g, L) -> bool:
+def check_sectional_ref(values, g, L) -> Optional[tuple]:
     """[R(X), L] = 0 and g-skewness of R(X) on every basis element, as
     dense products with g.  Both conditions are linear in the values and in
     L (a matrix of ints or Fractions), so they run on the Python-int
-    numerators of both."""
+    numerators of both.  Returns None, or (i, j, r, c): the first wedge
+    (i, j) in ``wedge_tags`` order and entry (r, c) where R L - L R is
+    nonzero, or, when there is none, where g R + R^T g is."""
     g, L = np.asarray(g, dtype=object), int_form(L)[0]
-    for v in np.asarray(values, dtype=object):
-        if (v @ L - L @ v).any():
-            return False
-        if (g @ v + v.T @ g).any():
-            return False
-    return True
+    tags = wedge_tags(values.shape[1])
+    vals = np.asarray(values, dtype=object)
+    for defect in (lambda v: v @ L - L @ v, lambda v: g @ v + v.T @ g):
+        for (i, j), v in zip(tags, vals):  # a stack may be shorter, as a g_L basis
+            bad = np.argwhere(defect(v) != 0)
+            if len(bad):
+                return (i, j, int(bad[0][0]), int(bad[0][1]))
+    return None
 
 
 def _block_power(n: int, offset: int, size: int, a: int) -> np.ndarray:

@@ -145,7 +145,7 @@ def test_curvature_map_wedge_lookup():
 
 def test_bianchi_zero_map_passes():
     pair = pair_of([(2, 1), (2, -1)])
-    assert check_bianchi(zero_map(pair.n)).ok
+    assert check_bianchi(zero_map(pair.n)) is None
 
 
 @pytest.mark.parametrize("blocks", [
@@ -153,8 +153,7 @@ def test_bianchi_zero_map_passes():
     [(2, 1), (3, 1)], [(1, 1), (1, -1)],
 ])
 def test_bianchi_r_formal_passes(blocks):
-    rep = check_bianchi(r_formal(pair_of(blocks)))
-    assert rep.ok and rep.witness is None
+    assert check_bianchi(r_formal(pair_of(blocks))) is None
 
 
 @pytest.mark.parametrize("blocks", [
@@ -162,14 +161,14 @@ def test_bianchi_r_formal_passes(blocks):
 ])
 def test_bianchi_commutator_map_consistency(blocks):
     # the commutator map may or may not be a formal curvature tensor; the
-    # report must either carry a witness or claim a clean pass
+    # check must either pass or name a triple (i, j, k), i < j, of indices
     pair = pair_of(blocks)
     base = wedge_rows(dense_g(pair.involution))
     L = relabeled_L(pair)
     vals = L @ base - base @ L
     assert vals.any()
-    rep = check_bianchi(vals)
-    assert rep.ok == (rep.witness is None)
+    at = check_bianchi(vals)
+    assert at is None or (len(at) == 3 and 0 <= at[0] < at[1] < pair.n and 0 <= at[2] < pair.n)
 
 
 def test_bianchi_detects_violation():
@@ -179,27 +178,27 @@ def test_bianchi_detects_violation():
     base = wedge_rows(g)
     vals = np.zeros((3, 3, 3), dtype=np.int64)
     vals[0] = base[1]
-    rep = check_bianchi(vals)
-    assert not rep.ok
-    assert rep.witness == (0, 1, 2)
-    assert rep.max_violation == 1
-    # a Python int, not the int64 the check ran in
-    assert type(rep.max_violation) is int
+    at = check_bianchi(vals)
+    assert at == (0, 1, 2)
+    # Python ints, not the int64 the check ran in
+    assert all(type(v) is int for v in at)
 
 
 # -- sectional check ------------------------------------------------------------
 
 def test_sectional_r_formal_and_zero_pass():
     pair = pair_of([(2, 1), (3, -1)])
-    assert check_sectional(r_formal(pair), pair)
+    assert check_sectional(r_formal(pair), pair) is None
     zm = zero_map(pair.n)
-    assert check_sectional(zm, pair)
+    assert check_sectional(zm, pair) is None
 
 
 def test_sectional_identity_map_fails():
     pair = pair_of([(1, 1), (2, 1)])
     base = wedge_rows(dense_g(pair.involution))
-    assert not check_sectional(base, pair)
+    # L links 1 to 2: wedge(e_0, e_1) = E_01 g spans g_L, and wedge(e_0, e_2)
+    # is the first wedge off it, R L - L R first nonzero at (0, 2)
+    assert check_sectional(base, pair) == (0, 2, 0, 2)
 
 
 # -- certificate ----------------------------------------------------------------
@@ -229,7 +228,9 @@ def test_certificate_json():
         "dim_gL": 1,
         "image_rank": 1,
         "bianchi_ok": True,
+        "bianchi_witness": None,
         "containment_ok": True,
+        "containment_witness": None,
         "witnesses": [[0, 2]],
         "passed": True,
     }
@@ -242,7 +243,7 @@ def test_certificate_rejects_a_dropped_block_pair():
     vals = rm.copy()
     vals[:, 0, 1] = vals[:, 1, 0] = 0  # the pair of the two 1-blocks
     cert = berger_certificate(pair, vals)
-    assert cert.containment_ok and cert.dim_gL == 3 and cert.image_rank == 2
+    assert cert.containment_witness is None and cert.dim_gL == 3 and cert.image_rank == 2
     assert not cert.passed
 
 
@@ -253,5 +254,5 @@ def test_certificate_rejects_a_value_outside_gl():
     vals = rm.copy()
     vals[0] += wedge_rows(dense_g(pair.involution))[-1]  # wedge(e_2, e_3) does not commute with L
     cert = berger_certificate(pair, vals)
-    assert not cert.containment_ok and cert.dim_gL == 3
+    assert cert.containment_witness is not None and cert.dim_gL == 3
     assert not cert.passed

@@ -637,6 +637,44 @@ def test_report_failing_rows_first(tmp_path, capsys):
     assert "bad.json" in lines[1] and "good.json" in lines[2]
 
 
+def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
+    # a failing report's error column is its first non-null witness, in
+    # pipeline order (berger's Bianchi and containment checks, then
+    # realize's nablaL, gsym, routes and formal), as <stage>.<key> [..];
+    # a passing row and a failing one without a witness keep it empty
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    good = tmp_path / "good.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical,berger,realize",
+                 "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    assert all(v is None for stage in ("berger", "realize")
+               for k, v in doc["stages"][stage].items() if k.endswith("_witness"))
+    edits = {
+        "berger": {"berger": {"bianchi_witness": [0, 1, 2], "containment_witness": [0, 2, 0, 2]},
+                   "realize": {"nablaL_witness": [0, 0, 1, 1]}},
+        "realize": {"realize": {"formal_witness": [0, 1, 0, 0], "routes_witness": [0, 2, 1, 0]}},
+        "bare": {},
+    }
+    paths = []
+    for name, stages in edits.items():
+        bad = json.loads(good.read_text())
+        bad["verdict"] = "fail"
+        for stage, witnesses in stages.items():
+            bad["stages"][stage].update(witnesses, passed=False)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(["report", str(good), *map(str, paths)]) == 1
+    header, *rows = capsys.readouterr().out.splitlines()  # an empty last cell is kept
+    rows = {r["file"]: r for r in (dict(zip(header.split("\t"), r.split("\t"))) for r in rows)}
+    assert {name: row["error"] for name, row in rows.items()} == {
+        "good.json": "", "bare.json": "",
+        "berger.json": "berger.bianchi_witness [0, 1, 2]",
+        "realize.json": "realize.routes_witness [0, 2, 1, 0]"}
+    assert rows["berger.json"]["berger"] == rows["realize.json"]["realize"] == "FAIL"
+    assert [rows[n]["verdict"] for n in ("good.json", "berger.json")] == ["pass", "fail"]
+
+
 def test_report_sorts_n_as_a_number(tmp_path, capsys):
     small = write_spec(tmp_path, "small.json", SPEC_1_2)
     large = write_spec(tmp_path, "large.json", _blocks({"size": 12, "sign": 1}))

@@ -10,8 +10,9 @@ single-entry perturbation of a correct input, once as the package's
 integer contraction (a gather wherever it multiplies by g) and once as the
 earlier index loop kept in ``oracles``, with dense g and the Fraction
 inverse of g0, on Python-int numerators.  The two must return the same
-verdicts, the same curvature (or both raise), and the same Bianchi
-witness; and each check must reject some of the perturbations.
+curvature and the same witness, the first failing index tuple or None;
+each check must reject some of the perturbations, and on some of them its
+witness names the perturbed index or wedge.
 
 The package holds L relabeled, each eigenvalue's 0-based label in place of
 its value.  The oracles' verdicts on the true L and on the relabeled one
@@ -47,7 +48,6 @@ from holonomy.exactla import pivot_columns, rank
 from holonomy.liealg import commutator_system
 from holonomy.realize import (
     QuadraticMetric,
-    RealizationError,
     check_gsym,
     check_nablaL,
     riemann_at_origin,
@@ -77,6 +77,7 @@ from oracles import (
     relabeled_L,
     so_basis_ref,
     true_L,
+    wedge_tags,
     witnesses_ref,
 )
 
@@ -90,15 +91,11 @@ def _pair(case):
     return build_canonical(make_pencil([case]))
 
 
-def _riemann_outcome(fn, qm):
-    """Curvature values as Fractions (a list, so outcomes compare with ==)."""
-    try:
-        out = fn(qm)
-    except RealizationError:
-        return RealizationError
-    if isinstance(out, tuple):  # the package's (num, den)
-        out = fractions(*out)
-    return out.tolist()
+def _formal_witness_ref(values, formal, n):
+    """The first (a, b, i, k) in ``wedge_tags`` order where the curvature
+    values differ from the formal ones (both Fractions), or None."""
+    return next(((a, b, i, k) for (a, b), v, f in zip(wedge_tags(n), values, formal, strict=True)
+                 for i in range(n) for k in range(n) if v[i, k] != f[i, k]), None)
 
 
 def _same_elimination(m):
@@ -196,46 +193,67 @@ def test_block_tensor_matches_per_term_factors():
 
 @pytest.mark.parametrize("case", CASES, ids=["1+2+", "1+2-2+"])
 def test_metric_checks_agree_with_loops_under_perturbation(case):
+    # a witness names the perturbed entry (x0, x1, x2, x3) of B: nablaL's
+    # (i, p, k, q) by i = x0 and q = x3, gsym's (l, j, p, q) by (p, q) =
+    # (x2, x3), and the two routes' (a, b, i, k) by the wedge {a, b} =
+    # {x0, x2}; route one moves on that wedge alone, and L never moves p, q
     pair = _pair(case)
     formal = r_formal(pair)
-    formal_values = fractions(formal).tolist()
     qm = lower_B(pair.block_tensor, pair.involution)
     L = relabeled_L(pair)
-    rejected = Counter()
+    names = {"nablaL": lambda at, idx: (at[0], at[3]) == idx[::3],
+             "gsym": lambda at, idx: at[2:] == idx[2:],
+             "routes": lambda at, idx: at[:2] == tuple(sorted(idx[::2]))}
+    names["formal"] = names["routes"]
+    rejected, named = Counter(), Counter()
     for idx in np.ndindex(qm.num.shape):
         num = qm.num.copy()
         num[idx] += 1
         bad = QuadraticMetric(qm.involution, num, qm.den)
-        nabla = check_nablaL(bad, pair)
-        gsym = check_gsym(bad, pair)
-        curvature = _riemann_outcome(riemann_at_origin, bad)
-        assert nabla == check_nablaL_ref(bad, L), idx
-        assert gsym == check_gsym_ref(bad, L), idx
-        assert curvature == _riemann_outcome(riemann_at_origin_ref, bad), idx
-        rejected["nablaL"] += not nabla
-        rejected["gsym"] += not gsym
-        rejected["routes"] += curvature is RealizationError
-        rejected["match"] += curvature not in (RealizationError, formal_values)
-    assert all(rejected[c] for c in ("nablaL", "gsym", "routes", "match")), rejected
+        values, routes = riemann_at_origin_ref(bad)
+        got_num, got_den, got_routes = riemann_at_origin(bad)
+        assert fractions(got_num, got_den).tolist() == values.tolist(), idx
+        want = {"nablaL": check_nablaL_ref(bad, L), "gsym": check_gsym_ref(bad, L),
+                "routes": routes, "formal": _formal_witness_ref(values, fractions(formal), pair.n)}
+        report = verify_realization(pair, bad, formal)
+        assert (check_nablaL(bad, pair), check_gsym(bad, pair), got_routes) == \
+            (report.nablaL_witness, report.gsym_witness, report.routes_witness), idx
+        assert want == {c: getattr(report, f"{c}_witness") for c in want}, idx
+        for check, at in want.items():
+            if at is not None:
+                rejected[check] += 1
+                named[check] += names[check](at, idx)
+    assert all(rejected[c] for c in ("nablaL", "gsym", "routes", "formal")), rejected
+    assert all(named[c] for c in rejected), named
+    assert named["gsym"] == rejected["gsym"] and named["formal"] == rejected["formal"], named
 
 
 @pytest.mark.parametrize("case", CASES, ids=["1+2+", "1+2-2+"])
 def test_curvature_checks_agree_with_loops_under_perturbation(case):
+    # a witness names the perturbed entry (r, c) of the value on the wedge
+    # (i, j): Bianchi's (i, j, k) by (i, j, c), and the containment's
+    # (i, j, r, c) by the wedge, which alone moved, and some by the entry
     pair = _pair(case)
     formal = r_formal(pair)
     g, L = dense_g(pair.involution), relabeled_L(pair)
-    rejected = Counter()
+    tags = wedge_tags(pair.n)
+    rejected, named = Counter(), Counter()
     for idx in np.ndindex(formal.shape):
         bad = formal.copy()
         bad[idx] += 1
-        got, want = check_bianchi(bad), check_bianchi_ref(bad)
-        assert (got.ok, got.witness, got.max_violation) == \
-            (want.ok, want.witness, want.max_violation), idx
-        sectional = check_sectional(bad, pair)
+        bianchi, sectional = check_bianchi(bad), check_sectional(bad, pair)
+        assert bianchi == check_bianchi_ref(bad), idx
         assert sectional == check_sectional_ref(bad, g, L), idx
-        rejected["bianchi"] += not got.ok
-        rejected["sectional"] += not sectional
+        (i, j), (r, c) = tags[idx[0]], idx[1:]
+        if bianchi is not None:
+            rejected["bianchi"] += 1
+            named["bianchi"] += bianchi == (i, j, c)
+        if sectional is not None:
+            rejected["sectional"] += 1
+            assert sectional[:2] == (i, j), idx
+            named["sectional"] += sectional == (i, j, r, c)
     assert rejected["bianchi"] and rejected["sectional"], rejected
+    assert named["bianchi"] and named["sectional"], named
 
 
 def _doc(spec) -> dict:
@@ -294,7 +312,8 @@ def test_large_eigenvalue_passes_end_to_end(lam, tmp_path):
     assert report["stages"]["canonical"]["layout"][0]["lambda"] == str(lam)
     assert report["stages"]["berger"]["dim_gL"] == centralizer_dim(pair) == 9
     assert report["stages"]["berger"]["image_rank"] == 9
-    assert all(report["stages"]["realize"].values())
+    realize = report["stages"]["realize"]
+    assert all(v is None if k.endswith("_witness") else v is True for k, v in realize.items())
 
 
 # multi in CI's smoke tests: two eigenvalues, three blocks and two
@@ -337,12 +356,12 @@ def test_verdicts_agree_on_true_and_relabeled_L(spec):
         for at in _symmetric_orbit(idx):
             num[at] += 1
         bad = QuadraticMetric(qm.involution, num, qm.den)
-        nabla, gsym = check_nablaL_ref(bad, true), check_gsym_ref(bad, true)
-        for nabla_of, gsym_of, l in ((check_nablaL_ref, check_gsym_ref, relabeled),
-                                     (check_nablaL, check_gsym, pair)):
-            assert (nabla, gsym) == (nabla_of(bad, l), gsym_of(bad, l)), idx
-        rejected["nablaL"] += not nabla
-        rejected["gsym"] += not gsym
+        nabla, gsym = check_nablaL_ref(bad, relabeled), check_gsym_ref(bad, relabeled)
+        assert (nabla, gsym) == (check_nablaL(bad, pair), check_gsym(bad, pair)), idx
+        assert (nabla is None, gsym is None) == (check_nablaL_ref(bad, true) is None,
+                                                 check_gsym_ref(bad, true) is None), idx
+        rejected["nablaL"] += nabla is not None
+        rejected["gsym"] += gsym is not None
     # a single entry is never g-skew, so the skewness half rejects all of
     # those; a wedge basis element is, and the commutator with L decides
     formal = r_formal(pair)
@@ -352,11 +371,11 @@ def test_verdicts_agree_on_true_and_relabeled_L(spec):
     for k, s in rng.sample(moves, SAMPLE):
         bad = formal.copy()
         bad[k] += steps[s]
-        sectional = check_sectional_ref(bad, g, true)
-        assert sectional == check_sectional_ref(bad, g, relabeled), (k, s)
+        sectional = check_sectional_ref(bad, g, relabeled)
         assert sectional == check_sectional(bad, pair), (k, s)
-        rejected["sectional"] += not sectional
-        rejected["sectional kept"] += sectional
+        assert (sectional is None) == (check_sectional_ref(bad, g, true) is None), (k, s)
+        rejected["sectional"] += sectional is not None
+        rejected["sectional kept"] += sectional is None
     assert all(rejected[c] for c in ("nablaL", "gsym", "sectional", "sectional kept")), rejected
 
 

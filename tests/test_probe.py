@@ -283,7 +283,7 @@ def test_holonomy_commutes_with_L():
     num[0, 1, 0, 0] += 1
     num[1, 0, 0, 0] += 1
     bad = QuadraticMetric(qm.involution, num, qm.den)
-    assert not check_nablaL(bad, pair)
+    assert check_nablaL(bad, pair) is not None
     assert _commutation_defect(pair, L, bad) > 0.5
 
 
@@ -416,7 +416,8 @@ def test_span_fails_with_a_failing_certificate():
     vals = rm.copy()
     vals[tags.index((0, 1))] = vals[tags.index((0, 2))]
     bad = berger_certificate(pair, vals)
-    assert not bad.bianchi_ok and bad.containment_ok and bad.image_rank == bad.dim_gL
+    assert bad.bianchi_witness is not None and bad.containment_witness is None
+    assert bad.image_rank == bad.dim_gL
     rep = holonomy_span(FloatMetric(qm), bad, standard_loops(3, seed=0))
     assert rep.span_rank == 1 == rep.dim_gL and rep.max_membership_residual < 1e-6
     assert not rep.passed

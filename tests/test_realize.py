@@ -199,16 +199,16 @@ def test_check_nablaL_and_gsym():
     for blocks in ([(1, 1), (2, 1)], [(2, 1), (2, -1)], [(1, 1), (1, 1), (2, 1)]):
         pair = pair_of(blocks)
         qm = lower_B(pair.block_tensor, pair.involution)
-        assert check_nablaL(qm, pair)
-        assert check_gsym(qm, pair)
+        assert check_nablaL(qm, pair) is None
+        assert check_gsym(qm, pair) is None
 
 
 def test_checks_trivial_for_zero_L():
     pair = pair_of([(1, 1), (1, -1)])
     qm = lower_B(pair.block_tensor, pair.involution)
     assert not relabeled_L(pair).any()
-    assert check_nablaL(qm, pair)
-    assert check_gsym(qm, pair)
+    assert check_nablaL(qm, pair) is None
+    assert check_gsym(qm, pair) is None
 
 
 def test_check_nablaL_detects_corruption():
@@ -217,7 +217,7 @@ def test_check_nablaL_detects_corruption():
     low = np.array(lowered(qm), dtype=object)
     low[0, 0, 1, 1] += Fraction(1, 7)
     bad = QuadraticMetric(qm.involution, *int_form(low))
-    assert not check_nablaL(bad, pair)
+    assert check_nablaL(bad, pair) is not None
 
 
 def test_check_gsym_detects_wrong_operator():
@@ -227,7 +227,7 @@ def test_check_gsym_detects_wrong_operator():
     # with the factors, where the built pair links 1 to 2
     rogue = dataclasses.replace(pair, block=np.array([0, 0, 1]))
     assert relabeled_L(rogue).tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    assert check_gsym(qm, pair) and not check_gsym(qm, rogue)
+    assert check_gsym(qm, pair) is None and check_gsym(qm, rogue) is not None
 
 
 def test_riemann_flat_metric():
@@ -242,18 +242,19 @@ def test_riemann_round_sphere_like():
     pair = pair_of([(1, 1), (1, 1)])
     qm = lower_B(pair.block_tensor, pair.involution)
     rm = riemann_at_origin(qm)
-    assert np.array_equal(fractions(*rm)[0], mat([[0, 1], [-1, 0]]))
-    assert np.array_equal(fractions(*rm)[0], wedge_rows(dense_g(pair.involution))[0])
+    assert rm[2] is None  # the two routes agree
+    assert np.array_equal(fractions(*rm[:2])[0], mat([[0, 1], [-1, 0]]))
+    assert np.array_equal(fractions(*rm[:2])[0], wedge_rows(dense_g(pair.involution))[0])
 
 
 def test_riemann_matches_formal_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
     qm = lower_B(pair.block_tensor, pair.involution)
-    rm = riemann_at_origin(qm)
+    num, den, routes = riemann_at_origin(qm)
     formal = r_formal(pair)
-    assert np.array_equal(fractions(*rm), fractions(formal))
+    assert routes is None and np.array_equal(fractions(num, den), fractions(formal))
     z = mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])
-    assert np.array_equal(fractions(*rm)[wedge_tags(pair.n).index((0, 2))], z)
+    assert np.array_equal(fractions(num, den)[wedge_tags(pair.n).index((0, 2))], z)
 
 
 def test_riemann_linear_in_coefficients():
@@ -262,7 +263,7 @@ def test_riemann_linear_in_coefficients():
     doubled = QuadraticMetric(qm.involution, *int_form(2 * np.array(lowered(qm), dtype=object)))
     r1 = riemann_at_origin(qm)
     r2 = riemann_at_origin(doubled)
-    assert np.array_equal(fractions(*r2), 2 * fractions(*r1))
+    assert np.array_equal(fractions(*r2[:2]), 2 * fractions(*r1[:2]))
 
 
 # C[k,c,b,q] = B[k,c,b,q] + B[k,b,c,q] - B[b,c,k,q] and four slips in it;
@@ -289,7 +290,7 @@ def test_a_wrong_christoffel_combination_splits_the_routes(formula, monkeypatch)
         pair = pair_of(blocks)
         report = verify_realization(pair, lower_B(pair.block_tensor, pair.involution),
                                     r_formal(pair))
-        assert report.routes_agree is (formula == "control"), blocks
+        assert (report.routes_witness is None) is (formula == "control"), blocks
 
 
 def test_verify_realization():
@@ -313,8 +314,10 @@ def test_verify_realization_rejects_perturbed_formal_map():
     perturbed[1] = perturbed[1] + eye(pair.n)
     qm = lower_B(pair.block_tensor, pair.involution)
     report = verify_realization(pair, qm, perturbed)
-    assert report.routes_agree and not report.matches_formal and not report.ok
-    assert verify_realization(pair, qm, formal).matches_formal
+    assert report.routes_witness is None and not report.ok
+    # the first wrong value is on wedge(e_0, e_2), at its entry (0, 0)
+    assert report.formal_witness == (0, 2, 0, 0)
+    assert verify_realization(pair, qm, formal).formal_witness is None
 
 
 def test_verify_realization_compares_the_denominator():
@@ -327,7 +330,7 @@ def test_verify_realization_compares_the_denominator():
     assert formal.any() and qm.den == 2
     for metric, rmap in ((QuadraticMetric(qm.involution, qm.num, 1), formal), (qm, 2 * formal)):
         report = verify_realization(pair, metric, rmap)
-        assert report.routes_agree and not report.matches_formal, report
+        assert report.routes_witness is None and report.formal_witness is not None, report
 
 
 def test_lower_B_rejects_asymmetric_point_indices():
@@ -511,8 +514,9 @@ def test_exact_inputs_past_the_entry_cap_are_refused():
             assert check_nablaL(edge, edge_pair) == check_nablaL_ref(edge, L)
             assert check_gsym(edge, edge_pair) == check_gsym_ref(edge, L)
             if len(set(labels)) == 1:
-                assert check_nablaL(edge, edge_pair) == (not bump)
+                assert (check_nablaL(edge, edge_pair) is None) == (not bump)
         for vals in (rmap * ENTRY_CAP, values):
             assert check_sectional(vals, edge_pair) == check_sectional_ref(
                 vals, dense_g(pair.involution), L)
-    assert check_bianchi(values).max_violation == check_bianchi_ref(values).max_violation
+    at = check_bianchi(values)
+    assert at is not None and at == check_bianchi_ref(values)
