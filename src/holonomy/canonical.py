@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exactla import capped, check_involution, times_L, times_g
+from .exactla import capped, check_involution, first_mismatch, times_L, times_g
 
 # Largest accepted dimension n.  The realization stage holds n^4 exact
 # coefficients; n = 24 runs the exact stages in seconds and tens of MB.
@@ -201,17 +201,17 @@ def layout_to_json(spec: PencilSpec) -> list:
 class CanonicalPair:
     """The canonical (g, L) and the block structure of each index.
 
-    ``involution`` is g as ``(perm, sign)``, g[i, perm[i]] = sign[i] (see
-    ``exactla.check_involution``).  ``block`` and ``label`` (capped) are int
-    vectors of length n: the Jordan block of each index in spec order, and
-    its eigenvalue's 0-based label.  They are L relabeled, L' = diag(label)
-    + N with k in place of lambda_k, and ``exactla.times_L`` multiplies by it.
-    With distinct eigenvalues, L and L' are polynomials in each other, and
-    every exact check reads L as X L = L X or X L = L^T X with X free of L
-    (for g(x)-symmetry and covariant constancy once B is symmetric in its
-    first index pair, which ``realize.lower_B`` checks).  So each verdict
-    holds for every L of this Jordan type and grouping of blocks into
-    eigenvalues, whatever the values, which live only in the spec.
+    ``involution`` is g as ``(perm, sign)``, g[i, perm[i]] = sign[i], checked
+    on construction (``exactla.check_involution``).  ``block`` and ``label``
+    (capped) are int vectors of length n: the Jordan block of each index in
+    spec order, and its eigenvalue's 0-based label.  They are L relabeled,
+    L' = diag(label) + N with k in place of lambda_k, and ``exactla.times_L``
+    multiplies by it.  With distinct eigenvalues, L and L' are polynomials in
+    each other, and every exact check reads L as X L = L X or X L = L^T X
+    with X free of L (for g(x)-symmetry and covariant constancy once B is
+    symmetric in its first index pair, which ``realize.lower_B`` checks).  So
+    each verdict holds for every L of this Jordan type and grouping of blocks
+    into eigenvalues, whatever the values, which live only in the spec.
     """
 
     involution: tuple
@@ -219,6 +219,7 @@ class CanonicalPair:
     label: np.ndarray
 
     def __post_init__(self) -> None:
+        check_involution(*self.involution)
         object.__setattr__(self, "label", capped(self.label)[0])  # frozen: the checked int64 copy
 
     @property
@@ -238,19 +239,13 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
         *[(k, s, sg) for k, bs in enumerate(spec.blocks) for s, sg in bs]))
     block = np.repeat(np.arange(len(sizes)), sizes)
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    i = np.arange(spec.dim)
-    perm = 2 * first + sizes[block] - 1 - i  # each index's antidiagonal partner
-    sign = signs[block]
-    check_involution(perm, sign)
-    return CanonicalPair((perm, sign), block, labels[block])
+    perm = 2 * first + sizes[block] - 1 - np.arange(spec.dim)  # each index's antidiagonal partner
+    return CanonicalPair((perm, signs[block]), block, labels[block])
 
 
-def validate_pair(pair: CanonicalPair) -> tuple:
-    """The failures (str) of ``pair``, none when g = ``pair.involution`` is
-    a signed involution and gL is symmetric."""
-    try:
-        check_involution(*pair.involution)
-    except ValueError as exc:
-        return (str(exc),)
+def validate_pair(pair: CanonicalPair) -> tuple | None:
+    """None when gL is symmetric, that is, L is g-symmetric, else the witness:
+    the first (r, c) in lexicographic order where (gL)[r, c] != (gL)[c, r].
+    The pair's g is a signed involution, checked when the pair was made."""
     gl = times_g(times_L(np.eye(pair.n, dtype=np.int64), pair, 0), pair.involution, 0)
-    return () if (gl == gl.T).all() else ("gL is not symmetric (L is not g-symmetric)",)
+    return first_mismatch(gl, gl.T)

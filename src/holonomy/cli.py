@@ -72,9 +72,9 @@ class RunConfig:
 # -- verify ------------------------------------------------------------------
 
 def _stage_canonical(spec: PencilSpec, pair: CanonicalPair) -> dict:
-    failures = list(validate_pair(pair))
-    return {"n": pair.n, "layout": layout_to_json(spec), "failures": failures,
-            "passed": not failures}
+    at = validate_pair(pair)
+    return {"n": pair.n, "layout": layout_to_json(spec), "gL_witness": at and list(at),
+            "passed": at is None}
 
 
 def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
@@ -295,15 +295,14 @@ def _error_row(path: str, error: str) -> dict:
 
 
 def _flag(stage: dict) -> str:
-    if not stage:
-        return "-"
-    return "pass" if stage.get("passed") else "FAIL"
+    return "-" if not stage else "pass" if stage.get("passed") else "FAIL"
 
 
 _COLUMNS = ("file", "n", "partition", "signs", "dim_gL", "berger",
             "realize", "probe_rank", "probe_residual", "verdict", "error")
 # the exact checks in pipeline order: a failing report's error is its first witness
-_WITNESSES = [("berger", f"{c}_witness") for c in ("bianchi", "containment")] + [
+_WITNESSES = [("canonical", "gL_witness")] + [
+    ("berger", f"{c}_witness") for c in ("bianchi", "containment")] + [
     ("realize", f"{c}_witness") for c in ("nablaL", "gsym", "routes", "formal")]
 
 

@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .exactla import first_mismatch, times_L, times_g
+from .exactla import capped, first_mismatch, times_L, times_g
 
 
 @functools.cache
@@ -23,6 +23,16 @@ def wedge_index(n: int) -> tuple:
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+def curvature_values(values, n: int | None = None) -> np.ndarray:
+    """A curvature map's values, ``exactla.capped``, refused unless of shape
+    (n(n-1)/2, n, n), one per ``wedge_index`` pair; n defaults to the last axis."""
+    vals, = capped(values)
+    n = (vals.shape[-1] if vals.ndim else 0) if n is None else n
+    if vals.shape != (n * (n - 1) // 2, n, n):
+        raise ValueError(f"curvature map needs shape {(n * (n - 1) // 2, n, n)}, got {vals.shape}")
+    return vals
 
 
 def wedge_mismatch(a: np.ndarray, b) -> tuple | None:

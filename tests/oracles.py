@@ -19,9 +19,9 @@ for differential tests against the package: the Fraction elimination
 basis, the centralizer system, the greedy Berger witness loop and the
 block tensor summed term by term over ``block_terms`` from block-power
 matrices run on Fractions;
-the realization checks, the Riemann routes and the Bianchi and
-containment checks are linear in their inputs and run on Python-int
-numerators, the Riemann routes dividing once at the end.  Each check
+the g-symmetry of L, the realization checks, the Riemann routes and the
+Bianchi and containment checks are linear in their inputs and run on
+Python-int numerators, the Riemann routes dividing once at the end.  Each check
 oracle returns None when its check passes, else its witness, the first
 failing index tuple in the package's index order.  Every product
 with g here is a dense product, never the package's gather.  Curvature
@@ -206,6 +206,18 @@ def true_L(pair: CanonicalPair, spec: PencilSpec) -> np.ndarray:
     for i, k in enumerate(pair.label):
         L[i, i] = spec.lams[k]
     return L
+
+
+def g_symmetry_ref(pair: CanonicalPair) -> Optional[tuple]:
+    """None when gL is symmetric, for g (``dense_g``) and the
+    ``relabeled_L`` as dense matrices multiplied out, else the first (r, c)
+    in row-major order where (gL)[r, c] != (gL)[c, r]."""
+    gl = dense_g(pair.involution) @ relabeled_L(pair)
+    for r in range(pair.n):
+        for c in range(pair.n):
+            if gl[r, c] != gl[c, r]:
+                return (r, c)
+    return None
 
 
 def centralizer_basis_ref(pair: CanonicalPair, L) -> list:
@@ -688,7 +700,7 @@ def check_sectional_ref(values, g, L) -> Optional[tuple]:
     tags = wedge_tags(values.shape[1])
     vals = np.asarray(values, dtype=object)
     for defect in (lambda v: v @ L - L @ v, lambda v: g @ v + v.T @ g):
-        for (i, j), v in zip(tags, vals):  # a stack may be shorter, as a g_L basis
+        for (i, j), v in zip(tags, vals, strict=True):
             bad = np.argwhere(defect(v) != 0)
             if len(bad):
                 return (i, j, int(bad[0][0]), int(bad[0][1]))

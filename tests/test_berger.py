@@ -227,9 +227,7 @@ def test_certificate_json():
     assert doc == {
         "dim_gL": 1,
         "image_rank": 1,
-        "bianchi_ok": True,
         "bianchi_witness": None,
-        "containment_ok": True,
         "containment_witness": None,
         "witnesses": [[0, 2]],
         "passed": True,

@@ -20,7 +20,7 @@ from holonomy.canonical import MAX_RATIONAL_LEN, CanonicalPair, layout_to_json
 from holonomy.exactla import rank, times_L
 
 from helpers import SPEC_REFUSALS, all_blocks, dense_g, mat, pair_of
-from oracles import relabeled_L, true_L
+from oracles import g_symmetry_ref, relabeled_L, true_L
 
 
 def involution(perm, sign):
@@ -53,7 +53,7 @@ def test_build_two_eigenvalues():
     assert_L(pair, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
     assert np.array_equal(dense_g(pair.involution), [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     assert [v.tolist() for v in pair.involution] == [[1, 0, 2], [1, 1, -1]]
-    assert validate_pair(pair) == ()
+    assert validate_pair(pair) is None
     # L is held relabeled: each eigenvalue's 0-based label on its blocks'
     # diagonal, int64 vectors with no denominator; the eigenvalues
     # themselves stay in the spec, from which the oracle rebuilds L
@@ -98,36 +98,47 @@ def rogue(g, block, label):
     return CanonicalPair(involution(*g), np.array(block), np.array(label))
 
 
+def assert_witness(pair, want):
+    """validate_pair's witness is ``want`` and the dense oracle's: the first
+    (r, c) where gL, multiplied out, is not symmetric; None when it is."""
+    at = validate_pair(pair)
+    assert at == g_symmetry_ref(pair) == want
+    assert at is None or all(type(v) is int for v in at)
+
+
 def test_validate_pair_reports():
     pair = pair_of([(1, 1), (2, 1)])
-    assert validate_pair(pair) == ()
-    gl_failure = ("gL is not symmetric (L is not g-symmetric)",)
+    assert_witness(pair, None)
 
-    # L = [[0, 1], [0, 0]] is g-symmetric for g = [[0, 1], [1, 0]], not for g = I
-    assert validate_pair(rogue(([0, 1], [1, 1]), [0, 0], [0, 0])) == gl_failure
-    assert validate_pair(rogue(([1, 0], [1, 1]), [0, 0], [0, 0])) == ()
+    # L = [[0, 1], [0, 0]] is g-symmetric for g = [[0, 1], [1, 0]], not for
+    # g = I, where gL = L is first asymmetric at (0, 1)
+    assert_witness(rogue(([0, 1], [1, 1]), [0, 0], [0, 0]), (0, 1))
+    assert_witness(rogue(([1, 0], [1, 1]), [0, 0], [0, 0]), None)
 
     # for g = [[0, 1], [1, 0]] and no link, gL is symmetric exactly when
-    # the label agrees on i and its partner perm[i]
-    assert validate_pair(rogue(([1, 0], [1, 1]), [0, 1], [2, 2])) == ()
-    assert validate_pair(rogue(([1, 0], [1, 1]), [0, 1], [0, 1])) == gl_failure
+    # the label agrees on i and its partner perm[i]: gL = [[0, 1], [0, 0]]
+    # for labels 0 and 1
+    assert_witness(rogue(([1, 0], [1, 1]), [0, 1], [2, 2]), None)
+    assert_witness(rogue(([1, 0], [1, 1]), [0, 1], [0, 1]), (0, 1))
 
     # the signs of g count: one block of size 3 with its antidiagonal g is
     # g-symmetric when sign[1] = sign[2], and not otherwise
-    assert validate_pair(rogue(([2, 1, 0], [1, 1, 1]), [0, 0, 0], [0, 0, 0])) == ()
-    assert validate_pair(rogue(([2, 1, 0], [1, -1, 1]), [0, 0, 0], [0, 0, 0])) == gl_failure
+    assert_witness(rogue(([2, 1, 0], [1, 1, 1]), [0, 0, 0], [0, 0, 0]), None)
+    assert_witness(rogue(([2, 1, 0], [1, -1, 1]), [0, 0, 0], [0, 0, 0]), (1, 2))
     # a built pair stays g-symmetric with every sign of g flipped, and with
     # labels that agree on each block, but not with labels that split one
     flipped = dataclasses.replace(pair, involution=(pair.involution[0], -pair.involution[1]))
-    assert validate_pair(flipped) == ()
-    assert validate_pair(dataclasses.replace(pair, label=np.array([0, 1, 1]))) == ()
-    assert validate_pair(dataclasses.replace(pair, label=np.array([0, 0, 1]))) == gl_failure
+    assert_witness(flipped, None)
+    assert_witness(dataclasses.replace(pair, label=np.array([0, 1, 1])), None)
+    # (gL)[1, 2] = L[2, 2] = 1 but (gL)[2, 1] = L[1, 1] = 0
+    assert_witness(dataclasses.replace(pair, label=np.array([0, 0, 1])), (1, 2))
 
 
 def test_degenerate_g_reported():
-    # g = diag(1, 0)
-    pair = rogue(([0, 1], [1, 0]), [0, 1], [0, 0])
-    assert validate_pair(pair) == ("g is not a signed involution: bad index 1",)
+    # g = diag(1, 0): making the pair refuses it, naming the bad index
+    with pytest.raises(ValueError) as info:
+        rogue(([0, 1], [1, 0]), [0, 1], [0, 0])
+    assert str(info.value) == "g is not a signed involution: bad index 1"
 
 
 @pytest.mark.parametrize("spec, message", [pytest.param(spec, message, id=name)
@@ -232,4 +243,4 @@ def test_validate_pair_passes_on_corpus():
     from holonomy.cli import iter_corpus_specs
     for name, doc in iter_corpus_specs(5):
         pair = build_canonical(pencil_from_json(doc))
-        assert validate_pair(pair) == (), name
+        assert validate_pair(pair) is None, name

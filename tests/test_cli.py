@@ -307,11 +307,11 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     assert counts == {"block_tensor": 1, "r_formal": 1, "lower_B": 1, "raised": 1}
 
 
-@pytest.mark.parametrize("stages, checks", [(("berger",), 1), (ALL_STAGES, 3)], ids=["berger", "all"])
+@pytest.mark.parametrize("stages, checks", [(("berger",), 1), (ALL_STAGES, 2)], ids=["berger", "all"])
 def test_verify_checks_g_once_per_object(stages, checks, tmp_path, monkeypatch):
-    # build_canonical checks the pair's g once, and r_formal, the commutator
-    # system and the containment check read it; the metric checks the g it
-    # is built with, and validate_pair the g it reports on
+    # the pair checks its g once, when build_canonical makes it, and
+    # validate_pair, r_formal, the commutator system and the containment
+    # check read it; the metric checks the g it is built with
     import holonomy.exactla
 
     counts = _count_calls(monkeypatch, ((holonomy.exactla, "check_involution"),))
@@ -639,17 +639,21 @@ def test_report_failing_rows_first(tmp_path, capsys):
 
 def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
     # a failing report's error column is its first non-null witness, in
-    # pipeline order (berger's Bianchi and containment checks, then
-    # realize's nablaL, gsym, routes and formal), as <stage>.<key> [..];
-    # a passing row and a failing one without a witness keep it empty
+    # pipeline order (canonical's gL check, berger's Bianchi and containment
+    # checks, then realize's nablaL, gsym, routes and formal), as
+    # <stage>.<key> [..]; a passing row and a failing one without a witness
+    # keep it empty
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     good = tmp_path / "good.json"
     assert main(["verify", "--input", str(spec), "--stages", "canonical,berger,realize",
                  "--out", str(good)]) == 0
     doc = json.loads(good.read_text())
-    assert all(v is None for stage in ("berger", "realize")
-               for k, v in doc["stages"][stage].items() if k.endswith("_witness"))
+    witnesses = [k for stage in ("canonical", "berger", "realize")
+                 for k, v in doc["stages"][stage].items() if k.endswith("_witness") and v is None]
+    assert len(witnesses) == 7, witnesses
     edits = {
+        "canonical": {"canonical": {"gL_witness": [1, 2]}},
+        "both": {"canonical": {"gL_witness": [0, 1]}, "berger": {"bianchi_witness": [0, 1, 2]}},
         "berger": {"berger": {"bianchi_witness": [0, 1, 2], "containment_witness": [0, 2, 0, 2]},
                    "realize": {"nablaL_witness": [0, 0, 1, 1]}},
         "realize": {"realize": {"formal_witness": [0, 1, 0, 0], "routes_witness": [0, 2, 1, 0]}},
@@ -669,6 +673,8 @@ def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
     rows = {r["file"]: r for r in (dict(zip(header.split("\t"), r.split("\t"))) for r in rows)}
     assert {name: row["error"] for name, row in rows.items()} == {
         "good.json": "", "bare.json": "",
+        "canonical.json": "canonical.gL_witness [1, 2]",
+        "both.json": "canonical.gL_witness [0, 1]",
         "berger.json": "berger.bianchi_witness [0, 1, 2]",
         "realize.json": "realize.routes_witness [0, 2, 1, 0]"}
     assert rows["berger.json"]["berger"] == rows["realize.json"]["realize"] == "FAIL"

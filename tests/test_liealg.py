@@ -161,11 +161,13 @@ def test_commutator_system_matches_basis_commutators(n, data):
 
     # check_sectional against the loop oracle with dense g: the so(g) basis
     # passes with a scalar L (one label, no link), and the oracle's basis of
-    # the elements of so(g) that commute with l passes with l; with l the
-    # so(g) basis passes only if it commutes, and random values fail
+    # the elements of so(g) that commute with l, padded with zero rows to the
+    # m values of a curvature map, passes with l; with l the so(g) basis
+    # passes only if it commutes, and random values fail
     scalar = dataclasses.replace(pair, block=np.arange(n), label=np.full(n, rng.integers(-3, 4)))
     kernel = np.array(centralizer_basis_ref(pair, l), dtype=object).reshape(-1, n, n)
-    commuting = int_form(kernel)[0]
+    padding = np.zeros((len(w) - len(kernel), n, n), dtype=np.int64)
+    commuting = np.concatenate([int_form(kernel)[0], padding])
     noise = rng.integers(-3, 4, w.shape)
     for values, p in ((w, scalar), (w, pair), (commuting, pair), (noise, pair)):
         assert check_sectional(values, p) == check_sectional_ref(values, g, relabeled_L(p))

@@ -15,7 +15,6 @@ from holonomy import (
     lower_B,
     make_pencil,
     r_formal,
-    validate_pair,
     verify_realization,
 )
 from holonomy.cli import RunConfig, cmd_verify
@@ -333,6 +332,25 @@ def test_verify_realization_compares_the_denominator():
         assert report.routes_witness is None and report.formal_witness is not None, report
 
 
+def test_a_curvature_map_of_the_wrong_shape_is_refused():
+    # a curvature map on n = 3 has its m = 3 values in wedge_index order: a
+    # shorter stack would get witnesses naming wedges it does not hold, and
+    # one value would broadcast against every wedge, so the Bianchi,
+    # containment and formal-match checks refuse any other shape in one line
+    pair = pair_of([(1, 1), (2, 1)])
+    qm = lower_B(pair.block_tensor, pair.involution)
+    rmap = r_formal(pair)
+    for values in (rmap[:1], rmap[:2], np.concatenate([rmap, rmap[:1]]), rmap[:, :2],
+                   rmap[0], rmap[0, 0, 0]):
+        for call in (lambda: check_bianchi(values), lambda: check_sectional(values, pair),
+                     lambda: verify_realization(pair, qm, values)):
+            with pytest.raises(ValueError, match=re.escape(f", got {values.shape}")) as info:
+                call()
+            assert "\n" not in str(info.value)
+    assert check_bianchi(rmap) is None and check_sectional(rmap, pair) is None
+    assert verify_realization(pair, qm, rmap).ok
+
+
 def test_lower_B_rejects_asymmetric_point_indices():
     # T = I (x) E_01 gives (g0 E_01) in (p, q), not symmetric there; g0 = I
     e01 = np.array([[0, 1], [0, 0]])
@@ -350,9 +368,8 @@ def test_lower_B_rejects_asymmetric_point_indices():
 ], ids=[f"g0{k}-at{k}" for k in range(5)])
 def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
     # every product with g0 is a gather along its (perm, sign), which a
-    # canonical g0, a signed involution, has; the check and the metric refuse
-    # any other (perm, sign) by its first bad index, and validate_pair reports
-    # it on a pair built by hand
+    # canonical g0, a signed involution, has; the check, the metric and a
+    # pair built by hand refuse any other (perm, sign) by its first bad index
     perm, sign = g0 = tuple(np.array(v) for v in g0)
     n = len(perm)
     message = f"g is not a signed involution: bad index {at}"
@@ -362,8 +379,8 @@ def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
         QuadraticMetric(g0, np.zeros((n,) * 4, dtype=np.int64), 2)
     with pytest.raises(ValueError, match=re.escape(message)):
         lower_B(np.zeros((n,) * 4, dtype=np.int64), g0)
-    pair = CanonicalPair(g0, np.arange(n), np.zeros(n, dtype=np.int64))
-    assert validate_pair(pair) == (message,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CanonicalPair(g0, np.arange(n), np.zeros(n, dtype=np.int64))
 
 
 def test_lower_B_checks_the_involution_before_the_symmetries():
@@ -394,9 +411,9 @@ def test_involution_must_be_two_int_vectors_of_one_length():
 
 
 def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
-    # a full verify checks g three times: build_canonical's check of the
-    # pair, the metric's on construction and validate_pair's for the report;
-    # the curvature, the bound and the probe's float metric check nothing
+    # a full verify checks g twice: the pair's on construction, in
+    # build_canonical, and the metric's; validate_pair, the curvature, the
+    # bound and the probe's float metric check nothing
     calls = []
 
     def counted(perm, sign):
@@ -413,10 +430,10 @@ def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
     report, code = cmd_verify(RunConfig(input=str(spec), stages=(
         "canonical", "berger", "realize", "probe"), seed=0))
     assert code == 0 and report["verdict"] == "pass"
-    assert calls == [3, 3, 3]
+    assert calls == [3, 3]
     pair = pair_of([(1, 1), (2, -1)])
     qm = lower_B(pair.block_tensor, pair.involution)
-    assert calls[3:] == [3, 3] and qm.involution is pair.involution
+    assert calls[2:] == [3, 3] and qm.involution is pair.involution
     calls.clear()
     for call in (riemann_at_origin, invertibility_bound, FloatMetric):
         call(qm)
