@@ -118,7 +118,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     rmap = r_formal(pair) if wanted & {"berger", "realize", "probe"} else None
     # the certificate's witness values are the probe's g_L basis
     cert = berger_certificate(pair, rmap) if wanted & {"berger", "probe"} else None
-    qm = lower_B(pair.block_tensor, pair.involution) if wanted & {"realize", "probe"} else None
+    qm = lower_B(pair) if wanted & {"realize", "probe"} else None
     timings = [("shared", time.perf_counter() - started)]
 
     for stage in report["config"]["stages"]:
@@ -128,7 +128,7 @@ def cmd_verify(config: RunConfig) -> tuple:
         elif stage == "berger":
             report["stages"]["berger"] = cert.to_json()
         elif stage == "realize":
-            report["stages"]["realize"] = verify_realization(pair, qm, rmap).to_json()
+            report["stages"]["realize"] = verify_realization(qm, rmap).to_json()
         elif stage == "probe":
             report["stages"]["probe"] = _stage_probe(qm, cert, rmap, config)
         timings.append((stage, time.perf_counter() - started))

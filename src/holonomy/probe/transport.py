@@ -75,7 +75,7 @@ class SingularMetricError(RuntimeError):
 class FloatMetric:
     """Float64 view of a checked ``QuadraticMetric`` ``qm``, made once per probe run.
 
-    ``involution`` is qm's g0 as ``(perm, sign)``, never a dense matrix, and
+    ``involution`` is qm's g0, ``qm.pair.involution``, never a dense matrix, and
     ``mats`` the kernel's contraction matrices: qm's exact ``raised`` pair
     g0 B and g0 C, cast and divided by den once.  The raised tensor g0 B
     must vanish at every (i, j, p, q) with i > j, so that g0 g(x) is upper
@@ -87,7 +87,7 @@ class FloatMetric:
     __slots__ = ("involution", "n", "bound", "mats")
 
     def __init__(self, qm: QuadraticMetric) -> None:
-        self.involution, self.n = qm.involution, qm.n
+        self.involution, self.n = qm.pair.involution, qm.n
         self.bound = invertibility_bound(qm)
         lower = np.tri(self.n, k=-1, dtype=bool)[:, :, None, None]
         at = first_mismatch(np.where(lower, qm.raised[0], 0), 0)

@@ -1,7 +1,8 @@
 """Quadratic metrics realizing the blockwise curvature map at the origin.
 
-The coefficient tensor is B = -1/2 T, where T = ``pair.block_tensor`` is
-the 0/1 mask over the pairs of Jordan blocks of one eigenvalue
+The metric realizes one ``CanonicalPair`` and holds it: g0 is the pair's
+g, and the coefficient tensor is B = -1/2 T, where T = ``pair.block_tensor``
+is the 0/1 mask over the pairs of Jordan blocks of one eigenvalue
 (``berger.block_tensor``) that the formal curvature map is read off too,
 so the metric is a product across eigenvalues.
 
@@ -11,8 +12,8 @@ formed once, raised, as ``QuadraticMetric.raised``: the second Riemann
 route reads it, and the float probe casts it.  Every exact check on them
 (symmetry, covariant constancy, g(x)-symmetry, both Riemann routes) is an
 int64 numpy contraction with no index loop, which ``exactla.capped`` keeps
-from wrapping around.  Nothing is inverted: g0 is held as its signed
-involution ``(perm, sign)`` (``exactla.check_involution``), so every
+from wrapping around.  Nothing is inverted: g0 is the pair's signed
+involution ``(perm, sign)``, checked when the pair was made, so every
 product with it is the gather ``exactla.times_g``, and L is the pair's
 relabeled L, so every product with it is ``exactla.times_L``.
 """
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .canonical import CanonicalPair
-from .exactla import capped, check_involution, first_mismatch, times_L, times_g
+from .exactla import capped, first_mismatch, times_L, times_g
 from .liealg import curvature_values, wedge_index, wedge_mismatch
 
 
@@ -38,22 +39,25 @@ class RealizationError(RuntimeError):
 class QuadraticMetric:
     """g(x) = g0 + B(x, x) with a constant symmetric rank-4 coefficient tensor.
 
-    ``involution`` is g0 as ``(perm, sign)``, g0[i, perm[i]] = sign[i],
-    and construction refuses any pair that is not a signed involution, as a
-    canonical g0 is (``exactla.check_involution``).  B = num / den: ``num``
-    is an (n, n, n, n) integer array, kept as int64, and ``den`` one
-    positive int, both ``exactla.capped``.  B[i, j, p, q] is symmetric in
-    (i, j) and in (p, q); the metric value at x adds B[i, j, p, q] x^p x^q
-    to g0[i, j].
+    ``pair`` is the ``CanonicalPair`` the metric realizes: g0 is its g,
+    ``pair.involution`` = (perm, sign) with g0[i, perm[i]] = sign[i], a
+    signed involution checked when the pair was made, and the realization
+    checks read its L.  B = num / den: ``num`` is an (n, n, n, n) integer
+    array, kept as int64, and ``den`` one positive int, both
+    ``exactla.capped``.  B[i, j, p, q] is symmetric in (i, j) and in
+    (p, q); the metric value at x adds B[i, j, p, q] x^p x^q to g0[i, j].
     """
 
-    involution: tuple
+    pair: CanonicalPair
     num: np.ndarray
     den: int
 
     def __post_init__(self) -> None:
-        check_involution(*self.involution)
+        if not isinstance(self.pair, CanonicalPair):
+            raise TypeError(f"pair must be a CanonicalPair, got {type(self.pair).__name__}")
         num, den = capped(self.num, self.den)
+        if num.shape != (self.n,) * 4:
+            raise ValueError(f"num needs shape {(self.n,) * 4}, got {num.shape}")
         if den <= 0:
             raise ValueError(f"den must be positive, got {den}")
         object.__setattr__(self, "num", num)  # frozen: the checked int64 copy
@@ -61,7 +65,7 @@ class QuadraticMetric:
 
     @property
     def n(self) -> int:
-        return len(self.involution[0])
+        return self.pair.n
 
     @cached_property
     def raised(self) -> np.ndarray:
@@ -70,26 +74,20 @@ class QuadraticMetric:
         route two of ``riemann_at_origin`` and ``FloatMetric`` read it."""
         b = self.num
         return times_g(np.stack([b, b + b.transpose(0, 2, 1, 3) - b.transpose(2, 1, 0, 3)]),
-                       self.involution, 1)
+                       self.pair.involution, 1)
 
 
-def lower_B(t: np.ndarray, involution: tuple) -> QuadraticMetric:
-    """The metric of B = -t / 2 (t is ``pair.block_tensor`` in the pipeline)
-    with both upper indices lowered: num = -(g0 (x) g0) t over den 2, for
-    g0 = ``involution`` (perm, sign), the pair's, one ``times_g`` per index.
+def lower_B(pair: CanonicalPair) -> QuadraticMetric:
+    """The metric realizing ``pair``: B = -T / 2 for T = ``pair.block_tensor``
+    with both upper indices lowered, num = -(g0 (x) g0) T over den 2 for g0
+    = ``pair.involution``, one ``times_g`` per index.
 
     g0 J^a is symmetric for a canonical g0, so the result is symmetric in
-    (i, j) and in (p, q): checked exactly, once the metric has checked g0.
+    (i, j) and in (p, q): checked exactly.
     """
-    if t.shape != (len(involution[0]),) * 4:
-        raise ValueError("shape mismatch")
-    t, = capped(t)
-    try:
-        num = -times_g(times_g(t, involution, 0), involution, 2)
-    except (IndexError, TypeError, ValueError):  # the check names what is wrong with g0
-        check_involution(*involution)
-        raise
-    qm = QuadraticMetric(involution, num, 2)
+    g0 = pair.involution
+    num = -times_g(times_g(pair.block_tensor, g0, 0), g0, 2)
+    qm = QuadraticMetric(pair, num, 2)
     for axes, where in (((0, 1, 3, 2), "(p, q)"), ((1, 0, 2, 3), "(i, j)")):
         at = first_mismatch(num, num.transpose(axes))
         if at is not None:
@@ -115,22 +113,24 @@ def validity_radius(bound: Fraction) -> float:
 # The checks below are linear in B, so they run on num; each product with L is
 # ``times_L``.  Each returns None, or its first failing index tuple (witness).
 
-def check_nablaL(qm: QuadraticMetric, pair: CanonicalPair) -> tuple | None:
+def check_nablaL(qm: QuadraticMetric) -> tuple | None:
     """Coefficient-level covariant-constancy condition, all index tuples.
 
     (B_{ip,bq} - B_{ib,pq}) L^b_k == (B_{bi,kq} - B_{ik,bq}) L^b_p
-    summed over b, for every (i, p, q, k): each side a ``times_L``, as [i, p, k, q].
+    summed over b, for every (i, p, q, k): each side a ``times_L`` by the
+    pair's L, as [i, p, k, q].
     """
     b = qm.num
-    lhs = times_L(b - b.transpose(0, 2, 1, 3), pair, 2, transpose=True)
-    rhs = times_L(b - b.transpose(2, 0, 1, 3), pair, 0, transpose=True)
+    lhs = times_L(b - b.transpose(0, 2, 1, 3), qm.pair, 2, transpose=True)
+    rhs = times_L(b - b.transpose(2, 0, 1, 3), qm.pair, 0, transpose=True)
     return first_mismatch(lhs, rhs.transpose(1, 0, 2, 3))
 
 
-def check_gsym(qm: QuadraticMetric, pair: CanonicalPair) -> tuple | None:
-    """L stays g(x)-symmetric for all x:  B_{ij,pq} L^i_l == B_{il,pq} L^i_j,
-    that is, (L^T B_pq)[l, j] = sum_i L^i_l B_{ij,pq} is symmetric in (l, j)."""
-    lb = times_L(qm.num, pair, 0, transpose=True)
+def check_gsym(qm: QuadraticMetric) -> tuple | None:
+    """The pair's L stays g(x)-symmetric for all x:
+    B_{ij,pq} L^i_l == B_{il,pq} L^i_j, that is, (L^T B_pq)[l, j] =
+    sum_i L^i_l B_{ij,pq} is symmetric in (l, j)."""
+    lb = times_L(qm.num, qm.pair, 0, transpose=True)
     return first_mismatch(lb, lb.transpose(1, 0, 2, 3))
 
 
@@ -152,7 +152,7 @@ def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     rows, cols = wedge_index(qm.n)
     # d[w, s, k] = B_{bs,ak} - B_{as,bk} at the w-th (a, b); route one adds -d^T
     d = qm.num[cols, :, rows, :] - qm.num[rows, :, cols, :]
-    direct = times_g(d - d.transpose(0, 2, 1), qm.involution, 1)
+    direct = times_g(d - d.transpose(0, 2, 1), qm.pair.involution, 1)
     c = qm.raised[1].transpose(3, 2, 0, 1)  # c[a, b, i, k] = d_a Gamma^i_{bk}
     return direct, qm.den, wedge_mismatch(direct, c[rows, cols] - c[cols, rows])
 
@@ -172,16 +172,15 @@ class RealizationReport:
         return {**{key: at and list(at) for key, at in vars(self).items()}, "passed": self.ok}
 
 
-def verify_realization(pair: CanonicalPair, qm: QuadraticMetric,
-                       formal: np.ndarray) -> RealizationReport:
+def verify_realization(qm: QuadraticMetric, formal: np.ndarray) -> RealizationReport:
     """Run every exact realization check on the metric ``qm``.
 
-    ``qm`` is ``lower_B(pair.block_tensor, pair.involution)`` and
-    ``formal`` the certified map ``r_formal(pair)``, both built once by the
-    caller; the metric's curvature ``(num, den)`` at the origin, route one,
-    is computed independently and matches when num == den * formal, value
-    for value, whether or not route two agrees.
+    ``qm`` is ``lower_B(pair)`` and ``formal`` the certified map
+    ``r_formal(pair)``, both built once by the caller for one pair,
+    ``qm.pair``; the metric's curvature ``(num, den)`` at the origin, route
+    one, is computed independently and matches when num == den * formal,
+    value for value, whether or not route two agrees.
     """
     num, den, routes = riemann_at_origin(qm)
-    return RealizationReport(check_nablaL(qm, pair), check_gsym(qm, pair), routes,
-                             wedge_mismatch(num, den * curvature_values(formal, pair.n)))
+    return RealizationReport(check_nablaL(qm), check_gsym(qm), routes,
+                             wedge_mismatch(num, den * curvature_values(formal, qm.n)))

@@ -520,7 +520,7 @@ def metric_at(qm: QuadraticMetric, x: Sequence) -> np.ndarray:
     if len(xf) != n:
         raise ValueError("point has wrong dimension")
     low = lowered(qm)
-    g0 = dense_g(qm.involution).tolist()
+    g0 = dense_g(qm.pair.involution).tolist()
     nz = [(p, v) for p, v in enumerate(xf) if v]
     e = []
     for i in range(n):
@@ -614,7 +614,7 @@ def riemann_at_origin_ref(qm: QuadraticMetric) -> tuple:
     """
     n = qm.n
     low = qm.num.tolist()
-    ginv, gden = int_form(inverse_ref(dense_g(qm.involution)))
+    ginv, gden = int_form(inverse_ref(dense_g(qm.pair.involution)))
     ginv_nz = [[(s, ginv[i, s]) for s in range(n) if ginv[i, s]] for i in range(n)]
 
     def route_direct(a: int, b: int) -> list:
@@ -841,7 +841,7 @@ def standard_loops_ref(n: int, seed: int = 0) -> list:
 
 def float_parts(qm: QuadraticMetric) -> tuple:
     """The dense float64 g0 and B = num / den of a quadratic metric."""
-    return dense_g(qm.involution).astype(np.float64), qm.num.astype(np.float64) / qm.den
+    return dense_g(qm.pair.involution).astype(np.float64), qm.num.astype(np.float64) / qm.den
 
 
 def contraction_matrices_ref(qm: QuadraticMetric) -> np.ndarray:

@@ -60,7 +60,7 @@ def corpus_pairs():
 
 def _realized(blocks):
     pair = build_canonical(make_pencil([(Fraction(0), blocks)]))
-    return pair, lower_B(pair.block_tensor, pair.involution)
+    return pair, lower_B(pair)
 
 
 def test_criterion_1_berger_suite(corpus_pairs):
@@ -145,8 +145,8 @@ def test_criterion_4_realization_match(corpus_pairs):
     started = time.perf_counter()
     failures = []
     for name, _, pair in corpus_pairs:
-        qm = lower_B(pair.block_tensor, pair.involution)
-        report = verify_realization(pair, qm, r_formal(pair))
+        qm = lower_B(pair)
+        report = verify_realization(qm, r_formal(pair))
         if not report.ok:
             failures.append(f"{name}: {report}")
     elapsed = time.perf_counter() - started
@@ -197,7 +197,7 @@ def test_criterion_6_regular_case():
         formal = r_formal(pair)
         if formal.any():
             failures.append(f"size {size}: formal map not zero")
-        report = verify_realization(pair, qm, formal)
+        report = verify_realization(qm, formal)
         if not (report.ok and not riemann_at_origin(qm)[0].any()):
             failures.append(f"size {size}: realized curvature not zero")
         fm = FloatMetric(qm)

@@ -199,7 +199,7 @@ def test_metric_checks_agree_with_loops_under_perturbation(case):
     # {x0, x2}; route one moves on that wedge alone, and L never moves p, q
     pair = _pair(case)
     formal = r_formal(pair)
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     L = relabeled_L(pair)
     names = {"nablaL": lambda at, idx: (at[0], at[3]) == idx[::3],
              "gsym": lambda at, idx: at[2:] == idx[2:],
@@ -209,14 +209,14 @@ def test_metric_checks_agree_with_loops_under_perturbation(case):
     for idx in np.ndindex(qm.num.shape):
         num = qm.num.copy()
         num[idx] += 1
-        bad = QuadraticMetric(qm.involution, num, qm.den)
+        bad = QuadraticMetric(qm.pair, num, qm.den)
         values, routes = riemann_at_origin_ref(bad)
         got_num, got_den, got_routes = riemann_at_origin(bad)
         assert fractions(got_num, got_den).tolist() == values.tolist(), idx
         want = {"nablaL": check_nablaL_ref(bad, L), "gsym": check_gsym_ref(bad, L),
                 "routes": routes, "formal": _formal_witness_ref(values, fractions(formal), pair.n)}
-        report = verify_realization(pair, bad, formal)
-        assert (check_nablaL(bad, pair), check_gsym(bad, pair), got_routes) == \
+        report = verify_realization(bad, formal)
+        assert (check_nablaL(bad), check_gsym(bad), got_routes) == \
             (report.nablaL_witness, report.gsym_witness, report.routes_witness), idx
         assert want == {c: getattr(report, f"{c}_witness") for c in want}, idx
         for check, at in want.items():
@@ -348,16 +348,16 @@ def test_verdicts_agree_on_true_and_relabeled_L(spec):
     assert (len(centralizer_basis_ref(pair, true)) == len(centralizer_basis_ref(pair, relabeled))
             == centralizer_dim(pair))
     rng = random.Random(n)
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     orbits = sorted({min(_symmetric_orbit(idx)) for idx in np.ndindex((n,) * 4)})
     rejected = Counter()
     for idx in rng.sample(orbits, min(SAMPLE, len(orbits))):
         num = qm.num.copy()
         for at in _symmetric_orbit(idx):
             num[at] += 1
-        bad = QuadraticMetric(qm.involution, num, qm.den)
+        bad = QuadraticMetric(qm.pair, num, qm.den)
         nabla, gsym = check_nablaL_ref(bad, relabeled), check_gsym_ref(bad, relabeled)
-        assert (nabla, gsym) == (check_nablaL(bad, pair), check_gsym(bad, pair)), idx
+        assert (nabla, gsym) == (check_nablaL(bad), check_gsym(bad)), idx
         assert (nabla is None, gsym is None) == (check_nablaL_ref(bad, true) is None,
                                                  check_gsym_ref(bad, true) is None), idx
         rejected["nablaL"] += nabla is not None
@@ -406,7 +406,7 @@ def _exact_stages(spec):
     pair = build_canonical(make_pencil(spec))
     rmap = r_formal(pair)
     cert = berger_certificate(pair, rmap)
-    realization = verify_realization(pair, lower_B(pair.block_tensor, pair.involution), rmap)
+    realization = verify_realization(lower_B(pair), rmap)
     flat = np.flatnonzero(~rmap.any(axis=(1, 2))).tolist()
     return pair, json.dumps({"berger": cert.to_json(), "realize": realization.to_json()},
                             sort_keys=True), flat

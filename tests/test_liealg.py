@@ -146,18 +146,15 @@ def test_commutator_system_matches_basis_commutators(n, data):
     want = (w @ l - l @ w).reshape(len(w), n * n).T
     assert np.array_equal(commutator_system(pair), want)
 
-    # lower_B is -(g (x) g) t, refused when that is not symmetric in both
-    # index pairs: a random t, and (g (x) g) s with s symmetric in both
-    t = rng.integers(-3, 4, (n,) * 4)
-    s = t + t.transpose(1, 0, 2, 3)
-    s = s + s.transpose(0, 1, 3, 2)
-    for tensor in (t, -_lowered_ref(g, s)):
-        want = _lowered_ref(g, tensor)
-        if (want == want.transpose(1, 0, 2, 3)).all() and (want == want.transpose(0, 1, 3, 2)).all():
-            assert np.array_equal(lower_B(tensor, involution).num, want)
-        else:
-            with pytest.raises(RealizationError, match="not symmetric"):
-                lower_B(tensor, involution)
+    # lower_B is -(g (x) g) T for the pair's block tensor T, refused when
+    # that is not symmetric in both index pairs: a random g and random blocks
+    # make it symmetric for some pairs and not for most
+    want = _lowered_ref(g, pair.block_tensor)
+    if (want == want.transpose(1, 0, 2, 3)).all() and (want == want.transpose(0, 1, 3, 2)).all():
+        assert np.array_equal(lower_B(pair).num, want)
+    else:
+        with pytest.raises(RealizationError, match="not symmetric"):
+            lower_B(pair)
 
     # check_sectional against the loop oracle with dense g: the so(g) basis
     # passes with a scalar L (one label, no link), and the oracle's basis of

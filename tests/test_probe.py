@@ -55,7 +55,7 @@ from oracles import (
 
 def realized(blocks, lam=0):
     pair = pair_of(blocks, lam)
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     return pair, qm
 
 
@@ -69,9 +69,9 @@ def span(qm, pair, loops):
     return holonomy_span(FloatMetric(qm), certificate(pair), loops)
 
 
-def flat_metric(involution):
-    """The constant metric g0: B = 0 as an all-zero num over den 1."""
-    return QuadraticMetric(involution, np.zeros((len(involution[0]),) * 4, dtype=np.int64), 1)
+def flat_metric(pair):
+    """The constant metric g0 of ``pair``: B = 0 as an all-zero num over den 1."""
+    return QuadraticMetric(pair, np.zeros((pair.n,) * 4, dtype=np.int64), 1)
 
 
 def fd_christoffel(qm, x, h=1e-5):
@@ -110,7 +110,7 @@ def test_christoffel_zero_at_origin():
 
 
 def test_christoffel_flat_metric():
-    flat = flat_metric(pair_of([(2, 1)]).involution)
+    flat = flat_metric(pair_of([(2, 1)]))
     gamma = christoffel(flat, [0.3, -0.2])
     assert np.max(np.abs(gamma)) < 1e-15
 
@@ -130,7 +130,7 @@ def test_christoffel_symmetric_lower_indices():
 # -- transport -------------------------------------------------------------------
 
 def test_flat_transport_is_identity():
-    flat = FloatMetric(flat_metric(pair_of([(2, 1)]).involution))
+    flat = FloatMetric(flat_metric(pair_of([(2, 1)])))
     assert flat.bound == 0
     (a,) = transports(flat, loops_of(((0.0, 0.0), (0, 1), 1e-2)))
     assert np.max(np.abs(a - np.eye(2))) < 1e-12
@@ -237,7 +237,7 @@ def test_transport_membership_and_drift():
     cases += [(build_canonical(make_pencil(spec)), 0) for spec in TWO_EIGENVALUE_SPECS]
     cases.append((pair_of(N24_BLOCKS, Fraction(-1, 3)), 0))
     for pair, seed in cases:
-        fm = FloatMetric(lower_B(pair.block_tensor, pair.involution))
+        fm = FloatMetric(lower_B(pair))
         loops = standard_loops(pair.n, seed=seed)
         if pair.n == 24:
             curved = {tag for tag, value in zip(wedge_tags(pair.n), r_formal(pair), strict=True)
@@ -272,18 +272,18 @@ def test_holonomy_commutes_with_L():
     specs += [make_pencil(spec) for spec in TWO_EIGENVALUE_SPECS]
     for spec in specs:
         pair, L = with_true_L(spec)
-        qm = lower_B(pair.block_tensor, pair.involution)
+        qm = lower_B(pair)
         assert _commutation_defect(pair, L, qm) < 1e-12, spec
     # negative control: one coefficient of B and its symmetric partner
     # raised by 1 breaks nabla L = 0 yet leaves g0 g(x) upper triangular,
     # so the probe accepts the metric; its holonomy does not commute with L
     pair, L = with_true_L(spec_of([(2, 1), (3, 1)]))
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     num = qm.num.copy()
     num[0, 1, 0, 0] += 1
     num[1, 0, 0, 0] += 1
-    bad = QuadraticMetric(qm.involution, num, qm.den)
-    assert check_nablaL(bad, pair) is not None
+    bad = QuadraticMetric(qm.pair, num, qm.den)
+    assert check_nablaL(bad) is not None
     assert _commutation_defect(pair, L, bad) > 0.5
 
 
@@ -358,7 +358,7 @@ def test_loopspec_validation():
     # ints are numbers, taken as floats (a side of 1 needs the flat metric's
     # infinite radius)
     ints = (one, np.zeros((1, 2), dtype=int), np.ones(1, dtype=int))
-    flat = FloatMetric(flat_metric(qm.involution))
+    flat = FloatMetric(flat_metric(qm.pair))
     rep = holonomy_span(flat, certificate(pair_of([(1, 1), (2, 1)])), ints)
     assert rep.loops[1].dtype == rep.loops[2].dtype == np.float64
     sample = rep.to_json()["samples"][0]
@@ -489,7 +489,7 @@ def test_span_report_json():
 
 def test_nablaL_residual_origin_and_nearby():
     pair, L = with_true_L(spec_of([(2, 1), (2, -1)]))
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     assert nablaL_residual(qm, L, [0.0] * 4) < 1e-15
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -499,10 +499,10 @@ def test_nablaL_residual_origin_and_nearby():
 
 def test_nablaL_residual_detects_corruption():
     pair, L = with_true_L(spec_of([(1, 1), (2, 1)]))
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     bad_num = 4 * qm.num
     bad_num[0, 0, 1, 1] += qm.den  # B[0, 0, 1, 1] += 1/4
-    bad = QuadraticMetric(qm.involution, bad_num, 4 * qm.den)
+    bad = QuadraticMetric(qm.pair, bad_num, 4 * qm.den)
     assert nablaL_residual(bad, L, [0.05, 0.02, -0.03]) > 1e-3
 
 
@@ -632,7 +632,7 @@ def test_raised_metric_is_upper_triangular():
     pairs.append(pair_of(N24_BLOCKS, Fraction(-1, 3)))
     assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 1
     for pair in pairs:
-        qm = lower_B(pair.block_tensor, pair.involution)
+        qm = lower_B(pair)
         raised = np.einsum("is,sjpq->ijpq", dense_g(pair.involution), qm.num)
         rows, cols = np.tril_indices(pair.n, -1)
         assert not raised[rows, cols].any(), pair.block
@@ -648,7 +648,7 @@ def test_kernel_matrices_are_the_cast_of_the_exact_raised_pair():
     pairs += [pair_of(N24_BLOCKS, Fraction(-1, 3)), pair_of(ONES24_BLOCKS)]
     assert len(pairs) == 126 + len(TWO_EIGENVALUE_SPECS) + 2
     for pair in pairs:
-        qm = lower_B(pair.block_tensor, pair.involution)
+        qm = lower_B(pair)
         assert qm.raised.dtype == np.int64
         mats, ref = FloatMetric(qm).mats, contraction_matrices_ref(qm)
         assert mats.shape == ref.shape and mats.tobytes() == ref.tobytes(), pair.block
@@ -659,15 +659,15 @@ def test_metric_that_is_not_upper_triangular_is_refused():
     # is refused by name; the same value above the diagonal is accepted
     # (B shifted by 1/4 exactly: 2 num, plus or minus 1 there, over 4)
     _, qm = realized([(1, 1), (2, 1)])
-    perm, sign = qm.involution
+    perm, sign = qm.pair.involution
     upper = 2 * qm.num
     upper[perm[1], 2, 0, 1] += 1
-    FloatMetric(QuadraticMetric(qm.involution, upper, 2 * qm.den))
+    FloatMetric(QuadraticMetric(qm.pair, upper, 2 * qm.den))
     lower = 2 * qm.num
     lower[perm[2], 1, 0, 1] += sign[2]
     lower[perm[2], 1, 1, 0] += sign[2]
     with pytest.raises(ValueError, match=re.escape("below the diagonal at (2, 1, 0, 1)")):
-        FloatMetric(QuadraticMetric(qm.involution, lower, 2 * qm.den))
+        FloatMetric(QuadraticMetric(qm.pair, lower, 2 * qm.den))
 
 
 def test_kernel_rejects_bad_step_counts():
@@ -715,7 +715,7 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     rmap = r_formal(pair)
     flat = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if not value.any()}
     assert 0 < len(flat) < len(rmap)
-    fm = FloatMetric(lower_B(pair.block_tensor, pair.involution))
+    fm = FloatMetric(lower_B(pair))
     loops = standard_loops(pair.n, seed=0)
     moved = np.max(np.abs(transports(fm, loops) - np.eye(pair.n)), axis=(1, 2))
     in_flat = in_planes(loops, flat)
@@ -816,7 +816,7 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
         pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
         rmap = r_formal(pair)
         curved = {tag for tag, value in zip(wedge_tags(pair.n), rmap, strict=True) if value.any()}
-        fm = FloatMetric(lower_B(pair.block_tensor, pair.involution))
+        fm = FloatMetric(lower_B(pair))
         for loops in (standard_loops(pair.n, seed=seed) for seed in (0, 1, 2)):
             flat_runs.append((fm, loop_rows(loops, ~in_planes(loops, curved))))
             if len(eigenvalues) == 1:  # a probe spec

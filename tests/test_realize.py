@@ -142,7 +142,7 @@ def test_B_skew_on_so_and_doubling():
 
 def test_lower_B_two_point_blocks():
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     low = lowered(qm)
     g = dense_g(pair.involution)
     for i in range(2):
@@ -153,21 +153,9 @@ def test_lower_B_two_point_blocks():
                     assert low[i][j][p][q] == want
 
 
-def test_lower_B_zero_tensor():
-    pair = pair_of([(2, 1)])
-    zero = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    qm = lower_B(zero, pair.involution)
-    low = lowered(qm)
-    assert all(low[i][j][p][q] == 0
-               for i in range(2) for j in range(2) for p in range(2) for q in range(2))
-    # a g0 that is not a signed involution is refused, even with a zero tensor
-    with pytest.raises(ValueError, match=re.escape("bad index 1")):
-        lower_B(zero, (np.array([0, 1]), np.array([1, 2])))
-
-
 def test_lowered_symmetries():
     pair = pair_of([(2, 1), (3, -1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     n = qm.n
     low = lowered(qm)
     for i in range(n):
@@ -180,7 +168,7 @@ def test_lowered_symmetries():
 
 def test_metric_at():
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     g = dense_g(pair.involution)
     assert np.array_equal(metric_at(qm, [0, 0]), g)
     x = [Fraction(1, 2), Fraction(-1, 3)]
@@ -197,41 +185,42 @@ def test_metric_at():
 def test_check_nablaL_and_gsym():
     for blocks in ([(1, 1), (2, 1)], [(2, 1), (2, -1)], [(1, 1), (1, 1), (2, 1)]):
         pair = pair_of(blocks)
-        qm = lower_B(pair.block_tensor, pair.involution)
-        assert check_nablaL(qm, pair) is None
-        assert check_gsym(qm, pair) is None
+        qm = lower_B(pair)
+        assert check_nablaL(qm) is None
+        assert check_gsym(qm) is None
 
 
 def test_checks_trivial_for_zero_L():
     pair = pair_of([(1, 1), (1, -1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     assert not relabeled_L(pair).any()
-    assert check_nablaL(qm, pair) is None
-    assert check_gsym(qm, pair) is None
+    assert check_nablaL(qm) is None
+    assert check_gsym(qm) is None
 
 
 def test_check_nablaL_detects_corruption():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     low = np.array(lowered(qm), dtype=object)
     low[0, 0, 1, 1] += Fraction(1, 7)
-    bad = QuadraticMetric(qm.involution, *int_form(low))
-    assert check_nablaL(bad, pair) is not None
+    bad = QuadraticMetric(qm.pair, *int_form(low))
+    assert check_nablaL(bad) is not None
 
 
 def test_check_gsym_detects_wrong_operator():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     # indices 0 and 1 in one block: L links 0 to 1, which does not commute
     # with the factors, where the built pair links 1 to 2
     rogue = dataclasses.replace(pair, block=np.array([0, 0, 1]))
     assert relabeled_L(rogue).tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    assert check_gsym(qm, pair) is None and check_gsym(qm, rogue) is not None
+    assert check_gsym(qm) is None
+    assert check_gsym(QuadraticMetric(rogue, qm.num, qm.den)) is not None
 
 
 def test_riemann_flat_metric():
     pair = pair_of([(2, 1)])
-    qm = QuadraticMetric(pair.involution, *int_form(np.zeros((2, 2, 2, 2), dtype=object)))
+    qm = QuadraticMetric(pair, *int_form(np.zeros((2, 2, 2, 2), dtype=object)))
     assert not riemann_at_origin(qm)[0].any()
 
 
@@ -239,7 +228,7 @@ def test_riemann_round_sphere_like():
     # g(x) = (1 - |x|^2/2) I has curvature operator equal to the identity
     # on so(2) at the origin
     pair = pair_of([(1, 1), (1, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     rm = riemann_at_origin(qm)
     assert rm[2] is None  # the two routes agree
     assert np.array_equal(fractions(*rm[:2])[0], mat([[0, 1], [-1, 0]]))
@@ -248,7 +237,7 @@ def test_riemann_round_sphere_like():
 
 def test_riemann_matches_formal_blocks_1_2():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     num, den, routes = riemann_at_origin(qm)
     formal = r_formal(pair)
     assert routes is None and np.array_equal(fractions(num, den), fractions(formal))
@@ -258,8 +247,8 @@ def test_riemann_matches_formal_blocks_1_2():
 
 def test_riemann_linear_in_coefficients():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
-    doubled = QuadraticMetric(qm.involution, *int_form(2 * np.array(lowered(qm), dtype=object)))
+    qm = lower_B(pair)
+    doubled = QuadraticMetric(qm.pair, *int_form(2 * np.array(lowered(qm), dtype=object)))
     r1 = riemann_at_origin(qm)
     r2 = riemann_at_origin(doubled)
     assert np.array_equal(fractions(*r2[:2]), 2 * fractions(*r1[:2]))
@@ -284,24 +273,23 @@ def test_a_wrong_christoffel_combination_splits_the_routes(formula, monkeypatch)
     # the probe could transport with it
     c = CHRISTOFFEL[formula]
     monkeypatch.setattr(QuadraticMetric, "raised", property(
-        lambda qm: times_g(np.stack([qm.num, c(qm.num)]), qm.involution, 1)))
+        lambda qm: times_g(np.stack([qm.num, c(qm.num)]), qm.pair.involution, 1)))
     for blocks in ([(1, 1), (2, 1)], [(2, 1), (3, -1)], N24_BLOCKS, [(1, 1)] * 3 + [(1, -1)] * 2):
         pair = pair_of(blocks)
-        report = verify_realization(pair, lower_B(pair.block_tensor, pair.involution),
-                                    r_formal(pair))
+        report = verify_realization(lower_B(pair), r_formal(pair))
         assert (report.routes_witness is None) is (formula == "control"), blocks
 
 
 def test_verify_realization():
     for blocks in ([(3, 1)], [(1, 1), (2, 1)], [(2, 1), (2, -1)]):
         pair = pair_of(blocks)
-        qm = lower_B(pair.block_tensor, pair.involution)
-        report = verify_realization(pair, qm, r_formal(pair))
+        qm = lower_B(pair)
+        report = verify_realization(qm, r_formal(pair))
         assert report.ok, (blocks, report)
         if blocks == [(3, 1)]:
             assert not riemann_at_origin(qm)[0].any()
     pair = build_canonical(make_pencil([(0, [(1, 1), (2, 1)]), (1, [(2, -1), (2, -1)])]))
-    assert verify_realization(pair, lower_B(pair.block_tensor, pair.involution), r_formal(pair)).ok
+    assert verify_realization(lower_B(pair), r_formal(pair)).ok
 
 
 def test_verify_realization_rejects_perturbed_formal_map():
@@ -311,12 +299,12 @@ def test_verify_realization_rejects_perturbed_formal_map():
     formal = r_formal(pair)
     perturbed = formal.copy()
     perturbed[1] = perturbed[1] + eye(pair.n)
-    qm = lower_B(pair.block_tensor, pair.involution)
-    report = verify_realization(pair, qm, perturbed)
+    qm = lower_B(pair)
+    report = verify_realization(qm, perturbed)
     assert report.routes_witness is None and not report.ok
     # the first wrong value is on wedge(e_0, e_2), at its entry (0, 0)
     assert report.formal_witness == (0, 2, 0, 0)
-    assert verify_realization(pair, qm, formal).formal_witness is None
+    assert verify_realization(qm, formal).formal_witness is None
 
 
 def test_verify_realization_compares_the_denominator():
@@ -325,10 +313,10 @@ def test_verify_realization_compares_the_denominator():
     # the routes agree on both, but neither may match
     pair = pair_of([(1, 1), (2, 1)])
     formal = r_formal(pair)
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     assert formal.any() and qm.den == 2
-    for metric, rmap in ((QuadraticMetric(qm.involution, qm.num, 1), formal), (qm, 2 * formal)):
-        report = verify_realization(pair, metric, rmap)
+    for metric, rmap in ((QuadraticMetric(qm.pair, qm.num, 1), formal), (qm, 2 * formal)):
+        report = verify_realization(metric, rmap)
         assert report.routes_witness is None and report.formal_witness is not None, report
 
 
@@ -338,25 +326,27 @@ def test_a_curvature_map_of_the_wrong_shape_is_refused():
     # one value would broadcast against every wedge, so the Bianchi,
     # containment and formal-match checks refuse any other shape in one line
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     rmap = r_formal(pair)
     for values in (rmap[:1], rmap[:2], np.concatenate([rmap, rmap[:1]]), rmap[:, :2],
                    rmap[0], rmap[0, 0, 0]):
         for call in (lambda: check_bianchi(values), lambda: check_sectional(values, pair),
-                     lambda: verify_realization(pair, qm, values)):
+                     lambda: verify_realization(qm, values)):
             with pytest.raises(ValueError, match=re.escape(f", got {values.shape}")) as info:
                 call()
             assert "\n" not in str(info.value)
     assert check_bianchi(rmap) is None and check_sectional(rmap, pair) is None
-    assert verify_realization(pair, qm, rmap).ok
+    assert verify_realization(qm, rmap).ok
 
 
 def test_lower_B_rejects_asymmetric_point_indices():
-    # T = I (x) E_01 gives (g0 E_01) in (p, q), not symmetric there; g0 = I
-    e01 = np.array([[0, 1], [0, 0]])
-    with pytest.raises(RealizationError, match=r"\(p, q\)"):
-        lower_B(np.einsum("aj,bq->ajbq", np.eye(2, dtype=int), e01),
-                (np.arange(2), np.ones(2, dtype=int)))
+    # a pair built by hand with g0 = I and one block of size 2 has
+    # T = E_01 (x) I + I (x) E_01, which gives -E_01 in (p, q), not
+    # symmetric there; a canonical g0 is antidiagonal on that block
+    pair = CanonicalPair((np.arange(2), np.ones(2, dtype=np.int64)), np.array([0, 0]),
+                         np.zeros(2, dtype=np.int64))
+    with pytest.raises(RealizationError, match=re.escape("(p, q) at (0, 0, 0, 1)")):
+        lower_B(pair)
 
 
 @pytest.mark.parametrize("g0, at", [
@@ -368,35 +358,16 @@ def test_lower_B_rejects_asymmetric_point_indices():
 ], ids=[f"g0{k}-at{k}" for k in range(5)])
 def test_g0_that_is_not_its_own_inverse_is_refused(g0, at):
     # every product with g0 is a gather along its (perm, sign), which a
-    # canonical g0, a signed involution, has; the check, the metric and a
-    # pair built by hand refuse any other (perm, sign) by its first bad index
+    # canonical g0, a signed involution, has; the check and a pair built by
+    # hand refuse any other (perm, sign) by its first bad index, and a
+    # metric takes its g0 from a pair
     perm, sign = g0 = tuple(np.array(v) for v in g0)
     n = len(perm)
     message = f"g is not a signed involution: bad index {at}"
     with pytest.raises(ValueError, match=re.escape(message)):
         check_involution(perm, sign)
     with pytest.raises(ValueError, match=re.escape(message)):
-        QuadraticMetric(g0, np.zeros((n,) * 4, dtype=np.int64), 2)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        lower_B(np.zeros((n,) * 4, dtype=np.int64), g0)
-    with pytest.raises(ValueError, match=re.escape(message)):
         CanonicalPair(g0, np.arange(n), np.zeros(n, dtype=np.int64))
-
-
-def test_lower_B_checks_the_involution_before_the_symmetries():
-    # lower_B gathers along the involution: a perm out of range is refused
-    # by the check's message, not an IndexError, and an in-range 3-cycle on
-    # a block tensor by the check, before the symmetry test it would fail.
-    # The 3-cycle is the one a FloatMetric could once carry; now only a
-    # checked QuadraticMetric makes one
-    message = "g is not a signed involution: bad index {}"
-    with pytest.raises(ValueError, match=re.escape(message.format(1))):
-        lower_B(np.zeros((2,) * 4, dtype=np.int64), (np.array([0, 2]), np.ones(2, dtype=np.int64)))
-    cycle = (np.array([1, 2, 0]), np.ones(3, dtype=np.int64))
-    with pytest.raises(ValueError, match=re.escape(message.format(0))):
-        lower_B(pair_of([(1, 1), (2, 1)]).block_tensor, cycle)
-    with pytest.raises(ValueError, match=re.escape(message.format(0))):
-        FloatMetric(QuadraticMetric(cycle, np.zeros((3,) * 4, dtype=np.int64), 1))
 
 
 def test_involution_must_be_two_int_vectors_of_one_length():
@@ -406,14 +377,28 @@ def test_involution_must_be_two_int_vectors_of_one_length():
                        (np.zeros((1, 1), dtype=int), np.ones((1, 1), dtype=int))):  # matrices
         with pytest.raises(ValueError, match="integer vectors of one length"):
             check_involution(perm, sign)
-        with pytest.raises(ValueError, match="integer vectors of one length"):
-            lower_B(np.zeros((len(perm),) * 4, dtype=np.int64), (perm, sign))
+
+
+@pytest.mark.parametrize("bare, shape, error, message", [
+    (False, (3, 3, 3, 4), ValueError, "num needs shape (3, 3, 3, 3), got (3, 3, 3, 4)"),
+    (False, (2, 2, 2, 2), ValueError, "num needs shape (3, 3, 3, 3), got (2, 2, 2, 2)"),
+    (False, (3, 3, 3), ValueError, "num needs shape (3, 3, 3, 3), got (3, 3, 3)"),
+    (True, (3, 3, 3, 3), TypeError, "pair must be a CanonicalPair, got tuple"),
+], ids=["num3334", "num2222", "num333", "bare-involution"])
+def test_a_metric_refuses_a_malformed_pair_or_num(bare, shape, error, message):
+    # a metric holds the pair it realizes, and its num has that pair's
+    # shape (n, n, n, n): unchecked, a (3, 3, 3, 4) num passed both exact
+    # checks, and the other two failed deep inside numpy
+    pair = pair_of([(1, 1), (2, 1)])
+    with pytest.raises(error, match=re.escape(message)) as info:
+        QuadraticMetric(pair.involution if bare else pair, np.zeros(shape, dtype=np.int64), 2)
+    assert str(info.value) == message
 
 
 def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
-    # a full verify checks g twice: the pair's on construction, in
-    # build_canonical, and the metric's; validate_pair, the curvature, the
-    # bound and the probe's float metric check nothing
+    # a full verify checks g once: the pair's on construction, in
+    # build_canonical; the metric holds the pair, and lower_B, validate_pair,
+    # the curvature, the bound and the probe's float metric check nothing
     calls = []
 
     def counted(perm, sign):
@@ -430,10 +415,10 @@ def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
     report, code = cmd_verify(RunConfig(input=str(spec), stages=(
         "canonical", "berger", "realize", "probe"), seed=0))
     assert code == 0 and report["verdict"] == "pass"
-    assert calls == [3, 3]
+    assert calls == [3]
     pair = pair_of([(1, 1), (2, -1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
-    assert calls[2:] == [3, 3] and qm.involution is pair.involution
+    qm = lower_B(pair)
+    assert calls[1:] == [3] and qm.pair is pair
     calls.clear()
     for call in (riemann_at_origin, invertibility_bound, FloatMetric):
         call(qm)
@@ -442,7 +427,7 @@ def test_involution_is_checked_once_per_object(monkeypatch, tmp_path):
 
 def test_validity_radius_positive():
     pair = pair_of([(1, 1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     rho = validity_radius(invertibility_bound(qm))
     assert rho > 0.1
     assert rank(int_form(metric_at(qm, [Fraction(1, 20)] * 3))[0]) == qm.n
@@ -458,7 +443,7 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     pair = pair_of(blocks, lam)
     rmap = r_formal(pair)
     cert = berger_certificate(pair, rmap)
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     rm = riemann_at_origin(qm)
     stored = {"perm": pair.involution[0], "sign": pair.involution[1],
               "block": pair.block, "label": pair.label, "T": pair.block_tensor,
@@ -487,7 +472,7 @@ def test_exact_inputs_past_the_entry_cap_are_refused():
     # numerator or denominator, a pair's label and curvature values past the
     # cap are refused before any arithmetic, never wrapped around in int64
     pair = pair_of([(1, 1), (2, -1), (2, 1)])
-    qm = lower_B(pair.block_tensor, pair.involution)
+    qm = lower_B(pair)
     rmap = r_formal(pair)
     message = f"at most {ENTRY_CAP}"
     for big in (ENTRY_CAP + 1, -ENTRY_CAP - 1, 2 ** 62, 2 ** 64 + 1):
@@ -498,20 +483,19 @@ def test_exact_inputs_past_the_entry_cap_are_refused():
             return out
 
         num, label = past(qm.num, (0, 0, 1, 1)), past(pair.label, 0)
-        values, t = past(rmap, (-1, 0, 0)), past(pair.block_tensor, (0, 0, 0, 0))
-        for call in (lambda: QuadraticMetric(qm.involution, num, qm.den),
-                     lambda: QuadraticMetric(qm.involution, qm.num, abs(big)),
-                     lambda: lower_B(t, pair.involution),
+        values = past(rmap, (-1, 0, 0))
+        for call in (lambda: QuadraticMetric(qm.pair, num, qm.den),
+                     lambda: QuadraticMetric(qm.pair, qm.num, abs(big)),
                      lambda: dataclasses.replace(pair, label=label),
                      lambda: CanonicalPair(pair.involution, pair.block, label),
                      lambda: check_sectional(values, pair),
                      lambda: check_bianchi(values),
-                     lambda: verify_realization(pair, qm, values)):
+                     lambda: verify_realization(qm, values)):
             with pytest.raises(ValueError, match=message):
                 call()
     for den in (0, -2):
         with pytest.raises(ValueError, match="den must be positive"):
-            QuadraticMetric(qm.involution, qm.num, den)
+            QuadraticMetric(qm.pair, qm.num, den)
     # at the cap every check runs in int64 and decides as the Python-int
     # oracles do, on the metric and on a perturbation of it, with labels
     # +-ENTRY_CAP: one label on every index (L = C + N commutes as N does),
@@ -526,12 +510,12 @@ def test_exact_inputs_past_the_entry_cap_are_refused():
         for bump in (0, 1):
             num = qm.num * ENTRY_CAP
             num[0, 0, 1, 1] -= bump
-            edge = QuadraticMetric(qm.involution, num, ENTRY_CAP)
+            edge = QuadraticMetric(edge_pair, num, ENTRY_CAP)
             assert edge.num.dtype == np.int64 and type(edge.den) is int
-            assert check_nablaL(edge, edge_pair) == check_nablaL_ref(edge, L)
-            assert check_gsym(edge, edge_pair) == check_gsym_ref(edge, L)
+            assert check_nablaL(edge) == check_nablaL_ref(edge, L)
+            assert check_gsym(edge) == check_gsym_ref(edge, L)
             if len(set(labels)) == 1:
-                assert (check_nablaL(edge, edge_pair) is None) == (not bump)
+                assert (check_nablaL(edge) is None) == (not bump)
         for vals in (rmap * ENTRY_CAP, values):
             assert check_sectional(vals, edge_pair) == check_sectional_ref(
                 vals, dense_g(pair.involution), L)
