@@ -7,8 +7,7 @@ Array conventions (all float64):
                            rows of g0 B with i > j are zero, so that g0 g(x)
                            is upper triangular
     verts (L, V, n)        L polylines of V vertices each, transported together
-    steps int              RK4 steps N on every segment of nonzero length, even
-                           and at least 2; a segment of length 0 is the identity
+    steps int              RK4 steps N on every segment, even and at least 2
     a, v  (S, n)           segment start and direction, x(s) = a + s v, s in [0, 1]
     G     (3, n, n, S)     raised metric along the segment, h(s) = g0 g(x(s))
                            = G[0] + s G[1] + s^2 G[2], with G[0] = I + g0 B(a, a)
@@ -18,21 +17,20 @@ Array conventions (all float64):
     D     (..., K, n, n)   RK4 increments: step k maps P to (I + D[..., k, :, :]) P
 
 The transport ODE dP/ds = -M(s) P is linear, so every RK4 step is a matrix
-I + D.  The polylines of a call share many segments (the lassos at one
-basepoint share both tails, and squares share edges), so each distinct
+I + D.  The polylines of a call share many segments (the loops at one
+corner share its tail, and squares share edges), so each distinct
 segment, by the exact bits of its (start, direction), is integrated once:
 M at all nodes of a batch of distinct segments comes from one back
 substitution on the upper triangular h, with the nodes on the last axis,
 and the steps of each segment are combined pairwise in order into its
 increment.  No pivot is zero on a certified polyline: there
 |g0 B(x, x)|_inf <= |x|_inf^2 c < 1, so every diagonal entry of h is
-positive.  Each loop then gathers its segments' increments by index
-(a zero increment for a segment of length 0), and they are
-combined pairwise in order, a batch of loops at a time.  The arithmetic
-on a segment does not depend on which other segments share its batch.
-The even-indexed nodes are exactly the nodes of the N/2-step run, which
-gives the step-doubling error estimate |D_N - D_(N/2)|_max / 15 at no
-extra solve.
+positive.  Each polyline then gathers its segments' increments by index,
+and they are combined pairwise in order, a batch of polylines at a time.
+The arithmetic on a segment does not depend on which other segments share
+its batch.  The even-indexed nodes are exactly the nodes of the N/2-step
+run, so both runs come at no extra solve.  A segment of length 0 needs no
+special case: v = 0 makes M = 0, and its increment is exactly 0.
 """
 
 from __future__ import annotations
@@ -138,39 +136,29 @@ def transport_polyline(mats, verts, steps):
     """Parallel transport along L polylines at once, for the raised
     contraction matrices ``mats`` of ``FloatMetric``.
 
-    Every segment of nonzero length takes ``steps`` fixed RK4 steps, an even
-    count N of at least 2; a segment of length 0 is the identity.  Returns
-    ``(D, step_error)``: the (L, n, n) increments D = A - I of the transport
+    Every segment takes ``steps`` fixed RK4 steps, an even count N of at
+    least 2.  Returns the (2, L, n, n) increments D = A - I of the transport
     matrices A mapping fibers at each polyline's first vertex to its last,
-    and the (L,) Richardson estimates |D_N - D_(N/2)|_max / 15 of their RK4
-    error (the N/2-step run uses every second node of the N-step run).
+    of the N-step run and of the N/2-step run (every second node of the
+    N-step run), for a step-doubling error estimate.
     """
     verts = np.ascontiguousarray(verts, dtype=np.float64)
-    if verts.ndim != 3 or verts.shape[1] < 2:
-        raise ValueError("verts must have shape (loops, vertices >= 2, n)")
+    if verts.ndim != 3 or not len(verts) or verts.shape[1] < 2:
+        raise ValueError("verts must have shape (loops >= 1, vertices >= 2, n)")
     if not isinstance(steps, int) or steps < 2 or steps % 2:
         raise ValueError(f"steps must be an even int of at least 2, got {steps!r}")
     nloops, nverts, n = verts.shape
     a = verts[:, :-1]
-    v = verts[:, 1:] - a
-    active = np.any(v != 0.0, axis=-1)
-    d = np.zeros((nloops, n, n))
-    err = np.zeros(nloops)
-    if not active.any():
-        return d, err
-    # the distinct active segments, equal when the bits of (start, direction) are
-    key = np.ascontiguousarray(np.concatenate([a, v], axis=-1)[active])
+    # the distinct segments, equal when the bits of (start, direction) are
+    key = np.concatenate([a, verts[:, 1:] - a], axis=-1).reshape(-1, 2 * n)
     _, first, inverse = np.unique(key.view(np.dtype((np.void, key.itemsize * 2 * n))).ravel(),
                                   return_index=True, return_inverse=True)
     seg_a, seg_v = key[first, :n], key[first, n:]
-    # slot len(first) stays zero: the increment of a segment of length 0
-    runs = np.zeros((2, len(first) + 1, n, n))
+    runs = np.empty((2, len(first), n, n))
     for part in _batches(len(first), (2 * steps + 1) * n * n):
         runs[:, part] = _segment_runs(mats, seg_a[part], seg_v[part], steps)
-    index = np.full(active.shape, len(first))
-    index[active] = inverse
+    index = inverse.reshape(nloops, nverts - 1)
+    d = np.empty((2, nloops, n, n))
     for part in _batches(nloops, 2 * (nverts - 1) * n * n):
-        d_full, d_half = _combine(runs[:, index[part]])
-        d[part] = d_full
-        err[part] = np.max(np.abs(d_full - d_half), axis=(1, 2)) / 15.0
-    return d, err
+        d[:, part] = _combine(runs[:, index[part]])
+    return d

@@ -1,25 +1,29 @@
 """Loop parallel transport and holonomy span estimation.
 
-All loops are based at the origin: a square with an off-origin corner is
-reached through a straight connecting segment and closed the same way, so
+All loops are based at the origin: a square with an off-origin corner c is
+reached through a straight tail 0 -> c and closed by the tail reversed, so
 every transport matrix is an honest holonomy element at 0 and its
 logarithm can be compared against the centralizer algebra there.  The
 algebra comes from the Berger certificate: its witness values, the
 curvature images that span g_L, are the basis the logarithms are tested
 against.
 
-Every loop is a 7-vertex polyline (a square at the origin has tails of
-length 0, which the kernel takes as the identity) whose other segments all
-take ``STEPS`` RK4 steps, so one kernel call transports all loops of a
-run.  Before it, the polylines are certified regular by the exact bound
-|x|_inf^2 * c < 1 at their vertices (the sup-norm is convex, so that covers
-every point of every segment, and the bound grows with |x|_inf, so one
-check at the largest extent covers every loop); a polyline the bound does
+Transport along the reversed tail is the inverse of transport along the
+tail, so each loop is two 5-vertex polylines, its closed square at c and
+its tail cut into four equal pieces (of length 0 at the origin, where its
+transport is exactly I), and the loop's holonomy is the square's
+conjugated by the tail's.  Two RK4 runs along the tail, out and back, would
+not cancel and would leave their truncation error in the holonomy.  Every
+segment takes ``STEPS`` RK4 steps, so one kernel call transports all loops
+of a run.  Before it, the polylines are certified regular by the exact
+bound |x|_inf^2 * c < 1 at their vertices (the sup-norm is convex, so that
+covers every point of every segment, and the bound grows with |x|_inf, so
+one check at the largest extent covers every loop); a loop the bound does
 not cover is refused.  A loop family is one tuple of aligned arrays
 ``(planes, basepoints, sides)``: (L, 2) ints (a, b), (L, k) float corners
 (k <= n, zero-padded) and (L,) float sides.  The transport checks them once
-and returns the kernel's arrays, one row per loop, which the span estimate
-reads as they are.
+and returns its arrays, one row per loop, which the span estimate reads as
+they are.
 
 ``standard_loops`` spans every coordinate plane, with its off-origin
 corners drawn from the standard library's ``random.Random(seed)``, so the
@@ -47,13 +51,12 @@ from ..realize import QuadraticMetric, invertibility_bound, validity_radius
 from . import kernels
 
 # The probe's numerical policy: RK4 steps per segment (even, so the
-# kernel's N/2-step error estimate exists; 6 is the fewest that keep every
-# flat-plane loop within 1e-15 of the identity and every estimate under
-# 1e-13, and 4 fails the first), the largest relative membership residual a
-# passing report may have, and the singular values counted in the rank,
-# relative to the largest.  Frobenius norms below _NEGLIGIBLE are treated as
-# a zero logarithm sample.
-STEPS = 6
+# N/2-step error estimate exists; 2, the fewest, keeps every flat-plane loop
+# within 1e-15 of the identity and every estimate under 1e-13), the largest
+# relative membership residual a passing report may have, and the singular
+# values counted in the rank, relative to the largest.  Frobenius norms
+# below _NEGLIGIBLE are treated as a zero logarithm sample.
+STEPS = 2
 MEMBERSHIP_TOL = 1e-6
 RANK_THRESHOLD = 1e-8
 _NEGLIGIBLE = 1e-9
@@ -135,17 +138,19 @@ def _checked(loops: tuple, n: int) -> tuple:
     return planes, basepoints, sides
 
 
-def _lasso_vertices(loops: tuple, n: int) -> np.ndarray:
-    """The (L, 7, n) vertices of the origin-based lassos of a checked loop
-    family, one row per loop."""
+def _polylines(loops: tuple, n: int) -> np.ndarray:
+    """The (2L, 5, n) polylines of a checked loop family: first each loop's
+    closed square at its corner c, then each loop's tail 0 -> c in four
+    equal collinear pieces (all at 0 for an origin square)."""
     planes, basepoints, sides = loops
     bp = np.zeros((len(planes), n))
     bp[:, :basepoints.shape[1]] = basepoints
     rows = np.arange(len(planes))
-    ea, eb, origin = np.zeros((3,) + bp.shape)
+    ea, eb = np.zeros((2,) + bp.shape)
     ea[rows, planes[:, 0]] = sides
     eb[rows, planes[:, 1]] = sides
-    return np.stack([origin, bp, bp + ea, bp + ea + eb, bp + eb, bp, origin], axis=1)
+    squares = np.stack([bp, bp + ea, bp + ea + eb, bp + eb, bp], axis=1)
+    return np.concatenate([squares, bp[:, None] * np.linspace(0.0, 1.0, 5)[:, None]])
 
 
 def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
@@ -154,10 +159,13 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
     ``loops`` is a loop family ``(planes, basepoints, sides)``, checked
     first.  dP/dt = -Gamma(x(t))[x'(t)] P with classical fixed-step RK4,
     ``STEPS`` steps per segment; each square is traversed corner -> +e_a ->
-    +e_b -> -e_a -> -e_b.  Returns ``(d, step_error, extent, loops)``, a row
-    per loop: the (L, n, n) increments D = A - I of the transport matrices
-    A, the kernel's RK4 error estimates |D_N - D_(N/2)|_max / 15, the
-    largest vertex sup-norm of each polyline, and the checked family, its
+    +e_b -> -e_a -> -e_b.  The lasso 0 -> c -> square -> c -> 0 transports
+    by T^-1 H T, for H the square's transport at c and T the tail's, so its
+    increment is T^-1 (H - I) T, formed for the N-step and the N/2-step
+    runs alike.  Returns ``(d, step_error, extent, loops)``, a row per
+    loop: the (L, n, n) increments D = A - I of the transport matrices A,
+    the RK4 error estimates |D_N - D_(N/2)|_max / 15 of the lassos, the
+    largest vertex sup-norm of each square, and the checked family, its
     basepoints and sides as float64.  A loop the exact bound does not
     certify, or a degenerate metric on any loop, raises before any result
     exists.
@@ -165,8 +173,8 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
     planes, basepoints, _ = loops = _checked(loops, fm.n)
     if not len(planes):
         return np.zeros((0, fm.n, fm.n)), np.zeros(0), np.zeros(0), loops
-    verts = _lasso_vertices(loops, fm.n)
-    extents = np.max(np.abs(verts), axis=(1, 2))
+    verts = _polylines(loops, fm.n)
+    extents = np.max(np.abs(verts[:len(planes)]), axis=(1, 2))
     # the bound grows with the extent: the largest extent certifies every loop
     if not fm.certifies(float(extents.max())):
         i, extent = next((i, e) for i, e in enumerate(extents.tolist()) if not fm.certifies(e))
@@ -174,10 +182,12 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
             f"loop in plane {tuple(planes[i].tolist())} at basepoint {basepoints[i].tolist()} "
             f"has extent |x|_inf = {extent!r}, not certified regular by the validity radius "
             f"{validity_radius(fm.bound)}")
-    d, err = kernels.transport_polyline(fm.mats, verts, STEPS)
-    if not (np.isfinite(d).all() and np.isfinite(err).all()):
+    square, tail = np.split(kernels.transport_polyline(fm.mats, verts, STEPS), 2, axis=1)
+    tail += np.eye(fm.n)
+    d = np.linalg.solve(tail, square @ tail)
+    if not np.isfinite(d).all():
         raise SingularMetricError("transport diverged; metric degenerates on the loop")
-    return d, err, extents, loops
+    return d[0], np.max(np.abs(d[0] - d[1]), axis=(1, 2)) / 15.0, extents, loops
 
 
 def standard_loops(n: int, seed: int = 0) -> tuple:

@@ -32,8 +32,10 @@ references do not depend on the code they check.  The float helpers
 evaluate the metric and its Christoffel symbols at one point,
 ``contraction_matrices_ref`` is the kernel's earlier float contraction of
 B, and ``transport_polyline_ref`` is the earlier sequential RK4 transport
-(one polyline, three Christoffel evaluations per step).  ``standard_loops_ref``
-is the earlier per-loop construction of the standard loop family.
+(one polyline, the Christoffel symbols at each step's start, midpoint and
+end).  ``standard_loops_ref`` is the earlier per-loop construction of the
+standard loop family, and ``lasso_vertices`` the earlier polyline of a
+loop: out along the tail, around the square and back, as one path.
 """
 
 import random
@@ -810,13 +812,11 @@ def transport_polyline_ref(g0, B, verts, steps):
         v = verts[e + 1] - a
         ns = int(steps[e])
         h = 1.0 / ns
+        m1 = _gamma_dot_v(g0, B, a, v)
         for k in range(ns):
-            x0 = a + (k * h) * v
-            xm = a + ((k + 0.5) * h) * v
-            x1 = a + ((k + 1.0) * h) * v
-            m0 = _gamma_dot_v(g0, B, x0, v)
-            mm = _gamma_dot_v(g0, B, xm, v)
-            m1 = _gamma_dot_v(g0, B, x1, v)
+            m0 = m1  # the end of step k - 1 is the start of step k
+            mm = _gamma_dot_v(g0, B, a + ((k + 0.5) * h) * v, v)
+            m1 = _gamma_dot_v(g0, B, a + ((k + 1.0) * h) * v, v)
             k1 = -m0 @ p
             k2 = -mm @ (p + (0.5 * h) * k1)
             k3 = -mm @ (p + (0.5 * h) * k2)
@@ -837,6 +837,21 @@ def standard_loops_ref(n: int, seed: int = 0) -> list:
         basepoints.append(tuple(norm * (2 * rng.random() - 1) for _ in range(n)))
     return [(bp, (a, b), transport.SIDE)
             for a in range(n) for b in range(a + 1, n) for bp in basepoints]
+
+
+def lasso_vertices(loops: tuple, n: int) -> np.ndarray:
+    """The (L, 7, n) vertices 0, c, c + e_a, c + e_a + e_b, c + e_b, c, 0 of
+    the origin-based lassos of a loop family ``(planes, basepoints, sides)``,
+    one row per loop, e_a and e_b the plane's coordinate vectors times the
+    side and c the corner zero-padded to n coordinates."""
+    planes, basepoints, sides = loops
+    bp = np.zeros((len(planes), n))
+    bp[:, :basepoints.shape[1]] = basepoints
+    rows = np.arange(len(planes))
+    ea, eb, origin = np.zeros((3,) + bp.shape)
+    ea[rows, planes[:, 0]] = sides
+    eb[rows, planes[:, 1]] = sides
+    return np.stack([origin, bp, bp + ea, bp + ea + eb, bp + eb, bp, origin], axis=1)
 
 
 def float_parts(qm: QuadraticMetric) -> tuple:

@@ -378,6 +378,19 @@ def test_probe_transports_exactly_the_curved_planes(tmp_path):
     assert len(probe["samples"]) == (1 + EXTRA_BASEPOINTS) * (n * (n - 1) // 2 - probe["flat_planes"])
 
 
+def test_all_plus_ones21_passes_at_seed_1(tmp_path):
+    # regression: 21 blocks of size 1, all +, so g_L = so(21) and the signs
+    # cancel nothing.  With each off-origin lasso's tail integrated out and
+    # back, the two RK4 runs missed I by their truncation error, and the
+    # samples reached rank 211 with a step error above 1e-13
+    doc = {"eigenvalues": [{"lambda": "0", "blocks": [{"size": 1, "sign": 1}] * 21}]}
+    report, code = cmd_verify(RunConfig(input=str(write_spec(tmp_path, "spec.json", doc)), seed=1))
+    probe = report["stages"]["probe"]
+    assert code == 0 and report["verdict"] == "pass"
+    assert probe["span_rank"] == probe["dim_gL"] == 210
+    assert probe["max_step_error"] <= 1e-13
+
+
 def test_verify_stdout_and_out_file_are_the_same_bytes(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     out = tmp_path / "report.json"

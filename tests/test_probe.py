@@ -43,6 +43,7 @@ from oracles import (
     christoffel,
     contraction_matrices_ref,
     float_parts,
+    lasso_vertices,
     metric_at,
     metric_value,
     nablaL_residual,
@@ -516,14 +517,15 @@ def test_metric_value_matches_exact():
 
 # -- batched kernel against the sequential reference -----------------------------------
 
-def ref_transport(qm, loop):
+def ref_transport(qm, loop, steps=None):
     """The one loop of the family ``loop`` through the sequential reference
-    kernel at the probe's step count; segments of length 0 (an origin
-    square's tails) are dropped, which leaves the path unchanged."""
-    verts = transport._lasso_vertices(loop, qm.n)[0]
+    kernel at ``steps`` per segment (default: the probe's), along the full
+    lasso out, around and back; segments of length 0 (an origin square's
+    tails) are dropped, which leaves the path unchanged."""
+    verts = lasso_vertices(loop, qm.n)[0]
     keep = np.any(verts[1:] != verts[:-1], axis=1)
     return transport_polyline_ref(*float_parts(qm), verts[np.concatenate([[True], keep])],
-                                  [transport.STEPS] * int(keep.sum()))
+                                  [steps or transport.STEPS] * int(keep.sum()))
 
 
 @pytest.mark.parametrize("blocks", [b for _, b in PROBE_SPECS], ids=[n for n, _ in PROBE_SPECS])
@@ -557,26 +559,29 @@ def count_segments(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("n, blocks, distinct", [
-    (3, [(1, 1), (2, 1)], 34),
-    (4, [(1, 1), (1, 1), (2, 1)], 58),
-    (5, [(2, 1), (3, -1)], 88),
+    (3, [(1, 1), (2, 1)], 39),
+    (4, [(1, 1), (1, 1), (2, 1)], 63),
+    (5, [(2, 1), (3, -1)], 93),
 ])
 def test_each_distinct_segment_is_integrated_once(n, blocks, distinct, monkeypatch):
-    # 3 C(n, 2) lassos of 6 segments; per basepoint the n - 1 first edges
-    # (planes (a, .)), the n - 1 last edges (planes (., b)) and the two
-    # tails of an off-origin corner are shared: 3 (n - 1)(n + 2) + 4 distinct
+    # 3 C(n, 2) squares of 4 segments and as many tails of 4 pieces; per
+    # basepoint the n - 1 first edges (planes (a, .)) and the n - 1 last
+    # edges (planes (., b)) are shared, each off-origin corner's 4 tail
+    # pieces are shared, and the origin's tail pieces are one segment of
+    # length 0: 3 (n - 1)(n + 2) + 2 * 4 + 1 distinct
     fm = FloatMetric(realized(blocks)[1])
     rows = count_segments(monkeypatch)
     parallel_transport(fm, standard_loops(n))
-    assert sum(rows) == distinct == 3 * (n - 1) * (n + 2) + 4
+    assert sum(rows) == distinct == 3 * (n - 1) * (n + 2) + 9
 
 
 def test_mixed_batch_equals_solo_calls(monkeypatch):
     # origin squares and lassos of two sides in one call at one step count,
     # which the kernel integrates in several segment batches of unequal
-    # sizes (100 steps per segment make the node arrays large); two loops
-    # share a segment with an origin square in another position: a tail
-    # equal to its first edge, and a tail back equal to its last edge
+    # sizes, the last one smaller (100 steps per segment make the node
+    # arrays large); the first two pieces of the tail to (0.04, 0, 0, 0) are
+    # the first edges of two squares in other positions: the origin square
+    # in plane (0, 1) and the square at (0.01, 0, 0, 0) in plane (0, 2)
     monkeypatch.setattr(transport, "STEPS", 100)
     _, qm = realized([(1, 1), (1, 1), (2, 1)])
     fm = FloatMetric(qm)
@@ -586,8 +591,9 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
                             ((0.05, -0.05, 0.0, 0.0), (0, 2), 1e-2),
                             ((0.0, 0.11, 0.0, 0.0), (1, 2), 5e-3),
                             ((0.0,) * 4, (1, 3), 5e-3),
-                            ((1e-2, 0.0, 0.0, 0.0), (1, 2), 1e-2),
-                            ((0.0, 0.0, 0.0, 1e-2), (0, 1), 1e-2)),
+                            ((1e-2, 0.0, 0.0, 0.0), (0, 2), 1e-2),
+                            ((0.04, 0.0, 0.0, 0.0), (1, 3), 1e-2),
+                            ((0.0, 0.0, -0.03, 0.0), (0, 1), 1e-2)),
                    standard_loops(4, seed=2))
     count = len(loops[0])
     rows = count_segments(monkeypatch)
@@ -596,8 +602,10 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
     assert d.shape == (count, 4, 4) and step_error.shape == extent.shape == (count,)
     assert len(rows) > 1 and max(rows) <= per_batch
     assert sum(rows) % len(rows)  # the last batch is smaller
-    segments = {(tuple(p), tuple(q - p)) for lasso in transport._lasso_vertices(loops, 4)
-                for p, q in zip(lasso[:-1], lasso[1:]) if (q != p).any()}
+    # the distinct segments of the squares and of the tails, the origin's
+    # tails of length 0 among them
+    segments = {(tuple(p), tuple(q - p)) for polyline in transport._polylines(loops, 4)
+                for p, q in zip(polyline[:-1], polyline[1:])}
     assert sum(rows) == len(segments)
     for i in range(count):
         d_solo, step_error_solo, extent_solo, _ = parallel_transport(fm, loop_rows(loops, i))
@@ -679,11 +687,15 @@ def test_kernel_rejects_bad_step_counts():
                 [16, 16, 16]):   # one count per call, not per segment
         with pytest.raises(ValueError, match="even int of at least 2"):
             kernels.transport_polyline(fm.mats, verts, bad)
-    # a segment of length 0 is the identity
-    d, err = kernels.transport_polyline(fm.mats, verts, 16)
-    d_short, err_short = kernels.transport_polyline(fm.mats, verts[:, 1:], 16)
-    assert np.array_equal(d, d_short) and np.array_equal(err, err_short)
-    assert d.shape == (1, 3, 3) and err.shape == (1,) and 0.0 < err[0] < 1e-15
+    with pytest.raises(ValueError, match="loops >= 1"):
+        kernels.transport_polyline(fm.mats, verts[:0], 16)
+    # the N-step and N/2-step runs; a segment of length 0 is the identity,
+    # with no special case: v = 0 makes its increment exactly 0
+    runs = kernels.transport_polyline(fm.mats, verts, 16)
+    assert runs.shape == (2, 1, 3, 3)
+    assert np.array_equal(runs, kernels.transport_polyline(fm.mats, verts[:, 1:], 16))
+    assert not kernels.transport_polyline(fm.mats, verts[:, :2], 16).any()
+    assert 0.0 < np.max(np.abs(runs[0] - runs[1])) / 15.0 < 1e-15
 
 
 # -- flat planes --------------------------------------------------------------------
@@ -732,7 +744,7 @@ def test_exact_bound_certifies_standard_loops():
         radius = validity_radius(fm.bound)
         for seed in (0, 1):
             loops = standard_loops(pair.n, seed=seed)
-            verts = transport._lasso_vertices(loops, pair.n)
+            verts = lasso_vertices(loops, pair.n)
             for extent in np.max(np.abs(verts), axis=(1, 2)).tolist():
                 assert extent < radius and fm.certifies(extent)
             d, _, extents, _ = parallel_transport(fm, loops)
@@ -787,30 +799,32 @@ def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
 # -- the step-doubling error estimate --------------------------------------------------------
 
 def test_step_error_estimate_tracks_true_error(monkeypatch):
-    # negative control: one deliberately coarse origin square (side 0.3, 16
-    # steps, pinned here whatever the probe's step count) per spec; the
-    # estimate must see its error, within 2x of the error against a
-    # 400-step run of the reference kernel
-    monkeypatch.setattr(transport, "STEPS", 16)
-    for _, blocks in PROBE_SPECS:
-        pair, qm = realized(blocks)
-        fm = FloatMetric(qm)
-        n = pair.n
-        coarse = loops_of(((0.0,) * n, (0, n - 1), 0.3))
-        (d,), (step_error,), *_ = parallel_transport(fm, coarse)
-        verts = transport._lasso_vertices(coarse, n)[0]
-        fine = transport_polyline_ref(*float_parts(qm), verts[1:-1], [400] * 4)
-        true = float(np.max(np.abs(d + np.eye(n) - fine)))
-        assert step_error > 1e-12
-        assert 0.5 < step_error / true < 2.0
+    # negative control: per spec, one deliberately coarse origin square
+    # (side 0.3, 16 steps, pinned here whatever the probe's step count) and
+    # two coarse off-origin lassos at the probe's own STEPS, with corner
+    # 0.05 in every coordinate and side 0.3, and with corner 0.35 and side
+    # 0.05, where the tail's share of the error is the larger (an estimate
+    # from the square alone fails 5 of the 8 specs there); each estimate
+    # must see its error, within 2x of the error against a 400-step run of
+    # the reference kernel along the full lasso
+    for corner, side, steps in ((0.0, 0.3, 16), (0.05, 0.3, transport.STEPS),
+                                (0.35, 0.05, transport.STEPS)):
+        monkeypatch.setattr(transport, "STEPS", steps)
+        for _, blocks in PROBE_SPECS:
+            pair, qm = realized(blocks)
+            n = pair.n
+            coarse = loops_of(((corner,) * n, (0, n - 1), side))
+            (d,), (step_error,), *_ = parallel_transport(FloatMetric(qm), coarse)
+            true = float(np.max(np.abs(d + np.eye(n) - ref_transport(qm, coarse, 400))))
+            assert step_error > 1e-12
+            assert 0.5 < step_error / true < 2.0, (corner, side, blocks, step_error / true)
 
 
 def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
     # STEPS is measured, not guessed: at STEPS every flat-plane loop of
     # FLATNESS_SPECS stays within 1e-15 of the identity and the step-error
     # estimate of every curved-plane loop of the probe specs within CI's
-    # 1e-13, both at seeds 0-2; two steps fewer break one of the two (the
-    # flat-plane bound, at 4)
+    # 1e-13, both at seeds 0-2, and the kernel takes no fewer steps
     flat_runs, curved_runs = [], []
     for _, eigenvalues in FLATNESS_SPECS:
         pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
@@ -822,15 +836,16 @@ def test_step_count_is_the_fewest_that_keeps_the_bounds(monkeypatch):
             if len(eigenvalues) == 1:  # a probe spec
                 curved_runs.append((fm, loop_rows(loops, in_planes(loops, curved))))
 
-    def worst(steps):
-        monkeypatch.setattr(transport, "STEPS", steps)
-        moved = max(float(np.max(np.abs(a - np.eye(fm.n))))
-                    for fm, loops in flat_runs for a in transports(fm, loops))
-        step_error = max(float(e)
-                         for fm, loops in curved_runs for e in parallel_transport(fm, loops)[1])
-        return moved, step_error
-
-    moved, step_error = worst(transport.STEPS)
+    moved = max(float(np.max(np.abs(a - np.eye(fm.n))))
+                for fm, loops in flat_runs for a in transports(fm, loops))
+    step_error = max(float(e) for fm, loops in curved_runs for e in parallel_transport(fm, loops)[1])
     assert moved <= 1e-15 and step_error <= 1e-13, (moved, step_error)
-    moved, step_error = worst(transport.STEPS - 2)
-    assert moved > 1e-15 or step_error > 1e-13, (moved, step_error)
+    fm, loops = flat_runs[0]
+    with pytest.raises(ValueError, match="even int of at least 2"):
+        kernels.transport_polyline(fm.mats, lasso_vertices(loops, fm.n), transport.STEPS - 2)
+    # negative control: the same flat-plane loops as single lassos, each tail
+    # integrated out and back as two RK4 runs that do not cancel, through the
+    # same kernel at STEPS, break the flat-plane bound
+    moved = max(float(np.max(np.abs(kernels.transport_polyline(
+        fm.mats, lasso_vertices(loops, fm.n), transport.STEPS)[0]))) for fm, loops in flat_runs)
+    assert moved > 1e-15, moved
