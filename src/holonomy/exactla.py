@@ -29,7 +29,6 @@ L is a pair's ``label`` and ``block``, and every product with it ``times_L``.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -102,7 +101,7 @@ def check_involution(perm: np.ndarray, sign: np.ndarray) -> None:
 
 def pivot_columns(a) -> list:
     """Indices of the columns of an integer matrix that are not in the span
-    of the columns before them.
+    of the columns before them; any other dtype raises TypeError.
 
     Each column is inserted into an echelon basis held as sparse columns of
     Python ints, keyed by lead, a vector's smallest row with a nonzero.  A
@@ -120,8 +119,7 @@ def pivot_columns(a) -> list:
     """
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
-        # operator.index rejects a Fraction or float entry instead of truncating it
-        a = np.vectorize(operator.index, otypes=[object])(a.astype(object))
+        raise TypeError(f"pivot_columns takes an integer array, not dtype {a.dtype}")
     columns = [{} for _ in range(a.shape[1])]
     cols, rows = np.nonzero(a.T)
     for c, r, x in zip(cols.tolist(), rows.tolist(), a.T[cols, rows].tolist()):

@@ -19,7 +19,8 @@ Array conventions (all float64):
 The transport ODE dP/ds = -M(s) P is linear, so every RK4 step is a matrix
 I + D.  The polylines of a call share many segments (the loops at one
 corner share its tail, and squares share edges), so each distinct
-segment, by the exact bits of its (start, direction), is integrated once:
+segment, by the exact bits of its (start, direction), is integrated once;
+one dict keyed on those bits numbers the distinct segments in byte order.
 M at all nodes of a batch of distinct segments comes from one back
 substitution on the upper triangular h, with the nodes on the last axis,
 and the steps of each segment are combined pairwise in order into its
@@ -27,10 +28,13 @@ increment.  No pivot is zero on a certified polyline: there
 |g0 B(x, x)|_inf <= |x|_inf^2 c < 1, so every diagonal entry of h is
 positive.  Each polyline then gathers its segments' increments by index,
 and they are combined pairwise in order, a batch of polylines at a time.
-The arithmetic on a segment does not depend on which other segments share
-its batch.  The even-indexed nodes are exactly the nodes of the N/2-step
-run, so both runs come at no extra solve.  A segment of length 0 needs no
-special case: v = 0 makes M = 0, and its increment is exactly 0.
+A segment's bits can depend on its column in a batch's GEMMs (BLAS picks
+its inner kernels by position), so byte order, not the order in which the
+polylines show the segments, fixes the batches: the result depends on the
+set of segments in a call, not on the order of its polylines.  The
+even-indexed nodes are exactly the nodes of the N/2-step run, so both runs
+come at no extra solve.  A segment of length 0 needs no special case:
+v = 0 makes M = 0, and its increment is exactly 0.
 """
 
 from __future__ import annotations
@@ -53,14 +57,12 @@ def segment_terms(mats, a, v):
     = 2 sum_bq C[k,c,b,q] v^b x(s)^q, linear in x; ``mats`` raises k.
     """
     n = a.shape[-1]
-    a, v = a.T, v.T
-
-    def outer(x, y):
-        return (x[:, None] * y[None, :]).reshape(n * n, -1)
-
-    G = mats[0] @ np.stack([outer(a, a), outer(a, v) + outer(v, a), outer(v, v)])
-    R = mats[1] @ np.stack([outer(v, a), outer(v, v)])
-    G = G.reshape(3, n, n, -1)
+    x = np.stack([a.T, v.T])
+    # the outer products aa, av, va, vv, each (n^2, S)
+    xx = (x[:, None, :, None] * x[None, :, None, :]).reshape(4, n * n, -1)
+    R = mats[1] @ xx[2:]
+    xx[1] += xx[2]  # G's middle term av + va
+    G = (mats[0] @ xx[[0, 1, 3]]).reshape(3, n, n, -1)
     G[0, np.arange(n), np.arange(n)] += 1.0
     return G, 2.0 * R.reshape(2, n, n, -1)
 
@@ -116,14 +118,6 @@ def _rk4(m, h):
     return _combine(d)
 
 
-def _segment_runs(mats, a, v, nsteps):
-    """N-step and N/2-step increments, (2, S, n, n), of the segments a + s v."""
-    G, R = segment_terms(mats, a, v)
-    m = segment_gamma(G, R, np.arange(2 * nsteps + 1) / (2 * nsteps))
-    m = np.ascontiguousarray(m.transpose(2, 3, 0, 1))  # nodes first, for the batched GEMMs
-    return _rk4(m, 1.0 / nsteps), _rk4(m[:, 0::2], 2.0 / nsteps)
-
-
 def _batches(total, per_item):
     """Slices covering range(total) in equal-sized batches of at most
     NODE_BUDGET // per_item items (at least one): the largest sets peak memory."""
@@ -149,15 +143,20 @@ def transport_polyline(mats, verts, steps):
         raise ValueError(f"steps must be an even int of at least 2, got {steps!r}")
     nloops, nverts, n = verts.shape
     a = verts[:, :-1]
-    # the distinct segments, equal when the bits of (start, direction) are
-    key = np.concatenate([a, verts[:, 1:] - a], axis=-1).reshape(-1, 2 * n)
-    _, first, inverse = np.unique(key.view(np.dtype((np.void, key.itemsize * 2 * n))).ravel(),
-                                  return_index=True, return_inverse=True)
-    seg_a, seg_v = key[first, :n], key[first, n:]
-    runs = np.empty((2, len(first), n, n))
-    for part in _batches(len(first), (2 * steps + 1) * n * n):
-        runs[:, part] = _segment_runs(mats, seg_a[part], seg_v[part], steps)
-    index = inverse.reshape(nloops, nverts - 1)
+    # the distinct segments, equal when the bits of (start, direction) are:
+    # a row's 2n floats as one byte string (numpy drops its trailing NULs
+    # and pads them back), numbered in byte order
+    row = f"S{16 * n}"
+    keys = np.concatenate([a, verts[:, 1:] - a], axis=-1).view(row).ravel().tolist()
+    ids = {key: i for i, key in enumerate(sorted(set(keys)))}
+    index = np.reshape([ids[key] for key in keys], (nloops, nverts - 1))
+    seg = np.array(list(ids), dtype=row).view(np.float64).reshape(-1, 2 * n)
+    s = np.arange(2 * steps + 1) / (2 * steps)
+    runs = np.empty((2, len(seg), n, n))
+    for part in _batches(len(seg), (2 * steps + 1) * n * n):
+        m = segment_gamma(*segment_terms(mats, seg[part, :n], seg[part, n:]), s)
+        m = np.ascontiguousarray(m.transpose(2, 3, 0, 1))  # nodes first, for the batched GEMMs
+        runs[:, part] = _rk4(m, 1.0 / steps), _rk4(m[:, 0::2], 2.0 / steps)
     d = np.empty((2, nloops, n, n))
     for part in _batches(nloops, 2 * (nverts - 1) * n * n):
         d[:, part] = _combine(runs[:, index[part]])

@@ -182,7 +182,8 @@ def parallel_transport(fm: FloatMetric, loops: tuple) -> tuple:
             f"loop in plane {tuple(planes[i].tolist())} at basepoint {basepoints[i].tolist()} "
             f"has extent |x|_inf = {extent!r}, not certified regular by the validity radius "
             f"{validity_radius(fm.bound)}")
-    square, tail = np.split(kernels.transport_polyline(fm.mats, verts, STEPS), 2, axis=1)
+    runs = kernels.transport_polyline(fm.mats, verts, STEPS)
+    square, tail = runs[:, :len(planes)], runs[:, len(planes):]
     tail += np.eye(fm.n)
     d = np.linalg.solve(tail, square @ tail)
     if not np.isfinite(d).all():

@@ -1,0 +1,173 @@
+"""A catalogue of mutations of ``src/`` that named tests must kill.
+
+Each entry replaces one exact piece of text in one file under ``src/`` and
+names the tests that must then fail.  The runner copies ``src/`` and
+``tests/`` to a temporary directory, so the checkout is never edited.  It
+first runs every named test on the unmutated copy, which must pass.  Then,
+for each entry, it applies the edit to a fresh copy, runs the entry's tests
+there with ``-x`` against the mutated package, and requires pytest to report
+a failure (exit status 1): a collection error, an unknown test id or a
+crash of pytest itself is not a kill.  Old text that does not occur exactly
+once in its file is an error, never a pass.  Stdlib only; pytest does not
+collect this file.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries
+
+An equivalent mutant, one that no test can kill because it computes the
+same values, is recorded here and not catalogued:
+
+- ``kernels.segment_terms`` with G's middle term as twice the outer
+  product (a, v) in place of (a, v) + (v, a): B is symmetric in (p, q), so
+  g0 B(a, v) = g0 B(v, a), and every Tier-1 test passes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root, under src/
+    old: str   # must occur exactly once in the file
+    new: str
+    tests: tuple  # pytest ids relative to the repository root
+
+
+CATALOGUE = (
+    Mutant("dedup-key-start-only", "src/holonomy/probe/kernels.py",
+           "keys = np.concatenate([a, verts[:, 1:] - a], axis=-1)",
+           "keys = np.concatenate([a, 0 * a], axis=-1)",
+           ("tests/test_probe.py::test_each_distinct_segment_is_integrated_once",)),
+    Mutant("segment-R-from-outer-a-v", "src/holonomy/probe/kernels.py",
+           "R = mats[1] @ xx[2:]",
+           "R = mats[1] @ xx[[1, 3]]",
+           ("tests/test_probe.py::test_segment_gamma_matches_christoffel",)),
+    Mutant("pivot-update-wrong-sign", "src/holonomy/exactla.py",
+           "p * v.get(i, 0) - f * b.get(i, 0)",
+           "p * v.get(i, 0) + f * b.get(i, 0)",
+           ("tests/test_exactla.py::test_rank_examples",)),
+    Mutant("pivot-every-column", "src/holonomy/exactla.py",
+           "b = basis.get(lead)",
+           "b = None",
+           ("tests/test_exactla.py::test_rank_examples",)),
+    Mutant("block-tensor-reach-minimum", "src/holonomy/berger.py",
+           "reach = np.maximum(size[:, None], size) - 1",
+           "reach = np.minimum(size[:, None], size) - 1",
+           ("tests/test_differential.py::test_block_tensor_matches_per_term_factors",)),
+    Mutant("block-tensor-without-label", "src/holonomy/berger.py",
+           "(label[:, None, None, None] == label[:, None])",
+           "True",
+           ("tests/test_differential.py::test_block_tensor_matches_per_term_factors",)),
+    Mutant("involution-without-own-inverse", "src/holonomy/exactla.py",
+           " & (p[p] == rows)",
+           "",
+           ("tests/test_realize.py::test_g0_that_is_not_its_own_inverse_is_refused",)),
+    Mutant("involution-without-sign-symmetry", "src/holonomy/exactla.py",
+           " & (sign[p] == sign)",
+           "",
+           ("tests/test_realize.py::test_g0_that_is_not_its_own_inverse_is_refused",)),
+    Mutant("times-L-transpose-ignored", "src/holonomy/exactla.py",
+           "to, src = (tail, head) if transpose else (head, tail)",
+           "to, src = (head, tail)",
+           ("tests/test_berger.py::test_certificate_blocks_1_2",)),
+    Mutant("capped-never-refuses", "src/holonomy/exactla.py",
+           'if a.dtype.kind not in "iu" or (a.size and max(-int(a.min()), int(a.max())) > ENTRY_CAP):',
+           "if False:",
+           ("tests/test_exactla.py::test_capped_refuses_entries_past_the_cap",)),
+    Mutant("back-substitution-without-divide", "src/holonomy/probe/kernels.py",
+           "x[k] /= h[k, k]",
+           "x[k] /= 1.0",
+           ("tests/test_probe.py::test_segment_gamma_matches_christoffel",)),
+    Mutant("metric-drift-zero", "src/holonomy/probe/transport.py",
+           "drift = np.linalg.norm(m, axis=(1, 2))",
+           "drift = 0 * np.linalg.norm(m, axis=(1, 2))",
+           ("tests/test_probe.py::test_transport_membership_and_drift",)),
+)
+
+
+class CatalogueError(Exception):
+    """An entry that cannot be applied or run as written."""
+
+
+def copy_tree(dest: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+
+
+def apply(mutant: Mutant, dest: Path) -> None:
+    path = dest / mutant.file
+    if not mutant.file.startswith("src/") or not path.is_file():
+        raise CatalogueError(f"{mutant.name}: {mutant.file} is not a file under src/")
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise CatalogueError(f"{mutant.name}: old text occurs {count} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def pytest(dest: Path, tests) -> int:
+    """Exit status of pytest -x on ``tests`` in the copy at ``dest``, with
+    the copy's package first on the path."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run([sys.executable, "-c", "import holonomy; print(holonomy.__file__)"],
+                           cwd=dest, env=env, capture_output=True, text=True)
+    if not Path(where.stdout.strip()).is_relative_to(dest / "src"):
+        raise CatalogueError(f"holonomy imports from {where.stdout.strip() or where.stderr!r}, "
+                             f"not from the copy {dest / 'src'}")
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=dest, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in CATALOGUE}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in CATALOGUE if not names or m.name in names]
+    bad = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        tests = sorted({t for m in chosen for t in m.tests})
+        status = pytest(base, tests)
+        if status != 0:
+            print(f"the named tests do not pass unmutated (pytest exit {status})")
+            return 1
+        for mutant in chosen:
+            dest = Path(tmp) / mutant.name
+            shutil.copytree(base, dest)
+            started = time.perf_counter()
+            try:
+                apply(mutant, dest)
+                status = pytest(dest, mutant.tests)
+            except CatalogueError as exc:
+                print(f"ERROR    {exc}")
+                bad.append(mutant.name)
+                continue
+            killed = status == 1
+            print(f"{'killed' if killed else 'SURVIVED':8} {mutant.name} "
+                  f"(pytest exit {status}, {time.perf_counter() - started:.1f} s)")
+            if not killed:
+                bad.append(mutant.name)
+    print(f"{len(chosen) - len(bad)} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -29,11 +29,12 @@ maps are passed as their values, with a denominator where an oracle
 divides and g where it multiplies; ``wedge_tags`` is the reference order of
 those values, and no oracle reads the package's ``wedge_index``, so the
 references do not depend on the code they check.  The float helpers
-evaluate the metric and its Christoffel symbols at one point,
-``contraction_matrices_ref`` is the kernel's earlier float contraction of
-B, and ``transport_polyline_ref`` is the earlier sequential RK4 transport
-(one polyline, the Christoffel symbols at each step's start, midpoint and
-end).  ``standard_loops_ref`` is the earlier per-loop construction of the
+evaluate the metric and its Christoffel symbols at a point, or at a stack
+of points by one dense batched solve; ``contraction_matrices_ref`` is the
+kernel's earlier float contraction of B, and ``transport_polyline_ref`` is
+the earlier sequential RK4 transport (one polyline, the Christoffel
+symbols at each step's start, midpoint and end, all nodes of a segment in
+one stack).  ``standard_loops_ref`` is the earlier per-loop construction of the
 standard loop family, and ``lasso_vertices`` the earlier polyline of a
 loop: out along the tail, around the square and back, as one path.
 """
@@ -777,27 +778,27 @@ def b_apply(t, x) -> np.ndarray:
 
 
 def _metric_value(g0, B, x):
-    return g0 + np.einsum("ijpq,p,q->ij", B, x, x)
+    """g(x) = g0 + B(x, x) at the points x[..., :]."""
+    return g0 + np.einsum("ijpq,...p,...q->...ij", B, x, x)
 
 
 def _christoffel(g0, B, x):
-    """gamma[k, i, j] = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij), d_p g_ij = 2 B_ijpq x^q."""
+    """gamma[..., k, i, j] = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij) at the
+    points x[..., :], d_p g_ij = 2 B_ijpq x^q, from one dense solve per point."""
     n = g0.shape[0]
-    dg = 2.0 * np.einsum("ijpq,q->pij", B, x)
-    t = np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
-    sol = np.linalg.solve(_metric_value(g0, B, x), t.reshape(n, n * n))
-    return 0.5 * sol.reshape(n, n, n)
-
-
-def _gamma_dot_v(g0, B, x, v):
-    return np.einsum("abc,b->ac", _christoffel(g0, B, x), v)
+    dg = 2.0 * np.einsum("ijpq,...q->...pij", B, x)
+    t = np.einsum("...isj->...sij", dg) + np.einsum("...jsi->...sij", dg) - dg
+    sol = np.linalg.solve(_metric_value(g0, B, x), t.reshape(x.shape[:-1] + (n, n * n)))
+    return 0.5 * sol.reshape(x.shape[:-1] + (n, n, n))
 
 
 def transport_polyline_ref(g0, B, verts, steps):
     """Parallel transport along straight segments between consecutive vertices.
 
-    ``steps[e]`` fixed RK4 steps are taken on segment e.  Returns the n x n
-    transport matrix mapping fibers at the first vertex to the last.
+    ``steps[e]`` fixed RK4 steps are taken on segment e: Gamma(x)[v] at all
+    its nodes (each step's start, midpoint and end) comes from one batched
+    solve, and the steps then run in order.  Returns the n x n transport
+    matrix mapping fibers at the first vertex to the last.
     """
     verts = np.ascontiguousarray(verts, dtype=np.float64)
     steps = np.ascontiguousarray(steps, dtype=np.int64)
@@ -812,15 +813,14 @@ def transport_polyline_ref(g0, B, verts, steps):
         v = verts[e + 1] - a
         ns = int(steps[e])
         h = 1.0 / ns
-        m1 = _gamma_dot_v(g0, B, a, v)
-        for k in range(ns):
-            m0 = m1  # the end of step k - 1 is the start of step k
-            mm = _gamma_dot_v(g0, B, a + ((k + 0.5) * h) * v, v)
-            m1 = _gamma_dot_v(g0, B, a + ((k + 1.0) * h) * v, v)
-            k1 = -m0 @ p
-            k2 = -mm @ (p + (0.5 * h) * k1)
-            k3 = -mm @ (p + (0.5 * h) * k2)
-            k4 = -m1 @ (p + h * k3)
+        nodes = a + np.arange(2 * ns + 1)[:, None] * (0.5 * h) * v
+        # dP/ds = f P with f = -Gamma(x)[v] at each node
+        f = -np.einsum("kabc,b->kac", _christoffel(g0, B, nodes), v)
+        for f0, fm, f1 in zip(f[0:-1:2], f[1::2], f[2::2]):
+            k1 = f0 @ p
+            k2 = fm @ (p + (0.5 * h) * k1)
+            k3 = fm @ (p + (0.5 * h) * k2)
+            k4 = f1 @ (p + h * k3)
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return p
 

@@ -614,6 +614,24 @@ def test_mixed_batch_equals_solo_calls(monkeypatch):
         assert np.array_equal(extent[i:i + 1], extent_solo)
 
 
+@pytest.mark.parametrize("blocks", [[(2, 1), (3, -1)], [(1, 1), (1, 1), (2, 1), (2, 1), (2, -1)]],
+                         ids=["n5", "n8"])
+def test_polyline_order_leaves_every_bit(blocks):
+    # the polylines of a probe call permuted, some of them twice: each
+    # polyline's two increments are the unpermuted call's to the bit.  At
+    # n = 8 a segment's bits depend on its column in the batch GEMMs, so
+    # this holds only because the distinct segments are numbered by their
+    # keys, not by where the polylines first show them
+    fm = FloatMetric(realized(blocks)[1])
+    verts = transport._polylines(standard_loops(fm.n, seed=1), fm.n)
+    d = kernels.transport_polyline(fm.mats, verts, transport.STEPS)
+    order = np.random.default_rng(3).permutation(len(verts))
+    order = np.concatenate([order, order[:len(order) // 4]])
+    permuted = kernels.transport_polyline(fm.mats, verts[order], transport.STEPS)
+    assert permuted.shape == (2, len(order), fm.n, fm.n)
+    assert np.array_equal(permuted, d[:, order])
+
+
 def test_segment_gamma_matches_christoffel():
     rng = np.random.default_rng(5)
     for _, blocks in PROBE_SPECS:
