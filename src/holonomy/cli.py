@@ -8,7 +8,9 @@ Commands:
 Exit status: 0 all requested stages pass, 1 verification failure,
 2 invalid input.  Report JSON files are deterministic for a fixed config
 and seed; a verify report is serialized once, and stdout and the ``--out``
-file carry the same bytes.  Per-stage wall times go to stderr only.
+file carry the same bytes.  Each stage is one call from the run's exact
+objects, each built on first use and kept, to its report document; its wall
+time, those builds included, goes to stderr only, as one ``[timing]`` line.
 
 The probe stage transports the standard loops only in the coordinate
 planes (a, b) whose formal curvature value R0(e_a ^ e_b) is nonzero; the
@@ -77,16 +79,16 @@ def _stage_canonical(spec: PencilSpec, pair: CanonicalPair) -> dict:
             "passed": at is None}
 
 
-def _stage_probe(qm, cert, rmap, config: RunConfig) -> dict:
+def _stage_probe(qm, cert, rmap, seed: int) -> dict:
     from .probe import FloatMetric, holonomy_span, standard_loops
 
     # a plane whose formal value is exactly zero adds nothing to the span of
     # g_L, and its loops transport to the identity: only curved planes go on
     curved = np.zeros((qm.n, qm.n), dtype=bool)
     curved[wedge_index(qm.n)] = rmap.any(axis=(1, 2))
-    loops = standard_loops(qm.n, seed=config.seed)
+    loops = standard_loops(qm.n, seed=seed)
     keep = curved[loops[0][:, 0], loops[0][:, 1]]
-    doc = holonomy_span(FloatMetric(qm), cert, tuple(a[keep] for a in loops)).to_json()
+    doc = holonomy_span(FloatMetric(qm), cert, tuple(a[keep] for a in loops))
     doc["flat_planes"] = len(rmap) - int(curved.sum())
     return doc
 
@@ -112,31 +114,24 @@ def cmd_verify(config: RunConfig) -> tuple:
         },
         "stages": {},
     }
-    # Each exact object is built once and handed to every stage that needs it.
-    started = time.perf_counter()
-    wanted = set(config.stages)
-    rmap = r_formal(pair) if wanted & {"berger", "realize", "probe"} else None
+    # each exact object is built on first use and kept for every later stage;
     # the certificate's witness values are the probe's g_L basis
-    cert = berger_certificate(pair, rmap) if wanted & {"berger", "probe"} else None
-    qm = lower_B(pair) if wanted & {"realize", "probe"} else None
-    timings = [("shared", time.perf_counter() - started)]
-
+    rmap = functools.cache(lambda: r_formal(pair))
+    cert = functools.cache(lambda: berger_certificate(pair, rmap()))
+    qm = functools.cache(lambda: lower_B(pair))
+    run = {
+        "canonical": lambda: _stage_canonical(spec, pair),
+        "berger": lambda: cert().to_json(),
+        "realize": lambda: verify_realization(qm(), rmap()),
+        "probe": lambda: _stage_probe(qm(), cert(), rmap(), config.seed),
+    }
     for stage in report["config"]["stages"]:
         started = time.perf_counter()
-        if stage == "canonical":
-            report["stages"]["canonical"] = _stage_canonical(spec, pair)
-        elif stage == "berger":
-            report["stages"]["berger"] = cert.to_json()
-        elif stage == "realize":
-            report["stages"]["realize"] = verify_realization(qm, rmap).to_json()
-        elif stage == "probe":
-            report["stages"]["probe"] = _stage_probe(qm, cert, rmap, config)
-        timings.append((stage, time.perf_counter() - started))
+        report["stages"][stage] = run[stage]()
+        print(f"[timing] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
     passed = all(s.get("passed", False) for s in report["stages"].values())
     report["verdict"] = "pass" if passed else "fail"
-    for stage, dt in timings:
-        print(f"[timing] {stage}: {dt:.3f}s", file=sys.stderr)
     return report, 0 if passed else 1
 
 

@@ -23,7 +23,7 @@ not cover is refused.  A loop family is one tuple of aligned arrays
 ``(planes, basepoints, sides)``: (L, 2) ints (a, b), (L, k) float corners
 (k <= n, zero-padded) and (L,) float sides.  The transport checks them once
 and returns its arrays, one row per loop, which the span estimate reads as
-they are.
+they are and writes into its report document, one sample per loop.
 
 ``standard_loops`` spans every coordinate plane, with its off-origin
 corners drawn from the standard library's ``random.Random(seed)``, so the
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -212,43 +211,7 @@ def standard_loops(n: int, seed: int = 0) -> tuple:
     return planes, np.tile(corners, (n * (n - 1) // 2, 1)), np.full(len(planes), SIDE)
 
 
-@dataclass(frozen=True)
-class SpanReport:
-    span_rank: int
-    dim_gL: int
-    max_membership_residual: float
-    singular_values: tuple
-    validity_radius: float
-    loops: tuple  # the checked (planes, basepoints, sides); the arrays below are per loop
-    residuals: np.ndarray  # relative membership residual of the logarithm
-    metric_drift: np.ndarray  # |g0 - A^T g0 A|_F
-    step_error: np.ndarray  # the kernel's RK4 error estimate
-    extent: np.ndarray  # largest vertex sup-norm of the loop's polyline
-    passed: bool
-
-    def to_json(self) -> dict:
-        # strict JSON has no Infinity: an infinite radius (a constant
-        # metric) is written as null
-        return {
-            "span_rank": self.span_rank,
-            "dim_gL": self.dim_gL,
-            "max_membership_residual": self.max_membership_residual,
-            "singular_values": list(self.singular_values),
-            "validity_radius": None if math.isinf(self.validity_radius) else self.validity_radius,
-            "max_loop_extent": float(self.extent.max(initial=0.0)),
-            "max_step_error": float(self.step_error.max(initial=0.0)),
-            "samples": [
-                {"plane": plane, "side": side, "basepoint": basepoint, "residual": r,
-                 "metric_drift": drift, "step_error": err}
-                for plane, basepoint, side, r, drift, err in zip(
-                    *(a.tolist() for a in self.loops), self.residuals.tolist(),
-                    self.metric_drift.tolist(), self.step_error.tolist())
-            ],
-            "passed": self.passed,
-        }
-
-
-def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> SpanReport:
+def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> dict:
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
     ``cert`` is the Berger certificate, built once by the caller: the
@@ -260,7 +223,9 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     (flat directions) are excluded from the stack and have residual 0.  The
     metric drift |g0 - A^T g0 A|_F takes g0 A by ``times_g``.  The report
     passes iff the certificate passed, the rank equals dim g_L and every
-    membership residual stays below ``MEMBERSHIP_TOL``.
+    membership residual stays below ``MEMBERSHIP_TOL``.  Returns the probe
+    stage's report document, with one ``samples`` record per loop; a
+    constant metric's infinite validity radius is null (strict JSON).
     """
     d, step_error, extent, loops = parallel_transport(fm, loops)  # checks the loop family
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
@@ -281,6 +246,21 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> Spa
     sv = sv[sv > 0.0]
     rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
     max_res = float(residuals.max(initial=0.0))
-    passed = cert.passed and rank == cert.dim_gL and max_res < MEMBERSHIP_TOL
-    return SpanReport(rank, cert.dim_gL, max_res, tuple(sv.tolist()), validity_radius(fm.bound),
-                      loops, residuals, drift, step_error, extent, passed)
+    radius = validity_radius(fm.bound)
+    return {
+        "span_rank": rank,
+        "dim_gL": cert.dim_gL,
+        "max_membership_residual": max_res,
+        "singular_values": sv.tolist(),
+        "validity_radius": None if math.isinf(radius) else radius,
+        "max_loop_extent": float(extent.max(initial=0.0)),
+        "max_step_error": float(step_error.max(initial=0.0)),
+        "samples": [
+            {"plane": plane, "side": side, "basepoint": basepoint, "residual": r,
+             "metric_drift": dr, "step_error": err}
+            for plane, basepoint, side, r, dr, err in zip(
+                *(a.tolist() for a in loops), residuals.tolist(), drift.tolist(),
+                step_error.tolist())
+        ],
+        "passed": cert.passed and rank == cert.dim_gL and max_res < MEMBERSHIP_TOL,
+    }

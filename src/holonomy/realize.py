@@ -157,30 +157,21 @@ def riemann_at_origin(qm: QuadraticMetric) -> tuple:
     return direct, qm.den, wedge_mismatch(direct, c[rows, cols] - c[cols, rows])
 
 
-@dataclass(frozen=True)
-class RealizationReport:
-    nablaL_witness: tuple | None  # (i, p, k, q), ``check_nablaL``
-    gsym_witness: tuple | None  # (l, j, p, q), ``check_gsym``
-    routes_witness: tuple | None  # (a, b, i, k), ``riemann_at_origin``
-    formal_witness: tuple | None  # (a, b, i, k): route one against den * formal
-
-    @property
-    def ok(self) -> bool:
-        return all(at is None for at in vars(self).values())
-
-    def to_json(self) -> dict:
-        return {**{key: at and list(at) for key, at in vars(self).items()}, "passed": self.ok}
-
-
-def verify_realization(qm: QuadraticMetric, formal: np.ndarray) -> RealizationReport:
-    """Run every exact realization check on the metric ``qm``.
+def verify_realization(qm: QuadraticMetric, formal: np.ndarray) -> dict:
+    """The realize stage's report document: every exact realization check
+    on the metric ``qm``.
 
     ``qm`` is ``lower_B(pair)`` and ``formal`` the certified map
     ``r_formal(pair)``, both built once by the caller for one pair,
     ``qm.pair``; the metric's curvature ``(num, den)`` at the origin, route
     one, is computed independently and matches when num == den * formal,
-    value for value, whether or not route two agrees.
+    value for value, whether or not route two agrees.  Each check's
+    ``<check>_witness`` is its first failing index as a list, or None: nablaL
+    (i, p, k, q), gsym (l, j, p, q), routes and formal (a, b, i, k).
     """
     num, den, routes = riemann_at_origin(qm)
-    return RealizationReport(check_nablaL(qm), check_gsym(qm), routes,
-                             wedge_mismatch(num, den * curvature_values(formal, qm.n)))
+    found = {"nablaL": check_nablaL(qm), "gsym": check_gsym(qm), "routes": routes,
+             "formal": wedge_mismatch(num, den * curvature_values(formal, qm.n))}
+    doc = {f"{check}_witness": at and list(at) for check, at in found.items()}
+    doc["passed"] = all(at is None for at in found.values())
+    return doc

@@ -11,6 +11,12 @@ crash of pytest itself is not a kill.  Old text that does not occur exactly
 once in its file is an error, never a pass.  Stdlib only; pytest does not
 collect this file.
 
+Every pytest run, the unmutated one included, has ``TIMEOUT`` seconds.  A
+mutant that makes its tests run past it is reported as ``killed (timeout)``
+(a hang is a kill: the tests did not pass), and its whole process group is
+killed, so no child of a test is left running.  An unmutated run past it is
+an error.
+
 Run from anywhere, with pytest and hypothesis installed:
 
     python tests/mutants.py            # every entry
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -36,6 +43,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Seconds for one pytest run.  On a 2-CPU machine the unmutated run of
+# every named test takes about 4 s and each failing entry under 2 s, so a
+# slower machine has a margin of 15x.  Each mutant that times out adds this
+# much to the catalogue's wall time: pivot_columns without its content
+# division takes 811 s on its dense test instead of about 7 ms.
+TIMEOUT = 60
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,36 @@ CATALOGUE = (
            "drift = np.linalg.norm(m, axis=(1, 2))",
            "drift = 0 * np.linalg.norm(m, axis=(1, 2))",
            ("tests/test_probe.py::test_transport_membership_and_drift",)),
+    Mutant("curvature-values-without-shape-check", "src/holonomy/liealg.py",
+           "if vals.shape != (n * (n - 1) // 2, n, n):",
+           "if False:",
+           ("tests/test_realize.py::test_a_curvature_map_of_the_wrong_shape_is_refused",)),
+    Mutant("metric-without-num-shape-check", "src/holonomy/realize.py",
+           "if num.shape != (self.n,) * 4:",
+           "if False:",
+           ("tests/test_realize.py::test_a_metric_refuses_a_malformed_pair_or_num",)),
+    Mutant("pair-without-involution-check", "src/holonomy/canonical.py",
+           "check_involution(*self.involution)",
+           "None",
+           ("tests/test_canonical.py::test_degenerate_g_reported",)),
+    Mutant("first-mismatch-takes-the-last", "src/holonomy/exactla.py",
+           "np.argwhere(bad)[0]",
+           "np.argwhere(bad)[-1]",
+           ("tests/test_realize.py::test_verify_realization_rejects_perturbed_formal_map",)),
+    Mutant("realize-passed-ignores-formal-witness", "src/holonomy/realize.py",
+           'doc["passed"] = all(at is None for at in found.values())',
+           'doc["passed"] = all(at is None for c, at in found.items() if c != "formal")',
+           ("tests/test_realize.py::test_verify_realization_rejects_perturbed_formal_map",)),
+    Mutant("probe-passed-without-certificate", "src/holonomy/probe/transport.py",
+           '"passed": cert.passed and rank == cert.dim_gL',
+           '"passed": rank == cert.dim_gL',
+           ("tests/test_probe.py::test_span_fails_with_a_failing_certificate",)),
+    # a timeout, not a failure: the entries grow without bound
+    Mutant("pivot-without-content-division", "src/holonomy/exactla.py",
+           "g = math.gcd(*v.values())",
+           "g = 1",
+           ("tests/test_differential.py::"
+            "test_elimination_matches_fraction_rref_on_a_dense_matrix",)),
 )
 
 
@@ -120,18 +164,25 @@ def apply(mutant: Mutant, dest: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def pytest(dest: Path, tests) -> int:
+def pytest(dest: Path, tests) -> int | None:
     """Exit status of pytest -x on ``tests`` in the copy at ``dest``, with
-    the copy's package first on the path."""
+    the copy's package first on the path, or None when it ran past
+    ``TIMEOUT``: then its process group is killed."""
     env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
     where = subprocess.run([sys.executable, "-c", "import holonomy; print(holonomy.__file__)"],
                            cwd=dest, env=env, capture_output=True, text=True)
     if not Path(where.stdout.strip()).is_relative_to(dest / "src"):
         raise CatalogueError(f"holonomy imports from {where.stdout.strip() or where.stderr!r}, "
                              f"not from the copy {dest / 'src'}")
-    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           *tests], cwd=dest, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                             *tests], cwd=dest, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return proc.wait(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the session's group: pytest and its children
+        proc.wait()
+        return None
 
 
 def main(names) -> int:
@@ -147,7 +198,8 @@ def main(names) -> int:
         tests = sorted({t for m in chosen for t in m.tests})
         status = pytest(base, tests)
         if status != 0:
-            print(f"the named tests do not pass unmutated (pytest exit {status})")
+            why = f"time out after {TIMEOUT} s" if status is None else f"exit {status}"
+            print(f"the named tests do not pass unmutated (pytest: {why})")
             return 1
         for mutant in chosen:
             dest = Path(tmp) / mutant.name
@@ -160,8 +212,9 @@ def main(names) -> int:
                 print(f"ERROR    {exc}")
                 bad.append(mutant.name)
                 continue
-            killed = status == 1
-            print(f"{'killed' if killed else 'SURVIVED':8} {mutant.name} "
+            killed = status in (1, None)
+            how = "killed (timeout)" if status is None else "killed" if killed else "SURVIVED"
+            print(f"{how:8} {mutant.name} "
                   f"(pytest exit {status}, {time.perf_counter() - started:.1f} s)")
             if not killed:
                 bad.append(mutant.name)

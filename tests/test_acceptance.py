@@ -147,7 +147,7 @@ def test_criterion_4_realization_match(corpus_pairs):
     for name, _, pair in corpus_pairs:
         qm = lower_B(pair)
         report = verify_realization(qm, r_formal(pair))
-        if not report.ok:
+        if not report["passed"]:
             failures.append(f"{name}: {report}")
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 120.0
@@ -169,16 +169,16 @@ def test_criterion_5_holonomy_probe():
         for seed in (0, 1):
             rep = holonomy_span(fm, cert, standard_loops(pair.n, seed=seed))
             tag = f"{name} seed {seed}"
-            if rep.span_rank != rep.dim_gL:
-                failures.append(f"{tag}: rank {rep.span_rank} != dim {rep.dim_gL}")
-            if not rep.max_membership_residual < 1e-6:
-                failures.append(f"{tag}: residual {rep.max_membership_residual:.2e}")
+            if rep["span_rank"] != rep["dim_gL"]:
+                failures.append(f"{tag}: rank {rep['span_rank']} != dim {rep['dim_gL']}")
+            if not rep["max_membership_residual"] < 1e-6:
+                failures.append(f"{tag}: residual {rep['max_membership_residual']:.2e}")
             # the smallest retained singular value over the largest discarded one
-            sv = rep.singular_values
-            gap = sv[rep.dim_gL - 1] / sv[rep.dim_gL] if len(sv) > rep.dim_gL else math.inf
+            sv, dim = rep["singular_values"], rep["dim_gL"]
+            gap = sv[dim - 1] / sv[dim] if len(sv) > dim else math.inf
             if not gap >= 1e3:
                 failures.append(f"{tag}: gap {gap:.2e}")
-            step_error = rep.to_json()["max_step_error"]
+            step_error = rep["max_step_error"]
             if not step_error <= 1e-13:
                 failures.append(f"{tag}: step error {step_error:.2e}")
     elapsed = time.perf_counter() - started
@@ -198,7 +198,7 @@ def test_criterion_6_regular_case():
         if formal.any():
             failures.append(f"size {size}: formal map not zero")
         report = verify_realization(qm, formal)
-        if not (report.ok and not riemann_at_origin(qm)[0].any()):
+        if not (report["passed"] and not riemann_at_origin(qm)[0].any()):
             failures.append(f"size {size}: realized curvature not zero")
         fm = FloatMetric(qm)
         for a in transports(fm, standard_loops(pair.n, seed=0)):

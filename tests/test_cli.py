@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -282,13 +283,27 @@ def _count_calls(monkeypatch, targets) -> dict:
     return counts
 
 
-def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
+# the exact objects each stage builds first when it runs alone, and a full run
+EVERY_OBJECT = {"block_tensor": 1, "r_formal": 1, "berger_certificate": 1, "lower_B": 1,
+                "raised": 1}
+BUILT = {
+    ("canonical",): {},
+    ("berger",): {"block_tensor": 1, "r_formal": 1, "berger_certificate": 1},
+    ("realize",): {"block_tensor": 1, "r_formal": 1, "lower_B": 1, "raised": 1},
+    ("probe",): EVERY_OBJECT,
+    ALL_STAGES: EVERY_OBJECT,
+}
+
+
+@pytest.mark.parametrize("stages", list(BUILT), ids=["canonical", "berger", "realize", "probe", "all"])
+def test_verify_builds_each_exact_object_once(stages, tmp_path, monkeypatch):
     import holonomy.berger
     import holonomy.realize
 
     # the block tensor is built once and both exact objects are read off it
     counts = _count_calls(monkeypatch, ((holonomy.berger, "block_tensor"),
                                         (holonomy.berger, "r_formal"),
+                                        (holonomy.berger, "berger_certificate"),
                                         (holonomy.realize, "lower_B")))
     # the raised Christoffel pair is formed once, for the realize and probe stages
     build = holonomy.realize.QuadraticMetric.raised.func
@@ -302,9 +317,21 @@ def test_verify_builds_each_exact_object_once(tmp_path, monkeypatch):
     monkeypatch.setattr(holonomy.realize.QuadraticMetric, "raised", counted)
     counts["raised"] = 0
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
-    report, code = cmd_verify(RunConfig(input=str(spec)))
-    assert code == 0 and set(report["stages"]) == {"canonical", "berger", "realize", "probe"}
-    assert counts == {"block_tensor": 1, "r_formal": 1, "lower_B": 1, "raised": 1}
+    report, code = cmd_verify(RunConfig(input=str(spec), stages=stages))
+    assert code == 0 and tuple(report["stages"]) == stages
+    assert {name: count for name, count in counts.items() if count} == BUILT[stages]
+
+
+@pytest.mark.parametrize("stages", [("probe",), ("realize", "canonical"), ("berger", "probe"),
+                                    ALL_STAGES], ids=["probe", "realize-canonical",
+                                                      "berger-probe", "all"])
+def test_each_stage_prints_one_timing_line_in_pipeline_order(stages, tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    assert main(["verify", "--input", str(spec), "--stages", ",".join(stages)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"[timing] {s}" for s in ALL_STAGES if s in stages], lines
+    assert all(re.fullmatch(r"\[timing\] \w+: \d+\.\d{3}s", ln) for ln in lines), lines
 
 
 @pytest.mark.parametrize("stages, checks", [(("berger",), 1), (ALL_STAGES, 1)], ids=["berger", "all"])

@@ -70,6 +70,11 @@ def span(qm, pair, loops):
     return holonomy_span(FloatMetric(qm), certificate(pair), loops)
 
 
+def column(rep, key):
+    """One field of every sample of a probe report, as an array."""
+    return np.array([sample[key] for sample in rep["samples"]])
+
+
 def flat_metric(pair):
     """The constant metric g0 of ``pair``: B = 0 as an all-zero num over den 1."""
     return QuadraticMetric(pair, np.zeros((pair.n,) * 4, dtype=np.int64), 1)
@@ -245,12 +250,14 @@ def test_transport_membership_and_drift():
                       if value.any()}
             loops = loop_rows(loops, in_planes(loops, curved))
         rep = holonomy_span(fm, certificate(pair), loops)
-        assert all(np.array_equal(kept, given) for kept, given in zip(rep.loops, loops, strict=True))
-        assert len(rep.residuals) == len(rep.metric_drift) == len(loops[0])
+        kept = [column(rep, key) for key in ("plane", "basepoint", "side")]
+        assert all(np.array_equal(k, given) for k, given in zip(kept, loops, strict=True))
+        residuals, drifts = column(rep, "residual"), column(rep, "metric_drift")
+        assert len(residuals) == len(drifts) == len(loops[0])
         stack = transports(fm, loops)
-        assert np.array_equal(rep.metric_drift, metric_drift(fm, stack)), pair.block
+        assert np.array_equal(drifts, metric_drift(fm, stack)), pair.block
         assert metric_drift(fm, stack).any(), pair.block
-        for a, residual, drift in zip(stack, rep.residuals, rep.metric_drift):
+        for a, residual, drift in zip(stack, residuals, drifts):
             assert residual < 1e-6
             assert drift < 1e-8
             assert abs(abs(np.linalg.det(a)) - 1.0) < 1e-9
@@ -299,7 +306,7 @@ def test_span_checks_the_loop_family_once(monkeypatch):
     monkeypatch.setattr(transport, "_checked", spy)
     pair, qm = realized([(1, 1), (2, 1)])
     rep = holonomy_span(FloatMetric(qm), certificate(pair), standard_loops(3, seed=1))
-    assert calls == [3] and rep.passed
+    assert calls == [3] and rep["passed"]
 
 
 def test_transport_hands_back_the_checked_family():
@@ -312,8 +319,8 @@ def test_transport_hands_back_the_checked_family():
     assert [a.dtype for a in checked] == [np.int64, np.float64, np.float64]
     assert all(np.array_equal(a, b) for a, b in zip(checked, loops))
     rep = holonomy_span(fm, certificate(pair), loops)
-    assert rep.loops[1].dtype == np.float64
-    assert rep.to_json()["samples"][0]["basepoint"] == [0.0, 0.0, 0.0]
+    assert all(type(v) is float for v in rep["samples"][0]["basepoint"])
+    assert rep["samples"][0]["basepoint"] == [0.0, 0.0, 0.0]
 
 
 def test_loopspec_validation():
@@ -361,8 +368,7 @@ def test_loopspec_validation():
     ints = (one, np.zeros((1, 2), dtype=int), np.ones(1, dtype=int))
     flat = FloatMetric(flat_metric(qm.pair))
     rep = holonomy_span(flat, certificate(pair_of([(1, 1), (2, 1)])), ints)
-    assert rep.loops[1].dtype == rep.loops[2].dtype == np.float64
-    sample = rep.to_json()["samples"][0]
+    sample = rep["samples"][0]
     assert type(sample["side"]) is float and all(type(v) is float for v in sample["basepoint"])
     with pytest.raises(ValueError, match="4 coordinates, more than the dimension 3"):
         parallel_transport(fm, (np.array([[0, 1], [0, 1]]), np.zeros((2, 4)), np.full(2, 1e-2)))
@@ -386,26 +392,26 @@ def test_singular_metric_detected():
 def test_span_flat_single_block():
     pair, qm = realized([(3, 1)])
     rep = span(qm, pair, standard_loops(3, seed=0))
-    assert rep.span_rank == 0 and rep.dim_gL == 0 and rep.passed
-    assert rep.singular_values == ()
+    assert rep["span_rank"] == 0 and rep["dim_gL"] == 0 and rep["passed"]
+    assert rep["singular_values"] == []
     # strict JSON has no Infinity; a constant metric has an infinite radius
-    doc = dataclasses.replace(rep, validity_radius=float("inf")).to_json()
+    doc = span(flat_metric(pair), pair, standard_loops(3, seed=0))
     assert "sv_gap" not in doc and doc["singular_values"] == [] and doc["validity_radius"] is None
 
 
 def test_span_blocks_1_2():
     pair, qm = realized([(1, 1), (2, 1)])
     rep = span(qm, pair, standard_loops(3, seed=0))
-    assert rep.span_rank == 1 == rep.dim_gL
-    assert rep.max_membership_residual < 1e-6
-    assert rep.passed
+    assert rep["span_rank"] == 1 == rep["dim_gL"]
+    assert rep["max_membership_residual"] < 1e-6
+    assert rep["passed"]
 
 
 def test_span_blocks_1_1_2():
     pair, qm = realized([(1, 1), (1, 1), (2, 1)])
     rep = span(qm, pair, standard_loops(4, seed=0))
-    assert rep.span_rank == 3 == rep.dim_gL
-    assert rep.passed
+    assert rep["span_rank"] == 3 == rep["dim_gL"]
+    assert rep["passed"]
 
 
 def test_span_fails_with_a_failing_certificate():
@@ -420,8 +426,8 @@ def test_span_fails_with_a_failing_certificate():
     assert bad.bianchi_witness is not None and bad.containment_witness is None
     assert bad.image_rank == bad.dim_gL
     rep = holonomy_span(FloatMetric(qm), bad, standard_loops(3, seed=0))
-    assert rep.span_rank == 1 == rep.dim_gL and rep.max_membership_residual < 1e-6
-    assert not rep.passed
+    assert rep["span_rank"] == 1 == rep["dim_gL"] and rep["max_membership_residual"] < 1e-6
+    assert not rep["passed"]
 
 
 def test_span_fails_when_the_samples_outrank_dim_gL():
@@ -433,16 +439,16 @@ def test_span_fails_when_the_samples_outrank_dim_gL():
     low = dataclasses.replace(cert, dim_gL=cert.dim_gL - 1, image_rank=cert.image_rank - 1)
     assert low.passed and len(low.basis) == cert.dim_gL == 2
     rep = span(qm, pair, standard_loops(5, seed=0))
-    assert rep.span_rank == 2 and rep.passed
+    assert rep["span_rank"] == 2 and rep["passed"]
     rep = holonomy_span(FloatMetric(qm), low, standard_loops(5, seed=0))
-    assert rep.span_rank == 2 == rep.dim_gL + 1 and rep.max_membership_residual < 1e-6
-    assert not rep.passed
+    assert rep["span_rank"] == 2 == rep["dim_gL"] + 1 and rep["max_membership_residual"] < 1e-6
+    assert not rep["passed"]
     # down to dim 0: the one curved direction is more than it allows
     pair, qm = realized([(1, 1), (2, 1)])
     cert = certificate(pair)
     none = dataclasses.replace(cert, dim_gL=0, image_rank=0)
     rep = holonomy_span(FloatMetric(qm), none, standard_loops(3, seed=0))
-    assert rep.span_rank == 1 and not rep.passed
+    assert rep["span_rank"] == 1 and not rep["passed"]
 
 
 def test_membership_detects_a_dropped_basis_element():
@@ -456,11 +462,11 @@ def test_membership_detects_a_dropped_basis_element():
     fm = FloatMetric(qm)
     loops = standard_loops(4, seed=0)
     rep = holonomy_span(fm, short, loops)
-    assert rep.span_rank == 3 and not rep.passed
-    assert rep.max_membership_residual > 0.1 and min(rep.residuals) < 1e-6
+    assert rep["span_rank"] == 3 and not rep["passed"]
+    assert rep["max_membership_residual"] > 0.1 and min(column(rep, "residual")) < 1e-6
     gl = cert.basis[1:].astype(float).reshape(2, -1).T
     d, *_ = parallel_transport(fm, loops)
-    for psi, residual in zip(logarithms(d).reshape(len(d), -1), rep.residuals):
+    for psi, residual in zip(logarithms(d).reshape(len(d), -1), column(rep, "residual")):
         norm = np.linalg.norm(psi)
         if norm < transport._NEGLIGIBLE:  # a flat plane: a zero sample
             assert residual == 0.0
@@ -471,17 +477,16 @@ def test_membership_detects_a_dropped_basis_element():
 
 def test_span_report_json():
     pair, qm = realized([(1, 1), (2, -1)])
-    rep = span(qm, pair, standard_loops(3, seed=0))
-    doc = rep.to_json()
+    doc = span(qm, pair, standard_loops(3, seed=0))
     assert doc["span_rank"] == doc["dim_gL"] == 1
     assert doc["passed"] is True
     assert len(doc["samples"]) == 9
     assert {"plane", "side", "basepoint", "residual", "metric_drift",
             "step_error"} <= set(doc["samples"][0])
     assert doc["max_step_error"] == max(d["step_error"] for d in doc["samples"]) <= 1e-13
-    assert doc["singular_values"] == list(rep.singular_values) and len(doc["singular_values"]) >= 1
+    assert all(type(v) is float for v in doc["singular_values"]) and len(doc["singular_values"]) >= 1
     assert doc["validity_radius"] == validity_radius(invertibility_bound(qm))
-    assert doc["max_loop_extent"] == max(rep.extent)
+    assert doc["max_loop_extent"] == max(parallel_transport(FloatMetric(qm), standard_loops(3, seed=0))[2])
     assert 0.0 < doc["max_loop_extent"] < doc["validity_radius"]
     assert all(0.0 <= d["metric_drift"] < 1e-8 for d in doc["samples"])
 
