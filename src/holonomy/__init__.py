@@ -2,10 +2,11 @@
 
 The package builds canonical pseudo-Euclidean pairs (g, L) from Jordan
 block data, certifies by exact rational arithmetic that the centralizer
-g_L of L in so(g) passes the Berger curvature test (the certificate's
-witness values are then an exact basis of g_L), realizes a quadratic
-metric whose curvature at the origin reproduces the certified tensor,
-and probes parallel-transport holonomy numerically against that basis.
+g_L of L in so(g) passes the Berger curvature test (the formal map's values
+at the certificate's witnesses are then an exact basis of g_L), realizes a
+quadratic metric whose curvature at the origin reproduces the certified
+tensor, and probes parallel-transport holonomy numerically against that
+basis, read from the berger stage's report document and the map.
 
 Stages 1-3 are exact and hold every matrix in one format (see
 :mod:`holonomy.exactla`): an int64 numpy array over one positive common

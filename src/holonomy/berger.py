@@ -7,13 +7,12 @@ centralizer.  It is one mask over ``pair.block`` and ``pair.label``, and
 ``r_formal`` and the realizing metric are both read off that one 0/1
 tensor.  The certificate checks the Bianchi identity, containment in g_L
 and the exact rank equality, with dim g_L counted by rank-nullity on the
-commutator system; once it passes, the witness values are an exact basis
-of g_L.
+commutator system, and is the berger stage's report document: once it
+passes, the values of ``r_formal`` at its witnesses are an exact basis of
+g_L.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,43 +104,23 @@ def check_sectional(values: np.ndarray, pair: CanonicalPair) -> tuple | None:
     return at if at is not None else wedge_mismatch(gv, -gv.transpose(0, 2, 1))
 
 
-@dataclass(frozen=True)
-class BergerCertificate:
-    dim_gL: int
-    image_rank: int
-    bianchi_witness: tuple | None  # None when it passes, else ``check_bianchi``'s witness
-    containment_witness: tuple | None  # the same for ``check_sectional``
-    witnesses: tuple  # of (i, j), i < j, whose images span the image
-    # basis[k] is the image of witnesses[k]: a basis of g_L when the certificate passes
-    basis: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def passed(self) -> bool:
-        return (self.bianchi_witness is None and self.containment_witness is None
-                and self.image_rank == self.dim_gL)
-
-    def to_json(self) -> dict:
-        b, c = self.bianchi_witness, self.containment_witness
-        return {"dim_gL": self.dim_gL, "image_rank": self.image_rank,
-                "bianchi_witness": b and list(b), "containment_witness": c and list(c),
-                "witnesses": [list(t) for t in self.witnesses], "passed": self.passed}
-
-
-def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> BergerCertificate:
-    """Certify image_rank(rmap) == dim g_L, exactly.
+def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> dict:
+    """Certify image_rank(rmap) == dim g_L, exactly, as the berger stage's
+    report document.
 
     ``rmap`` is ``r_formal(pair)``, built once by the caller.  dim g_L is
     m - rank of ``commutator_system``, m = n(n-1)/2.  The witnesses are the
     pivot columns of the matrix whose columns are the values in
-    ``wedge_index`` order: a pair is kept when its value is not in the span
-    of the values before it.  The witness values are independent; with
-    containment and equal ranks they span g_L.
+    ``wedge_index`` order: a pair (i, j) is kept when its value is not in
+    the span of the values before it.  The witness values are independent;
+    with containment and equal ranks they span g_L, and the document passes.
+    A failing check's witness is its list, and null when it holds.
     """
     system = commutator_system(pair)
     dim_gL = system.shape[1] - rank(system)
     pivots = pivot_columns(rmap.reshape(len(rmap), pair.n ** 2).T)
-    rows, cols = wedge_index(pair.n)
-    return BergerCertificate(dim_gL, len(pivots), check_bianchi(rmap),
-                             check_sectional(rmap, pair),
-                             tuple((int(rows[k]), int(cols[k])) for k in pivots),
-                             rmap[pivots])
+    b, c = check_bianchi(rmap), check_sectional(rmap, pair)
+    return {"dim_gL": dim_gL, "image_rank": len(pivots),
+            "bianchi_witness": b and list(b), "containment_witness": c and list(c),
+            "witnesses": np.stack(wedge_index(pair.n), axis=1)[pivots].tolist(),
+            "passed": b is None and c is None and len(pivots) == dim_gL}

@@ -88,7 +88,7 @@ def _stage_probe(qm, cert, rmap, seed: int) -> dict:
     curved[wedge_index(qm.n)] = rmap.any(axis=(1, 2))
     loops = standard_loops(qm.n, seed=seed)
     keep = curved[loops[0][:, 0], loops[0][:, 1]]
-    doc = holonomy_span(FloatMetric(qm), cert, tuple(a[keep] for a in loops))
+    doc = holonomy_span(FloatMetric(qm), cert, rmap, tuple(a[keep] for a in loops))
     doc["flat_planes"] = len(rmap) - int(curved.sum())
     return doc
 
@@ -115,13 +115,14 @@ def cmd_verify(config: RunConfig) -> tuple:
         "stages": {},
     }
     # each exact object is built on first use and kept for every later stage;
-    # the certificate's witness values are the probe's g_L basis
+    # the berger document is the certificate, and the values of rmap at its
+    # witnesses are the probe's g_L basis
     rmap = functools.cache(lambda: r_formal(pair))
     cert = functools.cache(lambda: berger_certificate(pair, rmap()))
     qm = functools.cache(lambda: lower_B(pair))
     run = {
         "canonical": lambda: _stage_canonical(spec, pair),
-        "berger": lambda: cert().to_json(),
+        "berger": cert,
         "realize": lambda: verify_realization(qm(), rmap()),
         "probe": lambda: _stage_probe(qm(), cert(), rmap(), config.seed),
     }

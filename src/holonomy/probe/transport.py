@@ -4,9 +4,9 @@ All loops are based at the origin: a square with an off-origin corner c is
 reached through a straight tail 0 -> c and closed by the tail reversed, so
 every transport matrix is an honest holonomy element at 0 and its
 logarithm can be compared against the centralizer algebra there.  The
-algebra comes from the Berger certificate: its witness values, the
-curvature images that span g_L, are the basis the logarithms are tested
-against.
+algebra comes from the berger stage's report document and the formal map:
+the map's values at the document's witnesses, the curvature images that
+span g_L, are the basis the logarithms are tested against.
 
 Transport along the reversed tail is the inverse of transport along the
 tail, so each loop is two 5-vertex polylines, its closed square at c and
@@ -43,7 +43,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..berger import BergerCertificate
 from ..exactla import first_mismatch, times_g
 from ..liealg import wedge_index
 from ..realize import QuadraticMetric, invertibility_bound, validity_radius
@@ -211,21 +210,23 @@ def standard_loops(n: int, seed: int = 0) -> tuple:
     return planes, np.tile(corners, (n * (n - 1) // 2, 1)), np.full(len(planes), SIDE)
 
 
-def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> dict:
+def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple) -> dict:
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
-    ``cert`` is the Berger certificate, built once by the caller: the
-    membership residual of a sample is its relative Frobenius distance to
-    the span of the witness values (the curvature image, which is g_L when
-    the certificate passed), all samples in one least-squares solve, and
-    the target rank is ``cert.dim_gL``.  The numerical rank uses singular
-    values above ``RANK_THRESHOLD`` times the largest; near-zero samples
-    (flat directions) are excluded from the stack and have residual 0.  The
-    metric drift |g0 - A^T g0 A|_F takes g0 A by ``times_g``.  The report
-    passes iff the certificate passed, the rank equals dim g_L and every
-    membership residual stays below ``MEMBERSHIP_TOL``.  Returns the probe
-    stage's report document, with one ``samples`` record per loop; a
-    constant metric's infinite validity radius is null (strict JSON).
+    ``cert`` is the berger stage's report document for the formal map
+    ``rmap``, both built once by the caller: the membership residual of a
+    sample is its relative Frobenius distance to the span of the rows of
+    ``rmap`` at ``cert["witnesses"]``, in wedge order (the curvature image,
+    which is g_L when the certificate passed), all samples in one
+    least-squares solve, and the target rank is ``cert["dim_gL"]``.  The
+    numerical rank uses singular values above ``RANK_THRESHOLD`` times the
+    largest; near-zero samples (flat directions) are excluded from the stack
+    and have residual 0.  The metric drift |g0 - A^T g0 A|_F takes g0 A by
+    ``times_g``.  The report passes iff ``cert["passed"]``, the rank equals
+    dim g_L and every membership residual stays below ``MEMBERSHIP_TOL``.
+    Returns the probe stage's report document, with one ``samples`` record
+    per loop; a constant metric's infinite validity radius is null (strict
+    JSON).
     """
     d, step_error, extent, loops = parallel_transport(fm, loops)  # checks the loop family
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
@@ -237,7 +238,10 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> dic
 
     norms = np.linalg.norm(psi, axis=1)
     kept = norms >= _NEGLIGIBLE
-    gl = cert.basis.astype(np.float64).reshape(len(cert.basis), fm.n ** 2).T
+    # the rows of rmap at the witnesses, in wedge order (int64: [] is no float index)
+    chosen = np.zeros((fm.n, fm.n), dtype=bool)
+    chosen[tuple(np.array(cert["witnesses"], dtype=np.int64).reshape(-1, 2).T)] = True
+    gl = rmap[chosen[wedge_index(fm.n)]].astype(np.float64).reshape(-1, fm.n ** 2).T
     coef = np.linalg.lstsq(gl, psi[kept].T, rcond=None)[0]
     residuals = np.zeros(len(d))
     residuals[kept] = np.linalg.norm(psi[kept].T - gl @ coef, axis=0) / norms[kept]
@@ -249,7 +253,7 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> dic
     radius = validity_radius(fm.bound)
     return {
         "span_rank": rank,
-        "dim_gL": cert.dim_gL,
+        "dim_gL": cert["dim_gL"],
         "max_membership_residual": max_res,
         "singular_values": sv.tolist(),
         "validity_radius": None if math.isinf(radius) else radius,
@@ -262,5 +266,5 @@ def holonomy_span(fm: FloatMetric, cert: BergerCertificate, loops: tuple) -> dic
                 *(a.tolist() for a in loops), residuals.tolist(), drift.tolist(),
                 step_error.tolist())
         ],
-        "passed": cert.passed and rank == cert.dim_gL and max_res < MEMBERSHIP_TOL,
+        "passed": cert["passed"] and rank == cert["dim_gL"] and max_res < MEMBERSHIP_TOL,
     }

@@ -1,5 +1,6 @@
 """Shared construction shorthands for the test suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -133,9 +134,17 @@ def metric_drift(fm, a):
     return np.linalg.norm(g0 - a.transpose(0, 2, 1) @ g0 @ a, axis=(1, 2))
 
 
+def witness_values(cert, rmap):
+    """The values of the curvature map ``rmap`` at the certificate's
+    witnesses, in their order: the g_L basis of a passing certificate."""
+    wedges = list(itertools.combinations(range(rmap.shape[1]), 2))
+    return rmap[[wedges.index(tuple(w)) for w in cert["witnesses"]]]
+
+
 def certified_gl(pair):
     """The certificate's g_L basis (its witness values) as a stack of Fractions."""
-    return fractions(certificate(pair).basis)
+    rmap = r_formal(pair)
+    return fractions(witness_values(berger_certificate(pair, rmap), rmap))
 
 
 def mat(rows):

@@ -131,9 +131,47 @@ CATALOGUE = (
            'doc["passed"] = all(at is None for c, at in found.items() if c != "formal")',
            ("tests/test_realize.py::test_verify_realization_rejects_perturbed_formal_map",)),
     Mutant("probe-passed-without-certificate", "src/holonomy/probe/transport.py",
-           '"passed": cert.passed and rank == cert.dim_gL',
-           '"passed": rank == cert.dim_gL',
+           '"passed": cert["passed"] and rank == cert["dim_gL"]',
+           '"passed": rank == cert["dim_gL"]',
            ("tests/test_probe.py::test_span_fails_with_a_failing_certificate",)),
+    Mutant("probe-passed-without-residual-bound", "src/holonomy/probe/transport.py",
+           ' and max_res < MEMBERSHIP_TOL,',
+           ',',
+           ("tests/test_probe.py::test_membership_detects_a_dropped_basis_element",)),
+    Mutant("probe-basis-from-leading-rows", "src/holonomy/probe/transport.py",
+           'rmap[chosen[wedge_index(fm.n)]]',
+           'rmap[:cert["dim_gL"]]',
+           ("tests/test_cli.py::test_verify_full_pipeline",
+            "tests/test_probe.py::test_span_blocks_1_2")),
+    Mutant("probe-negligible-raised", "src/holonomy/probe/transport.py",
+           "_NEGLIGIBLE = 1e-9",
+           "_NEGLIGIBLE = 1e-3",
+           ("tests/test_probe.py::test_span_blocks_1_2",
+            "tests/test_probe.py::test_span_report_json")),
+    Mutant("loops-without-plane-index-bound", "src/holonomy/probe/transport.py",
+           "if (planes >= n).any():",
+           "if False:",
+           ("tests/test_probe.py::test_loopspec_validation",)),
+    Mutant("berger-passed-ignores-image-rank", "src/holonomy/berger.py",
+           '"passed": b is None and c is None and len(pivots) == dim_gL',
+           '"passed": b is None and c is None',
+           ("tests/test_berger.py::test_certificate_rejects_a_dropped_block_pair",)),
+    Mutant("sectional-without-commutation", "src/holonomy/berger.py",
+           "at = wedge_mismatch(times_L(vals, pair, 2, transpose=True), times_L(vals, pair, 1))",
+           "at = None",
+           ("tests/test_berger.py::test_sectional_identity_map_fails",
+            "tests/test_berger.py::test_certificate_rejects_a_value_outside_gl")),
+    Mutant("sectional-without-g-skew", "src/holonomy/berger.py",
+           "return at if at is not None else wedge_mismatch(gv, -gv.transpose(0, 2, 1))",
+           "return at",
+           ("tests/test_differential.py::"
+            "test_curvature_checks_agree_with_loops_under_perturbation[1+2+]",)),
+    Mutant("bianchi-first-wedge-only", "src/holonomy/berger.py",
+           "at = wedge_mismatch(cyclic, 0)",
+           "at = wedge_mismatch(cyclic[:1], 0)",
+           ("tests/test_differential.py::"
+            "test_curvature_checks_agree_with_loops_under_perturbation[1+2-2+]",
+            "tests/test_realize.py::test_exact_inputs_past_the_entry_cap_are_refused")),
     # a timeout, not a failure: the entries grow without bound
     Mutant("pivot-without-content-division", "src/holonomy/exactla.py",
            "g = math.gcd(*v.values())",

@@ -74,8 +74,8 @@ def test_criterion_1_berger_suite(corpus_pairs):
         if check_sectional(rmap, pair) is not None:
             failures.append(f"{name}: containment")
         cert = berger_certificate(pair, rmap)
-        if not (cert.passed and cert.image_rank == cert.dim_gL):
-            failures.append(f"{name}: rank {cert.image_rank} != dim {cert.dim_gL}")
+        if not (cert["passed"] and cert["image_rank"] == cert["dim_gL"]):
+            failures.append(f"{name}: rank {cert['image_rank']} != dim {cert['dim_gL']}")
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 60.0
     _announce("criterion 1 Berger suite",
@@ -96,7 +96,7 @@ def test_criterion_2_dimension_formula(corpus_pairs):
         if len(basis):
             if rank(int_form(basis)[0]) != expected:
                 failures.append(f"{name}: dependent kernel output")
-        dim_gL = berger_certificate(pair, r_formal(pair)).dim_gL
+        dim_gL = berger_certificate(pair, r_formal(pair))["dim_gL"]
         if dim_gL != expected:
             failures.append(f"{name}: certificate {dim_gL} != formula {expected}")
         # cross-check against the explicit blockwise generators
@@ -165,9 +165,10 @@ def test_criterion_5_holonomy_probe():
     for name, blocks in PROBE_SPECS:
         pair, qm = _realized(blocks)
         fm = FloatMetric(qm)
-        cert = berger_certificate(pair, r_formal(pair))
+        rmap = r_formal(pair)
+        cert = berger_certificate(pair, rmap)
         for seed in (0, 1):
-            rep = holonomy_span(fm, cert, standard_loops(pair.n, seed=seed))
+            rep = holonomy_span(fm, cert, rmap, standard_loops(pair.n, seed=seed))
             tag = f"{name} seed {seed}"
             if rep["span_rank"] != rep["dim_gL"]:
                 failures.append(f"{tag}: rank {rep['span_rank']} != dim {rep['dim_gL']}")

@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 
 import holonomy
-from holonomy.berger import r_formal
+from holonomy.berger import berger_certificate, r_formal
 from holonomy import canonical
 from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json
 from holonomy.cli import ALL_STAGES, MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
 import exact_digest
-from helpers import SPEC_REFUSALS
+from helpers import N24_BLOCKS, SPEC_REFUSALS, eigenvalue_entry
 from oracles import wedge_tags
 
 
@@ -353,6 +353,27 @@ def test_verify_stage_subset(tmp_path):
     report, code = cmd_verify(RunConfig(input=str(spec), stages=("canonical", "berger")))
     assert code == 0
     assert set(report["stages"]) == {"canonical", "berger"}
+
+
+SPECS_BERGER = {
+    "1+2+": SPEC_1_2,
+    "3+": SPEC_SINGLE,
+    "n24": {"eigenvalues": [eigenvalue_entry("-1/3", *N24_BLOCKS)]},
+    "multi": {"eigenvalues": [eigenvalue_entry("0", (1, 1), (2, -1), (3, 1)),
+                              eigenvalue_entry("5/7", (2, 1), (2, -1))]},
+}
+
+
+@pytest.mark.parametrize("name", SPECS_BERGER)
+def test_berger_certificate_is_the_berger_stage_document(tmp_path, name):
+    # the library call returns the very document the CLI reports, strict JSON
+    doc = SPECS_BERGER[name]
+    spec = write_spec(tmp_path, "spec.json", doc)
+    report, code = cmd_verify(RunConfig(input=str(spec), stages=("berger",)))
+    pair = build_canonical(pencil_from_json(json.dumps(doc)))
+    cert = berger_certificate(pair, r_formal(pair))
+    assert code == 0 and cert == report["stages"]["berger"]
+    assert json.loads(json.dumps(cert, allow_nan=False)) == cert
 
 
 def test_verify_stage_order_does_not_change_the_report(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Numerical probe: Christoffel symbols, loop transport, holonomy span."""
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -38,6 +37,7 @@ from helpers import (
     pair_of,
     spec_of,
     transports,
+    witness_values,
 )
 from oracles import (
     christoffel,
@@ -67,7 +67,7 @@ def with_true_L(spec):
 
 
 def span(qm, pair, loops):
-    return holonomy_span(FloatMetric(qm), certificate(pair), loops)
+    return holonomy_span(FloatMetric(qm), certificate(pair), r_formal(pair), loops)
 
 
 def column(rep, key):
@@ -249,7 +249,7 @@ def test_transport_membership_and_drift():
             curved = {tag for tag, value in zip(wedge_tags(pair.n), r_formal(pair), strict=True)
                       if value.any()}
             loops = loop_rows(loops, in_planes(loops, curved))
-        rep = holonomy_span(fm, certificate(pair), loops)
+        rep = holonomy_span(fm, certificate(pair), r_formal(pair), loops)
         kept = [column(rep, key) for key in ("plane", "basepoint", "side")]
         assert all(np.array_equal(k, given) for k, given in zip(kept, loops, strict=True))
         residuals, drifts = column(rep, "residual"), column(rep, "metric_drift")
@@ -305,7 +305,8 @@ def test_span_checks_the_loop_family_once(monkeypatch):
 
     monkeypatch.setattr(transport, "_checked", spy)
     pair, qm = realized([(1, 1), (2, 1)])
-    rep = holonomy_span(FloatMetric(qm), certificate(pair), standard_loops(3, seed=1))
+    rep = holonomy_span(FloatMetric(qm), certificate(pair), r_formal(pair),
+                        standard_loops(3, seed=1))
     assert calls == [3] and rep["passed"]
 
 
@@ -318,7 +319,7 @@ def test_transport_hands_back_the_checked_family():
     *_, checked = parallel_transport(fm, loops)
     assert [a.dtype for a in checked] == [np.int64, np.float64, np.float64]
     assert all(np.array_equal(a, b) for a, b in zip(checked, loops))
-    rep = holonomy_span(fm, certificate(pair), loops)
+    rep = holonomy_span(fm, certificate(pair), r_formal(pair), loops)
     assert all(type(v) is float for v in rep["samples"][0]["basepoint"])
     assert rep["samples"][0]["basepoint"] == [0.0, 0.0, 0.0]
 
@@ -367,7 +368,7 @@ def test_loopspec_validation():
     # infinite radius)
     ints = (one, np.zeros((1, 2), dtype=int), np.ones(1, dtype=int))
     flat = FloatMetric(flat_metric(qm.pair))
-    rep = holonomy_span(flat, certificate(pair_of([(1, 1), (2, 1)])), ints)
+    rep = holonomy_span(flat, certificate(qm.pair), r_formal(qm.pair), ints)
     sample = rep["samples"][0]
     assert type(sample["side"]) is float and all(type(v) is float for v in sample["basepoint"])
     with pytest.raises(ValueError, match="4 coordinates, more than the dimension 3"):
@@ -423,9 +424,9 @@ def test_span_fails_with_a_failing_certificate():
     vals = rm.copy()
     vals[tags.index((0, 1))] = vals[tags.index((0, 2))]
     bad = berger_certificate(pair, vals)
-    assert bad.bianchi_witness is not None and bad.containment_witness is None
-    assert bad.image_rank == bad.dim_gL
-    rep = holonomy_span(FloatMetric(qm), bad, standard_loops(3, seed=0))
+    assert bad["bianchi_witness"] is not None and bad["containment_witness"] is None
+    assert bad["image_rank"] == bad["dim_gL"]
+    rep = holonomy_span(FloatMetric(qm), bad, vals, standard_loops(3, seed=0))
     assert rep["span_rank"] == 1 == rep["dim_gL"] and rep["max_membership_residual"] < 1e-6
     assert not rep["passed"]
 
@@ -436,19 +437,37 @@ def test_span_fails_when_the_samples_outrank_dim_gL():
     # The samples stay in the span and have rank dim + 1, so the report fails.
     pair, qm = realized([(2, 1), (3, -1)])
     cert = certificate(pair)
-    low = dataclasses.replace(cert, dim_gL=cert.dim_gL - 1, image_rank=cert.image_rank - 1)
-    assert low.passed and len(low.basis) == cert.dim_gL == 2
+    low = {**cert, "dim_gL": cert["dim_gL"] - 1, "image_rank": cert["image_rank"] - 1}
+    assert low["passed"] and len(low["witnesses"]) == cert["dim_gL"] == 2
     rep = span(qm, pair, standard_loops(5, seed=0))
     assert rep["span_rank"] == 2 and rep["passed"]
-    rep = holonomy_span(FloatMetric(qm), low, standard_loops(5, seed=0))
+    rep = holonomy_span(FloatMetric(qm), low, r_formal(pair), standard_loops(5, seed=0))
     assert rep["span_rank"] == 2 == rep["dim_gL"] + 1 and rep["max_membership_residual"] < 1e-6
     assert not rep["passed"]
     # down to dim 0: the one curved direction is more than it allows
     pair, qm = realized([(1, 1), (2, 1)])
     cert = certificate(pair)
-    none = dataclasses.replace(cert, dim_gL=0, image_rank=0)
-    rep = holonomy_span(FloatMetric(qm), none, standard_loops(3, seed=0))
+    none = {**cert, "dim_gL": 0, "image_rank": 0}
+    rep = holonomy_span(FloatMetric(qm), none, r_formal(pair), standard_loops(3, seed=0))
     assert rep["span_rank"] == 1 and not rep["passed"]
+
+
+@pytest.mark.parametrize("spec", [[(0, [(3, 1)])], [(1, [(1, 1)]), (2, [(2, -1)])]],
+                         ids=["3+", "1+;2-"])
+def test_span_with_dim_gL_0_reads_an_empty_basis_and_passes(spec, monkeypatch):
+    # no witness: the g_L basis has no row, and every sample is flat
+    pair = build_canonical(make_pencil(spec))
+    rmap = r_formal(pair)
+    cert = berger_certificate(pair, rmap)
+    assert cert["dim_gL"] == 0 and cert["witnesses"] == [] and cert["passed"]
+    bases = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, *args, **kw: (
+        bases.append(a.shape), lstsq(a, *args, **kw))[1])
+    rep = holonomy_span(FloatMetric(lower_B(pair)), cert, rmap, standard_loops(pair.n, seed=0))
+    assert bases == [(pair.n ** 2, 0)]
+    assert rep["span_rank"] == rep["dim_gL"] == 0 and rep["passed"]
+    assert len(rep["samples"]) == 9 and rep["max_membership_residual"] == 0.0
 
 
 def test_membership_detects_a_dropped_basis_element():
@@ -456,15 +475,16 @@ def test_membership_detects_a_dropped_basis_element():
     # samples along it leave the span; the one solve gives each sample the
     # residual of its own least-squares solve
     pair, qm = realized([(1, 1), (1, 1), (2, 1)])
-    cert = certificate(pair)
-    short = dataclasses.replace(cert, basis=cert.basis[1:])
-    assert short.passed and short.dim_gL == 3
+    rmap = r_formal(pair)
+    cert = berger_certificate(pair, rmap)
+    short = {**cert, "witnesses": cert["witnesses"][1:]}
+    assert short["passed"] and short["dim_gL"] == 3
     fm = FloatMetric(qm)
     loops = standard_loops(4, seed=0)
-    rep = holonomy_span(fm, short, loops)
+    rep = holonomy_span(fm, short, rmap, loops)
     assert rep["span_rank"] == 3 and not rep["passed"]
     assert rep["max_membership_residual"] > 0.1 and min(column(rep, "residual")) < 1e-6
-    gl = cert.basis[1:].astype(float).reshape(2, -1).T
+    gl = witness_values(short, rmap).astype(float).reshape(2, -1).T
     d, *_ = parallel_transport(fm, loops)
     for psi, residual in zip(logarithms(d).reshape(len(d), -1), column(rep, "residual")):
         norm = np.linalg.norm(psi)
@@ -815,7 +835,7 @@ def test_batch_with_one_singular_loop_raises_before_transport(monkeypatch):
     with pytest.raises(SingularMetricError):
         parallel_transport(fm, loops)
     with pytest.raises(SingularMetricError):
-        holonomy_span(fm, certificate(pair), loops)
+        holonomy_span(fm, certificate(pair), r_formal(pair), loops)
     assert kernel_calls == []
 
 

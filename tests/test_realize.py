@@ -42,6 +42,7 @@ from helpers import (
     mat,
     pair_of,
     spec_of,
+    witness_values,
 )
 from oracles import (
     b_apply,
@@ -448,7 +449,7 @@ def test_exact_arrays_keep_a_proved_dtype_and_scalars_leave_as_python_ints(lam, 
     stored = {"perm": pair.involution[0], "sign": pair.involution[1],
               "block": pair.block, "label": pair.label, "T": pair.block_tensor,
               "metric": qm.num, "formal": rmap, "riemann": rm[0],
-              "basis": cert.basis}
+              "basis": witness_values(cert, rmap)}
     for name, a in stored.items():
         assert a.dtype == np.int64 and np.abs(a).max() <= ENTRY_CAP, name
     # one eigenvalue: L is its nilpotent part, whatever lambda is
