@@ -114,7 +114,7 @@ def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> dict:
     ``wedge_index`` order: a pair (i, j) is kept when its value is not in
     the span of the values before it.  The witness values are independent;
     with containment and equal ranks they span g_L, and the document passes.
-    A failing check's witness is its list, and null when it holds.
+    Each check's witness is None when it holds, else a list.
     """
     system = commutator_system(pair)
     dim_gL = system.shape[1] - rank(system)
