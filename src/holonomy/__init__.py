@@ -13,14 +13,18 @@ Stages 1-3 are exact and hold every matrix in one format (see
 denominator, its entries capped so that nothing overflows.  They read L
 with each eigenvalue relabeled by its rank, so a certificate holds for
 every L of its Jordan type and block grouping, whatever the eigenvalues.
-The floating-point probe lives in :mod:`holonomy.probe`; the CLI imports
-it only when the probe stage runs.
+Each stage's report document comes from its own module, in one call:
+``canonical_report``, ``berger_certificate``, ``verify_realization`` and
+``probe.probe_report``.  The floating-point probe lives in
+:mod:`holonomy.probe`; the CLI, which only reads and writes, imports it
+only when the probe stage runs.
 """
 
 from .canonical import (
     ComplexBlockError,
     InvalidSpecError,
     build_canonical,
+    canonical_report,
     make_pencil,
     pencil_from_json,
     pencil_to_json,

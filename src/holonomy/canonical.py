@@ -249,3 +249,12 @@ def validate_pair(pair: CanonicalPair) -> tuple | None:
     The pair's g is a signed involution, checked when the pair was made."""
     gl = times_g(times_L(np.eye(pair.n, dtype=np.int64), pair, 0), pair.involution, 0)
     return first_mismatch(gl, gl.T)
+
+
+def canonical_report(spec: PencilSpec, pair: CanonicalPair) -> dict:
+    """The canonical stage's report document for ``pair``, built from
+    ``spec``: n, the layout, ``validate_pair``'s witness as ``gL_witness``
+    (None when gL is symmetric) and ``passed``."""
+    at = validate_pair(pair)
+    return {"n": pair.n, "layout": layout_to_json(spec), "gL_witness": at and list(at),
+            "passed": at is None}

@@ -12,9 +12,11 @@ file carry the same bytes.  Each stage is one call from the run's exact
 objects, each built on first use and kept, to its report document; its wall
 time, those builds included, goes to stderr only, as one ``[timing]`` line.
 
-The probe stage transports the standard loops only in the coordinate
-planes (a, b) whose formal curvature value R0(e_a ^ e_b) is nonzero; the
-others add nothing to the span of g_L and are counted in ``flat_planes``.
+This module keeps only I/O: it parses arguments, runs the stage table,
+reads capped files and writes documents.  Each stage document comes from
+its own module (``canonical.canonical_report``, ``berger.berger_certificate``,
+``realize.verify_realization``, ``probe.probe_report``), and every spec is
+read and written by the spec codec in ``canonical``.
 """
 
 from __future__ import annotations
@@ -31,21 +33,15 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .berger import berger_certificate, r_formal
 from .canonical import (
     MAX_SPEC_BYTES,
-    CanonicalPair,
-    InvalidSpecError,
-    PencilSpec,
     build_canonical,
-    layout_to_json,
+    canonical_report,
+    make_pencil,
     pencil_from_json,
     pencil_to_json,
-    validate_pair,
 )
-from .liealg import wedge_index
 from .realize import lower_B, verify_realization
 
 ALL_STAGES = ("canonical", "berger", "realize", "probe")
@@ -71,37 +67,23 @@ class RunConfig:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
 
+def _read_capped(path: str, cap: int, what: str) -> str:
+    """The UTF-8 text of the file at ``path``, read to at most one byte
+    past ``cap``: a longer file raises ``ValueError``, as bad UTF-8 does."""
+    with open(path, "rb") as fh:
+        data = fh.read(cap + 1)
+    if len(data) > cap:
+        raise ValueError(f"{what} file larger than {cap} bytes")
+    return data.decode("utf-8")
+
+
 # -- verify ------------------------------------------------------------------
-
-def _stage_canonical(spec: PencilSpec, pair: CanonicalPair) -> dict:
-    at = validate_pair(pair)
-    return {"n": pair.n, "layout": layout_to_json(spec), "gL_witness": at and list(at),
-            "passed": at is None}
-
-
-def _stage_probe(qm, cert, rmap, seed: int) -> dict:
-    from .probe import FloatMetric, holonomy_span, standard_loops
-
-    # a plane whose formal value is exactly zero adds nothing to the span of
-    # g_L, and its loops transport to the identity: only curved planes go on
-    curved = np.zeros((qm.n, qm.n), dtype=bool)
-    curved[wedge_index(qm.n)] = rmap.any(axis=(1, 2))
-    loops = standard_loops(qm.n, seed=seed)
-    keep = curved[loops[0][:, 0], loops[0][:, 1]]
-    doc = holonomy_span(FloatMetric(qm), cert, rmap, tuple(a[keep] for a in loops))
-    doc["flat_planes"] = len(rmap) - int(curved.sum())
-    return doc
-
 
 def cmd_verify(config: RunConfig) -> tuple:
     """Run the requested stages; returns (report dict, exit code)."""
     try:
-        with open(config.input, "rb") as fh:
-            data = fh.read(MAX_SPEC_BYTES + 1)  # never more than one byte past the cap
-        if len(data) > MAX_SPEC_BYTES:
-            raise InvalidSpecError(f"spec file larger than {MAX_SPEC_BYTES} bytes")
-        spec = pencil_from_json(data.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, InvalidSpecError) as exc:
+        spec = pencil_from_json(_read_capped(config.input, MAX_SPEC_BYTES, "spec"))
+    except (OSError, ValueError) as exc:  # ValueError: past the cap, bad UTF-8, a refused spec
         return {"error": str(exc)}, 2
 
     pair = build_canonical(spec)
@@ -120,11 +102,13 @@ def cmd_verify(config: RunConfig) -> tuple:
     rmap = functools.cache(lambda: r_formal(pair))
     cert = functools.cache(lambda: berger_certificate(pair, rmap()))
     qm = functools.cache(lambda: lower_B(pair))
+    if "probe" in config.stages:
+        from .probe import probe_report  # the float probe is imported only when it runs
     run = {
-        "canonical": lambda: _stage_canonical(spec, pair),
+        "canonical": lambda: canonical_report(spec, pair),
         "berger": cert,
         "realize": lambda: verify_realization(qm(), rmap()),
-        "probe": lambda: _stage_probe(qm(), cert(), rmap(), config.seed),
+        "probe": lambda: probe_report(qm(), cert(), rmap(), config.seed),
     }
     for stage in report["config"]["stages"]:
         started = time.perf_counter()
@@ -185,20 +169,15 @@ def _sign_classes(partition: tuple) -> list:
     for counts in itertools.product(*[range(m + 1) for _, m in runs]):
         flipped = tuple(m - c for (_, m), c in zip(runs, counts))
         classes.add(min(counts, flipped))
-    out = []
-    for counts in sorted(classes):
-        signs = []
-        for (_, m), c in zip(runs, counts):
-            signs.extend([1] * (m - c) + [-1] * c)
-        out.append(tuple(signs))
-    return out
+    return [tuple(s for (_, m), c in zip(runs, counts) for s in [1] * (m - c) + [-1] * c)
+            for counts in sorted(classes)]
 
 
 def iter_corpus_specs(max_n: int) -> list:
     """Every nilpotent single-eigenvalue spec with 2 <= n <= max_n.
 
-    Yields (name, spec document dict) pairs with deterministic names
-    ``n{n}_p{sizes}_s{signs}``.
+    Returns (name, spec document) pairs with deterministic names
+    ``n{n}_p{sizes}_s{signs}``, each document written by ``pencil_to_json``.
     """
     if not (2 <= max_n <= 12):
         raise ValueError("max_n must be between 2 and 12")
@@ -211,16 +190,7 @@ def iter_corpus_specs(max_n: int) -> list:
                     "-".join(str(s) for s in partition),
                     "".join("+" if s > 0 else "-" for s in signs),
                 )
-                doc = {
-                    "eigenvalues": [{
-                        "lambda": "0",
-                        "blocks": [
-                            {"size": size, "sign": sign}
-                            for size, sign in zip(partition, signs)
-                        ],
-                    }]
-                }
-                out.append((name, doc))
+                out.append((name, pencil_to_json(make_pencil([(0, zip(partition, signs))]))))
     return out
 
 
@@ -237,31 +207,18 @@ def cmd_corpus(max_n: int, out_dir: str) -> list:
 
 # -- report ------------------------------------------------------------------
 
-def _spec_pattern(doc: dict) -> tuple:
-    """(n, partition string, signs string) from a spec echo."""
-    sizes = []
-    signs = []
-    for eig in doc.get("eigenvalues", []):
-        for b in eig.get("blocks", []):
-            sizes.append(str(b["size"]))
-            signs.append("+" if b["sign"] > 0 else "-")
-    n = sum(int(s) for s in sizes)
-    return n, "-".join(sizes), "".join(signs)
-
-
 def _report_row(path: str) -> dict:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read(MAX_REPORT_BYTES + 1)
-        if len(data) > MAX_REPORT_BYTES:
-            return _error_row(path, f"report file larger than {MAX_REPORT_BYTES} bytes")
-        doc = json.loads(data.decode("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        doc = json.loads(_read_capped(path, MAX_REPORT_BYTES, "report"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: past the cap, bad JSON or UTF-8
         return _error_row(path, str(exc))
     try:
         if doc.get("error") is not None:  # a refused spec: its message is the row
             return _error_row(path, str(doc["error"]))
-        n, partition, signs = _spec_pattern(doc.get("spec", {}))
+        # the spec echo, read by the spec codec, which also parses text: a
+        # document whose echo is missing or not an object is no verify report
+        spec = pencil_from_json(doc["spec"] if isinstance(doc["spec"], dict) else None)
+        blocks = [b for bs in spec.blocks for b in bs]
         stages = doc.get("stages", {})
         berger = stages.get("berger", {})
         probe = stages.get("probe", {})
@@ -270,9 +227,9 @@ def _report_row(path: str) -> dict:
                    if stages.get(s, {}).get(k) is not None), "")
         return {
             "file": Path(path).name,
-            "n": n,
-            "partition": partition,
-            "signs": signs,
+            "n": spec.dim,
+            "partition": "-".join(str(size) for size, _ in blocks),
+            "signs": "".join("+" if sign > 0 else "-" for _, sign in blocks),
             "dim_gL": berger.get("dim_gL", ""),
             "berger": _flag(berger),
             "realize": _flag(stages.get("realize", {})),

@@ -5,5 +5,6 @@ from .transport import (
     SingularMetricError,
     holonomy_span,
     parallel_transport,
+    probe_report,
     standard_loops,
 )

@@ -27,10 +27,12 @@ they are and writes into its report document, one sample per loop.
 
 ``standard_loops`` spans every coordinate plane, with its off-origin
 corners drawn from the standard library's ``random.Random(seed)``, so the
-probe never imports ``numpy.random``.  The CLI probe keeps only
-the loops in planes whose formal curvature value is nonzero: the loops in
-the other planes transport to the identity to rounding and add nothing to
-the span (the Tier-1 tests check both).  So a report's samples, and its
+probe never imports ``numpy.random``.  ``holonomy_span`` transports every
+loop it is given.  ``probe_report``, the probe stage's one call, gives it
+only the loops in planes whose formal curvature value is nonzero: the
+loops in the other planes transport to the identity to rounding and add
+nothing to the span (the Tier-1 tests check both), and the report counts
+those planes in ``flat_planes``.  So a report's samples, and its
 ``max_step_error`` and ``max_loop_extent``, cover the transported loops.
 """
 
@@ -268,3 +270,18 @@ def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple) -
         ],
         "passed": cert["passed"] and rank == cert["dim_gL"] and max_res < MEMBERSHIP_TOL,
     }
+
+
+def probe_report(qm: QuadraticMetric, cert: dict, rmap: np.ndarray, seed: int) -> dict:
+    """The probe stage's report document: ``holonomy_span`` of the
+    ``standard_loops(qm.n, seed)`` in the planes (a, b) whose formal value,
+    the row of ``rmap`` at e_a ^ e_b, is nonzero, with ``flat_planes`` the
+    number of the other planes.  A flat plane adds nothing to the span of
+    g_L, and its loops transport to the identity, so they are not transported.
+    """
+    curved = rmap.any(axis=(1, 2))  # in wedge order, as standard_loops lays out its planes
+    keep = np.repeat(curved, 1 + EXTRA_BASEPOINTS)
+    loops = tuple(a[keep] for a in standard_loops(qm.n, seed))
+    doc = holonomy_span(FloatMetric(qm), cert, rmap, loops)
+    doc["flat_planes"] = len(rmap) - int(curved.sum())
+    return doc

@@ -172,6 +172,27 @@ CATALOGUE = (
            ("tests/test_differential.py::"
             "test_curvature_checks_agree_with_loops_under_perturbation[1+2-2+]",
             "tests/test_realize.py::test_exact_inputs_past_the_entry_cap_are_refused")),
+    Mutant("probe-keeps-flat-planes", "src/holonomy/probe/transport.py",
+           "keep = np.repeat(curved, 1 + EXTRA_BASEPOINTS)",
+           "keep = np.repeat(curved | True, 1 + EXTRA_BASEPOINTS)",
+           ("tests/test_cli.py::test_probe_transports_exactly_the_curved_planes",)),
+    Mutant("canonical-passed-ignores-witness", "src/holonomy/canonical.py",
+           '"passed": at is None}',
+           '"passed": True}',
+           ("tests/test_canonical.py::test_canonical_report_carries_the_witness",)),
+    Mutant("validate-pair-against-itself", "src/holonomy/canonical.py",
+           "return first_mismatch(gl, gl.T)",
+           "return first_mismatch(gl, gl)",
+           ("tests/test_canonical.py::test_validate_pair_reports",)),
+    Mutant("canonical-perm-off-by-one", "src/holonomy/canonical.py",
+           "perm = 2 * first + sizes[block] - 1 - np.arange(spec.dim)",
+           "perm = 2 * first + sizes[block] - np.arange(spec.dim)",
+           ("tests/test_canonical.py::test_build_blocks_1_2",)),
+    Mutant("report-missing-spec-as-empty", "src/holonomy/cli.py",
+           'pencil_from_json(doc["spec"] if',
+           '__import__("holonomy.canonical").canonical.PencilSpec((), ()) if "spec" not in doc'
+           ' else pencil_from_json(doc["spec"] if',
+           ("tests/test_cli.py::test_report_without_a_spec_echo_is_an_error_row",)),
     # a timeout, not a failure: the entries grow without bound
     Mutant("pivot-without-content-division", "src/holonomy/exactla.py",
            "g = math.gcd(*v.values())",

@@ -16,7 +16,7 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
-from holonomy.canonical import MAX_RATIONAL_LEN, CanonicalPair, layout_to_json
+from holonomy.canonical import MAX_RATIONAL_LEN, CanonicalPair, canonical_report, layout_to_json
 from holonomy.exactla import rank, times_L
 
 from helpers import SPEC_REFUSALS, all_blocks, dense_g, mat, pair_of
@@ -132,6 +132,18 @@ def test_validate_pair_reports():
     assert_witness(dataclasses.replace(pair, label=np.array([0, 1, 1])), None)
     # (gL)[1, 2] = L[2, 2] = 1 but (gL)[2, 1] = L[1, 1] = 0
     assert_witness(dataclasses.replace(pair, label=np.array([0, 0, 1])), (1, 2))
+
+
+def test_canonical_report_carries_the_witness():
+    spec = make_pencil([(0, [(2, 1)])])
+    pair = build_canonical(spec)
+    layout = [{"lambda": "0", "blocks": [[0, 2, 1]]}]
+    assert canonical_report(spec, pair) == {
+        "n": 2, "layout": layout, "gL_witness": None, "passed": True}
+    # labels that split the block: gL = [[0, 1], [0, 1]] is first asymmetric at (0, 1)
+    split = dataclasses.replace(pair, label=np.array([0, 1]))
+    assert canonical_report(spec, split) == {
+        "n": 2, "layout": layout, "gL_witness": [0, 1], "passed": False}
 
 
 def test_degenerate_g_reported():

@@ -15,7 +15,7 @@ import pytest
 import holonomy
 from holonomy.berger import berger_certificate, r_formal
 from holonomy import canonical
-from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json
+from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json, pencil_to_json
 from holonomy.cli import ALL_STAGES, MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
@@ -570,6 +570,18 @@ def test_corpus_rejects_bad_max_n(tmp_path):
     assert main(["corpus", "--max-n", "13", "--out", str(tmp_path)]) == 2
 
 
+def test_corpus_documents_round_trip_through_the_spec_codec():
+    for name, doc in iter_corpus_specs(12):
+        spec = pencil_from_json(doc)
+        assert pencil_to_json(spec) == doc, name
+        # the name encodes the one eigenvalue 0 with its partition and signs
+        n, sizes, signs = re.fullmatch(r"n(\d+)_p([\d-]+)_s([+-]+)", name).groups()
+        (blocks,) = spec.blocks
+        assert spec.lams == (0,) and spec.dim == int(n), name
+        assert sizes.split("-") == [str(size) for size, _ in blocks], name
+        assert [1 if c == "+" else -1 for c in signs] == [sign for _, sign in blocks], name
+
+
 def test_corpus_count_max_n_12():
     assert len(iter_corpus_specs(7)) == 126
     assert len(iter_corpus_specs(12)) == 1579
@@ -637,6 +649,22 @@ def test_report_empty_and_errors(tmp_path, capsys):
         assert csv_row["error"] == row["error"]
         if k < 7:  # parsed as JSON, but not shaped like a report
             assert "not a verify report" in row["error"]
+
+
+def test_report_without_a_spec_echo_is_an_error_row(tmp_path, capsys):
+    # the spec echo is read by the spec codec: a JSON object without a valid
+    # one, an object and not JSON text, is no verify report, however it
+    # states its verdict (the first three were once passing rows with n 0)
+    for k, doc in enumerate([{"verdict": "pass"}, {"verdict": "pass", "stages": {}},
+                             {"spec": {"eigenvalues": []}, "verdict": "pass"},
+                             {"spec": json.dumps(SPEC_1_2), "verdict": "pass"}]):
+        path = tmp_path / f"bare{k}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 1
+        header, line = capsys.readouterr().out.strip("\n").splitlines()
+        row = dict(zip(header.split("\t"), line.split("\t"), strict=True))
+        assert row["verdict"] == "error" and row["n"] == ""
+        assert "not a verify report" in row["error"]
 
 
 def test_report_shows_a_refused_spec_as_its_message(tmp_path, capsys):
