@@ -1,15 +1,14 @@
-"""The block tensor, the blockwise formal curvature map and the Berger test.
+"""The blockwise formal curvature map and the Berger test.
 
-``block_tensor`` states the formula: for each pair of Jordan blocks inside
-one eigenvalue it differentiates the minimal polynomial along the argument
-with the pair's own nilpotency degree, which makes the image fill the whole
-centralizer.  It is one mask over ``pair.block`` and ``pair.label``, and
-``r_formal`` and the realizing metric are both read off that one 0/1
-tensor.  The certificate checks the Bianchi identity, containment in g_L
-and the exact rank equality, with dim g_L counted by rank-nullity on the
-commutator system, and is the berger stage's report document: once it
-passes, the values of ``r_formal`` at its witnesses are an exact basis of
-g_L.
+The map is read off the pair's block tensor (``CanonicalPair.block_tensor``):
+for each pair of Jordan blocks inside one eigenvalue it differentiates the
+minimal polynomial along the argument with the pair's own nilpotency
+degree, which makes the image fill the whole centralizer.  The realizing
+metric is read off the same 0/1 tensor.  The certificate checks the
+Bianchi identity, containment in g_L and the exact rank equality, with
+dim g_L counted by rank-nullity on the commutator system, and is the
+berger stage's report document: once it passes, the values of
+``r_formal`` at its witnesses are an exact basis of g_L.
 """
 
 from __future__ import annotations
@@ -19,38 +18,6 @@ import numpy as np
 from .canonical import CanonicalPair
 from .exactla import pivot_columns, rank, times_L, times_g
 from .liealg import commutator_system, curvature_values, wedge_index, wedge_mismatch
-
-
-def block_tensor(pair: CanonicalPair) -> np.ndarray:
-    """T = sum J_i^a (x) J_j^s as one (n, n, n, n) 0/1 int64 array.
-
-    With J_i the upper shift on block i's index range (J_i^0 its
-    projector), the formal curvature map and the realizing metric's
-    coefficient tensor are the same sum:
-
-        R(X) = sum J_i^a X J_j^s,    B = -1/2 sum J_i^a (x) J_j^s,
-
-    over every ordered pair of blocks i, j of one eigenvalue (a block with
-    itself included) and every a, s >= 0 with a + s = max(n_i, n_j) - 1:
-    T[r, c, p, q] = 1 exactly when c - r = a inside one block, q - p = s
-    inside one block and r, p share a label.  So R and B are block-diagonal
-    across eigenvalues, and the metric is a product.  The diagonal pairs
-    add nothing to R on so(g), but they make B agree with the plain
-    minimal-polynomial tensor when all blocks have one size.  A mask sets
-    each entry once, so T is the exact sum.  ``pair.block_tensor`` calls
-    this once and keeps the result.
-    """
-    block, label = pair.block, pair.label
-    idx = np.arange(pair.n)
-    size = np.bincount(block)[block]
-    # shift[r, c] = c - r for r and c in one block, and -1 elsewhere.  A
-    # shift is below its block's size, so two add up to the larger size
-    # minus one only when both are >= 0: a >= 0 and s >= 0 need no test
-    shift = np.where(block[:, None] == block, idx - idx[:, None], -1)
-    reach = np.maximum(size[:, None], size) - 1  # [r, p]
-    t = ((label[:, None, None, None] == label[:, None])
-         & (shift[:, :, None, None] + shift == reach[:, None, :, None]))
-    return t.astype(np.int64)
 
 
 def r_formal(pair: CanonicalPair) -> np.ndarray:

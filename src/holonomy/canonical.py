@@ -8,13 +8,14 @@ block (plus a label of lambda on the diagonal, see ``CanonicalPair``) into
 L and a signed antidiagonal of ones into g; blocks are concatenated
 diagonally.  In this basis g is a signed involution, g = g^T = g^{-1},
 held as ``(perm, sign)`` (see ``exactla.check_involution``), and gL is
-symmetric: L is g-symmetric.
+symmetric: L is g-symmetric.  The pair is every exact stage's one input:
+it holds the block tensor T that the curvature map and the metric are
+read off, and ``canonical_report`` reads nothing else.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -189,14 +190,6 @@ def pencil_to_json(spec: PencilSpec) -> dict:
         for lam, bs in zip(spec.lams, spec.blocks)]}
 
 
-def layout_to_json(spec: PencilSpec) -> list:
-    """The canonical report's layout: per eigenvalue, its blocks as
-    ``[offset, size, sign]``, the offsets running sums of the sizes."""
-    offsets = iter(itertools.accumulate((s for bs in spec.blocks for s, _ in bs), initial=0))
-    return [{"lambda": str(lam), "blocks": [[next(offsets), s, sg] for s, sg in bs]}
-            for lam, bs in zip(spec.lams, spec.blocks)]
-
-
 @dataclass(frozen=True, eq=False)
 class CanonicalPair:
     """The canonical (g, L) and the block structure of each index.
@@ -228,9 +221,35 @@ class CanonicalPair:
 
     @functools.cached_property
     def block_tensor(self) -> np.ndarray:
-        """``berger.block_tensor(self)``, built on first use and kept."""
-        from .berger import block_tensor  # berger imports this module
-        return block_tensor(self)
+        """T = sum J_i^a (x) J_j^s as one (n, n, n, n) 0/1 int64 array, built
+        on first use and kept.
+
+        With J_i the upper shift on block i's index range (J_i^0 its
+        projector), the formal curvature map and the realizing metric's
+        coefficient tensor are the same sum:
+
+            R(X) = sum J_i^a X J_j^s,    B = -1/2 sum J_i^a (x) J_j^s,
+
+        over every ordered pair of blocks i, j of one eigenvalue (a block
+        with itself included) and every a, s >= 0 with a + s = max(n_i, n_j)
+        - 1: T[r, c, p, q] = 1 exactly when c - r = a inside one block,
+        q - p = s inside one block and r, p share a label.  So R and B are
+        block-diagonal across eigenvalues, and the metric is a product.  The
+        diagonal pairs add nothing to R on so(g), but they make B agree with
+        the plain minimal-polynomial tensor when all blocks have one size.
+        A mask sets each entry once, so T is the exact sum.
+        """
+        block, label = self.block, self.label
+        idx = np.arange(self.n)
+        size = np.bincount(block)[block]
+        # shift[r, c] = c - r for r and c in one block, and -1 elsewhere.  A
+        # shift is below its block's size, so two add up to the larger size
+        # minus one only when both are >= 0: a >= 0 and s >= 0 need no test
+        shift = np.where(block[:, None] == block, idx - idx[:, None], -1)
+        reach = np.maximum(size[:, None], size) - 1  # [r, p]
+        t = ((label[:, None, None, None] == label[:, None])
+             & (shift[:, :, None, None] + shift == reach[:, None, :, None]))
+        return t.astype(np.int64)
 
 
 def build_canonical(spec: PencilSpec) -> CanonicalPair:
@@ -251,10 +270,9 @@ def validate_pair(pair: CanonicalPair) -> tuple | None:
     return first_mismatch(gl, gl.T)
 
 
-def canonical_report(spec: PencilSpec, pair: CanonicalPair) -> dict:
-    """The canonical stage's report document for ``pair``, built from
-    ``spec``: n, the layout, ``validate_pair``'s witness as ``gL_witness``
-    (None when gL is symmetric) and ``passed``."""
+def canonical_report(pair: CanonicalPair) -> dict:
+    """The canonical stage's report document for ``pair``: n,
+    ``validate_pair``'s witness as ``gL_witness`` (None when gL is
+    symmetric) and ``passed``; the spec's values are in the report's echo."""
     at = validate_pair(pair)
-    return {"n": pair.n, "layout": layout_to_json(spec), "gL_witness": at and list(at),
-            "passed": at is None}
+    return {"n": pair.n, "gL_witness": at and list(at), "passed": at is None}

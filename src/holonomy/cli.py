@@ -16,7 +16,8 @@ This module keeps only I/O: it parses arguments, runs the stage table,
 reads capped files and writes documents.  Each stage document comes from
 its own module (``canonical.canonical_report``, ``berger.berger_certificate``,
 ``realize.verify_realization``, ``probe.probe_report``), and every spec is
-read and written by the spec codec in ``canonical``.
+read and written by the spec codec in ``canonical``.  ``verify`` writes the
+verdict that ``_verdict`` gives its stages, and ``report`` derives it again.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     if "probe" in config.stages:
         from .probe import probe_report  # the float probe is imported only when it runs
     run = {
-        "canonical": lambda: canonical_report(spec, pair),
+        "canonical": lambda: canonical_report(pair),
         "berger": cert,
         "realize": lambda: verify_realization(qm(), rmap()),
         "probe": lambda: probe_report(qm(), cert(), rmap(), config.seed),
@@ -115,9 +116,13 @@ def cmd_verify(config: RunConfig) -> tuple:
         report["stages"][stage] = run[stage]()
         print(f"[timing] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
-    passed = all(s.get("passed", False) for s in report["stages"].values())
-    report["verdict"] = "pass" if passed else "fail"
-    return report, 0 if passed else 1
+    report["verdict"] = _verdict(report["stages"])
+    return report, 0 if report["verdict"] == "pass" else 1
+
+
+def _verdict(stages: dict) -> str:
+    """ "pass" exactly when every stage document's ``passed`` is true."""
+    return "pass" if all(doc["passed"] is True for doc in stages.values()) else "fail"
 
 
 def _dumps(doc: dict) -> str:
@@ -219,10 +224,16 @@ def _report_row(path: str) -> dict:
         # document whose echo is missing or not an object is no verify report
         spec = pencil_from_json(doc["spec"] if isinstance(doc["spec"], dict) else None)
         blocks = [b for bs in spec.blocks for b in bs]
-        stages = doc.get("stages", {})
+        # a verify report holds exactly the documents of its config's stages,
+        # named in pipeline order, and states the verdict that they give
+        names, stages = doc["config"]["stages"], doc["stages"]
+        if not names or names != [s for s in ALL_STAGES if s in names] or set(stages) != set(names):
+            raise ValueError(f"stage documents {sorted(stages)} are not config.stages {names}")
+        verdict = _verdict(stages)
+        if doc["verdict"] != verdict:
+            raise ValueError(f"verdict {doc['verdict']!r} is not its stages' {verdict!r}")
         berger = stages.get("berger", {})
         probe = stages.get("probe", {})
-        verdict = doc.get("verdict", "fail")
         at = next((f"{s}.{k} {stages[s][k]}" for s, k in _WITNESSES
                    if stages.get(s, {}).get(k) is not None), "")
         return {

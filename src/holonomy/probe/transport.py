@@ -47,7 +47,7 @@ import numpy as np
 
 from ..exactla import first_mismatch, times_g
 from ..liealg import wedge_index
-from ..realize import QuadraticMetric, invertibility_bound, validity_radius
+from ..realize import QuadraticMetric, invertibility_bound
 from . import kernels
 
 # The probe's numerical policy: RK4 steps per segment (even, so the
@@ -103,6 +103,12 @@ class FloatMetric:
         """Exactly: is g(x) invertible for every |x|_inf <= extent?  An
         extent that overflowed to infinity is not certified."""
         return math.isfinite(extent) and Fraction(extent) ** 2 * self.bound < 1
+
+
+def validity_radius(bound: Fraction) -> float:
+    """Sup-norm radius 1 / sqrt(c) inside which g(x) is invertible, for c
+    from ``realize.invertibility_bound``; infinite for a constant metric."""
+    return float("inf") if bound == 0 else float(1 / bound) ** 0.5
 
 
 def _floats(a, message: str, low: float = -math.inf) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 The metric realizes one ``CanonicalPair`` and holds it: g0 is the pair's
 g, and the coefficient tensor is B = -1/2 T, where T = ``pair.block_tensor``
-is the 0/1 mask over the pairs of Jordan blocks of one eigenvalue
-(``berger.block_tensor``) that the formal curvature map is read off too,
-so the metric is a product across eigenvalues.
+is the 0/1 mask over the pairs of Jordan blocks of one eigenvalue that the
+formal curvature map is read off too, so the metric is a product across
+eigenvalues.
 
 The lowered tensor is one (n, n, n, n) int64 array over one common
 denominator (the ``exactla`` format), and its Christoffel combination C is
@@ -102,12 +102,6 @@ def invertibility_bound(qm: QuadraticMetric) -> Fraction:
     invertible wherever |x|_inf^2 * c < 1.
     """
     return Fraction(int(np.abs(qm.num).sum(axis=(1, 2, 3)).max()), qm.den)
-
-
-def validity_radius(bound: Fraction) -> float:
-    """Sup-norm radius 1 / sqrt(c) inside which g(x) is invertible, for c
-    from ``invertibility_bound``; infinite for a constant metric."""
-    return float("inf") if bound == 0 else float(1 / bound) ** 0.5
 
 
 # The checks below are linear in B, so they run on num; each product with L is

@@ -78,11 +78,19 @@ CATALOGUE = (
            "b = basis.get(lead)",
            "b = None",
            ("tests/test_exactla.py::test_rank_examples",)),
-    Mutant("block-tensor-reach-minimum", "src/holonomy/berger.py",
+    Mutant("block-tensor-reach-minimum", "src/holonomy/canonical.py",
            "reach = np.maximum(size[:, None], size) - 1",
            "reach = np.minimum(size[:, None], size) - 1",
            ("tests/test_differential.py::test_block_tensor_matches_per_term_factors",)),
-    Mutant("block-tensor-without-label", "src/holonomy/berger.py",
+    Mutant("block-tensor-reach-one-short", "src/holonomy/canonical.py",
+           "reach = np.maximum(size[:, None], size) - 1",
+           "reach = np.maximum(size[:, None], size) - 2",
+           ("tests/test_differential.py::test_block_tensor_matches_per_term_factors",)),
+    Mutant("block-tensor-reach-one-long", "src/holonomy/canonical.py",
+           "reach = np.maximum(size[:, None], size) - 1",
+           "reach = np.maximum(size[:, None], size)",
+           ("tests/test_differential.py::test_block_tensor_matches_per_term_factors",)),
+    Mutant("block-tensor-without-label", "src/holonomy/canonical.py",
            "(label[:, None, None, None] == label[:, None])",
            "True",
            ("tests/test_differential.py::test_block_tensor_matches_per_term_factors",)),
@@ -193,6 +201,22 @@ CATALOGUE = (
            '__import__("holonomy.canonical").canonical.PencilSpec((), ()) if "spec" not in doc'
            ' else pencil_from_json(doc["spec"] if',
            ("tests/test_cli.py::test_report_without_a_spec_echo_is_an_error_row",)),
+    Mutant("canonical-label-zero", "src/holonomy/canonical.py",
+           "block, labels[block])",
+           "block, 0 * labels[block])",
+           ("tests/test_canonical.py::test_build_two_eigenvalues",)),
+    Mutant("invertibility-bound-quartered", "src/holonomy/realize.py",
+           "max()), qm.den)",
+           "max()), 4 * qm.den)",
+           ("tests/test_probe.py::test_singular_lasso_fails_bound_and_is_refused",)),
+    Mutant("report-trusts-stored-verdict", "src/holonomy/cli.py",
+           "verdict = _verdict(stages)",
+           'verdict = doc["verdict"]',
+           ("tests/test_cli.py::test_report_derives_its_verdict_from_the_stage_documents",)),
+    Mutant("verdict-first-stage-only", "src/holonomy/cli.py",
+           "for doc in stages.values())",
+           "for doc in list(stages.values())[:1])",
+           ("tests/test_cli.py::test_report_names_the_first_witness_of_a_failing_report",)),
     # a timeout, not a failure: the entries grow without bound
     Mutant("pivot-without-content-division", "src/holonomy/exactla.py",
            "g = math.gcd(*v.values())",

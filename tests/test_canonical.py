@@ -16,7 +16,7 @@ from holonomy import (
     pencil_to_json,
     validate_pair,
 )
-from holonomy.canonical import MAX_RATIONAL_LEN, CanonicalPair, canonical_report, layout_to_json
+from holonomy.canonical import MAX_RATIONAL_LEN, CanonicalPair, canonical_report
 from holonomy.exactla import rank, times_L
 
 from helpers import SPEC_REFUSALS, all_blocks, dense_g, mat, pair_of
@@ -85,11 +85,6 @@ def test_layout_metadata():
                     [0, 0, 0, 0, 0, 0, 1]])
     assert [v.tolist() for v in pair.involution] == [[0, 2, 1, 4, 3, 6, 5],
                                                       [-1, 1, 1, 1, 1, -1, -1]]
-    # the report's offsets are the running sums of the sizes
-    assert layout_to_json(spec) == [
-        {"lambda": "-1", "blocks": [[0, 1, -1], [1, 2, 1]]},
-        {"lambda": "5/7", "blocks": [[3, 2, 1], [5, 2, -1]]},
-    ]
 
 
 def rogue(g, block, label):
@@ -135,15 +130,11 @@ def test_validate_pair_reports():
 
 
 def test_canonical_report_carries_the_witness():
-    spec = make_pencil([(0, [(2, 1)])])
-    pair = build_canonical(spec)
-    layout = [{"lambda": "0", "blocks": [[0, 2, 1]]}]
-    assert canonical_report(spec, pair) == {
-        "n": 2, "layout": layout, "gL_witness": None, "passed": True}
+    pair = build_canonical(make_pencil([(0, [(2, 1)])]))
+    assert canonical_report(pair) == {"n": 2, "gL_witness": None, "passed": True}
     # labels that split the block: gL = [[0, 1], [0, 1]] is first asymmetric at (0, 1)
     split = dataclasses.replace(pair, label=np.array([0, 1]))
-    assert canonical_report(spec, split) == {
-        "n": 2, "layout": layout, "gL_witness": [0, 1], "passed": False}
+    assert canonical_report(split) == {"n": 2, "gL_witness": [0, 1], "passed": False}
 
 
 def test_degenerate_g_reported():

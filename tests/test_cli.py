@@ -298,24 +298,25 @@ BUILT = {
 @pytest.mark.parametrize("stages", list(BUILT), ids=["canonical", "berger", "realize", "probe", "all"])
 def test_verify_builds_each_exact_object_once(stages, tmp_path, monkeypatch):
     import holonomy.berger
+    import holonomy.canonical
     import holonomy.realize
 
-    # the block tensor is built once and both exact objects are read off it
-    counts = _count_calls(monkeypatch, ((holonomy.berger, "block_tensor"),
-                                        (holonomy.berger, "r_formal"),
+    counts = _count_calls(monkeypatch, ((holonomy.berger, "r_formal"),
                                         (holonomy.berger, "berger_certificate"),
                                         (holonomy.realize, "lower_B")))
-    # the raised Christoffel pair is formed once, for the realize and probe stages
-    build = holonomy.realize.QuadraticMetric.raised.func
+    # the pair's block tensor is built once and both exact objects are read
+    # off it; the raised Christoffel pair is formed once, for the realize
+    # and probe stages
+    for cls, name in ((holonomy.canonical.CanonicalPair, "block_tensor"),
+                      (holonomy.realize.QuadraticMetric, "raised")):
+        def counted(obj, build=getattr(cls, name).func, name=name):
+            counts[name] += 1
+            return build(obj)
 
-    def raised(qm):
-        counts["raised"] += 1
-        return build(qm)
-
-    counted = functools.cached_property(raised)
-    counted.__set_name__(holonomy.realize.QuadraticMetric, "raised")
-    monkeypatch.setattr(holonomy.realize.QuadraticMetric, "raised", counted)
-    counts["raised"] = 0
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+        counts[name] = 0
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     report, code = cmd_verify(RunConfig(input=str(spec), stages=stages))
     assert code == 0 and tuple(report["stages"]) == stages
@@ -654,10 +655,17 @@ def test_report_empty_and_errors(tmp_path, capsys):
 def test_report_without_a_spec_echo_is_an_error_row(tmp_path, capsys):
     # the spec echo is read by the spec codec: a JSON object without a valid
     # one, an object and not JSON text, is no verify report, however it
-    # states its verdict (the first three were once passing rows with n 0)
-    for k, doc in enumerate([{"verdict": "pass"}, {"verdict": "pass", "stages": {}},
-                             {"spec": {"eigenvalues": []}, "verdict": "pass"},
-                             {"spec": json.dumps(SPEC_1_2), "verdict": "pass"}]):
+    # states its verdict (the first three were once passing rows with n 0),
+    # and also with the config, stages and verdict of a passing report
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    good = tmp_path / "good.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(good)]) == 0
+    rest = {k: v for k, v in json.loads(good.read_text()).items() if k != "spec"}
+    bare = [{"verdict": "pass"}, {"verdict": "pass", "stages": {}},
+            {"spec": {"eigenvalues": []}, "verdict": "pass"},
+            {"spec": json.dumps(SPEC_1_2), "verdict": "pass"}]
+    capsys.readouterr()
+    for k, doc in enumerate(bare + [{**rest, **doc} for doc in bare]):
         path = tmp_path / f"bare{k}.json"
         path.write_text(json.dumps(doc))
         assert main(["report", str(path)]) == 1
@@ -665,6 +673,36 @@ def test_report_without_a_spec_echo_is_an_error_row(tmp_path, capsys):
         row = dict(zip(header.split("\t"), line.split("\t"), strict=True))
         assert row["verdict"] == "error" and row["n"] == ""
         assert "not a verify report" in row["error"]
+
+
+def test_report_derives_its_verdict_from_the_stage_documents(tmp_path, capsys):
+    # a verify report holds the documents of exactly its config.stages,
+    # named in pipeline order, and states the verdict they give: a file
+    # that breaks any of this is no verify report, whatever it claims
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    good = tmp_path / "good.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical,berger",
+                 "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    canonical = doc["stages"]["canonical"]
+    cases = {
+        "no-stages": {"spec": SPEC_1_2, "verdict": "pass"},
+        "canonical-failed": {**doc, "config": {"stages": ["canonical"], "seed": 0},
+                             "stages": {"canonical": {**canonical, "gL_witness": [0, 1],
+                                                      "passed": False}}},
+        "missing-stage": {**doc, "stages": {"canonical": canonical}},
+        "unnamed-stage": {**doc, "config": {"stages": ["canonical"], "seed": 0}},
+        "out-of-order": {**doc, "config": {"stages": ["berger", "canonical"], "seed": 0}},
+    }
+    for name, bad in cases.items():
+        assert bad["verdict"] == "pass", name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 1, name
+        header, line = capsys.readouterr().out.strip("\n").splitlines()
+        row = dict(zip(header.split("\t"), line.split("\t"), strict=True))
+        assert row["verdict"] == "error" and "not a verify report" in row["error"], (name, row)
 
 
 def test_report_shows_a_refused_spec_as_its_message(tmp_path, capsys):
@@ -717,6 +755,7 @@ def test_report_failing_rows_first(tmp_path, capsys):
     good = tmp_path / "good.json"
     main(["verify", "--input", str(spec), "--out", str(good)])
     doc = json.loads(good.read_text())
+    doc["stages"]["canonical"].update(gL_witness=[0, 1], passed=False)
     doc["verdict"] = "fail"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -724,6 +763,7 @@ def test_report_failing_rows_first(tmp_path, capsys):
     assert main(["report", str(good), str(bad)]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert "bad.json" in lines[1] and "good.json" in lines[2]
+    assert lines[1].split("\t")[-2:] == ["fail", "canonical.gL_witness [0, 1]"]
 
 
 def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
@@ -746,7 +786,8 @@ def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
         "berger": {"berger": {"bianchi_witness": [0, 1, 2], "containment_witness": [0, 2, 0, 2]},
                    "realize": {"nablaL_witness": [0, 0, 1, 1]}},
         "realize": {"realize": {"formal_witness": [0, 1, 0, 0], "routes_witness": [0, 2, 1, 0]}},
-        "bare": {},
+        # a failing berger document without a witness: the image rank is short
+        "bare": {"berger": {"image_rank": 0}},
     }
     paths = []
     for name, stages in edits.items():
@@ -767,7 +808,9 @@ def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
         "berger.json": "berger.bianchi_witness [0, 1, 2]",
         "realize.json": "realize.routes_witness [0, 2, 1, 0]"}
     assert rows["berger.json"]["berger"] == rows["realize.json"]["realize"] == "FAIL"
-    assert [rows[n]["verdict"] for n in ("good.json", "berger.json")] == ["pass", "fail"]
+    assert [rows[n]["verdict"] for n in ("good.json", "berger.json", "bare.json")] == [
+        "pass", "fail", "fail"]
+    assert rows["bare.json"]["berger"] == "FAIL"
 
 
 def test_report_sorts_n_as_a_number(tmp_path, capsys):

@@ -19,8 +19,9 @@ from holonomy.probe import (
     standard_loops,
 )
 from holonomy.probe import kernels
+from holonomy.probe.transport import validity_radius
 
-from holonomy.realize import QuadraticMetric, check_nablaL, invertibility_bound, validity_radius
+from holonomy.realize import QuadraticMetric, check_nablaL, invertibility_bound
 
 from helpers import (
     N24_BLOCKS,

@@ -22,7 +22,7 @@ from holonomy.berger import check_bianchi, check_sectional
 from holonomy.canonical import CanonicalPair
 from holonomy.exactla import ENTRY_CAP, check_involution, rank, times_g
 from holonomy.liealg import wedge_rows
-from holonomy.probe.transport import FloatMetric
+from holonomy.probe.transport import FloatMetric, validity_radius
 from holonomy.realize import (
     QuadraticMetric,
     RealizationError,
@@ -30,7 +30,6 @@ from holonomy.realize import (
     check_nablaL,
     invertibility_bound,
     riemann_at_origin,
-    validity_radius,
 )
 
 from helpers import (
