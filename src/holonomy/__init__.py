@@ -15,7 +15,8 @@ with each eigenvalue relabeled by its rank, so a certificate holds for
 every L of its Jordan type and block grouping, whatever the eigenvalues.
 Each stage's report document comes from its own module, in one call:
 ``canonical_report``, ``berger_certificate``, ``verify_realization`` and
-``probe.probe_report``.  The floating-point probe lives in
+``probe.probe_report``, and passes by the ``DOCUMENT`` its module declares
+(``canonical.StageDocument``).  The floating-point probe lives in
 :mod:`holonomy.probe`; the CLI, which only reads and writes, imports it
 only when the probe stage runs.
 """

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .canonical import CanonicalPair
+from .canonical import CanonicalPair, StageDocument
 from .exactla import pivot_columns, rank, times_L, times_g
 from .liealg import commutator_system, curvature_values, wedge_index, wedge_mismatch
+
+DOCUMENT = StageDocument("berger", ("dim_gL", "image_rank", "witnesses"),
+                         ("bianchi_witness", "containment_witness"), (("image_rank", "dim_gL"),))
 
 
 def r_formal(pair: CanonicalPair) -> np.ndarray:
@@ -87,7 +90,7 @@ def berger_certificate(pair: CanonicalPair, rmap: np.ndarray) -> dict:
     dim_gL = system.shape[1] - rank(system)
     pivots = pivot_columns(rmap.reshape(len(rmap), pair.n ** 2).T)
     b, c = check_bianchi(rmap), check_sectional(rmap, pair)
-    return {"dim_gL": dim_gL, "image_rank": len(pivots),
-            "bianchi_witness": b and list(b), "containment_witness": c and list(c),
-            "witnesses": np.stack(wedge_index(pair.n), axis=1)[pivots].tolist(),
-            "passed": b is None and c is None and len(pivots) == dim_gL}
+    doc = {"dim_gL": dim_gL, "image_rank": len(pivots),
+           "bianchi_witness": b and list(b), "containment_witness": c and list(c),
+           "witnesses": np.stack(wedge_index(pair.n), axis=1)[pivots].tolist()}
+    return {**doc, "passed": DOCUMENT.first_failure(doc) is None}

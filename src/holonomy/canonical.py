@@ -10,7 +10,9 @@ diagonally.  In this basis g is a signed involution, g = g^T = g^{-1},
 held as ``(perm, sign)`` (see ``exactla.check_involution``), and gL is
 symmetric: L is g-symmetric.  The pair is every exact stage's one input:
 it holds the block tensor T that the curvature map and the metric are
-read off, and ``canonical_report`` reads nothing else.
+read off, and ``canonical_report`` reads nothing else.  ``StageDocument``
+declares a stage's report document and is its one pass rule; each stage
+module declares its own as ``DOCUMENT``.
 """
 
 from __future__ import annotations
@@ -262,6 +264,47 @@ def build_canonical(spec: PencilSpec) -> CanonicalPair:
     return CanonicalPair((perm, signs[block]), block, labels[block])
 
 
+@dataclass(frozen=True)
+class StageDocument:
+    """A stage's report document, declared once in the stage's module as
+    ``DOCUMENT``: ``keys``, every key but ``passed`` and the witnesses;
+    ``witnesses``, the ``*_witness`` keys in check order (None when the check
+    holds); and the facts ``passed`` needs: ``equal`` key pairs, ``below``
+    (key, bound) pairs and a passing document of the stage it ``needs``.
+    The stage sets ``passed`` from ``first_failure``, and ``holonomy
+    report`` checks every stored document with it."""
+
+    stage: str
+    keys: tuple
+    witnesses: tuple = ()
+    equal: tuple = ()
+    below: tuple = ()
+    needs: str = ""
+
+    def first_failure(self, doc: dict, needed: dict | None = None) -> str | None:
+        """None when every fact of ``doc`` (with or without ``passed``) holds,
+        else the first that fails, as one line: a witness, an unequal pair, a
+        value not under its bound, then ``needed``, the ``needs`` stage's
+        document, not passing.  Another key set raises ValueError."""
+        if set(doc) - {"passed"} != {*self.keys, *self.witnesses}:
+            raise ValueError(f"{self.stage} keys {sorted(doc)} are not its document's")
+        for key in self.witnesses:
+            if doc[key] is not None:
+                return f"{self.stage}.{key} {doc[key]}"
+        for a, b in self.equal:
+            if doc[a] != doc[b]:
+                return f"{self.stage}.{a} {doc[a]} != {b} {doc[b]}"
+        for key, bound in self.below:
+            if not doc[key] < bound:
+                return f"{self.stage}.{key} {doc[key]} >= {bound}"
+        if self.needs and needed["passed"] is not True:
+            return f"{self.stage}: {self.needs}.passed {needed['passed']}"
+        return None
+
+
+DOCUMENT = StageDocument("canonical", ("n",), ("gL_witness",))
+
+
 def validate_pair(pair: CanonicalPair) -> tuple | None:
     """None when gL is symmetric, that is, L is g-symmetric, else the witness:
     the first (r, c) in lexicographic order where (gL)[r, c] != (gL)[c, r].
@@ -275,4 +318,5 @@ def canonical_report(pair: CanonicalPair) -> dict:
     ``validate_pair``'s witness as ``gL_witness`` (None when gL is
     symmetric) and ``passed``; the spec's values are in the report's echo."""
     at = validate_pair(pair)
-    return {"n": pair.n, "gL_witness": at and list(at), "passed": at is None}
+    doc = {"n": pair.n, "gL_witness": at and list(at)}
+    return {**doc, "passed": DOCUMENT.first_failure(doc) is None}

@@ -6,18 +6,22 @@ Commands:
     report FILES... [--csv out.csv]
 
 Exit status: 0 all requested stages pass, 1 verification failure,
-2 invalid input.  Report JSON files are deterministic for a fixed config
-and seed; a verify report is serialized once, and stdout and the ``--out``
-file carry the same bytes.  Each stage is one call from the run's exact
-objects, each built on first use and kept, to its report document; its wall
-time, those builds included, goes to stderr only, as one ``[timing]`` line.
+2 invalid input.  Report JSON bytes are fixed for one config, seed and BLAS
+thread count; across thread counts only the probe's residuals, metric
+drifts and singular values move, by rounding.  A verify report is
+serialized once, and stdout and the ``--out`` file carry the same bytes.
+Each stage is one call from the run's exact objects, each built on first
+use and kept, to its report document; its wall time, those builds
+included, goes to stderr only, as one ``[timing]`` line.
 
 This module keeps only I/O: it parses arguments, runs the stage table,
 reads capped files and writes documents.  Each stage document comes from
 its own module (``canonical.canonical_report``, ``berger.berger_certificate``,
 ``realize.verify_realization``, ``probe.probe_report``), and every spec is
 read and written by the spec codec in ``canonical``.  ``verify`` writes the
-verdict that ``_verdict`` gives its stages, and ``report`` derives it again.
+verdict that ``_verdict`` gives its stages, and ``report`` derives it again,
+after checking each stage document by the ``DOCUMENT`` declared in the
+stage's module, which also set that document's ``passed``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import importlib
 import itertools
 import json
 import os
@@ -229,13 +234,12 @@ def _report_row(path: str) -> dict:
         names, stages = doc["config"]["stages"], doc["stages"]
         if not names or names != [s for s in ALL_STAGES if s in names] or set(stages) != set(names):
             raise ValueError(f"stage documents {sorted(stages)} are not config.stages {names}")
+        facts = [_first_failure(stages, name) for name in names]
         verdict = _verdict(stages)
         if doc["verdict"] != verdict:
             raise ValueError(f"verdict {doc['verdict']!r} is not its stages' {verdict!r}")
         berger = stages.get("berger", {})
         probe = stages.get("probe", {})
-        at = next((f"{s}.{k} {stages[s][k]}" for s, k in _WITNESSES
-                   if stages.get(s, {}).get(k) is not None), "")
         return {
             "file": Path(path).name,
             "n": spec.dim,
@@ -247,10 +251,24 @@ def _report_row(path: str) -> dict:
             "probe_rank": probe.get("span_rank", ""),
             "probe_residual": probe.get("max_membership_residual", ""),
             "verdict": verdict,
-            "error": "" if verdict == "pass" else " ".join(at.split()),  # one table cell
+            "error": " ".join(next(filter(None, facts), "").split()),  # one table cell
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a field of the wrong shape
         return _error_row(path, f"not a verify report: {exc!r}")
+
+
+def _first_failure(stages: dict, name: str) -> str | None:
+    """The first failing fact of ``stages[name]`` by the ``DOCUMENT`` of the
+    stage's module, its namesake (so the probe is imported only to read its
+    document); a refused document, or a ``passed`` the fact contradicts,
+    raises.  Without the berger document, the probe's ``passed`` stands for
+    the certificate's."""
+    doc = stages[name]
+    declared = importlib.import_module(f"{__package__}.{name}").DOCUMENT
+    fact = declared.first_failure(doc, stages.get(declared.needs, doc))
+    if doc["passed"] is not (fact is None):
+        raise ValueError(f"{name}.passed {doc['passed']!r} but {fact or 'every check holds'}")
+    return fact
 
 
 def _error_row(path: str, error: str) -> dict:
@@ -264,10 +282,6 @@ def _flag(stage: dict) -> str:
 
 _COLUMNS = ("file", "n", "partition", "signs", "dim_gL", "berger",
             "realize", "probe_rank", "probe_residual", "verdict", "error")
-# the exact checks in pipeline order: a failing report's error is its first witness
-_WITNESSES = [("canonical", "gL_witness")] + [
-    ("berger", f"{c}_witness") for c in ("bianchi", "containment")] + [
-    ("realize", f"{c}_witness") for c in ("nablaL", "gsym", "routes", "formal")]
 
 
 def cmd_report(paths, csv_out: str = "") -> tuple:

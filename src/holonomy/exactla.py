@@ -115,7 +115,11 @@ def pivot_columns(a) -> list:
     rows before l, and it vanishes on those rows.  That fixes v up to scale,
     and Cramer's rule gives such a vector whose entries are minors of the
     input; v is its primitive part up to sign, so its entries are
-    Hadamard-bounded as in a fraction-free elimination (Bareiss 1968).
+    Hadamard-bounded as in a fraction-free elimination (Bareiss 1968): a
+    minor is at most the product of its columns' norms, so it has at most
+    the sum over the nonzero columns of isqrt(|col|^2).bit_length() + 1
+    bits.  That bound is checked after every division, and an entry past it
+    raises ArithmeticError.
     """
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
@@ -124,12 +128,15 @@ def pivot_columns(a) -> list:
     cols, rows = np.nonzero(a.T)
     for c, r, x in zip(cols.tolist(), rows.tolist(), a.T[cols, rows].tolist()):
         columns[c][r] = x
+    bits = sum(math.isqrt(sum(x * x for x in v.values())).bit_length() + 1 for v in columns if v)
     basis: dict = {}
     pivots: list = []
     for c, v in enumerate(columns):
         while v:
             g = math.gcd(*v.values())
             v = {i: x // g for i, x in v.items()}
+            if max(map(abs, v.values())).bit_length() > bits:
+                raise ArithmeticError(f"column {c} has an entry past the Hadamard bound")
             lead = min(v)
             b = basis.get(lead)
             if b is None:

@@ -1,6 +1,7 @@
 """Floating-point holonomy probe: loop transport and the span of its logarithms."""
 
 from .transport import (
+    DOCUMENT,
     FloatMetric,
     SingularMetricError,
     holonomy_span,

@@ -45,6 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..canonical import StageDocument
 from ..exactla import first_mismatch, times_g
 from ..liealg import wedge_index
 from ..realize import QuadraticMetric, invertibility_bound
@@ -69,6 +70,12 @@ _NEGLIGIBLE = 1e-9
 SIDE = 1e-2
 EXTRA_BASEPOINTS = 2
 BASEPOINT_NORM = 0.05
+
+DOCUMENT = StageDocument(
+    "probe", ("span_rank", "dim_gL", "max_membership_residual", "singular_values",
+              "validity_radius", "max_loop_extent", "max_step_error", "samples", "flat_planes"),
+    equal=(("span_rank", "dim_gL"),), below=(("max_membership_residual", MEMBERSHIP_TOL),),
+    needs="berger")
 
 
 class SingularMetricError(RuntimeError):
@@ -218,7 +225,8 @@ def standard_loops(n: int, seed: int = 0) -> tuple:
     return planes, np.tile(corners, (n * (n - 1) // 2, 1)), np.full(len(planes), SIDE)
 
 
-def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple) -> dict:
+def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple,
+                  flat_planes: int = 0) -> dict:
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
     ``cert`` is the berger stage's report document for the formal map
@@ -230,11 +238,10 @@ def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple) -
     numerical rank uses singular values above ``RANK_THRESHOLD`` times the
     largest; near-zero samples (flat directions) are excluded from the stack
     and have residual 0.  The metric drift |g0 - A^T g0 A|_F takes g0 A by
-    ``times_g``.  The report passes iff ``cert["passed"]``, the rank equals
-    dim g_L and every membership residual stays below ``MEMBERSHIP_TOL``.
-    Returns the probe stage's report document, with one ``samples`` record
-    per loop; a constant metric's infinite validity radius is null (strict
-    JSON).
+    ``times_g``.  Returns the probe stage's report document, with one
+    ``samples`` record per loop and ``flat_planes``, the count of planes
+    whose loops were left out, and ``passed`` set by ``DOCUMENT``; a
+    constant metric's infinite validity radius is null (strict JSON).
     """
     d, step_error, extent, loops = parallel_transport(fm, loops)  # checks the loop family
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
@@ -257,12 +264,11 @@ def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple) -
     sv = np.linalg.svd(psi[kept], compute_uv=False) if kept.any() else np.zeros(0)
     sv = sv[sv > 0.0]
     rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv.size else 0
-    max_res = float(residuals.max(initial=0.0))
     radius = validity_radius(fm.bound)
-    return {
+    doc = {
         "span_rank": rank,
         "dim_gL": cert["dim_gL"],
-        "max_membership_residual": max_res,
+        "max_membership_residual": float(residuals.max(initial=0.0)),
         "singular_values": sv.tolist(),
         "validity_radius": None if math.isinf(radius) else radius,
         "max_loop_extent": float(extent.max(initial=0.0)),
@@ -274,8 +280,9 @@ def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple) -
                 *(a.tolist() for a in loops), residuals.tolist(), drift.tolist(),
                 step_error.tolist())
         ],
-        "passed": cert["passed"] and rank == cert["dim_gL"] and max_res < MEMBERSHIP_TOL,
+        "flat_planes": flat_planes,
     }
+    return {**doc, "passed": DOCUMENT.first_failure(doc, cert) is None}
 
 
 def probe_report(qm: QuadraticMetric, cert: dict, rmap: np.ndarray, seed: int) -> dict:
@@ -288,6 +295,4 @@ def probe_report(qm: QuadraticMetric, cert: dict, rmap: np.ndarray, seed: int) -
     curved = rmap.any(axis=(1, 2))  # in wedge order, as standard_loops lays out its planes
     keep = np.repeat(curved, 1 + EXTRA_BASEPOINTS)
     loops = tuple(a[keep] for a in standard_loops(qm.n, seed))
-    doc = holonomy_span(FloatMetric(qm), cert, rmap, loops)
-    doc["flat_planes"] = len(rmap) - int(curved.sum())
-    return doc
+    return holonomy_span(FloatMetric(qm), cert, rmap, loops, len(rmap) - int(curved.sum()))

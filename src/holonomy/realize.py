@@ -26,9 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .canonical import CanonicalPair
+from .canonical import CanonicalPair, StageDocument
 from .exactla import capped, first_mismatch, times_L, times_g
 from .liealg import curvature_values, wedge_index, wedge_mismatch
+
+DOCUMENT = StageDocument("realize", (), ("nablaL_witness", "gsym_witness", "routes_witness",
+                                         "formal_witness"))
 
 
 class RealizationError(RuntimeError):
@@ -164,8 +167,7 @@ def verify_realization(qm: QuadraticMetric, formal: np.ndarray) -> dict:
     (i, p, k, q), gsym (l, j, p, q), routes and formal (a, b, i, k).
     """
     num, den, routes = riemann_at_origin(qm)
-    found = {"nablaL": check_nablaL(qm), "gsym": check_gsym(qm), "routes": routes,
-             "formal": wedge_mismatch(num, den * curvature_values(formal, qm.n))}
-    doc = {f"{check}_witness": at and list(at) for check, at in found.items()}
-    doc["passed"] = all(at is None for at in found.values())
-    return doc
+    found = (check_nablaL(qm), check_gsym(qm), routes,
+             wedge_mismatch(num, den * curvature_values(formal, qm.n)))
+    doc = {key: at and list(at) for key, at in zip(DOCUMENT.witnesses, found)}
+    return {**doc, "passed": DOCUMENT.first_failure(doc) is None}

@@ -47,8 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Seconds for one pytest run.  On a 2-CPU machine the unmutated run of
 # every named test takes about 4 s and each failing entry under 2 s, so a
 # slower machine has a margin of 15x.  Each mutant that times out adds this
-# much to the catalogue's wall time: pivot_columns without its content
-# division takes 811 s on its dense test instead of about 7 ms.
+# much to the catalogue's wall time.
 TIMEOUT = 60
 
 
@@ -134,17 +133,17 @@ CATALOGUE = (
            "np.argwhere(bad)[0]",
            "np.argwhere(bad)[-1]",
            ("tests/test_realize.py::test_verify_realization_rejects_perturbed_formal_map",)),
-    Mutant("realize-passed-ignores-formal-witness", "src/holonomy/realize.py",
-           'doc["passed"] = all(at is None for at in found.values())',
-           'doc["passed"] = all(at is None for c, at in found.items() if c != "formal")',
+    Mutant("passed-ignores-the-last-witness", "src/holonomy/canonical.py",
+           "for key in self.witnesses:",
+           "for key in self.witnesses[:-1]:",
            ("tests/test_realize.py::test_verify_realization_rejects_perturbed_formal_map",)),
     Mutant("probe-passed-without-certificate", "src/holonomy/probe/transport.py",
-           '"passed": cert["passed"] and rank == cert["dim_gL"]',
-           '"passed": rank == cert["dim_gL"]',
+           "DOCUMENT.first_failure(doc, cert)",
+           'DOCUMENT.first_failure(doc, {"passed": True})',
            ("tests/test_probe.py::test_span_fails_with_a_failing_certificate",)),
     Mutant("probe-passed-without-residual-bound", "src/holonomy/probe/transport.py",
-           ' and max_res < MEMBERSHIP_TOL,',
-           ',',
+           'below=(("max_membership_residual", MEMBERSHIP_TOL),),',
+           "",
            ("tests/test_probe.py::test_membership_detects_a_dropped_basis_element",)),
     Mutant("probe-basis-from-leading-rows", "src/holonomy/probe/transport.py",
            'rmap[chosen[wedge_index(fm.n)]]',
@@ -161,8 +160,8 @@ CATALOGUE = (
            "if False:",
            ("tests/test_probe.py::test_loopspec_validation",)),
     Mutant("berger-passed-ignores-image-rank", "src/holonomy/berger.py",
-           '"passed": b is None and c is None and len(pivots) == dim_gL',
-           '"passed": b is None and c is None',
+           '("bianchi_witness", "containment_witness"), (("image_rank", "dim_gL"),))',
+           '("bianchi_witness", "containment_witness"))',
            ("tests/test_berger.py::test_certificate_rejects_a_dropped_block_pair",)),
     Mutant("sectional-without-commutation", "src/holonomy/berger.py",
            "at = wedge_mismatch(times_L(vals, pair, 2, transpose=True), times_L(vals, pair, 1))",
@@ -185,8 +184,8 @@ CATALOGUE = (
            "keep = np.repeat(curved | True, 1 + EXTRA_BASEPOINTS)",
            ("tests/test_cli.py::test_probe_transports_exactly_the_curved_planes",)),
     Mutant("canonical-passed-ignores-witness", "src/holonomy/canonical.py",
-           '"passed": at is None}',
-           '"passed": True}',
+           'StageDocument("canonical", ("n",), ("gL_witness",))',
+           'StageDocument("canonical", ("n", "gL_witness"))',
            ("tests/test_canonical.py::test_canonical_report_carries_the_witness",)),
     Mutant("validate-pair-against-itself", "src/holonomy/canonical.py",
            "return first_mismatch(gl, gl.T)",
@@ -196,6 +195,18 @@ CATALOGUE = (
            "perm = 2 * first + sizes[block] - 1 - np.arange(spec.dim)",
            "perm = 2 * first + sizes[block] - np.arange(spec.dim)",
            ("tests/test_canonical.py::test_build_blocks_1_2",)),
+    Mutant("canonical-perm-off-by-one-down", "src/holonomy/canonical.py",
+           "perm = 2 * first + sizes[block] - 1 - np.arange(spec.dim)",
+           "perm = 2 * first + sizes[block] - 2 - np.arange(spec.dim)",
+           ("tests/test_canonical.py::test_build_blocks_1_2",)),
+    Mutant("metric-takes-den-zero", "src/holonomy/realize.py",
+           "if den <= 0:",
+           "if den < 0:",
+           ("tests/test_realize.py::test_exact_inputs_past_the_entry_cap_are_refused",)),
+    Mutant("times-g-on-axis-0", "src/holonomy/exactla.py",
+           "np.take(x, perm, axis) * np.reshape(sign, (-1,) + (1,) * (x.ndim - 1 - axis % x.ndim))",
+           "np.take(x, perm, 0) * np.reshape(sign, (-1,) + (1,) * (x.ndim - 1))",
+           ("tests/test_exactla.py::test_times_g_is_the_dense_product_on_every_axis",)),
     Mutant("report-missing-spec-as-empty", "src/holonomy/cli.py",
            'pencil_from_json(doc["spec"] if',
            '__import__("holonomy.canonical").canonical.PencilSpec((), ()) if "spec" not in doc'
@@ -217,12 +228,20 @@ CATALOGUE = (
            "for doc in stages.values())",
            "for doc in list(stages.values())[:1])",
            ("tests/test_cli.py::test_report_names_the_first_witness_of_a_failing_report",)),
-    # a timeout, not a failure: the entries grow without bound
+    Mutant("report-trusts-stage-passed", "src/holonomy/cli.py",
+           "facts = [_first_failure(stages, name) for name in names]",
+           "facts = []",
+           ("tests/test_cli.py::test_report_checks_each_stage_document_by_its_declaration",)),
+    # the entries grow until the Hadamard check refuses them
     Mutant("pivot-without-content-division", "src/holonomy/exactla.py",
            "g = math.gcd(*v.values())",
            "g = 1",
            ("tests/test_differential.py::"
             "test_elimination_matches_fraction_rref_on_a_dense_matrix",)),
+    Mutant("pivot-without-growth-check", "src/holonomy/exactla.py",
+           "if max(map(abs, v.values())).bit_length() > bits:",
+           "if False:",
+           ("tests/test_exactla.py::test_elimination_refuses_entries_past_the_hadamard_bound",)),
 )
 
 

@@ -456,6 +456,44 @@ def test_reports_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_reports_across_blas_thread_counts(tmp_path):
+    # the stated contract: a report's bytes are fixed for one config, seed and
+    # BLAS thread count.  Across thread counts the exact documents and every
+    # probe field are equal but the residuals and drifts, which move by
+    # rounding, and the singular values, which move by a few ulps of s0.
+    # At seed 0 this spec's reports differ between 1 and 2 threads
+    name = "n12_p1-1-1-1-2-2-2-2_s++++++++"
+    spec = write_spec(tmp_path, "spec.json", dict(iter_corpus_specs(12))[name])
+    path = [str(Path(holonomy.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-m", "holonomy.cli", "verify", "--input",
+                              str(spec), "--seed", "0", "--out", str(out)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        reports.append(json.loads(out.read_text()))
+    one, two = reports
+    assert one["verdict"] == two["verdict"] == "pass"
+    for stage in ("canonical", "berger", "realize"):
+        assert one["stages"][stage] == two["stages"][stage], stage
+    p, q = one["stages"]["probe"], two["stages"]["probe"]
+    for key in ("span_rank", "dim_gL", "flat_planes", "max_step_error", "max_loop_extent",
+                "validity_radius"):
+        assert p[key] == q[key], key
+    assert len(p["samples"]) == len(q["samples"]) == 120
+    for a, b in zip(p["samples"], q["samples"]):
+        for key in ("plane", "side", "basepoint", "step_error"):
+            assert a[key] == b[key], key
+        for key in ("residual", "metric_drift"):
+            assert abs(a[key] - b[key]) < 1e-15, (key, a[key], b[key])
+    s0 = p["singular_values"][0]
+    assert len(p["singular_values"]) == len(q["singular_values"])
+    assert all(abs(a - b) < 1e-14 * s0 for a, b in zip(p["singular_values"], q["singular_values"]))
+
+
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     out = tmp_path / "missing" / "r.json"
@@ -767,11 +805,10 @@ def test_report_failing_rows_first(tmp_path, capsys):
 
 
 def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
-    # a failing report's error column is its first non-null witness, in
-    # pipeline order (canonical's gL check, berger's Bianchi and containment
-    # checks, then realize's nablaL, gsym, routes and formal), as
-    # <stage>.<key> [..]; a passing row and a failing one without a witness
-    # keep it empty
+    # a failing report's error column is its first failing fact, in pipeline
+    # order: a non-null witness (canonical's gL check, berger's Bianchi and
+    # containment checks, then realize's nablaL, gsym, routes and formal), as
+    # <stage>.<key> [..], or an unequal pair; a passing row keeps it empty
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     good = tmp_path / "good.json"
     assert main(["verify", "--input", str(spec), "--stages", "canonical,berger,realize",
@@ -802,7 +839,7 @@ def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
     header, *rows = capsys.readouterr().out.splitlines()  # an empty last cell is kept
     rows = {r["file"]: r for r in (dict(zip(header.split("\t"), r.split("\t"))) for r in rows)}
     assert {name: row["error"] for name, row in rows.items()} == {
-        "good.json": "", "bare.json": "",
+        "good.json": "", "bare.json": "berger.image_rank 0 != dim_gL 1",
         "canonical.json": "canonical.gL_witness [1, 2]",
         "both.json": "canonical.gL_witness [0, 1]",
         "berger.json": "berger.bianchi_witness [0, 1, 2]",
@@ -811,6 +848,105 @@ def test_report_names_the_first_witness_of_a_failing_report(tmp_path, capsys):
     assert [rows[n]["verdict"] for n in ("good.json", "berger.json", "bare.json")] == [
         "pass", "fail", "fail"]
     assert rows["bare.json"]["berger"] == "FAIL"
+
+
+def _report_rows(paths, capsys) -> tuple:
+    """(exit status, {file: row}) of ``holonomy report`` on ``paths``."""
+    capsys.readouterr()
+    code = main(["report", *map(str, paths)])
+    header, *rows = capsys.readouterr().out.splitlines()
+    rows = (dict(zip(header.split("\t"), r.split("\t"), strict=True)) for r in rows)
+    return code, {r["file"]: r for r in rows}
+
+
+SPEC_1_2M_2P = _blocks({"size": 1, "sign": 1}, {"size": 2, "sign": -1}, {"size": 2, "sign": 1})
+
+
+def test_report_checks_each_stage_document_by_its_declaration(tmp_path, capsys):
+    # each stage document is read by its module's declaration: a key set
+    # other than the declared one, or a stored passed that the document's
+    # own keys contradict, is no verify report, whatever the verdict says.
+    # The first three were passing rows when the reader trusted passed
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2M_2P)
+    good = tmp_path / "good.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical,berger,realize",
+                 "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    assert doc["stages"]["berger"]["dim_gL"] == 4
+
+    def edited(verdict="pass", **stages):
+        return {**doc, "verdict": verdict, "stages": {**doc["stages"], **{
+            name: {k: v for k, v in {**doc["stages"][name], **edit}.items() if v != "drop"}
+            for name, edit in stages.items()}}}
+
+    cases = {
+        "realize-passed-only": {**doc, "stages": {**doc["stages"], "realize": {"passed": True}}},
+        "berger-without-keys": edited(berger={"dim_gL": "drop", "bianchi_witness": "drop"}),
+        "image-rank-99": edited(berger={"image_rank": 99}),
+        "extra-key": edited(canonical={"layout": []}),
+        "without-passed": edited(realize={"passed": "drop"}),
+        "witness-but-passed": edited(realize={"formal_witness": [0, 1, 0, 0]}),
+        "failed-but-every-check-holds": edited("fail", canonical={"passed": False}),
+        "passed-not-a-bool": edited(berger={"passed": 1}),
+    }
+    paths = []
+    for name, bad in cases.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(bad))
+    code, rows = _report_rows([good, *paths], capsys)
+    assert code == 1 and rows.pop("good.json")["verdict"] == "pass"
+    for name in cases:
+        row = rows[f"{name}.json"]
+        assert row["verdict"] == "error" and "not a verify report" in row["error"], (name, row)
+
+
+def test_report_reads_the_probe_document_with_and_without_its_certificate(tmp_path, capsys):
+    # the probe passes when its rank is dim g_L, its residual is under
+    # MEMBERSHIP_TOL and, when the report holds it, the certificate passed;
+    # a probe-only report holds no certificate, so its passed stands for it
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    full, alone = tmp_path / "full.json", tmp_path / "alone.json"
+    assert main(["verify", "--input", str(spec), "--out", str(full)]) == 0
+    assert main(["verify", "--input", str(spec), "--stages", "probe", "--out", str(alone)]) == 0
+
+    def edited(path, verdict, **stages):
+        doc = json.loads(path.read_text())
+        for name, edit in stages.items():
+            doc["stages"][name].update(edit)
+        return {**doc, "verdict": verdict}
+
+    cases = {
+        "full-rank": (full, "fail", {"probe": {"span_rank": 2, "passed": False}}),
+        "full-residual": (full, "fail", {"probe": {"max_membership_residual": 2e-06,
+                                                   "passed": False}}),
+        "full-certificate": (full, "fail", {"berger": {"image_rank": 0, "passed": False},
+                                            "probe": {"passed": False}}),
+        "alone-rank": (alone, "fail", {"probe": {"span_rank": 2, "passed": False}}),
+        "alone-certificate": (alone, "fail", {"probe": {"passed": False}}),
+        "full-rank-passed": (full, "pass", {"probe": {"span_rank": 2}}),
+        "full-certificate-passed": (full, "fail", {"berger": {"image_rank": 0, "passed": False}}),
+        "alone-residual-passed": (alone, "pass", {"probe": {"max_membership_residual": 1.0}}),
+        "alone-residual-null": (alone, "pass", {"probe": {"max_membership_residual": None}}),
+    }
+    paths = []
+    for name, (path, verdict, stages) in cases.items():
+        paths.append(tmp_path / f"{name}.edited.json")
+        paths[-1].write_text(json.dumps(edited(path, verdict, **stages)))
+    code, rows = _report_rows([full, alone, *paths], capsys)
+    assert code == 1
+    assert {name: (row["verdict"], row["error"]) for name, row in rows.items()
+            if row["verdict"] != "error"} == {
+        "full.json": ("pass", ""), "alone.json": ("pass", ""),
+        "full-rank.edited.json": ("fail", "probe.span_rank 2 != dim_gL 1"),
+        "full-residual.edited.json": ("fail", "probe.max_membership_residual 2e-06 >= 1e-06"),
+        "full-certificate.edited.json": ("fail", "berger.image_rank 0 != dim_gL 1"),
+        "alone-rank.edited.json": ("fail", "probe.span_rank 2 != dim_gL 1"),
+        "alone-certificate.edited.json": ("fail", "probe: berger.passed False")}
+    errors = {name for name, row in rows.items() if row["verdict"] == "error"}
+    assert errors == {f"{name}.edited.json" for name in (
+        "full-rank-passed", "full-certificate-passed", "alone-residual-passed",
+        "alone-residual-null")}
+    assert all("not a verify report" in rows[name]["error"] for name in errors)
 
 
 def test_report_sorts_n_as_a_number(tmp_path, capsys):

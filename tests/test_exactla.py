@@ -1,6 +1,9 @@
 """Exact scalar and matrix arithmetic."""
 
 import dataclasses
+import math
+import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holonomy import exactla
 from holonomy.canonical import rat_from_str
 from holonomy.exactla import ENTRY_CAP, capped, pivot_columns, rank, times_L, times_g
 
@@ -156,6 +160,20 @@ def test_rank_examples():
     for bad in (mat([[Fraction(1, 2)]]), np.array([[1, 2], [2, 4]], dtype=object)):
         with pytest.raises(TypeError, match="dtype object"):
             rank(bad)
+
+
+def test_elimination_refuses_entries_past_the_hadamard_bound(monkeypatch):
+    # the negative control of the growth check: an elimination that never
+    # divides out the content (every gcd read as 1) doubles its entries'
+    # length at each step.  On a dense 12 x 12 matrix of 20-bit entries it
+    # would finish in milliseconds with entries of thousands of bits, far
+    # past its Hadamard bound of 256 bits, and the check stops it there
+    rng = random.Random(24)
+    a = np.array([[rng.randint(-2 ** 19, 2 ** 19) for _ in range(12)] for _ in range(12)])
+    assert rank(a) == 12
+    monkeypatch.setattr(exactla, "math", types.SimpleNamespace(gcd=lambda *v: 1, isqrt=math.isqrt))
+    with pytest.raises(ArithmeticError, match="past the Hadamard bound"):
+        pivot_columns(a)
 
 
 @given(st.lists(rationals, min_size=12, max_size=12))
