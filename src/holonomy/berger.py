@@ -6,9 +6,10 @@ minimal polynomial along the argument with the pair's own nilpotency
 degree, which makes the image fill the whole centralizer.  The realizing
 metric is read off the same 0/1 tensor.  The certificate checks the
 Bianchi identity, containment in g_L and the exact rank equality, with
-dim g_L counted by rank-nullity on the commutator system, and is the
-berger stage's report document: once it passes, the values of
-``r_formal`` at its witnesses are an exact basis of g_L.
+dim g_L counted by rank-nullity on ``commutator_system``, which builds
+so(g)'s wedge stack here, and is the berger stage's report document: once
+it passes, the values of ``r_formal`` at its witnesses are an exact basis
+of g_L.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .canonical import CanonicalPair, StageDocument
-from .exactla import pivot_columns, rank, times_L, times_g
-from .liealg import commutator_system, curvature_values, wedge_index, wedge_mismatch
+from .exactla import (curvature_values, pivot_columns, rank, times_L, times_g, wedge_index,
+                      wedge_mismatch)
 
 DOCUMENT = StageDocument("berger", ("dim_gL", "image_rank", "witnesses"),
                          ("bianchi_witness", "containment_witness"), (("image_rank", "dim_gL"),))
@@ -34,6 +35,26 @@ def r_formal(pair: CanonicalPair) -> np.ndarray:
     tg = times_g(pair.block_tensor.transpose(1, 2, 0, 3), pair.involution, 1)
     rows, cols = wedge_index(pair.n)
     return tg[rows, cols] - tg[cols, rows]
+
+
+def commutator_system(pair: CanonicalPair) -> np.ndarray:
+    """The (n^2, m) matrix whose column k is [W_k, L] = W_k L - L W_k, where
+    W_k = wedge(e_i, e_j) = E_k g for the k-th pair (i, j) of ``wedge_index``
+    and (g, L) is the canonical ``pair``.
+
+    Its kernel holds the wedge coordinates of the elements of so(g) that
+    commute with L, so dim g_L = m - rank.  E_k g has row i equal to g[j],
+    row j equal to -g[i] and zeros elsewhere, read off the dense g, the
+    gather ``times_g`` of the identity; both products with L are
+    ``times_L``, so every entry is a sum of at most four signed entries of L.
+    """
+    rows, cols = wedge_index(pair.n)
+    g = times_g(np.eye(pair.n, dtype=np.int64), pair.involution, 0)
+    k = np.arange(len(rows))
+    w = np.zeros((len(rows), pair.n, pair.n), dtype=np.int64)  # the stack of W_k
+    w[k, rows], w[k, cols] = g[cols], -g[rows]
+    s = times_L(w, pair, 2, transpose=True) - times_L(w, pair, 1)
+    return s.reshape(len(s), pair.n ** 2).T
 
 
 def check_bianchi(values: np.ndarray) -> tuple | None:

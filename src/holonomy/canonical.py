@@ -270,9 +270,10 @@ class StageDocument:
     ``DOCUMENT``: ``keys``, every key but ``passed`` and the witnesses;
     ``witnesses``, the ``*_witness`` keys in check order (None when the check
     holds); and the facts ``passed`` needs: ``equal`` key pairs, ``below``
-    (key, bound) pairs and a passing document of the stage it ``needs``.
-    The stage sets ``passed`` from ``first_failure``, and ``holonomy
-    report`` checks every stored document with it."""
+    (key, bound) pairs and a passing document of the stage it ``needs``
+    that holds the same values at the ``shared`` keys.  The stage sets
+    ``passed`` from ``first_failure``, and ``holonomy report`` checks every
+    stored document with it."""
 
     stage: str
     keys: tuple
@@ -280,12 +281,14 @@ class StageDocument:
     equal: tuple = ()
     below: tuple = ()
     needs: str = ""
+    shared: tuple = ()
 
     def first_failure(self, doc: dict, needed: dict | None = None) -> str | None:
         """None when every fact of ``doc`` (with or without ``passed``) holds,
         else the first that fails, as one line: a witness, an unequal pair, a
-        value not under its bound, then ``needed``, the ``needs`` stage's
-        document, not passing.  Another key set raises ValueError."""
+        value not under its bound, a ``shared`` key where ``needed``, the
+        ``needs`` stage's document, differs, then ``needed`` not passing.
+        Another key set raises ValueError."""
         if set(doc) - {"passed"} != {*self.keys, *self.witnesses}:
             raise ValueError(f"{self.stage} keys {sorted(doc)} are not its document's")
         for key in self.witnesses:
@@ -297,6 +300,9 @@ class StageDocument:
         for key, bound in self.below:
             if not doc[key] < bound:
                 return f"{self.stage}.{key} {doc[key]} >= {bound}"
+        for key in self.shared:
+            if doc[key] != needed[key]:
+                return f"{self.stage}.{key} {doc[key]} != {self.needs}.{key} {needed[key]}"
         if self.needs and needed["passed"] is not True:
             return f"{self.stage}: {self.needs}.passed {needed['passed']}"
         return None

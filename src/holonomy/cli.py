@@ -261,8 +261,8 @@ def _first_failure(stages: dict, name: str) -> str | None:
     """The first failing fact of ``stages[name]`` by the ``DOCUMENT`` of the
     stage's module, its namesake (so the probe is imported only to read its
     document); a refused document, or a ``passed`` the fact contradicts,
-    raises.  Without the berger document, the probe's ``passed`` stands for
-    the certificate's."""
+    raises.  Without the berger document, the probe's own ``passed`` and
+    ``dim_gL`` stand for the certificate's."""
     doc = stages[name]
     declared = importlib.import_module(f"{__package__}.{name}").DOCUMENT
     fact = declared.first_failure(doc, stages.get(declared.needs, doc))

@@ -20,14 +20,26 @@ has entries at most 23, the metric's numerator at most 1 over 2.
 Rank and pivot columns come from one elimination: each column, read once
 as a sparse vector of Python ints, is inserted into an echelon basis keyed
 by each vector's first nonzero row, and every vector is kept primitive.
-No inverse is ever computed, and the metric g is never a matrix: a
-canonical g = g^T = g^{-1} is held as its signed involution ``(perm, sign)``,
-which ``check_involution`` checks, and every product with it is ``times_g``;
-L is a pair's ``label`` and ``block``, and every product with it ``times_L``.
+No inverse is ever computed, and neither g nor L is held as a matrix: a
+canonical g = g^T = g^{-1} is its signed involution ``(perm, sign)``, which
+``check_involution`` checks, and every product with it is ``times_g``; L is
+a pair's ``label`` and ``block``, and every product with it ``times_L``.
+Where a dense matrix is needed it is such a product with the identity: g
+in ``berger.commutator_system``'s wedge stack and in the probe's metric
+drift, gL in ``canonical.validate_pair``.
+
+A curvature map is an (m, n, n) stack, m = n(n-1)/2, of its values on the
+wedge basis of so(g): wedge(u, v) = u (g v)^T - v (g u)^T, so
+wedge(e_i, e_j) = E_ij g with E_ij = e_i e_j^T - e_j e_i^T, one value per
+pair i < j in ``wedge_index`` order, which is lexicographic.  The same order
+lays out the Berger witnesses and the probe's planes.  ``curvature_values``
+is the map's entry and shape check, and ``wedge_mismatch`` names a
+mismatch in such a stack by its pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -78,6 +90,35 @@ def first_mismatch(a: np.ndarray, b: np.ndarray):
     """Lexicographically first index where two arrays differ, or None."""
     bad = a != b
     return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+@functools.cache
+def wedge_index(n: int) -> tuple:
+    """The pairs (i, j), i < j, in lexicographic order, as (rows, cols)
+    index arrays, read-only and shared.  This is the one order of the wedge
+    basis, of a curvature map's values and of the Berger witnesses."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def curvature_values(values, n: int | None = None) -> np.ndarray:
+    """A curvature map's values, ``capped``, refused unless of shape
+    (n(n-1)/2, n, n), one per ``wedge_index`` pair; n defaults to the last axis."""
+    vals, = capped(values)
+    n = (vals.shape[-1] if vals.ndim else 0) if n is None else n
+    if vals.shape != (n * (n - 1) // 2, n, n):
+        raise ValueError(f"curvature map needs shape {(n * (n - 1) // 2, n, n)}, got {vals.shape}")
+    return vals
+
+
+def wedge_mismatch(a: np.ndarray, b) -> tuple | None:
+    """``first_mismatch`` of a stack ``a`` in ``wedge_index`` order (axis 0,
+    for n = a.shape[1]) and ``b``, with the stack index replaced by its
+    pair: None, or (i, j, ...), lexicographically first."""
+    at = first_mismatch(a, b)
+    rows, cols = wedge_index(a.shape[1])
+    return at and (int(rows[at[0]]), int(cols[at[0]])) + at[1:]
 
 
 def check_involution(perm: np.ndarray, sign: np.ndarray) -> None:

@@ -46,8 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..canonical import StageDocument
-from ..exactla import first_mismatch, times_g
-from ..liealg import wedge_index
+from ..exactla import first_mismatch, times_g, wedge_index
 from ..realize import QuadraticMetric, invertibility_bound
 from . import kernels
 
@@ -75,7 +74,7 @@ DOCUMENT = StageDocument(
     "probe", ("span_rank", "dim_gL", "max_membership_residual", "singular_values",
               "validity_radius", "max_loop_extent", "max_step_error", "samples", "flat_planes"),
     equal=(("span_rank", "dim_gL"),), below=(("max_membership_residual", MEMBERSHIP_TOL),),
-    needs="berger")
+    needs="berger", shared=("dim_gL",))
 
 
 class SingularMetricError(RuntimeError):

@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .canonical import CanonicalPair, StageDocument
-from .exactla import capped, first_mismatch, times_L, times_g
-from .liealg import curvature_values, wedge_index, wedge_mismatch
+from .exactla import (capped, curvature_values, first_mismatch, times_L, times_g, wedge_index,
+                      wedge_mismatch)
 
 DOCUMENT = StageDocument("realize", (), ("nablaL_witness", "gsym_witness", "routes_witness",
                                          "formal_witness"))

@@ -117,7 +117,7 @@ CATALOGUE = (
            "drift = np.linalg.norm(m, axis=(1, 2))",
            "drift = 0 * np.linalg.norm(m, axis=(1, 2))",
            ("tests/test_probe.py::test_transport_membership_and_drift",)),
-    Mutant("curvature-values-without-shape-check", "src/holonomy/liealg.py",
+    Mutant("curvature-values-without-shape-check", "src/holonomy/exactla.py",
            "if vals.shape != (n * (n - 1) // 2, n, n):",
            "if False:",
            ("tests/test_realize.py::test_a_curvature_map_of_the_wrong_shape_is_refused",)),
@@ -139,7 +139,7 @@ CATALOGUE = (
            ("tests/test_realize.py::test_verify_realization_rejects_perturbed_formal_map",)),
     Mutant("probe-passed-without-certificate", "src/holonomy/probe/transport.py",
            "DOCUMENT.first_failure(doc, cert)",
-           'DOCUMENT.first_failure(doc, {"passed": True})',
+           'DOCUMENT.first_failure(doc, {**cert, "passed": True})',
            ("tests/test_probe.py::test_span_fails_with_a_failing_certificate",)),
     Mutant("probe-passed-without-residual-bound", "src/holonomy/probe/transport.py",
            'below=(("max_membership_residual", MEMBERSHIP_TOL),),',
@@ -232,6 +232,55 @@ CATALOGUE = (
            "facts = [_first_failure(stages, name) for name in names]",
            "facts = []",
            ("tests/test_cli.py::test_report_checks_each_stage_document_by_its_declaration",)),
+    Mutant("report-probe-dim-unchecked", "src/holonomy/probe/transport.py",
+           'needs="berger", shared=("dim_gL",))',
+           'needs="berger")',
+           ("tests/test_cli.py::"
+            "test_report_reads_the_probe_document_with_and_without_its_certificate",)),
+    Mutant("capped-reads-only-the-largest", "src/holonomy/exactla.py",
+           "max(-int(a.min()), int(a.max())) > ENTRY_CAP",
+           "int(a.max()) > ENTRY_CAP",
+           ("tests/test_exactla.py::test_capped_refuses_entries_past_the_cap[-cap-1]",)),
+    Mutant("capped-takes-objects", "src/holonomy/exactla.py",
+           'if a.dtype.kind not in "iu" or (',
+           'if a.dtype.kind not in "iuO" or (',
+           ("tests/test_exactla.py::test_capped_refuses_entries_past_the_cap[object]",)),
+    Mutant("times-L-links-across-blocks", "src/holonomy/exactla.py",
+           "(pair.block[1:] == pair.block[:-1])",
+           "(pair.block[1:] != pair.block[:-1])",
+           ("tests/test_canonical.py::test_build_blocks_1_2",)),
+    Mutant("times-L-without-label", "src/holonomy/exactla.py",
+           "out = x * pair.label[along]",
+           "out = x * 0",
+           ("tests/test_canonical.py::test_build_two_eigenvalues",)),
+    Mutant("times-L-shift-zero", "src/holonomy/exactla.py",
+           "(slice(None, -1), slice(1, None))",
+           "(slice(None, -1), slice(None, -1))",
+           ("tests/test_canonical.py::test_build_blocks_1_2",)),
+    # the four wrong combinations of test_realize.py::CHRISTOFFEL, written
+    # into the one raised C that route two and the probe read
+    *(Mutant(f"raised-christoffel-{name}", "src/holonomy/realize.py",
+             "b + b.transpose(0, 2, 1, 3) - b.transpose(2, 1, 0, 3)", new,
+             ("tests/test_realize.py::test_verify_realization",))
+      for name, new in (("third-term-dropped", "b + b.transpose(0, 2, 1, 3)"),
+                        ("third-term-sign", "b + b.transpose(0, 2, 1, 3) + b.transpose(2, 1, 0, 3)"),
+                        ("second-term-axes", "b + b.transpose(0, 3, 2, 1) - b.transpose(2, 1, 0, 3)"),
+                        ("third-term-axes", "b + b.transpose(0, 2, 1, 3) - b.transpose(2, 3, 0, 1)"))),
+    # the lasso's way back along its tail integrated by RK4 as its own
+    # polyline, whose error does not cancel the way out's, in place of the
+    # exact inverse of the tail's transport
+    Mutant("return-tail-integrated", "src/holonomy/probe/transport.py",
+           "    runs = kernels.transport_polyline(fm.mats, verts, STEPS)\n"
+           "    square, tail = runs[:, :len(planes)], runs[:, len(planes):]\n"
+           "    tail += np.eye(fm.n)\n"
+           "    d = np.linalg.solve(tail, square @ tail)\n",
+           "    k, eye = len(planes), np.eye(fm.n)\n"
+           "    runs = kernels.transport_polyline(\n"
+           "        fm.mats, np.concatenate([verts, verts[k:, ::-1]]), STEPS)\n"
+           "    square, tail, back = runs[:, :k], runs[:, k:2 * k] + eye, runs[:, 2 * k:] + eye\n"
+           "    d = back @ (square + eye) @ tail - eye\n",
+           ("tests/test_probe.py::"
+            "test_far_flat_plane_loops_come_back_along_the_exact_inverse_of_the_tail",)),
     # the entries grow until the Hadamard check refuses them
     Mutant("pivot-without-content-division", "src/holonomy/exactla.py",
            "g = math.gcd(*v.values())",

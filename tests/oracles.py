@@ -16,9 +16,9 @@ one of them.  The
 ``*_ref`` functions are earlier index-loop versions of the exact stages,
 for differential tests against the package: the Fraction elimination
 (``_rref`` and the rank, kernel and inverse on it), the so(g) wedge
-basis, the centralizer system, the greedy Berger witness loop and the
-block tensor summed term by term over ``block_terms`` from block-power
-matrices run on Fractions;
+basis (``wedge_rows`` is the tests' vectorized one), the centralizer
+system, the greedy Berger witness loop and the block tensor summed term
+by term over ``block_terms`` from block-power matrices run on Fractions;
 the g-symmetry of L, the realization checks, the Riemann routes and the
 Bianchi and containment checks are linear in their inputs and run on
 Python-int numerators, the Riemann routes dividing once at the end.  Each check
@@ -274,6 +274,23 @@ def wedge(u: Sequence, v: Sequence, g) -> np.ndarray:
     gv = [sum(g[i, k] * vf[k] for k in range(n)) for i in range(n)]
     return np.array([[uf[i] * gv[j] - vf[i] * gu[j] for j in range(n)]
                      for i in range(n)], dtype=object).reshape(n, n)
+
+
+def wedge_rows(a) -> np.ndarray:
+    """The stack {E_ij a}_{i<j}, i < j in lexicographic order, as (m, n, n).
+
+    E_ij a has row i equal to a[j], row j equal to -a[i] and zeros elsewhere;
+    the stack has the dtype of ``a``; ``wedge_rows(g)`` is the wedge basis
+    {wedge(e_i, e_j)}_{i<j} of so(g), which ``so_basis_ref`` builds entry by
+    entry.
+    """
+    n = a.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    k = np.arange(len(rows))
+    w = np.zeros((len(rows), n, n), dtype=a.dtype)
+    w[k, rows] = a[cols]
+    w[k, cols] = -a[rows]
+    return w
 
 
 def so_basis_ref(g) -> np.ndarray:

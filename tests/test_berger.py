@@ -7,7 +7,6 @@ import pytest
 
 from holonomy import berger_certificate, build_canonical, r_formal
 from holonomy.berger import check_bianchi, check_sectional
-from holonomy.liealg import wedge_rows
 
 from helpers import certificate, certified_gl, dense_g, fractions, mat, pair_of, spec_of
 from oracles import (
@@ -18,6 +17,7 @@ from oracles import (
     r_minpoly,
     relabeled_L,
     true_L,
+    wedge_rows,
     wedge_tags,
 )
 

@@ -902,8 +902,9 @@ def test_report_checks_each_stage_document_by_its_declaration(tmp_path, capsys):
 
 def test_report_reads_the_probe_document_with_and_without_its_certificate(tmp_path, capsys):
     # the probe passes when its rank is dim g_L, its residual is under
-    # MEMBERSHIP_TOL and, when the report holds it, the certificate passed;
-    # a probe-only report holds no certificate, so its passed stands for it
+    # MEMBERSHIP_TOL and, when the report holds it, the certificate passed
+    # with the same dim g_L; a probe-only report holds no certificate, so
+    # its passed and dim g_L stand for the certificate's
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
     full, alone = tmp_path / "full.json", tmp_path / "alone.json"
     assert main(["verify", "--input", str(spec), "--out", str(full)]) == 0
@@ -923,6 +924,9 @@ def test_report_reads_the_probe_document_with_and_without_its_certificate(tmp_pa
                                             "probe": {"passed": False}}),
         "alone-rank": (alone, "fail", {"probe": {"span_rank": 2, "passed": False}}),
         "alone-certificate": (alone, "fail", {"probe": {"passed": False}}),
+        "full-dim": (full, "fail", {"probe": {"dim_gL": 2, "span_rank": 2, "passed": False}}),
+        "alone-dim": (alone, "pass", {"probe": {"dim_gL": 2, "span_rank": 2}}),
+        "full-dim-passed": (full, "pass", {"probe": {"dim_gL": 2, "span_rank": 2}}),
         "full-rank-passed": (full, "pass", {"probe": {"span_rank": 2}}),
         "full-certificate-passed": (full, "fail", {"berger": {"image_rank": 0, "passed": False}}),
         "alone-residual-passed": (alone, "pass", {"probe": {"max_membership_residual": 1.0}}),
@@ -941,11 +945,13 @@ def test_report_reads_the_probe_document_with_and_without_its_certificate(tmp_pa
         "full-residual.edited.json": ("fail", "probe.max_membership_residual 2e-06 >= 1e-06"),
         "full-certificate.edited.json": ("fail", "berger.image_rank 0 != dim_gL 1"),
         "alone-rank.edited.json": ("fail", "probe.span_rank 2 != dim_gL 1"),
-        "alone-certificate.edited.json": ("fail", "probe: berger.passed False")}
+        "alone-certificate.edited.json": ("fail", "probe: berger.passed False"),
+        "full-dim.edited.json": ("fail", "probe.dim_gL 2 != berger.dim_gL 1"),
+        "alone-dim.edited.json": ("pass", "")}
     errors = {name for name, row in rows.items() if row["verdict"] == "error"}
     assert errors == {f"{name}.edited.json" for name in (
         "full-rank-passed", "full-certificate-passed", "alone-residual-passed",
-        "alone-residual-null")}
+        "alone-residual-null", "full-dim-passed")}
     assert all("not a verify report" in rows[name]["error"] for name in errors)
 
 

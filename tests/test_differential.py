@@ -42,10 +42,9 @@ from holonomy import (
     r_formal,
     verify_realization,
 )
-from holonomy.berger import check_bianchi, check_sectional
+from holonomy.berger import check_bianchi, check_sectional, commutator_system
 from holonomy.cli import RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.exactla import pivot_columns, rank
-from holonomy.liealg import commutator_system
 from holonomy.realize import (
     QuadraticMetric,
     check_gsym,

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy import build_canonical, lower_B, make_pencil
-from holonomy.berger import check_sectional
+from holonomy.berger import check_sectional, commutator_system
 from holonomy.canonical import CanonicalPair
-from holonomy.exactla import rank
-from holonomy.liealg import commutator_system, wedge_index, wedge_rows
+from holonomy.exactla import rank, wedge_index
 from holonomy.realize import RealizationError
 
 from helpers import certified_gl, dense_g, int_form, mat, pair_of, spec_of, unit
@@ -29,6 +28,7 @@ from oracles import (
     so_basis_ref,
     true_L,
     wedge,
+    wedge_rows,
     wedge_tags,
 )
 

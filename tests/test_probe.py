@@ -779,6 +779,21 @@ def test_loops_in_flat_planes_transport_to_the_identity(eigenvalues):
     assert moved[~in_flat].min() >= 1e-5
 
 
+def test_far_flat_plane_loops_come_back_along_the_exact_inverse_of_the_tail():
+    """The way back along a lasso's tail is the exact inverse of the way
+    out, so a flat-plane square at corner 0.2 in every coordinate, four
+    times the seeded corners' reach, still transports to the identity to
+    rounding (at most 5.2e-16 here).  A tail integrated back by RK4 as its
+    own polyline leaves its truncation error there: 2.1e-11 on 2-2 ++."""
+    for _, eigenvalues in FLATNESS_SPECS:
+        pair = build_canonical(make_pencil([(Fraction(lam), bl) for lam, bl in eigenvalues]))
+        flat = [tag for tag, value in zip(wedge_tags(pair.n), r_formal(pair), strict=True)
+                if not value.any()]
+        loops = loops_of(*[((0.2,) * pair.n, plane, transport.SIDE) for plane in flat])
+        moved = transports(FloatMetric(lower_B(pair)), loops) - np.eye(pair.n)
+        assert np.abs(moved).max() <= 1e-15, eigenvalues
+
+
 # -- the exact path bound ---------------------------------------------------------------
 
 def test_exact_bound_certifies_standard_loops():

@@ -21,7 +21,6 @@ from holonomy.cli import RunConfig, cmd_verify
 from holonomy.berger import check_bianchi, check_sectional
 from holonomy.canonical import CanonicalPair
 from holonomy.exactla import ENTRY_CAP, check_involution, rank, times_g
-from holonomy.liealg import wedge_rows
 from holonomy.probe.transport import FloatMetric, validity_radius
 from holonomy.realize import (
     QuadraticMetric,
@@ -56,6 +55,7 @@ from oracles import (
     metric_at,
     relabeled_L,
     true_L,
+    wedge_rows,
     wedge_tags,
 )
 
