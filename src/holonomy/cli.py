@@ -5,14 +5,14 @@ Commands:
     corpus --max-n N --out DIR
     report FILES... [--csv out.csv]
 
-Exit status: 0 all requested stages pass, 1 verification failure,
-2 invalid input.  Report JSON bytes are fixed for one config, seed and BLAS
-thread count; across thread counts only the probe's residuals, metric
-drifts and singular values move, by rounding.  A verify report is
-serialized once, and stdout and the ``--out`` file carry the same bytes.
-Each stage is one call from the run's exact objects, each built on first
-use and kept, to its report document; its wall time, those builds
-included, goes to stderr only, as one ``[timing]`` line.
+Exit status: 0 all requested stages pass, 1 verification failure, 2 invalid
+input.  Report JSON bytes are fixed for one config, seed and BLAS thread
+count; across thread counts the probe's singular values move by rounding, and
+at n = 12 its residuals and drifts too: the kernel's GEMM rounds by thread
+count there.  A verify report is serialized once, and stdout and the ``--out``
+file carry the same bytes.  Each stage is one call from the run's exact
+objects, each built on first use and kept, to its report document; its wall
+time, those builds included, goes to stderr only, as one ``[timing]`` line.
 
 This module keeps only I/O: it parses arguments, runs the stage table,
 reads capped files and writes documents.  Each stage document comes from

@@ -2,11 +2,11 @@
 
 All loops are based at the origin: a square with an off-origin corner c is
 reached through a straight tail 0 -> c and closed by the tail reversed, so
-every transport matrix is an honest holonomy element at 0 and its
-logarithm can be compared against the centralizer algebra there.  The
-algebra comes from the berger stage's report document and the formal map:
-the map's values at the document's witnesses, the curvature images that
-span g_L, are the basis the logarithms are tested against.
+every transport matrix is an honest holonomy element at 0 and its logarithm
+can be compared against the centralizer algebra there.  Its basis is the
+formal map's values at the berger document's witnesses, the curvature images
+that span g_L.  Their supports are disjoint, checked exactly, so they are
+orthogonal and a logarithm's projection onto g_L is in closed form.
 
 Transport along the reversed tail is the inverse of transport along the
 tail, so each loop is two 5-vertex polylines, its closed square at c and
@@ -229,11 +229,12 @@ def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple,
     """Transport all loops in one batch, then rank the logarithm samples against dim g_L.
 
     ``cert`` is the berger stage's report document for the formal map
-    ``rmap``, both built once by the caller: the membership residual of a
-    sample is its relative Frobenius distance to the span of the rows of
-    ``rmap`` at ``cert["witnesses"]``, in wedge order (the curvature image,
-    which is g_L when the certificate passed), all samples in one
-    least-squares solve, and the target rank is ``cert["dim_gL"]``.  The
+    ``rmap``, both built once by the caller.  The membership residual of a
+    sample psi is |psi - sum_k <psi, b_k> b_k / |b_k|^2|_F / |psi|_F, for b_k
+    the rows of ``rmap`` at ``cert["witnesses"]`` in wedge order (the curvature
+    image, g_L when the certificate passed): its distance to their span, since
+    the b_k have disjoint supports, checked before any transport (``ValueError``
+    names an entry two rows share).  The target rank is ``cert["dim_gL"]``.  The
     numerical rank uses singular values above ``RANK_THRESHOLD`` times the
     largest; near-zero samples (flat directions) are excluded from the stack
     and have residual 0.  The metric drift |g0 - A^T g0 A|_F takes g0 A by
@@ -242,6 +243,14 @@ def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple,
     whose loops were left out, and ``passed`` set by ``DOCUMENT``; a
     constant metric's infinite validity radius is null (strict JSON).
     """
+    # the rows b_k of rmap at the witnesses, in wedge order (int64: [] is no float index)
+    chosen = np.zeros((fm.n, fm.n), dtype=bool)
+    chosen[tuple(np.array(cert["witnesses"], dtype=np.int64).reshape(-1, 2).T)] = True
+    basis = rmap[chosen[wedge_index(fm.n)]]
+    at = first_mismatch(np.count_nonzero(basis, axis=0) > 1, False)
+    if at is not None:
+        raise ValueError(f"witness rows share the entry {at}: their supports are not disjoint")
+    gl = basis.reshape(-1, fm.n ** 2).astype(np.float64)
     d, step_error, extent, loops = parallel_transport(fm, loops)  # checks the loop family
     # log A to second order, D - D^2 / 2 (|D| = O(side^2)), and g0's drift under A
     psi = (d - 0.5 * (d @ d)).reshape(len(d), fm.n ** 2)
@@ -252,13 +261,9 @@ def holonomy_span(fm: FloatMetric, cert: dict, rmap: np.ndarray, loops: tuple,
 
     norms = np.linalg.norm(psi, axis=1)
     kept = norms >= _NEGLIGIBLE
-    # the rows of rmap at the witnesses, in wedge order (int64: [] is no float index)
-    chosen = np.zeros((fm.n, fm.n), dtype=bool)
-    chosen[tuple(np.array(cert["witnesses"], dtype=np.int64).reshape(-1, 2).T)] = True
-    gl = rmap[chosen[wedge_index(fm.n)]].astype(np.float64).reshape(-1, fm.n ** 2).T
-    coef = np.linalg.lstsq(gl, psi[kept].T, rcond=None)[0]
+    coef = psi[kept] @ gl.T / np.sum(gl * gl, axis=1)
     residuals = np.zeros(len(d))
-    residuals[kept] = np.linalg.norm(psi[kept].T - gl @ coef, axis=0) / norms[kept]
+    residuals[kept] = np.linalg.norm(psi[kept] - coef @ gl, axis=1) / norms[kept]
 
     sv = np.linalg.svd(psi[kept], compute_uv=False) if kept.any() else np.zeros(0)
     sv = sv[sv > 0.0]

@@ -150,6 +150,10 @@ CATALOGUE = (
            'rmap[:cert["dim_gL"]]',
            ("tests/test_cli.py::test_verify_full_pipeline",
             "tests/test_probe.py::test_span_blocks_1_2")),
+    Mutant("probe-basis-support-unchecked", "src/holonomy/probe/transport.py",
+           'if at is not None:\n        raise ValueError(f"witness rows share',
+           'if False:\n        raise ValueError(f"witness rows share',
+           ("tests/test_probe.py::test_span_refuses_witness_rows_that_share_an_entry",)),
     Mutant("probe-negligible-raised", "src/holonomy/probe/transport.py",
            "_NEGLIGIBLE = 1e-9",
            "_NEGLIGIBLE = 1e-3",

@@ -459,39 +459,45 @@ def test_reports_deterministic(tmp_path):
 def test_reports_across_blas_thread_counts(tmp_path):
     # the stated contract: a report's bytes are fixed for one config, seed and
     # BLAS thread count.  Across thread counts the exact documents and every
-    # probe field are equal but the residuals and drifts, which move by
-    # rounding, and the singular values, which move by a few ulps of s0.
-    # At seed 0 this spec's reports differ between 1 and 2 threads
-    name = "n12_p1-1-1-1-2-2-2-2_s++++++++"
-    spec = write_spec(tmp_path, "spec.json", dict(iter_corpus_specs(12))[name])
+    # probe field are equal but the singular values, which move by a few ulps
+    # of s0, and at n = 12 the residuals and drifts, which move by less than
+    # ``moved``.  There, kernels.segment_terms' GEMM mats[0] @ xx gives other
+    # bits at 1 and 2 threads for its batches of 154 and 155 distinct
+    # segments, and the kernel's increments differ by up to 2.7e-20.  At
+    # n = 24 they are bit-identical, and so is the membership projection
+    specs = {**dict(iter_corpus_specs(12)), "n24": {"eigenvalues": [
+        eigenvalue_entry("-1/3", *N24_BLOCKS)]}}
     path = [str(Path(holonomy.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.json"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        run = subprocess.run([sys.executable, "-m", "holonomy.cli", "verify", "--input",
-                              str(spec), "--seed", "0", "--out", str(out)],
-                             capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        reports.append(json.loads(out.read_text()))
-    one, two = reports
-    assert one["verdict"] == two["verdict"] == "pass"
-    for stage in ("canonical", "berger", "realize"):
-        assert one["stages"][stage] == two["stages"][stage], stage
-    p, q = one["stages"]["probe"], two["stages"]["probe"]
-    for key in ("span_rank", "dim_gL", "flat_planes", "max_step_error", "max_loop_extent",
-                "validity_radius"):
-        assert p[key] == q[key], key
-    assert len(p["samples"]) == len(q["samples"]) == 120
-    for a, b in zip(p["samples"], q["samples"]):
-        for key in ("plane", "side", "basepoint", "step_error"):
-            assert a[key] == b[key], key
-        for key in ("residual", "metric_drift"):
-            assert abs(a[key] - b[key]) < 1e-15, (key, a[key], b[key])
-    s0 = p["singular_values"][0]
-    assert len(p["singular_values"]) == len(q["singular_values"])
-    assert all(abs(a - b) < 1e-14 * s0 for a, b in zip(p["singular_values"], q["singular_values"]))
+    for name, seed, moved, loops in (("n12_p1-1-1-1-2-2-2-2_s++++++++", 0, 1e-15, 120),
+                                     ("n24", 1, 0.0, 258)):
+        spec = write_spec(tmp_path, f"{name}.json", specs[name])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}.threads{threads}.json"
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-m", "holonomy.cli", "verify", "--input",
+                                  str(spec), "--seed", str(seed), "--out", str(out)],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            reports.append(json.loads(out.read_text()))
+        one, two = reports
+        assert one["verdict"] == two["verdict"] == "pass", name
+        for stage in ("canonical", "berger", "realize"):
+            assert one["stages"][stage] == two["stages"][stage], (name, stage)
+        p, q = one["stages"]["probe"], two["stages"]["probe"]
+        assert p.keys() == q.keys() and len(p["samples"]) == len(q["samples"]) == loops, name
+        pairs = [(key, p[key], q[key]) for key in p.keys() - {"samples", "singular_values"}]
+        pairs += [(key, a[key], b[key]) for a, b in zip(p["samples"], q["samples"]) for key in a]
+        for key, a, b in pairs:
+            if key in ("max_membership_residual", "residual", "metric_drift"):
+                assert a == b or abs(a - b) < moved, (name, key, a, b)
+            else:
+                assert a == b, (name, key)
+        s0 = p["singular_values"][0]
+        assert len(p["singular_values"]) == len(q["singular_values"]), name
+        assert all(abs(a - b) < 1e-14 * s0
+                   for a, b in zip(p["singular_values"], q["singular_values"])), name
 
 
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):

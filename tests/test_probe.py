@@ -456,25 +456,46 @@ def test_span_fails_when_the_samples_outrank_dim_gL():
 @pytest.mark.parametrize("spec", [[(0, [(3, 1)])], [(1, [(1, 1)]), (2, [(2, -1)])]],
                          ids=["3+", "1+;2-"])
 def test_span_with_dim_gL_0_reads_an_empty_basis_and_passes(spec, monkeypatch):
-    # no witness: the g_L basis has no row, and every sample is flat
+    # no witness: the g_L basis has no row, and every sample is flat.  The
+    # membership test is a projection: no least-squares solve runs
     pair = build_canonical(make_pencil(spec))
     rmap = r_formal(pair)
     cert = berger_certificate(pair, rmap)
     assert cert["dim_gL"] == 0 and cert["witnesses"] == [] and cert["passed"]
-    bases = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda a, *args, **kw: (
-        bases.append(a.shape), lstsq(a, *args, **kw))[1])
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: pytest.fail("lstsq ran"))
     rep = holonomy_span(FloatMetric(lower_B(pair)), cert, rmap, standard_loops(pair.n, seed=0))
-    assert bases == [(pair.n ** 2, 0)]
     assert rep["span_rank"] == rep["dim_gL"] == 0 and rep["passed"]
     assert len(rep["samples"]) == 9 and rep["max_membership_residual"] == 0.0
+    # the basis is empty: under a curved metric of the same dimension, the
+    # three loops in its one curved plane keep their whole norm, residual 1,
+    # and the six in its flat planes are zero samples
+    _, qm = realized([(1, 1), (2, 1)])
+    rep = holonomy_span(FloatMetric(qm), cert, rmap, standard_loops(pair.n, seed=0))
+    assert sorted(column(rep, "residual")) == [0.0] * 6 + [1.0] * 3
+    assert rep["span_rank"] == 1 and not rep["passed"]
+
+
+def test_span_refuses_witness_rows_that_share_an_entry(monkeypatch):
+    # negative control for the support check: one witness row replaced by
+    # the sum of the other two, so the rows are not orthogonal.  The probe
+    # refuses them before any transport, naming the first entry two share
+    pair, qm = realized([(1, 1), (1, 1), (2, 1)])
+    rmap = r_formal(pair)
+    cert = berger_certificate(pair, rmap)
+    assert cert["passed"] and len(cert["witnesses"]) == 3
+    _, b1, b2 = witness_values(cert, rmap)
+    bad = rmap.copy()
+    bad[wedge_tags(pair.n).index(tuple(cert["witnesses"][0]))] = b1 + b2
+    first = next((r, c) for r in range(pair.n) for c in range(pair.n) if b1[r, c] or b2[r, c])
+    monkeypatch.setattr(kernels, "transport_polyline", lambda *args: pytest.fail("transported"))
+    with pytest.raises(ValueError, match=re.escape(f"witness rows share the entry {first}")):
+        holonomy_span(FloatMetric(qm), cert, bad, standard_loops(pair.n, seed=0))
 
 
 def test_membership_detects_a_dropped_basis_element():
     # negative control: with one of the three g_L basis elements dropped, the
-    # samples along it leave the span; the one solve gives each sample the
-    # residual of its own least-squares solve
+    # samples along it leave the span; the projection gives each sample the
+    # residual of its own least-squares solve, the oracle here
     pair, qm = realized([(1, 1), (1, 1), (2, 1)])
     rmap = r_formal(pair)
     cert = berger_certificate(pair, rmap)
