@@ -9,20 +9,19 @@ Exit status: 0 all requested stages pass, 1 verification failure, 2 invalid
 input.  Report JSON bytes are fixed for one config, seed and BLAS thread
 count; across thread counts the probe's singular values move by rounding, and
 at n = 12 its residuals and drifts too: the kernel's GEMM rounds by thread
-count there.  A verify report is serialized once, and stdout and the ``--out``
-file carry the same bytes.  Each stage is one call from the run's exact
-objects, each built on first use and kept, to its report document; its wall
-time, those builds included, goes to stderr only, as one ``[timing]`` line.
+count there.  Each stage is one call from the run's exact objects, each built
+on first use and kept, to its report document; its wall time, those builds
+included, goes to stderr only, as one ``[timing]`` line.
 
-This module keeps only I/O: it parses arguments, runs the stage table,
-reads capped files and writes documents.  Each stage document comes from
-its own module (``canonical.canonical_report``, ``berger.berger_certificate``,
-``realize.verify_realization``, ``probe.probe_report``), and every spec is
-read and written by the spec codec in ``canonical``.  ``verify`` writes the
-verdict that ``_verdict`` gives its stages, and ``report`` derives it again,
-after checking each stage document by the ``DOCUMENT`` declared in the
-stage's module, which also set that document's ``passed``.
-"""
+This module keeps only I/O.  Each command is one function from the parsed
+arguments to (stdout text, exit code); ``main`` alone writes stdout, and
+alone turns a refused option value (``UsageError``) or a failed write into
+one stderr line and exit 2.  Every file is written by ``_write_atomic``,
+and a verify report's stdout and ``--out`` file are the same bytes.
+``RunConfig`` is the one rule for a report's ``config``, in ``verify`` and
+``report`` alike; each stage document comes from its own module and is read
+back by the ``DOCUMENT`` that module declares, and ``report`` derives each
+verdict again from the stage documents."""
 
 from __future__ import annotations
 
@@ -31,6 +30,7 @@ import contextlib
 import csv
 import functools
 import importlib
+import io
 import itertools
 import json
 import os
@@ -57,8 +57,16 @@ ALL_STAGES = ("canonical", "berger", "realize", "probe")
 MAX_REPORT_BYTES = 4 * 1024 * 1024
 
 
+class UsageError(ValueError):
+    """A refused option value: ``main`` prints its message and exits 2."""
+
+
 @dataclass
 class RunConfig:
+    """The one rule for a run config: ``verify`` writes ``echo()`` as a
+    report's ``config``, and ``report`` accepts only a ``config`` that is
+    the echo of the ``RunConfig`` built from it."""
+
     input: str
     stages: tuple = ALL_STAGES
     seed: int = 0
@@ -66,11 +74,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         unknown = [s for s in self.stages if s not in ALL_STAGES]
         if unknown or not self.stages:
-            raise ValueError(f"unknown stages: {','.join(unknown) or '(none)'}")
+            raise UsageError(f"unknown stages: {','.join(unknown) or '(none)'}")
         if len(set(self.stages)) < len(self.stages):
-            raise ValueError(f"repeated stage in: {','.join(self.stages)}")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+            raise UsageError(f"repeated stage in: {','.join(self.stages)}")
+        if type(self.seed) is not int or self.seed < 0:  # a bool is no seed
+            raise UsageError(f"--seed must be >= 0, got {self.seed!r}")
+        # in pipeline order, so the same stages give the same report
+        self.stages = tuple(s for s in ALL_STAGES if s in self.stages)
+
+    def echo(self) -> dict:
+        return {"stages": list(self.stages), "seed": self.seed}
 
 
 def _read_capped(path: str, cap: int, what: str) -> str:
@@ -95,11 +108,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     pair = build_canonical(spec)
     report = {
         "spec": pencil_to_json(spec),
-        "config": {
-            # in pipeline order, so the same stages give the same report
-            "stages": [s for s in ALL_STAGES if s in config.stages],
-            "seed": config.seed,
-        },
+        "config": config.echo(),
         "stages": {},
     }
     # each exact object is built on first use and kept for every later stage;
@@ -116,7 +125,7 @@ def cmd_verify(config: RunConfig) -> tuple:
         "realize": lambda: verify_realization(qm(), rmap()),
         "probe": lambda: probe_report(qm(), cert(), rmap(), config.seed),
     }
-    for stage in report["config"]["stages"]:
+    for stage in config.stages:
         started = time.perf_counter()
         report["stages"][stage] = run[stage]()
         print(f"[timing] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
@@ -143,7 +152,8 @@ def _write_atomic(path: str, text: str) -> None:
     # temp name is this process's, and O_EXCL refuses any entry already there
     path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8")
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8",
+              newline="")  # the text's own line ends: a CSV's \r\n stays as it is
     try:
         with fh:
             fh.write(text)
@@ -152,6 +162,15 @@ def _write_atomic(path: str, text: str) -> None:
         with contextlib.suppress(OSError):  # the temp file is ours: never leave it behind
             os.remove(tmp)
         raise
+
+
+def _verify(args) -> tuple:
+    stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
+    report, code = cmd_verify(RunConfig(input=args.input, stages=stages, seed=args.seed))
+    text = _dumps(report)
+    if args.out and "error" not in report:
+        _write_atomic(args.out, text)
+    return text, code
 
 
 # -- corpus ------------------------------------------------------------------
@@ -190,7 +209,7 @@ def iter_corpus_specs(max_n: int) -> list:
     ``n{n}_p{sizes}_s{signs}``, each document written by ``pencil_to_json``.
     """
     if not (2 <= max_n <= 12):
-        raise ValueError("max_n must be between 2 and 12")
+        raise UsageError("max_n must be between 2 and 12")
     out = []
     for n in range(2, max_n + 1):
         for partition in _partitions(n):
@@ -204,15 +223,16 @@ def iter_corpus_specs(max_n: int) -> list:
     return out
 
 
-def cmd_corpus(max_n: int, out_dir: str) -> list:
-    outp = Path(out_dir)
-    outp.mkdir(parents=True, exist_ok=True)
+def _corpus(args) -> tuple:
+    specs = iter_corpus_specs(args.max_n)  # a refused --max-n makes no directory
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, doc in iter_corpus_specs(max_n):
-        path = outp / f"{name}.json"
+    for name, doc in specs:
+        path = out / f"{name}.json"
         _write_atomic(str(path), _dumps(doc))
-        paths.append(path)
-    return paths
+        paths.append(f"{path}\n")
+    return "".join(paths), 0
 
 
 # -- report ------------------------------------------------------------------
@@ -229,11 +249,14 @@ def _report_row(path: str) -> dict:
         # document whose echo is missing or not an object is no verify report
         spec = pencil_from_json(doc["spec"] if isinstance(doc["spec"], dict) else None)
         blocks = [b for bs in spec.blocks for b in bs]
-        # a verify report holds exactly the documents of its config's stages,
-        # named in pipeline order, and states the verdict that they give
-        names, stages = doc["config"]["stages"], doc["stages"]
-        if not names or names != [s for s in ALL_STAGES if s in names] or set(stages) != set(names):
-            raise ValueError(f"stage documents {sorted(stages)} are not config.stages {names}")
+        # a verify report holds the config that verify writes, exactly the
+        # documents of its stages, and the verdict that they give
+        config = RunConfig(path, doc["config"]["stages"], doc["config"]["seed"])
+        if doc["config"] != config.echo():
+            raise ValueError("config is not one that verify writes")
+        names, stages = config.stages, doc["stages"]
+        if set(stages) != set(names):
+            raise ValueError(f"stage documents {sorted(stages)} are not config.stages {list(names)}")
         facts = [_first_failure(stages, name) for name in names]
         verdict = _verdict(stages)
         if doc["verdict"] != verdict:
@@ -284,8 +307,8 @@ _COLUMNS = ("file", "n", "partition", "signs", "dim_gL", "berger",
             "realize", "probe_rank", "probe_residual", "verdict", "error")
 
 
-def cmd_report(paths, csv_out: str = "") -> tuple:
-    rows = [_report_row(p) for p in paths]
+def _report(args) -> tuple:
+    rows = [_report_row(p) for p in args.files]
     # failing and unreadable rows first, then stable ordering
     # error rows have n == "" and sort first among the failing rows
     rows.sort(key=lambda r: (r["verdict"] == "pass", -1 if r["n"] == "" else r["n"],
@@ -293,21 +316,24 @@ def cmd_report(paths, csv_out: str = "") -> tuple:
     lines = ["\t".join(_COLUMNS)]
     for r in rows:
         lines.append("\t".join(str(r[c]) for c in _COLUMNS))
-    table = "\n".join(lines)
-    if csv_out:
-        with open(csv_out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+    if args.csv:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+        _write_atomic(args.csv, buf.getvalue())
     bad = any(r["verdict"] != "pass" for r in rows)
-    return table, 1 if bad else 0
+    return "\n".join(lines) + "\n", 1 if bad else 0
 
 
 # -- entry point ---------------------------------------------------------------
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``main`` call and reused."""
+    """The argument parser, built on the first ``main`` call and reused.
+    Each subcommand binds ``run``, its job from the parsed arguments to
+    (stdout text, exit code), and ``writes``, what its files are called in
+    the message of a failed write."""
     parser = argparse.ArgumentParser(
         prog="holonomy",
         description="Verify centralizer holonomy algebras from Jordan block data.")
@@ -319,61 +345,32 @@ def _parser() -> argparse.ArgumentParser:
                           help="comma list from: canonical,berger,realize,probe")
     p_verify.add_argument("--out", default="", help="write the report JSON here")
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(run=_verify, writes="report")
 
     p_corpus = sub.add_parser("corpus", help="emit the nilpotent spec corpus")
     p_corpus.add_argument("--max-n", type=int, required=True)
     p_corpus.add_argument("--out", required=True, help="output directory")
+    p_corpus.set_defaults(run=_corpus, writes="corpus")
 
     p_report = sub.add_parser("report", help="summarize verify reports")
     p_report.add_argument("files", nargs="*")
     p_report.add_argument("--csv", default="")
+    p_report.set_defaults(run=_report, writes="CSV")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
-    if args.command == "verify":
-        stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
-        try:
-            config = RunConfig(input=args.input, stages=stages, seed=args.seed)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        report, code = cmd_verify(config)
-        text = _dumps(report)
-        if args.out and "error" not in report:
-            try:
-                _write_atomic(args.out, text)
-            except OSError as exc:
-                print(f"cannot write the report: {exc}", file=sys.stderr)
-                return 2
-        sys.stdout.write(text)
-        return code
-
-    if args.command == "corpus":
-        try:
-            paths = cmd_corpus(args.max_n, args.out)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"cannot write the corpus: {exc}", file=sys.stderr)
-            return 2
-        for p in paths:
-            print(p)
-        return 0
-
-    if args.command == "report":
-        try:
-            table, code = cmd_report(args.files, csv_out=args.csv)
-        except OSError as exc:
-            print(f"cannot write the CSV: {exc}", file=sys.stderr)
-            return 2
-        print(table)
-        return code
-
-    return 2  # pragma: no cover
+    try:
+        text, code = args.run(args)
+    except UsageError as exc:  # a refused option value; a stage's own ValueError propagates
+        print(exc, file=sys.stderr)
+        return 2
+    except OSError as exc:  # every read is caught where it happens: this is a failed write
+        print(f"cannot write the {args.writes}: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -159,6 +159,10 @@ CATALOGUE = (
            "_NEGLIGIBLE = 1e-3",
            ("tests/test_probe.py::test_span_blocks_1_2",
             "tests/test_probe.py::test_span_report_json")),
+    Mutant("transport-divergence-unchecked", "src/holonomy/probe/transport.py",
+           "if not np.isfinite(d).all():",
+           "if False:",
+           ("tests/test_probe.py::test_a_diverged_transport_is_refused",)),
     Mutant("loops-without-plane-index-bound", "src/holonomy/probe/transport.py",
            "if (planes >= n).any():",
            "if False:",
@@ -236,6 +240,17 @@ CATALOGUE = (
            "facts = [_first_failure(stages, name) for name in names]",
            "facts = []",
            ("tests/test_cli.py::test_report_checks_each_stage_document_by_its_declaration",)),
+    # the reader's config check skipped but for the stage order, which other
+    # tests hold: the seed and the key set go unread
+    Mutant("report-config-unchecked", "src/holonomy/cli.py",
+           '        config = RunConfig(path, doc["config"]["stages"], doc["config"]["seed"])\n'
+           '        if doc["config"] != config.echo():\n'
+           '            raise ValueError("config is not one that verify writes")\n'
+           '        names, stages = config.stages, doc["stages"]\n',
+           '        names, stages = doc["config"]["stages"], doc["stages"]\n'
+           '        if not names or names != [s for s in ALL_STAGES if s in names]:\n'
+           '            raise ValueError("config.stages not in pipeline order")\n',
+           ("tests/test_cli.py::test_report_reads_its_config_by_the_run_config_rule",)),
     Mutant("report-probe-dim-unchecked", "src/holonomy/probe/transport.py",
            'needs="berger", shared=("dim_gL",))',
            'needs="berger")',

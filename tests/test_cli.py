@@ -14,7 +14,7 @@ import pytest
 
 import holonomy
 from holonomy.berger import berger_certificate, r_formal
-from holonomy import canonical
+from holonomy import canonical, cli
 from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_from_json, pencil_to_json
 from holonomy.cli import ALL_STAGES, MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
@@ -241,6 +241,22 @@ def test_verify_rejects_bad_options(tmp_path, capsys, option):
     assert all(ln.startswith(("usage:", " ")) for ln in usage), usage
     assert "[timing]" not in captured.err
 
+
+
+def test_a_value_error_inside_a_stage_propagates(tmp_path, capsys, monkeypatch):
+    # main maps only refused option values and failed writes to exit 2: a
+    # stage's own ValueError is a fault of the program, and surfaces as one
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    out = tmp_path / "r.json"
+
+    def broken(pair):
+        raise ValueError("a fault inside the canonical stage")
+
+    monkeypatch.setattr(cli, "canonical_report", broken)
+    with pytest.raises(ValueError, match="a fault inside the canonical stage") as caught:
+        main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(out)])
+    assert type(caught.value) is ValueError
+    assert capsys.readouterr().out == "" and not out.exists()
 
 def test_report_config_holds_stages_and_seed(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
@@ -530,6 +546,14 @@ def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
     assert main(["verify", "--input", str(spec), "--stages", "canonical", "--out", str(link)]) == 0
     assert link.is_symlink() and link.resolve() == target
     assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+    # a CSV that is a link: the summary goes to its target
+    csv_target = tmp_path / "target.csv"
+    csv_target.write_text("old", encoding="utf-8")
+    (tmp_path / "link.csv").symlink_to(csv_target)
+    for name in ("link.csv", "plain.csv"):
+        assert main(["report", str(target), "--csv", str(tmp_path / name)]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert csv_target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
     # a corpus spec that is a link
     out = tmp_path / "corpus"
     out.mkdir()
@@ -615,6 +639,16 @@ def test_corpus_rejects_bad_max_n(tmp_path):
     assert main(["corpus", "--max-n", "13", "--out", str(tmp_path)]) == 2
 
 
+
+@pytest.mark.parametrize("max_n", ["1", "13"])
+def test_a_refused_corpus_makes_nothing(tmp_path, capsys, max_n):
+    # --max-n is checked before the output directory is made
+    out = tmp_path / "new" / "corpus"
+    assert main(["corpus", "--max-n", max_n, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "max_n must be between 2 and 12\n"
+    assert list(tmp_path.iterdir()) == []
+
 def test_corpus_documents_round_trip_through_the_spec_codec():
     for name, doc in iter_corpus_specs(12):
         spec = pencil_from_json(doc)
@@ -666,7 +700,54 @@ def test_report_unwritable_csv_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "cannot write the CSV" in captured.err and str(csv_out) in captured.err
     assert not csv_out.parent.exists()
+    # an existing directory: the temp file is written, the rename fails,
+    # and the temp file is removed
+    taken = tmp_path / "taken.csv"
+    taken.mkdir()
+    assert main(["report", str(out), "--csv", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot write the CSV: ")
+    assert not any(taken.iterdir()) and not list(tmp_path.glob("*.tmp"))
 
+
+
+
+# the CSV of the reports in test_report_csv_bytes_are_pinned as csv.DictWriter
+# writes it: CRLF line ends, and a cell with a comma or a double quote
+# quoted, its quotes doubled
+CSV_BYTES = (
+    b"file,n,partition,signs,dim_gL,berger,realize,probe_rank,probe_residual,verdict,error\r\n"
+    b"broken.json,,,,,,,,,error,Expecting property name enclosed in double quotes: "
+    b"line 1 column 2 (char 1)\r\n"
+    b"missing.json,,,,,,,,,error,\"not a verify report: ValueError(\"\"stage documents "
+    b"['canonical'] are not config.stages ['canonical', 'berger']\"\")\"\r\n"
+    b'bad.json,3,1-2,++,1,pass,-,,,fail,"canonical.gL_witness [0, 1]"\r\n'
+    b"good.json,3,1-2,++,1,pass,-,,,pass,\r\n")
+
+
+def test_report_csv_bytes_are_pinned(tmp_path, capsys):
+    # a passing, a failing, a refused and an unreadable report
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    good = tmp_path / "good.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical,berger",
+                 "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    bad = json.loads(good.read_text())
+    bad["stages"]["canonical"].update(gL_witness=[0, 1], passed=False)
+    bad["verdict"] = "fail"
+    missing = {**doc, "stages": {"canonical": doc["stages"]["canonical"]}}
+    paths = [good, tmp_path / "bad.json", tmp_path / "missing.json", tmp_path / "broken.json"]
+    paths[1].write_text(json.dumps(bad))
+    paths[2].write_text(json.dumps(missing))
+    paths[3].write_text("{not json")
+    csv_out = tmp_path / "summary.csv"
+    capsys.readouterr()
+    assert main(["report", *map(str, paths), "--csv", str(csv_out)]) == 1
+    assert csv_out.read_bytes() == CSV_BYTES
+    # the table holds the same rows, tab-separated
+    table = capsys.readouterr().out
+    with open(csv_out, newline="", encoding="utf-8") as fh:
+        assert table == "".join("\t".join(row) + "\n" for row in csv.reader(fh))
 
 def test_report_empty_and_errors(tmp_path, capsys):
     assert main(["report"]) == 0
@@ -748,6 +829,35 @@ def test_report_derives_its_verdict_from_the_stage_documents(tmp_path, capsys):
         row = dict(zip(header.split("\t"), line.split("\t"), strict=True))
         assert row["verdict"] == "error" and "not a verify report" in row["error"], (name, row)
 
+
+
+def test_report_reads_its_config_by_the_run_config_rule(tmp_path, capsys):
+    # the config of a verify report is RunConfig's echo: exactly the keys
+    # stages and seed, the seed an int >= 0.  Each edit below was once a
+    # passing row
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    good = tmp_path / "good.json"
+    assert main(["verify", "--input", str(spec), "--stages", "canonical,berger",
+                 "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    stages = doc["config"]["stages"]
+    cases = {
+        "seed-negative": {"stages": stages, "seed": -1},
+        "seed-text": {"stages": stages, "seed": "x"},
+        "seed-true": {"stages": stages, "seed": True},
+        "seed-float": {"stages": stages, "seed": 0.0},
+        "seed-missing": {"stages": stages},
+        "extra-key": {"stages": stages, "seed": 0, "membership_tol": 0.5},
+    }
+    paths = []
+    for name, config in cases.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({**doc, "config": config}))
+    code, rows = _report_rows([good, *paths], capsys)
+    assert code == 1 and rows.pop("good.json")["verdict"] == "pass"
+    assert set(rows) == {f"{name}.json" for name in cases}
+    for name, row in rows.items():
+        assert row["verdict"] == "error" and "not a verify report" in row["error"], (name, row)
 
 def test_report_shows_a_refused_spec_as_its_message(tmp_path, capsys):
     # verify writes a refused spec's report as {"error": message}; its
@@ -985,3 +1095,14 @@ def test_runconfig_validation():
         RunConfig(input="x", membership_tol=1e-6)
     with pytest.raises(ValueError):
         RunConfig(input="x", seed=-1)
+
+
+def test_runconfig_is_the_one_config_rule():
+    # it puts the stages in pipeline order, and its refusals are usage
+    # errors, which main reports with exit 2
+    assert RunConfig(input="x", stages=("probe", "canonical")).echo() == {
+        "stages": ["canonical", "probe"], "seed": 0}
+    for bad in ({"stages": ("x",)}, {"stages": ("berger", "berger")}, {"seed": -1},
+                {"seed": True}, {"seed": "0"}, {"seed": 1.0}):
+        with pytest.raises(cli.UsageError):
+            RunConfig(input="x", **bad)

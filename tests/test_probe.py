@@ -389,6 +389,26 @@ def test_singular_metric_detected():
         parallel_transport(fm, bad)
 
 
+
+def test_a_diverged_transport_is_refused(monkeypatch):
+    # negative control for the divergence check: the kernel's square run of
+    # one loop comes back non-finite, as from a metric that degenerates
+    # inside a certified loop; transport and span both refuse it
+    pair, qm = realized([(1, 1), (2, 1)])
+    loops = standard_loops(pair.n, seed=0)
+    real = kernels.transport_polyline
+
+    def diverged(*args):
+        runs = real(*args)
+        runs[0, 1, 0, 0] = np.nan
+        return runs
+
+    monkeypatch.setattr(kernels, "transport_polyline", diverged)
+    with pytest.raises(SingularMetricError, match="transport diverged"):
+        parallel_transport(FloatMetric(qm), loops)
+    with pytest.raises(SingularMetricError, match="transport diverged"):
+        span(qm, pair, loops)
+
 # -- span reports -----------------------------------------------------------------
 
 def test_span_flat_single_block():
