@@ -21,6 +21,18 @@ Each stage's report document comes from its own module, in one call:
 only when the probe stage runs.
 """
 
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads; child processes
+# inherit the variable.  At these sizes a second thread saves little, costs
+# much when another process holds a core, slows numpy's import and changes
+# the probe's rounding.  A count the user set, through either variable, is
+# left alone.
+if "numpy" not in sys.modules and not (
+        "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .canonical import (
     ComplexBlockError,
     InvalidSpecError,

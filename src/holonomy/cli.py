@@ -6,8 +6,11 @@ Commands:
     report FILES... [--csv out.csv]
 
 Exit status: 0 all requested stages pass, 1 verification failure, 2 invalid
-input.  Report JSON bytes are fixed for one config, seed and BLAS thread
-count; across thread counts the probe's singular values move by rounding, and
+input.  Report JSON bytes are fixed by config and seed at the default single
+BLAS thread.  The default applies only when ``holonomy`` is imported before
+numpy, and child processes inherit it: the package sets
+``OPENBLAS_NUM_THREADS=1`` unless it or ``OMP_NUM_THREADS`` is set.  An
+explicit count above 1 may move the probe's singular values by rounding, and
 at n = 12 its residuals and drifts too: the kernel's GEMM rounds by thread
 count there.  Each stage is one call from the run's exact objects, each built
 on first use and kept, to its report document; its wall time, those builds

@@ -310,6 +310,21 @@ CATALOGUE = (
            "if max(map(abs, v.values())).bit_length() > bits:",
            "if False:",
            ("tests/test_exactla.py::test_elimination_refuses_entries_past_the_hadamard_bound",)),
+    # the one-BLAS-thread default: never set, set over the user's count, or
+    # set after numpy has read its count
+    Mutant("blas-default-dropped", "src/holonomy/__init__.py",
+           'os.environ["OPENBLAS_NUM_THREADS"] = "1"',
+           "pass",
+           ("tests/test_cli.py::test_import_sets_one_blas_thread_only_by_default",
+            "tests/test_cli.py::test_plain_verify_runs_blas_on_one_thread")),
+    Mutant("blas-default-over-user-setting", "src/holonomy/__init__.py",
+           ' and not (\n        "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ)',
+           "",
+           ("tests/test_cli.py::test_import_sets_one_blas_thread_only_by_default",)),
+    Mutant("blas-default-after-numpy", "src/holonomy/__init__.py",
+           'if "numpy" not in sys.modules and not (',
+           "if not (",
+           ("tests/test_cli.py::test_import_sets_one_blas_thread_only_by_default",)),
 )
 
 

@@ -19,6 +19,7 @@ from holonomy.canonical import MAX_DIM, MAX_SPEC_BYTES, build_canonical, pencil_
 from holonomy.cli import ALL_STAGES, MAX_REPORT_BYTES, RunConfig, cmd_verify, iter_corpus_specs, main
 from holonomy.probe.transport import EXTRA_BASEPOINTS
 
+import corpus_sweep
 import exact_digest
 from helpers import N24_BLOCKS, SPEC_REFUSALS, eigenvalue_entry
 from oracles import wedge_tags
@@ -28,6 +29,15 @@ def write_spec(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def child_env(**blas):
+    """The environment of a child interpreter that imports this package:
+    neither BLAS thread variable set, but those in ``blas``."""
+    path = [str(Path(holonomy.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, path)), **blas}
 
 
 SPEC_1_2 = {"eigenvalues": [{"lambda": "0", "blocks": [
@@ -60,10 +70,8 @@ def test_full_verify_never_imports_numpy_random(tmp_path):
             "from holonomy.cli import main\n"
             f"assert main(['verify', '--input', {str(spec)!r}, '--out', {str(out)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n")
-    path = [str(Path(holonomy.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120)
+                         env=child_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     # the report goes to stdout too; the module list is the last line
     assert run.stdout.splitlines()[-1] == "[]", run.stdout[-500:]
@@ -472,9 +480,13 @@ def test_reports_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+N12 = "n12_p1-1-1-1-2-2-2-2_s++++++++"
+
+
 def test_reports_across_blas_thread_counts(tmp_path):
-    # the stated contract: a report's bytes are fixed for one config, seed and
-    # BLAS thread count.  Across thread counts the exact documents and every
+    # the stated contract: a report's bytes are fixed by config and seed at
+    # the default single BLAS thread, and an explicit count above 1 may move
+    # them by rounding.  Across thread counts the exact documents and every
     # probe field are equal but the singular values, which move by a few ulps
     # of s0, and at n = 12 the residuals and drifts, which move by less than
     # ``moved``.  There, kernels.segment_terms' GEMM mats[0] @ xx gives other
@@ -483,15 +495,12 @@ def test_reports_across_blas_thread_counts(tmp_path):
     # n = 24 they are bit-identical, and so is the membership projection
     specs = {**dict(iter_corpus_specs(12)), "n24": {"eigenvalues": [
         eigenvalue_entry("-1/3", *N24_BLOCKS)]}}
-    path = [str(Path(holonomy.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    for name, seed, moved, loops in (("n12_p1-1-1-1-2-2-2-2_s++++++++", 0, 1e-15, 120),
-                                     ("n24", 1, 0.0, 258)):
+    for name, seed, moved, loops in ((N12, 0, 1e-15, 120), ("n24", 1, 0.0, 258)):
         spec = write_spec(tmp_path, f"{name}.json", specs[name])
         reports = []
         for threads in ("1", "2"):
             out = tmp_path / f"{name}.threads{threads}.json"
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             run = subprocess.run([sys.executable, "-m", "holonomy.cli", "verify", "--input",
                                   str(spec), "--seed", str(seed), "--out", str(out)],
                                  capture_output=True, text=True, env=env, timeout=120)
@@ -514,6 +523,42 @@ def test_reports_across_blas_thread_counts(tmp_path):
         assert len(p["singular_values"]) == len(q["singular_values"]), name
         assert all(abs(a - b) < 1e-14 * s0
                    for a, b in zip(p["singular_values"], q["singular_values"])), name
+
+
+def test_plain_verify_runs_blas_on_one_thread(tmp_path):
+    # with neither variable set, the package sets OPENBLAS_NUM_THREADS=1
+    # before numpy loads, so this spec, whose report moves with the thread
+    # count (test above), writes the bytes of the one-thread run
+    spec = write_spec(tmp_path, f"{N12}.json", dict(iter_corpus_specs(12))[N12])
+    reports = []
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        run = subprocess.run([sys.executable, "-m", "holonomy.cli", "verify", "--input",
+                              str(spec), "--seed", "0"],
+                             capture_output=True, env=child_env(**blas), timeout=120)
+        assert run.returncode == 0, run.stderr
+        reports.append(run.stdout)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("blas, first, changed", [
+    ({}, "", {"OPENBLAS_NUM_THREADS": "1"}),
+    # a count the user set, through either variable, is left alone
+    ({"OPENBLAS_NUM_THREADS": "2"}, "", {}),
+    ({"OMP_NUM_THREADS": "2"}, "", {}),
+    # numpy loaded first has read its count already: nothing to set
+    ({}, "import numpy\n", {}),
+], ids=["unset", "openblas-set", "omp-set", "numpy-first"])
+def test_import_sets_one_blas_thread_only_by_default(blas, first, changed):
+    code = ("import json, os\n"
+            "before = dict(os.environ)\n"
+            f"{first}import holonomy\n"
+            "keys = before.keys() | os.environ.keys()\n"
+            "print(json.dumps({k: os.environ.get(k) for k in keys\n"
+            "                  if os.environ.get(k) != before.get(k)}))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env(**blas), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == changed
 
 
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):
@@ -672,6 +717,17 @@ def test_exact_stage_reports_match_the_committed_digest(tmp_path):
     # digest (tests/exact_digest.py --write) and says so
     found = exact_digest.digest(tmp_path)
     assert found == exact_digest.DIGEST_FILE.read_text(encoding="ascii").strip()
+
+
+def test_corpus_sweep_gates_metric_drift(tmp_path):
+    # negative control of the sweep's drift gate: a passing report has no
+    # fault, and one sample's drift raised to 1e-12 is named
+    spec = write_spec(tmp_path, "spec.json", SPEC_1_2)
+    report, code = cmd_verify(RunConfig(input=str(spec)))
+    assert code == 0 and corpus_sweep.faults(report, SPEC_1_2) == []
+    report["stages"]["probe"]["samples"][0]["metric_drift"] = 1e-12
+    (fault,) = corpus_sweep.faults(report, SPEC_1_2)
+    assert fault == "drift 1e-12 > 1e-13"
 
 
 def test_report_summary(tmp_path, capsys):
